@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint bench bench-pdns bench-wire bench-serve bench-stream bench-monitor bench-udp chaos fuzz monitor-smoke check
+.PHONY: build test race vet lint bench bench-check chaos fuzz monitor-smoke check
 
 build:
 	$(GO) build ./...
@@ -25,83 +25,23 @@ vet:
 lint:
 	$(GO) run ./internal/tools/tracecheck ./internal/resolver ./internal/measure ./internal/monitor
 
-# bench runs the scan-pipeline benchmarks (including the
-# parallel-metrics sub-benchmark, which repeats the parallel
-# configuration with a live metrics registry — compare the two ns/op
-# figures for the instrumentation overhead; the acceptance bar is
-# < 3%) and emits a BENCH_<host>.json report with an embedded metrics
-# snapshot from an instrumented reference scan.
+# bench runs the repository's one benchmark suite (BENCHMARK.json): the
+# bench/ module's five workloads, one process each, end-to-end metrics
+# into bench/out/results.json. `go run -C bench . -trace 1` adds the
+# per-layer metrics and the attribution table, `-compare old.json
+# new.json` the per-metric verdict; bench/README.md is the glossary.
 bench:
-	$(GO) run ./cmd/benchreport -bench . -benchtime 1s
+	$(GO) run -C bench .
 
-# bench-pdns runs the passive-analysis figure/table benchmarks — the
-# corpus fast paths alongside the retained view-based reference slow
-# paths (BenchmarkFig2PDNSGrowthReference and friends) and the one-time
-# BenchmarkCorpusCompile — and emits BENCH_2.json as the before/after
-# evidence for the columnar analysis engine, plus the pdns dump-load
-# micro-bench. The scan-pipeline overhead gates live in `make bench`
-# and are deliberately untouched here.
-bench-pdns:
-	$(GO) run ./cmd/benchreport -bench 'Fig|Table|Corpus' -benchtime 1s -benchout BENCH_2.json
-	$(GO) test -run '^$$' -bench ReadJSONL -benchmem ./internal/pdns
-
-# bench-wire runs the zero-alloc wire-path benchmarks and emits
-# BENCH_3.json as the before/after evidence for the pooled codec:
-# BenchmarkExchange / BenchmarkDecodeReferral / BenchmarkEncodeResponse
-# run the arena path (all must report 0 allocs/op — the hard gate is
-# TestWirePathZeroAlloc in internal/dnswire, run by `make test`); the
-# *Owned variants and BenchmarkWireEncodeDecode are the allocating
-# compatibility path for comparison.
-bench-wire:
-	$(GO) run ./cmd/benchreport -bench 'Exchange|DecodeReferral|EncodeResponse|WireEncodeDecode' -benchtime 1s -benchout BENCH_3.json
-
-# bench-serve runs the authoritative serving-tier benchmarks and emits
-# BENCH_4.json: the repeated-query workload over the in-memory wire path
-# and a real loopback UDP socket, each with the response cache on and
-# off. The acceptance bar is cache-on ≥ 2x cache-off on the in-memory
-# pair with 0 allocs/op on the cached path (hard-gated by
-# TestServeCachedZeroAlloc in internal/authserver); the UDP pair records
-# the syscall-dominated absolute numbers.
-bench-serve:
-	$(GO) run ./cmd/benchreport -bench 'ServeInMemory|ServeUDP' -benchtime 1s -benchout BENCH_4.json
-
-# bench-stream compares the streaming scan path against the slice
-# reference at a raised scale tier (Scale=0.05 vs the pipeline bench's
-# 0.02): identical measurement and serialization work, but the slice
-# side retains every result until the final WriteJSONL while the stream
-# side holds only the bounded reorder window. BENCH_5.json records
-# throughput parity (acceptance: stream within 5% of slice) and the
-# retained-bytes/op collapse.
-bench-stream:
-	$(GO) run ./cmd/benchreport -bench ScanStream -benchtime 2x -benchout BENCH_5.json
-
-# bench-monitor pins the monitoring daemon's per-epoch overhead and
-# emits BENCH_6.json with three rungs over the same worldgen population:
-# "bare" is the raw checkpointed streaming scan, "traced" adds the
-# flight recorder the daemon mandates (the pre-existing span-recording
-# cost), and "monitor" is a full Monitor.RunEpoch (per-result diffing
-# against the previous epoch, alert-log flushes on every checkpoint,
-# atomic state/trace writes at epoch end). The acceptance bar is
-# monitor within 3% of traced ns/op — the monitor layer's own machinery
-# must be invisible next to measurement latency; the bare/traced gap
-# keeps the recording cost visible instead of hidden in the comparator.
-bench-monitor:
-	$(GO) run ./cmd/benchreport -bench MonitorEpoch -benchtime 10x -benchout BENCH_6.json
-
-# bench-udp races the two real-network transports at matched
-# concurrency over the same loopback serving pool and emits
-# BENCH_7.json: one dialed socket per exchange (the portable reference
-# path, govscan -transport=dial) against udpx.BatchTransport's shared
-# sockets, sendmmsg/recvmmsg batches, and QID demultiplexing (the
-# default). The acceptance bar is batch ≥ 3x dial qps at 0 allocs/op
-# on the batch side (hard-gated by TestBatchExchangeZeroAlloc in
-# internal/udpx, run by `make test`); the reported syscalls/query and
-# dgrams/recvbatch metrics come from the transport's own udpx_*
-# counters. The digest differential pinning batch == dial bit-identical
-# lives in internal/measure (TestScanDigestBatchVsDial, run by `make
-# test` and `make race`).
-bench-udp:
-	$(GO) run ./cmd/benchreport -bench 'TransportDialUDP|TransportBatchUDP' -benchtime 3s -benchout BENCH_7.json
+# bench-check keeps the benchmark buildable: bench/ is its own module,
+# so build/vet/test above never compile it, and a change to an
+# identifier it imports would otherwise first show when the benchmark
+# run fails. Vet, the module's own tests under the race detector, and a
+# one-second loopback-scan smoke.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench -race .
+	$(GO) run -C bench . -workload scan_udp_loopback -seconds 1 -trace 0
 
 # monitor-smoke is the end-to-end daemon drill: two epochs over the
 # miniworld with an NS hijack injected between them must produce exactly
@@ -135,4 +75,4 @@ fuzz:
 # suites and the internal/obs concurrency tests (histogram and counter
 # hot paths are lock-free; the race detector is what keeps them honest)
 # — under the race detector.
-check: build vet lint test race monitor-smoke
+check: build vet lint test race monitor-smoke bench-check

@@ -4,13 +4,14 @@ package govdns
 // plus the ablation benches for the design choices the paper motivates:
 // the 7-day PDNS stability filter, the second measurement round, and the
 // mode-of-daily-counts yearly representative. Each bench regenerates its
-// experiment's rows from the shared study.
+// experiment's rows from the shared study. Throughput, latency and
+// per-layer costs are not measured here: that is the bench/ module
+// (`make bench`).
 //
 // Run: go test -bench=. -benchmem
 
 import (
 	"context"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -18,11 +19,9 @@ import (
 	"govdns/internal/analysis"
 	"govdns/internal/dnswire"
 	"govdns/internal/measure"
-	"govdns/internal/obs"
 	"govdns/internal/pdns"
 	"govdns/internal/resolver"
 	"govdns/internal/stats"
-	"govdns/internal/trace"
 )
 
 var (
@@ -49,7 +48,7 @@ func BenchmarkFig2PDNSGrowth(b *testing.B) {
 	// Call the corpus directly: the Study memoizes Fig2And3, and this
 	// bench must measure the per-call aggregation, not the cache. The
 	// corpus itself is compiled outside the timer — that one-time cost
-	// is BenchmarkCorpusCompile's subject.
+	// is bench/'s analysis.corpus_compile_ms.
 	s := study(b)
 	c := s.Corpus()
 	b.ResetTimer()
@@ -61,55 +60,12 @@ func BenchmarkFig2PDNSGrowth(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2PDNSGrowthReference measures the retained view-based
-// slow path — the before side of the corpus speedup, kept runnable so
-// the comparison never goes stale.
-func BenchmarkFig2PDNSGrowthReference(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		years := analysis.PDNSYearly(s.StableView, s.Mapper, s.StartYear(), s.EndYear())
-		if years[len(years)-1].Domains == 0 {
-			b.Fatal("empty final year")
-		}
-	}
-}
-
-// BenchmarkCorpusCompile measures the one-time corpus build the fast
-// figure paths amortize: interning, rdata parsing, memoized country
-// and privateness columns, and the difference-array mode sweep.
-func BenchmarkCorpusCompile(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := analysis.CompileCorpus(s.StableView, s.Mapper, s.StartYear(), s.EndYear())
-		if c.NumDomains() == 0 {
-			b.Fatal("empty corpus")
-		}
-	}
-}
-
 func BenchmarkFig3NameserverGrowth(b *testing.B) {
 	s := study(b)
 	c := s.Corpus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hosts := c.NameserversPerYear()
-		for i, n := range hosts {
-			if n == 0 {
-				b.Fatalf("no nameservers in %d", s.StartYear()+i)
-			}
-		}
-	}
-}
-
-// BenchmarkFig3NameserverGrowthReference measures the extracted
-// view-based library implementation (previously an inline loop here).
-func BenchmarkFig3NameserverGrowthReference(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hosts := analysis.NameserversPerYear(s.StableView, s.StartYear(), s.EndYear())
 		for i, n := range hosts {
 			if n == 0 {
 				b.Fatalf("no nameservers in %d", s.StartYear()+i)
@@ -397,169 +353,4 @@ func BenchmarkAblationModeVsMax(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(overcounted), "max-overcounted-domains")
-}
-
-// benchLatencyTransport models a realistic per-query round-trip on top of
-// the zero-latency simnet. Real scans are wait-dominated — RTTs of
-// milliseconds to tens of milliseconds, and multi-attempt timeout windows
-// on every defective domain — and that waiting is exactly what the scan
-// concurrency exists to overlap, so the pipeline benchmark must include
-// it to measure anything real.
-type benchLatencyTransport struct {
-	inner resolver.Transport
-	delay time.Duration
-}
-
-func (l *benchLatencyTransport) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
-	t := time.NewTimer(l.delay)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-t.C:
-	}
-	return l.inner.Exchange(ctx, server, query)
-}
-
-// BenchmarkScanPipeline measures the full bulk-scan hot path over the
-// study's query list at Scale=0.02 under a 5ms-RTT latency model with the
-// default 25ms lameness-detection timeout. Each iteration uses a fresh
-// iterator so cache warm-up, singleflight coalescing, and the per-domain
-// probe pipeline are all measured, exactly as a real scan pays for them.
-//
-// Sub-benchmarks:
-//   - serial: the pre-fan-out pipeline exactly as previously shipped —
-//     64 workers, per-domain serial probing, no resolution coalescing,
-//     fixed server order, serial zone builds.
-//   - serial-c128: the same serial pipeline pushed to 128 workers, to
-//     separate what plain worker scaling buys from what the per-domain
-//     fan-out buys.
-//   - parallel: the current defaults — 128 workers × fan-out 8, with
-//     coalescing, adaptive server ordering, and concurrent zone builds.
-//
-// The serial→parallel delta is the shipped-configuration improvement this
-// refactor delivers; serial-c128→parallel isolates the intra-domain
-// fan-out itself, whose ceiling is set by the population (defective
-// domains with a single nameserver have nothing to overlap — their full
-// timeout window is the pipeline's Amdahl floor).
-func BenchmarkScanPipeline(b *testing.B) {
-	s := study(b)
-	ctx := context.Background()
-	run := func(b *testing.B, workers, fanout int, seedBaseline, metrics, traced bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			client := resolver.NewClient(&benchLatencyTransport{s.Active.Net, 5 * time.Millisecond})
-			client.Timeout = 25 * time.Millisecond
-			client.Retries = 1
-			var reg *obs.Registry
-			if metrics {
-				reg = obs.NewRegistry()
-				client.SetMetrics(resolver.NewMetrics(reg))
-			}
-			it := resolver.NewIterator(client, s.Active.Roots)
-			if seedBaseline {
-				it.Coalesce = false
-				it.AdaptiveOrder = false
-				it.BuildFanout = 1
-			}
-			sc := measure.NewScanner(it)
-			sc.Concurrency = workers
-			sc.PerDomainParallelism = fanout
-			if metrics {
-				sc.Metrics = measure.NewScanMetrics(reg)
-			}
-			if traced {
-				sc.Trace = trace.NewFlightRecorder(trace.Config{})
-			}
-			results := sc.Scan(ctx, s.Active.QueryList)
-			if len(results) != len(s.Active.QueryList) {
-				b.Fatalf("got %d results for %d domains", len(results), len(s.Active.QueryList))
-			}
-			responsive := 0
-			for _, r := range results {
-				if r.Responsive() {
-					responsive++
-				}
-			}
-			if responsive == 0 {
-				b.Fatal("no responsive domains")
-			}
-		}
-		b.ReportMetric(float64(len(s.Active.QueryList)), "domains/op")
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 64, 1, true, false, false) })
-	b.Run("serial-c128", func(b *testing.B) { run(b, 128, 1, true, false, false) })
-	b.Run("parallel", func(b *testing.B) {
-		run(b, measure.DefaultConcurrency, measure.DefaultPerDomainParallelism, false, false, false)
-	})
-	// parallel-metrics is the observability overhead gate: the same
-	// configuration as parallel with the full instrument set attached
-	// (resolver RTT histogram, per-server outcomes, stage histograms).
-	// The acceptance bar is < 3% regression against parallel.
-	b.Run("parallel-metrics", func(b *testing.B) {
-		run(b, measure.DefaultConcurrency, measure.DefaultPerDomainParallelism, false, true, false)
-	})
-	// parallel-traced is the tracing overhead gate: the same configuration
-	// as parallel with a default-bucket flight recorder attached, so every
-	// domain records a full span tree and offers it for retention. The
-	// acceptance bar is < 3% regression against parallel (tracing is also
-	// digest-passive; TestTraceDigestInvariance pins that part).
-	b.Run("parallel-traced", func(b *testing.B) {
-		run(b, measure.DefaultConcurrency, measure.DefaultPerDomainParallelism, false, false, true)
-	})
-}
-
-// --- Substrate micro-benchmarks ---
-
-func BenchmarkWireEncodeDecode(b *testing.B) {
-	query := dnswire.NewQuery(1, "city.gov.br.", dnswire.TypeNS)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire, err := dnswire.Encode(query)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dnswire.Decode(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScanDomain(b *testing.B) {
-	s := study(b)
-	client := resolver.NewClient(s.Active.Net)
-	client.Timeout = 10 * time.Millisecond
-	scanner := measure.NewScanner(resolver.NewIterator(client, s.Active.Roots))
-	// Pick a healthy domain so the bench measures the pipeline, not
-	// timeout waits.
-	var target = s.Active.QueryList[0]
-	for _, d := range s.World.Domains {
-		if d.Died == 0 && !d.SingleNS {
-			target = d.Name
-			break
-		}
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := scanner.ScanDomain(ctx, target)
-		if !r.ParentResponded {
-			b.Fatalf("scan of %s failed: %s", target, r.Err)
-		}
-	}
-}
-
-func BenchmarkIterativeResolve(b *testing.B) {
-	s := study(b)
-	ctx := context.Background()
-	client := resolver.NewClient(s.Active.Net)
-	client.Timeout = 10 * time.Millisecond
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Fresh iterator each time: measures uncached full walks.
-		it := resolver.NewIterator(client, s.Active.Roots)
-		if _, err := it.Delegation(ctx, "gov.br."); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,33 +1,24 @@
 // Command benchreport regenerates every table and figure of the paper
 // and prints them alongside the paper's published values, one experiment
-// per section. It is the harness behind EXPERIMENTS.md.
-//
-// With -bench it instead runs the repo's Go benchmarks (go test -bench
-// -benchmem) and emits the parsed results as JSON, so perf numbers can be
-// committed (BENCH_*.json) and compared across PRs.
+// per section. It is the harness behind EXPERIMENTS.md. (Performance is
+// measured by the bench/ module, `make bench`.)
 //
 // Usage:
 //
-//	benchreport [-scale 0.1] [-seed 42] [-experiment fig9] [-csv]
-//	benchreport -bench . [-benchtime 1x] [-benchout BENCH_1.json]
+//	benchreport [-scale 0.1] [-seed 42] [-experiment fig9] [-csvdir out/]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"govdns"
 	"govdns/internal/core"
-	"govdns/internal/obs"
 )
 
 func main() {
@@ -43,14 +34,7 @@ func run() error {
 	experiment := flag.String("experiment", "", "run one experiment (fig2 fig4 fig6 fig7 fig8 fig9 table1 table2 table3 fig10 fig11 fig13); empty = all")
 	csvDir := flag.String("csvdir", "", "also export every experiment as CSV files into this directory")
 	listExpectations := flag.Bool("expectations", false, "print the paper's expected values and exit")
-	bench := flag.String("bench", "", "run Go benchmarks matching this regexp and emit JSON instead of the report")
-	benchtime := flag.String("benchtime", "1x", "benchtime passed to go test when -bench is set")
-	benchout := flag.String("benchout", "", "write the -bench JSON to this file (default stdout)")
 	flag.Parse()
-
-	if *bench != "" {
-		return runBench(*bench, *benchtime, *benchout)
-	}
 
 	if *listExpectations {
 		keys := make([]string, 0, len(core.PaperExpectations))
@@ -164,107 +148,6 @@ func writeOne(study *govdns.Study, id string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", id)
 	}
-	return nil
-}
-
-// benchResult is one parsed benchmark line.
-type benchResult struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// benchReport is the JSON document -bench emits.
-type benchReport struct {
-	Date       string        `json:"date"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	NumCPU     int           `json:"num_cpu"`
-	Command    string        `json:"command"`
-	Benchmarks []benchResult `json:"benchmarks"`
-	// MetricsScale is the world scale of the instrumented reference scan
-	// whose registry snapshot is embedded below, so per-stage latency
-	// distributions and query counts travel with the perf numbers.
-	MetricsScale float64               `json:"metrics_scale,omitempty"`
-	Metrics      *obs.RegistrySnapshot `json:"metrics,omitempty"`
-}
-
-// runBench shells out to go test, parses the standard benchmark output
-// format, and writes it as JSON.
-func runBench(pattern, benchtime, out string) error {
-	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem", "-benchtime", benchtime, "."}
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go %s: %w\n%s", strings.Join(args, " "), err, raw)
-	}
-
-	report := benchReport{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Command:   "go " + strings.Join(args, " "),
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		// Name, iteration count, then value/unit pairs.
-		if len(fields) < 4 || len(fields)%2 != 0 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		r := benchResult{
-			Name:       strings.TrimSuffix(fields[0], fmt.Sprintf("-%d", runtime.GOMAXPROCS(0))),
-			Iterations: iters,
-			Metrics:    make(map[string]float64, (len(fields)-2)/2),
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			r.Metrics[fields[i+1]] = v
-		}
-		report.Benchmarks = append(report.Benchmarks, r)
-	}
-	if len(report.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmark lines in go test output")
-	}
-
-	// Embed an instrumented reference scan's metrics snapshot so each
-	// BENCH_*.json carries stage latency histograms and query counts
-	// alongside the ns/op numbers.
-	const metricsScale = 0.01
-	reg := govdns.NewMetricsRegistry()
-	if _, err := govdns.Run(context.Background(), govdns.Options{Seed: 42, Scale: metricsScale, Metrics: reg}); err != nil {
-		return fmt.Errorf("instrumented reference scan: %w", err)
-	}
-	snap := reg.Snapshot()
-	report.MetricsScale = metricsScale
-	report.Metrics = &snap
-
-	enc, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	if err := os.WriteFile(out, enc, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "benchmark report written to %s (%d benchmarks)\n", out, len(report.Benchmarks))
 	return nil
 }
 

@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"govdns/internal/authserver"
 	"govdns/internal/chaos"
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
@@ -82,8 +81,6 @@ func run() error {
 		"per-domain parallelism: concurrent NS-host resolutions and per-address probes within one domain (1 = serial)")
 	showStats := flag.Bool("stats", false, "print resolver cache/coalescing statistics after the scan")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (default 25ms sim, 2s real)")
-	transportKind := flag.String("transport", "batch",
-		"real-network UDP transport: batch (shared socket pool, sendmmsg/recvmmsg-style batching, QID demux) or dial (one socket per query; the slow portable reference path)")
 	qps := flag.Float64("qps", 0, "global query rate limit (0 = unlimited; recommended for -real)")
 	chaosSpec := flag.String("chaos", "",
 		"fault-injection profile: off, transient, persistent[:prob], flap[:len], or one class drop|delay|dup|truncate|qid|question|mangle|rcode[:prob]; seeded by -seed")
@@ -130,19 +127,12 @@ func run() error {
 		if *timeout == 0 {
 			*timeout = 2 * time.Second
 		}
-		switch *transportKind {
-		case "batch":
-			batchTr, err = udpx.New(udpx.Config{Timeout: *timeout})
-			if err != nil {
-				return fmt.Errorf("batch transport: %w", err)
-			}
-			defer func() { _ = batchTr.Close() }()
-			transport = batchTr
-		case "dial":
-			transport = &authserver.UDPTransport{}
-		default:
-			return fmt.Errorf("-transport must be batch or dial, not %q", *transportKind)
+		batchTr, err = udpx.New(udpx.Config{Timeout: *timeout})
+		if err != nil {
+			return fmt.Errorf("batch transport: %w", err)
 		}
+		defer func() { _ = batchTr.Close() }()
+		transport = batchTr
 		for _, s := range realRoots {
 			roots = append(roots, netip.MustParseAddr(s))
 		}
@@ -283,17 +273,10 @@ func run() error {
 	start := time.Now()
 	var results []*measure.DomainResult
 	if streaming {
-		// The scan key names this scan's identity; a checkpoint from a
-		// different world, domain list, or chaos profile must refuse to
-		// extend this output.
-		scanKey := fmt.Sprintf("domains=%s chaos=%s", *domainsPath, *chaosSpec)
-		if *domainsPath == "" {
-			scanKey = fmt.Sprintf("sim seed=%d scale=%g chaos=%s", *seed, *scale, *chaosSpec)
-		}
 		cfg := measure.StreamConfig{
 			CheckpointPath:  *checkpointPath,
 			CheckpointEvery: *checkpointEvery,
-			ScanKey:         scanKey,
+			ScanKey:         scanKey(*real, *seed, *scale, *domainsPath, *chaosSpec),
 			Metrics:         scanner.Metrics,
 		}
 		scanner.Metrics.SetTotal(srcTotal)
@@ -368,6 +351,19 @@ func run() error {
 	}
 	printSummary(results)
 	return nil
+}
+
+// scanKey names a streaming scan's identity; a checkpoint from a
+// different backend, world, domain list, or chaos profile must refuse
+// to extend this output. Seed and scale are in every key, not only the
+// world-query-list one: a -domains list is still scanned against the
+// seeded world, and the seed also drives the chaos profile.
+func scanKey(real bool, seed int64, scale float64, domainsPath, chaosSpec string) string {
+	mode := "sim"
+	if real {
+		mode = "real"
+	}
+	return fmt.Sprintf("%s seed=%d scale=%g domains=%s chaos=%s", mode, seed, scale, domainsPath, chaosSpec)
 }
 
 // runStream executes the streaming scan against a fresh or resumed

@@ -39,8 +39,9 @@ func putUDPBuf(buf []byte) {
 
 // UDPServer serves one authoritative Server over a real UDP socket. It is
 // used by cmd/dnsserver, the live-resolution example, and the loopback
-// serving tier behind the e2e differential and UDP-transport benchmarks;
-// the bulk study runs over the in-memory network instead.
+// serving tier behind the e2e differentials and the bench/ workloads
+// scan_udp_loopback and serve_zipf; the bulk study runs over the
+// in-memory network instead.
 type UDPServer struct {
 	server *Server
 	conn   *net.UDPConn
@@ -160,10 +161,10 @@ func (u *UDPServer) loop() {
 // connect/send/recv syscall sequence, which is exactly why it makes a
 // trustworthy oracle for udpx.BatchTransport — the e2e differential
 // suite pins the batched path's scan digests against this one's
-// (internal/measure), and `make bench-udp` records the throughput gap
-// that buys. Real-network scans default to the batched transport
-// (govscan -transport=batch); this path remains selectable with
-// -transport=dial.
+// (TestScanDigestBatchVsDial in internal/measure). No command
+// constructs it: real-network scans always run over udpx, and this type
+// stays for that differential, this package's own tests, and
+// examples/liveresolve.
 //
 // Queries go to port 53 unless the server's IP has an entry in
 // PortOverride (same IP, alternate port) or AddrOverride (full

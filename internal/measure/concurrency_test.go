@@ -2,7 +2,9 @@ package measure
 
 import (
 	"context"
+	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,5 +132,51 @@ func TestScanCancelledCarriesContextError(t *testing.T) {
 		if !strings.Contains(r.Err, context.DeadlineExceeded.Error()) {
 			t.Errorf("deadline scan Err = %q, want it to mention %q", r.Err, context.DeadlineExceeded)
 		}
+	}
+}
+
+// cancelAfter cancels a scan from inside: the n-th exchange cancels the
+// context while other workers' domains are mid-measurement.
+type cancelAfter struct {
+	inner  resolver.Transport
+	left   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.inner.Exchange(ctx, server, query)
+}
+
+// TestScanMidCancelKeepsNoHalfMeasuredDomain: after a mid-scan cancel
+// every slot holds either the result the uncancelled scan produces for
+// that domain or the wrapped "scan cancelled:" fill — never whatever
+// ScanDomain managed to assemble under a dead context.
+func TestScanMidCancelKeepsNoHalfMeasuredDomain(t *testing.T) {
+	active := streamWorld(t)
+	want := scanTuned(t, active.Net, active.Roots, active.QueryList, 8, 2, false, worldDeadline, 0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := &cancelAfter{inner: active.Net, cancel: cancel}
+	tr.left.Store(200)
+	got := streamScanner(tr, active.Roots, 8, 2).Scan(ctx, active.QueryList)
+	assertResultInvariants(t, got)
+
+	measured, filled := 0, 0
+	for i, r := range got {
+		switch {
+		case strings.HasPrefix(r.Err, "scan cancelled: "+context.Canceled.Error()):
+			filled++
+		case Digest(got[i:i+1]) == Digest(want[i:i+1]):
+			measured++
+		default:
+			t.Errorf("%s: half-measured result kept after cancel (err %q)", r.Domain, r.Err)
+		}
+	}
+	if measured == 0 || filled == 0 {
+		t.Fatalf("cancel was not mid-scan: %d measured, %d filled", measured, filled)
 	}
 }

@@ -391,55 +391,108 @@ func (s *Scanner) queryChildOnlyHosts(ctx context.Context, r *DomainResult) {
 	}
 }
 
-// Scan measures every domain in the list concurrently and returns the
-// results in input order.
-func (s *Scanner) Scan(ctx context.Context, domains []dnsname.Name) []*DomainResult {
-	s.Metrics.setTotal(len(domains))
+// scan is the scanner's one worker pool and feed loop; Scan and
+// ScanStream are this loop with different sinks. It pulls domains from
+// src on the calling goroutine, skips the first skip of them (a resumed
+// stream's already-emitted prefix), measures the rest on up to
+// Concurrency workers, and hands each result to sink with its source
+// index. sink runs on the worker goroutines.
+//
+// One stop rule serves both callers: a result observed after the scan's
+// context is done is dropped, not sunk, because a dead context poisons
+// any still-running measurement; and a sink error cancels that context,
+// so the feed stops and in-flight probes are abandoned instead of
+// measuring domains whose results have nowhere to go. scan returns the
+// first sink error, else ctx's error, else nil.
+func (s *Scanner) scan(ctx context.Context, src DomainSource, skip int, sink func(idx int, r *DomainResult) error) error {
 	workers := s.Concurrency
 	if workers <= 0 {
 		workers = DefaultConcurrency
 	}
-	if workers > len(domains) {
-		workers = len(domains)
+	scanCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	type job struct {
+		idx    int
+		domain dnsname.Name
 	}
-	results := make([]*DomainResult, len(domains))
-	if workers == 0 {
-		return results
+	var (
+		wg       sync.WaitGroup
+		jobs     = make(chan job)
+		failOnce sync.Once
+		sinkErr  error
+	)
+	worker := func() {
+		defer wg.Done()
+		// Each worker probes under its own child of scanCtx: every
+		// query's timeout context registers with its nearest
+		// cancellable ancestor, and a single shared one would put all
+		// Concurrency × Fanout goroutines on one mutex per query.
+		wctx, wcancel := context.WithCancel(scanCtx)
+		defer wcancel()
+		for j := range jobs {
+			r := s.ScanDomain(wctx, j.domain)
+			if scanCtx.Err() != nil {
+				continue
+			}
+			if err := sink(j.idx, r); err != nil {
+				failOnce.Do(func() { sinkErr = err })
+				cancel()
+			}
+		}
 	}
 
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				results[idx] = s.ScanDomain(ctx, domains[idx])
-			}
-		}()
-	}
+	started := 0
 feed:
-	for idx := range domains {
+	for idx := 0; ; idx++ {
+		d, ok := src()
+		if !ok {
+			break
+		}
+		if idx < skip {
+			s.Metrics.recordResumedSkip()
+			continue
+		}
+		// Workers start with the first domains fed, so a short list
+		// never spawns more goroutines than it has domains.
+		if started < workers {
+			started++
+			wg.Add(1)
+			go worker()
+		}
 		select {
-		case jobs <- idx:
-		case <-ctx.Done():
+		case jobs <- job{idx: idx, domain: d}:
+		case <-scanCtx.Done():
 			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
-
-	// Fill any unprocessed slots (cancelled scans) with error results
-	// that carry the context's own error, so callers can tell a deadline
-	// from an explicit cancel.
-	cancelErr := ctx.Err()
-	if cancelErr == nil {
-		cancelErr = context.Canceled
+	if sinkErr != nil {
+		return sinkErr
 	}
-	cancelMsg := fmt.Errorf("scan cancelled: %w", cancelErr).Error()
-	for i, r := range results {
-		if r == nil {
-			results[i] = cancelledResult(domains[i], cancelMsg)
+	return ctx.Err()
+}
+
+// Scan measures every domain in the list concurrently and returns the
+// results in input order. A slot whose domain was not measured to
+// completion — the feed never reached it, or ctx died while it was in
+// flight — holds a cancelledResult carrying the context's own error, so
+// callers can tell a deadline from an explicit cancel and never see a
+// half-measured domain.
+func (s *Scanner) Scan(ctx context.Context, domains []dnsname.Name) []*DomainResult {
+	s.Metrics.setTotal(len(domains))
+	results := make([]*DomainResult, len(domains))
+	err := s.scan(ctx, SliceSource(domains), 0, func(idx int, r *DomainResult) error {
+		results[idx] = r
+		return nil
+	})
+	if err != nil {
+		cancelMsg := fmt.Errorf("scan cancelled: %w", err).Error()
+		for i, r := range results {
+			if r == nil {
+				results[i] = cancelledResult(domains[i], cancelMsg)
+			}
 		}
 	}
 	return results
@@ -480,81 +533,32 @@ func SliceSource(domains []dnsname.Name) DomainSource {
 
 // ScanStream measures every domain the source yields and emits results
 // to sw in input order, holding only a bounded out-of-order window in
-// memory. It is the streaming counterpart of Scan — the reference
-// implementation it stays differentially pinned against: a completed
-// stream's bytes and digest are bit-identical to WriteJSONL/Digest over
-// Scan's slice for the same input.
+// memory. A completed stream's bytes and digest are bit-identical to
+// WriteJSONL/Digest over Scan's slice for the same input (pinned by the
+// stream-vs-slice differential tests).
 //
 // When sw was opened with ResumeStream, the first sw.Emitted() domains
 // from the source are skipped without scanning (counted as resumed
 // skips) and emission continues where the interrupted scan left off.
 //
 // On cancellation the output stops at the last contiguous genuinely
-// measured result: a result observed after ctx is done is discarded
-// rather than emitted, because a dead context poisons any still-running
-// measurement and "scan cancelled" artifacts must never reach an
-// archive a resumed scan will extend. ScanStream then returns ctx's
-// error; Finish has still flushed and checkpointed the clean prefix, so
-// a follow-up ResumeStream continues from it.
+// measured result: the dropped results leave gaps that cap the prefix
+// Finish keeps, so "scan cancelled" artifacts never reach an archive a
+// resumed scan will extend. ScanStream then returns ctx's error; Finish
+// has still flushed and checkpointed the clean prefix, so a follow-up
+// ResumeStream continues from it. A write error stops the scan the same
+// way and is returned instead.
 func (s *Scanner) ScanStream(ctx context.Context, src DomainSource, sw *StreamWriter) error {
-	workers := s.Concurrency
-	if workers <= 0 {
-		workers = DefaultConcurrency
-	}
 	// Cancellation must release workers blocked in Offer even after the
-	// feed loop below has already returned — without this, a dropped
-	// result's gap would leave the writer waiting for a line that will
-	// never arrive.
+	// feed loop has already returned — without this, a dropped result's
+	// gap would leave the writer waiting for a line that will never
+	// arrive.
 	stopCancel := context.AfterFunc(ctx, sw.Cancel)
 	defer stopCancel()
 
-	type job struct {
-		idx    int
-		domain dnsname.Name
+	err := s.scan(ctx, src, sw.Emitted(), sw.Offer)
+	if ferr := sw.Finish(); ferr != nil {
+		return ferr
 	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r := s.ScanDomain(ctx, j.domain)
-				if ctx.Err() != nil {
-					// The measurement may have been cut short by the
-					// cancel; dropping it leaves a gap at j.idx, which
-					// caps the contiguous prefix Finish keeps.
-					continue
-				}
-				sw.Offer(j.idx, r)
-			}
-		}()
-	}
-
-	skip := sw.Emitted()
-	idx := 0
-feed:
-	for {
-		d, ok := src()
-		if !ok {
-			break
-		}
-		if idx < skip {
-			idx++
-			s.Metrics.recordResumedSkip()
-			continue
-		}
-		select {
-		case jobs <- job{idx: idx, domain: d}:
-			idx++
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := sw.Finish(); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return err
 }

@@ -16,7 +16,7 @@ import (
 	"sync"
 )
 
-// This file is the streaming side of the scan pipeline (DESIGN.md §13):
+// This file is the streaming side of the scan pipeline (DESIGN.md § 5):
 // StreamWriter emits results as ordered JSONL with a bounded
 // out-of-order reorder window, periodically writing an atomic
 // checkpoint record, and ResumeStream restarts a killed scan from the

@@ -3,7 +3,9 @@ package measure
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -88,6 +90,36 @@ func TestScanStreamMatchesSlice(t *testing.T) {
 				t.Errorf("streamed digest %s != slice digest %s", sw.DigestHex(), wantDigest)
 			}
 		})
+	}
+}
+
+// fullDisk is an io.Writer that accepts nothing: the first flush of the
+// stream writer's buffer — a handful of results in — fails for good.
+type fullDisk struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestScanStreamStopsOnWriteError: a sticky write error ends the scan.
+// The writer's error comes back from ScanStream, and the feed stops and
+// in-flight work is cancelled instead of probing every remaining domain
+// for results that have nowhere to go.
+func TestScanStreamStopsOnWriteError(t *testing.T) {
+	active := streamWorld(t)
+	whole := streamScanner(active.Net, active.Roots, 8, 2)
+	if err := whole.ScanStream(context.Background(), SliceSource(active.QueryList), NewStreamWriter(io.Discard, StreamConfig{})); err != nil {
+		t.Fatalf("reference ScanStream: %v", err)
+	}
+
+	s := streamScanner(active.Net, active.Roots, 8, 2)
+	sw := NewStreamWriter(fullDisk{}, StreamConfig{})
+	err := s.ScanStream(context.Background(), SliceSource(active.QueryList), sw)
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("ScanStream error = %v, want the writer's %v", err, errDiskFull)
+	}
+	if sent, all := s.Iterator.Stats().Sent, whole.Iterator.Stats().Sent; sent*2 > all {
+		t.Errorf("scan sent %d queries after the write error; the whole scan sends %d", sent, all)
 	}
 }
 

@@ -29,18 +29,15 @@ type mmsghdr struct {
 	n   uint32
 }
 
-// osSock is the per-socket batched-syscall state: preallocated header,
-// iovec, and sockaddr arrays sized to cfg.Batch, so arming a batch
-// writes fields but never allocates. rbufs holds the receive buffers
-// currently lent to the kernel; delivery transfers them out and the
-// next cycle replenishes from the packet pool.
+// osSock is a PacketConn's batched-syscall state: preallocated header,
+// iovec, and sockaddr arrays sized to the batch bound, so arming a
+// batch writes fields but never allocates.
 type osSock struct {
 	rc syscall.RawConn
 
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
 	rnames []syscall.RawSockaddrInet6
-	rbufs  [][]byte
 
 	shdrs  []mmsghdr
 	siovs  []syscall.Iovec
@@ -48,22 +45,16 @@ type osSock struct {
 
 	// The RawConn callbacks are built once here and communicate through
 	// the fields below — a fresh closure per batch would put one heap
-	// allocation on the steady-state hot path. recvFn/got are owned by
-	// the recvLoop goroutine, sendFn/sendOff/sendN/sn by the sendLoop
-	// goroutine.
+	// allocation on the steady-state hot path. recvFn/got/rwant belong
+	// to the goroutine in ReadBatch, sendFn/sendOff/sendN/sn to the one
+	// in WriteBatch.
 	recvFn             func(fd uintptr) bool
 	got, rwant         int
 	sendFn             func(fd uintptr) bool
 	sendOff, sendN, sn int
 }
 
-func initOS(s *sock) error {
-	return initOSState(&s.os, s.conn, cap(s.batch))
-}
-
-// initOSState builds the batched-syscall state over conn for any owner
-// of an osSock — the transport's per-socket loops and the serving-side
-// PacketConn share it.
+// initOSState builds the batched-syscall state over conn.
 func initOSState(os *osSock, conn *net.UDPConn, batch int) error {
 	rc, err := conn.SyscallConn()
 	if err != nil {
@@ -74,7 +65,6 @@ func initOSState(os *osSock, conn *net.UDPConn, batch int) error {
 		rhdrs:  make([]mmsghdr, batch),
 		riovs:  make([]syscall.Iovec, batch),
 		rnames: make([]syscall.RawSockaddrInet6, batch),
-		rbufs:  make([][]byte, batch),
 		shdrs:  make([]mmsghdr, batch),
 		siovs:  make([]syscall.Iovec, batch),
 		snames: make([]syscall.RawSockaddrInet6, batch),
@@ -149,89 +139,4 @@ func getSockaddr(sa *syscall.RawSockaddrInet6) (netip.AddrPort, bool) {
 		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), port), true
 	}
 	return netip.AddrPort{}, false
-}
-
-// sendBatchOS pushes reqs out with as few sendmmsg calls as the kernel
-// allows and returns the syscall count. A persistent error drops the
-// unsent tail — indistinguishable from network loss, which the wheel
-// and the resolver's retries already handle.
-func (s *sock) sendBatchOS(reqs []*sendReq) int {
-	os := &s.os
-	n := len(reqs)
-	for i, r := range reqs {
-		os.siovs[i].Base = &r.b[0]
-		os.siovs[i].Len = uint64(r.n)
-		nameLen := putSockaddr(&os.snames[i], r.dest)
-		h := &os.shdrs[i]
-		h.hdr = syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&os.snames[i])),
-			Namelen: nameLen,
-			Iov:     &os.siovs[i],
-			Iovlen:  1,
-		}
-		h.n = 0
-	}
-	os.sendN = n
-	os.sendOff = 0
-	syscalls := 0
-	for os.sendOff < n {
-		err := os.rc.Write(os.sendFn)
-		syscalls++
-		if err != nil || os.sn <= 0 {
-			break
-		}
-		os.sendOff += os.sn
-	}
-	return syscalls
-}
-
-// recvBatchOS drains up to one batch of datagrams in a single recvmmsg
-// and delivers each. Returns false when the socket is closed (the
-// recvLoop's exit signal), true otherwise.
-func (s *sock) recvBatchOS() bool {
-	os := &s.os
-	b := len(os.rhdrs)
-	for i := 0; i < b; i++ {
-		if os.rbufs[i] == nil {
-			os.rbufs[i] = getBuf()
-		}
-		os.riovs[i].Base = &os.rbufs[i][0]
-		os.riovs[i].Len = bufSize
-		h := &os.rhdrs[i]
-		h.hdr = syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&os.rnames[i])),
-			Namelen: syscall.SizeofSockaddrInet6,
-			Iov:     &os.riovs[i],
-			Iovlen:  1,
-		}
-		h.n = 0
-	}
-	err := os.rc.Read(os.recvFn)
-	if err != nil {
-		return false
-	}
-	got := os.got
-	if got <= 0 {
-		// A transient syscall error: if it was the socket dying, the
-		// next RawConn.Read returns the closed error and we exit then.
-		return !s.t.closed.Load()
-	}
-	m := s.t.metrics()
-	m.recvBatch.Inc()
-	if got > 1 {
-		m.sysSaved.Add(uint64(got - 1))
-	}
-	for i := 0; i < got; i++ {
-		n := int(os.rhdrs[i].n)
-		buf := os.rbufs[i]
-		os.rbufs[i] = nil
-		src, ok := getSockaddr(&os.rnames[i])
-		if !ok || n > bufSize {
-			putBuf(buf)
-			m.malformed.Inc()
-			continue
-		}
-		s.t.deliver(buf[:n], src)
-	}
-	return true
 }

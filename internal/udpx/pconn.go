@@ -5,18 +5,21 @@ import (
 	"net/netip"
 )
 
-// PacketConn is the serving-side face of the batched-syscall machinery:
-// it wraps a shared *net.UDPConn with whole-batch receive and send
-// calls over caller-owned buffers, so a UDP server's read loop moves
-// one recvmmsg/sendmmsg round per batch of queries instead of one
-// read and one write syscall per datagram. On platforms without the
+// PacketConn is the one batched-datagram I/O path: it wraps a shared
+// *net.UDPConn with whole-batch receive and send calls over
+// caller-owned buffers, so a loop moves one recvmmsg/sendmmsg round per
+// batch of datagrams instead of one read or write syscall each. Both
+// ends use it — the transport's per-socket loops (socket.go) and the
+// serving-side UDP read loop (authserver). On platforms without the
 // batched syscalls (or when portable is set) the same API degrades to
 // one datagram per call through the AddrPort read/write paths, which
 // keeps callers free of build tags.
 //
-// A PacketConn's batch state is owned by one goroutine at a time:
-// concurrent readers each construct their own PacketConn over the same
-// socket (the fd's internal read lock serializes the actual syscalls).
+// ReadBatch and WriteBatch keep disjoint state, so one goroutine may
+// read while another writes; each side is owned by one goroutine at a
+// time. Concurrent readers each construct their own PacketConn over the
+// same socket (the fd's internal read lock serializes the actual
+// syscalls).
 type PacketConn struct {
 	conn  *net.UDPConn
 	useOS bool
@@ -59,15 +62,16 @@ func (pc *PacketConn) ReadBatch(bufs [][]byte, sizes []int, addrs []netip.AddrPo
 }
 
 // WriteBatch sends bufs[i] to addrs[i], coalescing into as few
-// sendmmsg calls as the kernel allows. Send failures drop the unsent
-// tail — the same semantics as datagram loss, which every UDP caller
-// already tolerates.
-func (pc *PacketConn) WriteBatch(bufs [][]byte, addrs []netip.AddrPort) {
+// sendmmsg calls as the kernel allows, and returns the number of
+// syscalls that took. Send failures drop the unsent tail — the same
+// semantics as datagram loss, which every UDP caller already
+// tolerates.
+func (pc *PacketConn) WriteBatch(bufs [][]byte, addrs []netip.AddrPort) int {
 	if pc.useOS {
-		pc.writeBatchOS(bufs, addrs)
-		return
+		return pc.writeBatchOS(bufs, addrs)
 	}
 	for i := range bufs {
 		_, _ = pc.conn.WriteToUDPAddrPort(bufs[i], addrs[i])
 	}
+	return len(bufs)
 }

@@ -50,9 +50,10 @@ func (pc *PacketConn) readBatchOS(bufs [][]byte, sizes []int, addrs []netip.Addr
 }
 
 // writeBatchOS is WriteBatch over sendmmsg, chunked to the armed batch
-// capacity. A persistent kernel error drops the rest of the chunk.
-func (pc *PacketConn) writeBatchOS(bufs [][]byte, addrs []netip.AddrPort) {
+// capacity. A persistent kernel error drops everything still unsent.
+func (pc *PacketConn) writeBatchOS(bufs [][]byte, addrs []netip.AddrPort) int {
 	os := &pc.os
+	syscalls := 0
 	for off := 0; off < len(bufs); off += len(os.shdrs) {
 		end := off + len(os.shdrs)
 		if end > len(bufs) {
@@ -75,10 +76,13 @@ func (pc *PacketConn) writeBatchOS(bufs [][]byte, addrs []netip.AddrPort) {
 		os.sendN = n
 		os.sendOff = 0
 		for os.sendOff < n {
-			if err := os.rc.Write(os.sendFn); err != nil || os.sn <= 0 {
-				return
+			err := os.rc.Write(os.sendFn)
+			syscalls++
+			if err != nil || os.sn <= 0 {
+				return syscalls
 			}
 			os.sendOff += os.sn
 		}
 	}
+	return syscalls
 }

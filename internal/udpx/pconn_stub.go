@@ -1,5 +1,9 @@
 //go:build !linux || (!amd64 && !arm64)
 
+// Platforms without the batched-syscall path: PacketConn moves one
+// datagram per syscall via the AddrPort read/write APIs, and everything
+// above it — ring drain, per-socket loops, shared sockets, timer wheel —
+// runs unchanged. See DESIGN.md § 14 for the matrix.
 package udpx
 
 import (
@@ -8,8 +12,10 @@ import (
 	"net/netip"
 )
 
-// initOSState has no batched-syscall path to build here; PacketConn
-// callers fall through to the portable one-datagram-per-call paths.
+const osBatchSupported = false
+
+type osSock struct{}
+
 func initOSState(*osSock, *net.UDPConn, int) error {
 	return errors.New("udpx: batched syscalls unsupported on this platform")
 }
@@ -18,4 +24,4 @@ func (pc *PacketConn) readBatchOS([][]byte, []int, []netip.AddrPort) (int, error
 	return 0, nil
 }
 
-func (pc *PacketConn) writeBatchOS([][]byte, []netip.AddrPort) {}
+func (pc *PacketConn) writeBatchOS([][]byte, []netip.AddrPort) int { return 0 }

@@ -3,32 +3,36 @@ package udpx
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"runtime"
 )
 
-// sock is one pooled socket: the connection, its bounded send ring, its
-// batch scratch, and the platform batched-I/O state. Each sock owns two
-// goroutines — sendLoop drains the ring, recvLoop drains the wire — for
-// the transport's lifetime.
+// sock is one pooled socket: the connection, its bounded send ring, and
+// the batch scratch its two loops hand to the PacketConn. Each sock
+// owns two goroutines — sendLoop drains the ring, recvLoop drains the
+// wire — for the transport's lifetime.
 type sock struct {
 	t    *BatchTransport
 	conn *net.UDPConn
+	pc   *PacketConn
 	ring chan *sendReq
-	v6   bool
 
-	// batch is sendLoop's drain scratch, capacity cfg.Batch.
-	batch []*sendReq
+	// batch is sendLoop's drain scratch, capacity cfg.Batch; sbufs and
+	// saddrs are the same requests as WriteBatch wants them.
+	batch  []*sendReq
+	sbufs  [][]byte
+	saddrs []netip.AddrPort
 
-	// os holds the platform batched-syscall state (mmsg_linux.go);
-	// empty on platforms without it (mmsg_stub.go).
-	os osSock
-
-	// useOS gates the batched-syscall path: platform support minus the
-	// Portable override, resolved once at construction.
-	useOS bool
+	// rbufs are the pooled receive buffers lent to ReadBatch, one batch
+	// of them. deliver takes ownership of a filled buffer and dispatch
+	// puts a fresh one in its slot; rsizes and raddrs are ReadBatch's
+	// other two outputs.
+	rbufs  [][]byte
+	rsizes []int
+	raddrs []netip.AddrPort
 }
 
-func newSock(t *BatchTransport, conn *net.UDPConn, v6 bool) (*sock, error) {
+func newSock(t *BatchTransport, conn *net.UDPConn) *sock {
 	// A shared socket absorbs whole batches of responses between
 	// scheduler slots; a deep kernel buffer is what keeps burst loss
 	// out of the loopback differential. Best-effort (capped by
@@ -36,28 +40,28 @@ func newSock(t *BatchTransport, conn *net.UDPConn, v6 bool) (*sock, error) {
 	_ = conn.SetReadBuffer(1 << 20)
 	_ = conn.SetWriteBuffer(1 << 20)
 	s := &sock{
-		t:     t,
-		conn:  conn,
-		ring:  make(chan *sendReq, t.cfg.Ring),
-		v6:    v6,
-		batch: make([]*sendReq, 0, t.cfg.Batch),
+		t:      t,
+		conn:   conn,
+		pc:     NewPacketConn(conn, t.cfg.Batch, t.cfg.Portable),
+		ring:   make(chan *sendReq, t.cfg.Ring),
+		batch:  make([]*sendReq, 0, t.cfg.Batch),
+		sbufs:  make([][]byte, t.cfg.Batch),
+		saddrs: make([]netip.AddrPort, t.cfg.Batch),
+		rbufs:  make([][]byte, t.cfg.Batch),
+		rsizes: make([]int, t.cfg.Batch),
+		raddrs: make([]netip.AddrPort, t.cfg.Batch),
 	}
-	s.useOS = osBatchSupported && !t.cfg.Portable
-	if s.useOS {
-		if err := initOS(s); err != nil {
-			// Raw-conn access failed; run portable rather than refuse.
-			s.useOS = false
-		}
+	for i := range s.rbufs {
+		s.rbufs[i] = getBuf()
 	}
-	return s, nil
+	return s
 }
 
 // sendLoop drains the ring: block for the first request, opportunistic
-// drain up to the batch bound, one sendmmsg (or a WriteToUDPAddrPort
-// loop) for the lot. Send errors are swallowed — an unreachable
-// destination's query times out on the wheel exactly as a datagram
-// lost in the network would, which is the semantics the resolver's
-// retry loop is built for.
+// drain up to the batch bound, one WriteBatch for the lot. Send errors
+// are swallowed — an unreachable destination's query times out on the
+// wheel exactly as a datagram lost in the network would, which is the
+// semantics the resolver's retry loop is built for.
 func (s *sock) sendLoop() {
 	m := s.t.metrics()
 	for {
@@ -86,14 +90,11 @@ func (s *sock) sendLoop() {
 			}
 		}
 		n := len(s.batch)
-		syscalls := n
-		if s.useOS && n > 1 {
-			syscalls = s.sendBatchOS(s.batch)
-		} else {
-			for _, r := range s.batch {
-				_, _ = s.conn.WriteToUDPAddrPort(r.b[:r.n], r.dest)
-			}
+		for i, r := range s.batch {
+			s.sbufs[i] = r.b[:r.n]
+			s.saddrs[i] = r.dest
 		}
+		syscalls := s.pc.WriteBatch(s.sbufs[:n], s.saddrs[:n])
 		for i, r := range s.batch {
 			putSendReq(r)
 			s.batch[i] = nil
@@ -106,31 +107,42 @@ func (s *sock) sendLoop() {
 	}
 }
 
-// recvLoop drains the socket until it is closed: recvmmsg batches on
-// the OS path, one ReadFromUDPAddrPort per datagram on the portable
-// path, each datagram demuxed through deliver in a pooled buffer.
+// recvLoop drains the socket until it is closed: one ReadBatch per
+// round into the pooled buffers, then dispatch.
 func (s *sock) recvLoop() {
-	m := s.t.metrics()
 	for {
-		if s.useOS {
-			if !s.recvBatchOS() {
-				return
-			}
-			continue
-		}
-		buf := getBuf()
-		n, src, err := s.conn.ReadFromUDPAddrPort(buf)
+		got, err := s.pc.ReadBatch(s.rbufs, s.rsizes, s.raddrs)
 		if err != nil {
-			putBuf(buf)
 			if s.t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			// Transient (e.g. a connected-socket ICMP bounce cannot
-			// happen on an unconnected socket, but be safe): keep
-			// reading.
+			// Transient (an ICMP bounce cannot reach an unconnected
+			// socket, but be safe): keep reading.
 			continue
 		}
-		m.recvBatch.Inc()
-		s.t.deliver(buf[:n], src)
+		if got > 0 {
+			s.dispatch(got)
+		}
+	}
+}
+
+// dispatch demuxes the first got receive slots through deliver, each
+// datagram in the buffer it arrived in: deliver takes ownership, and
+// the slot gets a fresh buffer from the packet pool. A datagram whose
+// source the kernel could not name is counted and skipped; its buffer
+// stays in the slot for the next round.
+func (s *sock) dispatch(got int) {
+	m := s.t.metrics()
+	m.recvBatch.Inc()
+	if got > 1 {
+		m.sysSaved.Add(uint64(got - 1))
+	}
+	for i := 0; i < got; i++ {
+		if !s.raddrs[i].IsValid() {
+			m.malformed.Inc()
+			continue
+		}
+		s.t.deliver(s.rbufs[i][:s.rsizes[i]], s.raddrs[i])
+		s.rbufs[i] = getBuf()
 	}
 }

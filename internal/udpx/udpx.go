@@ -9,13 +9,15 @@
 // unconnected sockets:
 //
 //   - Callers enqueue (server, query) onto a bounded per-socket send
-//     ring; one sender goroutine per socket drains the ring in batches —
-//     a single sendmmsg(2) per batch on Linux, a WriteToUDPAddrPort
-//     loop everywhere else (socket.go, mmsg_linux.go).
+//     ring; one sender goroutine per socket drains the ring in batches
+//     (socket.go) and hands each to PacketConn.WriteBatch — a single
+//     sendmmsg(2) per batch on Linux, one write per datagram everywhere
+//     else (pconn*.go, mmsg_linux*.go).
 //   - One receiver goroutine per socket drains datagrams in batches
-//     (recvmmsg(2) / ReadFromUDPAddrPort) into pooled fixed-size
-//     buffers and demuxes each to its waiting exchange through a
-//     sharded table keyed (server address, transaction ID).
+//     (PacketConn.ReadBatch: recvmmsg(2), or one read per datagram)
+//     into pooled fixed-size buffers and demuxes each to its waiting
+//     exchange through a sharded table keyed (server address,
+//     transaction ID).
 //   - Transaction IDs on the wire are the transport's, not the
 //     caller's: each exchange draws a per-destination ID from a
 //     collision-avoiding allocator (the demux table itself is the
@@ -40,7 +42,7 @@
 // did to them; datagrams that do reach a waiter but fail validation are
 // the resolver's business and flow through its existing classify /
 // accepted-ring / discard-budget machinery unchanged. See DESIGN.md
-// § 15 for the full lifecycle and the fallback matrix.
+// § 14 for the full lifecycle and the fallback matrix.
 package udpx
 
 import (
@@ -89,7 +91,7 @@ const (
 	// the caller's context and deadline still armed) when full.
 	DefaultRing = 1024
 	// DefaultBatch is the maximum datagrams moved per sendmmsg/recvmmsg
-	// call (and the drain bound of the portable loops).
+	// call (and the send ring's drain bound on every platform).
 	DefaultBatch = 32
 	// DefaultTimeout is the transport's own per-query deadline when the
 	// caller's context carries none. The resolver's per-attempt context
@@ -132,7 +134,7 @@ type Config struct {
 	// mark, which takes one full revolution (WheelTick × WheelSlots);
 	// tests shrink the wheel to reach steady state quickly.
 	WheelSlots int
-	// Portable forces the portable per-datagram send/receive loops even
+	// Portable forces PacketConn's one-datagram-per-syscall fallback even
 	// where batched syscalls are available, for differential testing of
 	// the two I/O paths.
 	Portable bool
@@ -300,13 +302,7 @@ func New(cfg Config) (*BatchTransport, error) {
 			t.closeSocks()
 			return nil, fmt.Errorf("udpx: bind udp4 socket %d: %w", i, err)
 		}
-		s, err := newSock(t, c, false)
-		if err != nil {
-			_ = c.Close()
-			t.closeSocks()
-			return nil, err
-		}
-		t.socks = append(t.socks, s)
+		t.socks = append(t.socks, newSock(t, c))
 	}
 	// IPv6 sockets are best-effort: a v4-only host still gets a working
 	// transport, and v6 destinations then fail with ErrNoSocket.
@@ -315,12 +311,7 @@ func New(cfg Config) (*BatchTransport, error) {
 		if err != nil {
 			break
 		}
-		s, err := newSock(t, c, true)
-		if err != nil {
-			_ = c.Close()
-			break
-		}
-		t.socks6 = append(t.socks6, s)
+		t.socks6 = append(t.socks6, newSock(t, c))
 	}
 	t.wg.Add(1)
 	go func() {
