@@ -306,6 +306,20 @@ func run() error {
 				"faults survived: duplicates=%d truncations=%d qid-mismatches=%d question-mismatches=%d malformed=%d\n",
 				cs.Duplicates, cs.Truncations, cs.QIDMismatches, cs.QuestionMismatches, cs.Malformed)
 		}
+		servers := client.WorstServers(-1)
+		neverAnswered := 0
+		for _, sv := range servers {
+			if sv.OK == 0 {
+				neverAnswered++
+			}
+		}
+		fmt.Fprintf(os.Stderr, "servers: seen=%d never-answered=%d\n", len(servers), neverAnswered)
+		for _, sv := range servers[:min(10, len(servers))] {
+			if sv.Timeouts == 0 {
+				break
+			}
+			fmt.Fprintf(os.Stderr, "  %-15s timeouts=%d ok=%d rejects=%d\n", sv.Addr, sv.Timeouts, sv.OK, sv.Rejects)
+		}
 		if chaosTr != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %s\n", chaosTr.Stats())
 		}

@@ -3,10 +3,11 @@
 // deterministic fault schedules — dropped and delayed packets, stale
 // duplicate responses, TC-bit truncation, transaction-ID corruption,
 // question-section mismatch, byte-level wire mangling, RCODE flips, and
-// time-windowed server flapping. The simnet models the *statistics* of a
-// hostile network (loss, jitter, blackholes); chaos models its
-// *adversarial pathologies*, the ones § IV-C treats as measurement
-// subject rather than noise.
+// time-windowed server flapping. The simnet models only what is durably
+// dead (blackholes, filtered sources, unresponsive servers); chaos is the
+// repo's one model of everything a live path does to a packet — loss and
+// delay as much as the *adversarial pathologies* § IV-C treats as
+// measurement subject rather than noise.
 //
 // Determinism is the point: every fault decision is a pure function of
 // the seed, the rule, and the query's content (server, qname, qtype) plus

@@ -204,6 +204,40 @@ func TestMetricsHandlerReconcilesWithStats(t *testing.T) {
 	}
 }
 
+// TestMetricsSeriesBounded: the registry's series set is fixed — it must
+// not grow with the number of servers a scan queries, which is what a
+// per-address metric family did (ROADMAP item 5(b)). What each address
+// did is read from the client's server table instead.
+func TestMetricsSeriesBounded(t *testing.T) {
+	w := miniworld.Build()
+	domains := miniworld.Domains()
+	_, oneClient, oneReg := scanInstrumented(t, w.Net, w.Roots, domains[:1], 4, 2)
+	_, allClient, allReg := scanInstrumented(t, w.Net, w.Roots, domains, 4, 2)
+
+	one, all := oneClient.WorstServers(-1), allClient.WorstServers(-1)
+	if len(all) <= len(one) {
+		t.Fatalf("full scan queried %d addresses, one-domain scan %d; the test needs the former to be more", len(all), len(one))
+	}
+	oneSnap, allSnap := oneReg.Snapshot(), allReg.Snapshot()
+	if a, b := len(oneSnap.Counters), len(allSnap.Counters); a != b {
+		t.Errorf("counter series: %d after one domain, %d after %d; the set must not depend on the servers queried", a, b, len(domains))
+	}
+	for name := range allSnap.Counters {
+		for _, row := range all {
+			if strings.Contains(name, row.Addr.String()) {
+				t.Errorf("counter series %q is named by server address %s", name, row.Addr)
+			}
+		}
+	}
+	var timeouts uint64
+	for _, row := range all {
+		timeouts += row.Timeouts
+	}
+	if got := allClient.Stats().Timeouts; got != timeouts || got == 0 {
+		t.Errorf("per-server timeouts sum to %d, resolver_timeouts_total = %d; want equal and non-zero", timeouts, got)
+	}
+}
+
 // TestProgressETAEWMA drives the progress reporter's rate estimator
 // with a synthetic clock through the scenario the EWMA exists for: a
 // fast first phase, then the second round kicks in and the completion

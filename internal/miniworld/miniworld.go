@@ -72,17 +72,10 @@ func a(owner dnsname.Name, addr netip.Addr) dnswire.RR {
 	return rr(owner, 3600, dnswire.AData{Addr: addr})
 }
 
-// Build assembles the fixture network with a loss-free, zero-latency
-// network.
+// Build assembles the fixture network.
 func Build() *World {
-	return BuildWithNetwork(simnet.Config{Seed: 1})
-}
-
-// BuildWithNetwork assembles the fixture over a network with the given
-// characteristics (used by failure-injection tests).
-func BuildWithNetwork(cfg simnet.Config) *World {
 	w := &World{
-		Net:       simnet.New(cfg),
+		Net:       simnet.New(),
 		Roots:     []netip.Addr{RootAddr},
 		Servers:   make(map[dnsname.Name]*authserver.Server),
 		hostAddrs: make(map[dnsname.Name][]netip.Addr),

@@ -1,22 +1,14 @@
 package miniworld
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"govdns/internal/authserver"
 	"govdns/internal/dnsname"
-	"govdns/internal/dnswire"
-	"govdns/internal/simnet"
 )
 
 func mustName(s string) dnsname.Name { return dnsname.MustParse(s) }
-
-func testContext() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 50*time.Millisecond)
-}
 
 func TestBuildStructure(t *testing.T) {
 	w := Build()
@@ -50,19 +42,5 @@ func TestBuildStructure(t *testing.T) {
 	}
 	if !strings.Contains(w.String(), "miniworld") {
 		t.Errorf("String() = %q", w.String())
-	}
-}
-
-func TestBuildWithNetworkAppliesConfig(t *testing.T) {
-	w := BuildWithNetwork(simnet.Config{Seed: 3, LossRate: 1.0})
-	// With 100% loss every exchange must fail.
-	wq, err := dnswire.Encode(dnswire.NewQuery(1, "gov.br.", dnswire.TypeNS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := testContext()
-	defer cancel()
-	if _, err := w.Net.Exchange(ctx, GovNS1Addr, wq); err == nil {
-		t.Error("exchange succeeded despite 100% loss")
 	}
 }

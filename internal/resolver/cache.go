@@ -63,38 +63,6 @@ func (c *hostCache) put(name dnsname.Name, e hostEntry) {
 	s.m[name] = e
 }
 
-// addrHealth tracks consecutive query failures per server address. The
-// iterator's walk queries consult it to try healthy servers first: a
-// zone whose first-listed nameserver is dead would otherwise cost every
-// domain under it a full timeout before the responsive server is asked.
-type addrHealth struct {
-	mu    sync.RWMutex
-	fails map[netip.Addr]int
-}
-
-func (h *addrHealth) failures(addr netip.Addr) int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.fails[addr]
-}
-
-func (h *addrHealth) recordFailure(addr netip.Addr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.fails == nil {
-		h.fails = make(map[netip.Addr]int)
-	}
-	h.fails[addr]++
-}
-
-func (h *addrHealth) recordSuccess(addr netip.Addr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.fails[addr] != 0 {
-		delete(h.fails, addr)
-	}
-}
-
 // zoneEntry is one zone cache slot: either a discovered server set or a
 // negative entry recording why the zone could not be built (err != nil).
 // Negative entries let every domain under a broken intermediate zone fail

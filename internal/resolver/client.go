@@ -62,16 +62,11 @@ const (
 	DefaultTimeout = 500 * time.Millisecond
 	DefaultRetries = 2
 	// DefaultMaxDiscards bounds how many rejected datagrams one attempt
-	// will discard before giving up on the attempt. A UDP client that
+	// will discard before failing with ErrMismatch. A UDP client that
 	// stopped listening after the first stray packet would be trivially
 	// jammed by any duplicate on the path.
 	DefaultMaxDiscards = 4
 )
-
-// acceptedRing is how many recently accepted transaction IDs are kept
-// per server, to tell a late duplicate of a past answer from fresh QID
-// corruption.
-const acceptedRing = 8
 
 // Client sends DNS queries to explicit server addresses.
 type Client struct {
@@ -84,11 +79,6 @@ type Client struct {
 	// fails transiently (timeout, rejected responses, truncation).
 	// Defaults to DefaultRetries. Other errors are returned immediately.
 	Retries int
-	// MaxDiscards bounds how many rejected responses a single attempt
-	// discards before the attempt fails with ErrMismatch. Defaults to
-	// DefaultMaxDiscards; negative disables discarding (first rejected
-	// response fails the attempt).
-	MaxDiscards int
 
 	// WirePool supplies the codec arenas queries encode and decode on.
 	// Defaults to dnswire.DefaultPool; set an explicit pool to isolate
@@ -110,11 +100,9 @@ type Client struct {
 	metricsOnce sync.Once
 	m           *Metrics
 
-	// accepted remembers the last few transaction IDs validated per
-	// server so a replayed old answer is classified as a duplicate
-	// rather than QID corruption.
-	acceptedMu sync.Mutex
-	accepted   map[netip.Addr][]uint16
+	// servers is the one record per server address: outcome counts, the
+	// walk's health ranking, and the recently accepted transaction IDs.
+	servers serverTable
 }
 
 // Stats is a snapshot of resolver counters. Client.Stats fills the
@@ -352,16 +340,6 @@ func (c *Client) QueryArenaTraced(ctx context.Context, a *dnswire.Arena, server 
 		name, qtype, server, attempts, lastErr)
 }
 
-func (c *Client) maxDiscards() int {
-	if c.MaxDiscards > 0 {
-		return c.MaxDiscards
-	}
-	if c.MaxDiscards < 0 {
-		return 0
-	}
-	return DefaultMaxDiscards
-}
-
 // attempt sends one query and listens until it gets a validated answer,
 // exhausts its discard budget, or hits the attempt deadline. Responses
 // that fail validation are counted by class and discarded — the socket
@@ -379,6 +357,7 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 	}
 
 	m := c.metrics()
+	srv := c.servers.record(server)
 	rec, parent := trace.From(ctx)
 	attemptCtx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
@@ -402,14 +381,20 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 		}
 		if err != nil {
 			rec.EndSpan(xspan, err)
+			// A dead caller context (a cancelled scan) says nothing about
+			// the server; only an exchange that failed under a live one
+			// is the server's timeout.
+			if ctx.Err() != nil {
+				return nil, err
+			}
 			m.timeouts.Inc()
-			m.server(server).timeout.Inc()
-			if attemptCtx.Err() != nil && ctx.Err() == nil {
+			srv.timeouts.Add(1)
+			if attemptCtx.Err() != nil {
 				return nil, fmt.Errorf("%w: attempt deadline: %v", context.DeadlineExceeded, err)
 			}
 			return nil, err
 		}
-		resp, reject := c.classify(a, query, server, respWire, tr)
+		resp, reject := c.classify(a, query, srv, respWire, tr)
 		// The decode inside classify copied everything it kept (names
 		// onto the arena, addresses into values), so a pooled response
 		// buffer goes home immediately — win or reject.
@@ -419,16 +404,16 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 		rec.EndSpan(xspan, reject)
 		if reject == nil {
 			m.received.Inc()
-			m.server(server).ok.Inc()
-			c.remember(server, id)
+			srv.ok.Add(1)
+			srv.remember(id)
 			return resp, nil
 		}
 		m.mismatches.Inc()
-		m.server(server).reject.Inc()
+		srv.rejects.Add(1)
 		// Truncation is a validated answer from the right server about
 		// the right question; listening longer cannot improve on it.
 		// Everything else is a stray datagram worth waiting past.
-		if errors.Is(reject, ErrTruncated) || discards >= c.maxDiscards() {
+		if errors.Is(reject, ErrTruncated) || discards >= DefaultMaxDiscards {
 			return nil, reject
 		}
 	}
@@ -438,7 +423,7 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 // decoded message for an acceptable answer or a classified rejection
 // error. Counters (both aggregate and per-class, plus the trace) are
 // bumped for rejects.
-func (c *Client) classify(a *dnswire.Arena, query *dnswire.Message, server netip.Addr, respWire []byte, tr *Trace) (*dnswire.Message, error) {
+func (c *Client) classify(a *dnswire.Arena, query *dnswire.Message, srv *serverRecord, respWire []byte, tr *Trace) (*dnswire.Message, error) {
 	m := c.metrics()
 	resp, err := a.Decode(respWire)
 	if err != nil {
@@ -456,7 +441,7 @@ func (c *Client) classify(a *dnswire.Arena, query *dnswire.Message, server netip
 	// recorded error strings — and with them the scan digest — depend
 	// on scheduling.
 	if resp.Header.ID != query.Header.ID {
-		if c.recentlyAccepted(server, resp.Header.ID) {
+		if srv.recentlyAccepted(resp.Header.ID) {
 			m.duplicates.Inc()
 			tr.Duplicates++
 			return nil, fmt.Errorf("%w: duplicate of an answered query", ErrMismatch)
@@ -477,51 +462,7 @@ func (c *Client) classify(a *dnswire.Arena, query *dnswire.Message, server netip
 		m.truncations.Inc()
 		tr.Truncations++
 		return nil, fmt.Errorf("%w: %s %s @%s", ErrTruncated,
-			query.Questions[0].Name, query.Questions[0].Type, server)
+			query.Questions[0].Name, query.Questions[0].Type, srv.addr)
 	}
 	return resp, nil
-}
-
-// remember records an accepted transaction ID for duplicate detection.
-func (c *Client) remember(server netip.Addr, id uint16) {
-	c.acceptedMu.Lock()
-	defer c.acceptedMu.Unlock()
-	if c.accepted == nil {
-		c.accepted = make(map[netip.Addr][]uint16)
-	}
-	ids := append(c.accepted[server], id)
-	if len(ids) > acceptedRing {
-		ids = ids[len(ids)-acceptedRing:]
-	}
-	c.accepted[server] = ids
-}
-
-func (c *Client) recentlyAccepted(server netip.Addr, id uint16) bool {
-	c.acceptedMu.Lock()
-	defer c.acceptedMu.Unlock()
-	for _, v := range c.accepted[server] {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// validate checks the response against its query per classic resolver
-// rules: matching ID, QR set, matching question. It is the counter-free
-// core of classify, kept for direct use in tests.
-func validate(query, resp *dnswire.Message) error {
-	if resp.Header.ID != query.Header.ID {
-		return fmt.Errorf("%w: id %d != %d", ErrMismatch, resp.Header.ID, query.Header.ID)
-	}
-	if !resp.Header.Response {
-		return fmt.Errorf("%w: QR bit clear", ErrMismatch)
-	}
-	if len(resp.Questions) > 0 {
-		got, want := resp.Questions[0], query.Questions[0]
-		if got.Name != want.Name || got.Type != want.Type || got.Class != want.Class {
-			return fmt.Errorf("%w: question %v != %v", ErrMismatch, got, want)
-		}
-	}
-	return nil
 }

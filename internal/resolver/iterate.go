@@ -48,8 +48,10 @@ func IsTransientErr(err error) bool {
 
 const maxDepth = 12
 
-// DefaultBuildFanout is the default bound on concurrent NS-host
-// resolutions within one zone build.
+// DefaultBuildFanout bounds how many glue-less NS hosts one zone build
+// resolves concurrently. A zone whose nameservers are all
+// out-of-bailiwick and dangling otherwise serializes one timeout walk
+// per host.
 const DefaultBuildFanout = 4
 
 // ZoneServers describes the authoritative server set of one zone as
@@ -76,17 +78,11 @@ type ZoneServers struct {
 // AllAddrs returns the union of all server addresses, sorted.
 func (zs *ZoneServers) AllAddrs() []netip.Addr {
 	var out []netip.Addr
-	seen := make(map[netip.Addr]bool)
 	for _, addrs := range zs.Addrs {
-		for _, a := range addrs {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
+		out = append(out, addrs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(out, netip.Addr.Compare)
+	return slices.Compact(out)
 }
 
 // Delegation is the result of walking the delegation chain to a domain:
@@ -134,37 +130,24 @@ func nsHosts(records []dnswire.RR) []dnsname.Name {
 // nameservers shared by thousands of domains are resolved once. Both
 // caches are mutex-sharded and fronted by singleflight groups, so
 // concurrent workers neither contend on one lock nor duplicate in-flight
-// resolutions.
+// resolutions: concurrent resolutions of the same name go through a
+// singleflight group so only one does the work.
 type Iterator struct {
 	client *Client
 	roots  []netip.Addr
 
 	// AdaptiveOrder makes walk queries try recently responsive server
-	// addresses first (per-address consecutive-failure counts, reset on
-	// success). Without it, a zone whose first-listed nameserver is dead
-	// costs every query against that zone a full timeout before the
-	// responsive server is asked. Defaults to true from NewIterator; only
-	// the order of infrastructure queries changes — measurement probes go
-	// through Client.Query directly and are never reordered.
+	// addresses first (the consecutive-failure counts in the client's
+	// server table, reset on success). Without it, a zone whose
+	// first-listed nameserver is dead costs every query against that
+	// zone a full timeout before the responsive server is asked.
+	// Defaults to true from NewIterator; only the order of
+	// infrastructure queries changes — measurement probes go through
+	// Client.Query directly and are never reordered.
 	AdaptiveOrder bool
 
-	// Coalesce routes concurrent resolutions of the same name through a
-	// singleflight group so only one does the work. Defaults to true from
-	// NewIterator; disabling it restores independent (duplicated)
-	// lookups, which keeps per-caller query counts deterministic — useful
-	// for debugging and for benchmarking the coalescing itself.
-	Coalesce bool
-
-	// BuildFanout bounds how many glue-less NS hosts a zone build
-	// resolves concurrently. A zone whose nameservers are all
-	// out-of-bailiwick and dangling otherwise serializes one timeout walk
-	// per host. Defaults to DefaultBuildFanout from NewIterator; 1 is
-	// fully serial.
-	BuildFanout int
-
-	hosts  hostCache
-	zones  zoneCache
-	health addrHealth
+	hosts hostCache
+	zones zoneCache
 
 	hostFlight flightGroup[[]netip.Addr]
 	zoneFlight flightGroup[*ZoneServers]
@@ -182,8 +165,6 @@ func NewIterator(client *Client, roots []netip.Addr) *Iterator {
 		client:        client,
 		roots:         append([]netip.Addr(nil), roots...),
 		AdaptiveOrder: true,
-		Coalesce:      true,
-		BuildFanout:   DefaultBuildFanout,
 		m:             client.metrics(),
 	}
 	it.hostFlight.coalesced, it.hostFlight.bypassed = it.m.coalesced, it.m.bypassed
@@ -371,11 +352,10 @@ func (it *Iterator) zoneServers(ctx context.Context, zoneName dnsname.Name, nsRe
 		traceCacheEvent(ctx, "zone", zoneName, false)
 		return e.zs, nil
 	}
-	if !it.Coalesce || isInFlight(ctx, 'z', zoneName) {
-		// Coalescing off, or this call chain is already building zoneName
-		// (its NS host walk looped back into the zone); waiting on our own
-		// flight would deadlock, so build directly — depth bounds the
-		// recursion.
+	if isInFlight(ctx, 'z', zoneName) {
+		// This call chain is already building zoneName (its NS host walk
+		// looped back into the zone); waiting on our own flight would
+		// deadlock, so build directly — depth bounds the recursion.
 		return it.buildZone(ctx, zoneName, nsRecords, glue, depth)
 	}
 	// ran stays false when this chain received another chain's in-flight
@@ -466,13 +446,7 @@ func (it *Iterator) zoneFromReferral(ctx context.Context, zoneName dnsname.Name,
 		rec.Annotate(span, trace.Int("hosts", int64(len(zs.Hosts))),
 			trace.Int("glueless", int64(len(need))))
 	}
-	fan := it.BuildFanout
-	if fan <= 0 {
-		fan = DefaultBuildFanout
-	}
-	if fan > len(need) {
-		fan = len(need)
-	}
+	fan := min(DefaultBuildFanout, len(need))
 	if fan <= 1 {
 		for _, i := range need {
 			resolved[i], errs[i] = it.resolveHost(ctx, zs.Hosts[i], depth+1)
@@ -554,10 +528,9 @@ func (it *Iterator) resolveHostShared(ctx context.Context, host dnsname.Name, de
 		traceCacheEvent(ctx, "host", host, e.err != nil)
 		return it.cachedHost(host, e)
 	}
-	if !it.Coalesce || isInFlight(ctx, 'h', host) {
-		// Coalescing off, or a CNAME loop back to a host this call chain
-		// is already leading; bypass the flight (depth bounds the
-		// recursion).
+	if isInFlight(ctx, 'h', host) {
+		// A CNAME loop back to a host this call chain is already leading;
+		// bypass the flight (depth bounds the recursion).
 		return it.lookupAndCache(ctx, host, depth)
 	}
 	// ran: see zoneServers — false means a coalesced wait on another
@@ -706,15 +679,16 @@ func traceFlightWait(ctx context.Context, layer string, name dnsname.Name) {
 // reported error (which ends up in scan results) independent of the
 // adaptive ordering's scheduling-fed health state. With AdaptiveOrder
 // the known addresses are tried healthiest-first (stable, so a fresh
-// iterator behaves exactly like the fixed order); out-of-bailiwick hosts
+// client behaves exactly like the fixed order); out-of-bailiwick hosts
 // whose addresses are not yet known are only resolved once every known
 // address has failed.
 // The returned message borrows a, like QueryArena's.
 func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServers, name dnsname.Name, qtype dnswire.Type, depth int) (*dnswire.Message, netip.Addr, error) {
 	type candidate struct {
-		host dnsname.Name
-		addr netip.Addr
+		addr  netip.Addr
+		fails int32
 	}
+	servers := &it.client.servers
 	var cands []candidate
 	var unresolved []dnsname.Name
 	for _, host := range zs.Hosts {
@@ -726,7 +700,7 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 			continue
 		}
 		for _, addr := range addrs {
-			cands = append(cands, candidate{host, addr})
+			cands = append(cands, candidate{addr: addr})
 		}
 	}
 	if it.AdaptiveOrder && len(cands) > 1 {
@@ -735,9 +709,10 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 		if rec != nil {
 			before = append([]candidate(nil), cands...)
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			return it.health.failures(cands[i].addr) < it.health.failures(cands[j].addr)
-		})
+		for i := range cands {
+			cands[i].fails = servers.failures(cands[i].addr)
+		}
+		sort.SliceStable(cands, func(i, j int) bool { return cands[i].fails < cands[j].fails })
 		if rec != nil {
 			for i := range cands {
 				if cands[i].addr != before[i].addr {
@@ -759,18 +734,18 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 		if err != nil {
 			// A dead context says nothing about the server's health.
 			if ctx.Err() == nil {
-				it.health.recordFailure(addr)
+				servers.record(addr).fails.Add(1)
 			}
 			fails = append(fails, failure{addr, err})
 			return nil
 		}
 		if resp.Header.RCode == dnswire.RCodeServFail || resp.Header.RCode == dnswire.RCodeRefused {
-			it.health.recordFailure(addr)
+			servers.record(addr).fails.Add(1)
 			fails = append(fails, failure{addr,
 				fmt.Errorf("%w: %w: %s from %s", ErrNoServers, ErrServerFailure, resp.Header.RCode, addr)})
 			return nil
 		}
-		it.health.recordSuccess(addr)
+		servers.record(addr).fails.Store(0)
 		return resp
 	}
 	for _, c := range cands {

@@ -1,8 +1,6 @@
 package resolver
 
 import (
-	"net/netip"
-	"sync"
 	"time"
 
 	"govdns/internal/obs"
@@ -10,12 +8,13 @@ import (
 
 // Metrics holds the resolver's instrument handles on an obs.Registry.
 // It is the single counter system behind both the programmatic Stats
-// snapshot and the registry's JSON/HTTP form: every counter the resolver
-// maintained as a private atomic now lives here, plus the distributions
-// only a registry can express — per-attempt RTT histograms and
-// per-server outcome counters (ZDNS-style per-query visibility, and the
-// per-server latency/outcome view Septiadi et al. build their resilience
-// analysis on).
+// snapshot and the registry's JSON/HTTP form: the query-load and cache
+// counters plus the per-attempt RTT histogram. The set is fixed — 16
+// counter series however many servers a scan queries. What each server
+// address did lives in the client's server table (one bounded record
+// per address, the per-server outcome view Septiadi et al. build their
+// resilience analysis on) and is read through Client.WorstServers, not
+// exported as one metric series per address.
 //
 // A Client without explicit metrics lazily creates a private registry,
 // so zero-configured clients keep working and Stats stays cheap; share
@@ -38,18 +37,6 @@ type Metrics struct {
 	// rtt is the per-attempt round-trip latency of every transport
 	// exchange, successful or not (a timeout observes the full wait).
 	rtt *obs.Histogram
-
-	// outcomes is the per-server outcome family, flattened into the
-	// registry as resolver_server_outcome_total{addr/outcome}. The
-	// per-address handle cache keeps addr.String() off the hot path.
-	outcomes  *obs.CounterVec
-	serversMu sync.RWMutex
-	servers   map[netip.Addr]*serverCounters
-}
-
-// serverCounters are one server address's outcome handles.
-type serverCounters struct {
-	ok, timeout, reject *obs.Counter
 }
 
 // NewMetrics builds the resolver's instruments on r. Instruments are
@@ -74,38 +61,12 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		coalesced:          r.Counter("resolver_coalesced_waits_total"),
 		bypassed:           r.Counter("resolver_flight_bypasses_total"),
 		rtt:                r.Histogram("resolver_attempt_rtt"),
-		outcomes:           r.CounterVecKeyed("resolver_server_outcome_total", "outcome"),
-		servers:            make(map[netip.Addr]*serverCounters),
 	}
 }
 
 // Registry returns the registry the instruments live on (for snapshots
 // and the HTTP endpoint).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// server returns the outcome handles for addr, creating and caching
-// them on first sight of the address.
-func (m *Metrics) server(addr netip.Addr) *serverCounters {
-	m.serversMu.RLock()
-	sc := m.servers[addr]
-	m.serversMu.RUnlock()
-	if sc != nil {
-		return sc
-	}
-	m.serversMu.Lock()
-	defer m.serversMu.Unlock()
-	if sc := m.servers[addr]; sc != nil {
-		return sc
-	}
-	a := addr.String()
-	sc = &serverCounters{
-		ok:      m.outcomes.With(a + "/ok"),
-		timeout: m.outcomes.With(a + "/timeout"),
-		reject:  m.outcomes.With(a + "/reject"),
-	}
-	m.servers[addr] = sc
-	return sc
-}
 
 // observeRTT records one transport exchange's round-trip time.
 func (m *Metrics) observeRTT(start time.Time) {

@@ -11,7 +11,6 @@ import (
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/miniworld"
-	"govdns/internal/simnet"
 )
 
 func newFixture(t *testing.T) (*miniworld.World, *Client, *Iterator) {
@@ -205,30 +204,62 @@ func TestZoneServersAllAddrs(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsWrongID(t *testing.T) {
-	q := dnswire.NewQuery(5, "x.example.", dnswire.TypeA)
+// classifyOne runs one mutated response to query 5 (x.example./A)
+// through Client.classify — the client's only validation routine — and
+// returns the trace it filled, the client's counters and the verdict.
+func classifyOne(t *testing.T, mutate func(r *dnswire.Message)) (Trace, Stats, error) {
+	t.Helper()
+	c := NewClient(nil)
+	a := c.wirePool().Get()
+	defer a.Finish()
+	q := a.NewQuery(5, "x.example.", dnswire.TypeA)
 	r := dnswire.NewResponse(q)
-	r.Header.ID = 6
-	if err := validate(q, r); !errors.Is(err, ErrMismatch) {
+	mutate(r)
+	wire, err := dnswire.Encode(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Trace
+	_, verdict := c.classify(a, q, c.servers.record(miniworld.GovNS1Addr), wire, &tr)
+	return tr, c.Stats(), verdict
+}
+
+func TestValidateRejectsWrongID(t *testing.T) {
+	tr, st, err := classifyOne(t, func(r *dnswire.Message) { r.Header.ID = 6 })
+	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("error = %v, want ErrMismatch", err)
+	}
+	if want := (Trace{QIDMismatches: 1}); tr != want {
+		t.Errorf("trace = %+v, want %+v", tr, want)
+	}
+	if want := (Stats{QIDMismatches: 1}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
 func TestValidateRejectsNonResponse(t *testing.T) {
-	q := dnswire.NewQuery(5, "x.example.", dnswire.TypeA)
-	r := dnswire.NewResponse(q)
-	r.Header.Response = false
-	if err := validate(q, r); !errors.Is(err, ErrMismatch) {
+	tr, st, err := classifyOne(t, func(r *dnswire.Message) { r.Header.Response = false })
+	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("error = %v, want ErrMismatch", err)
+	}
+	if want := (Trace{Malformed: 1}); tr != want {
+		t.Errorf("trace = %+v, want %+v", tr, want)
+	}
+	if want := (Stats{Malformed: 1}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
 func TestValidateRejectsWrongQuestion(t *testing.T) {
-	q := dnswire.NewQuery(5, "x.example.", dnswire.TypeA)
-	r := dnswire.NewResponse(q)
-	r.Questions[0].Name = "y.example."
-	if err := validate(q, r); !errors.Is(err, ErrMismatch) {
+	tr, st, err := classifyOne(t, func(r *dnswire.Message) { r.Questions[0].Name = "y.example." })
+	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("error = %v, want ErrMismatch", err)
+	}
+	if want := (Trace{QuestionMismatches: 1}); tr != want {
+		t.Errorf("trace = %+v, want %+v", tr, want)
+	}
+	if want := (Stats{QuestionMismatches: 1}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -244,23 +275,26 @@ func TestResolveHostChasesCNAME(t *testing.T) {
 }
 
 func TestResolverUnderPacketLoss(t *testing.T) {
-	// With 20% loss, retries must still resolve healthy domains.
-	w := miniworld.BuildWithNetwork(simnet.Config{Seed: 9, LossRate: 0.2})
-	c := NewClient(w.Net)
-	c.Timeout = 15 * time.Millisecond
+	// Every query flow loses its first two datagrams; retries must still
+	// walk to every fixture domain, and each loss is exactly one timeout.
+	w := miniworld.Build()
+	lossy := chaos.Wrap(w.Net, 9, chaos.Transient(chaos.Drop, 2))
+	c := NewClient(lossy)
+	c.Timeout = 20 * time.Millisecond
 	c.Retries = 4
-	it := NewIterator(c, w.Roots)
 	ctx := ctxWithTimeout(t)
-	ok := 0
-	for i := 0; i < 10; i++ {
-		if _, err := it.Delegation(ctx, "city.gov.br."); err == nil {
-			ok++
-		}
+	for _, domain := range miniworld.Domains() {
 		// Fresh iterator so the walk is not served from cache.
-		it = NewIterator(c, w.Roots)
+		if _, err := NewIterator(c, w.Roots).Delegation(ctx, domain); err != nil {
+			t.Errorf("walk to %s failed under transient loss with retries: %v", domain, err)
+		}
 	}
-	if ok < 8 {
-		t.Errorf("only %d/10 walks succeeded under 20%% loss with retries", ok)
+	dropped := lossy.Stats().Injected[chaos.Drop]
+	if dropped == 0 {
+		t.Fatal("chaos dropped nothing; the test is vacuous")
+	}
+	if got := c.Stats().Timeouts; got != dropped {
+		t.Errorf("Timeouts = %d, want the %d injected drops", got, dropped)
 	}
 }
 

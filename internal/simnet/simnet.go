@@ -1,26 +1,25 @@
 // Package simnet provides the in-memory network that carries DNS queries
 // between the measurement client and the synthetic authoritative servers.
 // Messages cross the network in wire format, so the full codec is
-// exercised exactly as it would be over UDP. The network models latency,
-// random packet loss, and blackholed (unresponsive) addresses — the raw
-// material of lame delegations.
+// exercised exactly as it would be over UDP. The network itself is
+// instantaneous and lossless: an exchange either reaches a server that
+// answers, or — a blackholed address, an ACL-filtered source, no server
+// attached, a server that drops the query — waits out the caller's
+// deadline like a UDP timeout, the raw material of lame delegations.
 //
-// Simnet's LossRate draws from a shared rng, so which exchange is lost
-// depends on arrival order — fine for soak-style runs, useless for
-// reproducible adversity. For deterministic, content-keyed fault
-// schedules (drops, duplicates, truncation, corrupted IDs, flapping
-// servers), wrap the network with internal/chaos instead and leave
-// LossRate at zero.
+// Loss, delay, duplicates, truncation, corrupted IDs and flapping
+// servers are injected by wrapping the network with internal/chaos,
+// whose schedules are seeded and keyed by query content rather than
+// arrival order; it is the repo's one loss/delay model. Simnet therefore
+// owns no random source and no timer.
 package simnet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sync"
-	"time"
 
 	"govdns/internal/authserver"
 )
@@ -31,124 +30,91 @@ var (
 	// resolver treats it like a timeout (an address that never answers),
 	// but keeping it distinct helps the world generator's own tests.
 	ErrNoRoute = errors.New("simnet: no server at address")
-	// ErrDropped indicates the query or response was lost (packet loss,
-	// blackhole, or a server that drops queries).
+	// ErrDropped indicates the query was never answered (blackhole,
+	// filtered source, no server, or a server that drops queries).
 	ErrDropped = errors.New("simnet: packet dropped")
 )
 
-// Config tunes network behaviour.
-type Config struct {
-	// Latency is the one-way base delay applied to each exchange. Zero
-	// (the default) keeps large simulations fast.
-	Latency time.Duration
-	// Jitter adds up to this much random extra delay per exchange.
-	Jitter time.Duration
-	// LossRate is the probability in [0,1) that an exchange is lost.
-	LossRate float64
-	// Seed makes loss and jitter deterministic.
-	Seed int64
+// endpoint is everything the network knows about one address.
+type endpoint struct {
+	server     *authserver.Server
+	blackholed bool
+	acl        ACL
 }
 
 // Network is the simulated Internet. It is safe for concurrent use.
 type Network struct {
-	cfg Config
-
-	mu      sync.RWMutex
-	servers map[netip.Addr]*authserver.Server
-	blackh  map[netip.Addr]bool
-	acls    map[netip.Addr]ACL
-	rng     *rand.Rand
+	mu        sync.RWMutex
+	endpoints map[netip.Addr]endpoint
 }
 
 // New creates an empty network.
-func New(cfg Config) *Network {
-	return &Network{
-		cfg:     cfg,
-		servers: make(map[netip.Addr]*authserver.Server),
-		blackh:  make(map[netip.Addr]bool),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
+func New() *Network {
+	return &Network{endpoints: make(map[netip.Addr]endpoint)}
+}
+
+// endpoint returns the record at addr (the zero endpoint when nothing
+// was ever configured there).
+func (n *Network) endpoint(addr netip.Addr) endpoint {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.endpoints[addr]
+}
+
+// update applies f to the record at addr under the write lock.
+func (n *Network) update(addr netip.Addr, f func(*endpoint)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ep := n.endpoints[addr]
+	f(&ep)
+	n.endpoints[addr] = ep
 }
 
 // Attach binds a server to an address. One server may be reachable at
 // several addresses (anycast-style), and re-attaching replaces the
 // previous binding.
 func (n *Network) Attach(addr netip.Addr, s *authserver.Server) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.servers[addr] = s
+	n.update(addr, func(ep *endpoint) { ep.server = s })
 }
 
 // Detach removes whatever is bound at addr.
 func (n *Network) Detach(addr netip.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.servers, addr)
+	n.update(addr, func(ep *endpoint) { ep.server = nil })
 }
 
 // ServerAt returns the server bound at addr.
 func (n *Network) ServerAt(addr netip.Addr) (*authserver.Server, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	s, ok := n.servers[addr]
-	return s, ok
+	s := n.endpoint(addr).server
+	return s, s != nil
 }
 
 // NumServers returns the number of bound addresses.
 func (n *Network) NumServers() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.servers)
+	bound := 0
+	for _, ep := range n.endpoints {
+		if ep.server != nil {
+			bound++
+		}
+	}
+	return bound
 }
 
 // Blackhole makes addr drop all traffic regardless of what is attached,
 // modelling a dead host or unreachable network.
 func (n *Network) Blackhole(addr netip.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blackh[addr] = true
+	n.update(addr, func(ep *endpoint) { ep.blackholed = true })
 }
 
 // Unblackhole restores traffic to addr.
 func (n *Network) Unblackhole(addr netip.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blackh, addr)
+	n.update(addr, func(ep *endpoint) { ep.blackholed = false })
 }
 
 // IsBlackholed reports whether addr currently drops traffic.
 func (n *Network) IsBlackholed(addr netip.Addr) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.blackh[addr]
-}
-
-// draw returns a loss decision and a jitter duration from the seeded rng.
-func (n *Network) draw() (lost bool, jitter time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.cfg.LossRate > 0 {
-		lost = n.rng.Float64() < n.cfg.LossRate
-	}
-	if n.cfg.Jitter > 0 {
-		jitter = time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
-	}
-	return lost, jitter
-}
-
-// sleep waits for d or until ctx is done.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return n.endpoint(addr).blackholed
 }
 
 // waitForTimeout blocks until the context expires, modelling a query that
@@ -160,7 +126,7 @@ func waitForTimeout(ctx context.Context) error {
 
 // Exchange implements the resolver transport: it sends a wire-format
 // query to the server at addr and returns the wire-format response.
-// Unanswerable queries (blackholes, loss, unresponsive servers, empty
+// Unanswerable queries (blackholes, unresponsive servers, empty
 // addresses, ACL-filtered sources) block until ctx expires, as UDP
 // timeouts do. Queries originate from DefaultVantage; use Vantage for
 // other source addresses.
@@ -172,15 +138,8 @@ func (n *Network) exchangeFrom(ctx context.Context, src, addr netip.Addr, query 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lost, jitter := n.draw()
-	if err := sleep(ctx, n.cfg.Latency+jitter); err != nil {
-		return nil, err
-	}
-	if lost || n.IsBlackholed(addr) || !n.aclAllows(addr, src) {
-		return nil, waitForTimeout(ctx)
-	}
-	server, ok := n.ServerAt(addr)
-	if !ok {
+	ep := n.endpoint(addr)
+	if ep.server == nil || ep.blackholed || (ep.acl != nil && !ep.acl(src)) {
 		return nil, waitForTimeout(ctx)
 	}
 	// HandleWire runs the codec on a pooled arena and returns a fresh
@@ -190,12 +149,9 @@ func (n *Network) exchangeFrom(ctx context.Context, src, addr netip.Addr, query 
 	// HandleWireAppend into one buffer reused across packets, which is
 	// safe only because each response is written out before the next
 	// read (the aliasing suites in internal/authserver pin this).
-	resp := server.HandleWire(query)
+	resp := ep.server.HandleWire(query)
 	if resp == nil {
 		return nil, waitForTimeout(ctx)
-	}
-	if err := sleep(ctx, n.cfg.Latency); err != nil {
-		return nil, err
 	}
 	return resp, nil
 }

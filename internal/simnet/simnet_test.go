@@ -48,7 +48,7 @@ func shortCtx(t *testing.T) context.Context {
 }
 
 func TestExchangeDelivers(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	n.Attach(testAddr, newTestServer(t))
 	respWire, err := n.Exchange(shortCtx(t), testAddr, wireQuery(t))
 	if err != nil {
@@ -64,7 +64,7 @@ func TestExchangeDelivers(t *testing.T) {
 }
 
 func TestExchangeNoRouteTimesOut(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	start := time.Now()
 	_, err := n.Exchange(shortCtx(t), otherAddr, wireQuery(t))
 	if err == nil {
@@ -79,7 +79,7 @@ func TestExchangeNoRouteTimesOut(t *testing.T) {
 }
 
 func TestBlackhole(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	n.Attach(testAddr, newTestServer(t))
 	n.Blackhole(testAddr)
 	if !n.IsBlackholed(testAddr) {
@@ -95,7 +95,7 @@ func TestBlackhole(t *testing.T) {
 }
 
 func TestUnresponsiveServerTimesOut(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	s := newTestServer(t)
 	s.SetBehavior(authserver.BehaviorUnresponsive)
 	n.Attach(testAddr, s)
@@ -105,7 +105,7 @@ func TestUnresponsiveServerTimesOut(t *testing.T) {
 }
 
 func TestDetach(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	n.Attach(testAddr, newTestServer(t))
 	if n.NumServers() != 1 {
 		t.Fatalf("NumServers = %d", n.NumServers())
@@ -119,49 +119,8 @@ func TestDetach(t *testing.T) {
 	}
 }
 
-func TestLossRateDeterministicWithSeed(t *testing.T) {
-	run := func() []bool {
-		n := New(Config{LossRate: 0.5, Seed: 42})
-		n.Attach(testAddr, newTestServer(t))
-		var outcomes []bool
-		for i := 0; i < 20; i++ {
-			_, err := n.Exchange(shortCtx(t), testAddr, wireQuery(t))
-			outcomes = append(outcomes, err == nil)
-		}
-		return outcomes
-	}
-	a, b := run(), run()
-	successes := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("loss pattern differs at %d with identical seeds", i)
-		}
-		if a[i] {
-			successes++
-		}
-	}
-	if successes == 0 || successes == len(a) {
-		t.Errorf("LossRate 0.5 produced %d/%d successes; expected a mix", successes, len(a))
-	}
-}
-
-func TestLatencyDelays(t *testing.T) {
-	n := New(Config{Latency: 10 * time.Millisecond})
-	n.Attach(testAddr, newTestServer(t))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	start := time.Now()
-	if _, err := n.Exchange(ctx, testAddr, wireQuery(t)); err != nil {
-		t.Fatal(err)
-	}
-	// One-way latency applies twice (query + response).
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("Exchange took %v, want >= 20ms", elapsed)
-	}
-}
-
 func TestExchangeHonorsCancelledContext(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	n.Attach(testAddr, newTestServer(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -171,7 +130,7 @@ func TestExchangeHonorsCancelledContext(t *testing.T) {
 }
 
 func TestACLFiltersBySource(t *testing.T) {
-	n := New(Config{})
+	n := New()
 	n.Attach(testAddr, newTestServer(t))
 	domestic := netip.MustParseAddr("10.1.0.5")
 	n.SetACL(testAddr, AllowPrefix(netip.MustParsePrefix("10.1.0.0/16")))

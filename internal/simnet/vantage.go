@@ -27,27 +27,7 @@ var DefaultVantage = netip.MustParseAddr("198.18.0.1")
 // SetACL installs a source filter for the server at addr. A nil ACL
 // removes the restriction.
 func (n *Network) SetACL(addr netip.Addr, acl ACL) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.acls == nil {
-		n.acls = make(map[netip.Addr]ACL)
-	}
-	if acl == nil {
-		delete(n.acls, addr)
-		return
-	}
-	n.acls[addr] = acl
-}
-
-// aclAllows reports whether the server at addr answers src.
-func (n *Network) aclAllows(addr, src netip.Addr) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	acl, ok := n.acls[addr]
-	if !ok {
-		return true
-	}
-	return acl(src)
+	n.update(addr, func(ep *endpoint) { ep.acl = acl })
 }
 
 // Vantage is a transport bound to a source address; exchanges are

@@ -17,7 +17,7 @@ type sock struct {
 	pc   *PacketConn
 	ring chan *sendReq
 
-	// batch is sendLoop's drain scratch, capacity cfg.Batch; sbufs and
+	// batch is sendLoop's drain scratch, capacity DefaultBatch; sbufs and
 	// saddrs are the same requests as WriteBatch wants them.
 	batch  []*sendReq
 	sbufs  [][]byte
@@ -42,14 +42,14 @@ func newSock(t *BatchTransport, conn *net.UDPConn) *sock {
 	s := &sock{
 		t:      t,
 		conn:   conn,
-		pc:     NewPacketConn(conn, t.cfg.Batch, t.cfg.Portable),
-		ring:   make(chan *sendReq, t.cfg.Ring),
-		batch:  make([]*sendReq, 0, t.cfg.Batch),
-		sbufs:  make([][]byte, t.cfg.Batch),
-		saddrs: make([]netip.AddrPort, t.cfg.Batch),
-		rbufs:  make([][]byte, t.cfg.Batch),
-		rsizes: make([]int, t.cfg.Batch),
-		raddrs: make([]netip.AddrPort, t.cfg.Batch),
+		pc:     NewPacketConn(conn, DefaultBatch, t.cfg.Portable),
+		ring:   make(chan *sendReq, DefaultRing),
+		batch:  make([]*sendReq, 0, DefaultBatch),
+		sbufs:  make([][]byte, DefaultBatch),
+		saddrs: make([]netip.AddrPort, DefaultBatch),
+		rbufs:  make([][]byte, DefaultBatch),
+		rsizes: make([]int, DefaultBatch),
+		raddrs: make([]netip.AddrPort, DefaultBatch),
 	}
 	for i := range s.rbufs {
 		s.rbufs[i] = getBuf()

@@ -78,7 +78,8 @@ var (
 	ErrNoSocket = errors.New("udpx: no socket for address family")
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the transport's fixed
+// dimensions.
 const (
 	// DefaultSockets caps the shared socket pool size per address
 	// family; the default is min(DefaultSockets, max(2, NumCPU)).
@@ -109,18 +110,13 @@ const (
 )
 
 // Config parameterizes a BatchTransport. The zero value gives the
-// defaults above, port 53, and the Linux batched-syscall path when
-// available.
+// defaults above and the Linux batched-syscall path when available;
+// send-ring depth (DefaultRing), batch size (DefaultBatch) and the
+// destination port (53) are constants.
 type Config struct {
 	// Sockets is the pool size per address family (default
 	// DefaultSockets).
 	Sockets int
-	// Ring is the bounded send-ring depth per socket (default
-	// DefaultRing).
-	Ring int
-	// Batch is the max datagrams per batched syscall (default
-	// DefaultBatch).
-	Batch int
 	// Timeout is the per-query deadline enforced by the timer wheel
 	// when the context has none (default DefaultTimeout). A context
 	// deadline tighter than Timeout wins.
@@ -139,14 +135,9 @@ type Config struct {
 	// the two I/O paths.
 	Portable bool
 
-	// Port is the destination UDP port when no override applies
-	// (default 53).
-	Port int
-	// PortOverride maps a server IP to the UDP port serving it
-	// (same semantics as authserver.UDPTransport).
-	PortOverride map[netip.Addr]int
-	// AddrOverride maps a server IP to the socket actually serving it,
-	// taking precedence over PortOverride.
+	// AddrOverride maps a server IP to the socket actually serving it
+	// (same semantics as authserver.UDPTransport); tests and benches
+	// serve simulated-topology IPs from loopback high ports.
 	AddrOverride map[netip.Addr]netip.AddrPort
 }
 
@@ -266,12 +257,6 @@ func New(cfg Config) (*BatchTransport, error) {
 			cfg.Sockets = DefaultSockets
 		}
 	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = DefaultRing
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = DefaultBatch
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
@@ -283,9 +268,6 @@ func New(cfg Config) (*BatchTransport, error) {
 	}
 	for cfg.WheelSlots&(cfg.WheelSlots-1) != 0 {
 		cfg.WheelSlots++
-	}
-	if cfg.Port <= 0 {
-		cfg.Port = 53
 	}
 	t := &BatchTransport{
 		cfg:   cfg,
@@ -348,18 +330,13 @@ func (t *BatchTransport) metrics() *metrics {
 	return t.m
 }
 
-// target resolves the socket address actually serving server, per the
-// override maps (tests and benches serve simulated-topology IPs from
-// loopback high ports, exactly like authserver.UDPTransport).
+// target resolves the socket address actually serving server: its
+// AddrOverride entry, else port 53 of the address itself.
 func (t *BatchTransport) target(server netip.Addr) netip.AddrPort {
 	if ap, ok := t.cfg.AddrOverride[server]; ok {
 		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
-	port := t.cfg.Port
-	if p, ok := t.cfg.PortOverride[server]; ok {
-		port = p
-	}
-	return netip.AddrPortFrom(server.Unmap(), uint16(port))
+	return netip.AddrPortFrom(server.Unmap(), 53)
 }
 
 // sockFor picks the pool socket for dest: family first, then a

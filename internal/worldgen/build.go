@@ -65,7 +65,7 @@ const (
 func Build(w *World) *Active {
 	a := &Active{
 		World:    w,
-		Net:      simnet.New(simnet.Config{Seed: w.Cfg.Seed}),
+		Net:      simnet.New(),
 		Topo:     nettopo.NewTopology(),
 		Reg:      registrar.New(SuffixSet(w.Countries)),
 		addrs:    make(map[dnsname.Name][]netip.Addr),
