@@ -1,10 +1,15 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint bench bench-check chaos fuzz monitor-smoke check
+.PHONY: build fmt test race vet lint bench bench-check chaos fuzz monitor-smoke check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any file in the tree (bench/ included) is not
+# gofmt-clean, printing nothing else; run `gofmt -l .` to see which.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -78,4 +83,4 @@ fuzz:
 # hot paths are lock-free; the race detector is what keeps them honest)
 # — under the race detector, and both test and race include the
 # monitor-smoke drill.
-check: build vet lint test race bench-check
+check: build fmt vet lint test race bench-check

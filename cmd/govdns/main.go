@@ -1,10 +1,14 @@
 // Command govdns runs the full reproduction study end to end and prints
-// every table and figure of the paper with measured-vs-paper context.
+// every table and figure of the paper with measured-vs-paper context,
+// or the one that -experiment names. It is the harness behind
+// EXPERIMENTS.md. (Performance is measured by the bench/ module,
+// `make bench`.)
 //
 // Usage:
 //
 //	govdns [-scale 0.1] [-seed 42] [-concurrency 64] [-timeout 25ms]
 //	       [-no-second-round] [-stability-days 7]
+//	       [-experiment fig9] [-csvdir out/] [-expectations]
 package main
 
 import (
@@ -12,9 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"govdns"
+	"govdns/internal/core"
 )
 
 func main() {
@@ -31,7 +37,22 @@ func run() error {
 	timeout := flag.Duration("timeout", 25*time.Millisecond, "per-query timeout")
 	noSecondRound := flag.Bool("no-second-round", false, "disable the second measurement round")
 	stabilityDays := flag.Int("stability-days", 7, "PDNS stability filter in days (negative disables)")
+	experiment := flag.String("experiment", "", "print one section of the report (funnel fig2 fig4 fig6 fig7 fig8 fig9 table1 table2 table3 fig10 fig11 fig13); empty = all")
+	csvDir := flag.String("csvdir", "", "also export every experiment as CSV files into this directory")
+	listExpectations := flag.Bool("expectations", false, "print the paper's expected values and exit")
 	flag.Parse()
+
+	if *listExpectations {
+		keys := make([]string, 0, len(core.PaperExpectations))
+		for k := range core.PaperExpectations {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("%-22s %s\n", k, core.PaperExpectations[k])
+		}
+		return nil
+	}
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "generating world (scale %.3f, seed %d)...\n", *scale, *seed)
@@ -54,5 +75,14 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "scan finished in %v\n\n", time.Since(scanStart).Round(time.Millisecond))
 
+	if *csvDir != "" {
+		if err := study.WriteCSVs(*csvDir); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "CSV exports written to %s\n", *csvDir)
+	}
+	if *experiment != "" {
+		return study.WriteExperiment(os.Stdout, *experiment)
+	}
 	return study.WriteReport(os.Stdout)
 }

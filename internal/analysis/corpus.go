@@ -387,9 +387,6 @@ func (c *Corpus) NumNames() int { return len(c.names) }
 // NumRecords returns the number of NS record sets.
 func (c *Corpus) NumRecords() int { return len(c.nsRData) }
 
-// NumRData returns the number of distinct interned NS rdata strings.
-func (c *Corpus) NumRData() int { return len(c.rdatas) }
-
 // yearIndex converts a calendar year to the corpus row index, or
 // panics: serving a year outside the compiled span would silently
 // return zeros where the reference path computes real values.

@@ -52,9 +52,6 @@ func NewMapper(countries []Country) *Mapper {
 // Countries returns the mapper's country list.
 func (m *Mapper) Countries() []Country { return m.countries }
 
-// GovSuffixes returns the set of government suffixes.
-func (m *Mapper) GovSuffixes() *dnsname.SuffixSet { return m.suffixes }
-
 // CountryOf maps a domain to its country by the longest matching
 // government suffix (the suffix itself also matches).
 func (m *Mapper) CountryOf(name dnsname.Name) (Country, bool) {

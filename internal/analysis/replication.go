@@ -66,9 +66,6 @@ type YearStats struct {
 	PrivateAll int
 }
 
-// SingleNSPct returns the d_1NS share of all domains.
-func (y YearStats) SingleNSPct() float64 { return stats.Pct(y.SingleNS, y.Domains) }
-
 // PrivateSinglePct returns the share of d_1NS using private deployments
 // (Fig. 7's upper series).
 func (y YearStats) PrivateSinglePct() float64 { return stats.Pct(y.SingleNSPrivate, y.SingleNS) }

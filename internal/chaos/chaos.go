@@ -114,15 +114,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("chaos.Class(%d)", int(c))
 }
 
-// Classes lists every fault class, for tests that iterate the taxonomy.
-func Classes() []Class {
-	out := make([]Class, 0, numClasses)
-	for c := Class(0); c < numClasses; c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Rule schedules one fault class.
 //
 // Windowing: a rule fires only while the fault index lies in

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"govdns/internal/analysis"
-
 	"govdns/internal/report"
 	"govdns/internal/stats"
 )
@@ -31,29 +31,51 @@ var PaperExpectations = map[string]string{
 	"sect3.levels":        "<1% level 2, 85.4% level 3, 10.9% level 4",
 }
 
+// reportSections is the report in print order, each section with the
+// experiment ids that select it alone.
+var reportSections = []struct {
+	ids   []string
+	write func(*Study, io.Writer) error
+}{
+	{[]string{"funnel"}, (*Study).writeFunnel},
+	{[]string{"fig2", "fig3"}, (*Study).writeFig2And3},
+	{[]string{"fig4"}, (*Study).writeFig4},
+	{[]string{"fig6"}, (*Study).writeFig6},
+	{[]string{"fig7"}, (*Study).writeFig7},
+	{[]string{"fig8"}, (*Study).writeFig8},
+	{[]string{"fig9"}, (*Study).writeFig9},
+	{[]string{"table1"}, (*Study).writeTable1},
+	{[]string{"table2"}, (*Study).writeTable2},
+	{[]string{"table3"}, (*Study).writeTable3},
+	{[]string{"fig10"}, (*Study).writeFig10},
+	{[]string{"fig11", "fig12"}, (*Study).writeFig11And12},
+	{[]string{"fig13", "fig14"}, (*Study).writeFig13And14},
+}
+
 // WriteReport renders every table and figure of the study to w. The
 // active experiments require RunActive to have completed.
 func (s *Study) WriteReport(w io.Writer) error {
-	for _, section := range []func(io.Writer) error{
-		s.writeFunnel,
-		s.writeFig2And3,
-		s.writeFig4,
-		s.writeFig6,
-		s.writeFig7,
-		s.writeFig8,
-		s.writeFig9,
-		s.writeTable1,
-		s.writeTable2,
-		s.writeTable3,
-		s.writeFig10,
-		s.writeFig11And12,
-		s.writeFig13And14,
-	} {
-		if err := section(w); err != nil {
+	for _, sec := range reportSections {
+		if err := sec.write(s, w); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteExperiment renders the one section of WriteReport that id names
+// (funnel, fig2 ... fig14, table1 ... table3; case-insensitive).
+func (s *Study) WriteExperiment(w io.Writer, id string) error {
+	var known []string
+	for _, sec := range reportSections {
+		for _, have := range sec.ids {
+			if strings.EqualFold(id, have) {
+				return sec.write(s, w)
+			}
+		}
+		known = append(known, sec.ids...)
+	}
+	return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(known, " "))
 }
 
 func (s *Study) writeFunnel(w io.Writer) error {
@@ -80,29 +102,31 @@ func (s *Study) writeFig2And3(w io.Writer) error {
 	return t.Write(w)
 }
 
+// topKeys returns the keys of m by descending value, ties by key, at
+// most n of them: the ranking behind every per-country bar chart.
+func topKeys[V int | float64](m map[string]V, n int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if m[keys[i]] != m[keys[j]] {
+			return m[keys[i]] > m[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	if len(keys) > n {
+		keys = keys[:n]
+	}
+	return keys
+}
+
 func (s *Study) writeFig4(w io.Writer) error {
 	counts := s.Fig4()
-	type kv struct {
-		code string
-		n    int
-	}
-	var rows []kv
-	for code, n := range counts {
-		rows = append(rows, kv{code, n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].code < rows[j].code
-	})
 	c := report.NewBarChart(fmt.Sprintf("Fig. 4 — domains per country, %d (top 20 of %d countries with data)",
-		s.EndYear(), len(rows)))
-	for i, row := range rows {
-		if i >= 20 {
-			break
-		}
-		c.Add(row.code, float64(row.n))
+		s.EndYear(), len(counts)))
+	for _, code := range topKeys(counts, 20) {
+		c.Add(code, float64(counts[code]))
 	}
 	return c.Write(w)
 }
@@ -132,28 +156,11 @@ func (s *Study) writeFig8(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	type kv struct {
-		code string
-		pct  float64
-	}
-	var rows []kv
-	for code, pct := range ar.SingleStaleByCountry {
-		rows = append(rows, kv{code, pct})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].pct != rows[j].pct {
-			return rows[i].pct > rows[j].pct
-		}
-		return rows[i].code < rows[j].code
-	})
 	c := report.NewBarChart(fmt.Sprintf(
 		"Fig. 8 — %% of d_1NS with no authoritative response (overall %.1f%%; paper: %s)",
 		ar.SingleStalePct, PaperExpectations["fig8.stale-singles"]))
-	for i, row := range rows {
-		if i >= 15 {
-			break
-		}
-		c.Add(row.code, row.pct)
+	for _, code := range topKeys(ar.SingleStaleByCountry, 15) {
+		c.Add(code, ar.SingleStaleByCountry[code])
 	}
 	return c.Write(w)
 }
@@ -248,29 +255,15 @@ func (s *Study) writeFig10(w io.Writer) error {
 		ds.AnyDefectPct(), ds.PartialPct(), ds.FullPct(), ds.WithData, PaperExpectations["fig10.defective"]); err != nil {
 		return err
 	}
-	type kv struct {
-		code  string
-		entry float64
-		n     int
-	}
-	var rows []kv
+	defective := make(map[string]int)
 	for code, entry := range ds.PerCountry {
 		if entry.AnyDefect > 0 {
-			rows = append(rows, kv{code, entry.AnyDefectPct(), entry.AnyDefect})
+			defective[code] = entry.AnyDefect
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].code < rows[j].code
-	})
 	c := report.NewBarChart("top 20 countries by defective delegations (% of country's domains)")
-	for i, row := range rows {
-		if i >= 20 {
-			break
-		}
-		c.Add(fmt.Sprintf("%s (n=%d)", row.code, row.n), row.entry)
+	for _, code := range topKeys(defective, 20) {
+		c.Add(fmt.Sprintf("%s (n=%d)", code, defective[code]), ds.PerCountry[code].AnyDefectPct())
 	}
 	return c.Write(w)
 }

@@ -367,21 +367,6 @@ func (s *Study) Funnel() (*Funnel, error) {
 	return f, nil
 }
 
-// ScanDomainNames lists the probed names (for examples).
-func (s *Study) ScanDomainNames() []dnsname.Name {
-	return append([]dnsname.Name(nil), s.Active.QueryList...)
-}
-
-// PctAtLeastTwoNS is a convenience accessor for the headline Fig. 9
-// number.
-func (s *Study) PctAtLeastTwoNS() (float64, error) {
-	ar, err := s.Fig8And9()
-	if err != nil {
-		return 0, err
-	}
-	return ar.AtLeastTwoPct, nil
-}
-
 // --- Remediation (§ V-B) ---
 
 // ProposeRemediation derives a § V-B remediation plan from the scan:

@@ -241,6 +241,38 @@ func TestStudyWriteReport(t *testing.T) {
 	}
 }
 
+// TestWriteExperimentIsAReportSection pins the one-rendering contract:
+// every experiment id prints, byte for byte, a section of the full
+// report, the sections in order make up the whole report, and an
+// unknown id is an error.
+func TestWriteExperimentIsAReportSection(t *testing.T) {
+	s := fullStudy(t)
+	var full, joined bytes.Buffer
+	if err := s.WriteReport(&full); err != nil {
+		t.Fatalf("WriteReport: %v", err)
+	}
+	for _, sec := range reportSections {
+		for i, id := range sec.ids {
+			var one bytes.Buffer
+			if err := s.WriteExperiment(&one, strings.ToUpper(id)); err != nil {
+				t.Fatalf("WriteExperiment(%s): %v", id, err)
+			}
+			if one.Len() == 0 || !bytes.Contains(full.Bytes(), one.Bytes()) {
+				t.Errorf("experiment %s is not a section of the full report", id)
+			}
+			if i == 0 {
+				joined.Write(one.Bytes())
+			}
+		}
+	}
+	if !bytes.Equal(joined.Bytes(), full.Bytes()) {
+		t.Errorf("the sections in order are not the full report")
+	}
+	if err := s.WriteExperiment(&joined, "fig99"); err == nil {
+		t.Errorf("unknown experiment id accepted")
+	}
+}
+
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -21,8 +21,6 @@ const (
 )
 
 var (
-	// ErrEmpty indicates an empty input where a domain name was required.
-	ErrEmpty = errors.New("dnsname: empty name")
 	// ErrTooLong indicates the name exceeds MaxNameLen.
 	ErrTooLong = errors.New("dnsname: name too long")
 	// ErrBadLabel indicates a label that is empty, too long, or contains

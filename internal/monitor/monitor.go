@@ -108,9 +108,6 @@ type Monitor struct {
 	// consecutiveFailures is atomic because the daemon's liveness probe
 	// reads it from the HTTP goroutine while RunEpoch updates it.
 	consecutiveFailures atomic.Int64
-	// flight is the current/most recent epoch's recorder, kept so the
-	// daemon can report retention counts after an epoch.
-	flight *trace.FlightRecorder
 }
 
 // Open loads (or initializes) the monitor state under cfg.StateDir.
@@ -209,10 +206,6 @@ func (m *Monitor) Epoch() int { return m.nextEpoch }
 // to call concurrently (health probes poll it while an epoch runs).
 func (m *Monitor) ConsecutiveFailures() int { return int(m.consecutiveFailures.Load()) }
 
-// Flight is the most recent epoch's flight recorder (nil before the
-// first RunEpoch).
-func (m *Monitor) Flight() *trace.FlightRecorder { return m.flight }
-
 func (m *Monitor) statePath() string { return filepath.Join(m.cfg.StateDir, "state.json") }
 func (m *Monitor) epochPath(n int) string {
 	return filepath.Join(m.cfg.StateDir, fmt.Sprintf("epoch-%d.jsonl", n))
@@ -266,7 +259,6 @@ func (m *Monitor) RunEpoch(ctx context.Context, scanner *measure.Scanner, src me
 
 	flight := trace.NewFlightRecorder(m.cfg.Trace)
 	flight.AttachRegistry(m.cfg.Registry)
-	m.flight = flight
 	scanner.Trace = flight
 
 	// Each result is summarized and diffed exactly once, on the worker

@@ -13,14 +13,9 @@ import (
 	"sync"
 )
 
-// Topology errors.
-var (
-	// ErrExhausted indicates an AS or prefix ran out of addresses.
-	ErrExhausted = errors.New("nettopo: address space exhausted")
-	// ErrUnknownAS indicates an allocation request for an AS that was
-	// never registered.
-	ErrUnknownAS = errors.New("nettopo: unknown AS")
-)
+// ErrUnknownAS indicates an allocation request for an AS that was never
+// registered.
+var ErrUnknownAS = errors.New("nettopo: unknown AS")
 
 // IPv4 converts a uint32 to a netip.Addr.
 func IPv4(v uint32) netip.Addr {

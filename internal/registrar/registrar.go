@@ -100,9 +100,6 @@ const (
 	// the paper's observed range of 0.01–20,000 USD.
 	MinPriceCents Cents = 1
 	MaxPriceCents Cents = 2_000_000
-	// MedianPriceCents is the calibration target for the distribution's
-	// median (11.99 USD).
-	MedianPriceCents Cents = 1199
 )
 
 // Price quotes the registration cost for domain. The quote is a pure

@@ -23,10 +23,10 @@ import (
 // Transport carries wire-format DNS messages to a server address. It is
 // implemented by simnet.Network (in-memory), authserver.UDPTransport
 // (dial-per-exchange real sockets — the slow, portable reference path),
-// and udpx.BatchTransport (the shared-socket batched path real-network
-// scans default to). The returned response buffer is owned by the
-// caller unless the transport also implements ResponseReleaser, in
-// which case the caller returns it once decoded.
+// and udpx.BatchTransport (the shared-socket batched path, IPv4-only,
+// that is govscan -real's one UDP client). The returned response
+// buffer is owned by the caller unless the transport also implements
+// ResponseReleaser, in which case the caller returns it once decoded.
 type Transport interface {
 	Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error)
 }

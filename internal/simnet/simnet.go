@@ -26,10 +26,6 @@ import (
 
 // Network errors.
 var (
-	// ErrNoRoute indicates no server is attached at the address. The
-	// resolver treats it like a timeout (an address that never answers),
-	// but keeping it distinct helps the world generator's own tests.
-	ErrNoRoute = errors.New("simnet: no server at address")
 	// ErrDropped indicates the query was never answered (blackhole,
 	// filtered source, no server, or a server that drops queries).
 	ErrDropped = errors.New("simnet: packet dropped")

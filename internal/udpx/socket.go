@@ -5,17 +5,42 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
-// sock is one pooled socket: the connection, its bounded send ring, and
-// the batch scratch its two loops hand to the PacketConn. Each sock
-// owns two goroutines — sendLoop drains the ring, recvLoop drains the
-// wire — for the transport's lifetime.
+// slot is one wire transaction ID's entry in a socket's demux table:
+// the waiter of the exchange that holds the ID, plus the generation it
+// registered under, so a reader that copied the slot just before the
+// waiter was completed and recycled can never complete its next life.
+// The zero slot is a free ID.
+type slot struct {
+	w   *waiter
+	gen uint32
+}
+
+// idStripes is the number of mutexes guarding one socket's slots; an ID
+// is guarded by lock ID mod idStripes, so the consecutive IDs a
+// sequential cursor hands to concurrent exchanges never share a lock.
+const idStripes = 64
+
+// sock is one pooled socket: the connection, its slot table, its
+// bounded send ring, and the batch scratch its two loops hand to the
+// PacketConn. Each sock owns two goroutines — sendLoop drains the ring,
+// recvLoop drains the wire — for the transport's lifetime.
 type sock struct {
 	t    *BatchTransport
 	conn *net.UDPConn
 	pc   *PacketConn
 	ring chan *sendReq
+
+	// slots is indexed by wire transaction ID (1 MiB). cursor is where
+	// reserve probes next; live counts filled slots plus reservations
+	// still probing, which is what bounds them at len(slots).
+	slots  [maxInflightPerSock]slot
+	locks  [idStripes]sync.Mutex
+	cursor atomic.Uint32
+	live   atomic.Int32
 
 	// batch is sendLoop's drain scratch, capacity DefaultBatch; sbufs and
 	// saddrs are the same requests as WriteBatch wants them.
@@ -56,6 +81,9 @@ func newSock(t *BatchTransport, conn *net.UDPConn) *sock {
 	}
 	return s
 }
+
+// stripe returns the mutex guarding slots[id].
+func (s *sock) stripe(id uint16) *sync.Mutex { return &s.locks[id%idStripes] }
 
 // sendLoop drains the ring: block for the first request, opportunistic
 // drain up to the batch bound, one WriteBatch for the lot. Send errors
@@ -142,7 +170,7 @@ func (s *sock) dispatch(got int) {
 			m.malformed.Inc()
 			continue
 		}
-		s.t.deliver(s.rbufs[i][:s.rsizes[i]], s.raddrs[i])
+		s.t.deliver(s, s.rbufs[i][:s.rsizes[i]], s.raddrs[i])
 		s.rbufs[i] = getBuf()
 	}
 }

@@ -16,16 +16,20 @@
 //   - One receiver goroutine per socket drains datagrams in batches
 //     (PacketConn.ReadBatch: recvmmsg(2), or one read per datagram)
 //     into pooled fixed-size buffers and demuxes each to its waiting
-//     exchange through a sharded table keyed (server address,
-//     transaction ID).
+//     exchange through the socket's own slot table: one slot per
+//     16-bit wire transaction ID, so a datagram is matched on (the
+//     socket it arrived on, its ID, its source address) and on nothing
+//     keyed by destination.
 //   - Transaction IDs on the wire are the transport's, not the
-//     caller's: each exchange draws a per-destination ID from a
-//     collision-avoiding allocator (the demux table itself is the
-//     occupancy oracle), so concurrent queries to one server never
-//     share an ID no matter what IDs the callers chose. The response's
-//     ID is patched back to the caller's before delivery, so the
-//     resolver's validation, duplicate accounting, and discard
-//     machinery see exactly what the dial transport would show them.
+//     caller's: each exchange takes the next empty slot after its
+//     socket's cursor and sends the slot's index as its ID, so no two
+//     in-flight queries on one socket share an ID no matter what IDs
+//     the callers chose. A slot belongs to the exchange that filled it
+//     until whichever completer wins the waiter's state CAS clears it.
+//     The response's ID is patched back to the caller's before
+//     delivery, so the resolver's validation, duplicate accounting,
+//     and discard machinery see exactly what the dial transport would
+//     show them.
 //   - Per-query deadlines ride a coarse timer wheel (wheel.go) instead
 //     of per-socket read deadlines, so one blackholed server burns only
 //     its own queries and never stalls a shared socket.
@@ -36,12 +40,18 @@
 //     ReleaseResponse (resolver.ResponseReleaser), keeping the
 //     steady-state exchange hot path allocation-free.
 //
-// Late, duplicate, and stray datagrams whose (address, ID) key no
-// longer has a waiter are counted (udpx_demux_misses_total) and
-// dropped, which is precisely what the dial transport's closed sockets
-// did to them; datagrams that do reach a waiter but fail validation are
-// the resolver's business and flow through its existing classify /
-// accepted-ring / discard-budget machinery unchanged. See DESIGN.md
+// Late, duplicate, and stray datagrams — an ID whose slot is empty, a
+// source address other than the one the slot's query went to, the
+// right answer on the wrong pool socket — are counted
+// (udpx_demux_misses_total) and dropped, which is precisely what the
+// dial transport's closed sockets did to them; datagrams that do reach
+// a waiter but fail validation are the resolver's business and flow
+// through its existing classify / accepted-ring / discard-budget
+// machinery unchanged. The transport keeps no state per destination, so
+// its memory does not grow with the number of servers a scan contacts.
+// The pool is IPv4-only: the resolver learns server addresses from A
+// glue, A lookups and IPv4 root hints, so nothing can hand Exchange an
+// IPv6 destination, and one that did gets ErrNoSocket. See DESIGN.md
 // § 14 for the full lifecycle and the fallback matrix.
 package udpx
 
@@ -66,23 +76,23 @@ var (
 	// wheel before a response was demuxed to the exchange.
 	ErrTimeout = errors.New("udpx: query timed out")
 	// ErrQIDExhausted indicates more than 65536 concurrent in-flight
-	// queries to a single server address: the 16-bit transaction ID
-	// space has no free ID to allocate. This fails loudly — silently
-	// reusing a live ID would misdeliver answers.
-	ErrQIDExhausted = errors.New("udpx: transaction ID space exhausted (65536 queries in flight to one server)")
+	// queries on a single pool socket: the 16-bit transaction ID space
+	// has no free ID to allocate. This fails loudly — silently reusing
+	// a live ID would misdeliver answers.
+	ErrQIDExhausted = errors.New("udpx: transaction ID space exhausted (65536 queries in flight on one socket)")
 	// ErrClosed indicates an Exchange on a transport whose Close has
 	// begun; in-flight exchanges are failed with it too.
 	ErrClosed = errors.New("udpx: transport closed")
-	// ErrNoSocket indicates no socket of the destination's address
-	// family could be bound at construction time.
+	// ErrNoSocket indicates a destination of an address family the
+	// pool has no socket for: the pool is IPv4-only.
 	ErrNoSocket = errors.New("udpx: no socket for address family")
 )
 
 // Defaults for Config fields left zero, and the transport's fixed
 // dimensions.
 const (
-	// DefaultSockets caps the shared socket pool size per address
-	// family; the default is min(DefaultSockets, max(2, NumCPU)).
+	// DefaultSockets caps the shared socket pool size; the default is
+	// min(DefaultSockets, max(2, NumCPU)).
 	// Receive-side fan-in is the scaling limit, not fd count; a few
 	// sockets spread kernel buffer pressure without fragmenting
 	// batches, and sockets beyond the core count only add scheduling
@@ -104,9 +114,11 @@ const (
 	// defaultWheelSlots is the wheel circumference (power of two);
 	// deadlines beyond tick*slots simply survive extra passes.
 	defaultWheelSlots = 512
-	// maxInflightPerDest is the 16-bit transaction ID space: the hard
-	// bound on concurrent queries to one server address.
-	maxInflightPerDest = 1 << 16
+	// maxInflightPerSock is the 16-bit transaction ID space: the hard
+	// bound on concurrent queries on one pool socket, and the length of
+	// its slot table. The scanner holds at most Concurrency × Fanout =
+	// 1,024 exchanges across the whole pool (measured peak under 300).
+	maxInflightPerSock = 1 << 16
 )
 
 // Config parameterizes a BatchTransport. The zero value gives the
@@ -114,8 +126,7 @@ const (
 // send-ring depth (DefaultRing), batch size (DefaultBatch) and the
 // destination port (53) are constants.
 type Config struct {
-	// Sockets is the pool size per address family (default
-	// DefaultSockets).
+	// Sockets is the pool size (default DefaultSockets).
 	Sockets int
 	// Timeout is the per-query deadline enforced by the timer wheel
 	// when the context has none (default DefaultTimeout). A context
@@ -139,39 +150,6 @@ type Config struct {
 	// (same semantics as authserver.UDPTransport); tests and benches
 	// serve simulated-topology IPs from loopback high ports.
 	AddrOverride map[netip.Addr]netip.AddrPort
-}
-
-// tableShards is the demux table shard count; (dest, id) keys spread
-// across shards so 128-way scanners do not serialize on one lock.
-const tableShards = 64
-
-// wref is a demux table value: the waiter plus the generation it was
-// registered under, so a stale pointer to a recycled waiter can never
-// complete the wrong exchange.
-type wref struct {
-	w   *waiter
-	gen uint32
-}
-
-type tableKey struct {
-	dest netip.AddrPort
-	id   uint16
-}
-
-type shard struct {
-	mu sync.Mutex
-	m  map[tableKey]wref
-}
-
-// destState is the per-destination transaction ID allocator: a probe
-// cursor plus the in-flight count that makes exhaustion loud. The demux
-// table itself is the occupancy check — an ID is free exactly when
-// (dest, id) has no table entry — so the allocator needs no 8 KiB
-// bitmap per destination.
-type destState struct {
-	mu       sync.Mutex
-	cursor   uint16
-	inflight int
 }
 
 // metrics is the udpx_* instrument set on the shared registry.
@@ -218,14 +196,8 @@ func newMetrics(r *obs.Registry) *metrics {
 // implements resolver.Transport (and resolver.ResponseReleaser); one
 // instance serves any number of concurrent exchanges until Close.
 type BatchTransport struct {
-	cfg    Config
-	socks  []*sock // ipv4 pool
-	socks6 []*sock // ipv6 pool (may be empty where v6 cannot bind)
-
-	table [tableShards]shard
-
-	destMu sync.RWMutex
-	dests  map[netip.AddrPort]*destState
+	cfg   Config
+	socks []*sock // the pool; IPv4 only
 
 	wheel *wheel
 	wpool sync.Pool // *waiter
@@ -270,12 +242,8 @@ func New(cfg Config) (*BatchTransport, error) {
 		cfg.WheelSlots++
 	}
 	t := &BatchTransport{
-		cfg:   cfg,
-		dests: make(map[netip.AddrPort]*destState),
-		done:  make(chan struct{}),
-	}
-	for i := 0; i < tableShards; i++ {
-		t.table[i].m = make(map[tableKey]wref)
+		cfg:  cfg,
+		done: make(chan struct{}),
 	}
 	t.wheel = newWheel(cfg.WheelTick, cfg.WheelSlots, t)
 	for i := 0; i < cfg.Sockets; i++ {
@@ -286,21 +254,12 @@ func New(cfg Config) (*BatchTransport, error) {
 		}
 		t.socks = append(t.socks, newSock(t, c))
 	}
-	// IPv6 sockets are best-effort: a v4-only host still gets a working
-	// transport, and v6 destinations then fail with ErrNoSocket.
-	for i := 0; i < cfg.Sockets; i++ {
-		c, err := net.ListenUDP("udp6", &net.UDPAddr{IP: net.IPv6zero})
-		if err != nil {
-			break
-		}
-		t.socks6 = append(t.socks6, newSock(t, c))
-	}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
 		t.wheel.run(t.done)
 	}()
-	for _, s := range append(append([]*sock(nil), t.socks...), t.socks6...) {
+	for _, s := range t.socks {
 		t.wg.Add(2)
 		go func(s *sock) { defer t.wg.Done(); s.sendLoop() }(s)
 		go func(s *sock) { defer t.wg.Done(); s.recvLoop() }(s)
@@ -310,9 +269,6 @@ func New(cfg Config) (*BatchTransport, error) {
 
 func (t *BatchTransport) closeSocks() {
 	for _, s := range t.socks {
-		_ = s.conn.Close()
-	}
-	for _, s := range t.socks6 {
 		_ = s.conn.Close()
 	}
 }
@@ -339,18 +295,15 @@ func (t *BatchTransport) target(server netip.Addr) netip.AddrPort {
 	return netip.AddrPortFrom(server.Unmap(), 53)
 }
 
-// sockFor picks the pool socket for dest: family first, then a
-// destination hash, so every exchange with one server rides one socket
-// and its responses demux on the socket that sent them.
+// sockFor picks the pool socket for dest by a destination hash, so
+// every exchange with one server rides one socket and its responses
+// come back to the slot table that holds their waiters. An IPv6
+// destination has no socket.
 func (t *BatchTransport) sockFor(dest netip.AddrPort) *sock {
-	pool := t.socks
 	if dest.Addr().Is6() {
-		pool = t.socks6
-	}
-	if len(pool) == 0 {
 		return nil
 	}
-	return pool[destHash(dest)%uint32(len(pool))]
+	return t.socks[destHash(dest)%uint32(len(t.socks))]
 }
 
 // destHash is an FNV-1a over the destination address and port.
@@ -370,110 +323,71 @@ func destHash(dest netip.AddrPort) uint32 {
 	return h
 }
 
-func (t *BatchTransport) shardOf(dest netip.AddrPort, id uint16) *shard {
-	h := destHash(dest) ^ (uint32(id) * 0x9e3779b1)
-	return &t.table[h%tableShards]
-}
-
-// dest returns the per-destination allocator state, creating it on
-// first contact (the only allocation a destination ever costs).
-func (t *BatchTransport) dest(dest netip.AddrPort) *destState {
-	t.destMu.RLock()
-	ds := t.dests[dest]
-	t.destMu.RUnlock()
-	if ds != nil {
-		return ds
-	}
-	t.destMu.Lock()
-	defer t.destMu.Unlock()
-	if ds := t.dests[dest]; ds != nil {
-		return ds
-	}
-	ds = &destState{}
-	t.dests[dest] = ds
-	return ds
-}
-
-// reserve allocates a wire transaction ID for dest and registers w in
-// the demux table under it. The table is the collision oracle: an ID is
-// free exactly when its key has no entry, so two concurrent queries to
-// one server can never share an ID. Fails loudly with ErrQIDExhausted
-// at 65536 in flight.
-func (t *BatchTransport) reserve(dest netip.AddrPort, w *waiter, gen uint32) (uint16, error) {
-	m := t.metrics()
-	ds := t.dest(dest)
-	ds.mu.Lock()
-	if ds.inflight >= maxInflightPerDest {
-		ds.mu.Unlock()
-		m.exhausted.Inc()
-		return 0, fmt.Errorf("%w: %s", ErrQIDExhausted, dest)
-	}
-	for tries := 0; tries < maxInflightPerDest; tries++ {
-		id := ds.cursor
-		ds.cursor++
-		sh := t.shardOf(dest, id)
-		k := tableKey{dest: dest, id: id}
-		sh.mu.Lock()
-		if _, busy := sh.m[k]; !busy {
-			w.dest = dest
-			w.wireID = id
-			sh.m[k] = wref{w: w, gen: gen}
-			sh.mu.Unlock()
-			ds.inflight++
-			n := ds.inflight
-			ds.mu.Unlock()
-			t.noteInflight(n)
-			return id, nil
+// reserve claims a wire transaction ID on s for w: the first empty slot
+// at or after the socket's cursor. The slot table is its own occupancy
+// record — an ID is free exactly when its slot is empty — so two
+// in-flight queries on one socket can never share an ID. The stripe
+// lock's release publishes w's registration fields (sock, dest, wireID)
+// to whoever next reads the slot. Fails loudly with ErrQIDExhausted at
+// 65536 in flight on s.
+func (t *BatchTransport) reserve(s *sock, dest netip.AddrPort, w *waiter, gen uint32) error {
+	if s.live.Add(1) <= maxInflightPerSock {
+		w.sock, w.dest = s, dest
+		// The count guarantees an empty slot exists, but other reservers
+		// can take each one this probe was about to reach; bound the
+		// probe so that never loops forever.
+		for tries := 0; tries < maxInflightPerSock; tries++ {
+			id := uint16(s.cursor.Add(1) - 1)
+			mu := s.stripe(id)
+			mu.Lock()
+			if s.slots[id].w == nil {
+				w.wireID = id
+				s.slots[id] = slot{w: w, gen: gen}
+				mu.Unlock()
+				t.noteInflight()
+				return nil
+			}
+			mu.Unlock()
 		}
-		sh.mu.Unlock()
 	}
-	// Unreachable while inflight < 65536, but never loop forever on a
-	// bookkeeping bug.
-	ds.mu.Unlock()
-	m.exhausted.Inc()
-	return 0, fmt.Errorf("%w: %s", ErrQIDExhausted, dest)
+	s.live.Add(-1)
+	t.metrics().exhausted.Inc()
+	return fmt.Errorf("%w: %s", ErrQIDExhausted, dest)
 }
 
 // noteInflight maintains the occupancy gauge and its high-water mark.
 // The high-water update is load-then-set and may lose a race to a
 // concurrent peak; it is a telemetry watermark, not an invariant.
-func (t *BatchTransport) noteInflight(n int) {
+func (t *BatchTransport) noteInflight() {
 	m := t.metrics()
 	m.inflight.Add(1)
 	if v := m.inflight.Load(); v > m.inflightHigh.Load() {
 		m.inflightHigh.Set(v)
 	}
-	_ = n
 }
 
-// unregister removes w's table entry and returns its ID to the
-// per-destination space. Called exactly once per exchange, by whichever
-// completer won the state CAS.
+// unregister clears w's slot, returning its ID to the socket's space.
+// Called exactly once per exchange, by whichever completer won the
+// state CAS.
 func (t *BatchTransport) unregister(w *waiter, gen uint32) {
-	k := tableKey{dest: w.dest, id: w.wireID}
-	sh := t.shardOf(w.dest, w.wireID)
-	sh.mu.Lock()
-	if ref, ok := sh.m[k]; ok && ref.w == w && ref.gen == gen {
-		delete(sh.m, k)
+	s := w.sock
+	mu := s.stripe(w.wireID)
+	mu.Lock()
+	if sl := &s.slots[w.wireID]; sl.w == w && sl.gen == gen {
+		*sl = slot{}
 	}
-	sh.mu.Unlock()
-	ds := t.dest(w.dest)
-	ds.mu.Lock()
-	ds.inflight--
-	ds.mu.Unlock()
+	mu.Unlock()
+	s.live.Add(-1)
 	t.metrics().inflight.Add(-1)
 }
 
-// pending reports the number of registered waiters across the demux
-// table — zero when no exchange is in flight. Tests assert it returns
-// to zero after churn; production code never needs it.
+// pending reports the number of registered waiters across the pool's
+// slot tables — zero when no exchange is in flight. Tests assert it
+// returns to zero after churn; production code never needs it.
 func (t *BatchTransport) pending() int {
 	n := 0
-	for i := range t.table {
-		sh := &t.table[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
+	for _, s := range t.socks {
+		n += int(s.live.Load())
 	}
 	return n
 }
@@ -517,15 +431,15 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 
 	w, gen := t.getWaiter()
 	w.origID = binary.BigEndian.Uint16(query)
-	if _, err := t.reserve(dest, w, gen); err != nil {
+	if err := t.reserve(s, dest, w, gen); err != nil {
 		t.putWaiter(w)
 		return nil, err
 	}
 	// The registration is live from here on: exactly one completer —
 	// receiver, wheel, cancel, or close sweep — wins the state CAS and
 	// unregisters. If the transport raced into Close after the
-	// registration, the sweep is guaranteed to see the entry (shard
-	// mutexes order the sweep against the insert), so the wait below
+	// registration, the sweep is guaranteed to see the slot (its stripe
+	// lock orders the sweep against the insert), so the wait below
 	// always terminates.
 	if t.closed.Load() {
 		return nil, t.cancelWait(w, gen, ErrClosed)
@@ -597,11 +511,17 @@ func (t *BatchTransport) cancelWait(w *waiter, gen uint32, cause error) error {
 	return cause
 }
 
-// deliver routes one received datagram to its waiter. Misses — late
-// duplicates of completed exchanges, stray or spoofed datagrams, chaos
-// debris — are counted and dropped, the batched equivalent of a closed
-// per-exchange socket swallowing them.
-func (t *BatchTransport) deliver(buf []byte, src netip.AddrPort) {
+// deliver routes one datagram received on s to its waiter: the slot
+// its transaction ID indexes, if that slot's query went to the address
+// the datagram came from. The slot is copied out under its stripe lock
+// (a filled slot's waiter cannot be recycled until the slot is cleared,
+// so reading its dest there is safe); the completion CAS then runs on
+// the copied generation, so a datagram that loses the race to a timeout
+// finds the waiter's next life under a new generation and fails.
+// Misses — late duplicates of completed exchanges, stray or spoofed
+// datagrams, chaos debris — are counted and dropped, the batched
+// equivalent of a closed per-exchange socket swallowing them.
+func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	m := t.metrics()
 	m.recvDgrams.Inc()
 	if len(buf) < 12 {
@@ -611,11 +531,11 @@ func (t *BatchTransport) deliver(buf []byte, src netip.AddrPort) {
 	}
 	src = netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
 	id := binary.BigEndian.Uint16(buf)
-	k := tableKey{dest: src, id: id}
-	sh := t.shardOf(src, id)
-	sh.mu.Lock()
-	ref, ok := sh.m[k]
-	sh.mu.Unlock()
+	mu := s.stripe(id)
+	mu.Lock()
+	ref := s.slots[id]
+	ok := ref.w != nil && ref.w.dest == src
+	mu.Unlock()
 	if !ok || !ref.w.complete(ref.gen, stDelivered) {
 		m.misses.Inc()
 		putBuf(buf)
@@ -657,20 +577,17 @@ func (t *BatchTransport) Close() error {
 	close(t.done)
 	t.closeSocks()
 	t.wg.Wait()
-	// Sweep the demux table: every remaining waiter gets ErrClosed.
+	// Sweep the slot tables: every remaining waiter gets ErrClosed.
 	// Registrations racing Close either saw closed first (and
-	// self-cancelled) or inserted before this sweep's shard lock — the
-	// mutex makes one of the two orders definite.
-	for i := range t.table {
-		sh := &t.table[i]
-		sh.mu.Lock()
-		refs := make([]wref, 0, len(sh.m))
-		for _, ref := range sh.m {
-			refs = append(refs, ref)
-		}
-		sh.mu.Unlock()
-		for _, ref := range refs {
-			if ref.w.complete(ref.gen, stClosed) {
+	// self-cancelled) or filled their slot before this sweep took its
+	// stripe lock — the mutex makes one of the two orders definite.
+	for _, s := range t.socks {
+		for id := range s.slots {
+			mu := s.stripe(uint16(id))
+			mu.Lock()
+			ref := s.slots[id]
+			mu.Unlock()
+			if ref.w != nil && ref.w.complete(ref.gen, stClosed) {
 				t.unregister(ref.w, ref.gen)
 				ref.w.ch <- wresult{err: ErrClosed}
 			}

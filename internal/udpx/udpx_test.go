@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -103,7 +104,7 @@ func TestBatchExchangeEcho(t *testing.T) {
 					for i := 0; i < perWorker; i++ {
 						// Deliberately colliding caller IDs: every worker
 						// uses the same ones, so only the transport's own
-						// per-destination allocation keeps the wire sane.
+						// per-socket allocation keeps the wire sane.
 						id := uint16(i)
 						nonce := uint32(g)<<16 | uint32(i)
 						q := testQuery(id, nonce)
@@ -144,28 +145,186 @@ func TestBatchExchangeEcho(t *testing.T) {
 }
 
 // TestQIDExhaustion pins the loud-failure contract: the 65537th
-// concurrent reservation against one server must fail with
-// ErrQIDExhausted, not silently reuse a live ID.
+// concurrent reservation on one socket must fail with ErrQIDExhausted,
+// not silently reuse a live ID.
 func TestQIDExhaustion(t *testing.T) {
-	tr := newTest(t, Config{Sockets: 1})
+	tr := newTest(t, Config{Sockets: 2})
 	dest := netip.MustParseAddrPort("192.0.2.1:53")
-	for i := 0; i < maxInflightPerDest; i++ {
+	for i := 0; i < maxInflightPerSock; i++ {
 		w, gen := tr.getWaiter()
-		if _, err := tr.reserve(dest, w, gen); err != nil {
+		if err := tr.reserve(tr.socks[0], dest, w, gen); err != nil {
 			t.Fatalf("reservation %d failed early: %v", i, err)
 		}
 	}
 	w, gen := tr.getWaiter()
-	if _, err := tr.reserve(dest, w, gen); !errors.Is(err, ErrQIDExhausted) {
-		t.Fatalf("reservation %d: err = %v, want ErrQIDExhausted", maxInflightPerDest, err)
+	if err := tr.reserve(tr.socks[0], dest, w, gen); !errors.Is(err, ErrQIDExhausted) {
+		t.Fatalf("reservation %d: err = %v, want ErrQIDExhausted", maxInflightPerSock, err)
 	}
-	if n := tr.pending(); n != maxInflightPerDest {
-		t.Fatalf("table holds %d entries, want %d", n, maxInflightPerDest)
+	if n := tr.pending(); n != maxInflightPerSock {
+		t.Fatalf("table holds %d entries, want %d", n, maxInflightPerSock)
 	}
-	// A second destination still has a free ID space.
+	// The pool's other socket still has a free ID space.
 	w2, gen2 := tr.getWaiter()
-	if _, err := tr.reserve(netip.MustParseAddrPort("192.0.2.2:53"), w2, gen2); err != nil {
-		t.Fatalf("other destination refused: %v", err)
+	if err := tr.reserve(tr.socks[1], dest, w2, gen2); err != nil {
+		t.Fatalf("other socket refused: %v", err)
+	}
+}
+
+// TestResponseOnWrongSocketOrSourceIsAMiss pins what a datagram is
+// matched on: the socket it arrived on, its transaction ID, and its
+// source address. A decoy carrying a live exchange's ID but a different
+// payload — sent from another address, or sent by the real server to a
+// pool socket other than the one the query left from — must count as a
+// demux miss, and the exchange must still complete with the real
+// answer, which the responder holds back until the miss has registered.
+func TestResponseOnWrongSocketOrSourceIsAMiss(t *testing.T) {
+	for _, wrongSocket := range []bool{false, true} {
+		name := "source"
+		if wrongSocket {
+			name = "socket"
+		}
+		t.Run(name, func(t *testing.T) {
+			other, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatalf("bind decoy sender: %v", err)
+			}
+			defer other.Close()
+			trCh := make(chan *BatchTransport, 1)
+			srv := startUDP(t, func(conn *net.UDPConn) {
+				tr := <-trCh
+				var buf [bufSize]byte
+				n, src, err := conn.ReadFromUDPAddrPort(buf[:])
+				if err != nil {
+					return
+				}
+				decoy := append([]byte(nil), buf[:n]...)
+				binary.BigEndian.PutUint32(decoy[12:], 0xdeadbeef)
+				if wrongSocket {
+					for _, s := range tr.socks {
+						if port := s.conn.LocalAddr().(*net.UDPAddr).AddrPort().Port(); port != src.Port() {
+							_, _ = conn.WriteToUDPAddrPort(decoy, netip.AddrPortFrom(src.Addr(), port))
+						}
+					}
+				} else {
+					_, _ = other.WriteToUDPAddrPort(decoy, src)
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for tr.Stats().DemuxMisses == 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				_, _ = conn.WriteToUDPAddrPort(buf[:n], src)
+			})
+			tr := newTest(t, Config{
+				AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: srv},
+				Sockets:      2,
+			})
+			trCh <- tr
+			const nonce = 0x5eed
+			resp, err := tr.Exchange(context.Background(), srvIP, testQuery(9, nonce))
+			if err != nil {
+				t.Fatalf("exchange: %v", err)
+			}
+			if got := binary.BigEndian.Uint32(resp[12:]); got != nonce {
+				t.Fatalf("nonce %#x, want %#x (decoy delivered)", got, nonce)
+			}
+			tr.ReleaseResponse(resp)
+			if st := tr.Stats(); st.DemuxMisses != 1 {
+				t.Fatalf("DemuxMisses = %d, want 1", st.DemuxMisses)
+			}
+		})
+	}
+}
+
+// TestIDWrapSkipsLiveSlot pins the allocator across a wrap of the
+// 16-bit cursor: with one blackholed exchange holding its ID for the
+// whole test, more than 65536 further exchanges on the same socket must
+// each get their own answer, and none of them may be sent under the
+// held ID.
+func TestIDWrapSkipsLiveSlot(t *testing.T) {
+	heldID := make(chan uint16, 1)
+	hole := startUDP(t, func(conn *net.UDPConn) {
+		var buf [bufSize]byte
+		if n, _, err := conn.ReadFromUDPAddrPort(buf[:]); err == nil && n >= 2 {
+			heldID <- binary.BigEndian.Uint16(buf[:])
+		}
+		blackholeLoop(conn)
+	})
+	// seen counts, per wire ID, the queries the echo server received.
+	var seen [maxInflightPerSock]atomic.Uint32
+	echo := startUDP(t, func(conn *net.UDPConn) {
+		var buf [bufSize]byte
+		for {
+			n, src, err := conn.ReadFromUDPAddrPort(buf[:])
+			if err != nil {
+				return
+			}
+			seen[binary.BigEndian.Uint16(buf[:])].Add(1)
+			_, _ = conn.WriteToUDPAddrPort(buf[:n], src)
+		}
+	})
+	deadIP := netip.MustParseAddr("192.0.2.66")
+	tr := newTest(t, Config{
+		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: echo, deadIP: hole},
+		Timeout:      time.Minute,
+		Sockets:      1,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	held := make(chan error, 1)
+	go func() {
+		_, err := tr.Exchange(ctx, deadIP, testQuery(1, 1))
+		held <- err
+	}()
+	var pinned uint16
+	select {
+	case pinned = <-heldID:
+	case <-time.After(2 * time.Second):
+		t.Fatal("blackholed query never reached its server")
+	}
+
+	const workers = 32
+	const perWorker = (maxInflightPerSock + 1024) / workers
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				nonce := uint32(g)<<16 | uint32(i)
+				resp, err := tr.Exchange(context.Background(), srvIP, testQuery(uint16(i), nonce))
+				if err != nil {
+					errs <- fmt.Errorf("worker %d query %d: %v", g, i, err)
+					return
+				}
+				if got := binary.BigEndian.Uint32(resp[12:]); got != nonce {
+					errs <- fmt.Errorf("worker %d query %d: nonce %#x, want %#x (cross-delivered response)", g, i, got, nonce)
+					return
+				}
+				tr.ReleaseResponse(resp)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := seen[pinned].Load(); n != 0 {
+		t.Errorf("wire ID %d reused %d times while its exchange was still in flight", pinned, n)
+	}
+	wrapped := false
+	for i := range seen {
+		wrapped = wrapped || seen[i].Load() > 1
+	}
+	if !wrapped {
+		t.Errorf("no wire ID used twice across %d exchanges: the cursor never wrapped", workers*perWorker)
+	}
+	if n := tr.pending(); n != 1 {
+		t.Errorf("table holds %d entries, want only the blackholed exchange", n)
+	}
+	cancel()
+	if err := <-held; !errors.Is(err, context.Canceled) {
+		t.Errorf("blackholed exchange: err = %v, want context.Canceled", err)
 	}
 }
 

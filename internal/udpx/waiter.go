@@ -9,7 +9,7 @@ import (
 // Waiter completion states. A waiter's lifecycle is a single packed
 // atomic word: generation in the high 32 bits, state in the low 32.
 // Completion is one CAS from (gen|stPending) to (gen|outcome) — whoever
-// wins owns the cleanup (table unregister, result send). Packing
+// wins owns the cleanup (slot unregister, result send). Packing
 // generation and state into one word closes the ABA hole a separate
 // gen-check-then-CAS would leave: a stale timer-wheel entry holding a
 // recycled waiter's pointer can never complete the waiter's next life,
@@ -40,10 +40,11 @@ type waiter struct {
 	// sg packs generation (high 32 bits) and state (low 32 bits).
 	sg atomic.Uint64
 
-	// Owned by the registering Exchange, written before table
-	// insertion; the shard mutex publishes them to completers.
+	// Owned by the registering Exchange, written before the slot is
+	// filled; the slot's stripe lock publishes them to completers.
 	origID uint16
-	wireID uint16
+	wireID uint16 // index of the slot held in sock.slots
+	sock   *sock
 	dest   netip.AddrPort
 	sentAt time.Time
 	// rttSample marks the 1-in-16 exchanges whose delivery feeds the

@@ -64,6 +64,3 @@ func (q *QueryStream) Next() (dnsname.Name, bool) {
 	q.pos++
 	return n, true
 }
-
-// Reset rewinds the stream to the first name.
-func (q *QueryStream) Reset() { q.pos = 0 }
