@@ -68,14 +68,17 @@ chaos:
 	$(GO) test -race ./internal/chaos
 	$(GO) test -race -run 'Chaos|Invariance' ./internal/measure ./internal/resolver
 
-# fuzz gives each wire-level fuzz target a short budget; raise FUZZTIME
-# for a real session.
+# fuzz gives each fuzz target — the readers of foreign bytes, and the
+# name order every sorted output depends on — a short budget; raise
+# FUZZTIME for a real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzEncodeNames -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzTCPFraming -fuzztime $(FUZZTIME) ./internal/authserver
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime $(FUZZTIME) ./internal/measure
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) ./internal/pdns
+	$(GO) test -run '^$$' -fuzz FuzzCompare -fuzztime $(FUZZTIME) ./internal/dnsname
 
 # check is the tier-1 verify: everything a PR must keep green. The
 # race target runs the whole tree — including the chaos and invariance

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"net/netip"
 	"sort"
 
 	"govdns/internal/geoip"
@@ -124,6 +125,20 @@ type diversityCounts struct {
 	domains, multiIP, multi24, multiASN int
 }
 
+// add tallies one domain.
+func (d *diversityCounts) add(multiIP, multi24, multiASN bool) {
+	d.domains++
+	if multiIP {
+		d.multiIP++
+	}
+	if multi24 {
+		d.multi24++
+	}
+	if multiASN {
+		d.multiASN++
+	}
+}
+
 func (d *diversityCounts) row(scope string) DiversityRow {
 	return DiversityRow{
 		Scope:       scope,
@@ -134,21 +149,34 @@ func (d *diversityCounts) row(scope string) DiversityRow {
 	}
 }
 
-// measureDiversity classifies one result's address set.
+// measureDiversity classifies one result's address set (the distinct
+// addresses of r.AllAddrs, not built here): "more than one distinct
+// value" only needs a first value and the sight of a different one.
 func measureDiversity(r *measure.DomainResult, geo *geoip.DB) (multiIP, multi24, multiASN, ok bool) {
-	addrs := r.AllAddrs()
-	if len(addrs) == 0 {
-		return false, false, false, false
-	}
-	prefixes := make(map[uint32]bool)
-	asns := make(map[uint32]bool)
-	for _, addr := range addrs {
-		prefixes[nettopo.Prefix24(addr)] = true
-		if asn, found := geo.ASN(addr); found {
-			asns[asn] = true
+	var firstAddr netip.Addr
+	var firstASN uint32
+	haveASN := false
+	for _, addrs := range r.Addrs {
+		for _, addr := range addrs {
+			if !ok {
+				firstAddr, ok = addr, true
+			} else if addr != firstAddr {
+				multiIP = true
+				if nettopo.Prefix24(addr) != nettopo.Prefix24(firstAddr) {
+					multi24 = true
+				}
+			}
+			asn, found := geo.ASN(addr)
+			switch {
+			case !found:
+			case !haveASN:
+				firstASN, haveASN = asn, true
+			case asn != firstASN:
+				multiASN = true
+			}
 		}
 	}
-	return len(addrs) > 1, len(prefixes) > 1, len(asns) > 1, true
+	return multiIP, multi24, multiASN, ok
 }
 
 // Diversity computes Table I: the Total row plus one row per requested
@@ -171,21 +199,9 @@ func Diversity(results []*measure.DomainResult, geo *geoip.DB, m *Mapper, topCod
 		if !ok {
 			continue
 		}
-		tallies := []*diversityCounts{total}
+		total.add(multiIP, multi24, multiASN)
 		if c, found := m.CountryOf(r.Domain); found && wanted[c.Code] {
-			tallies = append(tallies, perCountry[c.Code])
-		}
-		for _, t := range tallies {
-			t.domains++
-			if multiIP {
-				t.multiIP++
-			}
-			if multi24 {
-				t.multi24++
-			}
-			if multiASN {
-				t.multiASN++
-			}
+			perCountry[c.Code].add(multiIP, multi24, multiASN)
 		}
 	}
 
@@ -222,16 +238,7 @@ func DiversityByLevel(results []*measure.DomainResult, geo *geoip.DB) map[int]Di
 			t = &diversityCounts{}
 			byLevel[level] = t
 		}
-		t.domains++
-		if multiIP {
-			t.multiIP++
-		}
-		if multi24 {
-			t.multi24++
-		}
-		if multiASN {
-			t.multiASN++
-		}
+		t.add(multiIP, multi24, multiASN)
 	}
 	out := make(map[int]DiversityRow, len(byLevel))
 	for level, t := range byLevel {

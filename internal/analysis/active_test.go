@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
@@ -255,5 +256,87 @@ func TestAnalysesOnEmptyResults(t *testing.T) {
 	}
 	if dist := LevelDistribution(nil); len(dist) != 0 {
 		t.Errorf("empty LevelDistribution = %v", dist)
+	}
+}
+
+// classifyBySets is Classify's definition on explicit sets, kept as the
+// reference for the scan-based implementation.
+func classifyBySets(r *measure.DomainResult) ConsistencyClass {
+	if !r.Responsive() {
+		return ClassUnresponsive
+	}
+	p, c := map[dnsname.Name]bool{}, map[dnsname.Name]bool{}
+	for _, h := range r.ParentNS {
+		p[h] = true
+	}
+	for _, h := range r.ChildNS() {
+		c[h] = true
+	}
+	if len(c) == 0 {
+		return ClassUnresponsive
+	}
+	inter := 0
+	for host := range c {
+		if p[host] {
+			inter++
+		}
+	}
+	switch {
+	case inter == len(p) && inter == len(c):
+		return ClassEqual
+	case inter == len(c) && len(p) > len(c):
+		return ClassParentSuperset
+	case inter == len(p) && len(c) > len(p):
+		return ClassChildSuperset
+	case inter > 0:
+		return ClassIntersect
+	}
+	pAddrs := map[netip.Addr]bool{}
+	for host := range p {
+		for _, a := range r.Addrs[host] {
+			pAddrs[a] = true
+		}
+	}
+	for host := range c {
+		for _, a := range r.Addrs[host] {
+			if pAddrs[a] {
+				return ClassDisjointIPOverlap
+			}
+		}
+	}
+	return ClassDisjoint
+}
+
+func TestClassifyMatchesSetDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	hosts := []dnsname.Name{"a.x.gov.br.", "b.x.gov.br.", "c.x.gov.br.", "d.hoster.net.", "e.hoster.net."}
+	pick := func(n int) []dnsname.Name {
+		out := make([]dnsname.Name, rng.Intn(n+1))
+		for i := range out {
+			out[i] = hosts[rng.Intn(len(hosts))] // repeats included
+		}
+		return out
+	}
+	seen := map[ConsistencyClass]int{}
+	for i := 0; i < 5000; i++ {
+		r := &measure.DomainResult{Domain: "x.gov.br.", ParentResponded: true, ParentNS: pick(3), Addrs: map[dnsname.Name][]netip.Addr{}}
+		for _, h := range hosts {
+			r.Addrs[h] = []netip.Addr{netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(6))})}
+		}
+		for k := rng.Intn(3); k >= 0; k-- {
+			r.Servers = append(r.Servers, measure.ServerResponse{
+				Host: hosts[rng.Intn(len(hosts))], OK: rng.Intn(5) > 0, Authoritative: true, NS: pick(3),
+			})
+		}
+		got, want := Classify(r), classifyBySets(r)
+		if got != want {
+			t.Fatalf("Classify = %v, set definition says %v\n%+v", got, want, r)
+		}
+		seen[want]++
+	}
+	for class := ClassEqual; class <= ClassUnresponsive; class++ {
+		if seen[class] == 0 {
+			t.Errorf("no generated result was %v", class)
+		}
 	}
 }

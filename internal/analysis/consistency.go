@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"net/netip"
+	"slices"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/measure"
@@ -56,40 +57,48 @@ func (c ConsistencyClass) String() string {
 
 // Classify determines the consistency class of one scan result.
 func Classify(r *measure.DomainResult) ConsistencyClass {
-	if !r.Responsive() {
+	return classify(r, r.ChildNS())
+}
+
+// classify is Classify given the result's child view (r.ChildNS():
+// sorted, distinct), for callers that need that view themselves. The
+// NS sets hold a handful of names, so membership is a scan, not a map.
+func classify(r *measure.DomainResult, child []dnsname.Name) ConsistencyClass {
+	if !r.Responsive() || len(child) == 0 {
 		return ClassUnresponsive
 	}
-	p := nameSet(r.ParentNS)
-	c := nameSet(r.ChildNS())
-	if len(c) == 0 {
-		return ClassUnresponsive
+	nParent := 0 // distinct names in P
+	for i, host := range r.ParentNS {
+		if !slices.Contains(r.ParentNS[:i], host) {
+			nParent++
+		}
 	}
 	inter := 0
-	for host := range c {
-		if p[host] {
+	for _, host := range child {
+		if slices.Contains(r.ParentNS, host) {
 			inter++
 		}
 	}
 	switch {
-	case inter == len(p) && inter == len(c):
+	case inter == nParent && inter == len(child):
 		return ClassEqual
-	case inter == len(c) && len(p) > len(c):
+	case inter == len(child) && nParent > len(child):
 		return ClassParentSuperset
-	case inter == len(p) && len(c) > len(p):
+	case inter == nParent && len(child) > nParent:
 		return ClassChildSuperset
 	case inter > 0:
 		return ClassIntersect
 	}
 	// Disjoint: compare the address sets of the two views.
-	pAddrs := make(map[string]bool)
-	for host := range p {
+	pAddrs := make(map[netip.Addr]bool)
+	for _, host := range r.ParentNS {
 		for _, a := range r.Addrs[host] {
-			pAddrs[a.String()] = true
+			pAddrs[a] = true
 		}
 	}
-	for host := range c {
+	for _, host := range child {
 		for _, a := range r.Addrs[host] {
-			if pAddrs[a.String()] {
+			if pAddrs[a] {
 				return ClassDisjointIPOverlap
 			}
 		}
@@ -97,12 +106,9 @@ func Classify(r *measure.DomainResult) ConsistencyClass {
 	return ClassDisjoint
 }
 
-func nameSet(names []dnsname.Name) map[dnsname.Name]bool {
-	out := make(map[dnsname.Name]bool, len(names))
-	for _, n := range names {
-		out[n] = true
-	}
-	return out
+// hasSingleLabel reports whether any of the names is a single label.
+func hasSingleLabel(names []dnsname.Name) bool {
+	return slices.ContainsFunc(names, func(n dnsname.Name) bool { return n.Level() == 1 })
 }
 
 // ConsistencyStats summarizes Figs. 13 and 14.
@@ -145,7 +151,8 @@ func Consistency(results []*measure.DomainResult, m *Mapper) *ConsistencyStats {
 		if !r.HasData() {
 			continue
 		}
-		class := Classify(r)
+		child := r.ChildNS()
+		class := classify(r, child)
 		if class == ClassUnresponsive {
 			continue
 		}
@@ -169,11 +176,8 @@ func Consistency(results []*measure.DomainResult, m *Mapper) *ConsistencyStats {
 		if r.PartiallyDefective() {
 			inconsistentDefect++
 		}
-		for _, host := range append(append([]dnsname.Name{}, r.ParentNS...), r.ChildNS()...) {
-			if host.Level() == 1 {
-				cs.SingleLabelNS++
-				break
-			}
+		if hasSingleLabel(r.ParentNS) || hasSingleLabel(child) {
+			cs.SingleLabelNS++
 		}
 	}
 
@@ -216,27 +220,31 @@ func InconsistencyHijacks(results []*measure.DomainResult, m *Mapper, reg *regis
 		if !r.HasData() || r.HasDefect() {
 			continue
 		}
-		class := Classify(r)
+		child := r.ChildNS()
+		class := classify(r, child)
 		if class == ClassEqual || class == ClassUnresponsive {
 			continue
 		}
-		p := nameSet(r.ParentNS)
-		c := nameSet(r.ChildNS())
 		affected := false
-		for _, host := range append(append([]dnsname.Name{}, r.ParentNS...), r.ChildNS()...) {
-			if p[host] && c[host] {
-				continue // present in both views
+		// Hosts of one view that the other view lacks.
+		check := func(hosts, other []dnsname.Name) {
+			for _, host := range hosts {
+				if slices.Contains(other, host) {
+					continue // present in both views
+				}
+				if m.IsPrivateHost(r.Domain, host) {
+					continue
+				}
+				nsDomain := NSDomain(host)
+				if !reg.Available(nsDomain) {
+					continue
+				}
+				nsDomains[nsDomain] = true
+				affected = true
 			}
-			if m.IsPrivateHost(r.Domain, host) {
-				continue
-			}
-			nsDomain := NSDomain(host)
-			if !reg.Available(nsDomain) {
-				continue
-			}
-			nsDomains[nsDomain] = true
-			affected = true
 		}
+		check(r.ParentNS, child)
+		check(child, r.ParentNS)
 		if affected {
 			ih.AffectedDomains++
 			if country, ok := m.CountryOf(r.Domain); ok {
@@ -248,9 +256,7 @@ func InconsistencyHijacks(results []*measure.DomainResult, m *Mapper, reg *regis
 	for nsDomain := range nsDomains {
 		ih.AvailableNSDomains = append(ih.AvailableNSDomains, nsDomain)
 	}
-	sort.Slice(ih.AvailableNSDomains, func(i, j int) bool {
-		return dnsname.Compare(ih.AvailableNSDomains[i], ih.AvailableNSDomains[j]) < 0
-	})
+	slices.SortFunc(ih.AvailableNSDomains, dnsname.Compare)
 	ih.Countries = len(countries)
 	ih.Prices = reg.Quote(ih.AvailableNSDomains)
 	if len(ih.Prices) > 0 {

@@ -8,14 +8,16 @@ package analysis
 // IDs (each rdata is parsed into a dnsname.Name exactly once, ever),
 // lays NS records out as struct-of-arrays grouped by owner, and
 // precomputes the per-(domain, year) NS-count mode for every study
-// year in a single difference-array sweep over days — replacing
-// NSDaily's O(window) per-day increment loop that the view-based
-// analyses re-executed per figure per year. Year-invariant predicates
-// (Mapper.CountryOf, Mapper.IsPrivateHost, provider identification)
-// are memoized per interned ID.
+// year in one event sweep over each owner's record-window edges (see
+// sweepModes) — replacing NSDaily's O(window) per-day increment loop
+// that the view-based analyses re-executed per figure per year.
+// Year-invariant predicates (Mapper.CountryOf, Mapper.IsPrivateHost,
+// provider identification) are memoized per interned ID.
 //
-// Determinism contract: owner IDs are assigned from the canonically
-// sorted name list and rdata IDs from first encounter in view order;
+// Determinism contract: owner IDs are indices into the canonically
+// ordered name list (a view cut from a store snapshot arrives in that
+// order and is only checked; any other view is sorted — internOwners)
+// and rdata IDs follow first encounter in view order;
 // every parallel phase of the compile and of Yearly writes disjoint,
 // index-addressed output slots (the same index-ordered assembly
 // discipline as the scanner's per-domain fan-out), so a corpus and
@@ -27,7 +29,7 @@ package analysis
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"govdns/internal/dnsname"
@@ -45,17 +47,15 @@ type Corpus struct {
 	yearFirst          []pdns.Day // per year index
 	yearLast           []pdns.Day
 
-	// Interned owner names in canonical (dnsname.Compare) order;
-	// nameID inverts the slice.
-	names  []dnsname.Name
-	nameID map[dnsname.Name]int32
+	// Interned owner names in canonical (dnsname.Compare) order; an
+	// owner's ID is its index.
+	names []dnsname.Name
 
 	// Interned NS rdata strings with their once-parsed hostnames.
 	// hosts[id] is valid only when hostOK[id].
-	rdatas  []string
-	rdataID map[string]int32
-	hosts   []dnsname.Name
-	hostOK  []bool
+	rdatas []string
+	hosts  []dnsname.Name
+	hostOK []bool
 
 	// NS records as struct-of-arrays grouped by owner: owner i's
 	// records occupy [nsOff[i], nsOff[i+1]), preserving the view's
@@ -141,20 +141,9 @@ func CompileCorpus(view *pdns.View, m *Mapper, startYear, endYear int) *Corpus {
 		c.yearFirst[y], c.yearLast[y] = pdns.YearRange(startYear + y)
 	}
 
-	// Phase 1 — intern owner names, sorted so IDs (and therefore every
+	// Phase 1 — intern owner names so IDs (and therefore every
 	// per-owner loop) follow canonical order.
-	c.nameID = make(map[dnsname.Name]int32, len(view.Sets)/2+1)
-	for i := range view.Sets {
-		name := view.Sets[i].RRName
-		if _, ok := c.nameID[name]; !ok {
-			c.nameID[name] = -1
-			c.names = append(c.names, name)
-		}
-	}
-	sort.Slice(c.names, func(i, j int) bool { return dnsname.Compare(c.names[i], c.names[j]) < 0 })
-	for i, n := range c.names {
-		c.nameID[n] = int32(i)
-	}
+	owner := c.internOwners(view.Sets)
 
 	// Phase 2 — count NS records per owner and mark all-type year
 	// activity bits.
@@ -168,7 +157,7 @@ func CompileCorpus(view *pdns.View, m *Mapper, startYear, endYear int) *Corpus {
 	nsTotal := 0
 	for i := range view.Sets {
 		rs := &view.Sets[i]
-		id := int(c.nameID[rs.RRName])
+		id := int(owner[i])
 		if c.years > 0 {
 			c.markYears(activeBits[id*words:(id+1)*words], rs.FirstSeen, rs.LastSeen)
 		}
@@ -201,19 +190,19 @@ func CompileCorpus(view *pdns.View, m *Mapper, startYear, endYear int) *Corpus {
 	c.nsPrivate = make([]bool, nsTotal)
 	cursor := make([]int32, n)
 	copy(cursor, c.nsOff[:n])
-	c.rdataID = make(map[string]int32)
+	rdataID := make(map[string]int32)
 	for i := range view.Sets {
 		rs := &view.Sets[i]
 		if rs.RRType != dnswire.TypeNS {
 			continue
 		}
-		id, ok := c.rdataID[rs.RData]
+		id, ok := rdataID[rs.RData]
 		if !ok {
 			id = int32(len(c.rdatas))
-			c.rdataID[rs.RData] = id
+			rdataID[rs.RData] = id
 			c.rdatas = append(c.rdatas, rs.RData)
 		}
-		o := c.nameID[rs.RRName]
+		o := owner[i]
 		p := cursor[o]
 		cursor[o]++
 		c.nsRData[p] = id
@@ -256,13 +245,54 @@ func CompileCorpus(view *pdns.View, m *Mapper, startYear, endYear int) *Corpus {
 		})
 	}
 
-	// Phase 6 — the sweep: per-(owner, year) NS-count mode from one
-	// difference array over the owner's active day span.
+	// Phase 6 — the sweep: per-(owner, year) NS-count mode from the
+	// owner's record-window edges.
 	c.mode = make([]int32, n*c.years)
 	if c.years > 0 {
 		c.sweepModes()
 	}
 	return c
+}
+
+// internOwners fills c.names with the distinct owner names of sets in
+// canonical order and returns each set's owner ID (its index in
+// c.names). A view cut from a store snapshot already lists its owners
+// in that order, which one pass of adjacent comparisons both checks
+// and turns into IDs; only a view in some other order pays for a name
+// map and a sort.
+func (c *Corpus) internOwners(sets []pdns.RecordSet) []int32 {
+	owner := make([]int32, len(sets))
+	ordered := true
+	for i := range sets {
+		name := sets[i].RRName
+		if n := len(c.names); n == 0 || name != c.names[n-1] {
+			if n > 0 && dnsname.Compare(c.names[n-1], name) >= 0 {
+				ordered = false
+				break
+			}
+			c.names = append(c.names, name)
+		}
+		owner[i] = int32(len(c.names) - 1)
+	}
+	if ordered {
+		return owner
+	}
+	id := make(map[dnsname.Name]int32, len(sets)/2+1)
+	c.names = c.names[:0]
+	for i := range sets {
+		if _, ok := id[sets[i].RRName]; !ok {
+			id[sets[i].RRName] = -1
+			c.names = append(c.names, sets[i].RRName)
+		}
+	}
+	slices.SortFunc(c.names, dnsname.Compare)
+	for i, name := range c.names {
+		id[name] = int32(i)
+	}
+	for i := range sets {
+		owner[i] = id[sets[i].RRName]
+	}
+	return owner
 }
 
 // markYears sets the bit of every study year the window [first, last]
@@ -285,89 +315,87 @@ func (c *Corpus) markYears(bits []uint64, first, last pdns.Day) {
 	}
 }
 
-// sweepModes fills c.mode: for each owner one difference array over
-// its clipped record windows, one prefix-sum pass over the touched day
-// range, and a per-year frequency count whose smallest-most-frequent
-// value is exactly stats.Mode of NSDaily — 2 writes per record plus
-// one pass over active days, instead of per-day increments per record
-// per year per figure.
+// sweepModes fills c.mode with an event sweep per owner. The number of
+// concurrently active NS records changes only at record-window edges,
+// so the owner's windows (clipped to the study span) are cut into
+// segments at their sorted first and last+1 days; each segment credits
+// its length in days, split at year boundaries, to its running count
+// in the years it overlaps. A year's mode is then the count with the
+// most days, the smallest such count on a tie — exactly stats.Mode of
+// NSDaily, for 2 edges per record instead of one step per active day.
 func (c *Corpus) sweepModes() {
 	spanFirst := c.yearFirst[0]
 	spanLast := c.yearLast[c.years-1]
-	spanDays := int(spanLast-spanFirst) + 1
-	dayYear := make([]int16, spanDays)
-	for y := 0; y < c.years; y++ {
-		for d := c.yearFirst[y]; d <= c.yearLast[y]; d++ {
-			dayYear[d-spanFirst] = int16(y)
-		}
-	}
 	parallelChunks(len(c.nsOwners), func(lo, hi int) {
-		diff := make([]int32, spanDays+1)
-		freq := make([]int32, 8)
+		// Scratch reused across the worker's owners: window edges, and
+		// days[y*stride+v] = days of year y with v records active.
+		var opens, closes []pdns.Day
+		var days []int32
 		for k := lo; k < hi; k++ {
 			i := int(c.nsOwners[k])
-			loD, hiD := spanDays, -1
+			opens, closes = opens[:0], closes[:0]
 			for r := c.nsOff[i]; r < c.nsOff[i+1]; r++ {
 				f, l := c.nsFirst[r], c.nsLast[r]
-				if l < spanFirst || f > spanLast {
+				if l < spanFirst || f > spanLast || l < f {
 					continue
 				}
-				if f < spanFirst {
-					f = spanFirst
-				}
-				if l > spanLast {
-					l = spanLast
-				}
-				fi, li := int(f-spanFirst), int(l-spanFirst)
-				diff[fi]++
-				diff[li+1]--
-				if fi < loD {
-					loD = fi
-				}
-				if li > hiD {
-					hiD = li
-				}
+				opens = append(opens, max(f, spanFirst))
+				closes = append(closes, min(l, spanLast)+1)
 			}
-			if hiD < 0 {
+			if len(opens) == 0 {
 				continue
 			}
-			row := c.mode[i*c.years : (i+1)*c.years]
-			running := int32(0)
-			maxC := int32(0)
-			curYear := int(dayYear[loD])
-			flush := func(y int) {
-				best, bestFreq := int32(0), int32(0)
-				for v := int32(1); v <= maxC; v++ {
-					// Strict > keeps the smallest value on ties,
-					// matching stats.Mode.
-					if freq[v] > bestFreq {
-						best, bestFreq = v, freq[v]
+			slices.Sort(opens)
+			slices.Sort(closes)
+			stride := len(opens) + 1
+			if need := c.years * stride; need > len(days) {
+				days = make([]int32, need)
+			}
+
+			// Walk the edges in day order; y follows the segments, which
+			// only move forward.
+			running, y := 0, 0
+			oi, ci := 0, 0
+			at := opens[0]
+			for ci < len(closes) {
+				next := closes[ci]
+				if oi < len(opens) && opens[oi] < next {
+					next = opens[oi]
+				}
+				// [at, next) is a segment with running records active.
+				for from := at; running > 0 && from < next; {
+					for from > c.yearLast[y] {
+						y++
 					}
-					freq[v] = 0
+					to := min(next-1, c.yearLast[y])
+					days[y*stride+running] += int32(to-from) + 1
+					from = to + 1
 				}
-				maxC = 0
-				row[y] = best
-			}
-			for d := loD; d <= hiD; d++ {
-				running += diff[d]
-				diff[d] = 0
-				if y := int(dayYear[d]); y != curYear {
-					flush(curYear)
-					curYear = y
+				at = next
+				for oi < len(opens) && opens[oi] == at {
+					running++
+					oi++
 				}
-				if running == 0 {
-					continue
-				}
-				for int(running) >= len(freq) {
-					freq = append(freq, make([]int32, len(freq))...)
-				}
-				freq[running]++
-				if running > maxC {
-					maxC = running
+				for ci < len(closes) && closes[ci] == at {
+					running--
+					ci++
 				}
 			}
-			flush(curYear)
-			diff[hiD+1] = 0
+
+			row := c.mode[i*c.years : (i+1)*c.years]
+			for y := range row {
+				tally := days[y*stride : (y+1)*stride]
+				best, bestDays := 0, int32(0)
+				for v := 1; v < stride; v++ {
+					// Strict > keeps the smallest count on ties, matching
+					// stats.Mode.
+					if tally[v] > bestDays {
+						best, bestDays = v, tally[v]
+					}
+					tally[v] = 0
+				}
+				row[y] = int32(best)
+			}
 		}
 	})
 }

@@ -110,7 +110,7 @@ func TestCorpusDifferential(t *testing.T) {
 					// Per-(domain, year) mode: the sweep against NSDaily.
 					idx := indexByDomain(v.view)
 					for _, name := range idx.names {
-						i := int(c.nameID[name])
+						i := c.ownerID(name)
 						for year := startYear; year <= endYear; year++ {
 							want, ok := NSModeForYear(idx.sets[name], year)
 							if !ok {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,11 +13,11 @@ import (
 	"govdns/internal/pdns"
 )
 
-// TestCorpusModeHandCrafted pins the difference-array sweep on the
-// windows that are easy to get wrong: year-boundary straddles,
-// single-day records, mode ties (stats.Mode breaks toward the smaller
-// count), and more concurrent records than the sweep's initial
-// frequency scratch.
+// TestCorpusModeHandCrafted pins the event sweep on the windows that
+// are easy to get wrong: year-boundary straddles, single-day records,
+// mode ties (stats.Mode breaks toward the smaller count), many
+// concurrent records, windows clipped at either edge of the study
+// span, a leap year, and windows that abut without overlapping.
 func TestCorpusModeHandCrafted(t *testing.T) {
 	s := pdns.NewStore()
 	obs := func(name dnsname.Name, host string, from, to pdns.Day) {
@@ -36,14 +37,31 @@ func TestCorpusModeHandCrafted(t *testing.T) {
 	// singleday.gov.br.: a one-day record on December 31.
 	obs("singleday.gov.br.", "ns1.gov.br.", pdns.Date(2017, time.December, 31), pdns.Date(2017, time.December, 31))
 
-	// wide.gov.br.: 10 concurrent records, past the sweep's initial
-	// 8-slot frequency scratch.
+	// wide.gov.br.: 10 concurrent records.
 	for i := 0; i < 10; i++ {
 		obs("wide.gov.br.", fmt.Sprintf("ns%d.wide.gov.br.", i), pdns.Date(2018, time.March, 1), pdns.Date(2018, time.June, 1))
 	}
 
 	// outside.gov.br.: active only before the study span.
 	obs("outside.gov.br.", "ns1.gov.br.", pdns.Date(2009, time.May, 1), pdns.Date(2010, time.May, 1))
+
+	// clipped.gov.br.: one window over the whole span and beyond both
+	// of its edges, one cut by the span's start, one by its end.
+	obs("clipped.gov.br.", "ns1.gov.br.", pdns.Date(2009, time.June, 1), pdns.Date(2021, time.June, 30))
+	obs("clipped.gov.br.", "ns2.gov.br.", pdns.Date(2010, time.January, 1), pdns.Date(2011, time.September, 1))
+	obs("clipped.gov.br.", "ns3.gov.br.", pdns.Date(2020, time.March, 1), pdns.Date(2022, time.January, 1))
+
+	// leap.gov.br.: two records for January 1 to July 1 of 2012 — 183
+	// days, February 29 among them — and one for the 183 days left: a
+	// tie, which a 365-day 2012 would give to the two-record count.
+	obs("leap.gov.br.", "ns1.gov.br.", pdns.Date(2012, time.January, 1), pdns.Date(2012, time.December, 31))
+	obs("leap.gov.br.", "ns2.gov.br.", pdns.Date(2012, time.January, 1), pdns.Date(2012, time.July, 1))
+
+	// abut.gov.br.: one record ends the day before the next begins,
+	// mid-year and across a year boundary; never two at once.
+	obs("abut.gov.br.", "ns1.gov.br.", pdns.Date(2013, time.February, 1), pdns.Date(2013, time.June, 30))
+	obs("abut.gov.br.", "ns2.gov.br.", pdns.Date(2013, time.July, 1), pdns.Date(2013, time.December, 31))
+	obs("abut.gov.br.", "ns3.gov.br.", pdns.Date(2014, time.January, 1), pdns.Date(2014, time.January, 1))
 
 	view := pdns.NewView(s.Snapshot())
 	c := CompileCorpus(view, testMapper(), 2011, 2020)
@@ -54,17 +72,69 @@ func TestCorpusModeHandCrafted(t *testing.T) {
 			if !ok {
 				want = 0
 			}
-			got := int(c.modeAt(int(c.nameID[name]), year-2011))
+			got := int(c.modeAt(c.ownerID(name), year-2011))
 			if got != want {
 				t.Errorf("mode(%s, %d) = %d, want %d", name, year, got, want)
 			}
 		}
 	}
-	if got := int(c.modeAt(int(c.nameID["tie.gov.br."]), 2016-2011)); got != 1 {
+	if got := int(c.modeAt(c.ownerID("tie.gov.br."), 2016-2011)); got != 1 {
 		t.Errorf("tie mode = %d, want 1 (smaller value wins ties)", got)
 	}
-	if got := int(c.modeAt(int(c.nameID["wide.gov.br."]), 2018-2011)); got != 10 {
+	if got := int(c.modeAt(c.ownerID("wide.gov.br."), 2018-2011)); got != 10 {
 		t.Errorf("wide mode = %d, want 10", got)
+	}
+	for _, want := range []struct {
+		name dnsname.Name
+		year int
+		mode int32
+	}{
+		{"clipped.gov.br.", 2011, 2}, // ns2 until September 1: 244 days of two
+		{"clipped.gov.br.", 2015, 1},
+		{"clipped.gov.br.", 2020, 2}, // ns3 from March 1: 306 days of two
+		{"leap.gov.br.", 2012, 1},
+		{"abut.gov.br.", 2013, 1},
+		{"abut.gov.br.", 2014, 1},
+		{"abut.gov.br.", 2015, 0},
+		{"outside.gov.br.", 2011, 0},
+	} {
+		if got := c.modeAt(c.ownerID(want.name), want.year-2011); got != want.mode {
+			t.Errorf("mode(%s, %d) = %d, want %d", want.name, want.year, got, want.mode)
+		}
+	}
+}
+
+// TestCorpusOfUnorderedView: a view whose owners do not arrive in
+// canonical order compiles to the same owner IDs and per-owner columns
+// as the sorted view (per-owner record order follows the view's).
+func TestCorpusOfUnorderedView(t *testing.T) {
+	sorted := pdns.NewView(genStore(11).Snapshot())
+	m := testMapper()
+	want := CompileCorpus(sorted, m, 2011, 2020)
+
+	// Reversing keeps each owner's records together but inverts both
+	// the owner order and the order within an owner; interleaving two
+	// halves also separates an owner's records.
+	reversed := slices.Clone(sorted.Sets)
+	slices.Reverse(reversed)
+	var interleaved []pdns.RecordSet
+	for i, half := 0, len(sorted.Sets)/2; i < half; i++ {
+		interleaved = append(interleaved, sorted.Sets[half+i], sorted.Sets[i])
+	}
+	if len(sorted.Sets)%2 == 1 {
+		interleaved = append(interleaved, sorted.Sets[len(sorted.Sets)-1])
+	}
+	for name, sets := range map[string][]pdns.RecordSet{"reversed": reversed, "interleaved": interleaved} {
+		got := CompileCorpus(pdns.NewView(sets), m, 2011, 2020)
+		if !slices.Equal(got.names, want.names) {
+			t.Errorf("%s: owner names differ from the sorted view's", name)
+		}
+		if !slices.Equal(got.mode, want.mode) || !slices.Equal(got.nsOff, want.nsOff) || !slices.Equal(got.nsOwners, want.nsOwners) {
+			t.Errorf("%s: per-owner columns differ from the sorted view's", name)
+		}
+		if !reflect.DeepEqual(got.Yearly(), want.Yearly()) || !reflect.DeepEqual(got.ActiveNamesPerYear(), want.ActiveNamesPerYear()) {
+			t.Errorf("%s: yearly figures differ from the sorted view's", name)
+		}
 	}
 }
 
@@ -168,4 +238,14 @@ func TestProviderAnalysisMapperMismatchPanics(t *testing.T) {
 		}
 	}()
 	pa.GovProviderShareCorpus(c, 2020, "br")
+}
+
+// ownerID finds an owner name's ID: names are interned in canonical
+// order, so it is a binary search.
+func (c *Corpus) ownerID(name dnsname.Name) int {
+	i, ok := slices.BinarySearchFunc(c.names, name, dnsname.Compare)
+	if !ok {
+		panic(fmt.Sprintf("corpus has no owner %q", name))
+	}
+	return i
 }

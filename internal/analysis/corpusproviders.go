@@ -9,6 +9,7 @@ package analysis
 // so they are memoized once per (corpus, catalog) pair.
 
 import (
+	"slices"
 	"sort"
 
 	"govdns/internal/dnsname"
@@ -19,14 +20,22 @@ import (
 // rdataLabels memoizes the catalog verdicts for every interned rdata:
 // each distinct NS hostname is classified exactly once per corpus.
 type rdataLabels struct {
-	// identified/display mirror catalog.Identify.
-	identified []bool
-	display    []string
-	// group/groupKnown mirror catalog.GroupLabel.
+	// group/identified mirror catalog.GroupLabel: the Table III row
+	// label, and whether it names a catalog provider (catalog.Identify
+	// succeeded) rather than the host's registered domain.
 	group      []string
-	groupKnown []bool
+	identified []bool
 	// nsDomain is NSDomain(host), the hijack detector's grouping key.
 	nsDomain []dnsname.Name
+}
+
+// display mirrors catalog.Identify: the provider's display name, which
+// is its group label, or "" for a host no provider owns.
+func (lb *rdataLabels) display(id int32) string {
+	if lb.identified[id] {
+		return lb.group[id]
+	}
+	return ""
 }
 
 // labelsFor returns the memoized per-rdata labels for one catalog,
@@ -39,10 +48,8 @@ func (c *Corpus) labelsFor(catalog *providers.Catalog) *rdataLabels {
 		return c.labels
 	}
 	lb := &rdataLabels{
-		identified: make([]bool, len(c.rdatas)),
-		display:    make([]string, len(c.rdatas)),
 		group:      make([]string, len(c.rdatas)),
-		groupKnown: make([]bool, len(c.rdatas)),
+		identified: make([]bool, len(c.rdatas)),
 		nsDomain:   make([]dnsname.Name, len(c.rdatas)),
 	}
 	parallelChunks(len(c.rdatas), func(lo, hi int) {
@@ -51,11 +58,7 @@ func (c *Corpus) labelsFor(catalog *providers.Catalog) *rdataLabels {
 				continue
 			}
 			host := c.hosts[id]
-			if p, ok := catalog.Identify(host); ok {
-				lb.identified[id] = true
-				lb.display[id] = p.Display
-			}
-			lb.group[id], lb.groupKnown[id] = catalog.GroupLabel(host)
+			lb.group[id], lb.identified[id] = catalog.GroupLabel(host)
 			lb.nsDomain[id] = NSDomain(host)
 		}
 	})
@@ -87,13 +90,14 @@ func (pa *ProviderAnalysis) yearUsageCorpus(c *Corpus, year int, label func(id i
 		groups:      make(map[string]map[string]bool),
 		countries:   make(map[string]map[string]bool),
 	}
+	var labels []string // the domain's distinct labels; a handful at most
 	for _, oi := range c.nsOwners {
 		i := int(oi)
 		if c.modeAt(i, y) == 0 {
 			continue
 		}
 		py.totalDomains++
-		labels := make(map[string]bool)
+		labels = labels[:0]
 		for r := c.nsOff[i]; r < c.nsOff[i+1]; r++ {
 			if !c.overlapsYear(r, y) {
 				continue
@@ -102,10 +106,12 @@ func (pa *ProviderAnalysis) yearUsageCorpus(c *Corpus, year int, label func(id i
 			if !c.hostOK[id] {
 				continue
 			}
-			if l := label(id); l != "" {
-				labels[l] = true
-			} else {
-				labels[nonProviderLabel] = true
+			l := label(id)
+			if l == "" {
+				l = nonProviderLabel
+			}
+			if !slices.Contains(labels, l) {
+				labels = append(labels, l)
 			}
 		}
 		code, group := "", ""
@@ -114,7 +120,7 @@ func (pa *ProviderAnalysis) yearUsageCorpus(c *Corpus, year int, label func(id i
 			group = pa.grouper[code]
 		}
 		single := len(labels) == 1
-		for l := range labels {
+		for _, l := range labels {
 			if l == nonProviderLabel {
 				continue
 			}
@@ -142,7 +148,7 @@ func (pa *ProviderAnalysis) yearUsageCorpus(c *Corpus, year int, label func(id i
 // MajorProvidersCorpus is MajorProviders (Table II) over the corpus.
 func (pa *ProviderAnalysis) MajorProvidersCorpus(c *Corpus, year int) []ProviderUsage {
 	lb := c.labelsFor(pa.catalog)
-	py := pa.yearUsageCorpus(c, year, func(id int32) string { return lb.display[id] })
+	py := pa.yearUsageCorpus(c, year, lb.display)
 	return pa.majorRows(py)
 }
 
@@ -160,6 +166,7 @@ func (pa *ProviderAnalysis) GovProviderShareCorpus(c *Corpus, year int, code str
 	y := c.yearIndex(year)
 	counts := make(map[string]int)
 	total := 0
+	var labels []string // the domain's distinct provider labels
 	for _, oi := range c.nsOwners {
 		i := int(oi)
 		ci := c.country[i]
@@ -170,17 +177,17 @@ func (pa *ProviderAnalysis) GovProviderShareCorpus(c *Corpus, year int, code str
 			continue
 		}
 		total++
-		labels := make(map[string]bool)
+		labels = labels[:0]
 		for r := c.nsOff[i]; r < c.nsOff[i+1]; r++ {
 			if !c.overlapsYear(r, y) {
 				continue
 			}
 			id := c.nsRData[r]
-			if c.hostOK[id] && lb.groupKnown[id] {
-				labels[lb.group[id]] = true
+			if c.hostOK[id] && lb.identified[id] && !slices.Contains(labels, lb.group[id]) {
+				labels = append(labels, lb.group[id])
 			}
 		}
-		for l := range labels {
+		for _, l := range labels {
 			counts[l]++
 		}
 	}
@@ -211,8 +218,8 @@ func (c *Corpus) hostingLabelAt(i, y int, lb *rdataLabels) (string, bool) {
 		if !c.hostOK[id] {
 			continue
 		}
-		if found == "" && lb.identified[id] {
-			found = lb.display[id]
+		if found == "" {
+			found = lb.display(id)
 		}
 		if !c.nsPrivate[r] {
 			private = false

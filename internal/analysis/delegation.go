@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/measure"
@@ -170,9 +170,7 @@ func HijackRisks(results []*measure.DomainResult, m *Mapper, reg *registrar.Regi
 			}
 		}
 	}
-	sort.Slice(hr.AvailableNSDomains, func(i, j int) bool {
-		return dnsname.Compare(hr.AvailableNSDomains[i], hr.AvailableNSDomains[j]) < 0
-	})
+	slices.SortFunc(hr.AvailableNSDomains, dnsname.Compare)
 	for code, domains := range nsDomainsByCountry {
 		entry := hr.PerCountry[code]
 		entry.AvailableNSDomains = len(domains)

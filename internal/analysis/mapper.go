@@ -12,6 +12,7 @@ package analysis
 
 import (
 	"sort"
+	"strings"
 
 	"govdns/internal/dnsname"
 )
@@ -121,22 +122,17 @@ func (m *Mapper) Groups(topCodes []string) (map[string]string, int) {
 // for hijack-risk checks: the last two labels, or three when the second
 // label is a common second-level registry label.
 func NSDomain(host dnsname.Name) dnsname.Name {
-	labels := host.Labels()
 	n := 2
-	if len(labels) >= 3 {
-		switch labels[len(labels)-2] {
+	if two, ok := host.AncestorAtLevel(2); ok && two != host {
+		switch two[:strings.IndexByte(string(two), '.')] {
 		case "co", "com", "net", "org", "ac", "go", "gob", "gouv", "gov":
 			n = 3
 		}
 	}
-	if len(labels) <= n {
-		return host
+	if domain, ok := host.AncestorAtLevel(n); ok {
+		return domain
 	}
-	out := labels[len(labels)-n]
-	for _, l := range labels[len(labels)-n+1:] {
-		out += "." + l
-	}
-	return dnsname.MustParse(out)
+	return host
 }
 
 // sortedKeys returns map keys in sorted order for deterministic output.

@@ -67,6 +67,11 @@ func TestNSDomain(t *testing.T) {
 		{"ns1.hoster.com.br.", "hoster.com.br."},
 		{"ns-1.awsdns-00.co.uk.", "awsdns-00.co.uk."},
 		{"short.com.", "short.com."},
+		{"gov.br.", "gov.br."},
+		{"x.gov.br.", "x.gov.br."},
+		{"ns.x.gov.br.", "x.gov.br."},
+		{"br.", "br."},
+		{".", "."},
 	}
 	for _, tc := range cases {
 		if got := NSDomain(dnsname.MustParse(tc.host)); got.String() != tc.want {

@@ -93,21 +93,52 @@ type Study struct {
 	StableView *pdns.View
 	// RawView is the unfiltered PDNS view (for the filter ablation).
 	RawView *pdns.View
-	// Results is the active scan output (nil before RunActive).
+	// Results is the active scan output (nil before RunActive, its only
+	// writer).
 	Results []*measure.DomainResult
 
 	top10 []string
 	pa    *analysis.ProviderAnalysis
 
-	mu         sync.Mutex
-	cacheYears []analysis.YearStats
-	cacheRepl  *analysis.ActiveReplication
+	mu sync.Mutex
+	// memo holds the result of every accessor that computes from
+	// Results (and of Fig2And3), keyed by accessor name, for whoever
+	// reads a figure a second time: a report reads Fig2And3 and Fig8And9
+	// twice, and the CSV export followed by a report (govdns -csvdir)
+	// reads most of the others twice. A single report gains nothing from
+	// the rest. RunActive, the only writer of Results, drops it.
+	memo map[string]any
 	// corpStable/corpRaw are the compiled columnar corpora of the two
 	// PDNS views, built on first use and shared by every passive
 	// analysis (the views are immutable after NewStudy, so the corpora
 	// never invalidate).
 	corpStable *analysis.Corpus
 	corpRaw    *analysis.Corpus
+}
+
+// memoized returns the value stored under key, computing and storing
+// it first if the memo has none. The caller holds s.mu.
+func memoized[T any](s *Study, key string, compute func() T) T {
+	if v, ok := s.memo[key]; ok {
+		return v.(T)
+	}
+	v := compute()
+	if s.memo == nil {
+		s.memo = make(map[string]any)
+	}
+	s.memo[key] = v
+	return v
+}
+
+// scanned is memoized for the accessors that need the active scan.
+func scanned[T any](s *Study, key string, compute func() T) (T, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.Results == nil {
+		var zero T
+		return zero, ErrNotScanned
+	}
+	return memoized(s, key, compute), nil
 }
 
 // NewStudy generates the world and prepares the passive views. The
@@ -156,12 +187,10 @@ func (s *Study) EndYear() int { return s.World.Cfg.EndYear }
 // Top10 returns the country codes treated as singleton groups.
 func (s *Study) Top10() []string { return append([]string(nil), s.top10...) }
 
-// RunActive executes the paper's Fig. 1 measurement over the query list.
-// Cached analysis results are invalidated.
+// RunActive executes the paper's Fig. 1 measurement over the query list
+// and replaces Results. Every memoized figure is dropped: the next call
+// of an accessor computes from the new results.
 func (s *Study) RunActive(ctx context.Context) error {
-	s.mu.Lock()
-	s.cacheRepl = nil
-	s.mu.Unlock()
 	client := resolver.NewClient(s.Active.Net)
 	client.Timeout = s.Cfg.QueryTimeout
 	client.Retries = s.Cfg.Retries
@@ -179,7 +208,10 @@ func (s *Study) RunActive(ctx context.Context) error {
 		scanner.Metrics = measure.NewScanMetrics(s.Cfg.Metrics)
 	}
 	scanner.Trace = s.Cfg.Trace
-	s.Results = scanner.Scan(ctx, s.Active.QueryList)
+	results := scanner.Scan(ctx, s.Active.QueryList)
+	s.mu.Lock()
+	s.Results, s.memo = results, nil
+	s.mu.Unlock()
 	return ctx.Err()
 }
 
@@ -219,10 +251,7 @@ func (s *Study) RawCorpus() *analysis.Corpus {
 func (s *Study) Fig2And3() []analysis.YearStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cacheYears == nil {
-		s.cacheYears = s.corpusLocked().Yearly()
-	}
-	return s.cacheYears
+	return memoized(s, "Fig2And3", func() []analysis.YearStats { return s.corpusLocked().Yearly() })
 }
 
 // NameserversPerYear returns Fig. 3's distinct-nameserver series over
@@ -267,76 +296,65 @@ func (s *Study) requireScan() error {
 	return nil
 }
 
+// The figure accessors below are memoized until the next RunActive;
+// callers share the returned value and must not modify it.
+
 // Fig8And9 returns the active replication analysis (stale singles per
 // country and the NS-count CDF).
-// The result is memoized until the next RunActive.
 func (s *Study) Fig8And9() (*analysis.ActiveReplication, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cacheRepl == nil {
-		s.cacheRepl = analysis.ReplicationActive(s.Results, s.Mapper)
-	}
-	return s.cacheRepl, nil
+	return scanned(s, "Fig8And9", func() *analysis.ActiveReplication {
+		return analysis.ReplicationActive(s.Results, s.Mapper)
+	})
 }
 
 // Table1 returns the diversity rows (Total + top-10 countries).
 func (s *Study) Table1() ([]analysis.DiversityRow, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.Diversity(s.Results, s.Active.Geo, s.Mapper, s.top10), nil
+	return scanned(s, "Table1", func() []analysis.DiversityRow {
+		return analysis.Diversity(s.Results, s.Active.Geo, s.Mapper, s.top10)
+	})
 }
 
 // DiversityByLevel returns the per-hierarchy-level diversity comparison.
 func (s *Study) DiversityByLevel() (map[int]analysis.DiversityRow, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.DiversityByLevel(s.Results, s.Active.Geo), nil
+	return scanned(s, "DiversityByLevel", func() map[int]analysis.DiversityRow {
+		return analysis.DiversityByLevel(s.Results, s.Active.Geo)
+	})
 }
 
 // LevelDistribution returns the share of scanned domains per DNS level.
 func (s *Study) LevelDistribution() (map[int]float64, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.LevelDistribution(s.Results), nil
+	return scanned(s, "LevelDistribution", func() map[int]float64 {
+		return analysis.LevelDistribution(s.Results)
+	})
 }
 
 // Fig10 returns the defective-delegation statistics.
 func (s *Study) Fig10() (*analysis.DelegationStats, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.Delegations(s.Results, s.Mapper), nil
+	return scanned(s, "Fig10", func() *analysis.DelegationStats {
+		return analysis.Delegations(s.Results, s.Mapper)
+	})
 }
 
 // Fig11And12 returns the hijack-risk analysis (available nameserver
 // domains and registration costs).
 func (s *Study) Fig11And12() (*analysis.HijackRisk, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.HijackRisks(s.Results, s.Mapper, s.Active.Reg), nil
+	return scanned(s, "Fig11And12", func() *analysis.HijackRisk {
+		return analysis.HijackRisks(s.Results, s.Mapper, s.Active.Reg)
+	})
 }
 
 // Fig13And14 returns the parent/child consistency analysis.
 func (s *Study) Fig13And14() (*analysis.ConsistencyStats, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.Consistency(s.Results, s.Mapper), nil
+	return scanned(s, "Fig13And14", func() *analysis.ConsistencyStats {
+		return analysis.Consistency(s.Results, s.Mapper)
+	})
 }
 
 // InconsistencyHijacks returns § IV-D's non-defective dangling analysis.
 func (s *Study) InconsistencyHijacks() (*analysis.InconsistencyHijack, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return analysis.InconsistencyHijacks(s.Results, s.Mapper, s.Active.Reg), nil
+	return scanned(s, "InconsistencyHijacks", func() *analysis.InconsistencyHijack {
+		return analysis.InconsistencyHijacks(s.Results, s.Mapper, s.Active.Reg)
+	})
 }
 
 // Funnel summarizes the § III-B data-collection funnel.

@@ -406,3 +406,52 @@ func TestStudyCorpusMatchesReference(t *testing.T) {
 		t.Errorf("HijackForensics diverges:\n got %+v\nwant %+v", found, want)
 	}
 }
+
+// TestStudyMemoInvalidatedByRunActive: every active accessor hands out
+// one computed value until the next RunActive, and a freshly computed,
+// equal one after it.
+func TestStudyMemoInvalidatedByRunActive(t *testing.T) {
+	s := NewStudy(Config{Seed: 5, Scale: 0.002, QueryTimeout: 10 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.RunActive(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Each accessor as a reference-typed value: identity is its pointer.
+	accessors := map[string]func() (any, error){
+		"Fig8And9":             func() (any, error) { return s.Fig8And9() },
+		"Table1":               func() (any, error) { return s.Table1() },
+		"DiversityByLevel":     func() (any, error) { return s.DiversityByLevel() },
+		"LevelDistribution":    func() (any, error) { return s.LevelDistribution() },
+		"Fig10":                func() (any, error) { return s.Fig10() },
+		"Fig11And12":           func() (any, error) { return s.Fig11And12() },
+		"Fig13And14":           func() (any, error) { return s.Fig13And14() },
+		"InconsistencyHijacks": func() (any, error) { return s.InconsistencyHijacks() },
+	}
+	get := func(name string) any {
+		v, err := accessors[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return v
+	}
+	before := make(map[string]any)
+	for name := range accessors {
+		before[name] = get(name)
+		if again := get(name); reflect.ValueOf(again).Pointer() != reflect.ValueOf(before[name]).Pointer() {
+			t.Errorf("%s computed twice between scans", name)
+		}
+	}
+	if err := s.RunActive(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name := range accessors {
+		after := get(name)
+		if reflect.ValueOf(after).Pointer() == reflect.ValueOf(before[name]).Pointer() {
+			t.Errorf("%s still returns the value computed before RunActive", name)
+		}
+		if !reflect.DeepEqual(after, before[name]) {
+			t.Errorf("%s differs across two scans of the same world", name)
+		}
+	}
+}

@@ -100,10 +100,11 @@ func (n Name) IsRoot() bool { return n == Root }
 // Labels returns the labels of n from most to least specific. The root has
 // no labels.
 func (n Name) Labels() []string {
-	if n.IsRoot() || n == "" {
+	s, ok := n.unrooted()
+	if !ok {
 		return nil
 	}
-	return strings.Split(strings.TrimSuffix(string(n), "."), ".")
+	return strings.Split(s, ".")
 }
 
 // Level returns the number of labels in n. The root is level 0; "gov.br."
@@ -203,25 +204,41 @@ func CommonAncestor(a, b Name) Name {
 
 // Compare orders names by their reversed label sequence (DNSSEC canonical
 // ordering), which groups zones with their parents. It returns -1, 0, or 1.
+//
+// It walks both names label by label from the right and allocates
+// nothing: sorting is the pipeline's most frequent name operation (a
+// PDNS snapshot alone is millions of comparisons).
 func Compare(a, b Name) int {
-	al, bl := a.Labels(), b.Labels()
-	i, j := len(al)-1, len(bl)-1
-	for i >= 0 && j >= 0 {
-		if al[i] != bl[j] {
-			if al[i] < bl[j] {
-				return -1
-			}
-			return 1
+	as, aMore := a.unrooted()
+	bs, bMore := b.unrooted()
+	for aMore && bMore {
+		i := strings.LastIndexByte(as, '.')
+		j := strings.LastIndexByte(bs, '.')
+		if c := strings.Compare(as[i+1:], bs[j+1:]); c != 0 {
+			return c
 		}
-		i--
-		j--
+		// i < 0 means the label just compared was the name's leftmost.
+		if aMore = i >= 0; aMore {
+			as = as[:i]
+		}
+		if bMore = j >= 0; bMore {
+			bs = bs[:j]
+		}
 	}
 	switch {
-	case i < 0 && j < 0:
-		return 0
-	case i < 0:
-		return -1
-	default:
+	case aMore:
 		return 1
+	case bMore:
+		return -1
 	}
+	return 0
+}
+
+// unrooted returns n without its trailing dot and whether n has any
+// labels at all (the root and the zero Name have none).
+func (n Name) unrooted() (string, bool) {
+	if n.IsRoot() || n == "" {
+		return "", false
+	}
+	return strings.TrimSuffix(string(n), "."), true
 }

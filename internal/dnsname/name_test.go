@@ -204,3 +204,86 @@ func TestParseRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// compareByLabels is Compare's definition — lexicographic order on the
+// label sequence read right to left — kept as the reference the
+// allocation-free implementation is checked against.
+func compareByLabels(a, b Name) int {
+	al, bl := a.Labels(), b.Labels()
+	i, j := len(al)-1, len(bl)-1
+	for i >= 0 && j >= 0 {
+		if al[i] != bl[j] {
+			if al[i] < bl[j] {
+				return -1
+			}
+			return 1
+		}
+		i--
+		j--
+	}
+	switch {
+	case i < 0 && j < 0:
+		return 0
+	case i < 0:
+		return -1
+	default:
+		return 1
+	}
+}
+
+func TestCompareMatchesLabelDefinition(t *testing.T) {
+	// A small label alphabet makes shared suffixes, prefix-of-a-label
+	// pairs ("a" vs "ab") and names differing only in length common.
+	labels := []string{"a", "ab", "b", "a-b", "a_b", "0", "gov", "br", "*"}
+	build := func(picks []uint8) Name {
+		if len(picks) > 5 {
+			picks = picks[:5]
+		}
+		n := Root
+		for _, p := range picks {
+			n = n.MustPrepend(labels[int(p)%len(labels)])
+		}
+		return n
+	}
+	f := func(x, y []uint8) bool {
+		a, b := build(x), build(y)
+		return Compare(a, b) == compareByLabels(a, b) && Compare(a, b) == -Compare(b, a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	for _, p := range [][2]Name{
+		{Root, Root}, {Root, "br."}, {"br.", "a.br."}, {"a.br.", "ab.br."},
+		{"a.b.", "a-b."}, {"x.gov.br.", "gov.br."}, {"b.a.", "a.b."}, {"", Root},
+	} {
+		if got, want := Compare(p[0], p[1]), compareByLabels(p[0], p[1]); got != want {
+			t.Errorf("Compare(%q, %q) = %d, label definition says %d", p[0], p[1], got, want)
+		}
+	}
+}
+
+// FuzzCompare checks the same agreement on arbitrary strings, canonical
+// or not: both sides split on the same dots.
+func FuzzCompare(f *testing.F) {
+	f.Add(".", "gov.br.")
+	f.Add("a.gov.br.", "b.gov.br.")
+	f.Add("gov.br.", "x.gov.br.")
+	f.Add("a.b.", "a-b.")
+	f.Add("a..b.", "a.b")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		x, y := Name(a), Name(b)
+		if got, want := Compare(x, y), compareByLabels(x, y); got != want {
+			t.Errorf("Compare(%q, %q) = %d, label definition says %d", a, b, got, want)
+		}
+	})
+}
+
+func TestCompareAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	a, b := Name("ns1.agency.gov.br."), Name("ns2.agency.gov.br.")
+	if allocs := testing.AllocsPerRun(100, func() { Compare(a, b) }); allocs != 0 {
+		t.Errorf("Compare allocates %v times per call, want 0", allocs)
+	}
+}

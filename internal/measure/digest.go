@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"govdns/internal/dnsname"
@@ -168,7 +169,7 @@ func digestResult(h hash.Hash, r *DomainResult) {
 	for host := range r.Addrs {
 		hosts = append(hosts, host)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return dnsname.Compare(hosts[i], hosts[j]) < 0 })
+	slices.SortFunc(hosts, dnsname.Compare)
 	u64(uint64(len(hosts)))
 	for _, host := range hosts {
 		name(host)

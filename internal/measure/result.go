@@ -8,7 +8,7 @@ package measure
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
@@ -162,7 +162,7 @@ func (r *DomainResult) Classify() Classification {
 		return ClassNoDelegation
 	case !r.Responsive():
 		return ClassFullyLame
-	case len(r.DefectiveServerHosts()) > 0:
+	case r.hasDefectiveHost():
 		return ClassPartiallyLame
 	}
 	return ClassHealthy
@@ -177,20 +177,31 @@ func (r *DomainResult) HasData() bool {
 // ChildNS returns the union of NS sets returned by the domain's own
 // servers (the child view C), sorted.
 func (r *DomainResult) ChildNS() []dnsname.Name {
-	seen := make(map[dnsname.Name]bool)
-	var out []dnsname.Name
+	// Servers mostly repeat one another's answer, so the union is about
+	// as long as the longest of them. A handful of names: weeding the
+	// repeats out by scanning leaves far less to sort than sorting them
+	// all and compacting would.
+	longest := 0
+	for i := range r.Servers {
+		if r.Servers[i].Answered() {
+			longest = max(longest, len(r.Servers[i].NS))
+		}
+	}
+	if longest == 0 {
+		return nil
+	}
+	out := make([]dnsname.Name, 0, longest)
 	for i := range r.Servers {
 		if !r.Servers[i].Answered() {
 			continue
 		}
 		for _, host := range r.Servers[i].NS {
-			if !seen[host] {
-				seen[host] = true
+			if !slices.Contains(out, host) {
 				out = append(out, host)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return dnsname.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dnsname.Compare)
 	return out
 }
 
@@ -216,17 +227,35 @@ func (r *DomainResult) FullyDefective() bool {
 // are also counted as partially defective by the per-server test; this
 // predicate is the strict "some but not all" version.
 func (r *DomainResult) PartiallyDefective() bool {
-	if !r.HasData() {
-		return false
-	}
-	defective := r.DefectiveServerHosts()
-	return len(defective) > 0 && r.Responsive()
+	return r.HasData() && r.hasDefectiveHost() && r.Responsive()
 }
 
 // HasDefect reports whether any delegated nameserver fails to answer
 // (partial or full).
 func (r *DomainResult) HasDefect() bool {
-	return r.HasData() && len(r.DefectiveServerHosts()) > 0
+	return r.HasData() && r.hasDefectiveHost()
+}
+
+// hostAnswered reports whether any address of the nameserver host
+// produced a working answer.
+func (r *DomainResult) hostAnswered(host dnsname.Name) bool {
+	for i := range r.Servers {
+		if r.Servers[i].Host == host && r.Servers[i].Answered() {
+			return true
+		}
+	}
+	return false
+}
+
+// hasDefectiveHost reports whether DefectiveServerHosts is non-empty,
+// without building it.
+func (r *DomainResult) hasDefectiveHost() bool {
+	for _, host := range r.ParentNS {
+		if !r.hostAnswered(host) {
+			return true
+		}
+	}
+	return false
 }
 
 // DefectiveServerHosts returns the parent-listed hostnames that did not
@@ -234,15 +263,9 @@ func (r *DomainResult) HasDefect() bool {
 // hosts whose every address timed out, refused, or answered
 // non-authoritatively.
 func (r *DomainResult) DefectiveServerHosts() []dnsname.Name {
-	answered := make(map[dnsname.Name]bool)
-	for i := range r.Servers {
-		if r.Servers[i].Answered() {
-			answered[r.Servers[i].Host] = true
-		}
-	}
 	var out []dnsname.Name
 	for _, host := range r.ParentNS {
-		if !answered[host] {
+		if !r.hostAnswered(host) {
 			out = append(out, host)
 		}
 	}
@@ -252,29 +275,24 @@ func (r *DomainResult) DefectiveServerHosts() []dnsname.Name {
 // AllAddrs returns the distinct resolved addresses of the domain's
 // nameservers, sorted — the IP_ns set of Table I.
 func (r *DomainResult) AllAddrs() []netip.Addr {
-	seen := make(map[netip.Addr]bool)
 	var out []netip.Addr
 	for _, addrs := range r.Addrs {
-		for _, a := range addrs {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
+		out = append(out, addrs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(out, netip.Addr.Compare)
+	return slices.Compact(out)
 }
 
 // NSCount is the number of distinct delegated nameservers (|P ∪ C|);
 // the paper's replication metric uses the combined set.
 func (r *DomainResult) NSCount() int {
-	seen := make(map[dnsname.Name]bool)
-	for _, h := range r.ParentNS {
-		seen[h] = true
+	child := r.ChildNS()
+	n := len(child)
+	for i, host := range r.ParentNS {
+		// The sets hold a handful of names: scanning beats hashing.
+		if !slices.Contains(child, host) && !slices.Contains(r.ParentNS[:i], host) {
+			n++
+		}
 	}
-	for _, h := range r.ChildNS() {
-		seen[h] = true
-	}
-	return len(seen)
+	return n
 }

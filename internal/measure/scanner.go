@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -279,7 +280,7 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 					}
 					sr.NS = append(sr.NS, rr.Data.(dnswire.NSData).Host)
 				}
-				sort.Slice(sr.NS, func(a, b int) bool { return dnsname.Compare(sr.NS[a], sr.NS[b]) < 0 })
+				slices.SortFunc(sr.NS, dnsname.Compare)
 			}
 			perHost[i][j] = sr
 		}

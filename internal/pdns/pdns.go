@@ -7,15 +7,20 @@
 // (internal/worldgen) and queried by the passive analyses
 // (internal/analysis): domain/nameserver growth, single-NS trends, and
 // provider adoption over 2011–2020.
+//
+// A Store holds its record sets in arrival order. Every read is one
+// pass over them — matches copied under the read lock, sorted into the
+// canonical (owner, type, rdata) order after it is released — and the
+// sort is a linear scan when the arrival order already is that order,
+// as it is for a store loaded from a dump (WriteJSONL writes sorted;
+// ReadJSONL, in jsonl.go, describes the line format it decodes itself
+// and what it leaves to encoding/json).
 package pdns
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -91,18 +96,52 @@ type key struct {
 
 // Store is the passive-DNS database. It is safe for concurrent use.
 type Store struct {
-	mu   sync.RWMutex
-	sets map[key]*RecordSet
-	// byName groups record-set keys by owner name for wildcard search.
-	byName map[dnsname.Name][]key
+	mu sync.RWMutex
+	// sets holds every record set in arrival order: the order keys were
+	// first observed, or the line order of a loaded dump. Reads copy in
+	// this order and sort afterwards.
+	sets []RecordSet
+	// index finds a key's slot in sets. It is nil for as long as every
+	// key has arrived in strictly ascending compareSets order — such
+	// keys are distinct, so nothing needs finding. A store loaded from
+	// a WriteJSONL dump, which is written sorted, never builds it
+	// unless it is then written to.
+	index map[key]int
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{
-		sets:   make(map[key]*RecordSet),
-		byName: make(map[dnsname.Name][]key),
+	return &Store{}
+}
+
+// merge folds the observations that the record set in describes —
+// their key, the window they span and how many they are — into the
+// store: into the key's record set, or as a new one at the end of the
+// arrival order. The caller holds the write lock or owns the store
+// outright.
+func (s *Store) merge(in RecordSet) {
+	if s.index == nil {
+		if n := len(s.sets); n == 0 || compareSets(s.sets[n-1], in) < 0 {
+			s.sets = append(s.sets, in)
+			return
+		}
+		s.index = make(map[key]int, len(s.sets))
+		for i := range s.sets {
+			rs := &s.sets[i]
+			s.index[key{name: rs.RRName, rtype: rs.RRType, rdata: rs.RData}] = i
+		}
 	}
+	k := key{name: in.RRName, rtype: in.RRType, rdata: in.RData}
+	i, ok := s.index[k]
+	if !ok {
+		s.index[k] = len(s.sets)
+		s.sets = append(s.sets, in)
+		return
+	}
+	rs := &s.sets[i]
+	rs.FirstSeen = min(rs.FirstSeen, in.FirstSeen)
+	rs.LastSeen = max(rs.LastSeen, in.LastSeen)
+	rs.Count += in.Count
 }
 
 // Observe records that (name, rtype, rdata) was seen on day d, creating
@@ -110,20 +149,7 @@ func NewStore() *Store {
 func (s *Store) Observe(name dnsname.Name, rtype dnswire.Type, rdata string, d Day) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := key{name: name, rtype: rtype, rdata: rdata}
-	rs, ok := s.sets[k]
-	if !ok {
-		rs = &RecordSet{RRName: name, RRType: rtype, RData: rdata, FirstSeen: d, LastSeen: d}
-		s.sets[k] = rs
-		s.byName[name] = append(s.byName[name], k)
-	}
-	if d < rs.FirstSeen {
-		rs.FirstSeen = d
-	}
-	if d > rs.LastSeen {
-		rs.LastSeen = d
-	}
-	rs.Count++
+	s.merge(RecordSet{RRName: name, RRType: rtype, RData: rdata, FirstSeen: d, LastSeen: d, Count: 1})
 }
 
 // ObserveRange records an observation window [from, to] in one call,
@@ -134,20 +160,7 @@ func (s *Store) ObserveRange(name dnsname.Name, rtype dnswire.Type, rdata string
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := key{name: name, rtype: rtype, rdata: rdata}
-	rs, ok := s.sets[k]
-	if !ok {
-		rs = &RecordSet{RRName: name, RRType: rtype, RData: rdata, FirstSeen: from, LastSeen: to}
-		s.sets[k] = rs
-		s.byName[name] = append(s.byName[name], k)
-	}
-	if from < rs.FirstSeen {
-		rs.FirstSeen = from
-	}
-	if to > rs.LastSeen {
-		rs.LastSeen = to
-	}
-	rs.Count += uint64(to-from) + 1
+	s.merge(RecordSet{RRName: name, RRType: rtype, RData: rdata, FirstSeen: from, LastSeen: to, Count: uint64(to-from) + 1})
 }
 
 // Len returns the number of record sets.
@@ -168,45 +181,69 @@ var sortOutsideLockHook func()
 // comparisons — holding even the read lock that long parks every
 // Observe writer (and, since a waiting writer blocks later readers,
 // eventually the whole store) behind one slow reader. Only the copy
-// needs the lock.
+// needs the lock. The copy is in arrival order; when that is already
+// the output order (a re-read dump), the sort is one linear pass.
 func finishSets(out []RecordSet) []RecordSet {
 	if sortOutsideLockHook != nil {
 		sortOutsideLockHook()
 	}
-	sortSets(out)
+	slices.SortFunc(out, compareSets)
 	return out
 }
 
-// Lookup returns the record sets for an exact owner name, optionally
-// filtered by type (pass 0 or dnswire.TypeANY for all types).
-func (s *Store) Lookup(name dnsname.Name, rtype dnswire.Type) []RecordSet {
-	s.mu.RLock()
-	var out []RecordSet
-	for _, k := range s.byName[name] {
-		if rtype != 0 && rtype != dnswire.TypeANY && k.rtype != rtype {
-			continue
-		}
-		out = append(out, *s.sets[k])
+// compareSets orders record sets by owner name (canonical order), then
+// type, then rdata. Keys are unique in a store, so the order is total
+// and the sorted result does not depend on the arrival order.
+func compareSets(a, b RecordSet) int {
+	if c := dnsname.Compare(a.RRName, b.RRName); c != 0 {
+		return c
 	}
-	s.mu.RUnlock()
-	return finishSets(out)
+	if c := cmp.Compare(a.RRType, b.RRType); c != 0 {
+		return c
+	}
+	return strings.Compare(a.RData, b.RData)
+}
+
+// Lookup returns the record sets for an exact owner name, optionally
+// filtered by type (pass 0 or dnswire.TypeANY for all types). Like the
+// other reads it scans the whole store, two passes under the read lock:
+// the store keeps no index by owner name. That suits its one caller
+// outside tests, a single query per pdnsq run; a caller that looks names
+// up in a loop should give the store a name index first.
+func (s *Store) Lookup(name dnsname.Name, rtype dnswire.Type) []RecordSet {
+	return s.search(rtype, func(owner dnsname.Name) bool { return owner == name })
 }
 
 // WildcardSearch returns every record set whose owner name is the suffix
 // itself or below it — the DNSDB "*.suffix" left-hand wildcard search the
 // paper used to expand seed domains. Pass rtype 0 for all types.
 func (s *Store) WildcardSearch(suffix dnsname.Name, rtype dnswire.Type) []RecordSet {
+	return s.search(rtype, func(owner dnsname.Name) bool { return owner.IsSubdomainOf(suffix) })
+}
+
+// search is every read: one pass over the store for the record sets of
+// the wanted type and owner, copied in arrival order under the read
+// lock and sorted after it is released.
+func (s *Store) search(rtype dnswire.Type, owner func(dnsname.Name) bool) []RecordSet {
+	match := func(rs *RecordSet) bool {
+		return (rtype == 0 || rtype == dnswire.TypeANY || rs.RRType == rtype) && owner(rs.RRName)
+	}
 	s.mu.RLock()
-	var out []RecordSet
-	for name, keys := range s.byName {
-		if !name.IsSubdomainOf(suffix) {
-			continue
+	n := 0
+	for i := range s.sets {
+		if match(&s.sets[i]) {
+			n++
 		}
-		for _, k := range keys {
-			if rtype != 0 && rtype != dnswire.TypeANY && k.rtype != rtype {
-				continue
+	}
+	var out []RecordSet
+	if n > 0 {
+		// Sized exactly: a snapshot is one allocation, and a narrow
+		// search does not reserve the whole store.
+		out = make([]RecordSet, 0, n)
+		for i := range s.sets {
+			if match(&s.sets[i]) {
+				out = append(out, s.sets[i])
 			}
-			out = append(out, *s.sets[k])
 		}
 	}
 	s.mu.RUnlock()
@@ -216,18 +253,6 @@ func (s *Store) WildcardSearch(suffix dnsname.Name, rtype dnswire.Type) []Record
 // Snapshot returns a copy of every record set.
 func (s *Store) Snapshot() []RecordSet {
 	return s.WildcardSearch(dnsname.Root, 0)
-}
-
-func sortSets(sets []RecordSet) {
-	sort.Slice(sets, func(i, j int) bool {
-		if c := dnsname.Compare(sets[i].RRName, sets[j].RRName); c != 0 {
-			return c < 0
-		}
-		if sets[i].RRType != sets[j].RRType {
-			return sets[i].RRType < sets[j].RRType
-		}
-		return sets[i].RData < sets[j].RData
-	})
 }
 
 // View is an immutable filtered slice of a store, the unit the analyses
@@ -292,74 +317,6 @@ func (v *View) Names() []dnsname.Name {
 			out = append(out, rs.RRName)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return dnsname.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dnsname.Compare)
 	return out
-}
-
-// WriteJSONL streams the store as JSON lines (one record set per line),
-// in deterministic order.
-func (s *Store) WriteJSONL(w io.Writer) error {
-	sets := s.Snapshot()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range sets {
-		if err := enc.Encode(&sets[i]); err != nil {
-			return fmt.Errorf("pdns: encoding record set %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL loads a store written by WriteJSONL. The whole dump is
-// read up front and its line count (one record set per line, as
-// WriteJSONL emits) sizes the store's maps and a record-set arena, so
-// a load performs a handful of large allocations instead of one per
-// record.
-func ReadJSONL(r io.Reader) (*Store, error) {
-	data, err := io.ReadAll(bufio.NewReader(r))
-	if err != nil {
-		return nil, fmt.Errorf("pdns: reading dump: %w", err)
-	}
-	lines := bytes.Count(data, []byte{'\n'})
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		lines++
-	}
-	s := &Store{
-		sets:   make(map[key]*RecordSet, lines),
-		byName: make(map[dnsname.Name][]key, lines),
-	}
-	arena := make([]RecordSet, 0, lines)
-	dec := json.NewDecoder(bytes.NewReader(data))
-	line := 0
-	for dec.More() {
-		line++
-		var rs RecordSet
-		if err := dec.Decode(&rs); err != nil {
-			return nil, fmt.Errorf("pdns: decoding record set %d: %w", line, err)
-		}
-		k := key{name: rs.RRName, rtype: rs.RRType, rdata: rs.RData}
-		if existing, ok := s.sets[k]; ok {
-			if rs.FirstSeen < existing.FirstSeen {
-				existing.FirstSeen = rs.FirstSeen
-			}
-			if rs.LastSeen > existing.LastSeen {
-				existing.LastSeen = rs.LastSeen
-			}
-			existing.Count += rs.Count
-			continue
-		}
-		if len(arena) < cap(arena) {
-			// The store aliases arena slots by pointer, so the arena
-			// must never reallocate; records beyond the line estimate
-			// (possible only for hand-crafted multi-object lines) get
-			// individual allocations instead.
-			arena = append(arena, rs)
-			s.sets[k] = &arena[len(arena)-1]
-		} else {
-			copied := rs
-			s.sets[k] = &copied
-		}
-		s.byName[rs.RRName] = append(s.byName[rs.RRName], k)
-	}
-	return s, nil
 }

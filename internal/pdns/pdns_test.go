@@ -2,7 +2,13 @@ package pdns
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -292,8 +298,10 @@ func TestWildcardSearchAdmitsWritersDuringSort(t *testing.T) {
 }
 
 // BenchmarkReadJSONL measures a full dump load — the path pdnsq pays
-// on every invocation. ReadJSONL sizes its maps and record arena from
-// a first-pass line count.
+// on every invocation — for a dump as WriteJSONL writes it and for the
+// same dump with every tenth, or every, line padded so that
+// encoding/json decodes it; decoder-loop is the plain json.Decoder loop
+// over the plain dump, for comparison.
 func BenchmarkReadJSONL(b *testing.B) {
 	s := NewStore()
 	base := Date(2015, time.January, 1)
@@ -306,16 +314,332 @@ func BenchmarkReadJSONL(b *testing.B) {
 	if err := s.WriteJSONL(&buf); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
-	b.ReportMetric(float64(s.Len()), "recordsets")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loaded, err := ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
+	padEvery := func(k int) []byte {
+		var out bytes.Buffer
+		for i, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+			if i%k == 0 {
+				out.WriteByte(' ')
+			}
+			out.Write(line)
 		}
-		if loaded.Len() != s.Len() {
-			b.Fatalf("loaded %d sets, want %d", loaded.Len(), s.Len())
+		return out.Bytes()
+	}
+	read := func(data []byte) (*Store, error) { return ReadJSONL(bytes.NewReader(data)) }
+	for _, bc := range []struct {
+		name string
+		data []byte
+		load func([]byte) (*Store, error)
+	}{
+		{"plain", buf.Bytes(), read},
+		{"odd-1-in-10", padEvery(10), read},
+		{"odd-all", padEvery(1), read},
+		{"decoder-loop", buf.Bytes(), decodeLoop},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(s.Len()), "recordsets")
+			for i := 0; i < b.N; i++ {
+				loaded, err := bc.load(bc.data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if loaded.Len() != s.Len() {
+					b.Fatalf("loaded %d sets, want %d", loaded.Len(), s.Len())
+				}
+			}
+		})
+	}
+}
+
+// sampleStore is a small store with several owners, types and records
+// per owner, observed in no particular order.
+func sampleStore() *Store {
+	s := NewStore()
+	base := Date(2015, time.January, 1)
+	for i := 0; i < 300; i++ {
+		name := dnsname.Name(fmt.Sprintf("d%03d.gov.br.", (i*7)%300))
+		s.ObserveRange(name, dnswire.TypeNS, fmt.Sprintf("ns%d.host%d.net.", i%3, i%17), base+Day(i), base+Day(i+40))
+		s.ObserveRange(name, dnswire.TypeNS, "ns1.gov.br.", base, base+Day(i))
+		if i%4 == 0 {
+			s.Observe(name, dnswire.TypeA, "198.51.100.7", base+Day(i))
 		}
 	}
+	return s
+}
+
+// TestSnapshotOfReReadDumpNeedsNoReorder: a dump is written sorted, so
+// a store read back from it holds its record sets in output order
+// already (and has had no reason to build its key index); the same
+// dump with its lines shuffled still yields the same snapshot.
+func TestSnapshotOfReReadDumpNeedsNoReorder(t *testing.T) {
+	s := sampleStore()
+	want := s.Snapshot()
+	var buf bytes.Buffer
+	if err := s.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	reread, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSortedFunc(reread.sets, compareSets) {
+		t.Error("record sets of a re-read dump are not in snapshot order")
+	}
+	if reread.index != nil {
+		t.Error("reading a sorted dump built the key index")
+	}
+	if got := reread.Snapshot(); !slices.Equal(got, want) {
+		t.Error("snapshot of the re-read dump differs from the original's")
+	}
+
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	rand.New(rand.NewSource(1)).Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	shuffled, err := ReadJSONL(bytes.NewReader(bytes.Join(lines, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shuffled.Snapshot(); !slices.Equal(got, want) {
+		t.Error("snapshot of the shuffled dump differs from the original's")
+	}
+
+	// A re-read store is still a store: a write finds the loaded key.
+	first := want[0]
+	reread.Observe(first.RRName, first.RRType, first.RData, first.LastSeen+1)
+	got := reread.Lookup(first.RRName, first.RRType)
+	if reread.Len() != len(want) || len(got) == 0 || got[0].LastSeen != first.LastSeen+1 || got[0].Count != first.Count+1 {
+		t.Errorf("Observe of a loaded key: Len %d -> %d, record %+v", len(want), reread.Len(), got)
+	}
+}
+
+// decodeLoop is what ReadJSONL must be indistinguishable from: a plain
+// json.Decoder loop over the whole stream, merging into a store.
+func decodeLoop(data []byte) (*Store, error) {
+	s := NewStore()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for n := 1; dec.More(); n++ {
+		var rs RecordSet
+		if err := dec.Decode(&rs); err != nil {
+			return nil, fmt.Errorf("pdns: decoding record set %d: %w", n, err)
+		}
+		s.merge(rs)
+	}
+	return s, nil
+}
+
+// checkAgainstDecodeLoop fails the test unless ReadJSONL and the plain
+// decoder loop either both reject data, with the same message, or load
+// stores with equal snapshots; it returns the loaded store, if any.
+func checkAgainstDecodeLoop(t *testing.T, data []byte) *Store {
+	t.Helper()
+	want, wantErr := decodeLoop(data)
+	got, gotErr := ReadJSONL(bytes.NewReader(data))
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("ReadJSONL error = %v, json.Decoder loop error = %v\ninput: %q", gotErr, wantErr, data)
+	}
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Errorf("ReadJSONL error %q, json.Decoder loop error %q\ninput: %q", gotErr, wantErr, data)
+		}
+		return nil
+	}
+	if !slices.Equal(got.Snapshot(), want.Snapshot()) {
+		t.Fatalf("ReadJSONL loaded %+v\njson.Decoder loop loaded %+v\ninput: %q", got.Snapshot(), want.Snapshot(), data)
+	}
+	// How the bytes arrive must not matter.
+	trickled, err := ReadJSONL(&failingReader{data: data, err: io.EOF})
+	if err != nil || !slices.Equal(trickled.Snapshot(), want.Snapshot()) {
+		t.Fatalf("ReadJSONL of the same input in short reads: error %v, or a different store\ninput: %q", err, data)
+	}
+	return got
+}
+
+const plainLine = `{"rrname":"a.gov.br.","rrtype":2,"rdata":"ns1.gov.br.","time_first":16436,"time_last":16500,"count":65}` + "\n"
+
+// TestReadJSONLFallbackLines: lines that are valid JSON but not in
+// WriteJSONL's exact form load to the record encoding/json produces,
+// wherever they sit among plain lines.
+func TestReadJSONLFallbackLines(t *testing.T) {
+	odd := map[string]string{
+		"escaped quote":   `{"rrname":"t.gov.br.","rrtype":16,"rdata":"say \"hi\"","time_first":1,"time_last":9,"count":2}`,
+		"unicode escape":  `{"rrname":"t.gov.br.","rrtype":16,"rdata":"caf\u00e9","time_first":1,"time_last":9,"count":2}`,
+		"raw non-ASCII":   `{"rrname":"t.gov.br.","rrtype":16,"rdata":"café","time_first":1,"time_last":9,"count":2}`,
+		"html escape":     `{"rrname":"t.gov.br.","rrtype":16,"rdata":"v=spf1 <all","time_first":1,"time_last":9,"count":2}`,
+		"key order":       `{"count":2,"time_last":9,"time_first":1,"rdata":"x.","rrtype":2,"rrname":"t.gov.br."}`,
+		"unknown key":     `{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":2,"source":"sensor7"}`,
+		"missing key":     `{"rrname":"t.gov.br.","rrtype":2,"rdata":"x."}`,
+		"padding":         `  { "rrname" : "t.gov.br." , "rrtype" : 2, "rdata": "x.", "time_first": 1, "time_last": 9, "count": 2 }  `,
+		"carriage return": `{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":2}` + "\r",
+		"negative day":    `{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":-5,"time_last":-0,"count":2}`,
+		"spans lines":     "{\"rrname\":\"t.gov.br.\",\n\"rrtype\":2,\"rdata\":\"x.\",\n\"time_first\":1,\"time_last\":9,\"count\":2}",
+		"shares a line": `{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":2} ` +
+			`{"rrname":"u.gov.br.","rrtype":2,"rdata":"y.","time_first":1,"time_last":9,"count":2}`,
+		"abuts another": `{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":2}` +
+			`{"rrname":"u.gov.br.","rrtype":2,"rdata":"y.","time_first":1,"time_last":9,"count":2}`,
+		"duplicate key": `{"rrname":"a.gov.br.","rrtype":2,"rdata":"ns1.gov.br.","time_first":16000,"time_last":16437,"count":5}`,
+		"null":          `null`,
+		"blank":         ``,
+	}
+	for name, line := range odd {
+		for _, data := range []string{line, line + "\n", plainLine + line + "\n" + plainLine, line + "\n" + plainLine + line} {
+			if s := checkAgainstDecodeLoop(t, []byte(data)); s == nil {
+				t.Errorf("%s: rejected %q", name, data)
+			}
+		}
+	}
+	// The escapes decode, they are not kept verbatim; a repeated key
+	// merges.
+	s := checkAgainstDecodeLoop(t, []byte(odd["unicode escape"]))
+	if got := s.Snapshot(); len(got) != 1 || got[0].RData != "café" {
+		t.Errorf("unicode escape loaded as %+v", got)
+	}
+	s = checkAgainstDecodeLoop(t, []byte(plainLine+odd["duplicate key"]+"\n"+plainLine))
+	if got := s.Snapshot(); len(got) != 1 || got[0].FirstSeen != 16000 || got[0].LastSeen != 16500 || got[0].Count != 135 {
+		t.Errorf("duplicate keys merged to %+v", got)
+	}
+}
+
+// TestReadJSONLMixedDump runs a dump larger than the read buffer with
+// odd lines scattered through it: every hand-over to encoding/json and
+// back has to land on the right byte.
+func TestReadJSONLMixedDump(t *testing.T) {
+	var dump bytes.Buffer
+	if err := sampleStore().WriteJSONL(&dump); err != nil {
+		t.Fatal(err)
+	}
+	var mixed bytes.Buffer
+	for i, line := range bytes.SplitAfter(dump.Bytes(), []byte("\n")) {
+		switch {
+		case i%7 == 3:
+			mixed.WriteString("  \t")
+			mixed.Write(line)
+		case i%11 == 5:
+			mixed.Write(bytes.TrimSuffix(line, []byte("\n")))
+			mixed.WriteString(`{"rrname":"extra.gov.br.","rrtype":16,"rdata":"caf\u00e9 \"x\"","time_first":3,"time_last":4,"count":1}` + "\n")
+		case i%13 == 6:
+			mixed.Write(bytes.Replace(line, []byte(`,"rrtype"`), []byte(",\n \"rrtype\""), 1))
+		default:
+			mixed.Write(line)
+		}
+	}
+	if mixed.Len() <= 64<<10 {
+		t.Fatalf("dump of %d bytes does not exceed the read buffer", mixed.Len())
+	}
+	if s := checkAgainstDecodeLoop(t, mixed.Bytes()); s == nil {
+		t.Error("mixed dump rejected")
+	}
+}
+
+// TestReadJSONLRejectsWhatTheDecoderRejects: malformed and out-of-range
+// input fails with the json.Decoder loop's error, numbered by value.
+func TestReadJSONLRejectsWhatTheDecoderRejects(t *testing.T) {
+	for _, bad := range []string{
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":2`,
+		`{"rrname":"t.gov.br.","rrtype":70000,"rdata":"x.","time_first":1,"time_last":9,"count":2}`,
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":01,"time_last":9,"count":2}`,
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":2147483648,"count":2}`,
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":-2}`,
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1,"time_last":9,"count":99999999999999999999}`,
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"x.","time_first":1.5,"time_last":9,"count":2}`,
+		`{"rrname":"t.gov.br.","rrtype":2,"rdata":"tab	here","time_first":1,"time_last":9,"count":2}`,
+		`[1,2,3]`,
+		`"just a string"`,
+	} {
+		for _, data := range []string{bad, plainLine + plainLine + bad + "\n" + plainLine} {
+			if s := checkAgainstDecodeLoop(t, []byte(data)); s != nil {
+				t.Errorf("accepted %q", data)
+			}
+		}
+	}
+	_, err := ReadJSONL(strings.NewReader(plainLine + plainLine + "{not json"))
+	if err == nil || !strings.Contains(err.Error(), "decoding record set 3") {
+		t.Errorf("error %v does not name record set 3", err)
+	}
+	// A stray closing bracket ends a json.Decoder loop without an
+	// error; so it does here.
+	if s := checkAgainstDecodeLoop(t, []byte(plainLine+"]"+plainLine)); s == nil || s.Len() != 1 {
+		t.Error("input after a stray ] was not ignored")
+	}
+}
+
+// failingReader yields data a few bytes at a time, then err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data[:min(len(f.data), 7)])
+	f.data = f.data[n:]
+	return n, nil
+}
+
+func TestReadJSONLReportsReadErrors(t *testing.T) {
+	boom := errors.New("disk on fire")
+	for _, data := range []string{plainLine + plainLine, plainLine + `{"rrname": "t.`, ""} {
+		_, err := ReadJSONL(&failingReader{data: []byte(data), err: boom})
+		if !errors.Is(err, boom) {
+			t.Errorf("after %q: error %v, want the reader's", data, err)
+		}
+	}
+	// Short reads alone are not an error.
+	s, err := ReadJSONL(&failingReader{data: []byte(plainLine + plainLine), err: io.EOF})
+	if err != nil || s.Len() != 1 {
+		t.Errorf("short reads: %v, %v", s, err)
+	}
+}
+
+// TestReadJSONLAllocations gates a plain dump and the same dump with one
+// odd line near the top: the lines behind a value that encoding/json
+// decoded must be decoded in place again, not each by a decoder of its
+// own.
+func TestReadJSONLAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s := sampleStore()
+	var buf bytes.Buffer
+	if err := s.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	plain := buf.Bytes()
+	third := bytes.IndexByte(plain, '\n') + 1
+	third += bytes.IndexByte(plain[third:], '\n') + 1
+	odd := `{"rrname":"t.gov.br.","rrtype":16,"rdata":"v=spf1 \u003call \"x\"","time_first":1,"time_last":9,"count":2}` + "\n"
+	for name, data := range map[string][]byte{
+		"plain dump":        plain,
+		"one odd line atop": slices.Concat(plain[:third], []byte(odd), plain[third:]),
+	} {
+		perRun := testing.AllocsPerRun(10, func() {
+			if _, err := ReadJSONL(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRecord := perRun / float64(s.Len()); perRecord > 3 {
+			t.Errorf("%s: ReadJSONL allocates %.2f times per record set, want at most 3", name, perRecord)
+		}
+	}
+}
+
+// FuzzReadJSONL: whatever the input, ReadJSONL and a plain json.Decoder
+// loop both reject it, or load stores with equal snapshots.
+func FuzzReadJSONL(f *testing.F) {
+	var dump bytes.Buffer
+	if err := sampleStore().WriteJSONL(&dump); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dump.Bytes()[:2000])
+	f.Add([]byte(plainLine + plainLine))
+	f.Add([]byte(strings.TrimSuffix(plainLine, "\n")))
+	f.Add([]byte(`{"rrname":"t.","rrtype":16,"rdata":"say \"hi\" caf\u00e9 café","time_first":1,"time_last":9,"count":2}` + "\n" + plainLine))
+	f.Add([]byte(`{"count":2,"rrname":"t.","extra":[1,{"a":null}],"RDATA":"x"}` + "\n"))
+	f.Add([]byte(`{"rrname":"t.","rrtype":99999,"rdata":"","time_first":-3,"time_last":99999999999,"count":18446744073709551616}`))
+	f.Add([]byte(plainLine + ` {"rrname":"t."} {"rrname":"u."}` + "\n]" + plainLine))
+	f.Add([]byte("{\"rrname\":\n\"t.\"}\n\n\r\n" + plainLine))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstDecodeLoop(t, data)
+	})
 }

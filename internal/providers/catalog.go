@@ -53,6 +53,27 @@ func (p *Provider) MatchesSOA(soa dnswire.SOAData) bool {
 type Catalog struct {
 	providers []*Provider
 	suffixes  *dnsname.SuffixSet
+	// byDomain maps each provider domain to the index of the first
+	// provider listing it, and patterned lists the indices of the
+	// providers that also match by regexp: together they let Identify
+	// look a hostname's ancestors up instead of trying every provider.
+	byDomain  map[dnsname.Name]int
+	patterned []int
+}
+
+func newCatalog(list []*Provider, suffixes *dnsname.SuffixSet) *Catalog {
+	c := &Catalog{providers: list, suffixes: suffixes, byDomain: make(map[dnsname.Name]int)}
+	for i, p := range list {
+		for _, d := range p.domains {
+			if _, taken := c.byDomain[d]; !taken {
+				c.byDomain[d] = i
+			}
+		}
+		if p.pattern != nil {
+			c.patterned = append(c.patterned, i)
+		}
+	}
+	return c
 }
 
 // amazonPattern matches Route 53's generated nameservers, e.g.
@@ -75,8 +96,8 @@ func names(raw ...string) []dnsname.Name {
 // country-local providers called out in § IV-A (gov.cn's hichina,
 // xincache, dns-diy).
 func Default() *Catalog {
-	return &Catalog{
-		providers: []*Provider{
+	return newCatalog(
+		[]*Provider{
 			{Key: "amazon", Display: "AWS DNS", Major: true, pattern: amazonPattern,
 				domains: names("awsdns-hostmaster.amazon.com")},
 			{Key: "azure", Display: "Azure DNS", Major: true, pattern: azurePattern,
@@ -123,13 +144,13 @@ func Default() *Catalog {
 			{Key: "worldnic", Display: "worldnic.com", domains: names("worldnic.com")},
 			{Key: "uidns", Display: "ui-dns.com", domains: names("ui-dns.com", "ui-dns.org")},
 		},
-		suffixes: dnsname.NewSuffixSet(
+		dnsname.NewSuffixSet(
 			"com", "net", "org", "info", "biz",
 			"com.br", "net.br", "com.mx", "com.tr", "co.uk", "org.uk",
 			"com.au", "net.au", "co.in", "net.in", "com.cn", "net.cn",
 			"com.ua", "com.ar", "co.th", "in.th", "co.za", "com.sg",
 		),
-	}
+	)
 }
 
 // Providers returns the catalog's providers in order.
@@ -159,13 +180,34 @@ func (c *Catalog) ByKey(key string) (*Provider, bool) {
 }
 
 // Identify returns the provider owning the NS hostname, if known.
+//
+// The answer is the first provider in catalog order that Matches the
+// host. A provider domain matches when it is a strict ancestor of the
+// host, so those are found by walking the host's ancestors; only the
+// providers with a regexp, and only those listed before the best
+// ancestor match, still have to be tried one by one.
 func (c *Catalog) Identify(host dnsname.Name) (*Provider, bool) {
-	for _, p := range c.providers {
-		if p.Matches(host) {
-			return p, true
+	best := len(c.providers)
+	// The walk ends where Parent stops moving: at the root, or at the
+	// last label of a name written without its trailing dot.
+	for d, child := host.Parent(), host; d != child; d, child = d.Parent(), d {
+		if i, ok := c.byDomain[d]; ok && i < best {
+			best = i
 		}
 	}
-	return nil, false
+	for _, i := range c.patterned {
+		if i >= best {
+			break
+		}
+		if c.providers[i].pattern.MatchString(string(host)) {
+			best = i
+			break
+		}
+	}
+	if best == len(c.providers) {
+		return nil, false
+	}
+	return c.providers[best], true
 }
 
 // IdentifySOA returns the provider indicated by an SOA's MNAME/RNAME —

@@ -141,3 +141,35 @@ func TestCatalogKeysUnique(t *testing.T) {
 		seen[p.Key] = true
 	}
 }
+
+// TestIdentifyIsFirstMatchInCatalogOrder checks the ancestor-walk
+// Identify against its definition — the first provider, in catalog
+// order, whose Matches accepts the host — on hosts that hit a regexp, a
+// provider domain at several depths, a provider domain itself (not a
+// strict subdomain), several providers at once, and nothing.
+func TestIdentifyIsFirstMatchInCatalogOrder(t *testing.T) {
+	c := Default()
+	hosts := []dnsname.Name{
+		"ns-12.awsdns-3.com.", "ns-12.awsdns-3.co.uk.", "ns-x.awsdns-3.com.",
+		"ns1-07.azure-dns.com.", "other.azure-dns.com.", "azure-dns.com.",
+		"a.awsdns-hostmaster.amazon.com.", "awsdns-hostmaster.amazon.com.",
+		"tom.cloudflare.com.", "deep.er.ns.cloudflare.com.", "cloudflare.com.",
+		"ns1.hostgator.com.br.", "ns1.hostgator.com.", "ns1.xincache.cn.",
+		"ns1.example.gov.br.", "com.", ".", "", "ns..cloudflare.com.",
+		// Not canonical (no trailing dot): no match, and the walk ends.
+		"com", "ns1.foo.com", "tom.cloudflare.com",
+	}
+	for _, host := range hosts {
+		var want *Provider
+		for _, p := range c.Providers() {
+			if p.Matches(host) {
+				want = p
+				break
+			}
+		}
+		got, ok := c.Identify(host)
+		if got != want || ok != (want != nil) {
+			t.Errorf("Identify(%q) = %v, %v; first match in catalog order is %v", host, got, ok, want)
+		}
+	}
+}

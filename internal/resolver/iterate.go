@@ -120,7 +120,7 @@ func nsHosts(records []dnswire.RR) []dnsname.Name {
 		// packet — it is cached inside ZoneServers — so own each name here.
 		out = append(out, ns.Host.Own())
 	}
-	sort.Slice(out, func(i, j int) bool { return dnsname.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dnsname.Compare)
 	return out
 }
 

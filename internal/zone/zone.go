@@ -6,6 +6,7 @@ package zone
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -344,7 +345,7 @@ func (z *Zone) Delegations() []dnsname.Name {
 	for n := range z.delegs {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return dnsname.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dnsname.Compare)
 	return out
 }
 
