@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime $(FUZZTIME) ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzTCPFraming -fuzztime $(FUZZTIME) ./internal/authserver
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime $(FUZZTIME) ./internal/measure
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) ./internal/measure
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) ./internal/pdns
 	$(GO) test -run '^$$' -fuzz FuzzCompare -fuzztime $(FUZZTIME) ./internal/dnsname
 

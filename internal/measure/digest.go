@@ -9,7 +9,6 @@ import (
 	"hash"
 	"net/netip"
 	"slices"
-	"sort"
 
 	"govdns/internal/dnsname"
 )
@@ -174,7 +173,7 @@ func digestResult(h hash.Hash, r *DomainResult) {
 	for _, host := range hosts {
 		name(host)
 		addrs := append([]netip.Addr(nil), r.Addrs[host]...)
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+		slices.SortFunc(addrs, netip.Addr.Compare)
 		u64(uint64(len(addrs)))
 		for _, a := range addrs {
 			addr(a)

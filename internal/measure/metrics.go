@@ -139,18 +139,16 @@ func (m *ScanMetrics) recordDomain(start time.Time, r *DomainResult) {
 	}
 }
 
-func (m *ScanMetrics) setTotal(n int) {
+// SetTotal records the expected domain count for progress reporting.
+// Scan sets it itself from its slice; streaming callers that know their
+// source's length (e.g. a worldgen QueryStream) set it here, since
+// ScanStream cannot know how long its iterator runs.
+func (m *ScanMetrics) SetTotal(n int) {
 	if m == nil {
 		return
 	}
 	m.domainsTotal.Set(int64(n))
 }
-
-// SetTotal records the expected domain count for progress reporting.
-// Scan sets it itself from its slice; streaming callers that know their
-// source's length (e.g. a worldgen QueryStream) set it here, since
-// ScanStream cannot know how long its iterator runs.
-func (m *ScanMetrics) SetTotal(n int) { m.setTotal(n) }
 
 func (m *ScanMetrics) recordStreamed() {
 	if m == nil {

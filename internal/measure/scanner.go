@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
+	"govdns/internal/fanout"
 	"govdns/internal/resolver"
 	"govdns/internal/trace"
 )
@@ -29,8 +29,11 @@ type Scanner struct {
 	// many NS-host resolutions and per-address NS probes run at once.
 	// Most of a defective domain's scan time is spent waiting out query
 	// timeouts on dead servers; overlapping those waits is where the
-	// wall-clock win comes from. 0 means DefaultPerDomainParallelism;
-	// 1 restores fully serial per-domain behaviour.
+	// wall-clock win comes from. Units start on the domain's own
+	// goroutine and fan out only once the domain has outlived
+	// fanout.InlineBudget, so a healthy domain starts no goroutine.
+	// 0 means DefaultPerDomainParallelism; 1 restores fully serial
+	// per-domain behaviour.
 	PerDomainParallelism int
 	// SecondRound enables the paper's retry: when a delegation exists
 	// but no delegated server responded — or the walk itself failed for
@@ -69,42 +72,11 @@ const DefaultConcurrency = 128
 // DefaultPerDomainParallelism is the default intra-domain fan-out width.
 const DefaultPerDomainParallelism = 8
 
-func (s *Scanner) fanout() int {
+func (s *Scanner) parallelism() int {
 	if s.PerDomainParallelism > 0 {
 		return s.PerDomainParallelism
 	}
 	return DefaultPerDomainParallelism
-}
-
-// fanEach runs fn(i) for every i in [0,n), using up to p concurrent
-// goroutines. Results must be written by index so ordering stays
-// deterministic regardless of completion order.
-func fanEach(n, p int, fn func(int)) {
-	if p > n {
-		p = n
-	}
-	if p <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // NewScanner builds a scanner with the paper's configuration.
@@ -168,12 +140,7 @@ func (s *Scanner) scanRound(ctx context.Context, rec *trace.Recorder, root trace
 }
 
 func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResult {
-	r := &DomainResult{
-		Domain: domain,
-		Addrs:  make(map[dnsname.Name][]netip.Addr),
-		Rounds: 1,
-	}
-
+	r := newResult(domain)
 	rec, round := trace.From(ctx)
 
 	walkStart := time.Now()
@@ -207,90 +174,25 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 		return r
 	}
 
-	// Resolve and probe every delegated nameserver. Each host is one
-	// pipelined unit — resolve its addresses (glue from the referral is
-	// authoritative enough for the parent's own view; out-of-zone hosts
-	// go through full resolution, cached and coalesced across the scan),
-	// then immediately probe each address for the domain's NS records.
-	// Units fan out across hosts, so a host stuck waiting out timeouts
-	// on an unresolvable name overlaps its siblings' probes instead of
-	// gating them. Results land in pre-sized per-host slices by index,
-	// so the fan-out changes nothing about result ordering.
-	glue := glueAddrs(deleg.Glue)
-	client := s.Iterator.Client()
-	resolved := make([][]netip.Addr, len(r.ParentNS))
-	perHost := make([][]ServerResponse, len(r.ParentNS))
-	faults := make([]FaultCounts, len(r.ParentNS))
-	fanEach(len(r.ParentNS), s.fanout(), func(i int) {
-		host := r.ParentNS[i]
-		fetchStart := time.Now()
-		fspan := trace.NoSpan
-		fctx := ctx
-		if rec != nil {
-			fspan = rec.StartSpan(round, trace.KindNSFetch, string(host))
-			fctx = trace.ContextWith(ctx, rec, fspan)
-		}
-		var fetchErr error
-		if addrs, ok := glue[host]; ok {
-			resolved[i] = addrs
-			if rec != nil {
-				rec.Annotate(fspan, trace.Bool("glue", true))
-			}
-		} else if addrs, err := s.Iterator.ResolveHost(fctx, host); err == nil {
-			resolved[i] = addrs
-		} else {
-			fetchErr = err
-		}
-		if rec != nil {
-			rec.Annotate(fspan, trace.Int("addrs", int64(len(resolved[i]))))
-			rec.EndSpan(fspan, fetchErr)
-		}
-		s.Metrics.recordNSFetch(fetchStart)
-		probeStart := time.Now()
-		cspan := trace.NoSpan
-		cctx := ctx
-		if rec != nil {
-			cspan = rec.StartSpan(round, trace.KindChildProbe, string(host))
-			cctx = trace.ContextWith(ctx, rec, cspan)
-		}
-		perHost[i] = make([]ServerResponse, len(resolved[i]))
-		for j, addr := range resolved[i] {
-			sr := ServerResponse{Host: host, Addr: addr}
-			pspan := trace.NoSpan
-			pctx := cctx
-			if rec != nil {
-				pspan = rec.StartSpan(cspan, trace.KindProbe, addr.String())
-				pctx = trace.ContextWith(cctx, rec, pspan)
-			}
-			resp, qtr, err := client.QueryTraced(pctx, addr, domain, dnswire.TypeNS)
-			faults[i].add(qtr)
-			if rec != nil {
-				rec.Annotate(pspan, faultAttrs(qtr)...)
-				rec.EndSpan(pspan, err)
-			}
-			if err != nil {
-				sr.Err = err.Error()
-			} else {
-				sr.OK = true
-				sr.RCode = resp.Header.RCode
-				sr.Authoritative = resp.Header.Authoritative
-				for _, rr := range resp.AnswersOfType(dnswire.TypeNS) {
-					if rr.Name != domain {
-						continue
-					}
-					sr.NS = append(sr.NS, rr.Data.(dnswire.NSData).Host)
-				}
-				slices.SortFunc(sr.NS, dnsname.Compare)
-			}
-			perHost[i][j] = sr
-		}
-		rec.EndSpan(cspan, nil)
-		s.Metrics.recordChildProbe(probeStart, len(resolved[i]))
+	// Resolve and probe every delegated nameserver, one unit per host.
+	// Units run on this goroutine until the batch has outlived
+	// fanout.InlineBudget — a healthy domain's never does — and only then
+	// fan out, so a host stuck waiting out timeouts overlaps its siblings'
+	// probes instead of gating them. Units write by index, so the fan-out
+	// changes nothing about result ordering.
+	units := make([]hostUnit, len(r.ParentNS))
+	fanout.Each(len(units), s.parallelism(), func(i int) {
+		units[i] = s.probeHost(ctx, domain, r.ParentNS[i], r.ParentNS, deleg.Glue)
 	})
+	total := 0
 	for i, host := range r.ParentNS {
-		r.Addrs[host] = resolved[i]
-		r.Servers = append(r.Servers, perHost[i]...)
-		r.Faults.merge(faults[i])
+		r.Addrs[host] = units[i].addrs
+		r.Faults.merge(units[i].faults)
+		total += len(units[i].servers)
+	}
+	r.Servers = slices.Grow(r.Servers, total)
+	for i := range units {
+		r.Servers = append(r.Servers, units[i].servers...)
 	}
 
 	// The child may know servers the parent does not (C ⊃ P): resolve
@@ -300,25 +202,125 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 	return r
 }
 
-// glueAddrs builds the per-host address map from a referral's glue
-// records. Each slice is sorted into netip.Addr.Less order here, once,
-// before the per-host fan-out aliases the map's slices: sorting lazily
-// inside the workers would run two concurrent in-place sorts on the
-// same slice whenever one host appears twice in ParentNS.
-func glueAddrs(rrs []dnswire.RR) map[dnsname.Name][]netip.Addr {
-	if len(rrs) == 0 {
-		return nil
+// hostUnit is one delegated nameserver's part of a round: its
+// addresses, one response per address, and those probes' fault counts.
+type hostUnit struct {
+	addrs   []netip.Addr
+	servers []ServerResponse
+	faults  FaultCounts
+}
+
+// probeHost is one pipelined unit: resolve host's addresses, then probe
+// each address for domain's NS records.
+func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, parentNS []dnsname.Name, glue []dnswire.RR) (u hostUnit) {
+	u.addrs = s.fetchHost(ctx, host, glue)
+	rec, round := trace.From(ctx)
+	probeStart := time.Now()
+	cspan := trace.NoSpan
+	cctx := ctx
+	if rec != nil {
+		cspan = rec.StartSpan(round, trace.KindChildProbe, string(host))
+		cctx = trace.ContextWith(ctx, rec, cspan)
 	}
-	glue := make(map[dnsname.Name][]netip.Addr)
+	client := s.Iterator.Client()
+	// One arena for the unit's probes: each response is copied out
+	// before the next probe's decode reuses it.
+	a := client.ArenaPool().Get()
+	defer a.Finish()
+	u.servers = make([]ServerResponse, len(u.addrs))
+	for j, addr := range u.addrs {
+		sr := ServerResponse{Host: host, Addr: addr}
+		pspan := trace.NoSpan
+		pctx := cctx
+		if rec != nil {
+			pspan = rec.StartSpan(cspan, trace.KindProbe, addr.String())
+			pctx = trace.ContextWith(cctx, rec, pspan)
+		}
+		resp, qtr, err := client.QueryArenaTraced(pctx, a, addr, domain, dnswire.TypeNS)
+		u.faults.add(qtr)
+		if rec != nil {
+			rec.Annotate(pspan, faultAttrs(qtr)...)
+			rec.EndSpan(pspan, err)
+		}
+		if err != nil {
+			sr.Err = err.Error()
+		} else {
+			sr.OK = true
+			sr.RCode = resp.Header.RCode
+			sr.Authoritative = resp.Header.Authoritative
+			sr.NS = childNS(resp.Answers, domain, parentNS)
+		}
+		u.servers[j] = sr
+	}
+	rec.EndSpan(cspan, nil)
+	s.Metrics.recordChildProbe(probeStart, len(u.addrs))
+	return u
+}
+
+// fetchHost resolves host's addresses in an NS-fetch span annotated
+// with attrs: the referral's glue when it carries some (authoritative
+// enough for the parent's own view), else full resolution, cached and
+// coalesced across the scan. An unresolvable host gets nil.
+func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []dnswire.RR, attrs ...trace.Attr) []netip.Addr {
+	rec, round := trace.From(ctx)
+	start := time.Now()
+	span := trace.NoSpan
+	fctx := ctx
+	if rec != nil {
+		span = rec.StartSpan(round, trace.KindNSFetch, string(host))
+		fctx = trace.ContextWith(ctx, rec, span)
+	}
+	addrs, glued := glueAddrs(glue, host)
+	var err error
+	if glued {
+		rec.Annotate(span, trace.Bool("glue", true))
+	} else if addrs, err = s.Iterator.ResolveHost(fctx, host); err != nil {
+		addrs = nil
+	}
+	if rec != nil {
+		rec.Annotate(span, trace.Int("addrs", int64(len(addrs))))
+		rec.Annotate(span, attrs...)
+		rec.EndSpan(span, err)
+	}
+	s.Metrics.recordNSFetch(start)
+	return addrs
+}
+
+// glueAddrs returns host's glue addresses from a referral's additional
+// records as a fresh slice in netip.Addr.Less order, or ok=false when
+// the referral carried none for it. Each unit gets its own slice, so no
+// two units ever sort or retain a shared one.
+func glueAddrs(rrs []dnswire.RR, host dnsname.Name) (addrs []netip.Addr, ok bool) {
 	for _, rr := range rrs {
-		if a, ok := rr.Data.(dnswire.AData); ok {
-			glue[rr.Name] = append(glue[rr.Name], a.Addr)
+		if a, isA := rr.Data.(dnswire.AData); isA && rr.Name == host {
+			addrs = append(addrs, a.Addr)
 		}
 	}
-	for _, addrs := range glue {
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+	slices.SortFunc(addrs, netip.Addr.Compare)
+	return addrs, addrs != nil
+}
+
+// childNS copies the domain's NS host names, sorted, out of an answer
+// section that borrows the unit's arena. A name the parent also lists
+// reuses the parent's owned copy — for a consistent delegation that is
+// every name — so only names the child alone serves are copied.
+func childNS(answers []dnswire.RR, domain dnsname.Name, parentNS []dnsname.Name) (out []dnsname.Name) {
+	for _, rr := range answers {
+		ns, ok := rr.Data.(dnswire.NSData)
+		if !ok || rr.Name != domain {
+			continue
+		}
+		if out == nil {
+			out = make([]dnsname.Name, 0, len(answers))
+		}
+		if k := slices.Index(parentNS, ns.Host); k >= 0 {
+			out = append(out, parentNS[k])
+		} else {
+			out = append(out, ns.Host.Own())
+		}
 	}
-	return glue
+	slices.SortFunc(out, dnsname.Compare)
+	return out
 }
 
 // faultAttrs renders one probe's per-query fault trace as span
@@ -351,41 +353,27 @@ func faultAttrs(tr resolver.Trace) []trace.Attr {
 
 // queryChildOnlyHosts resolves nameservers that appear only in child
 // answers and records their addresses (used by the diversity analysis).
+// Every parent-listed host already has an Addrs entry, so a host without
+// one is the child's alone.
 func (s *Scanner) queryChildOnlyHosts(ctx context.Context, r *DomainResult) {
-	inParent := make(map[dnsname.Name]bool, len(r.ParentNS))
-	for _, h := range r.ParentNS {
-		inParent[h] = true
-	}
 	var hosts []dnsname.Name
-	for _, host := range r.ChildNS() {
-		if inParent[host] {
+	for i := range r.Servers {
+		if !r.Servers[i].Answered() {
 			continue
 		}
-		if _, done := r.Addrs[host]; done {
-			continue
+		for _, host := range r.Servers[i].NS {
+			if _, done := r.Addrs[host]; !done && !slices.Contains(hosts, host) {
+				hosts = append(hosts, host)
+			}
 		}
-		hosts = append(hosts, host)
 	}
-	rec, round := trace.From(ctx)
+	if len(hosts) == 0 {
+		return
+	}
+	slices.SortFunc(hosts, dnsname.Compare)
 	resolved := make([][]netip.Addr, len(hosts))
-	fanEach(len(hosts), s.fanout(), func(i int) {
-		fetchStart := time.Now()
-		fspan := trace.NoSpan
-		fctx := ctx
-		if rec != nil {
-			fspan = rec.StartSpan(round, trace.KindNSFetch, string(hosts[i]))
-			fctx = trace.ContextWith(ctx, rec, fspan)
-		}
-		addrs, err := s.Iterator.ResolveHost(fctx, hosts[i])
-		if err == nil {
-			resolved[i] = addrs
-		}
-		if rec != nil {
-			rec.Annotate(fspan, trace.Int("addrs", int64(len(resolved[i]))),
-				trace.Bool("child_only", true))
-			rec.EndSpan(fspan, err)
-		}
-		s.Metrics.recordNSFetch(fetchStart)
+	fanout.Each(len(hosts), s.parallelism(), func(i int) {
+		resolved[i] = s.fetchHost(ctx, hosts[i], nil, trace.Bool("child_only", true))
 	})
 	for i, host := range hosts {
 		r.Addrs[host] = resolved[i]
@@ -478,11 +466,11 @@ feed:
 // Scan measures every domain in the list concurrently and returns the
 // results in input order. A slot whose domain was not measured to
 // completion — the feed never reached it, or ctx died while it was in
-// flight — holds a cancelledResult carrying the context's own error, so
+// flight — holds a fresh result carrying the context's own error, so
 // callers can tell a deadline from an explicit cancel and never see a
 // half-measured domain.
 func (s *Scanner) Scan(ctx context.Context, domains []dnsname.Name) []*DomainResult {
-	s.Metrics.setTotal(len(domains))
+	s.Metrics.SetTotal(len(domains))
 	results := make([]*DomainResult, len(domains))
 	err := s.scan(ctx, SliceSource(domains), 0, func(idx int, r *DomainResult) error {
 		results[idx] = r
@@ -492,25 +480,20 @@ func (s *Scanner) Scan(ctx context.Context, domains []dnsname.Name) []*DomainRes
 		cancelMsg := fmt.Errorf("scan cancelled: %w", err).Error()
 		for i, r := range results {
 			if r == nil {
-				results[i] = cancelledResult(domains[i], cancelMsg)
+				results[i] = newResult(domains[i])
+				results[i].Err = cancelMsg
 			}
 		}
 	}
 	return results
 }
 
-// cancelledResult fills a slot whose domain was never scanned. It holds
-// the invariants every scanned result holds — Rounds >= 1 and a non-nil
-// Addrs map — so downstream consumers (aggregations that write into
-// Addrs, JSONL round-trips, the invariance harness) never special-case
-// cancellation.
-func cancelledResult(domain dnsname.Name, msg string) *DomainResult {
-	return &DomainResult{
-		Domain: domain,
-		Addrs:  make(map[dnsname.Name][]netip.Addr),
-		Rounds: 1,
-		Err:    msg,
-	}
+// newResult starts domain's result with the invariants every result
+// holds, scanned or cancelled — Rounds >= 1 and a non-nil Addrs map — so
+// downstream consumers (aggregations that write into Addrs, JSONL
+// round-trips, the invariance harness) never special-case cancellation.
+func newResult(domain dnsname.Name) *DomainResult {
+	return &DomainResult{Domain: domain, Addrs: make(map[dnsname.Name][]netip.Addr), Rounds: 1}
 }
 
 // DomainSource feeds domains to ScanStream one at a time, in canonical

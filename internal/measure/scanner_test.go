@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +58,26 @@ func TestScanHealthyDomain(t *testing.T) {
 	}
 	if r.Rounds != 1 {
 		t.Errorf("Rounds = %d", r.Rounds)
+	}
+}
+
+// warmScanDomainAllocs is the heap-allocation ceiling for one warm,
+// healthy, untraced ScanDomain of city.gov.br. (two NS hosts, glue,
+// three exchanges). It is the value the inline-first fan-out and the
+// probe copy-out reached; before them, goroutines per domain and a
+// deep-cloned message per probe cost 113.
+const warmScanDomainAllocs = 62
+
+func TestScanDomainWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	_, s := newScanner(t)
+	ctx := scanCtx(t)
+	s.ScanDomain(ctx, "city.gov.br.")
+	allocs := testing.AllocsPerRun(100, func() { s.ScanDomain(ctx, "city.gov.br.") })
+	if allocs > warmScanDomainAllocs {
+		t.Errorf("warm healthy ScanDomain allocates %v times, ceiling %d", allocs, warmScanDomainAllocs)
 	}
 }
 
@@ -230,8 +250,8 @@ func TestScanCancelledContext(t *testing.T) {
 // TestScanMultiGlueChild pins the glue-handling fix: a delegation whose
 // single NS host carries several glue A records (inserted at the parent
 // in descending address order) must surface them in canonical
-// netip.Addr.Less order, sorted once when the glue map is built — not
-// per fan-out worker, where concurrent sorts of the shared slice raced.
+// netip.Addr.Less order, sorted in a slice the unit owns — not in one
+// shared by fan-out workers, where concurrent sorts raced.
 // Runs with fan-out > 1 so `make race` exercises the concurrent reads.
 func TestScanMultiGlueChild(t *testing.T) {
 	w := miniworld.Build()
@@ -261,34 +281,42 @@ func TestScanMultiGlueChild(t *testing.T) {
 	}
 }
 
-// TestGlueAddrsSortsOnce checks the map constructor directly: duplicate
-// host RRs append to one shared slice that must come out sorted, and
-// concurrent readers (as in fanEach) must find it already ordered.
+// TestGlueAddrsSortsOnce checks the glue lookup directly: a host's
+// duplicate RRs come out as one slice, sorted once by the unit that asked
+// for it, and concurrent units asking for the same host each get their
+// own slice, so no two of them sort or retain a shared one.
 func TestGlueAddrsSortsOnce(t *testing.T) {
 	host := dnsname.Name("ns1.multiglue.gov.br.")
+	other := dnsname.Name("ns2.multiglue.gov.br.")
 	rrs := []dnswire.RR{
 		{Name: host, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AData{Addr: netip.MustParseAddr("4.5.0.9")}},
+		{Name: other, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AData{Addr: netip.MustParseAddr("4.5.0.2")}},
 		{Name: host, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AData{Addr: netip.MustParseAddr("4.5.0.1")}},
 		{Name: host, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AData{Addr: netip.MustParseAddr("4.5.0.5")}},
 	}
-	glue := glueAddrs(rrs)
-	addrs := glue[host]
-	if len(addrs) != 3 {
-		t.Fatalf("glue[%s] = %v, want 3 addrs", host, addrs)
-	}
+	got := make([][]netip.Addr, 4)
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !sort.SliceIsSorted(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) }) {
-				t.Errorf("glue slice not pre-sorted: %v", addrs)
-			}
+			got[i], _ = glueAddrs(rrs, host)
 		}()
 	}
 	wg.Wait()
-	if glueAddrs(nil) != nil {
-		t.Error("glueAddrs(nil) != nil")
+	for i, addrs := range got {
+		if len(addrs) != 3 || !slices.IsSortedFunc(addrs, netip.Addr.Compare) {
+			t.Fatalf("glue for %s = %v, want its 3 addrs sorted", host, addrs)
+		}
+		if i > 0 && &addrs[0] == &got[0][0] {
+			t.Fatal("two lookups share one slice")
+		}
+	}
+	if addrs, ok := glueAddrs(rrs, "ns3.multiglue.gov.br."); ok || addrs != nil {
+		t.Errorf("glue for an absent host = %v, %v", addrs, ok)
+	}
+	if _, ok := glueAddrs(nil, host); ok {
+		t.Error("glueAddrs(nil) found glue")
 	}
 }
 

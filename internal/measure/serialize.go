@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
@@ -66,7 +66,7 @@ func toResultJSON(r *DomainResult) resultJSON {
 		out.Addrs = make(map[string][]string, len(r.Addrs))
 		for host, addrs := range r.Addrs {
 			sorted := append([]netip.Addr(nil), addrs...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+			slices.SortFunc(sorted, netip.Addr.Compare)
 			strs := make([]string, len(sorted))
 			for j, a := range sorted {
 				strs[j] = a.String()
@@ -118,12 +118,12 @@ func fromResultJSON(in *resultJSON) (*DomainResult, error) {
 			}
 			addrs = append(addrs, a)
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+		slices.SortFunc(addrs, netip.Addr.Compare)
 		out.Addrs[name] = addrs
 	}
 	for _, sj := range in.Servers {
 		sr := ServerResponse{
-			Host: sj.Host, OK: sj.OK, RCode: dnswireRCode(sj.RCode),
+			Host: sj.Host, OK: sj.OK, RCode: dnswire.RCode(sj.RCode),
 			Authoritative: sj.Authoritative, NS: sj.NS, Err: sj.Err,
 		}
 		if sj.Addr != "" {
@@ -175,7 +175,3 @@ func ReadJSONL(r io.Reader) ([]*DomainResult, error) {
 	}
 	return results, nil
 }
-
-// dnswireRCode converts the serialized rcode byte back to the typed
-// value.
-func dnswireRCode(v uint8) dnswire.RCode { return dnswire.RCode(v) }

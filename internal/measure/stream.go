@@ -28,6 +28,15 @@ import (
 // waiting for an earlier index. Together with the worker count it caps
 // the streaming scan's in-flight memory at O(buffer + workers), however
 // many domains the source yields.
+//
+// A bigger window is not a free speed-up. Measured at seed 42, raising
+// it to 2,048 / 4,096 / unbounded takes scan_sim_mix from 4.55k to
+// 6.80k / 8.89k / 8.66k domains/s but op_p50_ms from 215 to 261 / 274 /
+// 271 ms, past the benchmark's 25% bound: lines leave in input order, so
+// every domain waits behind the walk-failure domains, each of which
+// tries every dead server of its parent in turn, in both rounds (up to
+// 205 ms at p90). Those walks must get shorter before the window grows
+// (DESIGN.md § 5).
 const DefaultStreamMaxBuffer = 1024
 
 // DefaultCheckpointEvery is how many emitted results separate two

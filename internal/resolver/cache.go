@@ -34,35 +34,6 @@ type hostEntry struct {
 	err   error
 }
 
-// hostCache maps NS hostnames to their resolution outcome.
-type hostCache struct {
-	shards [cacheShards]struct {
-		mu sync.Mutex
-		m  map[dnsname.Name]hostEntry
-	}
-}
-
-func (c *hostCache) get(name dnsname.Name) (hostEntry, bool) {
-	s := &c.shards[shardIndex(name)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[name]
-	return e, ok
-}
-
-func (c *hostCache) put(name dnsname.Name, e hostEntry) {
-	// Own the key: cache entries outlive any codec arena a caller's name
-	// might still be borrowing (a no-op copy for already-owned names).
-	name = name.Own()
-	s := &c.shards[shardIndex(name)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[dnsname.Name]hostEntry)
-	}
-	s.m[name] = e
-}
-
 // zoneEntry is one zone cache slot: either a discovered server set or a
 // negative entry recording why the zone could not be built (err != nil).
 // Negative entries let every domain under a broken intermediate zone fail
@@ -72,15 +43,16 @@ type zoneEntry struct {
 	err error
 }
 
-// zoneCache maps zone apexes to their server sets, sharded like hostCache.
-type zoneCache struct {
+// nameCache maps names — NS hostnames to hostEntry, zone apexes to
+// zoneEntry — in cacheShards independently locked segments.
+type nameCache[E any] struct {
 	shards [cacheShards]struct {
 		mu sync.Mutex
-		m  map[dnsname.Name]zoneEntry
+		m  map[dnsname.Name]E
 	}
 }
 
-func (c *zoneCache) get(name dnsname.Name) (zoneEntry, bool) {
+func (c *nameCache[E]) get(name dnsname.Name) (E, bool) {
 	s := &c.shards[shardIndex(name)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,14 +60,15 @@ func (c *zoneCache) get(name dnsname.Name) (zoneEntry, bool) {
 	return e, ok
 }
 
-func (c *zoneCache) put(name dnsname.Name, e zoneEntry) {
-	// Own the key; see hostCache.put.
+func (c *nameCache[E]) put(name dnsname.Name, e E) {
+	// Own the key: cache entries outlive any codec arena a caller's name
+	// might still be borrowing (a no-op copy for already-owned names).
 	name = name.Own()
 	s := &c.shards[shardIndex(name)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		s.m = make(map[dnsname.Name]zoneEntry)
+		s.m = make(map[dnsname.Name]E)
 	}
 	s.m[name] = e
 }

@@ -137,8 +137,11 @@ type Stats struct {
 	// HostCacheHits counts host resolutions served from cache;
 	// HostCacheMisses counts full lookups actually performed.
 	HostCacheHits, HostCacheMisses uint64
-	// ZoneCacheHits counts zone-server sets served from cache;
-	// ZoneCacheMisses counts zone builds actually performed.
+	// ZoneCacheHits counts referrals naming an already cached zone;
+	// ZoneCacheMisses counts zone builds actually performed. The cached
+	// closest enclosing zone each walk starts from counts as neither, so
+	// the hit share reads low on a warm scan whose walks all start from
+	// cache (TestZoneCacheCountersSkipWalkStart).
 	ZoneCacheHits, ZoneCacheMisses uint64
 	// NegativeHits counts host or zone requests answered from a cached
 	// failure.
@@ -207,8 +210,9 @@ func (c *Client) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// wirePool returns the arena pool queries run on.
-func (c *Client) wirePool() *dnswire.Pool {
+// ArenaPool returns the pool the client's queries take their codec
+// arenas from: WirePool, or dnswire.DefaultPool when that is unset.
+func (c *Client) ArenaPool() *dnswire.Pool {
 	if c.WirePool != nil {
 		return c.WirePool
 	}
@@ -225,10 +229,10 @@ func (c *Client) retries() int {
 	return DefaultRetries
 }
 
-// Trace is the per-query fault breakdown filled by QueryTraced: how many
-// attempts the query took and how many responses each rejection class
-// discarded along the way. The measurement layer aggregates traces into
-// per-domain fault counters.
+// Trace is the per-query fault breakdown filled by QueryArenaTraced: how
+// many attempts the query took and how many responses each rejection
+// class discarded along the way. The measurement layer aggregates traces
+// into per-domain fault counters.
 type Trace struct {
 	// Attempts counts query attempts made (1 for a clean first answer).
 	Attempts int
@@ -248,26 +252,19 @@ func (tr Trace) Rejects() int {
 }
 
 // Query sends (name, qtype) to the server and returns the decoded,
-// validated response. Transient failures — timeouts, rejected or
+// validated response, owned by the caller (a deep copy off the arena the
+// exchange ran on). Transient failures — timeouts, rejected or
 // truncated responses — are retried up to c.Retries times; the returned
 // error wraps ErrTimeout when every attempt timed out, or the last
 // rejection otherwise.
 func (c *Client) Query(ctx context.Context, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
-	resp, _, err := c.QueryTraced(ctx, server, name, qtype)
-	return resp, err
-}
-
-// QueryTraced is Query plus the per-query fault trace. The trace is
-// meaningful even when err is non-nil: it records what the wire did to
-// this query.
-func (c *Client) QueryTraced(ctx context.Context, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, Trace, error) {
-	a := c.wirePool().Get()
+	a := c.ArenaPool().Get()
 	defer a.Finish()
-	resp, tr, err := c.QueryArenaTraced(ctx, a, server, name, qtype)
+	resp, err := c.QueryArena(ctx, a, server, name, qtype)
 	if resp != nil {
 		resp = resp.Owned()
 	}
-	return resp, tr, err
+	return resp, err
 }
 
 // QueryArena is Query on a caller-supplied codec arena. The response
@@ -282,8 +279,9 @@ func (c *Client) QueryArena(ctx context.Context, a *dnswire.Arena, server netip.
 }
 
 // QueryArenaTraced is QueryArena plus the per-query fault trace, and the
-// single implementation behind every query entry point. The response
-// borrows a (see QueryArena).
+// single implementation behind every query entry point. The trace is
+// meaningful even when err is non-nil: it records what the wire did to
+// this query. The response borrows a (see QueryArena).
 func (c *Client) QueryArenaTraced(ctx context.Context, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (resp *dnswire.Message, tr Trace, err error) {
 	rec, parent := trace.From(ctx)
 	qspan := trace.NoSpan

@@ -1,17 +1,17 @@
 package resolver
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
+	"govdns/internal/fanout"
 	"govdns/internal/trace"
 )
 
@@ -106,22 +106,18 @@ func (d *Delegation) Hosts() []dnsname.Name {
 	return nsHosts(d.NSRecords)
 }
 
+// nsHosts returns the NS host names of records, sorted and deduplicated.
+// The names alias records: a caller holding arena-borrowed records owns
+// them (zoneFromReferral does).
 func nsHosts(records []dnswire.RR) []dnsname.Name {
-	seen := make(map[dnsname.Name]bool, len(records))
-	var out []dnsname.Name
+	out := make([]dnsname.Name, 0, len(records))
 	for _, rr := range records {
-		ns, ok := rr.Data.(dnswire.NSData)
-		if !ok || seen[ns.Host] {
-			continue
+		if ns, ok := rr.Data.(dnswire.NSData); ok {
+			out = append(out, ns.Host)
 		}
-		seen[ns.Host] = true
-		// The records may borrow a codec arena (zone builds pass referral
-		// sections straight off the wire); the host list outlives the
-		// packet — it is cached inside ZoneServers — so own each name here.
-		out = append(out, ns.Host.Own())
 	}
 	slices.SortFunc(out, dnsname.Compare)
-	return out
+	return slices.Compact(out)
 }
 
 // Iterator performs iterative resolution from root hints. It caches
@@ -142,12 +138,12 @@ type Iterator struct {
 	// first-listed nameserver is dead costs every query against that
 	// zone a full timeout before the responsive server is asked.
 	// Defaults to true from NewIterator; only the order of
-	// infrastructure queries changes — measurement probes go through
-	// Client.Query directly and are never reordered.
+	// infrastructure queries changes — measurement probes ask one named
+	// address each and are never reordered.
 	AdaptiveOrder bool
 
-	hosts hostCache
-	zones zoneCache
+	hosts nameCache[hostEntry]
+	zones nameCache[zoneEntry]
 
 	hostFlight flightGroup[[]netip.Addr]
 	zoneFlight flightGroup[*ZoneServers]
@@ -284,7 +280,7 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 	// One codec arena per step: the response borrows it, and everything
 	// that outlives the step — the Delegation's record sections, the next
 	// zone's host names — is deep-copied at the choke points below.
-	a := it.client.wirePool().Get()
+	a := it.client.ArenaPool().Get()
 	defer a.Finish()
 
 	resp, _, err := it.queryAny(ctx, a, current, name, dnswire.TypeNS, depth)
@@ -421,17 +417,23 @@ func (it *Iterator) zoneFromReferral(ctx context.Context, zoneName dnsname.Name,
 		Hosts: nsHosts(nsRecords),
 		Addrs: make(map[dnsname.Name][]netip.Addr, len(nsRecords)),
 	}
+	// The records borrow a codec arena (referral sections straight off
+	// the wire); the host list outlives the packet — it is cached inside
+	// ZoneServers — so own each name here.
+	for i, host := range zs.Hosts {
+		zs.Hosts[i] = host.Own()
+	}
 	glueByHost := make(map[dnsname.Name][]netip.Addr)
 	for _, rr := range glue {
 		if a, ok := rr.Data.(dnswire.AData); ok {
 			glueByHost[rr.Name] = append(glueByHost[rr.Name], a.Addr)
 		}
 	}
-	// Glue-less hosts need full resolutions; run them with bounded
-	// fan-out, writing into an index-ordered slice. Each resolution is
-	// itself cached and coalesced, so the concurrency only overlaps
-	// waits (mostly timeout walks for dangling hosts), never duplicates
-	// work.
+	// Glue-less hosts need full resolutions; run them through the
+	// inline-first fan-out, writing into an index-ordered slice. Each
+	// resolution is itself cached and coalesced, so the concurrency only
+	// overlaps waits (mostly timeout walks for dangling hosts), never
+	// duplicates work.
 	resolved := make([][]netip.Addr, len(zs.Hosts))
 	errs := make([]error, len(zs.Hosts))
 	var need []int
@@ -446,29 +448,10 @@ func (it *Iterator) zoneFromReferral(ctx context.Context, zoneName dnsname.Name,
 		rec.Annotate(span, trace.Int("hosts", int64(len(zs.Hosts))),
 			trace.Int("glueless", int64(len(need))))
 	}
-	fan := min(DefaultBuildFanout, len(need))
-	if fan <= 1 {
-		for _, i := range need {
-			resolved[i], errs[i] = it.resolveHost(ctx, zs.Hosts[i], depth+1)
-		}
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < fan; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					resolved[i], errs[i] = it.resolveHost(ctx, zs.Hosts[i], depth+1)
-				}
-			}()
-		}
-		for _, i := range need {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	fanout.Each(len(need), DefaultBuildFanout, func(k int) {
+		i := need[k]
+		resolved[i], errs[i] = it.resolveHost(ctx, zs.Hosts[i], depth+1)
+	})
 	anyAddr := false
 	depthLimited := false
 	var transientErr error
@@ -603,7 +586,7 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) ([
 	// previous response, which is exactly the loop's access pattern, and
 	// every value that escapes (addresses, the CNAME target, zone names)
 	// is copied or owned below.
-	a := it.client.wirePool().Get()
+	a := it.client.ArenaPool().Get()
 	defer a.Finish()
 
 	current := it.cachedZone(host)
@@ -627,7 +610,7 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) ([
 				addrs = append(addrs, rr.Data.(dnswire.AData).Addr)
 			}
 			if len(addrs) > 0 {
-				sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+				slices.SortFunc(addrs, netip.Addr.Compare)
 				return addrs, nil
 			}
 		}
@@ -689,7 +672,7 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 		fails int32
 	}
 	servers := &it.client.servers
-	var cands []candidate
+	cands := make([]candidate, 0, len(zs.Hosts))
 	var unresolved []dnsname.Name
 	for _, host := range zs.Hosts {
 		addrs := zs.Addrs[host]
@@ -704,22 +687,15 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 		}
 	}
 	if it.AdaptiveOrder && len(cands) > 1 {
-		rec, parent := trace.From(ctx)
-		var before []candidate
-		if rec != nil {
-			before = append([]candidate(nil), cands...)
-		}
 		for i := range cands {
 			cands[i].fails = servers.failures(cands[i].addr)
 		}
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].fails < cands[j].fails })
-		if rec != nil {
-			for i := range cands {
-				if cands[i].addr != before[i].addr {
-					rec.Event(parent, trace.KindReorder, string(zs.Zone),
-						trace.Str("first", cands[0].addr.String()))
-					break
-				}
+		byFails := func(a, b candidate) int { return cmp.Compare(a.fails, b.fails) }
+		if !slices.IsSortedFunc(cands, byFails) {
+			slices.SortStableFunc(cands, byFails)
+			if rec, parent := trace.From(ctx); rec != nil {
+				rec.Event(parent, trace.KindReorder, string(zs.Zone),
+					trace.Str("first", cands[0].addr.String()))
 			}
 		}
 	}
@@ -767,6 +743,6 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 	if len(fails) == 0 {
 		return nil, netip.Addr{}, fmt.Errorf("%w: zone %s", ErrNoServers, zs.Zone)
 	}
-	sort.Slice(fails, func(i, j int) bool { return fails[i].addr.Less(fails[j].addr) })
+	slices.SortFunc(fails, func(a, b failure) int { return a.addr.Compare(b.addr) })
 	return nil, netip.Addr{}, fails[0].err
 }

@@ -141,6 +141,36 @@ func TestResolveHostCaching(t *testing.T) {
 	_ = c
 }
 
+// TestZoneCacheCountersSkipWalkStart pins what the zone-cache counters
+// count. The first walk to city.gov.br. builds br. and gov.br. (two
+// misses). The walk to its sibling lame.gov.br. then starts at the
+// cached gov.br. — one query, to gov.br.'s servers — and moves neither
+// counter: the closest-enclosing lookup that starts a walk is not a
+// counted hit; only a referral naming an already cached zone is.
+func TestZoneCacheCountersSkipWalkStart(t *testing.T) {
+	_, _, it := newFixture(t)
+	ctx := ctxWithTimeout(t)
+	if _, err := it.Delegation(ctx, "city.gov.br."); err != nil {
+		t.Fatal(err)
+	}
+	before := it.Stats()
+	if before.ZoneCacheMisses != 2 || before.ZoneCacheHits != 0 {
+		t.Fatalf("cold walk: zone cache hits/misses = %d/%d, want 0/2",
+			before.ZoneCacheHits, before.ZoneCacheMisses)
+	}
+	if _, err := it.Delegation(ctx, "lame.gov.br."); err != nil {
+		t.Fatal(err)
+	}
+	after := it.Stats()
+	if sent := after.Sent - before.Sent; sent != 1 {
+		t.Errorf("sibling walk sent %d queries, want 1 (from the cached parent)", sent)
+	}
+	if after.ZoneCacheHits != before.ZoneCacheHits || after.ZoneCacheMisses != before.ZoneCacheMisses {
+		t.Errorf("sibling walk moved zone cache hits/misses %d/%d -> %d/%d, want unchanged",
+			before.ZoneCacheHits, before.ZoneCacheMisses, after.ZoneCacheHits, after.ZoneCacheMisses)
+	}
+}
+
 func TestNegativeCaching(t *testing.T) {
 	_, _, it := newFixture(t)
 	ctx := ctxWithTimeout(t)
@@ -210,7 +240,7 @@ func TestZoneServersAllAddrs(t *testing.T) {
 func classifyOne(t *testing.T, mutate func(r *dnswire.Message)) (Trace, Stats, error) {
 	t.Helper()
 	c := NewClient(nil)
-	a := c.wirePool().Get()
+	a := c.ArenaPool().Get()
 	defer a.Finish()
 	q := a.NewQuery(5, "x.example.", dnswire.TypeA)
 	r := dnswire.NewResponse(q)

@@ -58,7 +58,7 @@ func (r *serverRecord) recentlyAccepted(id uint16) bool {
 }
 
 // serverTable is the client's one address-keyed structure, sharded by
-// address like hostCache is by name. Records are pointer-stable and
+// address like nameCache is by name. Records are pointer-stable and
 // never removed, so a caller looks an address up once and then works on
 // the record.
 type serverTable struct {

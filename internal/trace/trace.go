@@ -59,7 +59,7 @@ const (
 	KindProbe                  // one child NS query to one address
 
 	// Client layer (internal/resolver client).
-	KindQuery    // one QueryTraced call (all attempts)
+	KindQuery    // one QueryArenaTraced call (all attempts)
 	KindAttempt  // one retry attempt
 	KindExchange // one wire exchange (send + recv/discard loop entry)
 
