@@ -68,18 +68,18 @@ chaos:
 	$(GO) test -race ./internal/chaos
 	$(GO) test -race -run 'Chaos|Invariance' ./internal/measure ./internal/resolver
 
-# fuzz gives each fuzz target — the readers of foreign bytes, and the
-# name order every sorted output depends on — a short budget; raise
-# FUZZTIME for a real session.
+# fuzz gives every fuzz target in the tree — the readers of foreign
+# bytes, and the name order every sorted output depends on — a short
+# budget; raise FUZZTIME for a real session. The targets are whatever
+# `go test -list '^Fuzz'` finds in each package, so a new one runs
+# without an edit here.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/dnswire
-	$(GO) test -run '^$$' -fuzz FuzzEncodeNames -fuzztime $(FUZZTIME) ./internal/dnswire
-	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime $(FUZZTIME) ./internal/dnswire
-	$(GO) test -run '^$$' -fuzz FuzzTCPFraming -fuzztime $(FUZZTIME) ./internal/authserver
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime $(FUZZTIME) ./internal/measure
-	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) ./internal/measure
-	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME) ./internal/pdns
-	$(GO) test -run '^$$' -fuzz FuzzCompare -fuzztime $(FUZZTIME) ./internal/dnsname
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "$$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # check is the tier-1 verify: everything a PR must keep green. The
 # race target runs the whole tree — including the chaos and invariance

@@ -1,11 +1,13 @@
 package authserver
 
 import (
+	"context"
 	"sync"
 	"time"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
+	"govdns/internal/memo"
 	"govdns/internal/obs"
 )
 
@@ -46,34 +48,17 @@ type cacheKey struct {
 // cacheEntry is a rendered response template: the wire bytes encoded
 // with ID zero and the RD bit clear, plus its expiry. A hit copies the
 // template and patches the two ID bytes and the RD bit back in — the
-// only header state that varies between queries sharing a key.
+// only header state that varies between queries sharing a key. An
+// uncacheable render (expires zero) still reaches the renders coalesced
+// onto it, but is never kept.
 type cacheEntry struct {
 	template []byte
 	expires  int64 // unixNano
 }
 
-// cacheFlight coalesces concurrent renders of one key, the resolver's
-// singleflight idiom reduced to the server's needs (no context, no
-// bound: rendering is local and fast, so followers always wait).
-type cacheFlight struct {
-	done     chan struct{}
-	template []byte // nil when the render proved uncacheable
-	ok       bool
-}
-
-// cacheShards keeps shard-lock contention negligible at serving
-// parallelism, mirroring the resolver-side cache layout.
-const cacheShards = 32
-
 // maxCacheTTL caps how long a rendered response may be served, guarding
 // against zones authored with absurd TTLs pinning stale data.
 const maxCacheTTL = 24 * time.Hour
-
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-	flights map[cacheKey]*cacheFlight
-}
 
 // ResponseCache is a sharded, singleflight-protected, TTL-aware cache of
 // rendered wire responses. It sits between decode and render on the
@@ -87,7 +72,7 @@ type cacheShard struct {
 // and are never cached. Expired entries are evicted lazily on lookup and
 // in bulk by SweepExpired.
 type ResponseCache struct {
-	shards [cacheShards]cacheShard
+	t *memo.Table[cacheKey, cacheEntry]
 
 	// now is the clock, swappable in tests to force expiry.
 	now func() time.Time
@@ -101,12 +86,7 @@ type ResponseCache struct {
 
 // NewResponseCache returns an empty cache.
 func NewResponseCache() *ResponseCache {
-	c := &ResponseCache{now: time.Now}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
-		c.shards[i].flights = make(map[cacheKey]*cacheFlight)
-	}
-	return c
+	return &ResponseCache{t: memo.New[cacheKey, cacheEntry](hashKey), now: time.Now}
 }
 
 // AttachRegistry resolves the cache's counters from r. First attachment
@@ -121,123 +101,78 @@ func (c *ResponseCache) AttachRegistry(r *obs.Registry) {
 	})
 }
 
-// shardFor hashes the key's name (FNV-1a, written out so the hot path
-// never allocates a hasher) and folds in the discriminating fields.
-func (c *ResponseCache) shardFor(k cacheKey) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.name); i++ {
-		h = (h ^ uint32(k.name[i])) * 16777619
-	}
+// hashKey hashes the key's name and folds in the discriminating fields.
+func hashKey(k cacheKey) uint32 {
+	h := dnsname.Hash(k.name)
 	h ^= uint32(k.qtype)<<16 | uint32(k.limit)
 	h ^= uint32(k.class) << 8
 	if k.opt {
 		h ^= 1 << 9
 	}
-	return &c.shards[h%cacheShards]
+	return h
 }
 
-// get returns the live template for k, or nil. Expired entries are
+// expiredBy returns the staleness test for entries at time now.
+func expiredBy(now int64) func(cacheEntry) bool {
+	return func(e cacheEntry) bool { return now >= e.expires }
+}
+
+// get returns the live template for k, or nil. An expired entry is
 // evicted on the way out.
 func (c *ResponseCache) get(k cacheKey) []byte {
-	sh := c.shardFor(k)
 	now := c.now().UnixNano()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[k]
-	if !ok {
-		c.misses.Inc()
-		return nil
+	e, ok := c.t.Get(k)
+	if ok && now < e.expires {
+		c.hits.Inc()
+		return e.template
 	}
-	if now >= e.expires {
-		delete(sh.entries, k)
+	if ok && c.t.Evict(k, expiredBy(now)) {
 		c.evictions.Inc()
-		c.misses.Inc()
-		return nil
 	}
-	c.hits.Inc()
-	return e.template
+	c.misses.Inc()
+	return nil
 }
 
 // do renders the template for k via render and stores it when render
 // reports it cacheable (ttl > 0). Callers invoke do only after get
-// missed — get carries the hit/miss accounting — and do re-checks under
-// the shard lock, so concurrent callers for one key coalesce onto a
-// single render. ok reports whether the template was (already) stored.
+// missed — get carries the hit/miss accounting — and concurrent callers
+// for one key coalesce onto a single render. ok reports whether the
+// template was (already) stored.
 //
 // render must return a heap-owned template (no arena aliasing): the
 // bytes outlive the rendering exchange.
 func (c *ResponseCache) do(k cacheKey, render func() ([]byte, time.Duration)) (template []byte, ok bool) {
-	// Own the key's name before it can be stored in a map: on the serving
+	// Own the key's name before it can enter the table: on the serving
 	// path it aliases the decode arena's scratch until this point.
 	k.name = k.name.Own()
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if e, live := sh.entries[k]; live && c.now().UnixNano() < e.expires {
-		// Raced with another renderer that already finished.
-		sh.mu.Unlock()
-		c.hits.Inc()
-		return e.template, true
-	}
-	if f, inflight := sh.flights[k]; inflight {
-		sh.mu.Unlock()
-		c.coalesced.Inc()
-		<-f.done
-		return f.template, f.ok
-	}
-	f := &cacheFlight{done: make(chan struct{})}
-	sh.flights[k] = f
-	sh.mu.Unlock()
-
-	tmpl, ttl := render()
-	if ttl > maxCacheTTL {
-		ttl = maxCacheTTL
-	}
-	cacheable := tmpl != nil && ttl > 0
-	f.template, f.ok = tmpl, cacheable
-
-	sh.mu.Lock()
-	delete(sh.flights, k)
-	if cacheable {
-		sh.entries[k] = &cacheEntry{
-			template: tmpl,
-			expires:  c.now().Add(ttl).UnixNano(),
+	// Rendering is local and fast, so a coalesced render always waits:
+	// no bound, and no context to abandon it.
+	e, how, _ := c.t.Do(context.Background(), k, 0, func() (cacheEntry, bool, error) {
+		tmpl, ttl := render()
+		if tmpl == nil || ttl <= 0 {
+			return cacheEntry{template: tmpl}, false, nil
 		}
+		return cacheEntry{template: tmpl, expires: c.now().Add(min(ttl, maxCacheTTL)).UnixNano()}, true, nil
+	})
+	switch how {
+	case memo.Hit:
+		// Raced with another renderer that already finished.
+		c.hits.Inc()
+	case memo.Coalesced:
+		c.coalesced.Inc()
 	}
-	sh.mu.Unlock()
-	close(f.done)
-	return tmpl, cacheable
+	return e.template, e.expires != 0
 }
 
 // Len returns the number of live entries (expired-but-unswept entries
 // included; Len is a diagnostic, not a promise).
-func (c *ResponseCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (c *ResponseCache) Len() int { return c.t.Len() }
 
 // SweepExpired evicts every expired entry and reports how many went.
 // Serving loops may call it periodically; correctness never depends on
 // it because get evicts lazily.
 func (c *ResponseCache) SweepExpired() int {
-	now := c.now().UnixNano()
-	evicted := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if now >= e.expires {
-				delete(sh.entries, k)
-				evicted++
-			}
-		}
-		sh.mu.Unlock()
-	}
+	evicted := c.t.Sweep(expiredBy(c.now().UnixNano()))
 	if evicted > 0 {
 		c.evictions.Add(uint64(evicted))
 	}

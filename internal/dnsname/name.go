@@ -94,6 +94,15 @@ func checkLabel(label string) error {
 // String returns the canonical presentation form, including the trailing dot.
 func (n Name) String() string { return string(n) }
 
+// Hash returns n's FNV-1a hash, the shard key of tables keyed by name.
+func Hash(n Name) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(n); i++ {
+		h = (h ^ uint32(n[i])) * 16777619
+	}
+	return h
+}
+
 // IsRoot reports whether n is the DNS root.
 func (n Name) IsRoot() bool { return n == Root }
 

@@ -13,8 +13,9 @@ import (
 // on an arena *borrow* it — their names alias the arena's scratch, their
 // record sections alias its backing arrays — and are valid only until
 // the next Decode on the same arena or Finish, whichever comes first.
-// Anything that must outlive the packet goes through Message.Owned,
-// CloneRRs, or dnsname.Name.Own at a choke point. The design follows the
+// Anything that must outlive the packet goes through CloneRRs or
+// dnsname.Name.Own at a choke point; Decode alone hands out messages that
+// need neither, by decoding onto an arena no pool ever reuses. The design follows the
 // trace flight recorder's span arenas (PR 4); the rules are written up
 // in DESIGN.md §10.
 
@@ -192,25 +193,6 @@ func (a *Arena) NewResponse(q *Message) *Message {
 		Questions: q.Questions,
 	}
 	return &a.qslot
-}
-
-// Owned returns a deep copy of m with every name and payload buffer on
-// the Go heap, safe to retain after the arena that produced m is reused
-// or finished. It is the message-granularity release of the borrow
-// contract (see CloneRRs for section granularity).
-func (m *Message) Owned() *Message {
-	out := &Message{Header: m.Header}
-	if len(m.Questions) > 0 {
-		out.Questions = make([]Question, len(m.Questions))
-		for i, q := range m.Questions {
-			q.Name = q.Name.Own()
-			out.Questions[i] = q
-		}
-	}
-	out.Answers = CloneRRs(m.Answers)
-	out.Authority = CloneRRs(m.Authority)
-	out.Additional = CloneRRs(m.Additional)
-	return out
 }
 
 // CloneRRs deep-copies a record slice, owning every name and payload

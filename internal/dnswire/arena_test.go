@@ -126,9 +126,10 @@ func TestDecodeCanonicalisesCase(t *testing.T) {
 }
 
 // TestDecodeSlowPathParity exercises names the fast path cannot take —
-// a dot inside a wire label (legacy Parse re-splits and accepts it) and
-// a forbidden character (legacy Parse rejects with specific text) — and
-// asserts the arena decoder preserves both outcomes.
+// a dot inside a wire label (legacy Parse re-splits and accepts it), a
+// forbidden character and a name over 255 bytes (legacy Parse rejects
+// both with specific text) — and asserts the arena decoder preserves
+// every outcome.
 func TestDecodeSlowPathParity(t *testing.T) {
 	// Hand-build a query whose qname is the single 5-byte label "a.b.c".
 	header := []byte{0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
@@ -149,11 +150,25 @@ func TestDecodeSlowPathParity(t *testing.T) {
 	} else if want := `contains '!'`; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not preserve legacy text %q", err, want)
 	}
+
+	// Five 63-byte labels: a clean name of 319 bytes.
+	long := append([]byte{}, header...)
+	label := strings.Repeat("a", 63)
+	for range 5 {
+		long = append(append(long, 63), label...)
+	}
+	long = append(long, 0x00, 0x00, 0x02, 0x00, 0x01)
+	want := fmt.Sprintf("dnswire: bad name: dnsname: name too long: %q has 319 bytes", strings.Repeat(label+".", 4)+label)
+	if _, err := Decode(long); err == nil {
+		t.Fatal("Decode accepted a 319-byte name")
+	} else if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error %q does not end with legacy text %q", err, want)
+	}
 }
 
 // TestArenaAliasSafety is the borrow-contract regression test: names
 // decoded from a packet must not alias the packet (mutating the source
-// buffer after decode changes nothing), and Own()/Owned() copies must
+// buffer after decode changes nothing), and Own()/CloneRRs copies must
 // survive the arena being reused and recycled.
 func TestArenaAliasSafety(t *testing.T) {
 	pool := NewPool()
@@ -166,7 +181,6 @@ func TestArenaAliasSafety(t *testing.T) {
 	}
 	borrowedHost := m.Authority[0].Data.(NSData).Host
 	ownedHost := borrowedHost.Own()
-	ownedMsg := m.Owned()
 	ownedGlue := CloneRRs(m.Additional)
 
 	// Mutate the source packet: decoded names live in the arena, not the
@@ -200,18 +214,9 @@ func TestArenaAliasSafety(t *testing.T) {
 	if ownedHost != "ns1.registro.br." {
 		t.Fatalf("owned name did not survive arena reuse: %q", ownedHost)
 	}
-	if got := ownedMsg.Authority[0].Data.(NSData).Host; got != "ns1.registro.br." {
-		t.Fatalf("Owned() message did not survive arena reuse: %q", got)
-	}
-	if got := ownedMsg.Additional[0].Name; got != "ns1.registro.br." {
-		t.Fatalf("Owned() record name did not survive arena reuse: %q", got)
-	}
 	for i, want := range []string{"203.0.113.10", "203.0.113.11"} {
 		if got := ownedGlue[i].Data.(AData).Addr; got != netip.MustParseAddr(want) {
 			t.Fatalf("CloneRRs glue %d did not survive slab rewrite: %v (want %s)", i, got, want)
-		}
-		if got := ownedMsg.Additional[i].Data.(AData).Addr; got != netip.MustParseAddr(want) {
-			t.Fatalf("Owned() glue %d did not survive slab rewrite: %v (want %s)", i, got, want)
 		}
 	}
 }

@@ -33,24 +33,19 @@ type decoder struct {
 }
 
 // Decode parses a wire-format DNS message into an owned Message, safe to
-// retain indefinitely. It is the allocating convenience form of
-// Arena.Decode; hot paths check an arena out of a Pool and decode onto
-// it directly.
+// retain indefinitely: it decodes onto a fresh arena that never goes back
+// to a pool, so nothing ever reuses the storage the message borrows. It
+// is the allocating convenience form of Arena.Decode; hot paths check an
+// arena out of a Pool and decode onto it directly.
 func Decode(wire []byte) (*Message, error) {
-	a := DefaultPool.Get()
-	defer a.Finish()
-	m, err := a.Decode(wire)
-	if err != nil {
-		return nil, err
-	}
-	return m.Owned(), nil
+	return new(Arena).Decode(wire)
 }
 
 // Decode parses a wire-format DNS message into the arena. The returned
 // message borrows the arena: its names alias the arena scratch and its
 // sections alias the arena record array, so it is valid only until the
-// next Decode on this arena or Finish. Retain it with Message.Owned (or
-// its parts with CloneRRs / Name.Own).
+// next Decode on this arena or Finish. Retain its parts with CloneRRs /
+// Name.Own.
 //
 // An arena holds one decoded message at a time; Decode invalidates the
 // previous one.
@@ -388,47 +383,23 @@ func (d *decoder) finishName(start, startPos, labels int, clean bool) (dnsname.N
 	return nameSlow(d.buf, startPos)
 }
 
-// nameSlow is the pre-arena name decoder, kept verbatim as the fallback
-// for names outside the fast path's charset or length. The structural
-// walk has already succeeded by the time it runs, so only label
-// collection and the Parse outcome matter — both byte-identical to the
-// legacy decoder, including error text.
+// nameSlow is the pre-arena name decoder's label collection, kept as the
+// fallback for names outside the fast path's charset or length, so that
+// accepted names and error text stay byte-identical with the legacy
+// decoder. It runs only after decoder.name has walked the same bytes
+// without error — every pointer backward, every label in bounds, at most
+// 32 jumps and 127 labels — so it repeats none of those checks.
 func nameSlow(buf []byte, pos int) (dnsname.Name, error) {
 	var labels []string
-	jumps := 0
-	for {
-		if pos >= len(buf) {
-			return "", fmt.Errorf("%w: name runs past buffer", ErrTruncatedMessage)
+	for b := buf[pos]; b != 0; b = buf[pos] {
+		if b&0xC0 == 0xC0 {
+			pos = int(binary.BigEndian.Uint16(buf[pos:]) & 0x3FFF)
+			continue
 		}
-		b := buf[pos]
-		switch {
-		case b == 0:
-			return joinLabels(labels)
-		case b&0xC0 == 0xC0:
-			if pos+1 >= len(buf) {
-				return "", fmt.Errorf("%w: pointer at end of buffer", ErrTruncatedMessage)
-			}
-			target := int(binary.BigEndian.Uint16(buf[pos:]) & 0x3FFF)
-			if target >= pos {
-				return "", fmt.Errorf("%w: forward pointer %d at offset %d", ErrBadPointer, target, pos)
-			}
-			if jumps++; jumps > 32 {
-				return "", fmt.Errorf("%w: >32 jumps", ErrBadPointer)
-			}
-			pos = target
-		case b&0xC0 != 0:
-			return "", fmt.Errorf("%w: reserved label type %#x", ErrBadName, b&0xC0)
-		default:
-			if pos+1+int(b) > len(buf) {
-				return "", fmt.Errorf("%w: label of %d bytes", ErrTruncatedMessage, b)
-			}
-			labels = append(labels, string(buf[pos+1:pos+1+int(b)]))
-			if len(labels) > 127 {
-				return "", fmt.Errorf("%w: too many labels", ErrBadName)
-			}
-			pos += 1 + int(b)
-		}
+		labels = append(labels, string(buf[pos+1:pos+1+int(b)]))
+		pos += 1 + int(b)
 	}
+	return joinLabels(labels)
 }
 
 func joinLabels(labels []string) (dnsname.Name, error) {

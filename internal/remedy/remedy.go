@@ -254,9 +254,11 @@ func (ap *Applier) syncParent(ctx context.Context, action Action) (bool, error) 
 // csyncAllows queries the child's nameservers for a CSYNC record with
 // the immediate flag covering NS.
 func (ap *Applier) csyncAllows(ctx context.Context, action Action) (bool, error) {
+	a := ap.Client.ArenaPool().Get()
+	defer a.Finish()
 	for _, host := range action.NewNS {
 		for _, addr := range ap.Active.AddrsOf(host) {
-			resp, err := ap.Client.Query(ctx, addr, action.Domain, dnswire.TypeCSYNC)
+			resp, err := ap.Client.QueryArena(ctx, a, addr, action.Domain, dnswire.TypeCSYNC)
 			if err != nil {
 				continue
 			}

@@ -1,74 +1,94 @@
 package resolver
 
 import (
-	"net/netip"
-	"sync"
+	"context"
+	"errors"
+	"fmt"
+	"time"
 
 	"govdns/internal/dnsname"
+	"govdns/internal/memo"
+	"govdns/internal/obs"
+	"govdns/internal/trace"
 )
 
-// cacheShards is the number of independently locked segments in each of
-// the iterator's caches. Bulk scans run hundreds of workers that all
-// consult the caches on every referral step; sharding by name hash keeps
-// them from serializing on a single mutex. 32 shards is far beyond any
-// worker count this repo configures while keeping the per-cache footprint
-// trivial.
-const cacheShards = 32
+// keep is the iterator's one negative-caching rule, deciding whether a
+// leader's outcome becomes its key's table entry. Successes are kept,
+// and so are durable failures, so bulk scans do not re-walk a broken
+// chain once per domain under it. Not every failure is durable, though:
+// a dead context is the caller's failure, not the name's; a depth
+// overrun is relative to the call chain (the same name can resolve from
+// a shallower one); and a failure in the transient class (timeouts,
+// rejected or truncated responses, SERVFAIL) may not recur — the
+// scanner's second round exists precisely to re-probe those (§ III-B),
+// so keeping them would turn the retry into a replay of the first
+// failure. A kept failure stores its cause, so consumers — zone builds
+// deciding whether their own failure is transient — can classify it.
+func keep(ctx context.Context, err error) bool {
+	return err == nil || ctx.Err() == nil && !errors.Is(err, ErrDepth) && !IsTransientErr(err)
+}
 
-// shardIndex hashes a name (FNV-1a) onto a shard.
-func shardIndex(n dnsname.Name) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(n); i++ {
-		h = (h ^ uint32(n[i])) * 16777619
+// observe counts how a table call for name in layer ("host" or "zone")
+// was answered, with hits the layer's positive-hit counter and wait the
+// bound the call ran under, and returns the call's error — wrapped, for
+// an abandoned wait, in the resolver's prefix. A hit (negative: on a
+// kept failure) and a coalesced wait are also events on the active span.
+func (it *Iterator) observe(ctx context.Context, layer string, name dnsname.Name, hits *obs.Counter, wait time.Duration, how memo.Outcome, err error) error {
+	switch how {
+	case memo.Hit:
+		if err != nil {
+			it.m.negHits.Inc()
+		} else {
+			hits.Inc()
+		}
+		if rec, parent := trace.From(ctx); rec != nil {
+			rec.Event(parent, trace.KindCacheHit, string(name),
+				trace.Str("layer", layer), trace.Bool("negative", err != nil))
+		}
+	case memo.Coalesced:
+		it.m.coalesced.Inc()
+		if rec, parent := trace.From(ctx); rec != nil {
+			rec.Event(parent, trace.KindFlightWait, string(name), trace.Str("layer", layer))
+		}
+	case memo.Bypassed:
+		// A negative wait is a same-chain re-entry, not a wait given up.
+		if wait > 0 {
+			it.m.bypassed.Inc()
+		}
+	case memo.Abandoned:
+		return fmt.Errorf("resolver: %w", err)
 	}
-	return int(h % cacheShards)
+	return err
 }
 
-// hostEntry is one host cache slot: resolved IPv4 addresses, or a
-// negative entry recording why the resolution failed (err != nil).
-// Keeping the cause lets consumers of a cached failure — in particular
-// zone builds deciding whether their own failure is transient — classify
-// it instead of seeing an opaque "cached failure".
-type hostEntry struct {
-	addrs []netip.Addr
-	err   error
+// inFlightKey marks, via context values, a (kind, name) whose
+// computation this call chain is currently running. Recursive resolution
+// can revisit its own key — a CNAME loop back to the host being
+// resolved, or a zone whose glue-less NS host walk runs into the zone
+// itself — and must then run the work itself instead of waiting on
+// itself (flightWait's negative bound). Recursion depth limits bound
+// that path exactly as they did before coalescing existed.
+type inFlightKey struct {
+	kind byte // 'h' for host lookups, 'z' for zone builds
+	name dnsname.Name
 }
 
-// zoneEntry is one zone cache slot: either a discovered server set or a
-// negative entry recording why the zone could not be built (err != nil).
-// Negative entries let every domain under a broken intermediate zone fail
-// fast instead of re-walking the chain.
-type zoneEntry struct {
-	zs  *ZoneServers
-	err error
+// leadsFlightKey marks a call chain that runs *some* key's computation,
+// regardless of key. Only such chains can participate in a cross-chain
+// wait cycle (every edge of a cycle is a leader waiting on another
+// computation), so only they need a bounded wait; top-level callers
+// coalesce without a bound.
+type leadsFlightKey struct{}
+
+func markInFlight(ctx context.Context, kind byte, name dnsname.Name) context.Context {
+	ctx = context.WithValue(ctx, inFlightKey{kind, name}, true)
+	return context.WithValue(ctx, leadsFlightKey{}, true)
 }
 
-// nameCache maps names — NS hostnames to hostEntry, zone apexes to
-// zoneEntry — in cacheShards independently locked segments.
-type nameCache[E any] struct {
-	shards [cacheShards]struct {
-		mu sync.Mutex
-		m  map[dnsname.Name]E
-	}
+func isInFlight(ctx context.Context, kind byte, name dnsname.Name) bool {
+	return ctx.Value(inFlightKey{kind, name}) != nil
 }
 
-func (c *nameCache[E]) get(name dnsname.Name) (E, bool) {
-	s := &c.shards[shardIndex(name)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[name]
-	return e, ok
-}
-
-func (c *nameCache[E]) put(name dnsname.Name, e E) {
-	// Own the key: cache entries outlive any codec arena a caller's name
-	// might still be borrowing (a no-op copy for already-owned names).
-	name = name.Own()
-	s := &c.shards[shardIndex(name)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[dnsname.Name]E)
-	}
-	s.m[name] = e
+func leadsFlight(ctx context.Context) bool {
+	return ctx.Value(leadsFlightKey{}) != nil
 }

@@ -147,14 +147,14 @@ type Stats struct {
 	// failure.
 	NegativeHits uint64
 	// CoalescedWaits counts resolutions that joined another caller's
-	// in-flight work and received its result instead of duplicating it
-	// (singleflight). Abandoned or bypassed waits are not counted.
+	// in-flight work and received its result instead of duplicating it.
+	// Abandoned or bypassed waits are not counted.
 	CoalescedWaits uint64
-	// FlightBypasses counts singleflight waits abandoned at the
+	// FlightBypasses counts in-flight waits abandoned at the
 	// deadlock-avoidance bound, where the waiter fell back to doing the
-	// work itself (see flightGroup.do). Nonzero values are expected only
-	// on pathological shapes like a zone whose in-bailiwick NS host has
-	// no glue.
+	// work itself (see Iterator.flightWait). Nonzero values are expected
+	// only on pathological shapes like a zone whose in-bailiwick NS host
+	// has no glue.
 	FlightBypasses uint64
 }
 
@@ -251,28 +251,16 @@ func (tr Trace) Rejects() int {
 	return tr.Duplicates + tr.Truncations + tr.QIDMismatches + tr.QuestionMismatches + tr.Malformed
 }
 
-// Query sends (name, qtype) to the server and returns the decoded,
-// validated response, owned by the caller (a deep copy off the arena the
-// exchange ran on). Transient failures — timeouts, rejected or
+// QueryArena sends (name, qtype) to the server and returns the decoded,
+// validated response. Transient failures — timeouts, rejected or
 // truncated responses — are retried up to c.Retries times; the returned
 // error wraps ErrTimeout when every attempt timed out, or the last
-// rejection otherwise.
-func (c *Client) Query(ctx context.Context, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
-	a := c.ArenaPool().Get()
-	defer a.Finish()
-	resp, err := c.QueryArena(ctx, a, server, name, qtype)
-	if resp != nil {
-		resp = resp.Owned()
-	}
-	return resp, err
-}
-
-// QueryArena is Query on a caller-supplied codec arena. The response
-// borrows a: it is valid until the next decode on a or a.Finish,
-// whichever comes first, and anything retained past that must go through
-// Message.Owned, dnswire.CloneRRs, or dnsname.Name.Own. The iterator's
-// referral walk runs on this path — one arena per delegation step, zero
-// heap allocations per exchange.
+// rejection otherwise. The exchange runs on the caller-supplied codec
+// arena a, and the response borrows it: it is valid until the next
+// decode on a or a.Finish, whichever comes first, and anything retained
+// past that must go through dnswire.CloneRRs or dnsname.Name.Own. The
+// iterator's referral walk runs on this path — one arena per delegation
+// step, zero heap allocations per exchange.
 func (c *Client) QueryArena(ctx context.Context, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
 	resp, _, err := c.QueryArenaTraced(ctx, a, server, name, qtype)
 	return resp, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/netip"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/miniworld"
-	"govdns/internal/obs"
 )
 
 // slowTransport delays every exchange, keeping resolutions in flight long
@@ -179,77 +177,6 @@ func TestConcurrentWalksShareZones(t *testing.T) {
 	}
 }
 
-func TestFlightGroupBoundedWaitFallsBack(t *testing.T) {
-	var g flightGroup[int]
-	g.coalesced, g.bypassed = new(obs.Counter), new(obs.Counter)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	leaderDone := make(chan struct{})
-	var leaderVal int
-	var leaderErr error
-	go func() {
-		defer close(leaderDone)
-		leaderVal, leaderErr = g.do(context.Background(), "k.", 0, func() (int, error) {
-			close(started)
-			<-block
-			return 1, nil
-		})
-	}()
-	<-started
-
-	// A bounded waiter must give up on the stuck leader and run its own
-	// fn, without counting as a useful coalesce.
-	got, err := g.do(context.Background(), "k.", 5*time.Millisecond, func() (int, error) { return 2, nil })
-	if err != nil || got != 2 {
-		t.Fatalf("bounded wait fallback = (%d, %v), want (2, nil)", got, err)
-	}
-	if n := g.bypassed.Load(); n != 1 {
-		t.Errorf("bypassed = %d, want 1", n)
-	}
-	if n := g.coalesced.Load(); n != 0 {
-		t.Errorf("coalesced = %d, want 0 (fallback received nothing from the leader)", n)
-	}
-
-	close(block)
-	<-leaderDone
-	if leaderErr != nil || leaderVal != 1 {
-		t.Errorf("leader = (%d, %v), want (1, nil)", leaderVal, leaderErr)
-	}
-}
-
-func TestFlightGroupAbandonedWait(t *testing.T) {
-	var g flightGroup[int]
-	g.coalesced, g.bypassed = new(obs.Counter), new(obs.Counter)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		g.do(context.Background(), "k.", 0, func() (int, error) {
-			close(started)
-			<-block
-			return 1, nil
-		})
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := g.do(ctx, "k.", 0, func() (int, error) { return 2, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("abandoned wait error = %v, want wrapped context.Canceled", err)
-	}
-	if err == nil || !strings.Contains(err.Error(), "abandoned") {
-		t.Errorf("abandoned wait error %q does not identify the abandoned wait", err)
-	}
-	if n := g.coalesced.Load(); n != 0 {
-		t.Errorf("coalesced = %d, want 0 (the waiter received no result)", n)
-	}
-
-	close(block)
-	<-leaderDone
-}
-
 // gateTransport holds queries matching hold until release is closed (or
 // the query's context ends), passing everything else straight through.
 type gateTransport struct {
@@ -312,12 +239,7 @@ func TestCrossFlightCycleDoesNotDeadlock(t *testing.T) {
 		_, err := it.ResolveHost(ctx, host)
 		done <- err
 	}()
-	busy(func() bool {
-		it.hostFlight.mu.Lock()
-		defer it.hostFlight.mu.Unlock()
-		_, ok := it.hostFlight.inflight[host]
-		return ok
-	}, "host flight")
+	busy(func() bool { return it.hosts.InFlight(host) }, "host flight")
 
 	// B: walks to the child, leads the zone flight, and joins A's host
 	// flight from inside the zone build.
@@ -325,12 +247,7 @@ func TestCrossFlightCycleDoesNotDeadlock(t *testing.T) {
 		_, err := it.Delegation(ctx, child)
 		done <- err
 	}()
-	busy(func() bool {
-		it.zoneFlight.mu.Lock()
-		defer it.zoneFlight.mu.Unlock()
-		_, ok := it.zoneFlight.inflight[zoneName]
-		return ok
-	}, "zone flight")
+	busy(func() bool { return it.zones.InFlight(zoneName) }, "zone flight")
 	time.Sleep(20 * time.Millisecond) // let B reach the host-flight join
 	close(gate)                       // A now walks into B's zone flight
 

@@ -12,6 +12,7 @@ import (
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/fanout"
+	"govdns/internal/memo"
 	"govdns/internal/trace"
 )
 
@@ -108,7 +109,7 @@ func (d *Delegation) Hosts() []dnsname.Name {
 
 // nsHosts returns the NS host names of records, sorted and deduplicated.
 // The names alias records: a caller holding arena-borrowed records owns
-// them (zoneFromReferral does).
+// them (buildZone does).
 func nsHosts(records []dnswire.RR) []dnsname.Name {
 	out := make([]dnsname.Name, 0, len(records))
 	for _, rr := range records {
@@ -124,10 +125,10 @@ func nsHosts(records []dnswire.RR) []dnsname.Name {
 // discovered zone-server sets and host addresses, which is what makes
 // bulk scans over a hundred thousand domains tractable: provider
 // nameservers shared by thousands of domains are resolved once. Both
-// caches are mutex-sharded and fronted by singleflight groups, so
-// concurrent workers neither contend on one lock nor duplicate in-flight
-// resolutions: concurrent resolutions of the same name go through a
-// singleflight group so only one does the work.
+// caches are memo tables — mutex-sharded, one entry per name, settled or
+// in flight — so concurrent workers neither contend on one lock nor
+// duplicate in-flight resolutions: concurrent resolutions of the same
+// name share one computation.
 type Iterator struct {
 	client *Client
 	roots  []netip.Addr
@@ -142,11 +143,10 @@ type Iterator struct {
 	// address each and are never reordered.
 	AdaptiveOrder bool
 
-	hosts nameCache[hostEntry]
-	zones nameCache[zoneEntry]
-
-	hostFlight flightGroup[[]netip.Addr]
-	zoneFlight flightGroup[*ZoneServers]
+	// hosts maps NS hostnames to their addresses, zones zone apexes to
+	// their server sets; a kept failure is a negative entry (see keep).
+	hosts *memo.Table[dnsname.Name, []netip.Addr]
+	zones *memo.Table[dnsname.Name, *ZoneServers]
 
 	// m holds the cache and coalescing instruments, shared with the
 	// client's registry (bound at NewIterator, which is why a shared
@@ -161,17 +161,19 @@ func NewIterator(client *Client, roots []netip.Addr) *Iterator {
 		client:        client,
 		roots:         append([]netip.Addr(nil), roots...),
 		AdaptiveOrder: true,
+		hosts:         memo.New[dnsname.Name, []netip.Addr](dnsname.Hash),
+		zones:         memo.New[dnsname.Name, *ZoneServers](dnsname.Hash),
 		m:             client.metrics(),
 	}
-	it.hostFlight.coalesced, it.hostFlight.bypassed = it.m.coalesced, it.m.bypassed
-	it.zoneFlight.coalesced, it.zoneFlight.bypassed = it.m.coalesced, it.m.bypassed
 	rootZS := &ZoneServers{Zone: dnsname.Root, Addrs: map[dnsname.Name][]netip.Addr{}}
 	for i, addr := range it.roots {
 		host := dnsname.MustParse(fmt.Sprintf("%c.root-servers.net", 'a'+i))
 		rootZS.Hosts = append(rootZS.Hosts, host)
 		rootZS.Addrs[host] = []netip.Addr{addr}
 	}
-	it.zones.put(dnsname.Root, zoneEntry{zs: rootZS})
+	it.zones.Do(context.Background(), dnsname.Root, 0, func() (*ZoneServers, bool, error) {
+		return rootZS, true, nil
+	})
 	return it
 }
 
@@ -188,38 +190,42 @@ func (it *Iterator) Stats() Stats {
 	s.ZoneCacheHits = it.m.zoneHits.Load()
 	s.ZoneCacheMisses = it.m.zoneMisses.Load()
 	s.NegativeHits = it.m.negHits.Load()
-	// The host and zone flight groups share one pair of handles.
+	// The host and zone tables share one pair of flight handles.
 	s.CoalescedWaits = it.m.coalesced.Load()
 	s.FlightBypasses = it.m.bypassed.Load()
 	return s
 }
 
-// flightWait returns the bound on how long this call chain may wait for
-// another caller's in-flight resolution. A top-level caller leads no
-// flight, cannot be part of a wait cycle, and waits as long as its
-// context allows (0 = unbounded). A chain that is itself leading a
-// flight is resolving a dependency of that work, and two such leaders
-// can wait on each other's keys forever (host flight ↔ zone flight, see
-// flightGroup.do); it gets a bound of a couple of full query budgets —
-// long enough that the fallback stays rare under ordinary contention,
-// short enough that a dependency cycle unwinds promptly.
-func (it *Iterator) flightWait(ctx context.Context) time.Duration {
-	if !leadsFlight(ctx) {
+// flightWait returns the wait bound memo's Do takes for this call chain's
+// table call on (kind, name). A chain already computing that very key (a
+// CNAME loop back to its host, a zone build whose NS host walk re-enters
+// the zone) would wait on itself, so it runs the work at once (-1). A
+// top-level caller leads no flight, cannot be part of a wait cycle, and
+// waits as long as its context allows (0). A chain leading a flight is
+// resolving a dependency of that work, and two such leaders can wait on
+// each other forever (A leads the host flight for a glue-less NS host
+// whose walk enters zone Z while B leads Z's flight and resolves that
+// very host); it gets a couple of full query budgets — long enough that
+// the fallback stays rare, short enough that a cycle unwinds promptly.
+// Recursion depth limits bound both fallbacks' duplicated work.
+func (it *Iterator) flightWait(ctx context.Context, kind byte, name dnsname.Name) time.Duration {
+	// leadsFlight first: it is the cheap lookup, and a chain that leads
+	// nothing cannot be computing (kind, name) either.
+	switch {
+	case !leadsFlight(ctx):
 		return 0
+	case isInFlight(ctx, kind, name):
+		return -1
 	}
 	return 2 * time.Duration(1+it.client.retries()) * it.client.timeout()
 }
 
-// cachedZone returns the deepest positively cached zone at or above name.
+// cachedZone returns the deepest positively cached zone at or above name
+// (at worst the root, cached at construction).
 func (it *Iterator) cachedZone(name dnsname.Name) *ZoneServers {
 	for cur := name; ; cur = cur.Parent() {
-		if e, ok := it.zones.get(cur); ok && e.zs != nil {
-			return e.zs
-		}
-		if cur.IsRoot() {
-			// Root is always cached at construction.
-			e, _ := it.zones.get(dnsname.Root)
-			return e.zs
+		if zs, ok := it.zones.Get(cur); ok || cur.IsRoot() {
+			return zs
 		}
 	}
 }
@@ -330,66 +336,24 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 	return nil, nil, fmt.Errorf("%w: no NS for %s at %s", ErrNoAnswer, name, current.Zone)
 }
 
-// zoneServers returns the server set of zoneName, consulting the zone
-// cache (including negative entries for zones whose walk already failed)
-// and coalescing concurrent builds of the same zone into one.
+// zoneServers returns the server set of zoneName from the zone table:
+// a settled entry (a negative one for a zone whose build already failed
+// durably), the build another chain has in flight, or a build of its own.
 func (it *Iterator) zoneServers(ctx context.Context, zoneName dnsname.Name, nsRecords, glue []dnswire.RR, depth int) (*ZoneServers, error) {
 	// The zone name usually arrives borrowed (the owner of a referral's
-	// authority records); everything below retains it — cache key, flight
-	// key, zone-build span label, ZoneServers.Zone — so own it once here.
+	// authority records); everything below retains it — table key,
+	// zone-build span label, ZoneServers.Zone — so own it once here.
 	zoneName = zoneName.Own()
-	if e, ok := it.zones.get(zoneName); ok {
-		if e.err != nil {
-			it.m.negHits.Inc()
-			traceCacheEvent(ctx, "zone", zoneName, true)
-			return nil, e.err
-		}
-		it.m.zoneHits.Inc()
-		traceCacheEvent(ctx, "zone", zoneName, false)
-		return e.zs, nil
-	}
-	if isInFlight(ctx, 'z', zoneName) {
-		// This call chain is already building zoneName (its NS host walk
-		// looped back into the zone); waiting on our own flight would
-		// deadlock, so build directly — depth bounds the recursion.
-		return it.buildZone(ctx, zoneName, nsRecords, glue, depth)
-	}
-	// ran stays false when this chain received another chain's in-flight
-	// result instead of executing fn itself (fn always runs on the
-	// calling goroutine — as leader or as a bypassing waiter — so the
-	// flag needs no synchronization).
-	ran := false
-	zs, err := it.zoneFlight.do(ctx, zoneName, it.flightWait(ctx), func() (*ZoneServers, error) {
-		ran = true
-		if e, ok := it.zones.get(zoneName); ok {
-			// A previous leader finished between our cache check and
-			// flight entry.
-			if e.err != nil {
-				it.m.negHits.Inc()
-				traceCacheEvent(ctx, "zone", zoneName, true)
-			} else {
-				it.m.zoneHits.Inc()
-				traceCacheEvent(ctx, "zone", zoneName, false)
-			}
-			return e.zs, e.err
-		}
-		return it.buildZone(markInFlight(ctx, 'z', zoneName), zoneName, nsRecords, glue, depth)
+	wait := it.flightWait(ctx, 'z', zoneName)
+	zs, how, err := it.zones.Do(ctx, zoneName, wait, func() (*ZoneServers, bool, error) {
+		zs, err := it.buildZone(markInFlight(ctx, 'z', zoneName), zoneName, nsRecords, glue, depth)
+		return zs, keep(ctx, err), err
 	})
-	if !ran && ctx.Err() == nil {
-		traceFlightWait(ctx, "zone", zoneName)
-	}
-	return zs, err
+	return zs, it.observe(ctx, "zone", zoneName, it.m.zoneHits, wait, how, err)
 }
 
-// buildZone runs one zone-set construction and records the outcome in the
-// cache. Durable failures are negative-cached, so the thousands of
-// domains under a broken intermediate zone fail fast instead of each
-// re-walking it. Not every failure is durable, though: a dead context
-// says nothing about the zone, a depth overrun is relative to the call
-// chain, and a failure in the transient class (timeouts, rejected or
-// truncated responses, SERVFAIL) may not recur — the scanner's second
-// round exists precisely to re-probe those (§ III-B), so caching them
-// would turn the retry into a replay of the first failure.
+// buildZone builds the server set of a zone from referral records in a
+// zone-build span, resolving out-of-bailiwick hosts that lack glue.
 func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsRecords, glue []dnswire.RR, depth int) (zs *ZoneServers, err error) {
 	it.m.zoneMisses.Inc()
 	rec, parent := trace.From(ctx)
@@ -398,21 +362,7 @@ func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsReco
 		ctx = trace.ContextWith(ctx, rec, span)
 		defer func() { rec.EndSpan(span, err) }()
 	}
-	zs, err = it.zoneFromReferral(ctx, zoneName, nsRecords, glue, depth)
-	if err != nil {
-		if ctx.Err() == nil && !errors.Is(err, ErrDepth) && !IsTransientErr(err) {
-			it.zones.put(zoneName, zoneEntry{err: err})
-		}
-		return nil, err
-	}
-	it.zones.put(zoneName, zoneEntry{zs: zs})
-	return zs, nil
-}
-
-// zoneFromReferral builds the server set of a zone from referral records,
-// resolving out-of-bailiwick hosts that lack glue.
-func (it *Iterator) zoneFromReferral(ctx context.Context, zoneName dnsname.Name, nsRecords, glue []dnswire.RR, depth int) (*ZoneServers, error) {
-	zs := &ZoneServers{
+	zs = &ZoneServers{
 		Zone:  zoneName,
 		Hosts: nsHosts(nsRecords),
 		Addrs: make(map[dnsname.Name][]netip.Addr, len(nsRecords)),
@@ -478,7 +428,7 @@ func (it *Iterator) zoneFromReferral(ctx context.Context, zoneName dnsname.Name,
 			return nil, fmt.Errorf("%w: resolving nameservers of zone %s", ErrDepth, zoneName)
 		}
 		if transientErr != nil {
-			// Surface the transient cause in the chain so buildZone can
+			// Surface the transient cause in the chain so keep can
 			// tell this possibly-recoverable failure from a durable one.
 			return nil, fmt.Errorf("%w: zone %s has no resolvable nameservers: %w", ErrNoServers, zoneName, transientErr)
 		}
@@ -488,65 +438,41 @@ func (it *Iterator) zoneFromReferral(ctx context.Context, zoneName dnsname.Name,
 }
 
 // ResolveHost returns IPv4 addresses for host via full iterative
-// resolution, using the cache. The caller owns the returned slice.
+// resolution, using the cache. host must not alias a codec arena (the
+// host table retains it); the caller owns the returned slice.
 func (it *Iterator) ResolveHost(ctx context.Context, host dnsname.Name) ([]netip.Addr, error) {
 	return it.resolveHost(ctx, host, 0)
 }
 
-// resolveHost is the single boundary through which host addresses leave
-// the resolution machinery, and it returns a fresh slice every time.
-// Behind it the same backing array is shared three ways — the host
-// cache entry, the slice handed to every coalesced flight waiter, and
-// the copy the leader returns to itself — so returning it directly
-// would let one caller's in-place sort or truncation corrupt what every
-// later cache hit sees. One small clone per call (host resolution is
-// already amortised by the cache) buys an unaliased result.
+// resolveHost returns host's addresses from the host table: a settled
+// entry, the resolution another chain has in flight, or a resolution of
+// its own. A negative entry reproduces the original failure, wrapped so
+// callers can still classify its cause — e.g. a timeout — through
+// errors.Is. Every caller passes an owned host.
+//
+// It is the single boundary through which host addresses leave the
+// resolution machinery, and it returns a fresh slice every time. Behind
+// it the same backing array is shared three ways — the table entry, the
+// slice handed to every coalesced waiter, and the one the leader returns
+// to itself — so returning it directly would let one caller's in-place
+// sort or truncation corrupt what every later hit sees. One small clone
+// per call (host resolution is already amortised by the table) buys an
+// unaliased result.
 func (it *Iterator) resolveHost(ctx context.Context, host dnsname.Name, depth int) ([]netip.Addr, error) {
-	addrs, err := it.resolveHostShared(ctx, host, depth)
+	wait := it.flightWait(ctx, 'h', host)
+	addrs, how, err := it.hosts.Do(ctx, host, wait, func() ([]netip.Addr, bool, error) {
+		addrs, err := it.lookup(markInFlight(ctx, 'h', host), host, depth)
+		return addrs, keep(ctx, err), err
+	})
+	err = it.observe(ctx, "host", host, it.m.hostHits, wait, how, err)
+	if how == memo.Hit && err != nil {
+		err = fmt.Errorf("%w: cached failure for %s: %w", ErrNoServers, host, err)
+	}
 	return slices.Clone(addrs), err
 }
 
-func (it *Iterator) resolveHostShared(ctx context.Context, host dnsname.Name, depth int) ([]netip.Addr, error) {
-	if e, ok := it.hosts.get(host); ok {
-		traceCacheEvent(ctx, "host", host, e.err != nil)
-		return it.cachedHost(host, e)
-	}
-	if isInFlight(ctx, 'h', host) {
-		// A CNAME loop back to a host this call chain is already leading;
-		// bypass the flight (depth bounds the recursion).
-		return it.lookupAndCache(ctx, host, depth)
-	}
-	// ran: see zoneServers — false means a coalesced wait on another
-	// chain's resolution.
-	ran := false
-	addrs, err := it.hostFlight.do(ctx, host, it.flightWait(ctx), func() ([]netip.Addr, error) {
-		ran = true
-		if e, ok := it.hosts.get(host); ok {
-			traceCacheEvent(ctx, "host", host, e.err != nil)
-			return it.cachedHost(host, e)
-		}
-		return it.lookupAndCache(markInFlight(ctx, 'h', host), host, depth)
-	})
-	if !ran && ctx.Err() == nil {
-		traceFlightWait(ctx, "host", host)
-	}
-	return addrs, err
-}
-
-// cachedHost turns a cache entry into a result, counting the hit. A
-// negative entry reproduces the original failure (wrapped, so callers can
-// still classify its cause — e.g. a timeout — through errors.Is).
-func (it *Iterator) cachedHost(host dnsname.Name, e hostEntry) ([]netip.Addr, error) {
-	if e.err != nil {
-		it.m.negHits.Inc()
-		return nil, fmt.Errorf("%w: cached failure for %s: %w", ErrNoServers, host, e.err)
-	}
-	it.m.hostHits.Inc()
-	return e.addrs, nil
-}
-
-// lookupAndCache runs one full host resolution and records the outcome.
-func (it *Iterator) lookupAndCache(ctx context.Context, host dnsname.Name, depth int) (addrs []netip.Addr, err error) {
+// lookup iteratively resolves host's A records in a host-resolution span.
+func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (addrs []netip.Addr, err error) {
 	it.m.hostMisses.Inc()
 	rec, parent := trace.From(ctx)
 	if rec != nil {
@@ -559,26 +485,6 @@ func (it *Iterator) lookupAndCache(ctx context.Context, host dnsname.Name, depth
 			rec.EndSpan(span, err)
 		}()
 	}
-	addrs, err = it.lookup(ctx, host, depth)
-	switch {
-	case err == nil:
-		it.hosts.put(host, hostEntry{addrs: addrs})
-	case ctx.Err() == nil && !errors.Is(err, ErrDepth) && !IsTransientErr(err):
-		// Negative-cache durable resolution failures: bulk scans would
-		// otherwise re-walk broken chains thousands of times. A
-		// cancelled context is the caller's failure, not the host's, and
-		// is not cached; neither is a depth overrun, which is relative
-		// to the call chain (the same host can resolve fine from a
-		// shallower one), nor a transient-class failure, which the
-		// scanner's second round must be free to re-probe. The cause is
-		// stored so consumers of the cached failure can classify it.
-		it.hosts.put(host, hostEntry{err: err})
-	}
-	return addrs, err
-}
-
-// lookup iteratively resolves host's A records.
-func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) ([]netip.Addr, error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("%w: resolving %s", ErrDepth, host)
 	}
@@ -632,27 +538,6 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) ([
 		return nil, fmt.Errorf("%w: %s has no A records", ErrNoAnswer, host)
 	}
 	return nil, fmt.Errorf("%w: referral chain too long for %s", ErrDepth, host)
-}
-
-// traceCacheEvent records a host/zone cache hit on the active span;
-// negative marks a hit on a cached failure.
-func traceCacheEvent(ctx context.Context, layer string, name dnsname.Name, negative bool) {
-	rec, parent := trace.From(ctx)
-	if rec == nil {
-		return
-	}
-	rec.Event(parent, trace.KindCacheHit, string(name),
-		trace.Str("layer", layer), trace.Bool("negative", negative))
-}
-
-// traceFlightWait records that this call chain received another
-// chain's singleflight result instead of resolving name itself.
-func traceFlightWait(ctx context.Context, layer string, name dnsname.Name) {
-	rec, parent := trace.From(ctx)
-	if rec == nil {
-		return
-	}
-	rec.Event(parent, trace.KindFlightWait, string(name), trace.Str("layer", layer))
 }
 
 // queryAny asks the zone's servers until one responds. Lame servers are

@@ -30,7 +30,7 @@ type Metrics struct {
 
 	// Iterator cache and coalescing counters (the former Iterator
 	// atomics; the flight counters are shared by the host and zone
-	// flight groups). The zone_cache counters count what
+	// tables). The zone_cache counters count what
 	// Stats.ZoneCacheHits/ZoneCacheMisses document.
 	hostHits, hostMisses, zoneHits, zoneMisses *obs.Counter
 	negHits, coalesced, bypassed               *obs.Counter

@@ -24,7 +24,7 @@ func TestRateLimitPacesQueries(t *testing.T) {
 	start := time.Now()
 	const n = 12
 	for i := 0; i < n; i++ {
-		if _, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
+		if _, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestRateLimitBurst(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 8; i++ {
-		if _, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
+		if _, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -70,9 +70,9 @@ func TestRateLimitHonoursCancellation(t *testing.T) {
 	defer cancel()
 
 	// First query consumes the token; the second must give up on ctx.
-	_, _ = c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
+	_, _ = c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
 	start := time.Now()
-	_, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
+	_, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
 	if err == nil {
 		t.Fatal("second query succeeded despite exhausted context")
 	}

@@ -31,7 +31,7 @@ func ctxWithTimeout(t *testing.T) context.Context {
 
 func TestClientQueryDirect(t *testing.T) {
 	_, c, _ := newFixture(t)
-	resp, err := c.Query(ctxWithTimeout(t), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
+	resp, err := c.QueryArena(ctxWithTimeout(t), new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestClientQueryDirect(t *testing.T) {
 func TestClientQueryTimeout(t *testing.T) {
 	_, c, _ := newFixture(t)
 	start := time.Now()
-	_, err := c.Query(ctxWithTimeout(t), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
+	_, err := c.QueryArena(ctxWithTimeout(t), new(dnswire.Arena), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error = %v, want ErrTimeout", err)
 	}
@@ -331,10 +331,10 @@ func TestResolverUnderPacketLoss(t *testing.T) {
 func TestClientStats(t *testing.T) {
 	_, c, _ := newFixture(t)
 	ctx := ctxWithTimeout(t)
-	if _, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
+	if _, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = c.Query(ctx, miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
+	_, _ = c.QueryArena(ctx, new(dnswire.Arena), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
 	s := c.Stats()
 	if s.Received != 1 {
 		t.Errorf("Received = %d, want 1", s.Received)
@@ -356,7 +356,7 @@ func TestClientRejectsTruncatedResponse(t *testing.T) {
 	})
 	c := NewClient(tr)
 	c.Timeout = 20 * time.Millisecond
-	_, err := c.Query(context.Background(), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
+	_, err := c.QueryArena(context.Background(), new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("error = %v, want ErrTruncated", err)
 	}

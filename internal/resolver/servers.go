@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"govdns/internal/memo"
 )
 
 // acceptedRing is how many recently accepted transaction IDs are kept
@@ -58,11 +60,11 @@ func (r *serverRecord) recentlyAccepted(id uint16) bool {
 }
 
 // serverTable is the client's one address-keyed structure, sharded by
-// address like nameCache is by name. Records are pointer-stable and
+// address like the iterator's memo tables are by name. Records are pointer-stable and
 // never removed, so a caller looks an address up once and then works on
 // the record.
 type serverTable struct {
-	shards [cacheShards]struct {
+	shards [memo.Shards]struct {
 		mu sync.RWMutex
 		m  map[netip.Addr]*serverRecord
 	}
@@ -74,7 +76,7 @@ func addrShard(addr netip.Addr) int {
 	for _, b := range addr.As16() {
 		h = (h ^ uint32(b)) * 16777619
 	}
-	return int(h % cacheShards)
+	return int(h % memo.Shards)
 }
 
 // lookup returns addr's record, or nil for an address never queried. It

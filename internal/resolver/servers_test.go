@@ -62,7 +62,7 @@ func TestServerRecordConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
+				if _, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
 					t.Error(err)
 					return
 				}
@@ -107,7 +107,7 @@ func TestServerRecordRingKeepsLastAccepted(t *testing.T) {
 	c := NewClient(tr)
 	ctx := ctxWithTimeout(t)
 	for i := 0; i < 3*acceptedRing-1; i++ {
-		if _, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
+		if _, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestCancelledExchangeIsNotATimeout(t *testing.T) {
 		<-entered
 		cancel()
 	}()
-	_, err := c.Query(ctx, miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
+	_, err := c.QueryArena(ctx, new(dnswire.Arena), miniworld.GovNS1Addr, "gov.br.", dnswire.TypeNS)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

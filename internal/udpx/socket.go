@@ -20,9 +20,24 @@ type slot struct {
 }
 
 // idStripes is the number of mutexes guarding one socket's slots; an ID
-// is guarded by lock ID mod idStripes, so the consecutive IDs a
-// sequential cursor hands to concurrent exchanges never share a lock.
+// is guarded by lock ID mod idStripes. IDs come out of the socket's
+// permutation scattered over the space, so concurrent exchanges land on
+// the same lock no more often than chance.
 const idStripes = 64
+
+// permuteID maps a cursor value c to a wire transaction ID through a
+// keyed bijection of the 16-bit space: a four-round Feistel network over
+// c's two bytes, one round per 32-bit word of the socket's key. Every
+// cursor value still names its own slot, so the occupancy probe works as
+// before, but successive cursor values no longer give successive IDs:
+// without the key, an off-path attacker cannot predict the next ID.
+func (s *sock) permuteID(c uint16) uint16 {
+	l, r := uint8(c>>8), uint8(c)
+	for _, rk := range s.key {
+		l, r = r, l^uint8((uint32(r)^rk)*0x9E3779B1>>24)
+	}
+	return uint16(l)<<8 | uint16(r)
+}
 
 // sock is one pooled socket: the connection, its slot table, its
 // bounded send ring, and the batch scratch its two loops hand to the
@@ -34,11 +49,13 @@ type sock struct {
 	pc   *PacketConn
 	ring chan *sendReq
 
-	// slots is indexed by wire transaction ID (1 MiB). cursor is where
-	// reserve probes next; live counts filled slots plus reservations
-	// still probing, which is what bounds them at len(slots).
+	// slots is indexed by wire transaction ID (1 MiB). reserve probes
+	// next at permuteID(cursor), under a key New draws from crypto/rand;
+	// live counts filled slots plus reservations still probing, which is
+	// what bounds them at len(slots).
 	slots  [maxInflightPerSock]slot
 	locks  [idStripes]sync.Mutex
+	key    [4]uint32
 	cursor atomic.Uint32
 	live   atomic.Int32
 
@@ -57,7 +74,7 @@ type sock struct {
 	raddrs []netip.AddrPort
 }
 
-func newSock(t *BatchTransport, conn *net.UDPConn) *sock {
+func newSock(t *BatchTransport, conn *net.UDPConn, key [4]uint32) *sock {
 	// A shared socket absorbs whole batches of responses between
 	// scheduler slots; a deep kernel buffer is what keeps burst loss
 	// out of the loopback differential. Best-effort (capped by
@@ -67,6 +84,7 @@ func newSock(t *BatchTransport, conn *net.UDPConn) *sock {
 	s := &sock{
 		t:      t,
 		conn:   conn,
+		key:    key,
 		pc:     NewPacketConn(conn, DefaultBatch, t.cfg.Portable),
 		ring:   make(chan *sendReq, DefaultRing),
 		batch:  make([]*sendReq, 0, DefaultBatch),

@@ -21,8 +21,11 @@
 //     socket it arrived on, its ID, its source address) and on nothing
 //     keyed by destination.
 //   - Transaction IDs on the wire are the transport's, not the
-//     caller's: each exchange takes the next empty slot after its
-//     socket's cursor and sends the slot's index as its ID, so no two
+//     caller's: each exchange advances its socket's cursor, maps it
+//     through the socket's keyed permutation of the 16-bit ID space
+//     (drawn from crypto/rand when the socket is created, so an
+//     off-path attacker cannot predict the next ID), takes the first
+//     empty slot it reaches and sends the slot's index as its ID. No two
 //     in-flight queries on one socket share an ID no matter what IDs
 //     the callers chose. A slot belongs to the exchange that filled it
 //     until whichever completer wins the waiter's state CAS clears it.
@@ -57,6 +60,7 @@ package udpx
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -246,13 +250,17 @@ func New(cfg Config) (*BatchTransport, error) {
 		done: make(chan struct{}),
 	}
 	t.wheel = newWheel(cfg.WheelTick, cfg.WheelSlots, t)
+	keys := make([][4]uint32, cfg.Sockets)
+	if err := binary.Read(rand.Reader, binary.LittleEndian, keys); err != nil {
+		return nil, fmt.Errorf("udpx: wire-ID keys: %w", err)
+	}
 	for i := 0; i < cfg.Sockets; i++ {
 		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4zero})
 		if err != nil {
 			t.closeSocks()
 			return nil, fmt.Errorf("udpx: bind udp4 socket %d: %w", i, err)
 		}
-		t.socks = append(t.socks, newSock(t, c))
+		t.socks = append(t.socks, newSock(t, c, keys[i]))
 	}
 	t.wg.Add(1)
 	go func() {
@@ -324,7 +332,7 @@ func destHash(dest netip.AddrPort) uint32 {
 }
 
 // reserve claims a wire transaction ID on s for w: the first empty slot
-// at or after the socket's cursor. The slot table is its own occupancy
+// the socket's permuted cursor reaches. The slot table is its own occupancy
 // record — an ID is free exactly when its slot is empty — so two
 // in-flight queries on one socket can never share an ID. The stripe
 // lock's release publishes w's registration fields (sock, dest, wireID)
@@ -337,7 +345,7 @@ func (t *BatchTransport) reserve(s *sock, dest netip.AddrPort, w *waiter, gen ui
 		// can take each one this probe was about to reach; bound the
 		// probe so that never loops forever.
 		for tries := 0; tries < maxInflightPerSock; tries++ {
-			id := uint16(s.cursor.Add(1) - 1)
+			id := s.permuteID(uint16(s.cursor.Add(1) - 1))
 			mu := s.stripe(id)
 			mu.Lock()
 			if s.slots[id].w == nil {

@@ -587,3 +587,27 @@ func TestWaiterGenerationReuse(t *testing.T) {
 		t.Fatal("current generation blocked by stale attempt")
 	}
 }
+
+// TestWireIDPermutation pins the keyed wire-ID map: over all 65,536
+// cursor values it is a bijection — every cursor names its own slot, so
+// the occupancy probe still reaches each one — and two sockets, keyed
+// independently, send different first 1,024 IDs.
+func TestWireIDPermutation(t *testing.T) {
+	tr := newTest(t, Config{Sockets: 2})
+	a, b := tr.socks[0], tr.socks[1]
+	var seen [maxInflightPerSock]bool
+	for c := 0; c < maxInflightPerSock; c++ {
+		id := a.permuteID(uint16(c))
+		if seen[id] {
+			t.Fatalf("cursor %d maps to wire ID %d, already taken", c, id)
+		}
+		seen[id] = true
+	}
+	same := true
+	for c := 0; c < 1024 && same; c++ {
+		same = a.permuteID(uint16(c)) == b.permuteID(uint16(c))
+	}
+	if same {
+		t.Error("two sockets' first 1024 wire IDs are identical")
+	}
+}

@@ -268,7 +268,7 @@ func TestBuildStaleDomainsAreLame(t *testing.T) {
 				continue
 			}
 			for _, addr := range addrs {
-				resp, err := client.Query(ctx, addr, d.Name, dnswire.TypeNS)
+				resp, err := client.QueryArena(ctx, new(dnswire.Arena), addr, d.Name, dnswire.TypeNS)
 				if err != nil {
 					continue
 				}

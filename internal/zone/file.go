@@ -223,7 +223,11 @@ func (p *fileParser) rdata(rtype dnswire.Type, args []string) (dnswire.RData, er
 		}
 		strs := make([]string, len(args))
 		for i, a := range args {
-			strs[i] = strings.Trim(a, `"`)
+			// No escapes: a string is read verbatim, so one cannot hold
+			// the quote that delimits it.
+			if strs[i] = strings.Trim(a, `"`); strings.Contains(strs[i], `"`) {
+				return nil, fmt.Errorf("TXT string %s has an inner quote", a)
+			}
 		}
 		return dnswire.TXTData{Strings: strs}, nil
 	case dnswire.TypeSOA:
@@ -329,7 +333,12 @@ func WriteFile(w io.Writer, z *Zone) error {
 }
 
 // presentRData renders RDATA with absolute names so the output is
-// origin-independent.
+// origin-independent. TXT strings go out verbatim between plain quotes,
+// the form ParseFile reads back byte for byte; TXTData.String's Go
+// quoting would add escapes it does not undo.
 func presentRData(data dnswire.RData) string {
+	if txt, ok := data.(dnswire.TXTData); ok {
+		return `"` + strings.Join(txt.Strings, `" "`) + `"`
+	}
 	return data.String()
 }

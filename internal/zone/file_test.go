@@ -89,21 +89,24 @@ func TestParseFileBasics(t *testing.T) {
 	}
 }
 
+// parseFileErrorCases are inputs ParseFile must reject.
+var parseFileErrorCases = []struct {
+	name, input string
+}{
+	{"unbalanced parens", "@ IN SOA a b ( 1 2 3 4 5"},
+	{"unknown type", "@ IN WKS something"},
+	{"bad A", "@ IN A not-an-ip"},
+	{"bad AAAA", "@ IN AAAA 192.0.2.1"},
+	{"missing type", "www IN"},
+	{"empty", "; only a comment\n"},
+	{"implicit owner first", "\tIN A 192.0.2.1"},
+	{"bad origin", "$ORIGIN bad..name."},
+	{"bad ttl directive", "$TTL abc"},
+	{"inner TXT quote", `@ IN TXT a"b`},
+}
+
 func TestParseFileErrors(t *testing.T) {
-	cases := []struct {
-		name, input string
-	}{
-		{"unbalanced parens", "@ IN SOA a b ( 1 2 3 4 5"},
-		{"unknown type", "@ IN WKS something"},
-		{"bad A", "@ IN A not-an-ip"},
-		{"bad AAAA", "@ IN AAAA 192.0.2.1"},
-		{"missing type", "www IN"},
-		{"empty", "; only a comment\n"},
-		{"implicit owner first", "\tIN A 192.0.2.1"},
-		{"bad origin", "$ORIGIN bad..name."},
-		{"bad ttl directive", "$TTL abc"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseFileErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ParseFile(strings.NewReader(tc.input), "example."); err == nil {
 				t.Errorf("ParseFile(%q) succeeded, want error", tc.input)
@@ -144,8 +147,10 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 }
 
+const quotedSemicolonZoneFile = "$ORIGIN example.\n@ IN TXT \"has ; semicolon\"\n"
+
 func TestParseFileQuotedSemicolon(t *testing.T) {
-	input := "$ORIGIN example.\n@ IN TXT \"has ; semicolon\"\n"
+	input := quotedSemicolonZoneFile
 	z, err := ParseFile(strings.NewReader(input), "example.")
 	if err != nil {
 		t.Fatalf("ParseFile: %v", err)
