@@ -16,7 +16,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,15 +69,7 @@ func run() error {
 	// up; liveness is process-up (a wedged zone transfer never gets
 	// here, so the probe surface reports it as not-ready, not not-live).
 	health := obs.NewHealth()
-	if *metricsAddr != "" {
-		go func() {
-			srv := &http.Server{Addr: *metricsAddr, Handler: obs.HandlerWith(reg, health)}
-			fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", *metricsAddr)
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "dnsserver: metrics server: %v\n", err)
-			}
-		}()
-	}
+	obs.ServeEndpoint(*metricsAddr, reg, health)
 
 	switch {
 	case *zonePath != "":

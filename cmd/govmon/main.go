@@ -27,7 +27,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -108,15 +107,7 @@ func runDaemon(args []string) error {
 		}
 		return nil
 	})
-	if *metricsAddr != "" {
-		go func() {
-			srv := &http.Server{Addr: *metricsAddr, Handler: obs.HandlerWith(reg, health)}
-			fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", *metricsAddr)
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "govmon: metrics server: %v\n", err)
-			}
-		}()
-	}
+	obs.ServeEndpoint(*metricsAddr, reg, health)
 
 	// An interrupt cancels the running epoch cleanly: the stream writer
 	// checkpoints the emitted prefix and the flushed alerts stay durable,

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -238,13 +237,7 @@ func run() error {
 		// wired, workers about to start. Liveness is process-up.
 		health := obs.NewHealth()
 		health.SetReady(true)
-		go func() {
-			srv := &http.Server{Addr: *metricsAddr, Handler: obs.HandlerWith(reg, health)}
-			fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", *metricsAddr)
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "govscan: metrics server: %v\n", err)
-			}
-		}()
+		obs.ServeEndpoint(*metricsAddr, reg, health)
 	}
 
 	if streaming {

@@ -98,7 +98,6 @@ func New(opts Options) *Study {
 		Concurrency:          opts.Concurrency,
 		PerDomainParallelism: opts.PerDomainParallelism,
 		QueryTimeout:         opts.QueryTimeout,
-		Retries:              0,
 		SecondRound:          !opts.DisableSecondRound,
 		StabilityDays:        opts.StabilityDays,
 		HijackEvents:         opts.HijackEvents,

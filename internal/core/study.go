@@ -37,8 +37,6 @@ type Config struct {
 	// simulated network answers in microseconds, so this is purely the
 	// lameness-detection budget).
 	QueryTimeout time.Duration
-	// Retries is the per-query retry count (default 1).
-	Retries int
 	// SecondRound enables the paper's second measurement round.
 	SecondRound bool
 	// StabilityDays is the PDNS stability filter threshold (default 7;
@@ -69,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerDomainParallelism == 0 {
 		c.PerDomainParallelism = measure.DefaultPerDomainParallelism
-	}
-	if c.Retries == 0 {
-		c.Retries = 1
 	}
 	if c.StabilityDays == 0 {
 		c.StabilityDays = pdns.StabilityFilterDays
@@ -187,13 +182,19 @@ func (s *Study) EndYear() int { return s.World.Cfg.EndYear }
 // Top10 returns the country codes treated as singleton groups.
 func (s *Study) Top10() []string { return append([]string(nil), s.top10...) }
 
+// client is every study scan's resolver client: one retry per query.
+func (s *Study) client(transport resolver.Transport) *resolver.Client {
+	c := resolver.NewClient(transport)
+	c.Timeout = s.Cfg.QueryTimeout
+	c.Retries = 1
+	return c
+}
+
 // RunActive executes the paper's Fig. 1 measurement over the query list
 // and replaces Results. Every memoized figure is dropped: the next call
 // of an accessor computes from the new results.
 func (s *Study) RunActive(ctx context.Context) error {
-	client := resolver.NewClient(s.Active.Net)
-	client.Timeout = s.Cfg.QueryTimeout
-	client.Retries = s.Cfg.Retries
+	client := s.client(s.Active.Net)
 	if s.Cfg.Metrics != nil {
 		// SetMetrics must precede NewIterator: the iterator binds its
 		// counter handles from the client's metrics at construction.
@@ -403,10 +404,7 @@ func (s *Study) ProposeRemediation() (*remedy.Plan, error) {
 // the child publishes an immediate-flagged CSYNC record. Re-run
 // RunActive afterwards to measure the improvement.
 func (s *Study) ApplyRemediation(ctx context.Context, plan *remedy.Plan, force bool) (*remedy.Outcome, error) {
-	client := resolver.NewClient(s.Active.Net)
-	client.Timeout = s.Cfg.QueryTimeout
-	client.Retries = s.Cfg.Retries
-	applier := &remedy.Applier{Active: s.Active, Client: client, Force: force}
+	applier := &remedy.Applier{Active: s.Active, Client: s.client(s.Active.Net), Force: force}
 	return applier.Apply(ctx, plan)
 }
 
@@ -456,10 +454,7 @@ func (s *Study) CompareVantage(ctx context.Context, code string, maxDomains int)
 	}
 
 	scan := func(transport resolver.Transport) []*measure.DomainResult {
-		client := resolver.NewClient(transport)
-		client.Timeout = s.Cfg.QueryTimeout
-		client.Retries = s.Cfg.Retries
-		sc := measure.NewScanner(resolver.NewIterator(client, s.Active.Roots))
+		sc := measure.NewScanner(resolver.NewIterator(s.client(transport), s.Active.Roots))
 		sc.Concurrency = s.Cfg.Concurrency
 		sc.PerDomainParallelism = s.Cfg.PerDomainParallelism
 		sc.SecondRound = false

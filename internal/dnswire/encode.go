@@ -92,22 +92,11 @@ type encoder struct {
 // Encode serialises m into an owned buffer. It is the allocating
 // convenience form of Arena.Encode; hot paths encode on a pooled arena.
 // The result may exceed MaxUDPPayload; callers sending over UDP should
-// use EncodeUDP.
+// use Arena.EncodeLimit.
 func Encode(m *Message) ([]byte, error) {
 	a := DefaultPool.Get()
 	defer a.Finish()
 	wire, err := a.Encode(m)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), wire...), nil
-}
-
-// EncodeUDP is the allocating convenience form of Arena.EncodeUDP.
-func EncodeUDP(m *Message) ([]byte, error) {
-	a := DefaultPool.Get()
-	defer a.Finish()
-	wire, err := a.EncodeUDP(m)
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +150,10 @@ func (a *Arena) EncodeUDP(m *Message) ([]byte, error) {
 // MaxUDPPayload. The result borrows the arena like Encode's.
 //
 // This is the RFC-faithful alternative to EncodeUDP's empty-all-sections
-// truncation: EncodeUDP keeps the legacy resolver-facing behaviour (its
-// output is pinned by scan digests), EncodeLimit is the serving tier's
-// encoder for negotiated EDNS0 limits and TCP.
+// truncation, and the encoder of every served answer: the serving
+// tier's negotiated EDNS0 limits and TCP, and every scan exchange (the
+// simulated network answers through the same serving path), so the
+// scan digests pin EncodeLimit's output.
 func (a *Arena) EncodeLimit(m *Message, max int) ([]byte, error) {
 	wire, err := a.Encode(m)
 	if err != nil || len(wire) <= max {

@@ -169,7 +169,9 @@ func TestEncodeUDPTruncates(t *testing.T) {
 			Data: TXTData{Strings: []string{string(make([]byte, 200))}},
 		})
 	}
-	wire, err := EncodeUDP(resp)
+	a := DefaultPool.Get()
+	defer a.Finish()
+	wire, err := a.EncodeUDP(resp)
 	if err != nil {
 		t.Fatalf("EncodeUDP: %v", err)
 	}

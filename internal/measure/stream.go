@@ -102,7 +102,7 @@ func (c *StreamConfig) checkpointEvery() int {
 // by the stream-vs-slice differential tests.
 type StreamWriter struct {
 	cfg      StreamConfig
-	file     *os.File // non-nil when the destination is a file (fsync before checkpoints)
+	file     *os.File // non-nil when the destination is a regular file (fsync on flush)
 	ownsFile bool     // ResumeStream opened it; Close closes it
 
 	mu        sync.Mutex
@@ -122,9 +122,10 @@ type StreamWriter struct {
 }
 
 // NewStreamWriter starts a fresh stream onto w. When w is an *os.File
-// the writer fsyncs it before each checkpoint; checkpointing onto a
-// non-file destination still works but only orders the records, it
-// cannot make them durable.
+// naming a regular file the writer fsyncs it before each checkpoint;
+// checkpointing onto any other destination (a pipe, a terminal, a
+// buffer) still works but only orders the records, it cannot make them
+// durable — and fsync on a pipe fails, so it is not attempted.
 func NewStreamWriter(w io.Writer, cfg StreamConfig) *StreamWriter {
 	sw := &StreamWriter{
 		cfg:      cfg,
@@ -132,7 +133,11 @@ func NewStreamWriter(w io.Writer, cfg StreamConfig) *StreamWriter {
 		digest:   NewDigestAccumulator(),
 		pending:  make(map[int]*DomainResult),
 	}
-	sw.file, _ = w.(*os.File)
+	if f, ok := w.(*os.File); ok {
+		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+			sw.file = f
+		}
+	}
 	sw.cond = sync.NewCond(&sw.mu)
 	sw.bw = bufio.NewWriter(w)
 	sw.enc = json.NewEncoder(&tapWriter{w: sw.bw, h: sw.byteHash, n: &sw.offset})
@@ -376,7 +381,7 @@ func (sw *StreamWriter) checkpointLocked() {
 		sw.err = fmt.Errorf("measure: checkpoint encode: %w", err)
 		return
 	}
-	if err := writeFileAtomic(sw.cfg.CheckpointPath, append(data, '\n')); err != nil {
+	if err := WriteFileAtomic(sw.cfg.CheckpointPath, append(data, '\n')); err != nil {
 		sw.err = fmt.Errorf("measure: checkpoint write: %w", err)
 		return
 	}
@@ -387,11 +392,14 @@ func (sw *StreamWriter) checkpointLocked() {
 	}
 }
 
-// writeFileAtomic writes data so a crash at any instant leaves either
-// the previous file or the complete new one: write to a temp file in
-// the same directory, fsync, rename over the target, fsync the
-// directory (best effort — not every filesystem supports it).
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data so a crash at any instant leaves either
+// the previous file or the complete new one: write to path+".tmp" (a
+// stale one from a crashed earlier write is overwritten), fsync, rename
+// over the target, fsync the directory (best effort — not every
+// filesystem supports it). The directory fsync is what orders the
+// rename before any later change the caller makes in the same
+// directory.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {

@@ -185,6 +185,93 @@ func TestStreamWriterBackpressure(t *testing.T) {
 	}
 }
 
+// TestStreamWriterOntoPipe: a stream onto a pipe (govscan -out
+// /dev/stdout | gzip) finishes cleanly with checkpointing off and on.
+// A pipe cannot be fsynced, so the writer only flushes it.
+func TestStreamWriterOntoPipe(t *testing.T) {
+	results := goldenResults()
+	for _, cfg := range []StreamConfig{{}, {CheckpointPath: filepath.Join(t.TempDir(), "scan.ckpt")}} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(r)
+			got <- b
+		}()
+		sw := NewStreamWriter(w, cfg)
+		for i, res := range results {
+			if err := sw.Offer(i, res); err != nil {
+				t.Fatalf("checkpoint %q: Offer(%d): %v", cfg.CheckpointPath, i, err)
+			}
+		}
+		if err := sw.Finish(); err != nil {
+			t.Errorf("checkpoint %q: Finish onto a pipe: %v", cfg.CheckpointPath, err)
+		}
+		_ = w.Close()
+		if !bytes.Equal(<-got, canonicalJSONL(t, results)) {
+			t.Errorf("checkpoint %q: piped bytes differ from canonical bytes", cfg.CheckpointPath)
+		}
+		_ = r.Close()
+	}
+}
+
+// TestWriteFileAtomic: a replacement leaves exactly the new bytes and
+// no temp file, also over a stale temp file a crashed write left
+// behind; a write that cannot create its temp file returns the error
+// and leaves the target as it was.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	onlyTarget := func() {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "state.json" {
+			t.Errorf("directory holds %v, want only state.json", entries)
+		}
+	}
+	wantContent := func(want string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("target = %q, %v; want %q", got, err, want)
+		}
+	}
+
+	if err := WriteFileAtomic(path, []byte("first\n")); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	wantContent("first\n")
+	onlyTarget()
+
+	if err := os.WriteFile(path+".tmp", []byte("torn stale temp file, longer than the new bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("second\n")); err != nil {
+		t.Fatalf("write over a stale temp file: %v", err)
+	}
+	wantContent("second\n")
+	onlyTarget()
+
+	missing := filepath.Join(dir, "missing", "state.json")
+	if err := WriteFileAtomic(missing, []byte("third\n")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("write into a missing directory: err = %v, want ErrNotExist", err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed write created its target: %v", err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("third\n")); err == nil {
+		t.Error("write whose temp file cannot be created succeeded")
+	}
+	wantContent("second\n")
+}
+
 // TestStreamWriterRejectsMisuse: nil results, duplicate indices, and
 // indices behind the cursor are programming errors, reported as a
 // sticky error rather than silently corrupting the archive.

@@ -88,12 +88,10 @@ type Differ struct {
 }
 
 // NewDiffer builds a differ with no baseline yet (the first epoch emits
-// no alerts). A nil catalog means providers.Default().
-func NewDiffer(catalog *providers.Catalog) *Differ {
-	if catalog == nil {
-		catalog = providers.Default()
-	}
-	return &Differ{catalog: catalog}
+// no alerts). The hijack heuristic's known providers are
+// providers.Default().
+func NewDiffer() *Differ {
+	return &Differ{catalog: providers.Default()}
 }
 
 // HasBaseline reports whether a previous epoch has been installed.

@@ -74,7 +74,7 @@ func hasKind(a *Alert, kind string) bool {
 }
 
 func TestDifferNoBaselineEmitsNothing(t *testing.T) {
-	d := NewDiffer(nil)
+	d := NewDiffer()
 	if a := d.Diff(lameResult("x.gov.br", map[string]string{"ns1.x.gov.br": "10.0.0.1"})); a != nil {
 		t.Errorf("first epoch produced alert %+v, want none", a)
 	}
@@ -85,7 +85,7 @@ func TestDifferNoBaselineEmitsNothing(t *testing.T) {
 }
 
 func TestDifferUnchangedDomainIsSilent(t *testing.T) {
-	d := NewDiffer(nil)
+	d := NewDiffer()
 	r := healthyResult("city.gov.br", map[string]string{"ns1.city.gov.br": "10.0.0.1"})
 	d.SetBaseline(baselineOf(r))
 	if a := d.Diff(healthyResult("city.gov.br", map[string]string{"ns1.city.gov.br": "10.0.0.1"})); a != nil {
@@ -98,7 +98,7 @@ func TestDifferUnchangedDomainIsSilent(t *testing.T) {
 // recoveries info.
 func TestDifferClassFlipSeverity(t *testing.T) {
 	hosts := map[string]string{"ns1.city.gov.br": "10.0.0.1"}
-	d := NewDiffer(nil)
+	d := NewDiffer()
 	d.SetBaseline(baselineOf(healthyResult("city.gov.br", hosts)))
 
 	down := d.Diff(lameResult("city.gov.br", hosts))
@@ -138,7 +138,7 @@ func TestDifferHijackHeuristic(t *testing.T) {
 
 	diffWith := func(t *testing.T, extraBaseline []*measure.DomainResult, newHost string) *Alert {
 		t.Helper()
-		d := NewDiffer(nil)
+		d := NewDiffer()
 		d.SetBaseline(baselineOf(append(extraBaseline, base)...))
 		return d.Diff(healthyResult("city.gov.br", map[string]string{newHost: "66.6.0.1"}))
 	}
@@ -174,7 +174,7 @@ func TestDifferHijackHeuristic(t *testing.T) {
 
 func TestDifferAddrChangeAndFaults(t *testing.T) {
 	hosts := map[string]string{"ns1.city.gov.br": "10.0.0.1"}
-	d := NewDiffer(nil)
+	d := NewDiffer()
 	d.SetBaseline(baselineOf(healthyResult("city.gov.br", hosts)))
 
 	moved := healthyResult("city.gov.br", map[string]string{"ns1.city.gov.br": "10.9.9.9"})

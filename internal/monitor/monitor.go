@@ -40,11 +40,14 @@ import (
 	"govdns/internal/dnsname"
 	"govdns/internal/measure"
 	"govdns/internal/obs"
-	"govdns/internal/providers"
 	"govdns/internal/trace"
 )
 
-// Config parameterizes a Monitor.
+// Config parameterizes a Monitor. The rest is fixed: the stream's
+// reorder window is measure.DefaultStreamMaxBuffer, the hijack
+// heuristic knows providers.Default(), and each epoch's flight
+// recorder keeps the trace package's default buckets plus a pinned
+// ring of defaultPinned traces for alerted domains.
 type Config struct {
 	// StateDir holds every durable artifact. Required.
 	StateDir string
@@ -55,19 +58,9 @@ type Config struct {
 	// CheckpointEvery is results between scan checkpoints (and so
 	// between alert flushes); 0 takes the stream default (256).
 	CheckpointEvery int
-	// MaxBuffer bounds the stream reorder window; 0 takes the default.
-	MaxBuffer int
-	// Catalog identifies known DNS providers for the hijack heuristic;
-	// nil means providers.Default().
-	Catalog *providers.Catalog
 	// Registry receives monitor, scanner, and trace instruments; nil
 	// disables instrumentation (obs nil contract).
 	Registry *obs.Registry
-	// Trace bounds each epoch's flight recorder. The Pinned bucket is
-	// where alerted domains' traces live; zero takes defaultPinned, not
-	// the smaller trace-package default, because every alert is
-	// supposed to carry its trace.
-	Trace trace.Config
 	// OnResult, when set, observes every emitted result after the
 	// monitor's own diffing, under the stream writer's lock in emission
 	// order — the daemon's progress hook, and the crash drill's kill
@@ -75,8 +68,11 @@ type Config struct {
 	OnResult func(*measure.DomainResult)
 }
 
-// defaultPinned sizes the alert-trace ring generously: an epoch that
-// flips more domains than this is an incident, not a triage session.
+// defaultPinned sizes each epoch flight recorder's pinned ring, where
+// alerted domains' traces live. It is larger than the trace package's
+// default because every alert is supposed to carry its trace; an epoch
+// that flips more domains than this is an incident, not a triage
+// session.
 const defaultPinned = 1024
 
 const (
@@ -118,13 +114,10 @@ func Open(cfg Config) (*Monitor, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, err
 	}
-	if cfg.Trace.Pinned == 0 {
-		cfg.Trace.Pinned = defaultPinned
-	}
 	m := &Monitor{
 		cfg:     cfg,
 		metrics: NewMetrics(cfg.Registry),
-		differ:  NewDiffer(cfg.Catalog),
+		differ:  NewDiffer(),
 	}
 	st, err := loadState(m.statePath())
 	if err != nil {
@@ -257,7 +250,7 @@ func (m *Monitor) RunEpoch(ctx context.Context, scanner *measure.Scanner, src me
 	var logErr error
 	nextSeq := m.alog.NextSeq()
 
-	flight := trace.NewFlightRecorder(m.cfg.Trace)
+	flight := trace.NewFlightRecorder(trace.Config{Pinned: defaultPinned})
 	flight.AttachRegistry(m.cfg.Registry)
 	scanner.Trace = flight
 
@@ -297,7 +290,6 @@ func (m *Monitor) RunEpoch(ctx context.Context, scanner *measure.Scanner, src me
 	streamCfg := measure.StreamConfig{
 		CheckpointPath:  m.ckptPath(epoch),
 		CheckpointEvery: m.cfg.CheckpointEvery,
-		MaxBuffer:       m.cfg.MaxBuffer,
 		ScanKey:         fmt.Sprintf("%s epoch=%d", m.cfg.ScanKey, epoch),
 		Metrics:         scanner.Metrics,
 		OnResult: func(r *measure.DomainResult) {
@@ -503,7 +495,7 @@ func (m *Monitor) writeTraces(epoch int, flight *trace.FlightRecorder) (int, err
 	if err := trace.WriteJSONL(&buf, merged); err != nil {
 		return 0, err
 	}
-	if err := atomicWrite(path, buf.Bytes()); err != nil {
+	if err := measure.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return 0, err
 	}
 	return len(merged), nil
@@ -514,7 +506,7 @@ func (m *Monitor) writeState(st stateJSON) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(m.statePath(), append(data, '\n'))
+	return measure.WriteFileAtomic(m.statePath(), append(data, '\n'))
 }
 
 func loadState(path string) (*stateJSON, error) {
@@ -562,35 +554,4 @@ func loadEpochSummaries(path string) (map[dnsname.Name]Summary, error) {
 		summaries[r.Domain] = Summarize(r)
 	}
 	return summaries, nil
-}
-
-// atomicWrite is temp + fsync + rename, same discipline as the stream
-// checkpoint: readers see the old bytes or the new bytes, never a torn
-// middle.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return err
-	}
-	return nil
 }

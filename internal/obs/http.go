@@ -1,9 +1,28 @@
 package obs
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"os"
 )
+
+// ServeEndpoint serves HandlerWith(r, h) on addr — a daemon's -metrics
+// flag — from a goroutine that lives as long as the process; an empty
+// addr serves nothing. It announces the routes on stderr, and reports
+// there a server that cannot start (the address in use, say); the
+// process carries on without its endpoint.
+func ServeEndpoint(addr string, r *Registry, h *Health) {
+	if addr == "" {
+		return
+	}
+	go func() {
+		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", addr)
+		srv := &http.Server{Addr: addr, Handler: HandlerWith(r, h)}
+		// Nothing shuts the server down, so any return is a failure.
+		fmt.Fprintf(os.Stderr, "metrics server: %v\n", srv.ListenAndServe())
+	}()
+}
 
 // Handler serves the registry over HTTP with no health surface wired in
 // — /healthz and /readyz always answer 200. Processes with real

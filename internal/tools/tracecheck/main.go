@@ -3,10 +3,10 @@
 // packages it is pointed at must be closed on every path out of the
 // region that opened it — otherwise the flight recorder exports trees
 // with spans stuck "open" and every duration downstream of them is a
-// lie. `make lint` runs it over internal/resolver and internal/measure,
-// the two packages that start spans.
+// lie. `make lint` runs it over every package directory of the module,
+// so a new span site is checked wherever it lands.
 //
-//	go run ./internal/tools/tracecheck ./internal/resolver ./internal/measure
+//	go run ./internal/tools/tracecheck $(go list -f '{{.Dir}}' ./...)
 //
 // The analysis is deliberately small. For each assignment
 // `x := rec.StartSpan(...)` (or `x = rec.StartSpan(...)`) it finds the

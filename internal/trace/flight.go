@@ -44,8 +44,6 @@ type Config struct {
 	// a complete trace even when the domain was fast, error-free, and
 	// stable within the epoch.
 	Pinned int
-	// SpanLimit caps spans per domain (default DefaultSpanLimit).
-	SpanLimit int
 }
 
 func (c Config) withDefaults() Config {
@@ -61,10 +59,23 @@ func (c Config) withDefaults() Config {
 	if c.Pinned <= 0 {
 		c.Pinned = 256
 	}
-	if c.SpanLimit <= 0 {
-		c.SpanLimit = DefaultSpanLimit
-	}
 	return c
+}
+
+// ring keeps the most recent traces added to it, at most n: once full,
+// each add overwrites the oldest.
+type ring struct {
+	traces []*DomainTrace
+	next   int
+}
+
+func (r *ring) add(dt *DomainTrace, n int) {
+	if len(r.traces) < n {
+		r.traces = append(r.traces, dt)
+		return
+	}
+	r.traces[r.next] = dt
+	r.next = (r.next + 1) % n
 }
 
 // FlightRecorder retains exemplar DomainTraces under fixed memory
@@ -74,15 +85,12 @@ func (c Config) withDefaults() Config {
 type FlightRecorder struct {
 	cfg Config
 
-	mu       sync.Mutex
-	slowest  []*DomainTrace // sorted descending by Duration, len <= cfg.Slowest
-	errs     []*DomainTrace // ring buffer
-	errNext  int
-	flipped  []*DomainTrace // ring buffer
-	flipNext int
-	pinned   []*DomainTrace // ring buffer
-	pinNext  int
-	offered  uint64
+	mu      sync.Mutex
+	slowest []*DomainTrace // sorted descending by Duration, len <= cfg.Slowest
+	errs    ring
+	flipped ring
+	pinned  ring
+	offered uint64
 
 	// arenas recycles the span slices of traces Offer declined to
 	// retain: at scan scale almost every offer is dropped, and without
@@ -138,9 +146,9 @@ func (f *FlightRecorder) NewRecorder(domain dnsname.Name) *Recorder {
 		return nil
 	}
 	if sp, ok := f.arenas.Get().(*[]Span); ok {
-		return newRecorder(domain, f.cfg.SpanLimit, (*sp)[:0])
+		return newRecorder(domain, DefaultSpanLimit, (*sp)[:0])
 	}
-	return NewRecorder(domain, f.cfg.SpanLimit)
+	return NewRecorder(domain, DefaultSpanLimit)
 }
 
 // Offer presents a sealed trace for retention. The trace is kept if it
@@ -181,30 +189,15 @@ func (f *FlightRecorder) OfferPin(dt *DomainTrace, pin bool) {
 		retained = true
 	}
 	if dt.Err != "" || dt.ErrTransient {
-		if len(f.errs) < f.cfg.Errors {
-			f.errs = append(f.errs, dt)
-		} else {
-			f.errs[f.errNext] = dt
-			f.errNext = (f.errNext + 1) % f.cfg.Errors
-		}
+		f.errs.add(dt, f.cfg.Errors)
 		retained = true
 	}
 	if dt.ClassChanged {
-		if len(f.flipped) < f.cfg.Flipped {
-			f.flipped = append(f.flipped, dt)
-		} else {
-			f.flipped[f.flipNext] = dt
-			f.flipNext = (f.flipNext + 1) % f.cfg.Flipped
-		}
+		f.flipped.add(dt, f.cfg.Flipped)
 		retained = true
 	}
 	if pin {
-		if len(f.pinned) < f.cfg.Pinned {
-			f.pinned = append(f.pinned, dt)
-		} else {
-			f.pinned[f.pinNext] = dt
-			f.pinNext = (f.pinNext + 1) % f.cfg.Pinned
-		}
+		f.pinned.add(dt, f.cfg.Pinned)
 		retained = true
 	}
 	if retained {
@@ -219,9 +212,9 @@ func (f *FlightRecorder) OfferPin(dt *DomainTrace, pin bool) {
 		dt.Spans = nil
 	}
 	f.gSlowest.Set(int64(len(f.slowest)))
-	f.gErrors.Set(int64(len(f.errs)))
-	f.gFlipped.Set(int64(len(f.flipped)))
-	f.gPinned.Set(int64(len(f.pinned)))
+	f.gErrors.Set(int64(len(f.errs.traces)))
+	f.gFlipped.Set(int64(len(f.flipped.traces)))
+	f.gPinned.Set(int64(len(f.pinned.traces)))
 }
 
 // Counts reports current bucket occupancy and the total offered.
@@ -231,7 +224,7 @@ func (f *FlightRecorder) Counts() (slowest, errors, flipped int, offered uint64)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.slowest), len(f.errs), len(f.flipped), f.offered
+	return len(f.slowest), len(f.errs.traces), len(f.flipped.traces), f.offered
 }
 
 // PinnedCount reports the pinned ring's occupancy.
@@ -241,7 +234,7 @@ func (f *FlightRecorder) PinnedCount() int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.pinned)
+	return len(f.pinned.traces)
 }
 
 // Retained returns the deduplicated set of retained traces, each
@@ -254,7 +247,7 @@ func (f *FlightRecorder) Retained() []*DomainTrace {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	reasons := make(map[*DomainTrace][]string)
-	order := make([]*DomainTrace, 0, len(f.slowest)+len(f.errs)+len(f.flipped)+len(f.pinned))
+	order := make([]*DomainTrace, 0, len(f.slowest)+len(f.errs.traces)+len(f.flipped.traces)+len(f.pinned.traces))
 	add := func(dts []*DomainTrace, reason string) {
 		for _, dt := range dts {
 			if _, ok := reasons[dt]; !ok {
@@ -264,9 +257,9 @@ func (f *FlightRecorder) Retained() []*DomainTrace {
 		}
 	}
 	add(f.slowest, RetainSlowest)
-	add(f.errs, RetainError)
-	add(f.flipped, RetainClassFlip)
-	add(f.pinned, RetainPinned)
+	add(f.errs.traces, RetainError)
+	add(f.flipped.traces, RetainClassFlip)
+	add(f.pinned.traces, RetainPinned)
 	for _, dt := range order {
 		dt.RetainedFor = reasons[dt]
 	}

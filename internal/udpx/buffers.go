@@ -18,18 +18,20 @@ type packetBuf [bufSize]byte
 
 var bufPool = sync.Pool{New: func() any { return new(packetBuf) }}
 
-// getBuf checks a full-capacity buffer out of the packet pool.
-func getBuf() []byte {
+// GetBuf checks a full-capacity buffer out of the packet pool: the
+// pooled datagram buffer of this package's sockets and of authserver's
+// dial transport.
+func GetBuf() []byte {
 	arr := bufPool.Get().(*packetBuf)
 	return arr[:bufSize]
 }
 
-// putBuf returns a buffer obtained from getBuf to the pool. Buffers of
+// PutBuf returns a buffer obtained from GetBuf to the pool. Buffers of
 // any other capacity — a chaos replay copy, a caller-owned slice, a
 // sub-slice — are recognized by capacity and left to the GC; only
 // slices still spanning their original array are reclaimed, so the
 // pointer recovery below is sound.
-func putBuf(buf []byte) {
+func PutBuf(buf []byte) {
 	if cap(buf) != bufSize {
 		return
 	}

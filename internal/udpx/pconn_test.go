@@ -113,7 +113,7 @@ func TestDispatchSkipsInvalidSource(t *testing.T) {
 	tr := newTest(t, Config{Sockets: 1})
 	s := &sock{
 		t:      tr,
-		rbufs:  [][]byte{getBuf(), getBuf()},
+		rbufs:  [][]byte{GetBuf(), GetBuf()},
 		rsizes: []int{16, 16},
 		raddrs: []netip.AddrPort{{}, netip.MustParseAddrPort("127.0.0.1:5353")},
 	}

@@ -95,7 +95,7 @@ func newSock(t *BatchTransport, conn *net.UDPConn, key [4]uint32) *sock {
 		raddrs: make([]netip.AddrPort, DefaultBatch),
 	}
 	for i := range s.rbufs {
-		s.rbufs[i] = getBuf()
+		s.rbufs[i] = GetBuf()
 	}
 	return s
 }
@@ -189,6 +189,6 @@ func (s *sock) dispatch(got int) {
 			continue
 		}
 		s.t.deliver(s, s.rbufs[i][:s.rsizes[i]], s.raddrs[i])
-		s.rbufs[i] = getBuf()
+		s.rbufs[i] = GetBuf()
 	}
 }

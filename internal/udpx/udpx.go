@@ -513,7 +513,7 @@ func (t *BatchTransport) cancelWait(w *waiter, gen uint32, cause error) error {
 	}
 	res := <-w.ch
 	if res.buf != nil {
-		putBuf(res.buf)
+		PutBuf(res.buf)
 	}
 	t.putWaiter(w)
 	return cause
@@ -534,7 +534,7 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	m.recvDgrams.Inc()
 	if len(buf) < 12 {
 		m.malformed.Inc()
-		putBuf(buf)
+		PutBuf(buf)
 		return
 	}
 	src = netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
@@ -546,7 +546,7 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	mu.Unlock()
 	if !ok || !ref.w.complete(ref.gen, stDelivered) {
 		m.misses.Inc()
-		putBuf(buf)
+		PutBuf(buf)
 		return
 	}
 	t.unregister(ref.w, ref.gen)
@@ -573,7 +573,7 @@ func (t *BatchTransport) expire(w *waiter, gen uint32) {
 // copies everything it keeps). Implements resolver.ResponseReleaser.
 // Foreign buffers — a chaos duplicate's replay copy, a caller's own
 // slice — are recognized by capacity and simply left to the GC.
-func (t *BatchTransport) ReleaseResponse(buf []byte) { putBuf(buf) }
+func (t *BatchTransport) ReleaseResponse(buf []byte) { PutBuf(buf) }
 
 // Close shuts the transport down: stops the senders and the wheel,
 // closes every socket (unblocking the receivers), and fails every
