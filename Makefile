@@ -42,12 +42,15 @@ bench:
 # bench-check keeps the benchmark buildable: bench/ is its own module,
 # so build/vet/test above never compile it, and a change to an
 # identifier it imports would otherwise first show when the benchmark
-# run fails. Vet, the module's own tests under the race detector, and a
-# one-second loopback-scan smoke.
+# run fails. Vet, the module's own tests under the race detector, and
+# two one-second smokes: the loopback scan, and the stream path
+# (ScanStream with checkpoints, as govscan runs it), whose every
+# per-domain digest is checked against the reference scans.
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench -race .
 	$(GO) run -C bench . -workload scan_udp_loopback -seconds 1 -trace 0
+	$(GO) run -C bench . -workload scan_sim_mix -seconds 1 -trace 0
 
 # monitor-smoke is the end-to-end daemon drill: two epochs over the
 # miniworld with an NS hijack injected between them must produce exactly

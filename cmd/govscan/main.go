@@ -17,12 +17,13 @@
 //	govscan -real -domains domains.txt -concurrency 16 -timeout 2s
 //	govscan -summarize scan.jsonl
 //
-// With -checkpoint the scan streams: results are emitted to -out in
-// input order as workers finish (bounded memory, no in-RAM result
-// slice), and a crash-safe checkpoint is written periodically. A killed
-// scan restarted with -resume continues at the checkpoint and produces
-// output — and a canonical digest — bit-identical to an uninterrupted
-// run:
+// The scan always streams: results are emitted to -out (or stdout) in
+// input order as workers finish, through a bounded reorder window, so
+// neither the domain list nor the results are ever held as one slice.
+// -checkpoint adds a crash-safe checkpoint record, written
+// periodically beside -out. A killed scan restarted with -resume
+// continues at the checkpoint and produces output — and a canonical
+// digest — bit-identical to an uninterrupted run:
 //
 //	govscan -sim -scale 1.0 -out scan.jsonl -checkpoint scan.ckpt
 //	govscan -sim -scale 1.0 -out scan.jsonl -checkpoint scan.ckpt -resume
@@ -95,7 +96,7 @@ func run() error {
 		"with -trace: ring-buffer bound on Error/Transient exemplars (default 512)")
 	summarize := flag.String("summarize", "", "summarize an existing JSONL scan and exit")
 	checkpointPath := flag.String("checkpoint", "",
-		"stream results to -out with periodic crash-safe checkpoints at this path; a killed scan restarted with -resume continues where it left off")
+		"write periodic crash-safe checkpoints of -out at this path; a killed scan restarted with -resume continues where it left off")
 	resume := flag.Bool("resume", false,
 		"with -checkpoint: resume an interrupted streaming scan, validating the checkpoint and extending -out in place")
 	checkpointEvery := flag.Int("checkpoint-every", 0,
@@ -106,17 +107,15 @@ func run() error {
 		return summarizeFile(*summarize)
 	}
 
-	streaming := *checkpointPath != ""
-	if streaming && *out == "" {
+	if *checkpointPath != "" && *out == "" {
 		return fmt.Errorf("-checkpoint requires -out (a resumable scan needs a seekable output file)")
 	}
-	if *resume && !streaming {
+	if *resume && *checkpointPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 
 	var transport resolver.Transport
 	var roots []netip.Addr
-	var domains []dnsname.Name
 	var world *worldgen.World
 	var err error
 
@@ -146,38 +145,26 @@ func run() error {
 		if *timeout == 0 {
 			*timeout = 25 * time.Millisecond
 		}
-		if *domainsPath == "" && !streaming {
-			domains = active.QueryList
-		}
 	default:
 		return fmt.Errorf("pick -sim or -real")
 	}
 
-	// The streaming path pulls domains from an iterator (the worldgen
-	// query stream, or the list file read line by line) so the input is
-	// never materialized as one slice; the batch path keeps its slice.
+	// Domains come from an iterator — the list file read line by line,
+	// or the world's query stream — so the input is never materialized
+	// as one slice.
 	var src measure.DomainSource
 	srcTotal := 0
 	var srcErr func() error
-	switch {
-	case *domainsPath != "" && streaming:
+	if *domainsPath != "" {
 		fs, err := openFileSource(*domainsPath)
 		if err != nil {
 			return err
 		}
 		defer fs.Close()
 		src, srcErr = fs.Next, fs.Err
-	case *domainsPath != "":
-		domains, err = readDomains(*domainsPath)
-		if err != nil {
-			return err
-		}
-	case streaming:
+	} else {
 		qs := worldgen.NewQueryStream(world)
 		src, srcTotal = qs.Next, qs.Len()
-	}
-	if !streaming && len(domains) == 0 {
-		return fmt.Errorf("no domains to scan")
 	}
 
 	if *real && *qps == 0 {
@@ -240,23 +227,21 @@ func run() error {
 		obs.ServeEndpoint(*metricsAddr, reg, health)
 	}
 
-	if streaming {
-		fmt.Fprintf(os.Stderr, "streaming scan (timeout %v, concurrency %d, fanout %d) -> %s [checkpoint %s]\n",
-			*timeout, *concurrency, *fanout, *out, *checkpointPath)
-	} else {
-		fmt.Fprintf(os.Stderr, "scanning %d domains (timeout %v, concurrency %d, fanout %d)\n",
-			len(domains), *timeout, *concurrency, *fanout)
+	dest := *out
+	if dest == "" {
+		dest = "stdout"
 	}
-	ctx := context.Background()
-	if streaming {
-		// A streaming scan is built to be killed: an interrupt cancels
-		// the scan cleanly so Finish writes a final checkpoint covering
-		// the emitted prefix (a hard kill loses at most the window since
-		// the last periodic checkpoint).
-		sctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		defer stopSignals()
-		ctx = sctx
+	if *checkpointPath != "" {
+		dest += " [checkpoint " + *checkpointPath + "]"
 	}
+	fmt.Fprintf(os.Stderr, "scanning (timeout %v, concurrency %d, fanout %d) -> %s\n",
+		*timeout, *concurrency, *fanout, dest)
+	// The scan is built to be killed: an interrupt cancels it cleanly, so
+	// the output ends at the last contiguous result and Finish writes a
+	// final checkpoint covering it (a hard kill loses at most the window
+	// since the last periodic checkpoint).
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
 	if *progressEvery > 0 {
 		progressCtx, stopProgress := context.WithCancel(context.Background())
 		defer stopProgress()
@@ -264,25 +249,22 @@ func run() error {
 		go rep.Run(progressCtx)
 	}
 	start := time.Now()
-	var results []*measure.DomainResult
-	if streaming {
-		cfg := measure.StreamConfig{
-			CheckpointPath:  *checkpointPath,
-			CheckpointEvery: *checkpointEvery,
-			ScanKey:         scanKey(*real, *seed, *scale, *domainsPath, *chaosSpec),
-			Metrics:         scanner.Metrics,
-		}
-		scanner.Metrics.SetTotal(srcTotal)
-		if err := runStream(ctx, scanner, src, cfg, *out, *resume); err != nil {
+	var sum summary
+	cfg := measure.StreamConfig{
+		CheckpointPath:  *checkpointPath,
+		CheckpointEvery: *checkpointEvery,
+		ScanKey:         scanKey(*real, *seed, *scale, *domainsPath, *chaosSpec),
+		Metrics:         scanner.Metrics,
+		OnResult:        sum.add,
+	}
+	scanner.Metrics.SetTotal(srcTotal)
+	if err := runStream(ctx, scanner, src, cfg, *out, *resume); err != nil {
+		return err
+	}
+	if srcErr != nil {
+		if err := srcErr(); err != nil {
 			return err
 		}
-		if srcErr != nil {
-			if err := srcErr(); err != nil {
-				return err
-			}
-		}
-	} else {
-		results = scanner.Scan(ctx, domains)
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	if *showStats {
@@ -335,28 +317,9 @@ func run() error {
 			offered, slow, errsN, flipped, *tracePath)
 	}
 
-	if streaming {
-		// The results went to -out as they completed; nothing is held in
-		// memory to summarize. `govscan -summarize <out>` reads it back.
-		return nil
-	}
-	dest := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "govscan: closing output: %v\n", cerr)
-			}
-		}()
-		dest = f
-	}
-	if err := measure.WriteJSONL(dest, results); err != nil {
-		return err
-	}
-	printSummary(results)
+	// The summary covers the results this run emitted; after -resume,
+	// `govscan -summarize <out>` reads the whole archive back.
+	sum.print()
 	return nil
 }
 
@@ -373,10 +336,11 @@ func scanKey(real bool, seed int64, scale float64, domainsPath, chaosSpec string
 	return fmt.Sprintf("%s seed=%d scale=%g domains=%s chaos=%s", mode, seed, scale, domainsPath, chaosSpec)
 }
 
-// runStream executes the streaming scan against a fresh or resumed
-// StreamWriter and reports the emitted count and canonical digest. A
-// cancelled scan (interrupt) is not an error: the checkpoint makes it
-// resumable, and saying so beats a stack trace.
+// runStream executes the scan against a fresh or resumed StreamWriter
+// onto outPath (stdout when empty) and reports the emitted count and
+// canonical digest. A cancelled scan (interrupt) is not an error: the
+// output ends at a whole result, a checkpoint makes it resumable, and
+// saying so beats a stack trace.
 func runStream(ctx context.Context, scanner *measure.Scanner, src measure.DomainSource, cfg measure.StreamConfig, outPath string, resume bool) error {
 	if resume {
 		// Resuming before the first checkpoint ever landed is a fresh
@@ -399,6 +363,8 @@ func runStream(ctx context.Context, scanner *measure.Scanner, src measure.Domain
 		}
 		fmt.Fprintf(os.Stderr, "resuming: %d results already on disk (%d salvaged past the checkpoint, %d torn bytes dropped)\n",
 			info.Emitted, info.Salvaged, info.DroppedBytes)
+	} else if outPath == "" {
+		sw = measure.NewStreamWriter(os.Stdout, cfg)
 	} else {
 		f, err := os.Create(outPath)
 		if err != nil {
@@ -415,9 +381,13 @@ func runStream(ctx context.Context, scanner *measure.Scanner, src measure.Domain
 	err := scanner.ScanStream(ctx, src, sw)
 	switch {
 	case err == nil:
-		fmt.Fprintf(os.Stderr, "streamed %d results -> %s (digest %s)\n", sw.Emitted(), outPath, sw.DigestHex())
+		fmt.Fprintf(os.Stderr, "streamed %d results (digest %s)\n", sw.Emitted(), sw.DigestHex())
 		return nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		if cfg.CheckpointPath == "" {
+			fmt.Fprintf(os.Stderr, "interrupted after %d results\n", sw.Emitted())
+			return nil
+		}
 		fmt.Fprintf(os.Stderr, "interrupted after %d results; checkpoint at %s covers them — rerun with -resume to continue\n",
 			sw.Emitted(), cfg.CheckpointPath)
 		return nil
@@ -468,30 +438,6 @@ func (fs *fileSource) Next() (dnsname.Name, bool) {
 func (fs *fileSource) Err() error   { return fs.err }
 func (fs *fileSource) Close() error { return fs.f.Close() }
 
-func readDomains(path string) ([]dnsname.Name, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	var out []dnsname.Name
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" || line[0] == '#' {
-			continue
-		}
-		name, err := dnsname.Parse(line)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-		}
-		out = append(out, name)
-	}
-	return out, sc.Err()
-}
-
 func summarizeFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -502,35 +448,45 @@ func summarizeFile(path string) error {
 	if err != nil {
 		return err
 	}
-	printSummary(results)
+	var sum summary
+	for _, r := range results {
+		sum.add(r)
+	}
+	sum.print()
 	return nil
 }
 
-func printSummary(results []*measure.DomainResult) {
-	var parent, data, responsive, partial, full int
-	for _, r := range results {
-		if r.ParentResponded {
-			parent++
-		}
-		if r.HasData() {
-			data++
-		}
-		if r.Responsive() {
-			responsive++
-		}
-		if r.PartiallyDefective() {
-			partial++
-		}
-		if r.FullyDefective() {
-			full++
-		}
+// summary counts a scan's results by the paper's funnel stages.
+type summary struct {
+	scanned, parent, data, responsive, partial, full int
+}
+
+func (s *summary) add(r *measure.DomainResult) {
+	s.scanned++
+	if r.ParentResponded {
+		s.parent++
 	}
+	if r.HasData() {
+		s.data++
+	}
+	if r.Responsive() {
+		s.responsive++
+	}
+	if r.PartiallyDefective() {
+		s.partial++
+	}
+	if r.FullyDefective() {
+		s.full++
+	}
+}
+
+func (s *summary) print() {
 	fmt.Fprintf(os.Stderr,
 		"summary: %d scanned; parent %d (%.1f%%); data %d (%.1f%%); responsive %d (%.1f%%); partial-lame %d (%.1f%%); full-lame %d (%.1f%%)\n",
-		len(results),
-		parent, stats.Pct(parent, len(results)),
-		data, stats.Pct(data, len(results)),
-		responsive, stats.Pct(responsive, len(results)),
-		partial, stats.Pct(partial, data),
-		full, stats.Pct(full, data))
+		s.scanned,
+		s.parent, stats.Pct(s.parent, s.scanned),
+		s.data, stats.Pct(s.data, s.scanned),
+		s.responsive, stats.Pct(s.responsive, s.scanned),
+		s.partial, stats.Pct(s.partial, s.data),
+		s.full, stats.Pct(s.full, s.data))
 }

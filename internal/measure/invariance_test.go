@@ -3,6 +3,8 @@ package measure
 import (
 	"context"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,5 +417,79 @@ func TestScanInvariancePersistentChaosDegradesGracefully(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// exchangeLog records, per server address, the question of every query
+// the wrapped transport carries, in the order the server receives them,
+// and the most exchanges it ever had in flight at once.
+type exchangeLog struct {
+	inner    resolver.Transport
+	mu       sync.Mutex
+	byServer map[netip.Addr][]string
+	inflight int
+	peak     int
+}
+
+func (l *exchangeLog) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
+	q, err := dnswire.Decode(query)
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	if l.byServer == nil {
+		l.byServer = map[netip.Addr][]string{}
+	}
+	l.byServer[server] = append(l.byServer[server], q.Questions[0].Name.String()+" "+q.Questions[0].Type.String())
+	l.inflight++
+	l.peak = max(l.peak, l.inflight)
+	l.mu.Unlock()
+	defer func() {
+		l.mu.Lock()
+		l.inflight--
+		l.mu.Unlock()
+	}()
+	return l.inner.Exchange(ctx, server, query)
+}
+
+// TestSerialScanSendsTheSameExchanges: a serial scan under windowed
+// chaos, with adaptive ordering on, sends every server the same queries
+// in the same order on every run. Windowed faults key on those per-server
+// sequences, so this is what makes such a scan reproducible at all. The
+// schedule kills the gov.br servers' first walk answers, so later walks
+// find them suspect and ask them together; the exchanges of a group run
+// concurrently, but each goes to its own server and every one of them is
+// sent whichever answers first.
+func TestSerialScanSendsTheSameExchanges(t *testing.T) {
+	w := miniworld.Build()
+	domains := miniworld.Domains()
+	profile := map[dnsname.Name][]chaos.Rule{
+		"ns1.gov.br.":      {chaos.Transient(chaos.Drop, 4)},
+		"ns2.gov.br.":      {chaos.Transient(chaos.Drop, 2)},
+		"ns1.city.gov.br.": {chaos.FlapOutage(1, 3)},
+	}
+	var runs [2]*exchangeLog
+	var digests [2]string
+	for i := range runs {
+		tr := w.ChaosProfile(3, profile)
+		runs[i] = &exchangeLog{inner: tr}
+		digests[i] = DigestHex(scanWith(t, runs[i], w.Roots, domains, 1, 1, true))
+		if tr.Stats().Total() == 0 {
+			t.Fatal("chaos injected nothing; the test is vacuous")
+		}
+	}
+	if runs[0].peak < 2 {
+		t.Errorf("at most %d exchange in flight; no walk asked its servers together", runs[0].peak)
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("serial windowed-chaos scan not reproducible: digest %s != %s", digests[1], digests[0])
+	}
+	for addr, want := range runs[0].byServer {
+		if got := runs[1].byServer[addr]; !slices.Equal(got, want) {
+			t.Errorf("%v: exchanges differ between runs:\n first  %q\n second %q", addr, want, got)
+		}
+	}
+	if len(runs[1].byServer) != len(runs[0].byServer) {
+		t.Errorf("runs reached %d and %d servers", len(runs[0].byServer), len(runs[1].byServer))
 	}
 }

@@ -29,15 +29,16 @@ import (
 // the streaming scan's in-flight memory at O(buffer + workers), however
 // many domains the source yields.
 //
-// A bigger window is not a free speed-up. Measured at seed 42, raising
-// it to 2,048 / 4,096 / unbounded takes scan_sim_mix from 4.55k to
-// 6.80k / 8.89k / 8.66k domains/s but op_p50_ms from 215 to 261 / 274 /
-// 271 ms, past the benchmark's 25% bound: lines leave in input order, so
-// every domain waits behind the walk-failure domains, each of which
-// tries every dead server of its parent in turn, in both rounds (up to
-// 205 ms at p90). Those walks must get shorter before the window grows
-// (DESIGN.md § 5).
-const DefaultStreamMaxBuffer = 1024
+// Lines leave in input order, so the window is how far the scan runs
+// ahead of its slowest domain, on scan_sim_mix a walk failure. Measured
+// at seed 42 on that workload: while those walks asked their parent's
+// dead servers one after another, 1,024 held it at 4.3k–4.5k domains/s
+// and a bigger window bought rate with latency (2,048: 6.8k/s, but p50
+// 215 → 261 ms). Asked together (resolver's queryAny), the walks are
+// short; 1,024 then reaches 7.4k–7.5k domains/s, 2,048 reaches
+// 9.1k–9.7k at p50 145 ms, and no bound at all 9.7k–9.9k (DESIGN.md
+// § 5).
+const DefaultStreamMaxBuffer = 2048
 
 // DefaultCheckpointEvery is how many emitted results separate two
 // checkpoint records when StreamConfig.CheckpointEvery is unset.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
 	"time"
 
 	"govdns/internal/dnsname"
@@ -137,7 +138,8 @@ type Iterator struct {
 	// addresses first (the consecutive-failure counts in the client's
 	// server table, reset on success). Without it, a zone whose
 	// first-listed nameserver is dead costs every query against that
-	// zone a full timeout before the responsive server is asked.
+	// zone a full timeout: the responsive server is asked only after
+	// it, or together with it, and a group waits for every member.
 	// Defaults to true from NewIterator; only the order of
 	// infrastructure queries changes — measurement probes ask one named
 	// address each and are never reordered.
@@ -286,10 +288,12 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 	// One codec arena per step: the response borrows it, and everything
 	// that outlives the step — the Delegation's record sections, the next
 	// zone's host names — is deep-copied at the choke points below.
+	// queryAny may hand back a different arena than it was given; the
+	// deferred Finish releases whichever a holds by then.
 	a := it.client.ArenaPool().Get()
-	defer a.Finish()
+	defer func() { a.Finish() }()
 
-	resp, _, err := it.queryAny(ctx, a, current, name, dnswire.TypeNS, depth)
+	resp, a, err := it.queryAny(ctx, a, current, name, dnswire.TypeNS, depth)
 	if err != nil {
 		return nil, nil, fmt.Errorf("querying servers of %q for %q: %w", current.Zone, name, err)
 	}
@@ -491,13 +495,16 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (a
 	// One arena for the whole walk: each step's decode invalidates the
 	// previous response, which is exactly the loop's access pattern, and
 	// every value that escapes (addresses, the CNAME target, zone names)
-	// is copied or owned below.
+	// is copied or owned below. queryAny may swap it for the arena its
+	// answer arrived on.
 	a := it.client.ArenaPool().Get()
-	defer a.Finish()
+	defer func() { a.Finish() }()
 
 	current := it.cachedZone(host)
 	for step := 0; step < maxDepth; step++ {
-		resp, _, err := it.queryAny(ctx, a, current, host, dnswire.TypeA, depth)
+		var resp *dnswire.Message
+		var err error
+		resp, a, err = it.queryAny(ctx, a, current, host, dnswire.TypeA, depth)
 		if err != nil {
 			return nil, fmt.Errorf("resolving %q via %q: %w", host, current.Zone, err)
 		}
@@ -540,24 +547,30 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (a
 	return nil, fmt.Errorf("%w: referral chain too long for %s", ErrDepth, host)
 }
 
-// queryAny asks the zone's servers until one responds. Lame servers are
+// queryAny asks the zone's servers until one responds, and returns its
+// answer on the arena the caller now holds (see below). Lame servers are
 // skipped; if all are lame, the failure of the lowest-addressed server
 // is returned — every candidate was tried, so the failure *set* does not
 // depend on try order, and picking a canonical representative keeps the
 // reported error (which ends up in scan results) independent of the
-// adaptive ordering's scheduling-fed health state. With AdaptiveOrder
-// the known addresses are tried healthiest-first (stable, so a fresh
-// client behaves exactly like the fixed order); out-of-bailiwick hosts
-// whose addresses are not yet known are only resolved once every known
-// address has failed.
-// The returned message borrows a, like QueryArena's.
-func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServers, name dnsname.Name, qtype dnswire.Type, depth int) (*dnswire.Message, netip.Addr, error) {
-	type candidate struct {
-		addr  netip.Addr
-		fails int32
-	}
-	servers := &it.client.servers
-	cands := make([]candidate, 0, len(zs.Hosts))
+// adaptive ordering's scheduling-fed health state. Each address is a
+// candidate once, at its first position, however many NS hosts resolve
+// to it. With AdaptiveOrder the known addresses are tried healthiest-
+// first (stable, so a fresh client behaves exactly like the fixed
+// order); out-of-bailiwick hosts whose addresses are not yet known are
+// only resolved once every known address has failed.
+//
+// A candidate is asked on its own while the call has seen no failure and
+// its record holds none; from the first sign of a dead zone the rest are
+// asked together (see askTogether), which returns the same answer the
+// one-by-one loop would. The returned message borrows the returned
+// arena: a itself, or — when a helper's answer won — that helper's
+// arena, a having been finished. The caller finishes whichever it holds.
+func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServers, name dnsname.Name, qtype dnswire.Type, depth int) (*dnswire.Message, *dnswire.Arena, error) {
+	// Up to eight candidates live on the stack, so a healthy walk's
+	// query allocates nothing here.
+	var stack [8]candidate
+	cands := stack[:0]
 	var unresolved []dnsname.Name
 	for _, host := range zs.Hosts {
 		addrs := zs.Addrs[host]
@@ -567,14 +580,9 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 			unresolved = append(unresolved, host)
 			continue
 		}
-		for _, addr := range addrs {
-			cands = append(cands, candidate{addr: addr})
-		}
+		cands = it.appendCandidates(cands, addrs)
 	}
 	if it.AdaptiveOrder && len(cands) > 1 {
-		for i := range cands {
-			cands[i].fails = servers.failures(cands[i].addr)
-		}
 		byFails := func(a, b candidate) int { return cmp.Compare(a.fails, b.fails) }
 		if !slices.IsSortedFunc(cands, byFails) {
 			slices.SortStableFunc(cands, byFails)
@@ -585,49 +593,141 @@ func (it *Iterator) queryAny(ctx context.Context, a *dnswire.Arena, zs *ZoneServ
 		}
 	}
 
-	type failure struct {
-		addr netip.Addr
-		err  error
-	}
-	var fails []failure
-	try := func(addr netip.Addr) *dnswire.Message {
-		resp, err := it.client.QueryArena(ctx, a, addr, name, qtype)
-		if err != nil {
-			// A dead context says nothing about the server's health.
-			if ctx.Err() == nil {
-				servers.record(addr).fails.Add(1)
-			}
-			fails = append(fails, failure{addr, err})
-			return nil
-		}
-		if resp.Header.RCode == dnswire.RCodeServFail || resp.Header.RCode == dnswire.RCodeRefused {
-			servers.record(addr).fails.Add(1)
-			fails = append(fails, failure{addr,
-				fmt.Errorf("%w: %w: %s from %s", ErrNoServers, ErrServerFailure, resp.Header.RCode, addr)})
-			return nil
-		}
-		servers.record(addr).fails.Store(0)
-		return resp
-	}
-	for _, c := range cands {
-		if resp := try(c.addr); resp != nil {
-			return resp, c.addr, nil
-		}
-	}
+	resp, a, fails := it.ask(ctx, a, cands, name, qtype, nil)
 	for _, host := range unresolved {
+		if resp != nil {
+			break
+		}
 		addrs, err := it.resolveHost(ctx, host, depth+1)
 		if err != nil {
 			continue
 		}
-		for _, addr := range addrs {
-			if resp := try(addr); resp != nil {
-				return resp, addr, nil
+		known := len(cands)
+		cands = it.appendCandidates(cands, addrs)
+		resp, a, fails = it.ask(ctx, a, cands[known:], name, qtype, fails)
+	}
+	switch {
+	case resp != nil:
+		return resp, a, nil
+	case len(fails) == 0:
+		return nil, a, fmt.Errorf("%w: zone %s", ErrNoServers, zs.Zone)
+	}
+	return nil, a, slices.MinFunc(fails, func(x, y failure) int { return x.addr.Compare(y.addr) }).err
+}
+
+// candidate is one server address queryAny may ask, with the walk's
+// failure count its record held when the address joined the list.
+type candidate struct {
+	addr  netip.Addr
+	fails int32
+}
+
+// failure is a candidate that did not answer usefully.
+type failure struct {
+	addr netip.Addr
+	err  error
+}
+
+// appendCandidates appends the addresses not yet in cands, in order.
+func (it *Iterator) appendCandidates(cands []candidate, addrs []netip.Addr) []candidate {
+next:
+	for _, addr := range addrs {
+		for _, c := range cands {
+			if c.addr == addr {
+				continue next
 			}
 		}
+		cands = append(cands, candidate{addr, it.client.servers.failures(addr)})
 	}
-	if len(fails) == 0 {
-		return nil, netip.Addr{}, fmt.Errorf("%w: zone %s", ErrNoServers, zs.Zone)
+	return cands
+}
+
+// ask asks cands in order until one answers, appending each failure to
+// fails. A candidate goes alone, on the caller and its arena, while
+// fails is empty and the candidate's record shows no failures — the
+// healthy walk's path, which costs no goroutine. Otherwise it and every
+// candidate after it are asked together.
+func (it *Iterator) ask(ctx context.Context, a *dnswire.Arena, cands []candidate, name dnsname.Name, qtype dnswire.Type, fails []failure) (*dnswire.Message, *dnswire.Arena, []failure) {
+	for i, c := range cands {
+		if len(fails) > 0 || c.fails > 0 {
+			return it.askTogether(ctx, a, cands[i:], name, qtype, fails)
+		}
+		resp, err := it.try(ctx, a, c.addr, name, qtype)
+		if err == nil {
+			return resp, a, fails
+		}
+		fails = append(fails, failure{c.addr, err})
 	}
-	slices.SortFunc(fails, func(a, b failure) int { return a.addr.Compare(b.addr) })
-	return nil, netip.Addr{}, fails[0].err
+	return nil, a, fails
+}
+
+// askTogether asks every candidate at once: the caller asks the first on
+// a, one helper goroutine per other candidate asks it on an arena of its
+// own from the client's pool. The waits on dead servers overlap; the
+// answers do not race. Every member runs to completion — nothing is
+// cancelled when an early answer arrives — and books its outcome before
+// this returns, so which exchanges a walk sends never depends on
+// goroutine timing. The answer is the lowest-index candidate that
+// answered, which is the one the one-by-one loop would have returned.
+// Its arena goes back to the caller (a is finished if a helper's won);
+// every other helper arena goes back to the pool.
+func (it *Iterator) askTogether(ctx context.Context, a *dnswire.Arena, cands []candidate, name dnsname.Name, qtype dnswire.Type, fails []failure) (*dnswire.Message, *dnswire.Arena, []failure) {
+	type answer struct {
+		a    *dnswire.Arena
+		resp *dnswire.Message
+		err  error
+	}
+	answers := make([]answer, len(cands))
+	answers[0].a = a
+	pool := it.client.ArenaPool()
+	var wg sync.WaitGroup
+	for k := 1; k < len(cands); k++ {
+		ans := &answers[k]
+		ans.a = pool.Get()
+		wg.Add(1)
+		go func(addr netip.Addr) {
+			defer wg.Done()
+			ans.resp, ans.err = it.try(ctx, ans.a, addr, name, qtype)
+		}(cands[k].addr)
+	}
+	answers[0].resp, answers[0].err = it.try(ctx, a, cands[0].addr, name, qtype)
+	wg.Wait()
+
+	win := slices.IndexFunc(answers, func(ans answer) bool { return ans.err == nil })
+	for k := 1; k < len(answers); k++ {
+		if k != win {
+			answers[k].a.Finish()
+		}
+	}
+	switch {
+	case win < 0:
+		for k, ans := range answers {
+			fails = append(fails, failure{cands[k].addr, ans.err})
+		}
+		return nil, a, fails
+	case win > 0:
+		a.Finish()
+	}
+	return answers[win].resp, answers[win].a, fails
+}
+
+// try asks one server and books the outcome on its record: a failure
+// under a live context counts against the server (a dead context says
+// nothing about its health), an answer clears its count. SERVFAIL and
+// REFUSED are failures too — the server is up but no use to the walk.
+func (it *Iterator) try(ctx context.Context, a *dnswire.Arena, addr netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
+	resp, err := it.client.QueryArena(ctx, a, addr, name, qtype)
+	servers := &it.client.servers
+	switch {
+	case err != nil:
+		if ctx.Err() == nil {
+			servers.record(addr).fails.Add(1)
+		}
+		return nil, err
+	case resp.Header.RCode == dnswire.RCodeServFail || resp.Header.RCode == dnswire.RCodeRefused:
+		servers.record(addr).fails.Add(1)
+		return nil, fmt.Errorf("%w: %w: %s from %s", ErrNoServers, ErrServerFailure, resp.Header.RCode, addr)
+	}
+	servers.record(addr).fails.Store(0)
+	return resp, nil
 }

@@ -32,8 +32,8 @@ type serverRecord struct {
 	ok, timeouts, rejects atomic.Uint64
 
 	// fails is the walk's consecutive-failure count: incremented only by
-	// Iterator.queryAny for a failure observed under a live context,
-	// reset by its next success.
+	// a walk query (Iterator.try) that failed under a live context,
+	// reset by the next one that succeeds.
 	fails atomic.Int32
 
 	// accepted holds the last acceptedRing validated transaction IDs
