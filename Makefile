@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build fmt test race vet lint bench bench-check chaos fuzz monitor-smoke check
+.PHONY: build fmt test race vet lint cross bench bench-check chaos fuzz monitor-smoke check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,16 @@ vet:
 # finds, so a package that starts spans is checked without an edit here.
 lint:
 	$(GO) run ./internal/tools/tracecheck $$($(GO) list -f '{{.Dir}}' ./...)
+
+# cross vets the packages split by build tag — udpx's batched syscalls
+# (mmsg_linux*.go, pconn_linux.go) against its portable stub
+# (pconn_stub.go), and authserver's read loop over both — for a target
+# without the batched path and for the other Linux architecture that
+# has it, so a change that only builds on the host's GOOS/GOARCH fails
+# here instead of on someone else's machine.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/udpx ./internal/authserver
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/udpx ./internal/authserver
 
 # bench runs the repository's one benchmark suite (BENCHMARK.json): the
 # bench/ module's five workloads, one process each, end-to-end metrics
@@ -91,4 +101,4 @@ fuzz:
 # hot paths are lock-free; the race detector is what keeps them honest)
 # — under the race detector, and both test and race include the
 # monitor-smoke drill.
-check: build fmt vet lint test race bench-check
+check: build fmt vet lint cross test race bench-check

@@ -11,11 +11,15 @@ import (
 	"govdns/internal/udpx"
 )
 
-// udpBufSize sizes the serving loop's query buffers, udpx's 4 KiB
-// datagram size. The loop owns its buffers for its whole life, so they
-// are allocated rather than checked out of udpx's pool (which the dial
-// transport uses): pooled, they measured ~45 MB more peak RSS across
-// the 3,775 listeners of the loopback benchmark (2-vCPU Linux box).
+// udpBufSize is the largest datagram the serving side reads or
+// answers: udpx's 4 KiB packet-pool buffer, the de-facto EDNS0
+// ceiling. The read loop borrows its query buffers from that pool only
+// while its socket is readable (udpx.PacketConn lends them at
+// readiness) and returns each once the query is answered, so a
+// listener holds none while it waits. Owning them for the loop's whole
+// life instead — whether allocated or checked out of the pool — pinned
+// 32 of them per listener: most of scan_udp_loopback's peak RSS across
+// its 3,775 listeners.
 const udpBufSize = 4096
 
 // UDPServer serves one authoritative Server over a real UDP socket. It is
@@ -87,27 +91,23 @@ func (u *UDPServer) Close() error {
 const udpServeBatch = 32
 
 // loop is one read loop: whole batches of queries come up in one
-// batched receive into loop-owned buffers reused across rounds, each
-// query is answered in place (the handler decodes onto a pooled codec
-// arena; responses land in loop-owned buffers reused across rounds),
-// and the batch of responses goes out in one batched send. Steady
-// state is allocation-free, gated by TestUDPServerLoopZeroAlloc; the
-// AddrPort-based fallbacks keep even the portable path free of the
-// per-datagram net.Addr allocation the net.PacketConn interface
-// forces.
+// batched receive into buffers udpx lends from its packet pool, each
+// query is answered (the handler decodes onto a pooled codec arena;
+// responses land in loop-owned buffers reused across rounds) and its
+// buffer goes back to the pool, and the batch of responses goes out in
+// one batched send. Steady state is allocation-free, gated by
+// TestUDPServerLoopZeroAlloc; the AddrPort-based fallbacks keep even
+// the portable path free of the per-datagram net.Addr allocation the
+// net.PacketConn interface forces.
 func (u *UDPServer) loop() {
 	defer u.wg.Done()
 	pc := udpx.NewPacketConn(u.conn, udpServeBatch, false)
 	bufs := make([][]byte, udpServeBatch)
-	for i := range bufs {
-		bufs[i] = make([]byte, udpBufSize)
-	}
-	sizes := make([]int, udpServeBatch)
 	addrs := make([]netip.AddrPort, udpServeBatch)
 	resps := make([][]byte, udpServeBatch)
 	outAddrs := make([]netip.AddrPort, udpServeBatch)
 	for {
-		n, err := pc.ReadBatch(bufs, sizes, addrs)
+		n, err := pc.ReadBatch(bufs, addrs)
 		if err != nil {
 			u.mu.Lock()
 			closed := u.closed
@@ -119,15 +119,15 @@ func (u *UDPServer) loop() {
 		}
 		m := 0
 		for i := 0; i < n; i++ {
-			if !addrs[i].IsValid() {
-				continue
+			if addrs[i].IsValid() {
+				if out, ok := u.server.HandleWireAppend(resps[m][:0], bufs[i]); ok {
+					resps[m] = out
+					outAddrs[m] = addrs[i]
+					m++
+				}
 			}
-			out, ok := u.server.HandleWireAppend(resps[m][:0], bufs[i][:sizes[i]])
-			if ok {
-				resps[m] = out
-				outAddrs[m] = addrs[i]
-				m++
-			}
+			udpx.PutBuf(bufs[i])
+			bufs[i] = nil
 		}
 		if m > 0 {
 			// Best effort; a lost response is a normal UDP condition.

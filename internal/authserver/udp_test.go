@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,5 +130,57 @@ func TestUDPServerLoopZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("UDP serving loop allocates %.2f/op in steady state, want 0", allocs)
+	}
+}
+
+// TestUDPListenerFootprint gates what a listener holds once it has
+// served: 256 listeners each answer one query, and after a GC the heap
+// they keep must come to under 8 KiB per listener. A read loop that
+// owned a batch of 4 KiB query buffers for its life held over 128 KiB;
+// with buffers lent only while the socket is readable, an idle loop
+// keeps its slot slices, the response it last encoded and a few
+// batched-syscall headers. Goroutine stacks are not heap and are not
+// counted.
+func TestUDPListenerFootprint(t *testing.T) {
+	const listeners = 256
+	s := New("ns1.gov.br.")
+	s.AddZone(testZone(t))
+	client, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+	wire := confWire(t, "www.gov.br.", dnswire.TypeA, 42, true, 1232)
+	resp := make([]byte, udpBufSize)
+	servers := make([]*UDPServer, 0, listeners)
+	defer func() {
+		for _, u := range servers {
+			_ = u.Close()
+		}
+	}()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < listeners; i++ {
+		u, err := ListenUDP("127.0.0.1:0", s)
+		if err != nil {
+			t.Fatalf("listener %d: %v", i, err)
+		}
+		servers = append(servers, u)
+		if _, err := client.WriteToUDPAddrPort(wire, u.Addr().(*net.UDPAddr).AddrPort()); err != nil {
+			t.Fatalf("send to listener %d: %v", i, err)
+		}
+		_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if n, _, err := client.ReadFromUDPAddrPort(resp); err != nil || n < 12 || resp[0] != wire[0] || resp[1] != wire[1] {
+			t.Fatalf("listener %d: %d-byte response, err %v", i, n, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perListener := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / listeners
+	t.Logf("heap per served listener: %.1f KiB (stacks in use: %d KiB total)", perListener/1024, after.StackInuse/1024)
+	if perListener >= 8<<10 {
+		t.Errorf("a served listener holds %.1f KiB of heap, want < 8 KiB", perListener/1024)
 	}
 }

@@ -19,8 +19,9 @@ type packetBuf [bufSize]byte
 var bufPool = sync.Pool{New: func() any { return new(packetBuf) }}
 
 // GetBuf checks a full-capacity buffer out of the packet pool: the
-// pooled datagram buffer of this package's sockets and of authserver's
-// dial transport.
+// datagram buffer PacketConn.ReadBatch lends (to this package's sockets
+// and authserver's read loop) and authserver's dial transport reads
+// into.
 func GetBuf() []byte {
 	arr := bufPool.Get().(*packetBuf)
 	return arr[:bufSize]

@@ -29,9 +29,11 @@ type mmsghdr struct {
 	n   uint32
 }
 
-// osSock is a PacketConn's batched-syscall state: preallocated header,
-// iovec, and sockaddr arrays sized to the batch bound, so arming a
-// batch writes fields but never allocates.
+// osSock is a PacketConn's batched-syscall state. The header, iovec
+// and sockaddr arrays are allocated on first need, sized to the largest
+// round seen and never past the batch bound, so a socket that reads one
+// datagram at a time never pays for a full batch of them; arming a
+// round of a size already seen writes fields but never allocates.
 type osSock struct {
 	rc syscall.RawConn
 
@@ -45,49 +47,66 @@ type osSock struct {
 
 	// The RawConn callbacks are built once here and communicate through
 	// the fields below — a fresh closure per batch would put one heap
-	// allocation on the steady-state hot path. recvFn/got/rwant belong
+	// allocation on the steady-state hot path. recvFn/rbufs/got belong
 	// to the goroutine in ReadBatch, sendFn/sendOff/sendN/sn to the one
 	// in WriteBatch.
 	recvFn             func(fd uintptr) bool
-	got, rwant         int
+	rbufs              [][]byte
+	got                int
 	sendFn             func(fd uintptr) bool
 	sendOff, sendN, sn int
 }
 
 // initOSState builds the batched-syscall state over conn.
-func initOSState(os *osSock, conn *net.UDPConn, batch int) error {
+func initOSState(os *osSock, conn *net.UDPConn) error {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return err
 	}
-	*os = osSock{
-		rc:     rc,
-		rhdrs:  make([]mmsghdr, batch),
-		riovs:  make([]syscall.Iovec, batch),
-		rnames: make([]syscall.RawSockaddrInet6, batch),
-		shdrs:  make([]mmsghdr, batch),
-		siovs:  make([]syscall.Iovec, batch),
-		snames: make([]syscall.RawSockaddrInet6, batch),
-		rwant:  batch,
-	}
+	*os = osSock{rc: rc}
+	// recvFn runs only once the netpoller reports the socket readable
+	// (or on the first, optimistic try): it lends a pooled buffer to
+	// each of the len(rbufs) slots, reads, and returns every buffer the
+	// kernel did not fill — all of them on EAGAIN or an error — so a
+	// goroutine parked between tries holds none.
 	os.recvFn = func(fd uintptr) bool {
+		bufs := os.rbufs
+		for i := range bufs {
+			bufs[i] = GetBuf()
+			os.riovs[i] = syscall.Iovec{Base: &bufs[i][0], Len: bufSize}
+			os.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+				Name:    (*byte)(unsafe.Pointer(&os.rnames[i])),
+				Namelen: syscall.SizeofSockaddrInet6,
+				Iov:     &os.riovs[i],
+				Iovlen:  1,
+			}}
+		}
+		var r1 uintptr
+		var errno syscall.Errno
 		for {
-			r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&os.rhdrs[0])), uintptr(os.rwant),
+			r1, _, errno = syscall.Syscall6(sysRecvmmsg, fd,
+				uintptr(unsafe.Pointer(&os.rhdrs[0])), uintptr(len(bufs)),
 				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				os.got = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false
-			default:
-				os.got = -1
-				return true
+			if errno != syscall.EINTR {
+				break
 			}
 		}
+		os.got = 0
+		if errno == 0 {
+			os.got = int(r1)
+		}
+		for i := range bufs {
+			// A stale iovec would keep its buffer reachable after the
+			// pool has let it go.
+			os.riovs[i].Base = nil
+			if i >= os.got {
+				PutBuf(bufs[i])
+				bufs[i] = nil
+			}
+		}
+		// Any other error reports ready with nothing read: ReadBatch's
+		// transient zero.
+		return errno != syscall.EAGAIN
 	}
 	os.sendFn = func(fd uintptr) bool {
 		for {

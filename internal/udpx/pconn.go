@@ -6,14 +6,21 @@ import (
 )
 
 // PacketConn is the one batched-datagram I/O path: it wraps a shared
-// *net.UDPConn with whole-batch receive and send calls over
-// caller-owned buffers, so a loop moves one recvmmsg/sendmmsg round per
-// batch of datagrams instead of one read or write syscall each. Both
-// ends use it — the transport's per-socket loops (socket.go) and the
-// serving-side UDP read loop (authserver). On platforms without the
-// batched syscalls (or when portable is set) the same API degrades to
-// one datagram per call through the AddrPort read/write paths, which
-// keeps callers free of build tags.
+// *net.UDPConn with whole-batch receive and send calls, so a loop moves
+// one recvmmsg/sendmmsg round per batch of datagrams instead of one
+// read or write syscall each. Both ends use it — the transport's
+// per-socket loops (socket.go) and the serving-side UDP read loop
+// (authserver). On platforms without the batched syscalls (or when
+// portable is set) the same API degrades to one datagram per call
+// through the AddrPort read/write paths, which keeps callers free of
+// build tags.
+//
+// Receive buffers are lent, not owned: on the batched path ReadBatch
+// checks them out of the packet pool only once the socket is readable
+// and returns every one the kernel did not fill before it returns, so
+// a reader parked waiting for traffic holds no datagram buffer and a
+// socket costs what it serves, not its batch bound. (The portable path
+// lends one buffer before its blocking read.)
 //
 // ReadBatch and WriteBatch keep disjoint state, so one goroutine may
 // read while another writes; each side is owned by one goroutine at a
@@ -22,6 +29,11 @@ import (
 // syscalls).
 type PacketConn struct {
 	conn  *net.UDPConn
+	batch int
+	// lend is how many buffers the next batched read arms:
+	// min(batch, max(1, 2×the last read's count)), so an idle socket
+	// lends one and a busy one grows to the batch bound in a few rounds.
+	lend  int
 	useOS bool
 	os    osSock
 }
@@ -32,31 +44,36 @@ func NewPacketConn(conn *net.UDPConn, batch int, portable bool) *PacketConn {
 	if batch < 1 {
 		batch = DefaultBatch
 	}
-	pc := &PacketConn{conn: conn}
+	pc := &PacketConn{conn: conn, batch: batch, lend: 1}
 	if osBatchSupported && !portable {
-		if err := initOSState(&pc.os, conn, batch); err == nil {
+		if err := initOSState(&pc.os, conn); err == nil {
 			pc.useOS = true
 		}
 	}
 	return pc
 }
 
-// ReadBatch blocks for at least one datagram and fills up to
-// min(len(bufs), batch) of them: payload into bufs[i] (caller-owned,
-// reused across calls), length into sizes[i], source into addrs[i]. It
-// returns the datagram count; a count of zero with a nil error is a
-// transient kernel condition and the caller should retry. A datagram
-// whose source address cannot be decoded reports an invalid addrs[i]
-// for the caller to skip.
-func (pc *PacketConn) ReadBatch(bufs [][]byte, sizes []int, addrs []netip.AddrPort) (int, error) {
+// ReadBatch blocks until at least one datagram can be read and returns
+// how many it read, n. Each bufs[i], i < n, is then a buffer from the
+// packet pool sliced to the datagram's length, and addrs[i] its source
+// (invalid if the kernel's could not be decoded, for the caller to
+// skip). The caller owns bufs[:n]: it returns each through PutBuf or
+// hands it on. Buffers are lent only while the socket is readable — at
+// most min(len(bufs), lend) per batched round, one on the portable
+// path — and every one not filled is back in the pool, its slot nil,
+// before ReadBatch returns. A count of zero with a nil error is a
+// transient kernel condition and the caller should retry.
+func (pc *PacketConn) ReadBatch(bufs [][]byte, addrs []netip.AddrPort) (int, error) {
 	if pc.useOS {
-		return pc.readBatchOS(bufs, sizes, addrs)
+		return pc.readBatchOS(bufs, addrs)
 	}
-	n, src, err := pc.conn.ReadFromUDPAddrPort(bufs[0])
+	buf := GetBuf()
+	n, src, err := pc.conn.ReadFromUDPAddrPort(buf)
 	if err != nil {
+		PutBuf(buf)
 		return 0, err
 	}
-	sizes[0] = n
+	bufs[0] = buf[:n]
 	addrs[0] = src
 	return 1, nil
 }

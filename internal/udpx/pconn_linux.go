@@ -9,50 +9,49 @@ import (
 )
 
 // readBatchOS is ReadBatch over recvmmsg: one netpoller-integrated
-// syscall round fills up to min(len(bufs), batch) caller buffers.
-// Arming writes preallocated header/iovec/sockaddr slots, so the
-// steady state allocates nothing.
-func (pc *PacketConn) readBatchOS(bufs [][]byte, sizes []int, addrs []netip.AddrPort) (int, error) {
+// syscall round into min(len(bufs), lend) buffers lent by recvFn.
+func (pc *PacketConn) readBatchOS(bufs [][]byte, addrs []netip.AddrPort) (int, error) {
 	os := &pc.os
-	b := len(bufs)
-	if b > len(os.rhdrs) {
-		b = len(os.rhdrs)
-	}
-	for i := 0; i < b; i++ {
-		os.riovs[i].Base = &bufs[i][0]
-		os.riovs[i].Len = uint64(len(bufs[i]))
-		h := &os.rhdrs[i]
-		h.hdr = syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&os.rnames[i])),
-			Namelen: syscall.SizeofSockaddrInet6,
-			Iov:     &os.riovs[i],
-			Iovlen:  1,
-		}
-		h.n = 0
-	}
-	os.rwant = b
-	if err := os.rc.Read(os.recvFn); err != nil {
+	os.armRead(bufs[:min(len(bufs), pc.lend)])
+	err := os.rc.Read(os.recvFn)
+	os.rbufs = nil
+	if err != nil {
 		return 0, err
 	}
 	got := os.got
-	if got <= 0 {
-		return 0, nil // transient; caller retries
-	}
+	pc.lend = min(pc.batch, max(1, 2*got))
 	for i := 0; i < got; i++ {
-		sizes[i] = int(os.rhdrs[i].n)
+		bufs[i] = bufs[i][:os.rhdrs[i].n]
 		src, ok := getSockaddr(&os.rnames[i])
 		if !ok {
 			src = netip.AddrPort{}
 		}
 		addrs[i] = src
 	}
-	return got, nil
+	return got, nil // zero is transient; caller retries
 }
 
-// writeBatchOS is WriteBatch over sendmmsg, chunked to the armed batch
-// capacity. A persistent kernel error drops everything still unsent.
+// armRead points the next recvFn round at slots, first growing the
+// receive header, iovec and sockaddr arrays if no round this large has
+// been armed before.
+func (os *osSock) armRead(slots [][]byte) {
+	if b := len(slots); b > len(os.rhdrs) {
+		os.rhdrs = make([]mmsghdr, b)
+		os.riovs = make([]syscall.Iovec, b)
+		os.rnames = make([]syscall.RawSockaddrInet6, b)
+	}
+	os.rbufs = slots
+}
+
+// writeBatchOS is WriteBatch over sendmmsg, chunked to the batch
+// bound. A persistent kernel error drops everything still unsent.
 func (pc *PacketConn) writeBatchOS(bufs [][]byte, addrs []netip.AddrPort) int {
 	os := &pc.os
+	if b := min(len(bufs), pc.batch); b > len(os.shdrs) {
+		os.shdrs = make([]mmsghdr, b)
+		os.siovs = make([]syscall.Iovec, b)
+		os.snames = make([]syscall.RawSockaddrInet6, b)
+	}
 	syscalls := 0
 	for off := 0; off < len(bufs); off += len(os.shdrs) {
 		end := off + len(os.shdrs)

@@ -16,11 +16,11 @@ const osBatchSupported = false
 
 type osSock struct{}
 
-func initOSState(*osSock, *net.UDPConn, int) error {
+func initOSState(*osSock, *net.UDPConn) error {
 	return errors.New("udpx: batched syscalls unsupported on this platform")
 }
 
-func (pc *PacketConn) readBatchOS([][]byte, []int, []netip.AddrPort) (int, error) {
+func (pc *PacketConn) readBatchOS([][]byte, []netip.AddrPort) (int, error) {
 	return 0, nil
 }
 

@@ -65,12 +65,10 @@ type sock struct {
 	sbufs  [][]byte
 	saddrs []netip.AddrPort
 
-	// rbufs are the pooled receive buffers lent to ReadBatch, one batch
-	// of them. deliver takes ownership of a filled buffer and dispatch
-	// puts a fresh one in its slot; rsizes and raddrs are ReadBatch's
-	// other two outputs.
+	// rbufs are ReadBatch's slots, filled with buffers it lends from the
+	// packet pool; dispatch hands each on to deliver, which takes
+	// ownership. raddrs are the datagrams' sources.
 	rbufs  [][]byte
-	rsizes []int
 	raddrs []netip.AddrPort
 }
 
@@ -81,7 +79,7 @@ func newSock(t *BatchTransport, conn *net.UDPConn, key [4]uint32) *sock {
 	// net.core.rmem_max unless privileged).
 	_ = conn.SetReadBuffer(1 << 20)
 	_ = conn.SetWriteBuffer(1 << 20)
-	s := &sock{
+	return &sock{
 		t:      t,
 		conn:   conn,
 		key:    key,
@@ -91,13 +89,8 @@ func newSock(t *BatchTransport, conn *net.UDPConn, key [4]uint32) *sock {
 		sbufs:  make([][]byte, DefaultBatch),
 		saddrs: make([]netip.AddrPort, DefaultBatch),
 		rbufs:  make([][]byte, DefaultBatch),
-		rsizes: make([]int, DefaultBatch),
 		raddrs: make([]netip.AddrPort, DefaultBatch),
 	}
-	for i := range s.rbufs {
-		s.rbufs[i] = GetBuf()
-	}
-	return s
 }
 
 // stripe returns the mutex guarding slots[id].
@@ -154,10 +147,10 @@ func (s *sock) sendLoop() {
 }
 
 // recvLoop drains the socket until it is closed: one ReadBatch per
-// round into the pooled buffers, then dispatch.
+// round, then dispatch.
 func (s *sock) recvLoop() {
 	for {
-		got, err := s.pc.ReadBatch(s.rbufs, s.rsizes, s.raddrs)
+		got, err := s.pc.ReadBatch(s.rbufs, s.raddrs)
 		if err != nil {
 			if s.t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
@@ -173,10 +166,10 @@ func (s *sock) recvLoop() {
 }
 
 // dispatch demuxes the first got receive slots through deliver, each
-// datagram in the buffer it arrived in: deliver takes ownership, and
-// the slot gets a fresh buffer from the packet pool. A datagram whose
-// source the kernel could not name is counted and skipped; its buffer
-// stays in the slot for the next round.
+// datagram in the buffer ReadBatch lent it: deliver takes ownership, so
+// the hand-off copies nothing, and the slot is left empty. A datagram
+// whose source the kernel could not name is counted and its buffer
+// goes back to the pool.
 func (s *sock) dispatch(got int) {
 	m := s.t.metrics()
 	m.recvBatch.Inc()
@@ -184,11 +177,13 @@ func (s *sock) dispatch(got int) {
 		m.sysSaved.Add(uint64(got - 1))
 	}
 	for i := 0; i < got; i++ {
+		buf := s.rbufs[i]
+		s.rbufs[i] = nil
 		if !s.raddrs[i].IsValid() {
 			m.malformed.Inc()
+			PutBuf(buf)
 			continue
 		}
-		s.t.deliver(s, s.rbufs[i][:s.rsizes[i]], s.raddrs[i])
-		s.rbufs[i] = GetBuf()
+		s.t.deliver(s, buf, s.raddrs[i])
 	}
 }

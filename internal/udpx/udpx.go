@@ -15,11 +15,11 @@
 //     else (pconn*.go, mmsg_linux*.go).
 //   - One receiver goroutine per socket drains datagrams in batches
 //     (PacketConn.ReadBatch: recvmmsg(2), or one read per datagram)
-//     into pooled fixed-size buffers and demuxes each to its waiting
-//     exchange through the socket's own slot table: one slot per
-//     16-bit wire transaction ID, so a datagram is matched on (the
-//     socket it arrived on, its ID, its source address) and on nothing
-//     keyed by destination.
+//     into pooled fixed-size buffers, lent only while the socket is
+//     readable, and demuxes each to its waiting exchange through the
+//     socket's own slot table: one slot per 16-bit wire transaction
+//     ID, so a datagram is matched on (the socket it arrived on, its
+//     ID, its source address) and on nothing keyed by destination.
 //   - Transaction IDs on the wire are the transport's, not the
 //     caller's: each exchange advances its socket's cursor, maps it
 //     through the socket's keyed permutation of the 16-bit ID space
