@@ -57,7 +57,7 @@ func main() {
 			fmt.Printf("%-24s walk failed: %v\n", domain, err)
 			continue
 		}
-		fmt.Printf("%-24s parent=%s NS=%v\n", domain, deleg.Parent.Zone, deleg.Hosts())
+		fmt.Printf("%-24s parent=%s NS=%v\n", domain, deleg.Parent.Zone, deleg.Hosts)
 	}
 
 	// One full host resolution for good measure.

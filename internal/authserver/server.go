@@ -204,14 +204,16 @@ func (s *Server) zoneFor(name dnsname.Name) (*zone.Zone, bool) {
 // the query (BehaviorUnresponsive), which the network layer turns into a
 // timeout.
 func (s *Server) Handle(query *dnswire.Message) *dnswire.Message {
-	return s.respond(query, dnswire.NewResponse(query))
+	return s.respond(query, dnswire.NewResponse(query), nil)
 }
 
 // respond fills the pre-built (empty, headers-only) response for query
-// and returns it, or nil when the behaviour drops the query. Splitting
-// construction from logic lets HandleWireAppend build the response in a
-// codec arena slot while Handle keeps its heap-allocating contract.
-func (s *Server) respond(query, resp *dnswire.Message) *dnswire.Message {
+// and returns it, or nil when the behaviour drops the query. The zone's
+// records are appended to buf, so the sections live wherever buf does.
+// Splitting construction from logic lets HandleWireAppend build the
+// response in a codec arena — slot and sections — while Handle keeps its
+// heap-allocating contract.
+func (s *Server) respond(query, resp *dnswire.Message, buf []dnswire.RR) *dnswire.Message {
 	s.mu.RLock()
 	behavior := s.behavior
 	parking := s.parkingAddr
@@ -267,22 +269,14 @@ func (s *Server) respond(query, resp *dnswire.Message) *dnswire.Message {
 		return resp
 	}
 
-	ans := z.Authoritative(q.Name, q.Type)
+	ans := z.AppendAuthoritative(buf, q.Name, q.Type)
+	resp.Answers, resp.Authority, resp.Additional = ans.Records, ans.Authority, ans.Additional
 	switch ans.Kind {
-	case zone.KindAnswer:
+	case zone.KindAnswer, zone.KindNoData:
 		resp.Header.Authoritative = true
-		resp.Answers = ans.Records
-		resp.Additional = ans.Additional
-	case zone.KindReferral:
-		resp.Authority = ans.Authority
-		resp.Additional = ans.Additional
-	case zone.KindNoData:
-		resp.Header.Authoritative = true
-		resp.Authority = ans.Authority
 	case zone.KindNXDomain:
 		resp.Header.Authoritative = true
 		resp.Header.RCode = dnswire.RCodeNXDomain
-		resp.Authority = ans.Authority
 	}
 	return resp
 }
@@ -427,7 +421,7 @@ func (s *Server) serveWire(dst, wire []byte, tc TransportClass) (out []byte, ok 
 		}
 	}
 
-	resp := s.respond(query, a.NewResponse(query))
+	resp := s.respond(query, a.NewResponse(query), a.RRBuf())
 	if resp == nil {
 		return dst, false
 	}
@@ -448,7 +442,7 @@ func (s *Server) serveWire(dst, wire []byte, tc TransportClass) (out []byte, ok 
 // between queries sharing a cache key — and copied off the arena so the
 // template owns its storage. ttl==0 marks the render uncacheable.
 func (s *Server) renderTemplate(a *dnswire.Arena, query *dnswire.Message, hasOPT bool, serverCap uint16, limit int) (template []byte, ttl time.Duration) {
-	resp := s.respond(query, a.NewResponse(query))
+	resp := s.respond(query, a.NewResponse(query), a.RRBuf())
 	if resp == nil {
 		return nil, 0
 	}
@@ -465,11 +459,11 @@ func (s *Server) renderTemplate(a *dnswire.Arena, query *dnswire.Message, hasOPT
 }
 
 // appendOPT echoes an EDNS0 OPT record advertising the server's own
-// payload cap. The full slice expression forces the append to copy away
-// from any zone-owned backing array the additional section aliases.
+// payload cap. Every section respond builds is capped
+// (zone.AppendAuthoritative), so the append copies rather than write
+// into a record that follows.
 func appendOPT(resp *dnswire.Message, serverCap uint16) {
-	n := len(resp.Additional)
-	resp.Additional = append(resp.Additional[:n:n], dnswire.OPTRecord(serverCap))
+	resp.Additional = append(resp.Additional, dnswire.OPTRecord(serverCap))
 }
 
 // appendPatched appends a cached template to dst and patches in the

@@ -13,11 +13,11 @@ import (
 // on an arena *borrow* it — their names alias the arena's scratch, their
 // record sections alias its backing arrays — and are valid only until
 // the next Decode on the same arena or Finish, whichever comes first.
-// Anything that must outlive the packet goes through CloneRRs or
-// dnsname.Name.Own at a choke point; Decode alone hands out messages that
-// need neither, by decoding onto an arena no pool ever reuses. The design follows the
-// trace flight recorder's span arenas (PR 4); the rules are written up
-// in DESIGN.md §10.
+// Anything that must outlive the packet is copied out at a choke point —
+// names through dnsname.Name.Own, payload fields by value; Decode alone
+// hands out messages that need neither, by decoding onto an arena no
+// pool ever reuses. The design follows the trace flight recorder's span
+// arenas; the rules are written up in DESIGN.md §10.
 
 // Retention caps: an arena that served an unusually large message is
 // discarded rather than recycled, so one 64 KiB monster doesn't pin its
@@ -51,6 +51,7 @@ type Arena struct {
 	qq    [1]Question // question slot for NewQuery
 	qslot Message     // NewQuery / NewResponse slot
 	rslot Message     // Decode slot
+	sec   [16]RR      // RRBuf's scratch for a built response's sections
 
 	pool *Pool // recycling destination; nil after Finish
 }
@@ -158,6 +159,7 @@ func (a *Arena) Finish() {
 	// pin names and RDATA from its last exchange while idle.
 	clear(a.rrs[:cap(a.rrs)])
 	clear(a.qs[:cap(a.qs)])
+	clear(a.sec[:])
 	a.rrs, a.qs = a.rrs[:0], a.qs[:0]
 	a.qq[0] = Question{}
 	a.qslot = Message{}
@@ -195,62 +197,8 @@ func (a *Arena) NewResponse(q *Message) *Message {
 	return &a.qslot
 }
 
-// CloneRRs deep-copies a record slice, owning every name and payload
-// buffer. It returns nil for an empty input, preserving section
-// nil-ness. Resolver choke points use it where arena-decoded records
-// escape into long-lived structures (Delegation, zone builds).
-func CloneRRs(rrs []RR) []RR {
-	if len(rrs) == 0 {
-		return nil
-	}
-	out := make([]RR, len(rrs))
-	for i, rr := range rrs {
-		rr.Name = rr.Name.Own()
-		rr.Data = cloneRData(rr.Data)
-		out[i] = rr
-	}
-	return out
-}
-
-// cloneRData owns the payload's retained storage: names for the name
-// types, the byte image for opaque RDATA, and slice headers for TXT and
-// CSYNC (whose elements the decoder already owns). Every case must
-// return the copied value v, never d: a decoded payload's interface
-// data word points into an arena slab (rdatabox.go), so even a type
-// with no internal pointers — AData, AAAAData — needs the re-boxing
-// that `return v` performs to move the cell off the slab.
-func cloneRData(d RData) RData {
-	switch v := d.(type) {
-	case NSData:
-		v.Host = v.Host.Own()
-		return v
-	case CNAMEData:
-		v.Target = v.Target.Own()
-		return v
-	case PTRData:
-		v.Target = v.Target.Own()
-		return v
-	case AData:
-		return v
-	case AAAAData:
-		return v
-	case MXData:
-		v.Exchange = v.Exchange.Own()
-		return v
-	case SOAData:
-		v.MName = v.MName.Own()
-		v.RName = v.RName.Own()
-		return v
-	case TXTData:
-		v.Strings = append([]string(nil), v.Strings...)
-		return v
-	case CSYNCData:
-		v.Types = append([]Type(nil), v.Types...)
-		return v
-	case OpaqueData:
-		v.Bytes = append([]byte(nil), v.Bytes...)
-		return v
-	default:
-		return d
-	}
-}
+// RRBuf lends the arena's record scratch for building a response's
+// sections: an empty slice with room for a typical answer and its glue,
+// borrowing the arena like everything else on it. Records appended past
+// its capacity move to the heap.
+func (a *Arena) RRBuf() []RR { return a.sec[:0] }

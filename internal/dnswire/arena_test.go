@@ -168,8 +168,9 @@ func TestDecodeSlowPathParity(t *testing.T) {
 
 // TestArenaAliasSafety is the borrow-contract regression test: names
 // decoded from a packet must not alias the packet (mutating the source
-// buffer after decode changes nothing), and Own()/CloneRRs copies must
-// survive the arena being reused and recycled.
+// buffer after decode changes nothing), and Own() copies and payloads
+// asserted out by value must survive the arena being reused and
+// recycled.
 func TestArenaAliasSafety(t *testing.T) {
 	pool := NewPool()
 	wire := mustEncode(t, referralResponse())
@@ -181,7 +182,10 @@ func TestArenaAliasSafety(t *testing.T) {
 	}
 	borrowedHost := m.Authority[0].Data.(NSData).Host
 	ownedHost := borrowedHost.Own()
-	ownedGlue := CloneRRs(m.Additional)
+	var ownedGlue []netip.Addr
+	for _, rr := range m.Additional {
+		ownedGlue = append(ownedGlue, rr.Data.(AData).Addr)
+	}
 
 	// Mutate the source packet: decoded names live in the arena, not the
 	// packet, so even borrowed views must be unaffected.
@@ -195,8 +199,9 @@ func TestArenaAliasSafety(t *testing.T) {
 	// Reuse the arena: borrowed views are now invalid, owned copies must
 	// hold. Decode a different message so the scratch is rewritten, then
 	// one carrying different A records so the payload slabs are rewritten
-	// too — a cloned AData whose interface cell still pointed into the
-	// slab (the PR 6 re-boxing bug) flips to the new address here.
+	// too — a retained AData interface whose cell still pointed into the
+	// slab would flip to the new address here; the asserted-out value
+	// must not.
 	other := mustEncode(t, NewQuery(9, dnsname.MustParse("zzzzzzzzzzzzzzz.example"), TypeA))
 	if _, err := a.Decode(other); err != nil {
 		t.Fatalf("Decode other: %v", err)
@@ -215,8 +220,8 @@ func TestArenaAliasSafety(t *testing.T) {
 		t.Fatalf("owned name did not survive arena reuse: %q", ownedHost)
 	}
 	for i, want := range []string{"203.0.113.10", "203.0.113.11"} {
-		if got := ownedGlue[i].Data.(AData).Addr; got != netip.MustParseAddr(want) {
-			t.Fatalf("CloneRRs glue %d did not survive slab rewrite: %v (want %s)", i, got, want)
+		if got := ownedGlue[i]; got != netip.MustParseAddr(want) {
+			t.Fatalf("glue address %d did not survive slab rewrite: %v (want %s)", i, got, want)
 		}
 	}
 }

@@ -44,8 +44,8 @@ func Decode(wire []byte) (*Message, error) {
 // Decode parses a wire-format DNS message into the arena. The returned
 // message borrows the arena: its names alias the arena scratch and its
 // sections alias the arena record array, so it is valid only until the
-// next Decode on this arena or Finish. Retain its parts with CloneRRs /
-// Name.Own.
+// next Decode on this arena or Finish. Retain names with Name.Own and
+// payload fields by value.
 //
 // An arena holds one decoded message at a time; Decode invalidates the
 // previous one.

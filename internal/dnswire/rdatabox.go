@@ -12,8 +12,8 @@ import "unsafe"
 // type assertions, type switches, method calls, interface comparison —
 // the result is indistinguishable from ordinary boxing; the only
 // difference is where the cell lives, which is exactly the arena borrow
-// contract: valid until the next Decode or Finish, copied out by
-// cloneRData at the choke points.
+// contract: valid until the next Decode or Finish, copied out at the
+// choke points (an AData asserted out of the interface is a copy).
 //
 // The GC treats the data word as an ordinary (interior) pointer, so a
 // retained RData keeps its slab alive even after the arena moves on.

@@ -103,8 +103,8 @@ func (db *DB) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV imports a database written by WriteCSV. Rows must be sorted and
-// non-overlapping, as WriteCSV produces them.
+// ReadCSV imports a database written by WriteCSV. Rows must be IPv4
+// ranges, sorted and non-overlapping, as WriteCSV produces them.
 func ReadCSV(r io.Reader) (*DB, error) {
 	var ranges []nettopo.Range
 	scanner := bufio.NewScanner(r)
@@ -126,6 +126,12 @@ func ReadCSV(r io.Reader) (*DB, error) {
 		end, err := netip.ParseAddr(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d end: %v", ErrBadFormat, lineNo, err)
+		}
+		if !start.Is4() || !end.Is4() {
+			return nil, fmt.Errorf("%w: line %d: range %s-%s is not IPv4", ErrBadFormat, lineNo, start, end)
+		}
+		if end.Less(start) {
+			return nil, fmt.Errorf("%w: line %d: range %s-%s ends before it starts", ErrBadFormat, lineNo, start, end)
 		}
 		asn, err := strconv.ParseUint(parts[2], 10, 32)
 		if err != nil {

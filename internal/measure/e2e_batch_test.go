@@ -194,3 +194,39 @@ func TestScanStreamKillResumeBatchUDP(t *testing.T) {
 			3, canonicalJSONL(t, ref), DigestHex(ref))
 	})
 }
+
+// TestBatchSilentServerErr pins the error text a scan records for a
+// server that never answers over the batched transport, unnormalized.
+// The resolver's attempt deadline is enforced there by udpx's timer
+// wheel rather than by a timer on the context, so the wheel must never
+// fire before the deadline and must report its expiry as the context
+// would: as a timeout the attempt retries and the walk treats as
+// transient, worded as every other transport's expired attempt.
+func TestBatchSilentServerErr(t *testing.T) {
+	w := miniworld.Build()
+	tr, err := udpx.New(udpx.Config{AddrOverride: serveWorldOverride(t, w)})
+	if err != nil {
+		t.Fatalf("udpx.New: %v", err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+
+	const retries = 1
+	rs := scanTuned(t, tr, w.Roots, []dnsname.Name{"lame.gov.br."}, 1, 1, false, e2eDeadline, retries)
+	want := map[netip.Addr]string{
+		miniworld.LameOKAddr: "",
+		miniworld.LameDeadAddr: fmt.Sprintf("resolver: query timed out: lame.gov.br. NS @%s after %d attempts: "+
+			"context deadline exceeded: attempt deadline: context deadline exceeded", miniworld.LameDeadAddr, 1+retries),
+	}
+	r := rs[0]
+	if len(r.Servers) != len(want) {
+		t.Fatalf("lame.gov.br. probed %d servers, want %d: %+v", len(r.Servers), len(want), r.Servers)
+	}
+	for _, sr := range r.Servers {
+		if got, ok := want[sr.Addr]; !ok || sr.Err != got {
+			t.Errorf("server %s (%s): Err = %q, want %q", sr.Host, sr.Addr, sr.Err, got)
+		}
+	}
+	if st := tr.Stats(); st.WheelTimeouts == 0 {
+		t.Errorf("no wheel timeouts recorded; the silent server's attempts ended some other way: %+v", st)
+	}
+}

@@ -158,7 +158,7 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 	case err == nil:
 		r.ParentResponded = true
 		r.ParentZone = deleg.Parent.Zone
-		r.ParentNS = deleg.Hosts()
+		r.ParentNS = deleg.Hosts
 		r.ParentAuthoritative = deleg.Authoritative
 	case errors.Is(err, resolver.ErrNXDomain), errors.Is(err, resolver.ErrNoAnswer):
 		// The parent answered: the domain is simply gone (empty
@@ -182,7 +182,7 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 	// changes nothing about result ordering.
 	units := make([]hostUnit, len(r.ParentNS))
 	fanout.Each(len(units), s.parallelism(), func(i int) {
-		units[i] = s.probeHost(ctx, domain, r.ParentNS[i], r.ParentNS, deleg.Glue)
+		units[i] = s.probeHost(ctx, domain, r.ParentNS[i], r.ParentNS, deleg.Glue(i))
 	})
 	total := 0
 	for i, host := range r.ParentNS {
@@ -212,7 +212,7 @@ type hostUnit struct {
 
 // probeHost is one pipelined unit: resolve host's addresses, then probe
 // each address for domain's NS records.
-func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, parentNS []dnsname.Name, glue []dnswire.RR) (u hostUnit) {
+func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, parentNS []dnsname.Name, glue []netip.Addr) (u hostUnit) {
 	u.addrs = s.fetchHost(ctx, host, glue)
 	rec, round := trace.From(ctx)
 	probeStart := time.Now()
@@ -258,10 +258,11 @@ func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, pare
 }
 
 // fetchHost resolves host's addresses in an NS-fetch span annotated
-// with attrs: the referral's glue when it carries some (authoritative
-// enough for the parent's own view), else full resolution, cached and
-// coalesced across the scan. An unresolvable host gets nil.
-func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []dnswire.RR, attrs ...trace.Attr) []netip.Addr {
+// with attrs: the referral's glue for host when it carried some
+// (authoritative enough for the parent's own view; the result takes
+// the slice over), else full resolution, cached and coalesced across the
+// scan. An unresolvable host gets nil.
+func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []netip.Addr, attrs ...trace.Attr) []netip.Addr {
 	rec, round := trace.From(ctx)
 	start := time.Now()
 	span := trace.NoSpan
@@ -270,9 +271,9 @@ func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []dnswi
 		span = rec.StartSpan(round, trace.KindNSFetch, string(host))
 		fctx = trace.ContextWith(ctx, rec, span)
 	}
-	addrs, glued := glueAddrs(glue, host)
+	addrs := glue
 	var err error
-	if glued {
+	if glue != nil {
 		rec.Annotate(span, trace.Bool("glue", true))
 	} else if addrs, err = s.Iterator.ResolveHost(fctx, host); err != nil {
 		addrs = nil
@@ -284,20 +285,6 @@ func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []dnswi
 	}
 	s.Metrics.recordNSFetch(start)
 	return addrs
-}
-
-// glueAddrs returns host's glue addresses from a referral's additional
-// records as a fresh slice in netip.Addr.Less order, or ok=false when
-// the referral carried none for it. Each unit gets its own slice, so no
-// two units ever sort or retain a shared one.
-func glueAddrs(rrs []dnswire.RR, host dnsname.Name) (addrs []netip.Addr, ok bool) {
-	for _, rr := range rrs {
-		if a, isA := rr.Data.(dnswire.AData); isA && rr.Name == host {
-			addrs = append(addrs, a.Addr)
-		}
-	}
-	slices.SortFunc(addrs, netip.Addr.Compare)
-	return addrs, addrs != nil
 }
 
 // childNS copies the domain's NS host names, sorted, out of an answer

@@ -1,0 +1,101 @@
+package resolver
+
+import (
+	"context"
+	"net/netip"
+	"testing"
+	"time"
+
+	"govdns/internal/authserver"
+	"govdns/internal/dnsname"
+	"govdns/internal/dnswire"
+	"govdns/internal/miniworld"
+	"govdns/internal/udpx"
+)
+
+// TestQueryArenaAllocsPerAttempt is the client's allocation gate: a
+// warm QueryArena answered on its first attempt allocates at most one
+// heap object more than its transport's bare Exchange of the same query
+// — the attempt's deadline context — over simnet and over a loopback
+// udpx.BatchTransport. AllocsPerRun counts process-wide, so the
+// subtraction also removes whatever the transport and the server behind
+// it allocate (simnet hands over a fresh response buffer per exchange).
+func TestQueryArenaAllocsPerAttempt(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	w := miniworld.Build()
+	srv, ok := w.Net.ServerAt(miniworld.CityNS1Addr)
+	if !ok {
+		t.Fatal("no server at the city zone's first nameserver")
+	}
+	us, err := authserver.ListenUDP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatalf("ListenUDP: %v", err)
+	}
+	t.Cleanup(func() { _ = us.Close() })
+	bound, err := netip.ParseAddrPort(us.Addr().String())
+	if err != nil {
+		t.Fatalf("parse bound addr %s: %v", us.Addr(), err)
+	}
+	batch, err := udpx.New(udpx.Config{
+		AddrOverride: map[netip.Addr]netip.AddrPort{miniworld.CityNS1Addr: bound},
+		// A small wheel reaches its steady-state slot capacity within
+		// the warm-up (see TestBatchExchangeZeroAlloc).
+		WheelTick:  5 * time.Millisecond,
+		WheelSlots: 8,
+	})
+	if err != nil {
+		t.Fatalf("udpx.New: %v", err)
+	}
+	t.Cleanup(func() { _ = batch.Close() })
+
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+	}{
+		{"simnet", w.Net},
+		{"udpx", batch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const name = dnsname.Name("city.gov.br.")
+			ctx := context.Background()
+			c := NewClient(tc.tr)
+			c.Timeout = time.Second
+			a := c.ArenaPool().Get()
+			defer a.Finish()
+			wire, err := dnswire.Encode(dnswire.NewQuery(1, name, dnswire.TypeNS))
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			releaser, _ := tc.tr.(ResponseReleaser)
+			bare := func() {
+				resp, err := tc.tr.Exchange(ctx, miniworld.CityNS1Addr, wire)
+				if err != nil {
+					t.Fatalf("bare exchange: %v", err)
+				}
+				if releaser != nil {
+					releaser.ReleaseResponse(resp)
+				}
+			}
+			query := func() {
+				if _, tr, err := c.QueryArenaTraced(ctx, a, miniworld.CityNS1Addr, name, dnswire.TypeNS); err != nil || tr.Attempts != 1 {
+					t.Fatalf("query: %v after %d attempts", err, tr.Attempts)
+				}
+			}
+			// Warm every pool and the wheel's slot arrays past several
+			// revolutions (8 slots × 5 ms).
+			for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+				bare()
+				query()
+			}
+			base := testing.AllocsPerRun(200, bare)
+			got := testing.AllocsPerRun(200, query)
+			t.Logf("QueryArena %.2f allocs per attempt, bare Exchange %.2f", got, base)
+			if got-base > 1 {
+				t.Fatalf("QueryArena allocates %.2f per attempt, its transport %.2f: the client adds %.2f, want at most 1",
+					got, base, got-base)
+			}
+		})
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"govdns/internal/deadline"
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/obs"
@@ -258,9 +259,11 @@ func (tr Trace) Rejects() int {
 // rejection otherwise. The exchange runs on the caller-supplied codec
 // arena a, and the response borrows it: it is valid until the next
 // decode on a or a.Finish, whichever comes first, and anything retained
-// past that must go through dnswire.CloneRRs or dnsname.Name.Own. The
+// past that must be copied out (names through dnsname.Name.Own). The
 // iterator's referral walk runs on this path — one arena per delegation
-// step, zero heap allocations per exchange.
+// step. The client's own heap cost is one object per attempt, the
+// attempt's deadline (TestQueryArenaAllocsPerAttempt); a transport adds
+// its own, such as the fresh response buffer simnet hands over.
 func (c *Client) QueryArena(ctx context.Context, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
 	resp, _, err := c.QueryArenaTraced(ctx, a, server, name, qtype)
 	return resp, err
@@ -345,15 +348,15 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 	m := c.metrics()
 	srv := c.servers.record(server)
 	rec, parent := trace.From(ctx)
-	attemptCtx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
+	attemptCtx := deadline.New(ctx, c.timeout())
+	defer attemptCtx.Release()
 	for discards := 0; ; discards++ {
 		m.sent.Inc()
 		sentAt := time.Now()
 		// One exchange span per datagram on the wire; the chaos
 		// transport annotates its injections onto this span via the
 		// exchange-scoped context.
-		exCtx := attemptCtx
+		var exCtx context.Context = attemptCtx
 		xspan := trace.NoSpan
 		if rec != nil {
 			xspan = rec.StartSpan(parent, trace.KindExchange, server.String())

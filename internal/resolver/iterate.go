@@ -88,25 +88,72 @@ func (zs *ZoneServers) AllAddrs() []netip.Addr {
 }
 
 // Delegation is the result of walking the delegation chain to a domain:
-// the parent zone's servers and the NS records they return for the
-// domain. This is steps (1)-(2) of the paper's Fig. 1 measurement.
+// the parent zone's servers and the nameservers they name for the
+// domain. This is steps (1)-(2) of the paper's Fig. 1 measurement. Each
+// walk builds a fresh Delegation that nothing else retains, so the
+// caller owns its slices.
 type Delegation struct {
 	// Parent describes the zone that holds the delegation.
 	Parent ZoneServers
-	// NSRecords are the domain's NS records as seen from the parent
-	// side (the paper's set P).
-	NSRecords []dnswire.RR
-	// Glue holds A records provided alongside the delegation.
-	Glue []dnswire.RR
+	// Hosts are the domain's NS host names as seen from the parent side
+	// (the paper's set P), sorted and deduplicated.
+	Hosts []dnsname.Name
+	// glue holds, index-aligned with Hosts, the A glue addresses the
+	// answer carried for each host; nil when it carried none at all.
+	glue [][]netip.Addr
 	// Authoritative is true when the parent-side server answered with
 	// the AA bit — it hosts the child zone too, so no referral occurs.
 	Authoritative bool
 }
 
-// Hosts returns the delegated NS hostnames, sorted and deduplicated.
-func (d *Delegation) Hosts() []dnsname.Name {
-	return nsHosts(d.NSRecords)
+// Glue returns the A glue addresses the parent sent for Hosts[i],
+// sorted, or nil when it sent none for that host. Each host's slice is
+// its own: appending to one never reaches another's.
+func (d *Delegation) Glue(i int) []netip.Addr {
+	if d.glue == nil {
+		return nil
+	}
+	return d.glue[i]
 }
+
+// newDelegation builds the Delegation a walk step returns from the NS
+// records and the additional section of an answer borrowing the step's
+// arena: each host name is owned once, and each host's glue addresses
+// are copied out of the A records (duplicates kept) into one backing
+// array. Records of other types in either section are skipped.
+func newDelegation(parent *ZoneServers, ns, additional []dnswire.RR, authoritative bool) *Delegation {
+	d := &Delegation{Parent: *parent, Hosts: nsHosts(ns), Authoritative: authoritative}
+	total := 0
+	for i, host := range d.Hosts {
+		d.Hosts[i] = host.Own()
+		for _, rr := range additional {
+			if _, ok := rr.Data.(dnswire.AData); ok && rr.Name == host {
+				total++
+			}
+		}
+	}
+	if total == 0 {
+		return d
+	}
+	addrs := make([]netip.Addr, 0, total)
+	d.glue = make([][]netip.Addr, len(d.Hosts))
+	for i, host := range d.Hosts {
+		start := len(addrs)
+		for _, rr := range additional {
+			if a, ok := rr.Data.(dnswire.AData); ok && rr.Name == host {
+				addrs = append(addrs, a.Addr)
+			}
+		}
+		if len(addrs) > start {
+			own := addrs[start:len(addrs):len(addrs)]
+			slices.SortFunc(own, netip.Addr.Compare)
+			d.glue[i] = own
+		}
+	}
+	return d
+}
+
+func isNS(rr dnswire.RR) bool { return rr.Type() == dnswire.TypeNS }
 
 // nsHosts returns the NS host names of records, sorted and deduplicated.
 // The names alias records: a caller holding arena-borrowed records owns
@@ -286,8 +333,8 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 	}
 
 	// One codec arena per step: the response borrows it, and everything
-	// that outlives the step — the Delegation's record sections, the next
-	// zone's host names — is deep-copied at the choke points below.
+	// that outlives the step — the Delegation's host names and glue, the
+	// next zone's host names — is copied at the choke points below.
 	// queryAny may hand back a different arena than it was given; the
 	// deferred Finish releases whichever a holds by then.
 	a := it.client.ArenaPool().Get()
@@ -307,26 +354,17 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 	// Authoritative NS answer: the queried server hosts a zone
 	// containing name (possibly name's own zone when parent and
 	// child share servers).
-	if ansNS := resp.AnswersOfType(dnswire.TypeNS); resp.Header.Authoritative && len(ansNS) > 0 {
-		return &Delegation{
-			Parent:        *current,
-			NSRecords:     dnswire.CloneRRs(ansNS),
-			Glue:          dnswire.CloneRRs(resp.AdditionalOfType(dnswire.TypeA)),
-			Authoritative: true,
-		}, nil, nil
+	if resp.Header.Authoritative && slices.ContainsFunc(resp.Answers, isNS) {
+		return newDelegation(current, resp.Answers, resp.Additional, true), nil, nil
 	}
 
 	if resp.IsReferral() {
-		authNS := resp.AuthorityOfType(dnswire.TypeNS)
-		owner := authNS[0].Name
+		owner := resp.Authority[slices.IndexFunc(resp.Authority, isNS)].Name
 		if owner == name {
-			return &Delegation{
-				Parent:    *current,
-				NSRecords: dnswire.CloneRRs(authNS),
-				Glue:      dnswire.CloneRRs(resp.AdditionalOfType(dnswire.TypeA)),
-			}, nil, nil
+			return newDelegation(current, resp.Authority, resp.Additional, false), nil, nil
 		}
 		// Intermediate zone cut: build its server set and descend.
+		authNS := resp.AuthorityOfType(dnswire.TypeNS)
 		nz, zerr := it.zoneServers(ctx, owner, authNS, resp.AdditionalOfType(dnswire.TypeA), depth)
 		if zerr != nil {
 			return nil, nil, zerr

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,15 +63,59 @@ func TestDelegationHealthyDomain(t *testing.T) {
 	if d.Parent.Zone != "gov.br." {
 		t.Errorf("parent zone = %q, want gov.br.", d.Parent.Zone)
 	}
-	hosts := d.Hosts()
+	hosts := d.Hosts
 	if len(hosts) != 2 || hosts[0] != "ns1.city.gov.br." || hosts[1] != "ns2.city.gov.br." {
 		t.Errorf("hosts = %v", hosts)
 	}
-	if len(d.Glue) != 2 {
-		t.Errorf("glue count = %d, want 2", len(d.Glue))
+	if n := len(d.Glue(0)) + len(d.Glue(1)); n != 2 {
+		t.Errorf("glue count = %d, want 2", n)
 	}
 	if d.Authoritative {
 		t.Error("referral marked authoritative")
+	}
+}
+
+// TestDelegationGlueSortsOnce checks how a Delegation is built from an
+// answer's records: host names sorted and deduplicated, each host's glue
+// addresses sorted with duplicates kept, every host's slice capped so
+// an append to one cannot reach the next, nil for a host without glue,
+// and no glue table at all when the answer carried none.
+func TestDelegationGlueSortsOnce(t *testing.T) {
+	host := dnsname.Name("ns1.multiglue.gov.br.")
+	other := dnsname.Name("ns2.multiglue.gov.br.")
+	bare := dnsname.Name("ns3.multiglue.gov.br.")
+	a := func(name dnsname.Name, addr string) dnswire.RR {
+		return dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AData{Addr: netip.MustParseAddr(addr)}}
+	}
+	ns := func(h dnsname.Name) dnswire.RR {
+		return dnswire.RR{Name: "multiglue.gov.br.", Class: dnswire.ClassIN, TTL: 300, Data: dnswire.NSData{Host: h}}
+	}
+	nsSet := []dnswire.RR{ns(other), ns(bare), ns(host), ns(other)}
+	additional := []dnswire.RR{
+		a(host, "4.5.0.9"), a(other, "4.5.0.2"), a(host, "4.5.0.1"), a(host, "4.5.0.5"), a(host, "4.5.0.1"),
+		{Name: host, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AAAAData{Addr: netip.MustParseAddr("2001:db8::1")}},
+	}
+	parent := &ZoneServers{Zone: "gov.br."}
+	d := newDelegation(parent, nsSet, additional, false)
+	if want := []dnsname.Name{host, other, bare}; !slices.Equal(d.Hosts, want) {
+		t.Fatalf("Hosts = %v, want %v", d.Hosts, want)
+	}
+	want := [][]netip.Addr{
+		{netip.MustParseAddr("4.5.0.1"), netip.MustParseAddr("4.5.0.1"), netip.MustParseAddr("4.5.0.5"), netip.MustParseAddr("4.5.0.9")},
+		{netip.MustParseAddr("4.5.0.2")},
+		nil,
+	}
+	for i := range d.Hosts {
+		got := d.Glue(i)
+		if !slices.Equal(got, want[i]) || (got == nil) != (want[i] == nil) {
+			t.Errorf("Glue(%d) = %v, want %v", i, got, want[i])
+		}
+		if cap(got) != len(got) {
+			t.Errorf("Glue(%d) has spare capacity %d; an append would reach the next host's", i, cap(got)-len(got))
+		}
+	}
+	if d := newDelegation(parent, nsSet, nil, true); d.glue != nil || d.Glue(0) != nil || !d.Authoritative {
+		t.Errorf("glue-less delegation = %+v", d)
 	}
 }
 
@@ -80,7 +125,7 @@ func TestDelegationThirdPartyHosted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Delegation: %v", err)
 	}
-	hosts := d.Hosts()
+	hosts := d.Hosts
 	if len(hosts) != 2 || hosts[0] != "ns1.provider.com." {
 		t.Errorf("hosts = %v", hosts)
 	}
@@ -201,8 +246,8 @@ func TestDelegationSkipsLameParentServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Delegation with one lame parent server: %v", err)
 	}
-	if len(d.Hosts()) != 2 {
-		t.Errorf("hosts = %v", d.Hosts())
+	if len(d.Hosts) != 2 {
+		t.Errorf("hosts = %v", d.Hosts)
 	}
 	if tr.Stats().Injected[chaos.Drop] == 0 {
 		t.Error("chaos dropped nothing; the lame server was never consulted")

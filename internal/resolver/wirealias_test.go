@@ -1,6 +1,8 @@
 package resolver
 
 import (
+	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,10 +44,13 @@ func TestWirePathAliasSafety(t *testing.T) {
 
 	// Snapshot the retained state with storage of our own, then seal the
 	// trace and snapshot its span labels too.
-	hostsSnap := ownNames(d.Hosts())
-	var nsSnap []dnsname.Name
-	for _, rr := range d.NSRecords {
-		nsSnap = append(nsSnap, rr.Data.(dnswire.NSData).Host.Own())
+	hostsSnap := ownNames(d.Hosts)
+	var glueSnap [][]netip.Addr
+	for i := range d.Hosts {
+		glueSnap = append(glueSnap, slices.Clone(d.Glue(i)))
+	}
+	if len(slices.Concat(glueSnap...)) == 0 {
+		t.Fatal("delegation carried no glue; the glue assertions are vacuous")
 	}
 	parentSnap := deepCopyZoneServers(&d.Parent)
 	dt := rec.Finish("", 1, "", false, false)
@@ -82,14 +87,12 @@ func TestWirePathAliasSafety(t *testing.T) {
 	}
 
 	// Everything snapshotted above must be unaffected.
-	for i, h := range d.Hosts() {
+	for i, h := range d.Hosts {
 		if h != hostsSnap[i] {
 			t.Errorf("delegation host %d changed after arena recycle: %q != %q", i, h, hostsSnap[i])
 		}
-	}
-	for i, rr := range d.NSRecords {
-		if got := rr.Data.(dnswire.NSData).Host; got != nsSnap[i] {
-			t.Errorf("NS record %d changed after arena recycle: %q != %q", i, got, nsSnap[i])
+		if got := d.Glue(i); !slices.Equal(got, glueSnap[i]) {
+			t.Errorf("glue of host %d changed after arena recycle: %v != %v", i, got, glueSnap[i])
 		}
 	}
 	if d.Parent.Zone != parentSnap.Zone {
@@ -110,7 +113,7 @@ func TestWirePathAliasSafety(t *testing.T) {
 	if d2.Parent.Zone != parentSnap.Zone {
 		t.Errorf("cached parent zone changed: %q != %q", d2.Parent.Zone, parentSnap.Zone)
 	}
-	for i, h := range d2.Hosts() {
+	for i, h := range d2.Hosts {
 		if h != hostsSnap[i] {
 			t.Errorf("cached delegation host %d changed: %q != %q", i, h, hostsSnap[i])
 		}

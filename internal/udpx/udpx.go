@@ -33,9 +33,10 @@
 //     delivery, so the resolver's validation, duplicate accounting,
 //     and discard machinery see exactly what the dial transport would
 //     show them.
-//   - Per-query deadlines ride a coarse timer wheel (wheel.go) instead
-//     of per-socket read deadlines, so one blackholed server burns only
-//     its own queries and never stalls a shared socket.
+//   - Per-query deadlines, the context's included, ride a coarse timer
+//     wheel (wheel.go) instead of per-socket read deadlines or runtime
+//     timers, so one blackholed server burns only its own queries and
+//     never stalls a shared socket, and an answered query arms no timer.
 //   - Response buffers are pooled (buffers.go) under the same
 //     borrow/own discipline as the dnswire.Pool codec arenas: the
 //     resolver decodes a response onto its arena — which copies every
@@ -71,13 +72,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"govdns/internal/deadline"
 	"govdns/internal/obs"
 )
 
 // Transport errors.
 var (
-	// ErrTimeout indicates the per-query deadline fired from the timer
-	// wheel before a response was demuxed to the exchange.
+	// ErrTimeout indicates the transport's own per-query deadline
+	// (Config.Timeout) fired from the timer wheel before a response was
+	// demuxed to the exchange. When the context's deadline is the
+	// tighter one, the wheel fails the exchange with
+	// context.DeadlineExceeded instead.
 	ErrTimeout = errors.New("udpx: query timed out")
 	// ErrQIDExhausted indicates more than 65536 concurrent in-flight
 	// queries on a single pool socket: the 16-bit transaction ID space
@@ -249,7 +254,6 @@ func New(cfg Config) (*BatchTransport, error) {
 		cfg:  cfg,
 		done: make(chan struct{}),
 	}
-	t.wheel = newWheel(cfg.WheelTick, cfg.WheelSlots, t)
 	keys := make([][4]uint32, cfg.Sockets)
 	if err := binary.Read(rand.Reader, binary.LittleEndian, keys); err != nil {
 		return nil, fmt.Errorf("udpx: wire-ID keys: %w", err)
@@ -262,6 +266,7 @@ func New(cfg Config) (*BatchTransport, error) {
 		}
 		t.socks = append(t.socks, newSock(t, c, keys[i]))
 	}
+	t.wheel = newWheel(cfg.WheelTick, cfg.WheelSlots, t)
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -463,11 +468,17 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 	// points per scan, not one per exchange, and the unsampled fast
 	// path skips a clock read and the bucket update in deliver.
 	w.rttSample = t.rttTick.Add(1)&15 == 0
-	deadline := w.sentAt.Add(t.cfg.Timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	// The wheel enforces whichever deadline is tighter, the transport's
+	// or the context's, so the wait below needs only the caller's
+	// cancellation: deadline.Cancel hands back a channel that, for the
+	// resolver's attempt context, arms no timer of its own.
+	end := w.sentAt.Add(t.cfg.Timeout)
+	w.ctxDeadline = false
+	if d, ok := ctx.Deadline(); ok && d.Before(end) {
+		end, w.ctxDeadline = d, true
 	}
-	t.wheel.add(w, gen, deadline, w.sentAt)
+	t.wheel.add(w, gen, end, w.sentAt)
+	cancel := deadline.Cancel(ctx)
 
 	select {
 	case s.ring <- req:
@@ -481,7 +492,7 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 			putSendReq(req)
 			t.putWaiter(w)
 			return nil, res.err
-		case <-ctx.Done():
+		case <-cancel:
 			putSendReq(req)
 			return nil, t.cancelWait(w, gen, ctx.Err())
 		}
@@ -495,7 +506,7 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 	case res := <-w.ch:
 		t.putWaiter(w)
 		return res.buf, res.err
-	case <-ctx.Done():
+	case <-cancel:
 		return nil, t.cancelWait(w, gen, ctx.Err())
 	}
 }
@@ -560,12 +571,18 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 }
 
 // expire is the wheel's completion path: fail the exchange with
-// ErrTimeout. Runs on the wheel goroutine; the CAS has already been won
-// by the caller.
+// ErrTimeout, or with context.DeadlineExceeded when the deadline was the
+// context's — the error the context itself reports once it has passed.
+// Runs on the wheel goroutine; the CAS has already been won by the
+// caller.
 func (t *BatchTransport) expire(w *waiter, gen uint32) {
+	err := ErrTimeout
+	if w.ctxDeadline {
+		err = context.DeadlineExceeded
+	}
 	t.unregister(w, gen)
 	t.metrics().timeouts.Inc()
-	w.ch <- wresult{err: ErrTimeout}
+	w.ch <- wresult{err: err}
 }
 
 // ReleaseResponse returns a buffer handed out by Exchange to the packet

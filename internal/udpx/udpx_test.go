@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"govdns/internal/deadline"
 )
 
 // srvIP is the nominal (simulated-topology) server address tests query;
@@ -472,6 +474,42 @@ func TestWheelTimeoutSemantics(t *testing.T) {
 	}
 	if st := tr.Stats(); st.WheelTimeouts != 1 {
 		t.Fatalf("WheelTimeouts = %d, want 1", st.WheelTimeouts)
+	}
+}
+
+// TestWheelContextDeadline covers a deadline the exchange takes from
+// its context: the resolver's attempt context (internal/deadline) arms
+// no timer of its own, so the wheel alone ends the exchange. It must do
+// so never before the deadline — whose caller reads the clock to tell
+// its own expiry from the transport's — and report
+// context.DeadlineExceeded, as the expired context would. The deadline
+// is deliberately off the tick grid, where early firing shows.
+func TestWheelContextDeadline(t *testing.T) {
+	hole := startUDP(t, blackholeLoop)
+	const tick = 5 * time.Millisecond
+	tr := newTest(t, Config{
+		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: hole},
+		Timeout:      time.Minute,
+		WheelTick:    tick,
+	})
+	for i := 0; i < 5; i++ {
+		ctx := deadline.New(context.Background(), 17*time.Millisecond+time.Duration(i)*time.Millisecond)
+		at, _ := ctx.Deadline()
+		_, err := tr.Exchange(ctx, srvIP, testQuery(uint16(i), uint32(i)))
+		now := time.Now()
+		ctx.Release()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("exchange %d: err = %v, want context.DeadlineExceeded", i, err)
+		}
+		if now.Before(at) {
+			t.Fatalf("exchange %d: the wheel fired %v before the context deadline", i, at.Sub(now))
+		}
+		if late := now.Sub(at); late > 2*tick+50*time.Millisecond {
+			t.Fatalf("exchange %d: the wheel fired %v after the deadline", i, late)
+		}
+	}
+	if st := tr.Stats(); st.WheelTimeouts != 5 || st.Cancels != 0 {
+		t.Fatalf("WheelTimeouts = %d, Cancels = %d; want 5 and 0", st.WheelTimeouts, st.Cancels)
 	}
 }
 

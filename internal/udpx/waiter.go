@@ -50,6 +50,9 @@ type waiter struct {
 	// rttSample marks the 1-in-16 exchanges whose delivery feeds the
 	// RTT histogram; the rest skip the clock read.
 	rttSample bool
+	// ctxDeadline marks a wheel deadline taken from the exchange's
+	// context, which expires as context.DeadlineExceeded.
+	ctxDeadline bool
 }
 
 func pack(gen, st uint32) uint64 { return uint64(gen)<<32 | uint64(st) }

@@ -12,10 +12,14 @@ import (
 // every exchange its own deadline at O(1) arm cost and zero per-query
 // timer allocations: a registration is one append into the slot its
 // deadline hashes to, and one goroutine sweeps slots at tick
-// granularity. A deadline therefore fires up to one tick late — a
-// rounding the scan path is insensitive to (resolver retry timeouts are
-// tens of ticks) — in exchange for never touching the socket's state,
-// so one blackholed server burns only its own queries.
+// granularity. A deadline rounds up to the next tick boundary, and a
+// tick is swept only once its boundary has passed, so a deadline fires
+// up to one tick late and never early — a rounding the scan path is
+// insensitive to (resolver retry timeouts are tens of ticks) — in
+// exchange for never touching the socket's state, so one blackholed
+// server burns only its own queries. Never early matters: a deadline
+// taken from the caller's context is reported as that context's
+// expiry, which the caller's own clock read must agree with.
 //
 // Entries carry the waiter's generation; completion races resolve
 // through the waiter's packed gen+state CAS (see waiter.go), so a
@@ -26,6 +30,7 @@ type wheel struct {
 	mask    int64
 	slots   []wslot
 	start   time.Time
+	tk      *time.Ticker // fires on the tick boundaries after start
 	t       *BatchTransport
 
 	// expired is the sweep goroutine's private scratch for entries to
@@ -45,7 +50,8 @@ type wslot struct {
 }
 
 // newWheel builds a wheel with the given tick and power-of-two slot
-// count. It does not start sweeping until run.
+// count. Its ticker starts with its clock, so tick boundaries and
+// ticker firings line up; sweeping starts with run.
 func newWheel(tick time.Duration, slots int, t *BatchTransport) *wheel {
 	if slots&(slots-1) != 0 {
 		panic("udpx: wheel slots must be a power of two")
@@ -55,6 +61,7 @@ func newWheel(tick time.Duration, slots int, t *BatchTransport) *wheel {
 		mask:    int64(slots - 1),
 		slots:   make([]wslot, slots),
 		start:   time.Now(),
+		tk:      time.NewTicker(tick),
 		t:       t,
 	}
 }
@@ -68,6 +75,12 @@ func (wh *wheel) ticks(at time.Time) int64 {
 		n++
 	}
 	return n
+}
+
+// elapsed is the number of tick boundaries passed at now, rounding
+// down: a slot is swept only once its whole tick has elapsed.
+func (wh *wheel) elapsed(now time.Time) int64 {
+	return int64(now.Sub(wh.start) / wh.tickDur)
 }
 
 // add arms w's deadline: append to the slot its tick lands on. now is
@@ -87,22 +100,21 @@ func (wh *wheel) add(w *waiter, gen uint32, deadline, now time.Time) {
 	sl.mu.Unlock()
 }
 
-// run sweeps the wheel until done closes. Each elapsed tick visits one
-// slot; entries at or past their tick are raced for completion (the
-// CAS loser walks away — the exchange was already delivered, cancelled,
-// or closed) and the winners are failed with ErrTimeout outside the
-// slot lock. Entries whose tick is still in the future (a full wheel
-// revolution away) survive in place.
+// run sweeps the wheel until done closes. Each tick whose boundary has
+// passed visits one slot; entries at or past their tick are raced for
+// completion (the CAS loser walks away — the exchange was already
+// delivered, cancelled, or closed) and the winners are failed outside
+// the slot lock. Entries whose tick is still in the future (a full
+// wheel revolution away) survive in place.
 func (wh *wheel) run(done <-chan struct{}) {
-	tk := time.NewTicker(wh.tickDur)
-	defer tk.Stop()
-	cur := wh.ticks(time.Now())
+	defer wh.tk.Stop()
+	cur := wh.elapsed(time.Now())
 	for {
 		select {
 		case <-done:
 			return
-		case now := <-tk.C:
-			target := wh.ticks(now)
+		case now := <-wh.tk.C:
+			target := wh.elapsed(now)
 			for cur < target {
 				cur++
 				wh.sweep(cur)

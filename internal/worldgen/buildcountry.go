@@ -141,8 +141,8 @@ func (a *Active) buildDomain(d *Domain, parent *zone.Zone, govASN, telecomASN ui
 
 // nsSetsFor derives the parent-side (P) and child-side (C) NS sets from
 // the domain's condition. serveOld reports whether the P-side servers
-// must also serve the child zone (disjoint inconsistency, where the old
-// provider still answers).
+// must also serve the child zone (the extra-parent and disjoint
+// inconsistencies, where servers only the parent still names answer).
 func (a *Active) nsSetsFor(d *Domain) (p, c []dnsname.Name, serveOld bool) {
 	final := append([]dnsname.Name(nil), d.Final().NS...)
 	switch d.Cond {

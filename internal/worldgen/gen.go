@@ -112,11 +112,13 @@ const (
 	// CondInconsistentExtraChild: the child zone lists an extra
 	// nameserver the parent lacks (C ⊃ P).
 	CondInconsistentExtraChild
-	// CondInconsistentExtraParent: the parent lists an extra, dead
-	// nameserver the child dropped (P ⊃ C).
+	// CondInconsistentExtraParent: the parent lists an extra nameserver
+	// the child zone dropped (P ⊃ C). The forgotten server still answers,
+	// serving the current child zone, so the delegation is not lame.
 	CondInconsistentExtraParent
 	// CondInconsistentDisjoint: the domain migrated providers and the
-	// parent was never updated (P ∩ C = ∅); the old servers refuse.
+	// parent was never updated (P ∩ C = ∅). The old servers still answer,
+	// serving the current child zone, which lists the new set.
 	CondInconsistentDisjoint
 	// CondDangling: a nameserver lies under an expired, registrable
 	// domain.

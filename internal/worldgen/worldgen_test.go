@@ -229,8 +229,8 @@ func TestBuildActiveIsResolvable(t *testing.T) {
 			t.Errorf("Delegation(%s) [%s, %s]: %v", d.Name, w.Countries[d.CountryIdx].Code, d.Cond, err)
 			continue
 		}
-		if len(deleg.Hosts()) != len(d.Final().NS) {
-			t.Errorf("Delegation(%s): %d hosts, want %d", d.Name, len(deleg.Hosts()), len(d.Final().NS))
+		if len(deleg.Hosts) != len(d.Final().NS) {
+			t.Errorf("Delegation(%s): %d hosts, want %d", d.Name, len(deleg.Hosts), len(d.Final().NS))
 		}
 	}
 	if checked == 0 {
@@ -262,7 +262,7 @@ func TestBuildStaleDomainsAreLame(t *testing.T) {
 		}
 		// The delegation exists, but no listed server may answer for
 		// the zone.
-		for _, host := range deleg.Hosts() {
+		for _, host := range deleg.Hosts {
 			addrs, err := it.ResolveHost(ctx, host)
 			if err != nil {
 				continue

@@ -123,17 +123,28 @@ func (z *Zone) Remove(name dnsname.Name, rtype dnswire.Type) int {
 	return n
 }
 
-// Lookup returns the RRset for (name, rtype), or nil.
+// Lookup returns a copy of the RRset for (name, rtype), or nil.
 func (z *Zone) Lookup(name dnsname.Name, rtype dnswire.Type) []dnswire.RR {
+	return z.appendSet(nil, name, rtype)
+}
+
+// appendSet appends the RRset for (name, rtype) to dst. It is the one
+// read of the zone's record storage, so every record a lookup hands out
+// is a copy the caller may modify.
+func (z *Zone) appendSet(dst []dnswire.RR, name dnsname.Name, rtype dnswire.Type) []dnswire.RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	set := z.sets[rrKey{name: name, rtype: rtype}]
-	if len(set) == 0 {
+	return append(dst, z.sets[rrKey{name: name, rtype: rtype}]...)
+}
+
+// since returns the records buf gained past from, capped so an append
+// to it reallocates rather than reach records appended after it; nil
+// when there are none.
+func since(buf []dnswire.RR, from int) []dnswire.RR {
+	if len(buf) == from {
 		return nil
 	}
-	out := make([]dnswire.RR, len(set))
-	copy(out, set)
-	return out
+	return buf[from:len(buf):len(buf)]
 }
 
 // SOA returns the zone's SOA record, or an error if absent.
@@ -195,66 +206,74 @@ type Answer struct {
 // returned as answers (the measurement client does not chase CNAMEs for NS
 // lookups, matching the paper's pipeline).
 func (z *Zone) Authoritative(name dnsname.Name, rtype dnswire.Type) Answer {
+	return z.AppendAuthoritative(nil, name, rtype)
+}
+
+// AppendAuthoritative is Authoritative with every section's records
+// appended to dst, so a server can build them in scratch it reuses. The
+// sections are consecutive runs of the grown buffer, each capped so an
+// append to one reallocates rather than overwrite the next.
+func (z *Zone) AppendAuthoritative(dst []dnswire.RR, name dnsname.Name, rtype dnswire.Type) Answer {
+	from := len(dst)
 	if !name.IsSubdomainOf(z.origin) {
-		return Answer{Kind: KindNXDomain, Authority: z.soaSet()}
+		return Answer{Kind: KindNXDomain, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
 	}
 
 	// Below or at a zone cut: referral, except that an explicit NS query
 	// for the cut itself is also answered from the parent side as a
 	// referral (the parent is not authoritative for the child apex).
 	if cut, ok := z.delegationFor(name); ok {
-		nsSet := z.Lookup(cut, dnswire.TypeNS)
-		return Answer{
-			Kind:       KindReferral,
-			Authority:  nsSet,
-			Additional: z.glueFor(nsSet),
-		}
+		buf := z.appendSet(dst, cut, dnswire.TypeNS)
+		nsSet := since(buf, from)
+		buf = z.appendAddrs(buf, nsSet)
+		return Answer{Kind: KindReferral, Authority: nsSet, Additional: since(buf, from+len(nsSet))}
 	}
 
-	if set := z.Lookup(name, rtype); len(set) > 0 {
-		return Answer{Kind: KindAnswer, Records: set, Additional: z.additionalFor(set)}
+	if buf := z.appendSet(dst, name, rtype); len(buf) > from {
+		set := since(buf, from)
+		buf = z.appendAddrs(buf, set)
+		return Answer{Kind: KindAnswer, Records: set, Additional: since(buf, from+len(set))}
 	}
 	// CNAME redirection at the owner name.
-	if cname := z.Lookup(name, dnswire.TypeCNAME); len(cname) > 0 && rtype != dnswire.TypeCNAME {
-		return Answer{Kind: KindAnswer, Records: cname}
+	if rtype != dnswire.TypeCNAME {
+		if buf := z.appendSet(dst, name, dnswire.TypeCNAME); len(buf) > from {
+			return Answer{Kind: KindAnswer, Records: since(buf, from)}
+		}
 	}
 	if z.hasNameOrChildren(name) {
-		return Answer{Kind: KindNoData, Authority: z.soaSet()}
+		return Answer{Kind: KindNoData, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
 	}
 	// RFC 1034 §4.3.3 wildcard synthesis: the closest enclosing "*"
 	// owner answers for names that would otherwise not exist.
-	if ans, ok := z.wildcard(name, rtype); ok {
+	if ans, ok := z.wildcard(dst, name, rtype); ok {
 		return ans
 	}
-	return Answer{Kind: KindNXDomain, Authority: z.soaSet()}
+	return Answer{Kind: KindNXDomain, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
 }
 
 // wildcard searches for a matching "*" owner at each ancestor of name
 // (excluding names that exist — the caller established NXDOMAIN) and
-// synthesizes records with the query name as owner.
-func (z *Zone) wildcard(name dnsname.Name, rtype dnswire.Type) (Answer, bool) {
+// synthesizes records with the query name as owner, appended to dst.
+func (z *Zone) wildcard(dst []dnswire.RR, name dnsname.Name, rtype dnswire.Type) (Answer, bool) {
+	from := len(dst)
 	for cur := name.Parent(); cur.IsSubdomainOf(z.origin); cur = cur.Parent() {
 		star, err := cur.Prepend("*")
 		if err != nil {
 			break
 		}
-		set := z.Lookup(star, rtype)
-		if len(set) == 0 {
-			if cname := z.Lookup(star, dnswire.TypeCNAME); len(cname) > 0 && rtype != dnswire.TypeCNAME {
-				set = cname
-			}
+		buf := z.appendSet(dst, star, rtype)
+		if len(buf) == from && rtype != dnswire.TypeCNAME {
+			buf = z.appendSet(dst, star, dnswire.TypeCNAME)
 		}
-		if len(set) > 0 {
-			synthesized := make([]dnswire.RR, len(set))
-			for i, rr := range set {
-				rr.Name = name
-				synthesized[i] = rr
+		if set := since(buf, from); set != nil {
+			for i := range set {
+				set[i].Name = name
 			}
-			return Answer{Kind: KindAnswer, Records: synthesized}, true
+			return Answer{Kind: KindAnswer, Records: set}, true
 		}
 		// A wildcard exists but lacks the type: NODATA per the RFC.
 		if z.HasName(star) {
-			return Answer{Kind: KindNoData, Authority: z.soaSet()}, true
+			return Answer{Kind: KindNoData, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}, true
 		}
 		if cur == z.origin {
 			break
@@ -273,36 +292,19 @@ func (z *Zone) hasNameOrChildren(name dnsname.Name) bool {
 	return z.ents[name]
 }
 
-// glueFor returns in-zone A records for the hosts of the given NS records.
-func (z *Zone) glueFor(nsSet []dnswire.RR) []dnswire.RR {
-	var glue []dnswire.RR
-	for _, rr := range nsSet {
-		ns, ok := rr.Data.(dnswire.NSData)
-		if !ok {
-			continue
-		}
-		glue = append(glue, z.Lookup(ns.Host, dnswire.TypeA)...)
-	}
-	return glue
-}
-
-// additionalFor returns address records helpful for the given answer set
-// (A records for NS/MX targets).
-func (z *Zone) additionalFor(answers []dnswire.RR) []dnswire.RR {
-	var extra []dnswire.RR
-	for _, rr := range answers {
+// appendAddrs appends the in-zone A records that help resolve set's
+// targets: glue for a referral's NS hosts, additional addresses for an
+// answer's NS and MX targets.
+func (z *Zone) appendAddrs(dst, set []dnswire.RR) []dnswire.RR {
+	for _, rr := range set {
 		switch d := rr.Data.(type) {
 		case dnswire.NSData:
-			extra = append(extra, z.Lookup(d.Host, dnswire.TypeA)...)
+			dst = z.appendSet(dst, d.Host, dnswire.TypeA)
 		case dnswire.MXData:
-			extra = append(extra, z.Lookup(d.Exchange, dnswire.TypeA)...)
+			dst = z.appendSet(dst, d.Exchange, dnswire.TypeA)
 		}
 	}
-	return extra
-}
-
-func (z *Zone) soaSet() []dnswire.RR {
-	return z.Lookup(z.origin, dnswire.TypeSOA)
+	return dst
 }
 
 // Records returns every record in the zone in deterministic order:
