@@ -9,6 +9,7 @@ package authserver
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -162,4 +163,75 @@ func TestTCPFramingResyncAfterGarbage(t *testing.T) {
 	if msgs[1].Header.ID != 7 || msgs[1].Header.RCode != dnswire.RCodeNoError || len(msgs[1].Answers) != 1 {
 		t.Errorf("post-garbage query answered wrong: %s", msgs[1])
 	}
+}
+
+// FuzzFetchZone plays a hostile primary to the AXFR client: a loopback
+// listener takes FetchZone's query and answers with the fuzzed bytes as
+// the length-prefixed reply stream, then hangs up. Whatever it sends,
+// FetchZone must not panic, must return before its context's deadline,
+// and a zone it accepts must hold only records inside the origin it
+// asked for.
+func FuzzFetchZone(f *testing.F) {
+	// The seeds are a real transfer of the test zone — the server's own
+	// AXFR stream — and cuts of it.
+	axfr, err := dnswire.Encode(dnswire.NewQuery(1, "gov.br.", dnswire.TypeAXFR))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New("ns1.gov.br.")
+	s.AddZone(testZone(f))
+	conn := &streamConn{in: bytes.NewReader(frame(axfr))}
+	s.ServeTCPConn(conn, 0)
+	transfer := conn.out.Bytes()
+	f.Add(transfer)
+	f.Add(transfer[:len(transfer)/2])
+	f.Add(append(append([]byte(nil), transfer...), transfer...))
+	f.Add([]byte{})
+
+	// One listener serves every input: binding a fresh port per input
+	// runs the host out of ports it will bind while earlier ones sit in
+	// TIME_WAIT.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { ln.Close() })
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		deadline, _ := ctx.Deadline()
+		// Inputs run one at a time, so the one connection Accept sees
+		// is this input's; the deadline frees it if the dial never came.
+		if err := ln.(*net.TCPListener).SetDeadline(deadline); err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(deadline)
+			if _, err := readFrame(conn, nil); err == nil {
+				_, _ = conn.Write(stream)
+			}
+		}()
+		defer func() { <-served }()
+
+		z, err := FetchZone(ctx, ln.Addr().String(), "gov.br.")
+		if !time.Now().Before(deadline) {
+			t.Fatalf("FetchZone returned at its deadline (err %v)", err)
+		}
+		if err != nil {
+			return
+		}
+		for _, rr := range z.Records() {
+			if !rr.Name.IsSubdomainOf("gov.br.") {
+				t.Fatalf("accepted zone holds %s, outside gov.br.", rr)
+			}
+		}
+	})
 }

@@ -9,7 +9,7 @@ import (
 	"govdns/internal/zone"
 )
 
-func testZone(t *testing.T) *zone.Zone {
+func testZone(t testing.TB) *zone.Zone {
 	t.Helper()
 	z := zone.New("gov.br.")
 	records := []dnswire.RR{

@@ -1,29 +1,25 @@
 package chaos
 
 import (
+	"bytes"
+
 	"govdns/internal/dnswire"
 )
 
-// The exported wire mutators are pure functions over wire-format
-// messages, exported separately from Transport so fuzz targets can seed
-// their corpora with chaos-shaped packets. Each returns a fresh slice;
-// the input is never modified. The Transport's own injections go through
-// the *InPlace cores instead — it owns the response buffer its inner
-// transport returned, so a header flip need not copy the packet. Each
-// mutation is guaranteed *detectable*: a validating client can always
-// reject the result by transaction ID, QR bit, question section, TC bit,
-// or RCODE — corruption subtle enough to pass all of those is
-// indistinguishable from a legitimate answer and no resolver can defend
-// against it.
+// The exported wire mutators are functions over wire-format messages,
+// exported separately from Transport so fuzz targets can seed their
+// corpora with chaos-shaped packets. TruncateWire and
+// MismatchQuestionWire return a fresh slice; the *InPlace ones patch
+// the slice they are given, as the Transport owns the response buffer
+// its inner transport returned. Each mutation is guaranteed
+// *detectable*: a validating client can always reject the result by
+// transaction ID, QR bit, question section, TC bit, or RCODE —
+// corruption subtle enough to pass all of those is indistinguishable
+// from a legitimate answer and no resolver can defend against it.
 
 // wirePool supplies codec arenas for the mutators that re-encode
 // (truncation, question rewriting) rather than patch bytes.
 var wirePool = dnswire.NewPool()
-
-// CorruptQIDWire flips bits in a copy of the message's transaction ID.
-func CorruptQIDWire(wire []byte) []byte {
-	return CorruptQIDWireInPlace(append([]byte(nil), wire...))
-}
 
 // CorruptQIDWireInPlace flips bits in the message's transaction ID,
 // modifying and returning wire. The XOR patterns are non-zero in both
@@ -34,11 +30,6 @@ func CorruptQIDWireInPlace(wire []byte) []byte {
 		wire[1] ^= 0x5A
 	}
 	return wire
-}
-
-// FlipRCodeWire rewrites the header RCODE nibble in a copy of wire.
-func FlipRCodeWire(wire []byte, rcode dnswire.RCode) []byte {
-	return FlipRCodeWireInPlace(append([]byte(nil), wire...), rcode)
 }
 
 // FlipRCodeWireInPlace rewrites the header RCODE nibble, modifying and
@@ -87,19 +78,14 @@ func MismatchQuestionWire(wire []byte) []byte {
 	defer a.Finish()
 	m, err := a.Decode(wire)
 	if err != nil || len(m.Questions) == 0 {
-		return CorruptQIDWire(wire)
+		return CorruptQIDWireInPlace(bytes.Clone(wire))
 	}
 	m.Questions[0].Type ^= 0x55
 	out, err := a.Encode(m)
 	if err != nil {
-		return CorruptQIDWire(wire)
+		return CorruptQIDWireInPlace(bytes.Clone(wire))
 	}
 	return append([]byte(nil), out...)
-}
-
-// MangleWire applies seeded byte-level corruption to a copy of wire.
-func MangleWire(h uint64, wire []byte) []byte {
-	return MangleWireInPlace(h, append([]byte(nil), wire...))
 }
 
 // MangleWireInPlace applies seeded byte-level corruption, modifying and

@@ -156,7 +156,7 @@ func TestCancelFindsContextThroughTrace(t *testing.T) {
 	c := New(parent, time.Hour)
 	defer c.Release()
 	rec := trace.NewRecorder("example.gov.", 0)
-	wrapped := trace.ContextWith(c, rec, rec.StartSpan(trace.NoSpan, trace.KindAttempt, "attempt 1"))
+	wrapped, _ := rec.Begin(c, trace.KindAttempt, "attempt 1", nil)
 
 	if got := Cancel(wrapped); got != parent.Done() {
 		t.Fatal("Cancel of an unarmed attempt context is not the parent's Done")

@@ -4,6 +4,7 @@
 package dnswire_test
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -49,19 +50,19 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wire)
-	f.Add(chaos.CorruptQIDWire(wire))
+	f.Add(chaos.CorruptQIDWireInPlace(bytes.Clone(wire)))
 	f.Add(chaos.TruncateWire(wire))
-	f.Add(chaos.FlipRCodeWire(wire, dnswire.RCodeServFail))
+	f.Add(chaos.FlipRCodeWireInPlace(bytes.Clone(wire), dnswire.RCodeServFail))
 	f.Add(chaos.MismatchQuestionWire(wire))
 	for h := uint64(0); h < 8; h++ {
-		f.Add(chaos.MangleWire(h*0x9e3779b97f4a7c15+1, wire))
+		f.Add(chaos.MangleWireInPlace(h*0x9e3779b97f4a7c15+1, bytes.Clone(wire)))
 	}
 	query, err := dnswire.Encode(dnswire.NewQuery(9, "single.gov.br.", dnswire.TypeNS))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(query)
-	f.Add(chaos.MangleWire(42, query))
+	f.Add(chaos.MangleWireInPlace(42, bytes.Clone(query)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := dnswire.Decode(data)

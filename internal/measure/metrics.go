@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"govdns/internal/obs"
+	"govdns/internal/trace"
 )
 
 // ScanMetrics holds the scanner's instrument handles on an obs.Registry:
@@ -20,14 +21,14 @@ import (
 type ScanMetrics struct {
 	reg *obs.Registry
 
-	// Stage histograms. parentWalk is the delegation walk (Fig. 1 steps
-	// 1-2); nsFetch is per-host nameserver address resolution (step 3,
-	// including child-only hosts); childProbe is one host's sequence of
-	// per-address NS queries (step 4); secondRound is a full retry pass
-	// (§ III-B); domain is the whole-domain wall clock including any
-	// second round.
-	parentWalk, nsFetch, childProbe *obs.Histogram
-	secondRound, domain             *obs.Histogram
+	// Stage histograms by trace kind: the parent walk is the delegation
+	// walk (Fig. 1 steps 1-2); the NS fetch is per-host nameserver
+	// address resolution (step 3, including child-only hosts); the child
+	// probe is one host's sequence of per-address NS queries (step 4);
+	// the round's is the second round's, a full retry pass (§ III-B);
+	// the domain's is the whole-domain wall clock including any second
+	// round.
+	stages [trace.KindChildProbe + 1]*obs.Histogram
 
 	domainsTotal *obs.Gauge
 	domainsDone  *obs.Counter
@@ -58,12 +59,14 @@ type ScanMetrics struct {
 // coherent registry for the whole pipeline.
 func NewScanMetrics(r *obs.Registry) *ScanMetrics {
 	return &ScanMetrics{
-		reg:          r,
-		parentWalk:   r.Histogram("scan_stage_parent_walk"),
-		nsFetch:      r.Histogram("scan_stage_ns_fetch"),
-		childProbe:   r.Histogram("scan_stage_child_probe"),
-		secondRound:  r.Histogram("scan_stage_second_round"),
-		domain:       r.Histogram("scan_domain_duration"),
+		reg: r,
+		stages: [...]*obs.Histogram{
+			trace.KindDomain:     r.Histogram("scan_domain_duration"),
+			trace.KindRound:      r.Histogram("scan_stage_second_round"),
+			trace.KindParentWalk: r.Histogram("scan_stage_parent_walk"),
+			trace.KindNSFetch:    r.Histogram("scan_stage_ns_fetch"),
+			trace.KindChildProbe: r.Histogram("scan_stage_child_probe"),
+		},
 		domainsTotal: r.Gauge("scan_domains_total"),
 		domainsDone:  r.Counter("scan_domains_done_total"),
 		walkFailures: r.Counter("scan_walk_failures_total"),
@@ -88,49 +91,28 @@ func (m *ScanMetrics) Registry() *obs.Registry {
 	return m.reg
 }
 
-// The record methods below are the scanner's only interface to the
-// metrics; every one tolerates a nil receiver so an uninstrumented
-// scanner pays a single predictable branch.
-
-func (m *ScanMetrics) recordParentWalk(start time.Time, failed bool) {
+// stage returns the latency histogram a scanner stage of kind k feeds,
+// or nil when m is nil. KindRound's is the second round's: round one is
+// timed by its domain.
+func (m *ScanMetrics) stage(k trace.Kind) *obs.Histogram {
 	if m == nil {
-		return
+		return nil
 	}
-	m.parentWalk.ObserveSince(start)
-	if failed {
-		m.walkFailures.Inc()
-	}
+	return m.stages[k]
 }
 
-func (m *ScanMetrics) recordNSFetch(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.nsFetch.ObserveSince(start)
-}
+// The record methods below bump the progress counters; every one
+// tolerates a nil receiver so an uninstrumented scanner pays a single
+// predictable branch.
 
-func (m *ScanMetrics) recordChildProbe(start time.Time, queries int) {
+func (m *ScanMetrics) recordDomain(r *DomainResult) {
 	if m == nil {
 		return
 	}
-	m.childProbe.ObserveSince(start)
-	m.probeQueries.Add(uint64(queries))
-}
-
-func (m *ScanMetrics) recordSecondRound(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.secondRound.ObserveSince(start)
-	m.secondRounds.Inc()
-}
-
-func (m *ScanMetrics) recordDomain(start time.Time, r *DomainResult) {
-	if m == nil {
-		return
-	}
-	m.domain.ObserveSince(start)
 	m.domainsDone.Inc()
+	if r.Rounds == 2 {
+		m.secondRounds.Inc()
+	}
 	if r.Err != "" {
 		m.errDomains.Inc()
 	}

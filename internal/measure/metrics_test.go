@@ -14,6 +14,7 @@ import (
 	"govdns/internal/miniworld"
 	"govdns/internal/obs"
 	"govdns/internal/resolver"
+	"govdns/internal/trace"
 )
 
 // These tests pin the observability layer's two load-bearing promises:
@@ -151,6 +152,89 @@ func TestScanMetricsStageAccounting(t *testing.T) {
 	if float64(domainsSum) < 0.8*float64(wall) {
 		t.Errorf("domain time (%v) covers only %.0f%% of wall clock (%v); want ≥ 80%% for a serial scan",
 			domainsSum, 100*float64(domainsSum)/float64(wall), wall)
+	}
+}
+
+// TestStageRecordsShareOneReading: a stage that is both metered and
+// traced is timed once, at its stage edge, so its span and its
+// histogram observation are the same duration. With every domain's
+// trace kept, each stage histogram counts exactly the spans of its
+// stage, and its sum equals their durations' sum to the nanosecond.
+func TestStageRecordsShareOneReading(t *testing.T) {
+	w := miniworld.Build()
+	domains := miniworld.Domains()
+	reg := obs.NewRegistry()
+	client := resolver.NewClient(w.Net)
+	client.Timeout = 10 * time.Millisecond
+	client.Retries = 1
+	client.SetMetrics(resolver.NewMetrics(reg))
+	s := NewScanner(resolver.NewIterator(client, w.Roots))
+	s.Concurrency = 4
+	s.PerDomainParallelism = 2
+	s.Metrics = NewScanMetrics(reg)
+	s.Trace = trace.NewFlightRecorder(trace.Config{Pinned: len(domains)})
+	s.TracePin = func(*DomainResult) bool { return true }
+	s.Scan(context.Background(), domains)
+
+	traces := s.Trace.Retained()
+	if len(traces) != len(domains) {
+		t.Fatalf("retained %d traces, want one per domain (%d)", len(traces), len(domains))
+	}
+	type tally struct {
+		n   uint64
+		sum time.Duration
+	}
+	byKind := make(map[trace.Kind]*tally)
+	var secondRounds tally
+	for _, dt := range traces {
+		if dt.DroppedSpans != 0 {
+			t.Fatalf("%s: %d spans dropped", dt.Domain, dt.DroppedSpans)
+		}
+		for i := range dt.Spans {
+			sp := &dt.Spans[i]
+			if sp.Event {
+				continue
+			}
+			if !sp.Ended() {
+				t.Fatalf("%s: span %d (%s %s) left open", dt.Domain, sp.ID, sp.Kind, sp.Name)
+			}
+			tl := byKind[sp.Kind]
+			if sp.Kind == trace.KindRound && sp.Name == "round 2" {
+				tl = &secondRounds
+			}
+			if tl == nil {
+				tl = &tally{}
+				byKind[sp.Kind] = tl
+			}
+			tl.n++
+			tl.sum += sp.Duration
+		}
+	}
+	if secondRounds.n == 0 {
+		t.Fatal("no domain took a second round; the fixture should include at least one fully defective domain")
+	}
+	for _, c := range []struct {
+		hist  string
+		spans *tally
+	}{
+		{"scan_domain_duration", byKind[trace.KindDomain]},
+		{"scan_stage_parent_walk", byKind[trace.KindParentWalk]},
+		{"scan_stage_ns_fetch", byKind[trace.KindNSFetch]},
+		{"scan_stage_child_probe", byKind[trace.KindChildProbe]},
+		{"scan_stage_second_round", &secondRounds},
+		{"resolver_attempt_rtt", byKind[trace.KindExchange]},
+	} {
+		h := reg.Histogram(c.hist)
+		if c.spans == nil || c.spans.n == 0 {
+			t.Errorf("%s: no spans of its stage were recorded", c.hist)
+			continue
+		}
+		if h.Count() != c.spans.n {
+			t.Errorf("%s: count %d, want %d (one per span)", c.hist, h.Count(), c.spans.n)
+		}
+		if h.Sum() != c.spans.sum {
+			t.Errorf("%s: sum %d ns, spans' durations sum to %d ns", c.hist, h.Sum(), c.spans.sum)
+		}
 	}
 }
 

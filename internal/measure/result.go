@@ -20,37 +20,7 @@ import (
 // The counters describe what the wire did to the measurement, not what
 // the measurement concluded — two scans that recover to identical
 // conclusions may carry very different fault counts.
-type FaultCounts struct {
-	Duplicates         uint64 `json:"duplicates,omitempty"`
-	Truncations        uint64 `json:"truncations,omitempty"`
-	QIDMismatches      uint64 `json:"qid_mismatches,omitempty"`
-	QuestionMismatches uint64 `json:"question_mismatches,omitempty"`
-	Malformed          uint64 `json:"malformed,omitempty"`
-}
-
-// add folds one query trace into the counters.
-func (f *FaultCounts) add(tr resolver.Trace) {
-	f.Duplicates += uint64(tr.Duplicates)
-	f.Truncations += uint64(tr.Truncations)
-	f.QIDMismatches += uint64(tr.QIDMismatches)
-	f.QuestionMismatches += uint64(tr.QuestionMismatches)
-	f.Malformed += uint64(tr.Malformed)
-}
-
-// merge folds another domain's counters in (used when the second round
-// replaces a first-round result but must not lose its fault history).
-func (f *FaultCounts) merge(o FaultCounts) {
-	f.Duplicates += o.Duplicates
-	f.Truncations += o.Truncations
-	f.QIDMismatches += o.QIDMismatches
-	f.QuestionMismatches += o.QuestionMismatches
-	f.Malformed += o.Malformed
-}
-
-// Total sums the counters.
-func (f FaultCounts) Total() uint64 {
-	return f.Duplicates + f.Truncations + f.QIDMismatches + f.QuestionMismatches + f.Malformed
-}
+type FaultCounts = resolver.Faults
 
 // ServerResponse is the outcome of querying one nameserver address for
 // the domain's NS records.

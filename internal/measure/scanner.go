@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strconv"
 	"sync"
-	"time"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/fanout"
+	"govdns/internal/obs"
 	"govdns/internal/resolver"
 	"govdns/internal/trace"
 )
@@ -87,73 +86,64 @@ func NewScanner(it *resolver.Iterator) *Scanner {
 // ScanDomain measures a single domain (one Fig. 1 pipeline run,
 // including the second round when enabled).
 func (s *Scanner) ScanDomain(ctx context.Context, domain dnsname.Name) *DomainResult {
-	domainStart := time.Now()
 	rec := s.Trace.NewRecorder(domain)
-	root := trace.NoSpan
-	if rec != nil {
-		root = rec.StartSpan(trace.NoSpan, trace.KindDomain, string(domain))
-		ctx = trace.ContextWith(ctx, rec, root)
-	}
-	r := s.scanRound(ctx, rec, root, domain, 1)
+	ctx, st := rec.Begin(ctx, trace.KindDomain, string(domain), s.Metrics.stage(trace.KindDomain))
+	r := s.scanRound(ctx, st, domain, 1)
 	classChanged := false
 	if s.SecondRound && (r.FullyDefective() || r.ErrTransient) {
 		var firstClass Classification
 		if rec != nil {
 			firstClass = r.Classify()
 		}
-		retryStart := time.Now()
-		retry := s.scanRound(ctx, rec, root, domain, 2)
-		s.Metrics.recordSecondRound(retryStart)
+		retry := s.scanRound(ctx, st, domain, 2)
 		retry.Rounds = 2
 		// The retry replaces the result but keeps the full fault
 		// history: what the wire did in round one is part of the
 		// domain's measurement record even when round two recovers.
-		retry.Faults.merge(r.Faults)
+		retry.Faults.Add(r.Faults)
 		r = retry
 		if rec != nil {
 			classChanged = r.Classify() != firstClass
 		}
 	}
-	s.Metrics.recordDomain(domainStart, r)
+	st.End(nil)
+	s.Metrics.recordDomain(r)
 	if rec != nil {
 		class := r.Classify().String()
-		rec.Annotate(root, trace.Str("class", class))
-		rec.EndSpan(root, nil)
+		st.Annotate(trace.Str("class", class))
 		pin := s.TracePin != nil && s.TracePin(r)
 		s.Trace.OfferPin(rec.Finish(class, r.Rounds, r.Err, r.ErrTransient, classChanged), pin)
 	}
 	return r
 }
 
-// scanRound wraps one scanOnce pass in a round span, annotated with
-// the classification that round produced on its own.
-func (s *Scanner) scanRound(ctx context.Context, rec *trace.Recorder, root trace.SpanID, domain dnsname.Name, round int) (r *DomainResult) {
-	if rec != nil {
-		span := rec.StartSpan(root, trace.KindRound, "round "+strconv.Itoa(round))
-		ctx = trace.ContextWith(ctx, rec, span)
-		defer func() {
-			rec.Annotate(span, trace.Str("class", r.Classify().String()))
-			rec.EndSpan(span, nil)
-		}()
+// roundNames are the round spans' names, by round number.
+var roundNames = [...]string{1: "round 1", 2: "round 2"}
+
+// scanRound wraps one scanOnce pass in a round stage nested in the
+// domain's stage dst, annotated with the classification that round
+// produced on its own. The second round is metered; the first is timed
+// by its domain.
+func (s *Scanner) scanRound(ctx context.Context, dst trace.Stage, domain dnsname.Name, round int) *DomainResult {
+	var hist *obs.Histogram
+	if round == 2 {
+		hist = s.Metrics.stage(trace.KindRound)
 	}
-	return s.scanOnce(ctx, domain)
+	ctx, st := dst.Begin(ctx, trace.KindRound, roundNames[round], hist)
+	r := s.scanOnce(ctx, domain)
+	if st.Traced() {
+		st.Annotate(trace.Str("class", r.Classify().String()))
+	}
+	st.End(nil)
+	return r
 }
 
 func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResult {
 	r := newResult(domain)
-	rec, round := trace.From(ctx)
 
-	walkStart := time.Now()
-	wspan := trace.NoSpan
-	wctx := ctx
-	if rec != nil {
-		wspan = rec.StartSpan(round, trace.KindParentWalk, string(domain))
-		wctx = trace.ContextWith(ctx, rec, wspan)
-	}
+	wctx, wst := trace.Begin(ctx, trace.KindParentWalk, string(domain), s.Metrics.stage(trace.KindParentWalk))
 	deleg, err := s.Iterator.Delegation(wctx, domain)
-	rec.EndSpan(wspan, err)
-	s.Metrics.recordParentWalk(walkStart, err != nil &&
-		!errors.Is(err, resolver.ErrNXDomain) && !errors.Is(err, resolver.ErrNoAnswer))
+	wst.End(err)
 	switch {
 	case err == nil:
 		r.ParentResponded = true
@@ -167,6 +157,9 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 		r.Err = err.Error()
 		return r
 	default:
+		if s.Metrics != nil {
+			s.Metrics.walkFailures.Inc()
+		}
 		r.Err = err.Error()
 		// A dead context makes every in-flight query "time out"; only a
 		// live-context transient failure says anything about the wire.
@@ -187,7 +180,7 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 	total := 0
 	for i, host := range r.ParentNS {
 		r.Addrs[host] = units[i].addrs
-		r.Faults.merge(units[i].faults)
+		r.Faults.Add(units[i].faults)
 		total += len(units[i].servers)
 	}
 	r.Servers = slices.Grow(r.Servers, total)
@@ -214,14 +207,7 @@ type hostUnit struct {
 // each address for domain's NS records.
 func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, parentNS []dnsname.Name, glue []netip.Addr) (u hostUnit) {
 	u.addrs = s.fetchHost(ctx, host, glue)
-	rec, round := trace.From(ctx)
-	probeStart := time.Now()
-	cspan := trace.NoSpan
-	cctx := ctx
-	if rec != nil {
-		cspan = rec.StartSpan(round, trace.KindChildProbe, string(host))
-		cctx = trace.ContextWith(ctx, rec, cspan)
-	}
+	cctx, cst := trace.Begin(ctx, trace.KindChildProbe, string(host), s.Metrics.stage(trace.KindChildProbe))
 	client := s.Iterator.Client()
 	// One arena for the unit's probes: each response is copied out
 	// before the next probe's decode reuses it.
@@ -230,18 +216,17 @@ func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, pare
 	u.servers = make([]ServerResponse, len(u.addrs))
 	for j, addr := range u.addrs {
 		sr := ServerResponse{Host: host, Addr: addr}
-		pspan := trace.NoSpan
-		pctx := cctx
-		if rec != nil {
-			pspan = rec.StartSpan(cspan, trace.KindProbe, addr.String())
-			pctx = trace.ContextWith(cctx, rec, pspan)
+		var name string
+		if cst.Traced() {
+			name = addr.String()
 		}
+		pctx, pst := cst.Begin(cctx, trace.KindProbe, name, nil)
 		resp, qtr, err := client.QueryArenaTraced(pctx, a, addr, domain, dnswire.TypeNS)
-		u.faults.add(qtr)
-		if rec != nil {
-			rec.Annotate(pspan, faultAttrs(qtr)...)
-			rec.EndSpan(pspan, err)
+		u.faults.Add(qtr.Faults)
+		if pst.Traced() {
+			pst.Annotate(faultAttrs(qtr)...)
 		}
+		pst.End(err)
 		if err != nil {
 			sr.Err = err.Error()
 		} else {
@@ -252,38 +237,30 @@ func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, pare
 		}
 		u.servers[j] = sr
 	}
-	rec.EndSpan(cspan, nil)
-	s.Metrics.recordChildProbe(probeStart, len(u.addrs))
+	cst.End(nil)
+	if s.Metrics != nil {
+		s.Metrics.probeQueries.Add(uint64(len(u.addrs)))
+	}
 	return u
 }
 
-// fetchHost resolves host's addresses in an NS-fetch span annotated
+// fetchHost resolves host's addresses in an NS-fetch stage annotated
 // with attrs: the referral's glue for host when it carried some
 // (authoritative enough for the parent's own view; the result takes
 // the slice over), else full resolution, cached and coalesced across the
 // scan. An unresolvable host gets nil.
 func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []netip.Addr, attrs ...trace.Attr) []netip.Addr {
-	rec, round := trace.From(ctx)
-	start := time.Now()
-	span := trace.NoSpan
-	fctx := ctx
-	if rec != nil {
-		span = rec.StartSpan(round, trace.KindNSFetch, string(host))
-		fctx = trace.ContextWith(ctx, rec, span)
-	}
+	fctx, st := trace.Begin(ctx, trace.KindNSFetch, string(host), s.Metrics.stage(trace.KindNSFetch))
 	addrs := glue
 	var err error
 	if glue != nil {
-		rec.Annotate(span, trace.Bool("glue", true))
+		st.Annotate(trace.Bool("glue", true))
 	} else if addrs, err = s.Iterator.ResolveHost(fctx, host); err != nil {
 		addrs = nil
 	}
-	if rec != nil {
-		rec.Annotate(span, trace.Int("addrs", int64(len(addrs))))
-		rec.Annotate(span, attrs...)
-		rec.EndSpan(span, err)
-	}
-	s.Metrics.recordNSFetch(start)
+	st.Annotate(trace.Int("addrs", int64(len(addrs))))
+	st.Annotate(attrs...)
+	st.End(err)
 	return addrs
 }
 
@@ -320,21 +297,11 @@ func childNS(answers []dnswire.RR, domain dnsname.Name, parentNS []dnsname.Name)
 func faultAttrs(tr resolver.Trace) []trace.Attr {
 	attrs := make([]trace.Attr, 0, 6)
 	attrs = append(attrs, trace.Int("attempts", int64(tr.Attempts)))
-	if tr.Duplicates > 0 {
-		attrs = append(attrs, trace.Int("duplicates", int64(tr.Duplicates)))
-	}
-	if tr.Truncations > 0 {
-		attrs = append(attrs, trace.Int("truncations", int64(tr.Truncations)))
-	}
-	if tr.QIDMismatches > 0 {
-		attrs = append(attrs, trace.Int("qid_mismatches", int64(tr.QIDMismatches)))
-	}
-	if tr.QuestionMismatches > 0 {
-		attrs = append(attrs, trace.Int("question_mismatches", int64(tr.QuestionMismatches)))
-	}
-	if tr.Malformed > 0 {
-		attrs = append(attrs, trace.Int("malformed", int64(tr.Malformed)))
-	}
+	tr.Faults.Each(func(key string, n uint64) {
+		if n > 0 {
+			attrs = append(attrs, trace.Int(key, int64(n)))
+		}
+	})
 	return attrs
 }
 

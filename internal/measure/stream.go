@@ -54,9 +54,6 @@ type StreamConfig struct {
 	// CheckpointEvery is the emission interval between checkpoints.
 	// Zero or negative means DefaultCheckpointEvery.
 	CheckpointEvery int
-	// MaxBuffer bounds the reorder window. Zero or negative means
-	// DefaultStreamMaxBuffer.
-	MaxBuffer int
 	// ScanKey names the scan's identity (world seed/scale, domain list,
 	// chaos profile). It is stored in every checkpoint and verified on
 	// resume, so a checkpoint can never silently extend a different
@@ -75,11 +72,16 @@ type StreamConfig struct {
 	// stream (the monitor's alert log) uses to commit exactly the
 	// records whose scan results are now crash-safe.
 	OnCheckpoint func(emitted int)
+
+	// maxBuffer bounds the reorder window; zero means
+	// DefaultStreamMaxBuffer. Only tests shrink it, to reach
+	// backpressure with a handful of results.
+	maxBuffer int
 }
 
-func (c *StreamConfig) maxBuffer() int {
-	if c.MaxBuffer > 0 {
-		return c.MaxBuffer
+func (c *StreamConfig) window() int {
+	if c.maxBuffer > 0 {
+		return c.maxBuffer
 	}
 	return DefaultStreamMaxBuffer
 }
@@ -168,7 +170,7 @@ func (t *tapWriter) Write(p []byte) (int, error) {
 func (sw *StreamWriter) Offer(idx int, r *DomainResult) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	for !sw.cancelled && sw.err == nil && idx != sw.next && len(sw.pending) >= sw.cfg.maxBuffer() {
+	for !sw.cancelled && sw.err == nil && idx != sw.next && len(sw.pending) >= sw.cfg.window() {
 		sw.cond.Wait()
 	}
 	if sw.cancelled || sw.err != nil {

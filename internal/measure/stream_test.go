@@ -129,7 +129,7 @@ func TestScanStreamStopsOnWriteError(t *testing.T) {
 func TestStreamWriterReorders(t *testing.T) {
 	results := goldenResults()
 	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf, StreamConfig{MaxBuffer: 8})
+	sw := NewStreamWriter(&buf, StreamConfig{maxBuffer: 8})
 	for _, idx := range []int{2, 1, 0, 3} {
 		if err := sw.Offer(idx, results[idx]); err != nil {
 			t.Fatalf("Offer(%d): %v", idx, err)
@@ -157,7 +157,7 @@ func TestStreamWriterReorders(t *testing.T) {
 func TestStreamWriterBackpressure(t *testing.T) {
 	results := goldenResults()
 	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf, StreamConfig{MaxBuffer: 1})
+	sw := NewStreamWriter(&buf, StreamConfig{maxBuffer: 1})
 	if err := sw.Offer(2, results[2]); err != nil { // fills the window
 		t.Fatalf("Offer(2): %v", err)
 	}

@@ -230,6 +230,41 @@ func (c *Client) retries() int {
 	return DefaultRetries
 }
 
+// Faults counts rejected responses by class — the one fault record a
+// query's Trace carries and a scanned domain aggregates over its
+// probes. The classes mirror the like-named Stats fields, and the JSON
+// keys are the scan output's.
+type Faults struct {
+	Duplicates         uint64 `json:"duplicates,omitempty"`
+	Truncations        uint64 `json:"truncations,omitempty"`
+	QIDMismatches      uint64 `json:"qid_mismatches,omitempty"`
+	QuestionMismatches uint64 `json:"question_mismatches,omitempty"`
+	Malformed          uint64 `json:"malformed,omitempty"`
+}
+
+// Add folds o's counts into f.
+func (f *Faults) Add(o Faults) {
+	f.Duplicates += o.Duplicates
+	f.Truncations += o.Truncations
+	f.QIDMismatches += o.QIDMismatches
+	f.QuestionMismatches += o.QuestionMismatches
+	f.Malformed += o.Malformed
+}
+
+// Each calls fn with every class's JSON key and count, in field order.
+func (f Faults) Each(fn func(key string, n uint64)) {
+	fn("duplicates", f.Duplicates)
+	fn("truncations", f.Truncations)
+	fn("qid_mismatches", f.QIDMismatches)
+	fn("question_mismatches", f.QuestionMismatches)
+	fn("malformed", f.Malformed)
+}
+
+// Total sums the counts.
+func (f Faults) Total() uint64 {
+	return f.Duplicates + f.Truncations + f.QIDMismatches + f.QuestionMismatches + f.Malformed
+}
+
 // Trace is the per-query fault breakdown filled by QueryArenaTraced: how
 // many attempts the query took and how many responses each rejection
 // class discarded along the way. The measurement layer aggregates traces
@@ -237,19 +272,7 @@ func (c *Client) retries() int {
 type Trace struct {
 	// Attempts counts query attempts made (1 for a clean first answer).
 	Attempts int
-	// Duplicates, Truncations, QIDMismatches, QuestionMismatches, and
-	// Malformed count rejected responses by class, mirroring the
-	// like-named Stats fields.
-	Duplicates         int
-	Truncations        int
-	QIDMismatches      int
-	QuestionMismatches int
-	Malformed          int
-}
-
-// Rejects sums the rejected-response counters.
-func (tr Trace) Rejects() int {
-	return tr.Duplicates + tr.Truncations + tr.QIDMismatches + tr.QuestionMismatches + tr.Malformed
+	Faults
 }
 
 // QueryArena sends (name, qtype) to the server and returns the decoded,
@@ -274,17 +297,15 @@ func (c *Client) QueryArena(ctx context.Context, a *dnswire.Arena, server netip.
 // meaningful even when err is non-nil: it records what the wire did to
 // this query. The response borrows a (see QueryArena).
 func (c *Client) QueryArenaTraced(ctx context.Context, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (resp *dnswire.Message, tr Trace, err error) {
-	rec, parent := trace.From(ctx)
-	qspan := trace.NoSpan
-	if rec != nil {
-		qspan = rec.StartSpan(parent, trace.KindQuery,
-			fmt.Sprintf("%s %s @%s", name, qtype, server))
-		ctx = trace.ContextWith(ctx, rec, qspan)
-		defer func() {
-			rec.Annotate(qspan, trace.Int("attempts", int64(tr.Attempts)))
-			rec.EndSpan(qspan, err)
-		}()
+	var label string
+	if rec, _ := trace.From(ctx); rec != nil {
+		label = fmt.Sprintf("%s %s @%s", name, qtype, server)
 	}
+	ctx, qst := trace.Begin(ctx, trace.KindQuery, label, nil)
+	defer func() {
+		qst.Annotate(trace.Int("attempts", int64(tr.Attempts)))
+		qst.End(err)
+	}()
 	attempts := 1 + c.retries()
 	var lastErr error
 	for i := 0; i < attempts; i++ {
@@ -292,21 +313,17 @@ func (c *Client) QueryArenaTraced(ctx context.Context, a *dnswire.Arena, server 
 			return nil, tr, cerr
 		}
 		tr.Attempts++
-		actx := ctx
-		aspan := trace.NoSpan
-		rejectsBefore := 0
-		if rec != nil {
-			aspan = rec.StartSpan(qspan, trace.KindAttempt, "attempt "+strconv.Itoa(i+1))
-			actx = trace.ContextWith(ctx, rec, aspan)
-			rejectsBefore = tr.Rejects()
+		var aname string
+		if qst.Traced() {
+			aname = "attempt " + strconv.Itoa(i+1)
 		}
-		resp, aerr := c.attempt(actx, a, server, name, qtype, &tr)
-		if rec != nil {
-			if d := tr.Rejects() - rejectsBefore; d > 0 {
-				rec.Annotate(aspan, trace.Int("discarded", int64(d)))
-			}
-			rec.EndSpan(aspan, aerr)
+		actx, ast := qst.Begin(ctx, trace.KindAttempt, aname, nil)
+		rejectsBefore := tr.Total()
+		resp, aerr := c.attempt(actx, ast, a, server, name, qtype, &tr)
+		if d := tr.Total() - rejectsBefore; d > 0 {
+			ast.Annotate(trace.Int("discarded", int64(d)))
 		}
+		ast.End(aerr)
 		if aerr == nil {
 			return resp, tr, nil
 		}
@@ -336,8 +353,9 @@ func (c *Client) QueryArenaTraced(ctx context.Context, a *dnswire.Arena, server 
 //
 // Query, wire, and every decoded response ride the caller's arena. The
 // encoded query stays valid across response decodes because Arena.Decode
-// leaves the encoder output and query slot untouched.
-func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type, tr *Trace) (*dnswire.Message, error) {
+// leaves the encoder output and query slot untouched. ctx is scoped to
+// the attempt's stage ast, which each datagram's exchange stage nests in.
+func (c *Client) attempt(ctx context.Context, ast trace.Stage, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type, tr *Trace) (*dnswire.Message, error) {
 	id := uint16(c.nextID.Add(1))
 	query := a.NewQuery(id, name, qtype)
 	wire, err := a.Encode(query)
@@ -347,29 +365,34 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 
 	m := c.metrics()
 	srv := c.servers.record(server)
-	rec, parent := trace.From(ctx)
 	attemptCtx := deadline.New(ctx, c.timeout())
 	defer attemptCtx.Release()
 	for discards := 0; ; discards++ {
 		m.sent.Inc()
-		sentAt := time.Now()
-		// One exchange span per datagram on the wire; the chaos
-		// transport annotates its injections onto this span via the
-		// exchange-scoped context.
-		var exCtx context.Context = attemptCtx
-		xspan := trace.NoSpan
-		if rec != nil {
-			xspan = rec.StartSpan(parent, trace.KindExchange, server.String())
-			exCtx = trace.ContextWith(attemptCtx, rec, xspan)
+		// One exchange stage per datagram on the wire, from send to the
+		// reply's verdict; the chaos transport records its injections
+		// under it via the exchange-scoped context.
+		var xname string
+		if ast.Traced() {
+			xname = server.String()
 		}
+		exCtx, xst := ast.Begin(attemptCtx, trace.KindExchange, xname, m.rtt)
 		c.releaserOnce.Do(func() { c.releaser, _ = c.Transport.(ResponseReleaser) })
 		respWire, err := c.Transport.Exchange(exCtx, server, wire)
-		m.observeRTT(sentAt)
-		if rec != nil {
-			rec.Annotate(xspan, trace.Dur("rtt", time.Since(sentAt)))
+		var resp *dnswire.Message
+		reject := err
+		if err == nil {
+			resp, reject = c.classify(a, query, srv, respWire, tr)
+			// The decode inside classify copied everything it kept (names
+			// onto the arena, addresses into values), so a pooled response
+			// buffer goes home immediately — win or reject.
+			if c.releaser != nil {
+				c.releaser.ReleaseResponse(respWire)
+			}
 		}
+		rtt := xst.End(reject)
+		xst.Annotate(trace.Dur("rtt", rtt))
 		if err != nil {
-			rec.EndSpan(xspan, err)
 			// A dead caller context (a cancelled scan) says nothing about
 			// the server; only an exchange that failed under a live one
 			// is the server's timeout.
@@ -383,14 +406,6 @@ func (c *Client) attempt(ctx context.Context, a *dnswire.Arena, server netip.Add
 			}
 			return nil, err
 		}
-		resp, reject := c.classify(a, query, srv, respWire, tr)
-		// The decode inside classify copied everything it kept (names
-		// onto the arena, addresses into values), so a pooled response
-		// buffer goes home immediately — win or reject.
-		if c.releaser != nil {
-			c.releaser.ReleaseResponse(respWire)
-		}
-		rec.EndSpan(xspan, reject)
 		if reject == nil {
 			m.received.Inc()
 			srv.ok.Add(1)

@@ -320,17 +320,13 @@ func (it *Iterator) delegation(ctx context.Context, name dnsname.Name, depth int
 // referral span covering both the query and, on descent, the next
 // zone's build.
 func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, name dnsname.Name, depth int) (deleg *Delegation, next *ZoneServers, err error) {
-	rec, parent := trace.From(ctx)
-	if rec != nil {
-		span := rec.StartSpan(parent, trace.KindReferral, string(current.Zone))
-		ctx = trace.ContextWith(ctx, rec, span)
-		defer func() {
-			if err == nil && next != nil {
-				rec.Annotate(span, trace.Str("next", string(next.Zone)))
-			}
-			rec.EndSpan(span, err)
-		}()
-	}
+	ctx, st := trace.Begin(ctx, trace.KindReferral, string(current.Zone), nil)
+	defer func() {
+		if err == nil && next != nil {
+			st.Annotate(trace.Str("next", string(next.Zone)))
+		}
+		st.End(err)
+	}()
 
 	// One codec arena per step: the response borrows it, and everything
 	// that outlives the step — the Delegation's host names and glue, the
@@ -398,12 +394,8 @@ func (it *Iterator) zoneServers(ctx context.Context, zoneName dnsname.Name, nsRe
 // zone-build span, resolving out-of-bailiwick hosts that lack glue.
 func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsRecords, glue []dnswire.RR, depth int) (zs *ZoneServers, err error) {
 	it.m.zoneMisses.Inc()
-	rec, parent := trace.From(ctx)
-	if rec != nil {
-		span := rec.StartSpan(parent, trace.KindZoneBuild, string(zoneName))
-		ctx = trace.ContextWith(ctx, rec, span)
-		defer func() { rec.EndSpan(span, err) }()
-	}
+	ctx, st := trace.Begin(ctx, trace.KindZoneBuild, string(zoneName), nil)
+	defer func() { st.End(err) }()
 	zs = &ZoneServers{
 		Zone:  zoneName,
 		Hosts: nsHosts(nsRecords),
@@ -436,10 +428,7 @@ func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsReco
 		}
 		need = append(need, i)
 	}
-	if rec, span := trace.From(ctx); rec != nil {
-		rec.Annotate(span, trace.Int("hosts", int64(len(zs.Hosts))),
-			trace.Int("glueless", int64(len(need))))
-	}
+	st.Annotate(trace.Int("hosts", int64(len(zs.Hosts))), trace.Int("glueless", int64(len(need))))
 	fanout.Each(len(need), DefaultBuildFanout, func(k int) {
 		i := need[k]
 		resolved[i], errs[i] = it.resolveHost(ctx, zs.Hosts[i], depth+1)
@@ -516,17 +505,13 @@ func (it *Iterator) resolveHost(ctx context.Context, host dnsname.Name, depth in
 // lookup iteratively resolves host's A records in a host-resolution span.
 func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (addrs []netip.Addr, err error) {
 	it.m.hostMisses.Inc()
-	rec, parent := trace.From(ctx)
-	if rec != nil {
-		span := rec.StartSpan(parent, trace.KindHostResolve, string(host))
-		ctx = trace.ContextWith(ctx, rec, span)
-		defer func() {
-			if err == nil {
-				rec.Annotate(span, trace.Int("addrs", int64(len(addrs))))
-			}
-			rec.EndSpan(span, err)
-		}()
-	}
+	ctx, st := trace.Begin(ctx, trace.KindHostResolve, string(host), nil)
+	defer func() {
+		if err == nil {
+			st.Annotate(trace.Int("addrs", int64(len(addrs))))
+		}
+		st.End(err)
+	}()
 	if depth > maxDepth {
 		return nil, fmt.Errorf("%w: resolving %s", ErrDepth, host)
 	}

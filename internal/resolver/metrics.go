@@ -1,8 +1,6 @@
 package resolver
 
 import (
-	"time"
-
 	"govdns/internal/obs"
 )
 
@@ -35,13 +33,20 @@ type Metrics struct {
 	hostHits, hostMisses, zoneHits, zoneMisses *obs.Counter
 	negHits, coalesced, bypassed               *obs.Counter
 
-	// rtt is the per-attempt round-trip latency of every transport
-	// exchange, successful or not (a timeout observes the full wait).
+	// rtt is the latency of every exchange stage, successful or not (a
+	// timeout observes the full wait): the datagram's round trip plus
+	// the reply's validation, the same reading as the exchange span.
 	rtt *obs.Histogram
 }
 
 // NewMetrics builds the resolver's instruments on r. Instruments are
 // get-or-create, so two Metrics over the same registry share counters.
+//
+// resolver_attempt_rtt is the exchange stage's duration: send, the
+// wait, and the reply's decode and validation, the same interval as the
+// exchange span's rtt attribute. It is wider than udpx_exchange_rtt,
+// which stops when the batched transport demultiplexes the datagram, so
+// the two histograms are not comparable bucket for bucket.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		reg:                r,
@@ -61,15 +66,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		negHits:            r.Counter("resolver_negative_hits_total"),
 		coalesced:          r.Counter("resolver_coalesced_waits_total"),
 		bypassed:           r.Counter("resolver_flight_bypasses_total"),
-		rtt:                r.Histogram("resolver_attempt_rtt"),
+		rtt:                r.Histogram("resolver_attempt_rtt"), // exchange stage, reply validation included
 	}
 }
 
 // Registry returns the registry the instruments live on (for snapshots
 // and the HTTP endpoint).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// observeRTT records one transport exchange's round-trip time.
-func (m *Metrics) observeRTT(start time.Time) {
-	m.rtt.ObserveSince(start)
-}

@@ -304,7 +304,7 @@ func TestValidateRejectsWrongID(t *testing.T) {
 	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("error = %v, want ErrMismatch", err)
 	}
-	if want := (Trace{QIDMismatches: 1}); tr != want {
+	if want := (Trace{Faults: Faults{QIDMismatches: 1}}); tr != want {
 		t.Errorf("trace = %+v, want %+v", tr, want)
 	}
 	if want := (Stats{QIDMismatches: 1}); st != want {
@@ -317,7 +317,7 @@ func TestValidateRejectsNonResponse(t *testing.T) {
 	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("error = %v, want ErrMismatch", err)
 	}
-	if want := (Trace{Malformed: 1}); tr != want {
+	if want := (Trace{Faults: Faults{Malformed: 1}}); tr != want {
 		t.Errorf("trace = %+v, want %+v", tr, want)
 	}
 	if want := (Stats{Malformed: 1}); st != want {
@@ -330,7 +330,7 @@ func TestValidateRejectsWrongQuestion(t *testing.T) {
 	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("error = %v, want ErrMismatch", err)
 	}
-	if want := (Trace{QuestionMismatches: 1}); tr != want {
+	if want := (Trace{Faults: Faults{QuestionMismatches: 1}}); tr != want {
 		t.Errorf("trace = %+v, want %+v", tr, want)
 	}
 	if want := (Stats{QuestionMismatches: 1}); st != want {

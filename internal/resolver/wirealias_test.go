@@ -31,7 +31,7 @@ func TestWirePathAliasSafety(t *testing.T) {
 	it := NewIterator(c, w.Roots)
 
 	rec := trace.NewRecorder("city.gov.br.", 0)
-	ctx := trace.ContextWith(ctxWithTimeout(t), rec, trace.NoSpan)
+	ctx, root := rec.Begin(ctxWithTimeout(t), trace.KindDomain, "city.gov.br.", nil)
 
 	d, err := it.Delegation(ctx, "city.gov.br.")
 	if err != nil {
@@ -53,6 +53,7 @@ func TestWirePathAliasSafety(t *testing.T) {
 		t.Fatal("delegation carried no glue; the glue assertions are vacuous")
 	}
 	parentSnap := deepCopyZoneServers(&d.Parent)
+	root.End(nil)
 	dt := rec.Finish("", 1, "", false, false)
 	if len(dt.Spans) == 0 {
 		t.Fatal("no spans recorded; the trace assertions are vacuous")

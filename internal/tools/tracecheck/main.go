@@ -1,36 +1,37 @@
 // Command tracecheck is the repo's custom vet pass for resolution
-// tracing: every span opened with trace.Recorder.StartSpan in the
-// packages it is pointed at must be closed on every path out of the
-// region that opened it — otherwise the flight recorder exports trees
-// with spans stuck "open" and every duration downstream of them is a
-// lie. `make lint` runs it over every package directory of the module,
-// so a new span site is checked wherever it lands.
+// tracing: every stage opened with a trace Begin in the packages it is
+// pointed at must be ended on every path out of the region that opened
+// it — otherwise the flight recorder exports trees with spans stuck
+// "open", the stage's histogram misses its observation, and every
+// duration downstream of them is a lie. `make lint` runs it over every
+// package directory of the module, so a new stage site is checked
+// wherever it lands.
 //
 //	go run ./internal/tools/tracecheck $(go list -f '{{.Dir}}' ./...)
 //
 // The analysis is deliberately small. For each assignment
-// `x := rec.StartSpan(...)` (or `x = rec.StartSpan(...)`) it finds the
+// `ctx, x := trace.Begin(...)` (or `ctx, x = ...`: any `.Begin` call
+// assigned to two values), closed by `x.End(...)`, it finds the
 // enclosing region — the body of the innermost function or loop
-// containing the assignment, since a span started inside a loop
-// iteration must be closed within that iteration — and walks the
+// containing the assignment, since a stage begun inside a loop
+// iteration must be ended within that iteration — and walks the
 // region's statements structurally:
 //
-//   - a statement containing `EndSpan(x, ...)` marks the span ended
-//     from that point on (an `if rec != nil { rec.EndSpan(x, ...) }`
-//     guard counts: when rec is nil the span was never started);
+//   - a statement containing `x.End(...)` marks the stage ended from
+//     that point on;
 //   - a `defer` whose call — directly or inside a deferred func
 //     literal — ends x covers every subsequent exit;
 //   - a return, or a break/continue when the region is a loop body,
-//     reached while the span may still be open is reported;
-//   - an if-arm that ends the span and falls through propagates the
+//     reached while the stage may still be open is reported, and so is
+//     the end of the region;
+//   - an if-arm that ends the stage and falls through propagates the
 //     ended state; an arm that exits (returns on all its paths) does
 //     not leak its state into the fallthrough path.
 //
-// The walker is optimistic about guard conditions (it does not prove
-// `rec != nil` matches the start guard) and does not follow data flow
-// through calls; it exists to catch the real-world leak — a new early
-// return slipped between StartSpan and EndSpan — not to be a theorem
-// prover. Test files are skipped: tests start spans to assert on
+// The walker is optimistic about guard conditions and does not follow
+// data flow through calls; it exists to catch the real-world leak — a
+// new early return slipped between Begin and End — not to be a theorem
+// prover. Test files are skipped: tests open stages to assert on
 // half-open states.
 package main
 
@@ -96,7 +97,7 @@ func checkDir(fset *token.FileSet, dir string) ([]string, error) {
 	return findings, nil
 }
 
-// checkFile reports every StartSpan assignment in file whose span can
+// checkFile reports every Begin assignment in file whose stage can
 // escape its region unended.
 func checkFile(fset *token.FileSet, file *ast.File) []string {
 	var findings []string
@@ -113,35 +114,47 @@ func checkFile(fset *token.FileSet, file *ast.File) []string {
 		if !ok {
 			return true
 		}
-		for i, rhs := range assign.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok || !isMethodCall(call, "StartSpan") || i >= len(assign.Lhs) {
-				continue
-			}
-			ident, ok := assign.Lhs[i].(*ast.Ident)
-			if !ok || ident.Name == "_" {
-				continue
-			}
-			region, isLoop := enclosingRegion(stack)
-			if region == nil {
-				continue
-			}
-			c := &checker{varName: ident.Name, assignPos: assign.Pos()}
-			c.walk(region.List, false, isLoop)
-			for _, leak := range c.leaks {
-				findings = append(findings, fmt.Sprintf(
-					"%s: span %q started at %s may reach this %s unended",
-					fset.Position(leak.pos), ident.Name, fset.Position(assign.Pos()), leak.kind))
-			}
+		ident := opened(assign)
+		if ident == nil {
+			return true
+		}
+		region, isLoop := enclosingRegion(stack)
+		if region == nil {
+			return true
+		}
+		c := &checker{varName: ident.Name, assignPos: assign.Pos()}
+		if ended, term := c.walk(region.List, false, isLoop); !ended && !term {
+			c.leaks = append(c.leaks, leak{region.Rbrace, "end of its region"})
+		}
+		for _, leak := range c.leaks {
+			findings = append(findings, fmt.Sprintf(
+				"%s: stage %q begun at %s may reach this %s unended",
+				fset.Position(leak.pos), ident.Name, fset.Position(assign.Pos()), leak.kind))
 		}
 		return true
 	})
 	return findings
 }
 
+// opened returns the stage variable assign opens — the second value of
+// a two-valued `.Begin(...)` — or nil.
+func opened(assign *ast.AssignStmt) *ast.Ident {
+	if len(assign.Rhs) != 1 || len(assign.Lhs) != 2 {
+		return nil
+	}
+	call, ok := assign.Rhs[0].(*ast.CallExpr)
+	if !ok || !isMethodCall(call, "Begin") {
+		return nil
+	}
+	if ident, ok := assign.Lhs[1].(*ast.Ident); ok && ident.Name != "_" {
+		return ident
+	}
+	return nil
+}
+
 // enclosingRegion walks the ancestor stack (innermost last, ending at
 // the AssignStmt) to the body of the nearest function or loop: the
-// block a span started inside it must not escape. isLoop reports a
+// block a stage begun inside it must not escape. isLoop reports a
 // loop body, where break/continue are exits too.
 func enclosingRegion(stack []ast.Node) (*ast.BlockStmt, bool) {
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -164,8 +177,8 @@ type leak struct {
 	kind string // "return", "break", "continue"
 }
 
-// checker walks one region for one span variable. Statements entirely
-// before the assignment are skipped; the walk tracks whether the span
+// checker walks one region for one stage variable. Statements entirely
+// before the assignment are skipped; the walk tracks whether the stage
 // is certainly ended on the current path.
 type checker struct {
 	varName   string
@@ -189,7 +202,7 @@ func (c *checker) walk(stmts []ast.Stmt, ended, branchExits bool) (bool, bool) {
 
 func (c *checker) walkStmt(s ast.Stmt, ended, branchExits bool) (bool, bool) {
 	if s.End() < c.assignPos {
-		return ended, false // entirely before the span starts
+		return ended, false // entirely before the stage begins
 	}
 	switch st := s.(type) {
 	case *ast.BlockStmt:
@@ -199,7 +212,7 @@ func (c *checker) walkStmt(s ast.Stmt, ended, branchExits bool) (bool, bool) {
 	case *ast.DeferStmt:
 		// A deferred end covers every later exit from the function; a
 		// deferred func literal is scanned for the same call.
-		if c.endsSpan(st.Call) {
+		if c.ends(st.Call) {
 			return true, false
 		}
 		return ended, false
@@ -219,7 +232,7 @@ func (c *checker) walkStmt(s ast.Stmt, ended, branchExits bool) (bool, bool) {
 	case *ast.IfStmt:
 		return c.walkIf(st, ended, branchExits)
 	case *ast.ForStmt:
-		// Nested loop: spans started outside are not exited by its
+		// Nested loop: stages begun outside are not exited by its
 		// break/continue, and the body may run zero times.
 		c.walk(st.Body.List, ended || contains(st, c.assignPos), false)
 		return ended, false
@@ -235,8 +248,8 @@ func (c *checker) walkStmt(s ast.Stmt, ended, branchExits bool) (bool, bool) {
 	case *ast.GoStmt:
 		return ended, false
 	default:
-		// Simple statements: an EndSpan call anywhere inside counts.
-		if c.endsSpan(s) {
+		// Simple statements: an End call anywhere inside counts.
+		if c.ends(s) {
 			return true, false
 		}
 		return ended, false
@@ -244,17 +257,21 @@ func (c *checker) walkStmt(s ast.Stmt, ended, branchExits bool) (bool, bool) {
 }
 
 // walkIf handles the two if idioms. When the assignment is inside one
-// arm, only that arm's paths matter (the other arm never started the
-// span). Otherwise both arms are walked; an arm that ends the span and
-// falls through propagates ended (the `if rec != nil { EndSpan }`
-// guard idiom), while an arm that exits keeps its state off the
-// fallthrough path.
+// arm, only that arm's paths matter (the other arm never began the
+// stage). Otherwise both arms are walked; an arm that ends the stage and
+// falls through propagates ended (the walker is optimistic about the
+// guard), while an arm that exits keeps its state off the fallthrough
+// path.
 func (c *checker) walkIf(st *ast.IfStmt, ended, branchExits bool) (bool, bool) {
 	if contains(st.Body, c.assignPos) {
 		return c.walk(st.Body.List, ended, branchExits)
 	}
 	if st.Else != nil && contains(st.Else, c.assignPos) {
 		return c.walkStmt(st.Else, ended, branchExits)
+	}
+	// The init statement and condition run on both arms' paths.
+	if (st.Init != nil && c.ends(st.Init)) || c.ends(st.Cond) {
+		ended = true
 	}
 	thenEnded, thenTerm := c.walk(st.Body.List, ended, branchExits)
 	if st.Else == nil {
@@ -277,7 +294,7 @@ func (c *checker) walkIf(st *ast.IfStmt, ended, branchExits bool) (bool, bool) {
 }
 
 // walkCases walks each case/comm clause independently; falling out of
-// the switch keeps the entry state unless every clause ends the span.
+// the switch keeps the entry state unless every clause ends the stage.
 func (c *checker) walkCases(body *ast.BlockStmt, ended, branchExits bool) (bool, bool) {
 	if len(body.List) == 0 {
 		return ended, false
@@ -309,16 +326,19 @@ func (c *checker) walkCases(body *ast.BlockStmt, ended, branchExits bool) (bool,
 	return ended, false
 }
 
-// endsSpan reports whether node contains a call `<recv>.EndSpan(x, ...)`
-// for the tracked variable, including inside deferred func literals.
-func (c *checker) endsSpan(node ast.Node) bool {
+// ends reports whether node contains a call `x.End(...)` for the
+// tracked variable, including inside deferred func literals.
+func (c *checker) ends(node ast.Node) bool {
 	found := false
 	ast.Inspect(node, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isMethodCall(call, "EndSpan") || len(call.Args) == 0 {
+		if !ok {
 			return true
 		}
-		if ident, ok := call.Args[0].(*ast.Ident); ok && ident.Name == c.varName {
+		if !isMethodCall(call, "End") {
+			return true
+		}
+		if ident, ok := call.Fun.(*ast.SelectorExpr).X.(*ast.Ident); ok && ident.Name == c.varName {
 			found = true
 			return false
 		}

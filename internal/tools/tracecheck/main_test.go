@@ -23,64 +23,84 @@ func check(t *testing.T, src string) []string {
 // rejected shapes are the regressions the lint exists to catch.
 func TestAcceptsRepoIdioms(t *testing.T) {
 	cases := map[string]string{
-		"defer func-lit with named return": `
-func f(rec *R) (err error) {
-	if rec != nil {
-		span := rec.StartSpan(1, "x")
-		defer func() { rec.EndSpan(span, err) }()
+		"deferred stage End": `
+func f(ctx context.Context) (err error) {
+	ctx, st := trace.Begin(ctx, kind, "x", nil)
+	defer func() { st.End(err) }()
+	if bad() {
+		return errBad
 	}
-	return work()
+	return work(ctx)
 }`,
-		"guarded end before every return": `
-func f(rec *R) error {
-	fspan := rec.StartSpan(1, "x")
-	v, err := work()
-	if rec != nil {
-		rec.Annotate(fspan, v)
-		rec.EndSpan(fspan, err)
+		"End before every return": `
+func f(ctx context.Context) error {
+	fctx, st := trace.Begin(ctx, kind, "x", nil)
+	v, err := work(fctx)
+	if st.Traced() {
+		st.Annotate(v)
 	}
+	st.End(err)
 	if err != nil {
 		return err
 	}
 	return nil
 }`,
-		"loop span ended on both arms": `
-func f(rec *R) error {
+		"stage End inside the loop body that began it": `
+func f(ctx context.Context) error {
 	for i := 0; i < 3; i++ {
-		xspan := rec.StartSpan(1, "x")
+		actx, st := trace.Begin(ctx, kind, "x", nil)
+		err := work(actx)
+		st.End(err)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}`,
+		"loop stage ended on both arms": `
+func f(ctx context.Context) error {
+	for i := 0; i < 3; i++ {
+		_, st := trace.Begin(ctx, kind, "x", nil)
 		err := work()
 		if err != nil {
-			rec.EndSpan(xspan, err)
+			st.End(err)
 			if fatal(err) {
 				return err
 			}
 			continue
 		}
-		rec.EndSpan(xspan, nil)
+		st.End(nil)
 	}
 	return nil
 }`,
 		"early-exit arm ends, then fallthrough ends": `
-func f(rec *R) error {
-	aspan := rec.StartSpan(1, "x")
+func f(ctx context.Context) error {
+	_, st := trace.Begin(ctx, kind, "x", nil)
 	if bad() {
-		rec.EndSpan(aspan, errBad)
+		st.End(errBad)
 		return errBad
 	}
-	rec.EndSpan(aspan, nil)
+	st.End(nil)
 	return nil
 }`,
-		"span inside closure region": `
-func f(rec *R) {
+		"stage inside closure region": `
+func f(ctx context.Context, parent trace.Stage) {
 	fanEach(3, func(i int) {
-		cspan := rec.StartSpan(1, "x")
+		_, st := parent.Begin(ctx, kind, "x", nil)
 		work()
-		rec.EndSpan(cspan, nil)
+		st.End(nil)
 	})
 }`,
+		"stage End in an if-statement initializer": `
+func f(ctx context.Context, traced bool) {
+	_, st := rec.Begin(ctx, kind, "x", hist)
+	if d := st.End(nil); traced {
+		use(d)
+	}
+}`,
 		"blank and unrelated assignments ignored": `
-func f(rec *R) error {
-	_ = rec.StartSpan(1, "x")
+func f(ctx context.Context) error {
+	_, _ = trace.Begin(ctx, kind, "x", nil)
 	v := other.Thing()
 	return use(v)
 }`,
@@ -97,57 +117,76 @@ func TestCatchesLeaks(t *testing.T) {
 		src  string
 		want string // substring of the expected finding
 	}{
-		"early return between start and end": {`
-func f(rec *R) error {
-	span := rec.StartSpan(1, "x")
+		"early return between Begin and End": {`
+func f(ctx context.Context) error {
+	ctx, st := trace.Begin(ctx, kind, "x", nil)
 	if bad() {
 		return errBad
 	}
-	rec.EndSpan(span, nil)
+	st.End(nil)
 	return nil
 }`, "return"},
-		"loop continue skips the end": {`
-func f(rec *R) {
+		"loop continue skips the End": {`
+func f(ctx context.Context) {
 	for i := 0; i < 3; i++ {
-		span := rec.StartSpan(1, "x")
+		_, st := trace.Begin(ctx, kind, "x", nil)
 		if skip() {
 			continue
 		}
-		rec.EndSpan(span, nil)
+		st.End(nil)
 	}
 }`, "continue"},
-		"loop break skips the end": {`
-func f(rec *R) {
+		"loop break skips the End": {`
+func f(ctx context.Context) {
 	for {
-		span := rec.StartSpan(1, "x")
+		_, st := trace.Begin(ctx, kind, "x", nil)
 		if done() {
 			break
 		}
-		rec.EndSpan(span, nil)
+		st.End(nil)
 	}
 }`, "break"},
 		"only one if-arm ends before return": {`
-func f(rec *R) error {
-	span := rec.StartSpan(1, "x")
+func f(ctx context.Context) error {
+	_, st := trace.Begin(ctx, kind, "x", nil)
 	if ok() {
-		rec.EndSpan(span, nil)
+		st.End(nil)
 	} else {
 		log()
 	}
 	return nil
 }`, "return"},
-		"end only inside nested loop that may not run": {`
-func f(rec *R, items []int) error {
-	span := rec.StartSpan(1, "x")
+		"End only inside nested loop that may not run": {`
+func f(ctx context.Context, items []int) error {
+	_, st := trace.Begin(ctx, kind, "x", nil)
 	for range items {
-		rec.EndSpan(span, nil)
+		st.End(nil)
 	}
 	return nil
 }`, "return"},
-		"deferred closure ends a different span": {`
-func f(rec *R) error {
-	span := rec.StartSpan(1, "x")
-	defer func() { rec.EndSpan(other, nil) }()
+		"Begin in a loop, End after the loop": {`
+func f(ctx context.Context, items []int) {
+	var st trace.Stage
+	for range items {
+		_, st = trace.Begin(ctx, kind, "x", nil)
+		work()
+	}
+	st.End(nil)
+}`, "end of its region"},
+		"stage never ended before the function ends": {`
+func f(ctx context.Context) {
+	ctx, st := trace.Begin(ctx, kind, "x", nil)
+	work(ctx, st)
+}`, "end of its region"},
+		"stage ended through another variable": {`
+func f(ctx context.Context) {
+	_, st := trace.Begin(ctx, kind, "x", nil)
+	other.End(nil)
+}`, "end of its region"},
+		"deferred closure ends a different stage": {`
+func f(ctx context.Context) error {
+	_, st := trace.Begin(ctx, kind, "x", nil)
+	defer func() { other.End(nil) }()
 	return nil
 }`, "return"},
 	}
@@ -163,20 +202,20 @@ func f(rec *R) error {
 	}
 }
 
-// A return inside a closure defined after StartSpan exits the closure,
-// not the function holding the span — it must not be flagged, and the
-// span ended after the closure is fine.
+// A return inside a closure defined after Begin exits the closure, not
+// the function holding the stage — it must not be flagged, and the
+// stage ended after the closure is fine.
 func TestClosureReturnIsNotAnExit(t *testing.T) {
 	src := `
-func f(rec *R) {
-	span := rec.StartSpan(1, "x")
+func f(ctx context.Context) {
+	_, st := trace.Begin(ctx, kind, "x", nil)
 	visit(func(n int) bool {
 		if n > 3 {
 			return false
 		}
 		return true
 	})
-	rec.EndSpan(span, nil)
+	st.End(nil)
 }`
 	if got := check(t, src); len(got) != 0 {
 		t.Errorf("closure return flagged: %v", got)

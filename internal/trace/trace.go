@@ -10,11 +10,13 @@
 //
 // The design mirrors obs's nil-safety contract: a nil *Recorder is a
 // valid recorder whose every method is a no-op, so tracing-off call
-// sites pay only a nil check. Recording call sites that would build a
-// label string (fmt.Sprintf, addr.String()) must guard with
-// `if rec != nil` so the tracing-off path stays allocation-free; the
-// recorder itself is one append into a per-domain arena under a
-// mutex.
+// sites pay only a nil check. A pipeline stage is recorded in one place,
+// its stage edge: Begin opens it and Stage.End closes it, and the one
+// pair of clock readings they take is both the stage's span and its
+// latency histogram's observation. Sites that would build a label
+// string (fmt.Sprintf, addr.String()) guard it with a recorder check so
+// the tracing-off path stays allocation-free; the recorder itself is one
+// append into a per-domain arena under a mutex.
 //
 // Span timestamps are monotonic offsets from the recorder's creation
 // (time.Since on the creation time, which carries Go's monotonic
@@ -29,6 +31,7 @@ import (
 	"time"
 
 	"govdns/internal/dnsname"
+	"govdns/internal/obs"
 )
 
 // SpanID indexes a span within its domain's arena. IDs are dense and
@@ -204,30 +207,33 @@ func newRecorder(domain dnsname.Name, limit int, arena []Span) *Recorder {
 	return &Recorder{limit: limit, start: time.Now(), domain: domain, spans: arena}
 }
 
-// StartSpan opens a span under parent (NoSpan for a root) and returns
-// its ID. Returns NoSpan on a nil recorder or a full arena.
-func (r *Recorder) StartSpan(parent SpanID, kind Kind, name string) SpanID {
+// open appends a span under parent (NoSpan for a root) that started at
+// the instant at, and returns its ID: NoSpan on a nil recorder or a full
+// arena.
+func (r *Recorder) open(parent SpanID, kind Kind, name string, at time.Time) SpanID {
 	if r == nil {
 		return NoSpan
 	}
+	return r.add(Span{Parent: parent, Kind: kind, Name: name, Start: at.Sub(r.start), Duration: -1})
+}
+
+// add appends sp to the arena and returns its ID, or counts it dropped
+// and returns NoSpan when the arena is full.
+func (r *Recorder) add(sp Span) SpanID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.spans) >= r.limit {
 		r.dropped++
 		return NoSpan
 	}
-	id := SpanID(len(r.spans))
-	r.spans = append(r.spans, Span{
-		ID: id, Parent: parent, Kind: kind, Name: name,
-		Start: time.Since(r.start), Duration: -1,
-	})
-	return id
+	sp.ID = SpanID(len(r.spans))
+	r.spans = append(r.spans, sp)
+	return sp.ID
 }
 
-// EndSpan closes a span with "ok" or the error's text. Ending NoSpan
-// or an already-ended span is a no-op, so straight-line call sites can
-// end unconditionally on every path.
-func (r *Recorder) EndSpan(id SpanID, err error) {
+// close ends span id at the instant at with "ok" or the error's text.
+// Closing NoSpan or an already-ended span is a no-op.
+func (r *Recorder) close(id SpanID, err error, at time.Time) {
 	if r == nil || id < 0 {
 		return
 	}
@@ -240,11 +246,7 @@ func (r *Recorder) EndSpan(id SpanID, err error) {
 	if sp.Ended() {
 		return
 	}
-	if d := time.Since(r.start) - sp.Start; d > 0 {
-		sp.Duration = d
-	} else {
-		sp.Duration = 0
-	}
+	sp.Duration = max(at.Sub(r.start)-sp.Start, 0)
 	if err != nil {
 		sp.Outcome = err.Error()
 	} else {
@@ -272,17 +274,7 @@ func (r *Recorder) Event(parent SpanID, kind Kind, name string, attrs ...Attr) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.spans) >= r.limit {
-		r.dropped++
-		return
-	}
-	id := SpanID(len(r.spans))
-	r.spans = append(r.spans, Span{
-		ID: id, Parent: parent, Kind: kind, Name: name, Event: true,
-		Start: time.Since(r.start), Attrs: attrs,
-	})
+	r.add(Span{Parent: parent, Kind: kind, Name: name, Event: true, Start: time.Since(r.start), Attrs: attrs})
 }
 
 // Finish seals the recorder into an exportable DomainTrace. The
@@ -345,15 +337,6 @@ type scope struct {
 	span SpanID
 }
 
-// ContextWith returns ctx scoped to (rec, span); a nil rec returns ctx
-// unchanged so tracing-off paths add no context layers.
-func ContextWith(ctx context.Context, rec *Recorder, span SpanID) context.Context {
-	if rec == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, scopeKey{}, scope{rec: rec, span: span})
-}
-
 // From extracts the active recorder and parent span from ctx; (nil,
 // NoSpan) when the request is untraced.
 func From(ctx context.Context) (*Recorder, SpanID) {
@@ -361,4 +344,72 @@ func From(ctx context.Context) (*Recorder, SpanID) {
 		return s.rec, s.span
 	}
 	return nil, NoSpan
+}
+
+// Stage is one timed pipeline stage: the span it opened, if the
+// context was traced, and the histogram it feeds, if it is metered.
+// Begin and End each read the clock once, and that one pair of
+// readings is both the span's extent and the histogram's observation.
+// A stage that is neither traced nor metered reads no clock at all.
+type Stage struct {
+	rec   *Recorder
+	span  SpanID
+	hist  *obs.Histogram
+	begin time.Time
+}
+
+// Begin opens a stage under ctx's active span and returns ctx scoped
+// to it, so the stage's callees nest inside it; untraced, ctx comes back
+// unchanged. hist, when non-nil, observes the stage's duration at End.
+// Every Begin is paired with an End on all paths (make lint checks it).
+func Begin(ctx context.Context, kind Kind, name string, hist *obs.Histogram) (context.Context, Stage) {
+	rec, parent := From(ctx)
+	return rec.begin(ctx, parent, kind, name, hist)
+}
+
+// Begin opens r's root stage — the domain span every other stage nests
+// under — and returns ctx scoped to it. A nil r gives an untraced stage
+// that still feeds hist.
+func (r *Recorder) Begin(ctx context.Context, kind Kind, name string, hist *obs.Histogram) (context.Context, Stage) {
+	return r.begin(ctx, NoSpan, kind, name, hist)
+}
+
+// Begin opens a stage nested in s and returns ctx scoped to it: Begin
+// for a site that holds the parent stage, sparing the context lookup.
+// ctx must be the context s's Begin returned, or one derived from it.
+func (s Stage) Begin(ctx context.Context, kind Kind, name string, hist *obs.Histogram) (context.Context, Stage) {
+	return s.rec.begin(ctx, s.span, kind, name, hist)
+}
+
+func (r *Recorder) begin(ctx context.Context, parent SpanID, kind Kind, name string, hist *obs.Histogram) (context.Context, Stage) {
+	if r == nil && hist == nil {
+		return ctx, Stage{}
+	}
+	st := Stage{rec: r, hist: hist, begin: time.Now()}
+	st.span = r.open(parent, kind, name, st.begin)
+	if r != nil {
+		ctx = context.WithValue(ctx, scopeKey{}, scope{rec: r, span: st.span})
+	}
+	return ctx, st
+}
+
+// Traced reports whether the stage records a span: sites guard
+// building a name or attributes with it.
+func (s Stage) Traced() bool { return s.rec != nil }
+
+// Annotate appends attributes to the stage's span.
+func (s Stage) Annotate(attrs ...Attr) { s.rec.Annotate(s.span, attrs...) }
+
+// End closes the stage with "ok" or the error's text and returns its
+// duration: the span's Duration and hist's observation, from one clock
+// reading. An untraced, unmetered stage returns 0.
+func (s Stage) End(err error) time.Duration {
+	if s.rec == nil && s.hist == nil {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(s.begin)
+	s.hist.Observe(d)
+	s.rec.close(s.span, err, now)
+	return d
 }

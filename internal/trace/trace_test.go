@@ -18,11 +18,15 @@ import (
 // is what every call site in the resolver and scanner relies on.
 func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder
-	if id := r.StartSpan(NoSpan, KindDomain, "x"); id != NoSpan {
-		t.Errorf("nil StartSpan = %d, want NoSpan", id)
+	ctx := context.Background()
+	sctx, st := r.Begin(ctx, KindDomain, "x", nil)
+	if sctx != ctx || st.Traced() {
+		t.Errorf("nil Begin = (%v, %+v), want ctx unchanged and an untraced stage", sctx, st)
 	}
-	r.EndSpan(NoSpan, nil)
-	r.EndSpan(0, errors.New("boom"))
+	if d := st.End(errors.New("boom")); d != 0 {
+		t.Errorf("untraced, unmetered End = %v, want 0", d)
+	}
+	r.close(0, nil, time.Now())
 	r.Annotate(0, Str("k", "v"))
 	r.Event(NoSpan, KindChaos, "drop")
 	if dt := r.Finish("ok", 1, "", false, false); dt != nil {
@@ -44,16 +48,16 @@ func TestNilRecorderNoOps(t *testing.T) {
 }
 
 // TestRecorderSpanTree exercises the arena: parents, outcomes,
-// annotation, events, and idempotent EndSpan.
+// annotation, events, and idempotent End.
 func TestRecorderSpanTree(t *testing.T) {
 	r := NewRecorder("x.gov.", 0)
-	root := r.StartSpan(NoSpan, KindDomain, "x.gov.")
-	child := r.StartSpan(root, KindQuery, "x.gov. NS @1.2.3.4")
-	r.Annotate(child, Int("attempts", 3), Dur("rtt", 5*time.Millisecond))
-	r.EndSpan(child, errors.New("timeout"))
-	r.EndSpan(child, nil) // idempotent: must not overwrite the error
-	r.Event(root, KindCacheHit, "gov.", Str("layer", "zone"), Bool("negative", true))
-	r.EndSpan(root, nil)
+	ctx, root := r.Begin(context.Background(), KindDomain, "x.gov.", nil)
+	_, child := root.Begin(ctx, KindQuery, "x.gov. NS @1.2.3.4", nil)
+	child.Annotate(Int("attempts", 3), Dur("rtt", 5*time.Millisecond))
+	child.End(errors.New("timeout"))
+	child.End(nil) // idempotent: must not overwrite the error
+	r.Event(root.span, KindCacheHit, "gov.", Str("layer", "zone"), Bool("negative", true))
+	root.End(nil)
 
 	dt := r.Finish("walk-failure", 2, "timeout", true, true)
 	if dt.Domain != "x.gov." || dt.Class != "walk-failure" || dt.Rounds != 2 {
@@ -67,14 +71,14 @@ func TestRecorderSpanTree(t *testing.T) {
 	}
 
 	rootSp, childSp, ev := &dt.Spans[0], &dt.Spans[1], &dt.Spans[2]
-	if rootSp.Parent != NoSpan || childSp.Parent != root || ev.Parent != root {
+	if rootSp.Parent != NoSpan || childSp.Parent != root.span || ev.Parent != root.span {
 		t.Errorf("parents wrong: %d %d %d", rootSp.Parent, childSp.Parent, ev.Parent)
 	}
 	if rootSp.Outcome != "ok" {
 		t.Errorf("root outcome = %q, want ok", rootSp.Outcome)
 	}
 	if childSp.Outcome != "timeout" {
-		t.Errorf("child outcome = %q, want timeout (idempotent EndSpan)", childSp.Outcome)
+		t.Errorf("child outcome = %q, want timeout (idempotent End)", childSp.Outcome)
 	}
 	if !childSp.Ended() || childSp.Duration < 0 {
 		t.Errorf("child not ended: %+v", childSp)
@@ -94,16 +98,16 @@ func TestRecorderSpanTree(t *testing.T) {
 // instead of growth, and ending a dropped (NoSpan) span is harmless.
 func TestRecorderSpanLimit(t *testing.T) {
 	r := NewRecorder("x.gov.", 2)
-	a := r.StartSpan(NoSpan, KindDomain, "a")
-	b := r.StartSpan(a, KindRound, "b")
-	c := r.StartSpan(b, KindQuery, "c") // over the cap
-	if c != NoSpan {
-		t.Fatalf("over-limit StartSpan = %d, want NoSpan", c)
+	ctx, a := r.Begin(context.Background(), KindDomain, "a", nil)
+	ctx, b := a.Begin(ctx, KindRound, "b", nil)
+	_, c := b.Begin(ctx, KindQuery, "c", nil) // over the cap
+	if c.span != NoSpan {
+		t.Fatalf("over-limit Begin opened span %d, want NoSpan", c.span)
 	}
-	r.Event(b, KindChaos, "also dropped")
-	r.EndSpan(c, nil)
-	r.EndSpan(b, nil)
-	r.EndSpan(a, nil)
+	r.Event(b.span, KindChaos, "also dropped")
+	c.End(nil)
+	b.End(nil)
+	a.End(nil)
 	dt := r.Finish("ok", 1, "", false, false)
 	if len(dt.Spans) != 2 || dt.DroppedSpans != 2 {
 		t.Errorf("spans=%d dropped=%d, want 2 and 2", len(dt.Spans), dt.DroppedSpans)
@@ -115,7 +119,7 @@ func TestRecorderSpanLimit(t *testing.T) {
 // the data-race check, and the span count must come out exact.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder("x.gov.", 0)
-	root := r.StartSpan(NoSpan, KindDomain, "x.gov.")
+	ctx, root := r.Begin(context.Background(), KindDomain, "x.gov.", nil)
 	const workers, each = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -123,14 +127,14 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				id := r.StartSpan(root, KindProbe, fmt.Sprintf("w%d-%d", w, i))
-				r.Annotate(id, Int("i", int64(i)))
-				r.EndSpan(id, nil)
+				_, st := root.Begin(ctx, KindProbe, fmt.Sprintf("w%d-%d", w, i), nil)
+				st.Annotate(Int("i", int64(i)))
+				st.End(nil)
 			}
 		}(w)
 	}
 	wg.Wait()
-	r.EndSpan(root, nil)
+	root.End(nil)
 	dt := r.Finish("ok", 1, "", false, false)
 	if want := 1 + workers*each; len(dt.Spans) != want {
 		t.Errorf("got %d spans, want %d", len(dt.Spans), want)
@@ -145,21 +149,59 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestContextPlumbing: ContextWith/From carry the (recorder, span)
-// scope, and a nil recorder adds no context layer at all.
+// TestContextPlumbing: Begin/From carry the (recorder, span) scope, a
+// stage nests under the context's active span, and an untraced stage
+// adds no context layer at all.
 func TestContextPlumbing(t *testing.T) {
 	ctx := context.Background()
 	if rec, span := From(ctx); rec != nil || span != NoSpan {
 		t.Errorf("empty ctx From = %v %d", rec, span)
 	}
-	if got := ContextWith(ctx, nil, 7); got != ctx {
-		t.Error("ContextWith(nil rec) must return ctx unchanged")
+	if got, st := Begin(ctx, KindProbe, "x", nil); got != ctx || st.Traced() {
+		t.Error("untraced Begin must return ctx unchanged and an untraced stage")
 	}
 	r := NewRecorder("x.gov.", 0)
-	id := r.StartSpan(NoSpan, KindDomain, "x.gov.")
-	ctx2 := ContextWith(ctx, r, id)
-	if rec, span := From(ctx2); rec != r || span != id {
-		t.Errorf("From = %v %d, want %v %d", rec, span, r, id)
+	ctx2, root := r.Begin(ctx, KindDomain, "x.gov.", nil)
+	if rec, span := From(ctx2); rec != r || span != 0 {
+		t.Errorf("From = %v %d, want %v 0", rec, span, r)
+	}
+	ctx3, child := Begin(ctx2, KindRound, "round 1", nil)
+	if rec, span := From(ctx3); rec != r || span != 1 {
+		t.Errorf("From = %v %d, want %v 1", rec, span, r)
+	}
+	child.End(nil)
+	root.End(nil)
+	dt := r.Finish("ok", 1, "", false, false)
+	if len(dt.Spans) != 2 || dt.Spans[1].Parent != 0 || !dt.Spans[0].Ended() || !dt.Spans[1].Ended() {
+		t.Errorf("spans = %+v, want an ended root and an ended child under it", dt.Spans)
+	}
+}
+
+// TestStageOneReading: a metered, traced stage's span duration, its
+// histogram observation and End's return value are one number; an
+// untraced stage still feeds its histogram, and a stage that is
+// neither observes nothing.
+func TestStageOneReading(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("stage")
+	r := NewRecorder("x.gov.", 0)
+	_, st := r.Begin(context.Background(), KindDomain, "x.gov.", h)
+	d := st.End(errors.New("boom"))
+	sp := r.Finish("ok", 1, "", false, false).Spans[0]
+	if sp.Duration != d || h.Sum() != d || h.Count() != 1 {
+		t.Errorf("End = %v, span %v, histogram sum %v count %d: want one duration", d, sp.Duration, h.Sum(), h.Count())
+	}
+	if sp.Outcome != "boom" {
+		t.Errorf("outcome = %q, want the error text", sp.Outcome)
+	}
+
+	_, st = Begin(context.Background(), KindNSFetch, "", h)
+	if d := st.End(nil); h.Count() != 2 || h.Sum() != sp.Duration+d {
+		t.Errorf("untraced metered stage: count %d sum %v, want 2 and %v", h.Count(), h.Sum(), sp.Duration+d)
+	}
+	_, st = Begin(context.Background(), KindProbe, "", nil)
+	if d := st.End(nil); d != 0 {
+		t.Errorf("untraced, unmetered stage returned %v, want 0", d)
 	}
 }
 
