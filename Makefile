@@ -1,5 +1,6 @@
 GO ?= go
 FUZZTIME ?= 10s
+FUZZMINIMIZETIME ?= 1s
 
 .PHONY: build fmt test race vet lint cross bench bench-check chaos fuzz monitor-smoke check
 
@@ -86,12 +87,13 @@ chaos:
 # bytes, and the name order every sorted output depends on — a short
 # budget; raise FUZZTIME for a real session. The targets are whatever
 # `go test -list '^Fuzz'` finds in each package, so a new one runs
-# without an edit here.
+# without an edit here. Minimizing a new input defaults to 60 s, longer
+# than the whole budget, so FUZZMINIMIZETIME keeps it brief.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "$$pkg $$target"; \
-			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) $$pkg || exit 1; \
 		done; \
 	done
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	govdns [-scale 0.1] [-seed 42] [-concurrency 64] [-timeout 25ms]
+//	govdns [-scale 0.1] [-seed 42] [-concurrency 128] [-timeout 25ms]
 //	       [-no-second-round] [-stability-days 7]
 //	       [-experiment fig9] [-csvdir out/] [-expectations]
 package main
@@ -21,6 +21,8 @@ import (
 
 	"govdns"
 	"govdns/internal/core"
+	"govdns/internal/measure"
+	"govdns/internal/pdns"
 )
 
 func main() {
@@ -33,10 +35,10 @@ func main() {
 func run() error {
 	scale := flag.Float64("scale", 0.1, "population scale (1.0 = paper size, ~190k PDNS domains)")
 	seed := flag.Int64("seed", 42, "generation seed")
-	concurrency := flag.Int("concurrency", 128, "scan worker count")
+	concurrency := flag.Int("concurrency", measure.DefaultConcurrency, "scan worker count")
 	timeout := flag.Duration("timeout", 25*time.Millisecond, "per-query timeout")
 	noSecondRound := flag.Bool("no-second-round", false, "disable the second measurement round")
-	stabilityDays := flag.Int("stability-days", 7, "PDNS stability filter in days (negative disables)")
+	stabilityDays := flag.Int("stability-days", pdns.StabilityFilterDays, "PDNS stability filter in days (negative disables)")
 	experiment := flag.String("experiment", "", "print one section of the report (funnel fig2 fig4 fig6 fig7 fig8 fig9 table1 table2 table3 fig10 fig11 fig13); empty = all")
 	csvDir := flag.String("csvdir", "", "also export every experiment as CSV files into this directory")
 	listExpectations := flag.Bool("expectations", false, "print the paper's expected values and exit")

@@ -159,7 +159,7 @@ func runDaemon(args []string) error {
 func newSimScanner(active *worldgen.Active, concurrency int, timeout time.Duration, reg *obs.Registry) *measure.Scanner {
 	client := resolver.NewClient(active.Net)
 	client.Timeout = timeout
-	client.SetMetrics(resolver.NewMetrics(reg))
+	client.AttachRegistry(reg)
 	s := measure.NewScanner(resolver.NewIterator(client, active.Roots))
 	s.Concurrency = concurrency
 	s.Metrics = measure.NewScanMetrics(reg)

@@ -182,28 +182,23 @@ func run() error {
 	}
 	transport = resolver.RateLimit(transport, *qps, 10)
 
-	// One registry for the whole pipeline: resolver, chaos, and scanner
-	// instruments all land on it, so the HTTP snapshot and the progress
-	// reporter see a coherent picture. Attach order matters twice over:
-	// the chaos transport binds its counters on first use, and the
-	// iterator binds its handles from the client at construction — so
-	// both attachments happen before NewIterator and before any query.
+	// One registry for the whole pipeline: resolver, chaos, udpx, codec
+	// arena and scanner instruments all land on it, so the HTTP snapshot
+	// and the progress reporter see a coherent picture. Each component
+	// attaches itself before its first use; the first registry wins.
+	// The process has exactly one registry, so binding the shared codec
+	// arena pool puts dnswire_arena_* counters on /metrics too.
 	reg := obs.NewRegistry()
 	if chaosTr != nil {
 		chaosTr.AttachRegistry(reg)
 	}
 	if batchTr != nil {
-		// udpx_* batching/demux counters land next to the resolver's on
-		// the shared registry (first-wins, before the first exchange).
 		batchTr.AttachRegistry(reg)
 	}
+	dnswire.DefaultPool.AttachRegistry(reg)
 	client := resolver.NewClient(transport)
 	client.Timeout = *timeout
-	// The process has exactly one registry, so binding the shared codec
-	// arena pool here is safe under AttachRegistry's first-wins rule and
-	// puts dnswire_arena_* checkout/recycle/discard counters on /metrics.
-	client.WirePool = dnswire.DefaultPool
-	client.SetMetrics(resolver.NewMetrics(reg))
+	client.AttachRegistry(reg)
 	it := resolver.NewIterator(client, roots)
 	scanner := measure.NewScanner(it)
 	scanner.Concurrency = *concurrency
@@ -456,22 +451,15 @@ func summarizeFile(path string) error {
 	return nil
 }
 
-// summary counts a scan's results by the paper's funnel stages.
+// summary counts a scan's results by the paper's funnel stages, and
+// the delegations with data by lameness (§ IV-C).
 type summary struct {
-	scanned, parent, data, responsive, partial, full int
+	measure.Funnel
+	partial, full int
 }
 
 func (s *summary) add(r *measure.DomainResult) {
-	s.scanned++
-	if r.ParentResponded {
-		s.parent++
-	}
-	if r.HasData() {
-		s.data++
-	}
-	if r.Responsive() {
-		s.responsive++
-	}
+	s.Add(r)
 	if r.PartiallyDefective() {
 		s.partial++
 	}
@@ -483,10 +471,10 @@ func (s *summary) add(r *measure.DomainResult) {
 func (s *summary) print() {
 	fmt.Fprintf(os.Stderr,
 		"summary: %d scanned; parent %d (%.1f%%); data %d (%.1f%%); responsive %d (%.1f%%); partial-lame %d (%.1f%%); full-lame %d (%.1f%%)\n",
-		s.scanned,
-		s.parent, stats.Pct(s.parent, s.scanned),
-		s.data, stats.Pct(s.data, s.scanned),
-		s.responsive, stats.Pct(s.responsive, s.scanned),
-		s.partial, stats.Pct(s.partial, s.data),
-		s.full, stats.Pct(s.full, s.data))
+		s.Queried,
+		s.ParentResponded, stats.Pct(s.ParentResponded, s.Queried),
+		s.WithData, stats.Pct(s.WithData, s.Queried),
+		s.Responsive, stats.Pct(s.Responsive, s.Queried),
+		s.partial, stats.Pct(s.partial, s.WithData),
+		s.full, stats.Pct(s.full, s.WithData))
 }

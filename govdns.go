@@ -36,7 +36,8 @@ type Options struct {
 	// Scale multiplies the population (1.0 = the paper's ~190k PDNS
 	// domains; default 0.1).
 	Scale float64
-	// Concurrency bounds in-flight scan queries (default 64).
+	// Concurrency bounds in-flight scan domains (default
+	// measure.DefaultConcurrency, 128).
 	Concurrency int
 	// PerDomainParallelism bounds the scanner's intra-domain fan-out
 	// (default 8; 1 = serial per-domain behaviour).

@@ -89,10 +89,14 @@ func NewResponseCache() *ResponseCache {
 	return &ResponseCache{t: memo.New[cacheKey, cacheEntry](hashKey), now: time.Now}
 }
 
-// AttachRegistry resolves the cache's counters from r. First attachment
-// wins, matching the package-wide metrics idiom; later calls no-op so a
-// cache shared between servers reports to one registry.
+// AttachRegistry resolves the cache's counters from r. The first
+// registry attached wins, so a cache shared between servers reports to
+// one registry; later calls, and a nil r, change nothing. Until then
+// the handles are nil and count nothing.
 func (c *ResponseCache) AttachRegistry(r *obs.Registry) {
+	if r == nil {
+		return
+	}
 	c.metricsOnce.Do(func() {
 		c.hits = r.Counter("authserver_cache_hits_total")
 		c.misses = r.Counter("authserver_cache_misses_total")

@@ -250,10 +250,13 @@ func (t *Transport) ReleaseResponse(buf []byte) {
 
 // AttachRegistry binds the transport's counters onto r
 // (chaos_exchanges_total and the chaos_injected_total{class} family).
-// Call it before the first Exchange; afterwards the transport has
-// already bound a private registry and the call is a no-op.
+// Call it before the first Exchange. The first registry attached wins:
+// a later call, or one after first use bound a private registry, is a
+// no-op, and a nil r changes nothing.
 func (t *Transport) AttachRegistry(r *obs.Registry) {
-	t.metricsOnce.Do(func() { t.bind(r) })
+	if r != nil {
+		t.metricsOnce.Do(func() { t.bind(r) })
+	}
 }
 
 func (t *Transport) metrics() {

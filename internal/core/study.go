@@ -195,11 +195,7 @@ func (s *Study) client(transport resolver.Transport) *resolver.Client {
 // of an accessor computes from the new results.
 func (s *Study) RunActive(ctx context.Context) error {
 	client := s.client(s.Active.Net)
-	if s.Cfg.Metrics != nil {
-		// SetMetrics must precede NewIterator: the iterator binds its
-		// counter handles from the client's metrics at construction.
-		client.SetMetrics(resolver.NewMetrics(s.Cfg.Metrics))
-	}
+	client.AttachRegistry(s.Cfg.Metrics)
 	it := resolver.NewIterator(client, s.Active.Roots)
 	scanner := measure.NewScanner(it)
 	scanner.Concurrency = s.Cfg.Concurrency
@@ -359,9 +355,7 @@ func (s *Study) InconsistencyHijacks() (*analysis.InconsistencyHijack, error) {
 }
 
 // Funnel summarizes the § III-B data-collection funnel.
-type Funnel struct {
-	Queried, ParentResponded, WithData, Responsive int
-}
+type Funnel = measure.Funnel
 
 // Funnel computes the scan funnel.
 func (s *Study) Funnel() (*Funnel, error) {
@@ -370,18 +364,7 @@ func (s *Study) Funnel() (*Funnel, error) {
 	}
 	f := &Funnel{}
 	for _, r := range s.Results {
-		f.Queried++
-		if !r.ParentResponded {
-			continue
-		}
-		f.ParentResponded++
-		if !r.HasData() {
-			continue
-		}
-		f.WithData++
-		if r.Responsive() {
-			f.Responsive++
-		}
+		f.Add(r)
 	}
 	return f, nil
 }

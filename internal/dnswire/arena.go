@@ -68,8 +68,8 @@ type Pool struct {
 	p sync.Pool
 
 	// Counters live on an obs.Registry — a private one by default, or a
-	// shared pipeline registry when AttachRegistry runs first (the same
-	// first-wins contract as chaos.Transport and resolver.Client).
+	// shared pipeline registry when AttachRegistry runs first (the
+	// first-wins rule every component's AttachRegistry follows).
 	metricsOnce sync.Once
 	checkouts   *obs.Counter
 	recycles    *obs.Counter
@@ -85,11 +85,13 @@ func NewPool() *Pool { return &Pool{} }
 
 // AttachRegistry binds the pool's counters onto r
 // (dnswire_arena_checkouts_total, dnswire_arena_recycles_total,
-// dnswire_arena_discards_total). Call it before the pool's first Get;
-// afterwards the pool has already bound a private registry and the call
-// is a no-op.
+// dnswire_arena_discards_total). Call it before the pool's first Get.
+// The first registry attached wins: a later call, or one after first
+// use bound a private registry, is a no-op, and a nil r changes nothing.
 func (p *Pool) AttachRegistry(r *obs.Registry) {
-	p.metricsOnce.Do(func() { p.bind(r) })
+	if r != nil {
+		p.metricsOnce.Do(func() { p.bind(r) })
+	}
 }
 
 func (p *Pool) metrics() {

@@ -11,6 +11,7 @@ import (
 	"govdns/internal/dnsname"
 	"govdns/internal/miniworld"
 	"govdns/internal/resolver"
+	"govdns/internal/trace"
 )
 
 // TestScanSharedProviderResolvesOnce scans many domains that all delegate
@@ -27,6 +28,11 @@ func TestScanSharedProviderResolvesOnce(t *testing.T) {
 	it := resolver.NewIterator(c, w.Roots)
 	s := NewScanner(it)
 	s.Concurrency = len(hosted)
+	// CoalescedWaits counts waits on the zone table too (two walks
+	// building provider.com at once); every domain's trace is kept so
+	// the flight-wait events can split it by layer.
+	s.Trace = trace.NewFlightRecorder(trace.Config{Pinned: len(hosted)})
+	s.TracePin = func(*DomainResult) bool { return true }
 
 	results := s.Scan(scanCtx(t), hosted)
 	for i, r := range results {
@@ -41,11 +47,27 @@ func TestScanSharedProviderResolvesOnce(t *testing.T) {
 	if st.HostCacheMisses != 2 {
 		t.Errorf("HostCacheMisses = %d, want 2 (shared provider hosts resolved once)", st.HostCacheMisses)
 	}
+	waits := map[string]uint64{}
+	for _, dt := range s.Trace.Retained() {
+		if dt.DroppedSpans > 0 {
+			t.Fatalf("%s: %d spans dropped", dt.Domain, dt.DroppedSpans)
+		}
+		for _, sp := range dt.Spans {
+			for _, a := range sp.Attrs {
+				if sp.Kind == trace.KindFlightWait && a.Key == "layer" {
+					waits[a.Str]++
+				}
+			}
+		}
+	}
+	if got := waits["host"] + waits["zone"]; got != st.CoalescedWaits {
+		t.Errorf("flight-wait events %v sum to %d, CoalescedWaits = %d", waits, got, st.CoalescedWaits)
+	}
 	// Each of the 12 domains resolves both hosts: 24 requests total, 2 of
 	// which did the work; the other 22 hit the cache or coalesced.
 	want := uint64(2*len(hosted) - 2)
-	if got := st.HostCacheHits + st.CoalescedWaits; got != want {
-		t.Errorf("hits+coalesced = %d, want %d", got, want)
+	if got := st.HostCacheHits + waits["host"]; got != want {
+		t.Errorf("host hits+coalesced = %d, want %d", got, want)
 	}
 }
 

@@ -19,8 +19,6 @@ import (
 // never branches on "is observability on" beyond one nil check inside
 // each record method.
 type ScanMetrics struct {
-	reg *obs.Registry
-
 	// Stage histograms by trace kind: the parent walk is the delegation
 	// walk (Fig. 1 steps 1-2); the NS fetch is per-host nameserver
 	// address resolution (step 3, including child-only hosts); the child
@@ -55,11 +53,10 @@ type ScanMetrics struct {
 }
 
 // NewScanMetrics builds the scanner's instruments on r. Instruments are
-// get-or-create, so sharing r with the resolver's Metrics gives one
+// get-or-create, so sharing r with the resolver's client gives one
 // coherent registry for the whole pipeline.
 func NewScanMetrics(r *obs.Registry) *ScanMetrics {
 	return &ScanMetrics{
-		reg: r,
 		stages: [...]*obs.Histogram{
 			trace.KindDomain:     r.Histogram("scan_domain_duration"),
 			trace.KindRound:      r.Histogram("scan_stage_second_round"),
@@ -81,14 +78,6 @@ func NewScanMetrics(r *obs.Registry) *ScanMetrics {
 		lastCkptNS:   r.Gauge("scan_last_checkpoint_unix_ns"),
 		sent:         r.Counter("resolver_sent_total"),
 	}
-}
-
-// Registry returns the registry the instruments live on.
-func (m *ScanMetrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // stage returns the latency histogram a scanner stage of kind k feeds,

@@ -26,15 +26,13 @@ import (
 // scanInstrumented is scanWith with a live metrics registry wired
 // through the whole pipeline: resolver counters and RTT histogram on
 // the client, stage histograms and progress counters on the scanner.
-// SetMetrics runs before NewIterator because the iterator binds its
-// counter handles at construction.
 func scanInstrumented(t *testing.T, tr resolver.Transport, roots []netip.Addr, domains []dnsname.Name, workers, fanout int) ([]*DomainResult, *resolver.Client, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	client := resolver.NewClient(tr)
 	client.Timeout = 10 * time.Millisecond
 	client.Retries = 1
-	client.SetMetrics(resolver.NewMetrics(reg))
+	client.AttachRegistry(reg)
 	it := resolver.NewIterator(client, roots)
 	it.AdaptiveOrder = true
 	s := NewScanner(it)
@@ -167,7 +165,7 @@ func TestStageRecordsShareOneReading(t *testing.T) {
 	client := resolver.NewClient(w.Net)
 	client.Timeout = 10 * time.Millisecond
 	client.Retries = 1
-	client.SetMetrics(resolver.NewMetrics(reg))
+	client.AttachRegistry(reg)
 	s := NewScanner(resolver.NewIterator(client, w.Roots))
 	s.Concurrency = 4
 	s.PerDomainParallelism = 2

@@ -206,6 +206,30 @@ func (r *DomainResult) HasDefect() bool {
 	return r.HasData() && r.hasDefectiveHost()
 }
 
+// Funnel counts scan results through the § III-B data-collection
+// funnel: queried, answered by the parent, delegated to a non-empty NS
+// set, and answered by a delegated server. Each stage counts a subset
+// of the stage before it.
+type Funnel struct {
+	Queried, ParentResponded, WithData, Responsive int
+}
+
+// Add counts one result.
+func (f *Funnel) Add(r *DomainResult) {
+	f.Queried++
+	if !r.ParentResponded {
+		return
+	}
+	f.ParentResponded++
+	if !r.HasData() {
+		return
+	}
+	f.WithData++
+	if r.Responsive() {
+		f.Responsive++
+	}
+}
+
 // hostAnswered reports whether any address of the nameserver host
 // produced a working answer.
 func (r *DomainResult) hostAnswered(host dnsname.Name) bool {

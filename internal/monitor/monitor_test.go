@@ -31,9 +31,7 @@ func monitorWorld() (*miniworld.World, []dnsname.Name) {
 func epochScanner(w *miniworld.World, workers int, reg *obs.Registry) *measure.Scanner {
 	client := resolver.NewClient(w.Net)
 	client.Timeout = 20 * time.Millisecond
-	if reg != nil {
-		client.SetMetrics(resolver.NewMetrics(reg))
-	}
+	client.AttachRegistry(reg)
 	it := resolver.NewIterator(client, w.Roots)
 	s := measure.NewScanner(it)
 	s.Concurrency = workers

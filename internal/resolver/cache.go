@@ -37,7 +37,7 @@ func (it *Iterator) observe(ctx context.Context, layer string, name dnsname.Name
 	switch how {
 	case memo.Hit:
 		if err != nil {
-			it.m.negHits.Inc()
+			it.client.metrics().negHits.Inc()
 		} else {
 			hits.Inc()
 		}
@@ -46,14 +46,14 @@ func (it *Iterator) observe(ctx context.Context, layer string, name dnsname.Name
 				trace.Str("layer", layer), trace.Bool("negative", err != nil))
 		}
 	case memo.Coalesced:
-		it.m.coalesced.Inc()
+		it.client.metrics().coalesced.Inc()
 		if rec, parent := trace.From(ctx); rec != nil {
 			rec.Event(parent, trace.KindFlightWait, string(name), trace.Str("layer", layer))
 		}
 	case memo.Bypassed:
 		// A negative wait is a same-chain re-entry, not a wait given up.
 		if wait > 0 {
-			it.m.bypassed.Inc()
+			it.client.metrics().bypassed.Inc()
 		}
 	case memo.Abandoned:
 		return fmt.Errorf("resolver: %w", err)

@@ -97,9 +97,9 @@ type Client struct {
 
 	// Load accounting (§ III-D: the paper tracked and limited the load
 	// its measurements placed on operators) lives on an obs registry —
-	// a private one unless SetMetrics attached a shared one first.
+	// a private one unless AttachRegistry attached a shared one first.
 	metricsOnce sync.Once
-	m           *Metrics
+	m           *metrics
 
 	// servers is the one record per server address: outcome counts, the
 	// walk's health ranking, and the recently accepted transaction IDs.
@@ -175,27 +175,23 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// SetMetrics attaches externally built instruments (a shared registry)
-// to the client. It must be called before the client's first query or
-// Stats call; afterwards the lazily created private registry has
-// already won and the call is a no-op.
-func (c *Client) SetMetrics(m *Metrics) {
-	c.metricsOnce.Do(func() {
-		c.m = m
-		// An explicitly configured pool joins the shared registry so its
-		// arena counters land next to the query-load counters. The shared
-		// DefaultPool keeps its own registry: it may serve several
-		// pipelines at once.
-		if c.WirePool != nil {
-			c.WirePool.AttachRegistry(m.reg)
-		}
-	})
+// AttachRegistry puts the client's resolver_* instruments on r: the
+// query-load counters and the cache and coalescing counters of every
+// iterator over the client. Call it before the client's first query or
+// Stats call. The first registry attached wins: a later call, or one
+// after first use bound a private registry, is a no-op, and a nil r
+// changes nothing.
+func (c *Client) AttachRegistry(r *obs.Registry) {
+	if r == nil {
+		return
+	}
+	c.metricsOnce.Do(func() { c.m = newMetrics(r) })
 }
 
 // metrics returns the client's instruments, creating them on a private
 // registry when none were attached.
-func (c *Client) metrics() *Metrics {
-	c.metricsOnce.Do(func() { c.m = NewMetrics(obs.NewRegistry()) })
+func (c *Client) metrics() *metrics {
+	c.metricsOnce.Do(func() { c.m = newMetrics(obs.NewRegistry()) })
 	return c.m
 }
 

@@ -196,11 +196,6 @@ type Iterator struct {
 	// their server sets; a kept failure is a negative entry (see keep).
 	hosts *memo.Table[dnsname.Name, []netip.Addr]
 	zones *memo.Table[dnsname.Name, *ZoneServers]
-
-	// m holds the cache and coalescing instruments, shared with the
-	// client's registry (bound at NewIterator, which is why a shared
-	// registry must be attached to the client first).
-	m *Metrics
 }
 
 // NewIterator creates an iterator over client starting from the given
@@ -212,7 +207,6 @@ func NewIterator(client *Client, roots []netip.Addr) *Iterator {
 		AdaptiveOrder: true,
 		hosts:         memo.New[dnsname.Name, []netip.Addr](dnsname.Hash),
 		zones:         memo.New[dnsname.Name, *ZoneServers](dnsname.Hash),
-		m:             client.metrics(),
 	}
 	rootZS := &ZoneServers{Zone: dnsname.Root, Addrs: map[dnsname.Name][]netip.Addr{}}
 	for i, addr := range it.roots {
@@ -234,14 +228,15 @@ func (it *Iterator) Client() *Client { return it.client }
 // are sampled atomically (individually, not as a consistent cut).
 func (it *Iterator) Stats() Stats {
 	s := it.client.Stats()
-	s.HostCacheHits = it.m.hostHits.Load()
-	s.HostCacheMisses = it.m.hostMisses.Load()
-	s.ZoneCacheHits = it.m.zoneHits.Load()
-	s.ZoneCacheMisses = it.m.zoneMisses.Load()
-	s.NegativeHits = it.m.negHits.Load()
+	m := it.client.metrics()
+	s.HostCacheHits = m.hostHits.Load()
+	s.HostCacheMisses = m.hostMisses.Load()
+	s.ZoneCacheHits = m.zoneHits.Load()
+	s.ZoneCacheMisses = m.zoneMisses.Load()
+	s.NegativeHits = m.negHits.Load()
 	// The host and zone tables share one pair of flight handles.
-	s.CoalescedWaits = it.m.coalesced.Load()
-	s.FlightBypasses = it.m.bypassed.Load()
+	s.CoalescedWaits = m.coalesced.Load()
+	s.FlightBypasses = m.bypassed.Load()
 	return s
 }
 
@@ -387,13 +382,13 @@ func (it *Iterator) zoneServers(ctx context.Context, zoneName dnsname.Name, nsRe
 		zs, err := it.buildZone(markInFlight(ctx, 'z', zoneName), zoneName, nsRecords, glue, depth)
 		return zs, keep(ctx, err), err
 	})
-	return zs, it.observe(ctx, "zone", zoneName, it.m.zoneHits, wait, how, err)
+	return zs, it.observe(ctx, "zone", zoneName, it.client.metrics().zoneHits, wait, how, err)
 }
 
 // buildZone builds the server set of a zone from referral records in a
 // zone-build span, resolving out-of-bailiwick hosts that lack glue.
 func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsRecords, glue []dnswire.RR, depth int) (zs *ZoneServers, err error) {
-	it.m.zoneMisses.Inc()
+	it.client.metrics().zoneMisses.Inc()
 	ctx, st := trace.Begin(ctx, trace.KindZoneBuild, string(zoneName), nil)
 	defer func() { st.End(err) }()
 	zs = &ZoneServers{
@@ -495,7 +490,7 @@ func (it *Iterator) resolveHost(ctx context.Context, host dnsname.Name, depth in
 		addrs, err := it.lookup(markInFlight(ctx, 'h', host), host, depth)
 		return addrs, keep(ctx, err), err
 	})
-	err = it.observe(ctx, "host", host, it.m.hostHits, wait, how, err)
+	err = it.observe(ctx, "host", host, it.client.metrics().hostHits, wait, how, err)
 	if how == memo.Hit && err != nil {
 		err = fmt.Errorf("%w: cached failure for %s: %w", ErrNoServers, host, err)
 	}
@@ -504,7 +499,7 @@ func (it *Iterator) resolveHost(ctx context.Context, host dnsname.Name, depth in
 
 // lookup iteratively resolves host's A records in a host-resolution span.
 func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (addrs []netip.Addr, err error) {
-	it.m.hostMisses.Inc()
+	it.client.metrics().hostMisses.Inc()
 	ctx, st := trace.Begin(ctx, trace.KindHostResolve, string(host), nil)
 	defer func() {
 		if err == nil {

@@ -4,7 +4,7 @@ import (
 	"govdns/internal/obs"
 )
 
-// Metrics holds the resolver's instrument handles on an obs.Registry.
+// metrics holds the resolver's instrument handles on an obs.Registry.
 // It is the single counter system behind both the programmatic Stats
 // snapshot and the registry's JSON/HTTP form: the query-load and cache
 // counters plus the per-attempt RTT histogram. The set is fixed — 16
@@ -14,13 +14,11 @@ import (
 // resilience analysis on) and is read through Client.WorstServers, not
 // exported as one metric series per address.
 //
-// A Client without explicit metrics lazily creates a private registry,
+// A Client without an attached registry lazily creates a private one,
 // so zero-configured clients keep working and Stats stays cheap; share
-// one registry across components (client, scanner, chaos) by building a
-// Metrics over it and attaching with Client.SetMetrics before first use.
-type Metrics struct {
-	reg *obs.Registry
-
+// one registry across components (client, scanner, chaos) with
+// Client.AttachRegistry before first use.
+type metrics struct {
 	// Query-load counters (the former Client atomics).
 	sent, received, timeouts, mismatches   *obs.Counter
 	duplicates, truncations, qidMismatches *obs.Counter
@@ -39,17 +37,16 @@ type Metrics struct {
 	rtt *obs.Histogram
 }
 
-// NewMetrics builds the resolver's instruments on r. Instruments are
-// get-or-create, so two Metrics over the same registry share counters.
+// newMetrics builds the resolver's instruments on r. Instruments are
+// get-or-create, so two clients attached to one registry share counters.
 //
 // resolver_attempt_rtt is the exchange stage's duration: send, the
 // wait, and the reply's decode and validation, the same interval as the
 // exchange span's rtt attribute. It is wider than udpx_exchange_rtt,
 // which stops when the batched transport demultiplexes the datagram, so
 // the two histograms are not comparable bucket for bucket.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
-		reg:                r,
+func newMetrics(r *obs.Registry) *metrics {
+	return &metrics{
 		sent:               r.Counter("resolver_sent_total"),
 		received:           r.Counter("resolver_received_total"),
 		timeouts:           r.Counter("resolver_timeouts_total"),
@@ -69,7 +66,3 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		rtt:                r.Histogram("resolver_attempt_rtt"), // exchange stage, reply validation included
 	}
 }
-
-// Registry returns the registry the instruments live on (for snapshots
-// and the HTTP endpoint).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }

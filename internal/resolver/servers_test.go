@@ -52,7 +52,7 @@ func TestServerRecordConcurrent(t *testing.T) {
 	tr := &idTransport{inner: w.Net}
 	c := NewClient(tr)
 	reg := obs.NewRegistry()
-	c.SetMetrics(NewMetrics(reg))
+	c.AttachRegistry(reg)
 	ctx := ctxWithTimeout(t)
 
 	const workers, each = 16, 50

@@ -123,12 +123,18 @@ func NewFlightRecorder(cfg Config) *FlightRecorder {
 //	trace_retained_errors          current error-ring occupancy
 //	trace_retained_flipped         current class-flip-ring occupancy
 //	trace_retained_pinned          current caller-pinned-ring occupancy
+//
+// Call it before the first Offer. The first registry attached wins; a
+// later call, and a nil reg, change nothing.
 func (f *FlightRecorder) AttachRegistry(reg *obs.Registry) {
 	if f == nil || reg == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.mOffered != nil {
+		return
+	}
 	f.mOffered = reg.Counter("trace_domains_offered_total")
 	f.mRetained = reg.Counter("trace_domains_retained_total")
 	f.mDroppedSpans = reg.Counter("trace_spans_dropped_total")

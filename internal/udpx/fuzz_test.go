@@ -18,21 +18,23 @@ import (
 // overwrites the payload's ID with the wire ID of waiter bits 5–7, so
 // the fuzzer reaches live slots without guessing 16-bit IDs.
 //
-// Nothing may panic; a datagram completes an exchange exactly when its
-// (socket, ID, source) matches one still pending, which then receives
+// Nothing may panic; a datagram completes an exchange exactly when it
+// is a DNS answer (12 bytes or more, QR bit set) and its (socket, ID,
+// source) matches one still pending, which then receives
 // that datagram's own lent buffer with its caller's ID restored; and
 // every other lent buffer is counted as a miss or as malformed — the
 // two paths that return it to the pool — with no receive slot left
 // holding one.
 func FuzzDispatch(f *testing.F) {
-	f.Add([]byte{0x10, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                               // answers waiter 0
-	f.Add([]byte{0x10, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x10, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}) // and a duplicate
-	f.Add([]byte{0x73, 14, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xab, 0xcd})                                   // waiter 3, other socket
-	f.Add([]byte{0x11, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                               // waiter 0's ID, wrong socket
-	f.Add([]byte{0x16, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                               // wrong port
-	f.Add([]byte{0x14, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                               // v4-mapped source
-	f.Add([]byte{0x18, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                               // unnamed source
-	f.Add([]byte{0x10, 5, 1, 2, 3, 4, 5})                                                                     // runt
+	f.Add([]byte{0x10, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                                  // answers waiter 0
+	f.Add([]byte{0x10, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x10, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0}) // and a duplicate
+	f.Add([]byte{0x73, 14, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xab, 0xcd})                                      // waiter 3, other socket
+	f.Add([]byte{0x11, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                                  // waiter 0's ID, wrong socket
+	f.Add([]byte{0x16, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                                  // wrong port
+	f.Add([]byte{0x14, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                                  // v4-mapped source
+	f.Add([]byte{0x18, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0})                                                  // unnamed source
+	f.Add([]byte{0x10, 12, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x10, 12, 0, 0, 0x81, 0, 0, 1, 0, 0, 0, 0, 0, 0})    // QR clear, then the answer
+	f.Add([]byte{0x10, 5, 1, 2, 3, 4, 5})                                                                           // runt
 
 	tr := &BatchTransport{}
 	var socks [2]*sock
@@ -105,7 +107,7 @@ func FuzzDispatch(f *testing.F) {
 				continue
 			}
 			wantRecv++
-			if n < 12 {
+			if n < 12 || buf[2]&0x80 == 0 { // a runt, or QR clear: no answer
 				wantMalformed++
 				continue
 			}

@@ -234,6 +234,7 @@ func TestDispatchSkipsInvalidSource(t *testing.T) {
 		rbufs:  [][]byte{GetBuf()[:16], GetBuf()[:16]},
 		raddrs: []netip.AddrPort{{}, netip.MustParseAddrPort("127.0.0.1:5353")},
 	}
+	s.rbufs[1][2] = 0x80 // QR set: an answer, which only the demux rejects
 	skipped := unsafe.SliceData(s.rbufs[0])
 	s.dispatch(2)
 	st := tr.Stats()

@@ -102,7 +102,6 @@ func (s *sock) stripe(id uint16) *sync.Mutex { return &s.locks[id%idStripes] }
 // wheel exactly as a datagram lost in the network would, which is the
 // semantics the resolver's retry loop is built for.
 func (s *sock) sendLoop() {
-	m := s.t.metrics()
 	for {
 		var first *sendReq
 		select {
@@ -138,6 +137,9 @@ func (s *sock) sendLoop() {
 			putSendReq(r)
 			s.batch[i] = nil
 		}
+		// Bound at the first batch, not at start: New starts this loop,
+		// and the caller's AttachRegistry must still win.
+		m := s.t.metrics()
 		m.sendBatch.Inc()
 		m.sendDgrams.Add(uint64(n))
 		if n > syscalls {

@@ -287,11 +287,13 @@ func (t *BatchTransport) closeSocks() {
 }
 
 // AttachRegistry binds the transport's udpx_* instruments onto r. Call
-// it before the first Exchange; afterwards a private registry has
-// already won and the call is a no-op (the first-wins contract shared
-// with chaos.Transport and dnswire.Pool).
+// it before the first Exchange. The first registry attached wins: a
+// later call, or one after first use bound a private registry, is a
+// no-op, and a nil r changes nothing.
 func (t *BatchTransport) AttachRegistry(r *obs.Registry) {
-	t.metricsOnce.Do(func() { t.m = newMetrics(r) })
+	if r != nil {
+		t.metricsOnce.Do(func() { t.m = newMetrics(r) })
+	}
 }
 
 func (t *BatchTransport) metrics() *metrics {
@@ -537,13 +539,16 @@ func (t *BatchTransport) cancelWait(w *waiter, gen uint32, cause error) error {
 // so reading its dest there is safe); the completion CAS then runs on
 // the copied generation, so a datagram that loses the race to a timeout
 // finds the waiter's next life under a new generation and fails.
-// Misses — late duplicates of completed exchanges, stray or spoofed
-// datagrams, chaos debris — are counted and dropped, the batched
-// equivalent of a closed per-exchange socket swallowing them.
+// A runt shorter than a DNS header, or a datagram with the QR bit
+// clear, is no answer: it is counted malformed and dropped, and the
+// exchange its ID may name keeps waiting. Misses — late duplicates of
+// completed exchanges, stray or spoofed datagrams, chaos debris — are
+// counted and dropped, the batched equivalent of a closed per-exchange
+// socket swallowing them.
 func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	m := t.metrics()
 	m.recvDgrams.Inc()
-	if len(buf) < 12 {
+	if len(buf) < 12 || buf[2]&0x80 == 0 {
 		m.malformed.Inc()
 		PutBuf(buf)
 		return
@@ -630,7 +635,8 @@ type Stats struct {
 	// the datagrams that shared a syscall with a predecessor.
 	Exchanges, SendBatches, SendDatagrams, RecvBatches, RecvDatagrams, SyscallsSaved uint64
 	// DemuxMisses counts datagrams with no waiting exchange (late,
-	// duplicate, stray); Malformed counts sub-header runts.
+	// duplicate, stray); Malformed counts sub-header runts and datagrams
+	// with the QR bit clear.
 	DemuxMisses, Malformed uint64
 	// WheelTimeouts counts deadlines fired from the timer wheel;
 	// Cancels counts context cancellations; QIDExhausted counts

@@ -70,11 +70,13 @@ func newTest(t testing.TB, cfg Config) *BatchTransport {
 }
 
 // testQuery builds a minimal 16-byte datagram: caller transaction ID in
-// the header slot, nonce in the payload so responses can be matched to
-// the exchange that sent them.
+// the header slot, the QR bit set so an echo of it reads as an answer,
+// and a nonce in the payload so responses can be matched to the
+// exchange that sent them.
 func testQuery(id uint16, nonce uint32) []byte {
 	q := make([]byte, 16)
 	binary.BigEndian.PutUint16(q, id)
+	q[2] = 0x80
 	binary.BigEndian.PutUint32(q[12:], nonce)
 	return q
 }
@@ -235,6 +237,51 @@ func TestResponseOnWrongSocketOrSourceIsAMiss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQRClearDatagramIsNotAnAnswer: a datagram with the QR bit clear
+// that carries a pending exchange's wire ID, from the address its query
+// went to, is counted malformed and dropped — a query, or debris, is no
+// answer — and the exchange keeps waiting for the real reply after it.
+func TestQRClearDatagramIsNotAnAnswer(t *testing.T) {
+	tr := &BatchTransport{}
+	s := &sock{t: tr, rbufs: make([][]byte, 1), raddrs: make([]netip.AddrPort, 1)}
+	dest := netip.MustParseAddrPort("192.0.2.1:53")
+	w, gen := tr.getWaiter()
+	w.origID = 0x1234
+	if err := tr.reserve(s, dest, w, gen); err != nil {
+		t.Fatal(err)
+	}
+	arrive := func(flags byte) {
+		buf := GetBuf()[:12]
+		clear(buf)
+		binary.BigEndian.PutUint16(buf, w.wireID)
+		buf[2] = flags
+		s.rbufs[0], s.raddrs[0] = buf, dest
+		s.dispatch(1)
+	}
+
+	arrive(0x01) // RD set, QR clear
+	select {
+	case res := <-w.ch:
+		t.Fatalf("a QR-clear datagram ended the exchange (%x, %v)", res.buf, res.err)
+	default:
+	}
+	if st := tr.Stats(); st.Malformed != 1 || st.DemuxMisses != 0 {
+		t.Errorf("Malformed = %d, DemuxMisses = %d; want 1 and 0", st.Malformed, st.DemuxMisses)
+	}
+
+	arrive(0x81) // the answer
+	select {
+	case res := <-w.ch:
+		if res.err != nil || binary.BigEndian.Uint16(res.buf) != w.origID {
+			t.Errorf("reply = %x (err %v), want ID %#x restored", res.buf, res.err, w.origID)
+		}
+		PutBuf(res.buf)
+	default:
+		t.Fatal("the real reply after the QR-clear datagram was not delivered")
+	}
+	tr.putWaiter(w)
 }
 
 // TestIDWrapSkipsLiveSlot pins the allocator across a wrap of the
