@@ -5,8 +5,8 @@
 // the moment it is made, which is four heap objects per query attempt
 // whether or not anything ever blocks on the result. An attempt answered
 // in memory (simnet) never blocks on it, and the batched UDP transport
-// enforces ctx.Deadline() on its own timer wheel, so for both the timer
-// is pure overhead. A Context reads the clock and its parent in Err and
+// enforces ctx.Deadline() on a timer each of its pooled waiters owns,
+// so for both the timer is pure overhead. A Context reads the clock and its parent in Err and
 // arms the timer and the parent registration only when Done is first
 // called.
 //

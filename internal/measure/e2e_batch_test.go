@@ -3,8 +3,8 @@ package measure
 // End-to-end differential for the batched UDP transport: the same
 // miniworld loopback serving tier is scanned through the
 // dial-per-exchange reference transport and through udpx.BatchTransport
-// — shared sockets, sendmmsg/recvmmsg batching, QID rewriting, timer
-// wheel — and the scan digests must be bit-identical, clean and under
+// — shared sockets, sendmmsg/recvmmsg batching, QID rewriting,
+// per-exchange deadline timers — and the scan digests must be bit-identical, clean and under
 // content-keyed chaos, and across a kill/checkpoint/resume. Everything
 // the batched path does differently (its own wire transaction IDs, the
 // demux table, pooled buffers recycled through ReleaseResponse) must be
@@ -62,7 +62,7 @@ func batchOver(t *testing.T, override map[netip.Addr]netip.AddrPort, portable bo
 		AddrOverride: override,
 		Portable:     portable,
 		// The resolver's attempt context carries the real deadline; the
-		// wheel is the backstop right behind it.
+		// transport's own timeout is the backstop right behind it.
 		Timeout: 2 * e2eDeadline,
 	})
 	if err != nil {
@@ -197,9 +197,9 @@ func TestScanStreamKillResumeBatchUDP(t *testing.T) {
 
 // TestBatchSilentServerErr pins the error text a scan records for a
 // server that never answers over the batched transport, unnormalized.
-// The resolver's attempt deadline is enforced there by udpx's timer
-// wheel rather than by a timer on the context, so the wheel must never
-// fire before the deadline and must report its expiry as the context
+// The resolver's attempt deadline is enforced there by the exchange's
+// own timer in udpx rather than by a timer on the context, so that
+// timer must never fire before the deadline and must report its expiry as the context
 // would: as a timeout the attempt retries and the walk treats as
 // transient, worded as every other transport's expired attempt.
 func TestBatchSilentServerErr(t *testing.T) {
@@ -226,7 +226,7 @@ func TestBatchSilentServerErr(t *testing.T) {
 			t.Errorf("server %s (%s): Err = %q, want %q", sr.Host, sr.Addr, sr.Err, got)
 		}
 	}
-	if st := tr.Stats(); st.WheelTimeouts == 0 {
-		t.Errorf("no wheel timeouts recorded; the silent server's attempts ended some other way: %+v", st)
+	if st := tr.Stats(); st.Timeouts == 0 {
+		t.Errorf("no transport timeouts recorded; the silent server's attempts ended some other way: %+v", st)
 	}
 }

@@ -40,10 +40,6 @@ func TestQueryArenaAllocsPerAttempt(t *testing.T) {
 	}
 	batch, err := udpx.New(udpx.Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{miniworld.CityNS1Addr: bound},
-		// A small wheel reaches its steady-state slot capacity within
-		// the warm-up (see TestBatchExchangeZeroAlloc).
-		WheelTick:  5 * time.Millisecond,
-		WheelSlots: 8,
 	})
 	if err != nil {
 		t.Fatalf("udpx.New: %v", err)
@@ -83,9 +79,8 @@ func TestQueryArenaAllocsPerAttempt(t *testing.T) {
 					t.Fatalf("query: %v after %d attempts", err, tr.Attempts)
 				}
 			}
-			// Warm every pool and the wheel's slot arrays past several
-			// revolutions (8 slots × 5 ms).
-			for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+			// Warm every pool.
+			for i := 0; i < 300; i++ {
 				bare()
 				query()
 			}

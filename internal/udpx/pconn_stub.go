@@ -2,8 +2,8 @@
 
 // Platforms without the batched-syscall path: PacketConn moves one
 // datagram per syscall via the AddrPort read/write APIs, and everything
-// above it — ring drain, per-socket loops, shared sockets, timer wheel —
-// runs unchanged. See DESIGN.md § 14 for the matrix.
+// above it — ring drain, per-socket loops, shared sockets, per-exchange
+// deadline timers — runs unchanged. See DESIGN.md § 14 for the matrix.
 package udpx
 
 import (

@@ -98,9 +98,9 @@ func (s *sock) stripe(id uint16) *sync.Mutex { return &s.locks[id%idStripes] }
 
 // sendLoop drains the ring: block for the first request, opportunistic
 // drain up to the batch bound, one WriteBatch for the lot. Send errors
-// are swallowed — an unreachable destination's query times out on the
-// wheel exactly as a datagram lost in the network would, which is the
-// semantics the resolver's retry loop is built for.
+// are swallowed — an unreachable destination's query times out on its
+// own deadline exactly as a datagram lost in the network would, which
+// is the semantics the resolver's retry loop is built for.
 func (s *sock) sendLoop() {
 	for {
 		var first *sendReq

@@ -33,10 +33,11 @@
 //     delivery, so the resolver's validation, duplicate accounting,
 //     and discard machinery see exactly what the dial transport would
 //     show them.
-//   - Per-query deadlines, the context's included, ride a coarse timer
-//     wheel (wheel.go) instead of per-socket read deadlines or runtime
-//     timers, so one blackholed server burns only its own queries and
-//     never stalls a shared socket, and an answered query arms no timer.
+//   - Per-query deadlines, the context's included, are each exchange's
+//     own: every pooled waiter owns one runtime timer, reset for each
+//     exchange, instead of a per-socket read deadline, so one blackholed
+//     server burns only its own queries and never stalls a shared socket,
+//     and an exchange allocates nothing to arm its deadline.
 //   - Response buffers are pooled (buffers.go) under the same
 //     borrow/own discipline as the dnswire.Pool codec arenas: the
 //     resolver decodes a response onto its arena — which copies every
@@ -79,10 +80,9 @@ import (
 // Transport errors.
 var (
 	// ErrTimeout indicates the transport's own per-query deadline
-	// (Config.Timeout) fired from the timer wheel before a response was
-	// demuxed to the exchange. When the context's deadline is the
-	// tighter one, the wheel fails the exchange with
-	// context.DeadlineExceeded instead.
+	// (Config.Timeout) passed before a response was demuxed to the
+	// exchange. When the context's deadline is the tighter one, the
+	// exchange fails with context.DeadlineExceeded instead.
 	ErrTimeout = errors.New("udpx: query timed out")
 	// ErrQIDExhausted indicates more than 65536 concurrent in-flight
 	// queries on a single pool socket: the 16-bit transaction ID space
@@ -115,14 +115,8 @@ const (
 	DefaultBatch = 32
 	// DefaultTimeout is the transport's own per-query deadline when the
 	// caller's context carries none. The resolver's per-attempt context
-	// deadline is normally far tighter; this is the wheel's backstop.
+	// deadline is normally far tighter; this is the backstop.
 	DefaultTimeout = 2 * time.Second
-	// DefaultWheelTick is the timer wheel granularity: a deadline fires
-	// within one tick past its nominal instant.
-	DefaultWheelTick = 5 * time.Millisecond
-	// defaultWheelSlots is the wheel circumference (power of two);
-	// deadlines beyond tick*slots simply survive extra passes.
-	defaultWheelSlots = 512
 	// maxInflightPerSock is the 16-bit transaction ID space: the hard
 	// bound on concurrent queries on one pool socket, and the length of
 	// its slot table. The scanner holds at most Concurrency × Fanout =
@@ -137,19 +131,10 @@ const (
 type Config struct {
 	// Sockets is the pool size (default DefaultSockets).
 	Sockets int
-	// Timeout is the per-query deadline enforced by the timer wheel
-	// when the context has none (default DefaultTimeout). A context
-	// deadline tighter than Timeout wins.
+	// Timeout is the per-query deadline, measured from the send, that
+	// the exchange's timer enforces when the context has none (default
+	// DefaultTimeout). A context deadline tighter than Timeout wins.
 	Timeout time.Duration
-	// WheelTick is the timer wheel granularity (default
-	// DefaultWheelTick).
-	WheelTick time.Duration
-	// WheelSlots is the wheel circumference, rounded up to a power of
-	// two (default 512). Steady-state arming is allocation-free once
-	// every slot's entry array has grown to the workload's high-water
-	// mark, which takes one full revolution (WheelTick × WheelSlots);
-	// tests shrink the wheel to reach steady state quickly.
-	WheelSlots int
 	// Portable forces PacketConn's one-datagram-per-syscall fallback even
 	// where batched syscalls are available, for differential testing of
 	// the two I/O paths.
@@ -171,7 +156,7 @@ type metrics struct {
 	sysSaved   *obs.Counter // udpx_syscalls_saved_total
 	misses     *obs.Counter // udpx_demux_misses_total
 	malformed  *obs.Counter // udpx_malformed_total
-	timeouts   *obs.Counter // udpx_wheel_timeouts_total
+	timeouts   *obs.Counter // udpx_timeouts_total
 	cancels    *obs.Counter // udpx_cancels_total
 	exhausted  *obs.Counter // udpx_qid_exhausted_total
 	rtt        *obs.Histogram
@@ -191,7 +176,7 @@ func newMetrics(r *obs.Registry) *metrics {
 		sysSaved:     r.Counter("udpx_syscalls_saved_total"),
 		misses:       r.Counter("udpx_demux_misses_total"),
 		malformed:    r.Counter("udpx_malformed_total"),
-		timeouts:     r.Counter("udpx_wheel_timeouts_total"),
+		timeouts:     r.Counter("udpx_timeouts_total"),
 		cancels:      r.Counter("udpx_cancels_total"),
 		exhausted:    r.Counter("udpx_qid_exhausted_total"),
 		rtt:          r.Histogram("udpx_exchange_rtt"),
@@ -208,7 +193,6 @@ type BatchTransport struct {
 	cfg   Config
 	socks []*sock // the pool; IPv4 only
 
-	wheel *wheel
 	wpool sync.Pool // *waiter
 
 	done   chan struct{}
@@ -222,9 +206,9 @@ type BatchTransport struct {
 	m           *metrics
 }
 
-// New builds and starts a BatchTransport: binds the socket pool, and
-// launches the per-socket sender/receiver goroutines and the timer
-// wheel. Callers must Close it to release the sockets.
+// New builds and starts a BatchTransport: binds the socket pool and
+// launches one sender and one receiver goroutine per socket. Callers
+// must Close it to release the sockets.
 func New(cfg Config) (*BatchTransport, error) {
 	if cfg.Sockets <= 0 {
 		// The pool exists to spread receive fan-in across cores and
@@ -240,15 +224,6 @@ func New(cfg Config) (*BatchTransport, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.WheelTick <= 0 {
-		cfg.WheelTick = DefaultWheelTick
-	}
-	if cfg.WheelSlots <= 0 {
-		cfg.WheelSlots = defaultWheelSlots
-	}
-	for cfg.WheelSlots&(cfg.WheelSlots-1) != 0 {
-		cfg.WheelSlots++
 	}
 	t := &BatchTransport{
 		cfg:  cfg,
@@ -266,12 +241,6 @@ func New(cfg Config) (*BatchTransport, error) {
 		}
 		t.socks = append(t.socks, newSock(t, c, keys[i]))
 	}
-	t.wheel = newWheel(cfg.WheelTick, cfg.WheelSlots, t)
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		t.wheel.run(t.done)
-	}()
 	for _, s := range t.socks {
 		t.wg.Add(2)
 		go func(s *sock) { defer t.wg.Done(); s.sendLoop() }(s)
@@ -408,10 +377,13 @@ func (t *BatchTransport) pending() int {
 }
 
 // getWaiter checks a waiter out of the pool under a fresh generation.
+// A new waiter's timer starts stopped, and every path out of Exchange
+// leaves it stopped and drained again before the waiter goes back.
 func (t *BatchTransport) getWaiter() (*waiter, uint32) {
 	w, _ := t.wpool.Get().(*waiter)
 	if w == nil {
-		w = &waiter{ch: make(chan wresult, 1)}
+		w = &waiter{ch: make(chan wresult, 1), timer: time.NewTimer(time.Hour)}
+		w.timer.Stop()
 	}
 	gen := w.nextGen()
 	return w, gen
@@ -420,7 +392,7 @@ func (t *BatchTransport) getWaiter() (*waiter, uint32) {
 func (t *BatchTransport) putWaiter(w *waiter) { t.wpool.Put(w) }
 
 // Exchange implements resolver.Transport: enqueue the query toward its
-// socket, wait for the demuxed response (or the wheel deadline, or the
+// socket, wait for the demuxed response (or the deadline, or the
 // context). The returned buffer is pooled; callers release it through
 // ReleaseResponse once decoded (the resolver's arena decode copies
 // every retained byte first).
@@ -451,13 +423,15 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 		return nil, err
 	}
 	// The registration is live from here on: exactly one completer —
-	// receiver, wheel, cancel, or close sweep — wins the state CAS and
-	// unregisters. If the transport raced into Close after the
-	// registration, the sweep is guaranteed to see the slot (its stripe
-	// lock orders the sweep against the insert), so the wait below
-	// always terminates.
+	// receiver, this exchange's timer or cancellation, or the close
+	// sweep — wins the state CAS and unregisters. If the transport raced
+	// into Close after the registration, the sweep is guaranteed to see
+	// the slot (its stripe lock orders the sweep against the insert), so
+	// the wait below always terminates.
 	if t.closed.Load() {
-		return nil, t.cancelWait(w, gen, ErrClosed)
+		err := t.cancelWait(w, gen, ErrClosed)
+		t.putWaiter(w)
+		return nil, err
 	}
 
 	req := getSendReq()
@@ -470,65 +444,91 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 	// points per scan, not one per exchange, and the unsampled fast
 	// path skips a clock read and the bucket update in deliver.
 	w.rttSample = t.rttTick.Add(1)&15 == 0
-	// The wheel enforces whichever deadline is tighter, the transport's
-	// or the context's, so the wait below needs only the caller's
-	// cancellation: deadline.Cancel hands back a channel that, for the
-	// resolver's attempt context, arms no timer of its own.
-	end := w.sentAt.Add(t.cfg.Timeout)
-	w.ctxDeadline = false
-	if d, ok := ctx.Deadline(); ok && d.Before(end) {
-		end, w.ctxDeadline = d, true
+	// The waiter's timer enforces whichever deadline is tighter, the
+	// transport's or the context's, so the waits below need only the
+	// caller's cancellation besides: deadline.Cancel hands back a
+	// channel that, for the resolver's attempt context, arms no timer of
+	// its own. The timer is reset after sentAt was read, so it never
+	// fires before the deadline.
+	wait, ctxDeadline := t.cfg.Timeout, false
+	if d, ok := ctx.Deadline(); ok && d.Sub(w.sentAt) < wait {
+		wait, ctxDeadline = d.Sub(w.sentAt), true
 	}
-	t.wheel.add(w, gen, end, w.sentAt)
+	w.timer.Reset(wait)
 	cancel := deadline.Cancel(ctx)
 
+	// ring stays non-nil while the request waits for room in a full
+	// send ring, so the enqueue and the reply share one wait.
+	ring := s.ring
 	select {
-	case s.ring <- req:
+	case ring <- req:
 		// Common case: ring has room, no selectgo round.
+		ring = nil
+		t.queued(s)
 	default:
-		select {
-		case s.ring <- req:
-		case res := <-w.ch:
-			// The wheel (or close sweep) fired while the ring was full;
-			// the datagram never went out.
-			putSendReq(req)
-			t.putWaiter(w)
-			return nil, res.err
-		case <-cancel:
-			putSendReq(req)
-			return nil, t.cancelWait(w, gen, ctx.Err())
-		}
 	}
+	var res wresult
+	for { // again only after the request made it into a full ring
+		select {
+		case ring <- req:
+			ring = nil
+			t.queued(s)
+			continue
+		case res = <-w.ch:
+			// Delivered, or failed by the close sweep (perhaps while the
+			// ring was full and the datagram never went out).
+			w.disarm()
+		case <-w.timer.C:
+			if w.complete(gen, stTimedOut) {
+				t.unregister(w, gen)
+				m.timeouts.Inc()
+				res.err = ErrTimeout
+				if ctxDeadline {
+					// The error the context itself reports once it has
+					// passed.
+					res.err = context.DeadlineExceeded
+				}
+			} else {
+				// A completer won the race the timer lost: its outcome
+				// stands.
+				res = <-w.ch
+			}
+		case <-cancel:
+			w.disarm()
+			res.err = t.cancelWait(w, gen, ctx.Err())
+		}
+		break
+	}
+	if ring != nil {
+		putSendReq(req)
+	}
+	t.putWaiter(w)
+	return res.buf, res.err
+}
+
+// queued records a request entering s's send ring.
+func (t *BatchTransport) queued(s *sock) {
+	m := t.metrics()
 	if n := int64(len(s.ring)); n > m.ringHigh.Load() {
 		m.ringHigh.Set(n)
 	}
 	m.exchanges.Inc()
-
-	select {
-	case res := <-w.ch:
-		t.putWaiter(w)
-		return res.buf, res.err
-	case <-cancel:
-		return nil, t.cancelWait(w, gen, ctx.Err())
-	}
 }
 
 // cancelWait resolves an exchange whose context fired (or that lost the
 // race with Close): win the CAS and clean up, or — if a completer beat
 // us — drain its result and discard it, exactly as the dial transport
-// discards a datagram that lands after the deadline.
+// discards a datagram that lands after the deadline. The caller still
+// owns w and returns it to the pool.
 func (t *BatchTransport) cancelWait(w *waiter, gen uint32, cause error) error {
 	if w.complete(gen, stCancelled) {
 		t.unregister(w, gen)
 		t.metrics().cancels.Inc()
-		t.putWaiter(w)
 		return cause
 	}
-	res := <-w.ch
-	if res.buf != nil {
+	if res := <-w.ch; res.buf != nil {
 		PutBuf(res.buf)
 	}
-	t.putWaiter(w)
 	return cause
 }
 
@@ -575,21 +575,6 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	ref.w.ch <- wresult{buf: buf}
 }
 
-// expire is the wheel's completion path: fail the exchange with
-// ErrTimeout, or with context.DeadlineExceeded when the deadline was the
-// context's — the error the context itself reports once it has passed.
-// Runs on the wheel goroutine; the CAS has already been won by the
-// caller.
-func (t *BatchTransport) expire(w *waiter, gen uint32) {
-	err := ErrTimeout
-	if w.ctxDeadline {
-		err = context.DeadlineExceeded
-	}
-	t.unregister(w, gen)
-	t.metrics().timeouts.Inc()
-	w.ch <- wresult{err: err}
-}
-
 // ReleaseResponse returns a buffer handed out by Exchange to the packet
 // pool (the resolver calls it right after its arena decode, which
 // copies everything it keeps). Implements resolver.ResponseReleaser.
@@ -597,8 +582,7 @@ func (t *BatchTransport) expire(w *waiter, gen uint32) {
 // slice — are recognized by capacity and simply left to the GC.
 func (t *BatchTransport) ReleaseResponse(buf []byte) { PutBuf(buf) }
 
-// Close shuts the transport down: stops the senders and the wheel,
-// closes every socket (unblocking the receivers), and fails every
+// Close shuts the transport down: stops the senders, closes every socket (unblocking the receivers), and fails every
 // still-pending exchange with ErrClosed. Idempotent.
 func (t *BatchTransport) Close() error {
 	if t.closed.Swap(true) {
@@ -638,10 +622,10 @@ type Stats struct {
 	// duplicate, stray); Malformed counts sub-header runts and datagrams
 	// with the QR bit clear.
 	DemuxMisses, Malformed uint64
-	// WheelTimeouts counts deadlines fired from the timer wheel;
-	// Cancels counts context cancellations; QIDExhausted counts
-	// reservations refused at 65536 in flight.
-	WheelTimeouts, Cancels, QIDExhausted uint64
+	// Timeouts counts exchanges ended by their deadline; Cancels counts
+	// context cancellations; QIDExhausted counts reservations refused at
+	// 65536 in flight.
+	Timeouts, Cancels, QIDExhausted uint64
 	// Inflight is the current registered-waiter count;
 	// InflightHighwater its observed peak; RingHighwater the deepest
 	// observed send-ring backlog.
@@ -660,7 +644,7 @@ func (t *BatchTransport) Stats() Stats {
 		SyscallsSaved:     m.sysSaved.Load(),
 		DemuxMisses:       m.misses.Load(),
 		Malformed:         m.malformed.Load(),
-		WheelTimeouts:     m.timeouts.Load(),
+		Timeouts:          m.timeouts.Load(),
 		Cancels:           m.cancels.Load(),
 		QIDExhausted:      m.exhausted.Load(),
 		Inflight:          m.inflight.Load(),

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -379,12 +380,14 @@ func TestIDWrapSkipsLiveSlot(t *testing.T) {
 
 // TestCancelChurnNoLeak cancels a storm of exchanges against a server
 // that never answers and asserts the demux table drains to empty — a
-// leaked entry would pin its transaction ID forever.
+// leaked entry would pin its transaction ID forever. Half the contexts
+// are cancelled outright; the other half carry a deadline, which the
+// exchange's own timer races the context's for.
 func TestCancelChurnNoLeak(t *testing.T) {
 	hole := startUDP(t, blackholeLoop)
 	tr := newTest(t, Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: hole},
-		Timeout:      time.Minute, // the wheel must not be the one cleaning up
+		Timeout:      time.Minute, // the transport's deadline must not be the one cleaning up
 	})
 	const workers, perWorker = 16, 25
 	var wg sync.WaitGroup
@@ -393,7 +396,12 @@ func TestCancelChurnNoLeak(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%5)*time.Millisecond)
+				after := time.Duration(1+i%5) * time.Millisecond
+				ctx, cancel := context.WithTimeout(context.Background(), after)
+				if i%2 == 0 {
+					ctx, cancel = context.WithCancel(context.Background())
+					time.AfterFunc(after, cancel)
+				}
 				_, err := tr.Exchange(ctx, srvIP, testQuery(uint16(i), uint32(g)))
 				cancel()
 				if err == nil {
@@ -479,7 +487,9 @@ func TestStrayDuplicateStorm(t *testing.T) {
 		t.Error(err)
 	}
 	// Give the last round of duplicates a moment to land as misses.
-	time.Sleep(50 * time.Millisecond)
+	for end := time.Now().Add(2 * time.Second); tr.Stats().DemuxMisses == 0 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
 	if n := tr.pending(); n != 0 {
 		t.Errorf("demux table holds %d entries after storm", n)
 	}
@@ -488,21 +498,16 @@ func TestStrayDuplicateStorm(t *testing.T) {
 	}
 }
 
-// TestWheelTimeoutSemantics is the batch-path port of
+// TestTimeoutNeverEarly is the batch-path port of
 // TestUDPTransportTimeout: with a context carrying no deadline, the
-// transport's own timeout must fire from the timer wheel — never early,
-// and within roughly one wheel tick of the deadline.
-func TestWheelTimeoutSemantics(t *testing.T) {
+// transport's own timeout ends the exchange with ErrTimeout — never
+// before the deadline, and within scheduler slack after it.
+func TestTimeoutNeverEarly(t *testing.T) {
 	hole := startUDP(t, blackholeLoop)
-	const (
-		timeout = 100 * time.Millisecond
-		tick    = 25 * time.Millisecond
-	)
+	const timeout = 100 * time.Millisecond
 	tr := newTest(t, Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: hole},
 		Timeout:      timeout,
-		WheelTick:    tick,
-		WheelSlots:   64,
 	})
 	start := time.Now()
 	_, err := tr.Exchange(context.Background(), srvIP, testQuery(1, 1))
@@ -510,34 +515,30 @@ func TestWheelTimeoutSemantics(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if elapsed < timeout-time.Millisecond {
+	if elapsed < timeout {
 		t.Fatalf("timeout fired after %v, before the %v deadline", elapsed, timeout)
 	}
-	// Deadline rounds up to a tick boundary (≤ 1 tick) and the sweep
-	// runs on the next ticker firing (≤ 1 tick); anything beyond
-	// timeout + 2 ticks plus scheduler slack is a wheel bug.
-	if limit := timeout + 2*tick + 50*time.Millisecond; elapsed > limit {
+	if limit := timeout + 50*time.Millisecond; elapsed > limit {
 		t.Fatalf("timeout fired after %v, want within %v", elapsed, limit)
 	}
-	if st := tr.Stats(); st.WheelTimeouts != 1 {
-		t.Fatalf("WheelTimeouts = %d, want 1", st.WheelTimeouts)
+	if st := tr.Stats(); st.Timeouts != 1 {
+		t.Fatalf("Timeouts = %d, want 1", st.Timeouts)
 	}
 }
 
-// TestWheelContextDeadline covers a deadline the exchange takes from
-// its context: the resolver's attempt context (internal/deadline) arms
-// no timer of its own, so the wheel alone ends the exchange. It must do
-// so never before the deadline — whose caller reads the clock to tell
-// its own expiry from the transport's — and report
-// context.DeadlineExceeded, as the expired context would. The deadline
-// is deliberately off the tick grid, where early firing shows.
-func TestWheelContextDeadline(t *testing.T) {
+// TestContextDeadlineNeverEarly covers a deadline the exchange takes
+// from its context: the resolver's attempt context (internal/deadline)
+// arms no timer of its own, so the exchange's timer alone ends the
+// exchange. It must do so never before the deadline — whose caller
+// reads the clock to tell its own expiry from the transport's — and
+// report context.DeadlineExceeded, as the expired context would. The
+// deadlines are deliberately off the 5 ms grid a coarse timer would
+// round them to.
+func TestContextDeadlineNeverEarly(t *testing.T) {
 	hole := startUDP(t, blackholeLoop)
-	const tick = 5 * time.Millisecond
 	tr := newTest(t, Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: hole},
 		Timeout:      time.Minute,
-		WheelTick:    tick,
 	})
 	for i := 0; i < 5; i++ {
 		ctx := deadline.New(context.Background(), 17*time.Millisecond+time.Duration(i)*time.Millisecond)
@@ -549,19 +550,153 @@ func TestWheelContextDeadline(t *testing.T) {
 			t.Fatalf("exchange %d: err = %v, want context.DeadlineExceeded", i, err)
 		}
 		if now.Before(at) {
-			t.Fatalf("exchange %d: the wheel fired %v before the context deadline", i, at.Sub(now))
+			t.Fatalf("exchange %d: the deadline fired %v before the context deadline", i, at.Sub(now))
 		}
-		if late := now.Sub(at); late > 2*tick+50*time.Millisecond {
-			t.Fatalf("exchange %d: the wheel fired %v after the deadline", i, late)
+		if late := now.Sub(at); late > 50*time.Millisecond {
+			t.Fatalf("exchange %d: the deadline fired %v after the context deadline", i, late)
 		}
 	}
-	if st := tr.Stats(); st.WheelTimeouts != 5 || st.Cancels != 0 {
-		t.Fatalf("WheelTimeouts = %d, Cancels = %d; want 5 and 0", st.WheelTimeouts, st.Cancels)
+	if st := tr.Stats(); st.Timeouts != 5 || st.Cancels != 0 {
+		t.Fatalf("Timeouts = %d, Cancels = %d; want 5 and 0", st.Timeouts, st.Cancels)
 	}
 }
 
-// TestBlackholeIsolation pins the reason the wheel exists: one dead
-// server's queries time out on their own schedule while a live server
+// TestDeadlineAnswerRace lets answers and deadlines race both ways: the
+// responder holds each reply until about the exchange's deadline, a few
+// milliseconds either side, so some answers beat the timer and some
+// lose to it, under the transport's own timeout and a context's. Every
+// exchange must end with its own answer or a timeout no earlier than
+// its deadline, none may hang, and the slot tables must drain. A batch
+// against an echo server afterwards reuses the same pooled waiters and
+// must see no timeout before its deadline: a timer value left in a
+// pooled waiter's channel would end its next exchange at once.
+func TestDeadlineAnswerRace(t *testing.T) {
+	const timeout = 30 * time.Millisecond
+	rng := rand.New(rand.NewSource(34))
+	var rngMu sync.Mutex
+	late := startUDP(t, func(conn *net.UDPConn) {
+		var buf [bufSize]byte
+		for {
+			n, src, err := conn.ReadFromUDPAddrPort(buf[:])
+			if err != nil {
+				return
+			}
+			reply := append([]byte(nil), buf[:n]...)
+			rngMu.Lock()
+			hold := timeout + time.Duration(rng.Intn(10_000)-5_000)*time.Microsecond
+			rngMu.Unlock()
+			time.AfterFunc(hold, func() { _, _ = conn.WriteToUDPAddrPort(reply, src) })
+		}
+	})
+	echo := startUDP(t, echoLoop)
+	lateIP := netip.MustParseAddr("192.0.2.77")
+	tr := newTest(t, Config{
+		AddrOverride: map[netip.Addr]netip.AddrPort{lateIP: late, srvIP: echo},
+		Timeout:      timeout,
+	})
+
+	// run drives workers×perWorker exchanges against server, odd ones
+	// under a context deadline just inside the transport's, and returns
+	// how many were answered and how many timed out.
+	run := func(server netip.Addr, workers, perWorker int) (answered, timedOut int) {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					nonce := uint32(g)<<16 | uint32(i)
+					// due is no later than the exchange's deadline: the
+					// transport's runs from the send, after this clock read.
+					ctx, want, due := context.Context(context.Background()), ErrTimeout, time.Now().Add(timeout)
+					var dctx *deadline.Context
+					if i%2 == 1 {
+						dctx = deadline.New(ctx, timeout-time.Millisecond)
+						ctx, want = dctx, context.DeadlineExceeded
+						due, _ = dctx.Deadline()
+					}
+					resp, err := tr.Exchange(ctx, server, testQuery(uint16(i), nonce))
+					early := time.Now().Before(due)
+					if dctx != nil {
+						dctx.Release()
+					}
+					mu.Lock()
+					switch {
+					case err == nil && binary.BigEndian.Uint32(resp[12:]) == nonce:
+						answered++
+						tr.ReleaseResponse(resp)
+					case err == nil:
+						t.Errorf("worker %d exchange %d: nonce %#x, want %#x", g, i, binary.BigEndian.Uint32(resp[12:]), nonce)
+					case !errors.Is(err, want):
+						t.Errorf("worker %d exchange %d: err = %v, want %v", g, i, err, want)
+					case early:
+						t.Errorf("worker %d exchange %d: timed out before its deadline", g, i)
+					default:
+						timedOut++
+					}
+					mu.Unlock()
+				}
+			}(g)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("exchanges against %s still running after 30s", server)
+		}
+		if n := tr.pending(); n != 0 {
+			t.Errorf("slot tables hold %d entries after the batch against %s", n, server)
+		}
+		return answered, timedOut
+	}
+
+	answered, timedOut := run(lateIP, 32, 16)
+	t.Logf("deadline race: %d answered, %d timed out", answered, timedOut)
+	if answered == 0 || timedOut == 0 {
+		t.Errorf("the race went one way only (%d answered, %d timed out)", answered, timedOut)
+	}
+	if answered, _ := run(srvIP, 32, 16); answered == 0 {
+		t.Error("no exchange against the echo server was answered")
+	}
+}
+
+// TestTransportGoroutines bounds the transport's goroutines: one sender
+// and one receiver per socket while open, and none left after Close.
+func TestTransportGoroutines(t *testing.T) {
+	// settle waits out goroutines earlier tests left exiting, and
+	// returns the count once it holds still.
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for end := time.Now().Add(2 * time.Second); time.Now().Before(end); {
+			time.Sleep(5 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	base := settle()
+	tr, err := New(Config{Sockets: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if n := settle(); n != base+4 {
+		t.Errorf("an open 2-socket transport runs %d goroutines, want 4", n-base)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := settle(); n != base {
+		t.Errorf("Close left %d goroutines running", n-base)
+	}
+}
+
+// TestBlackholeIsolation pins why each exchange owns its deadline: one
+// dead server's queries time out on their own schedule while a live server
 // sharing the transport (and possibly the socket) answers at full
 // speed throughout.
 func TestBlackholeIsolation(t *testing.T) {
@@ -572,7 +707,6 @@ func TestBlackholeIsolation(t *testing.T) {
 	tr := newTest(t, Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: echo, deadIP: hole},
 		Timeout:      timeout,
-		WheelTick:    10 * time.Millisecond,
 		Sockets:      1, // force both servers onto one socket
 	})
 	const n = 20

@@ -8,13 +8,13 @@ import (
 )
 
 // TestBatchExchangeZeroAlloc is the steady-state allocation gate for
-// the batch exchange hot path: once the pools (waiters, send requests,
-// receive buffers) and the wheel's slot arrays have warmed to the
-// workload's high-water marks, an Exchange + ReleaseResponse round
-// trip must not allocate. AllocsPerRun counts process-wide mallocs, so
-// the gate only holds because every background party — the sender and
-// receiver loops, the wheel sweep, the echo responder — is itself
-// allocation-free on its steady path.
+// the batch exchange hot path: once the pools (waiters with their
+// timers, send requests, receive buffers) have warmed to the workload's
+// high-water marks, an Exchange + ReleaseResponse round trip must not
+// allocate. AllocsPerRun counts process-wide mallocs, so the gate only
+// holds because every background party — the sender and receiver
+// loops, the echo responder — is itself allocation-free on its steady
+// path.
 func TestBatchExchangeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -22,12 +22,7 @@ func TestBatchExchangeZeroAlloc(t *testing.T) {
 	echo := startUDP(t, echoLoop)
 	tr := newTest(t, Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: echo},
-		// A small wheel completes a full revolution quickly, so the
-		// warmup below reaches the slot arrays' steady-state capacity
-		// instead of needing the default 2.5 s circumference.
-		WheelTick:  5 * time.Millisecond,
-		WheelSlots: 8,
-		Timeout:    250 * time.Millisecond,
+		Timeout:      250 * time.Millisecond,
 	})
 	ctx := context.Background()
 	q := testQuery(7, 7)
@@ -38,10 +33,7 @@ func TestBatchExchangeZeroAlloc(t *testing.T) {
 		}
 		tr.ReleaseResponse(resp)
 	}
-	// Warm up past several wheel revolutions (8 slots × 5 ms = 40 ms)
-	// so every slot array has seen its steady-state load.
-	warmDeadline := time.Now().Add(300 * time.Millisecond)
-	for i := 0; i < 20000 && time.Now().Before(warmDeadline); i++ {
+	for i := 0; i < 500; i++ {
 		exchange()
 	}
 	if avg := testing.AllocsPerRun(200, exchange); avg != 0 {
