@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -201,9 +202,10 @@ func TestClassifyTable(t *testing.T) {
 	}
 }
 
-func TestClassifyDisjointIPOverlap(t *testing.T) {
-	// Parent and child NS sets share no hostname, but the hosts resolve
-	// to the same address: the rename-only migration case.
+// renamedResult is a domain whose parent and child NS sets share no
+// hostname, but whose hosts resolve to the same address: the
+// rename-only migration case.
+func renamedResult() *measure.DomainResult {
 	shared := netip.MustParseAddr("203.0.113.9")
 	r := &measure.DomainResult{
 		Domain:          "x.gov.br.",
@@ -218,6 +220,11 @@ func TestClassifyDisjointIPOverlap(t *testing.T) {
 		Host: "old.x.gov.br.", Addr: shared, OK: true, Authoritative: true,
 		NS: []dnsname.Name{"new.x.gov.br."},
 	}}
+	return r
+}
+
+func TestClassifyDisjointIPOverlap(t *testing.T) {
+	r := renamedResult()
 	if got := Classify(r); got != ClassDisjointIPOverlap {
 		t.Errorf("Classify = %v, want ClassDisjointIPOverlap", got)
 	}
@@ -337,6 +344,50 @@ func TestClassifyMatchesSetDefinition(t *testing.T) {
 	for class := ClassEqual; class <= ClassUnresponsive; class++ {
 		if seen[class] == 0 {
 			t.Errorf("no generated result was %v", class)
+		}
+	}
+}
+
+// TestActiveFiguresDoNotAllocatePerResult runs every active figure over
+// a result set and over that set twice over: the allocations may grow
+// with the distinct values a figure collects, which doubling does not
+// add to, but not with the number of results.
+func TestActiveFiguresDoNotAllocatePerResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	scanned, geo := scanMiniworld(t)
+	moved := renamedResult()
+	moved.Addrs["new.x.gov.br."] = []netip.Addr{netip.MustParseAddr("203.0.113.10")} // plain disjoint
+	scanned = append(scanned, renamedResult(), moved)
+	var rs []*measure.DomainResult
+	for len(rs) < 100 {
+		rs = append(rs, scanned...)
+	}
+	doubled := append(slices.Clone(rs), rs...)
+
+	m := miniMapper()
+	reg := registrar.New(dnsname.NewSuffixSet("gov.br"))
+	reg.MarkRegistered("provider.com.")
+	for _, f := range []struct {
+		name string
+		run  func([]*measure.DomainResult)
+	}{
+		{"ReplicationActive", func(rs []*measure.DomainResult) { ReplicationActive(rs, m) }},
+		{"Diversity", func(rs []*measure.DomainResult) { Diversity(rs, geo, m, []string{"br"}) }},
+		{"DiversityByLevel", func(rs []*measure.DomainResult) { DiversityByLevel(rs, geo) }},
+		{"LevelDistribution", func(rs []*measure.DomainResult) { LevelDistribution(rs) }},
+		{"Delegations", func(rs []*measure.DomainResult) { Delegations(rs, m) }},
+		{"HijackRisks", func(rs []*measure.DomainResult) { HijackRisks(rs, m, reg) }},
+		{"Consistency", func(rs []*measure.DomainResult) { Consistency(rs, m) }},
+		{"InconsistencyHijacks", func(rs []*measure.DomainResult) { InconsistencyHijacks(rs, m, reg) }},
+	} {
+		once := testing.AllocsPerRun(5, func() { f.run(rs) })
+		twice := testing.AllocsPerRun(5, func() { f.run(doubled) })
+		// A slice that doubles as it is appended to may grow once more.
+		if twice-once > 2 {
+			t.Errorf("%s allocates %v times over %d results and %v over %d: it allocates per result",
+				f.name, once, len(rs), twice, len(doubled))
 		}
 	}
 }

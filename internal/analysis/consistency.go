@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"net/netip"
 	"slices"
 
 	"govdns/internal/dnsname"
@@ -89,17 +88,13 @@ func classify(r *measure.DomainResult, child []dnsname.Name) ConsistencyClass {
 	case inter > 0:
 		return ClassIntersect
 	}
-	// Disjoint: compare the address sets of the two views.
-	pAddrs := make(map[netip.Addr]bool)
-	for _, host := range r.ParentNS {
-		for _, a := range r.Addrs[host] {
-			pAddrs[a] = true
-		}
-	}
+	// Disjoint: do the two views' hosts share an address?
 	for _, host := range child {
 		for _, a := range r.Addrs[host] {
-			if pAddrs[a] {
-				return ClassDisjointIPOverlap
+			for _, parent := range r.ParentNS {
+				if slices.Contains(r.Addrs[parent], a) {
+					return ClassDisjointIPOverlap
+				}
 			}
 		}
 	}
@@ -147,11 +142,12 @@ func Consistency(results []*measure.DomainResult, m *Mapper) *ConsistencyStats {
 	countryDisagree := make(map[string]int)
 	inconsistent, inconsistentDefect := 0, 0
 
+	var child []dnsname.Name // C of the current result, in one reused buffer
 	for _, r := range results {
 		if !r.HasData() {
 			continue
 		}
-		child := r.ChildNS()
+		child = r.AppendChildNS(child[:0])
 		class := classify(r, child)
 		if class == ClassUnresponsive {
 			continue
@@ -216,11 +212,12 @@ func InconsistencyHijacks(results []*measure.DomainResult, m *Mapper, reg *regis
 	nsDomains := make(map[dnsname.Name]bool)
 	countries := make(map[string]bool)
 
+	var child []dnsname.Name // C of the current result, in one reused buffer
 	for _, r := range results {
 		if !r.HasData() || r.HasDefect() {
 			continue
 		}
-		child := r.ChildNS()
+		child = r.AppendChildNS(child[:0])
 		class := classify(r, child)
 		if class == ClassEqual || class == ClassUnresponsive {
 			continue

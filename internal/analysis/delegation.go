@@ -127,7 +127,12 @@ func HijackRisks(results []*measure.DomainResult, m *Mapper, reg *registrar.Regi
 			code = c.Code
 		}
 		affected := false
-		for _, host := range r.DefectiveServerHosts() {
+		for _, host := range r.ParentNS {
+			// The defective hosts, in place: r.DefectiveServerHosts
+			// without building it.
+			if r.HostAnswered(host) {
+				continue
+			}
 			if m.IsPrivateHost(r.Domain, host) {
 				continue // in-government hosts pose no registration risk
 			}

@@ -32,7 +32,6 @@ type Country struct {
 // Mapper resolves domain names to their country.
 type Mapper struct {
 	countries []Country
-	suffixes  *dnsname.SuffixSet
 	bySuffix  map[dnsname.Name]int
 }
 
@@ -40,11 +39,9 @@ type Mapper struct {
 func NewMapper(countries []Country) *Mapper {
 	m := &Mapper{
 		countries: append([]Country(nil), countries...),
-		suffixes:  dnsname.NewSuffixSet(),
 		bySuffix:  make(map[dnsname.Name]int, len(countries)),
 	}
 	for i, c := range m.countries {
-		m.suffixes.Add(c.Suffix)
 		m.bySuffix[c.Suffix] = i
 	}
 	return m
@@ -53,37 +50,41 @@ func NewMapper(countries []Country) *Mapper {
 // Countries returns the mapper's country list.
 func (m *Mapper) Countries() []Country { return m.countries }
 
+// suffixIndex returns the index in m.countries of the longest
+// government suffix at or above name (the name itself, then each
+// ancestor short of the root), or -1: one probe per level.
+func (m *Mapper) suffixIndex(name dnsname.Name) int {
+	for cur := name; ; {
+		if idx, ok := m.bySuffix[cur]; ok {
+			return idx
+		}
+		if cur = cur.Parent(); cur.IsRoot() {
+			return -1
+		}
+	}
+}
+
 // CountryOf maps a domain to its country by the longest matching
 // government suffix (the suffix itself also matches).
 func (m *Mapper) CountryOf(name dnsname.Name) (Country, bool) {
-	if idx, ok := m.bySuffix[name]; ok {
+	if idx := m.suffixIndex(name); idx >= 0 {
 		return m.countries[idx], true
 	}
-	suffix, ok := m.suffixes.LongestSuffix(name)
-	if !ok {
-		return Country{}, false
-	}
-	return m.countries[m.bySuffix[suffix]], true
+	return Country{}, false
 }
 
 // countryIndexOf resolves a domain to its index in m.countries (-1 =
 // unmapped) — CountryOf in the index form the corpus memoizes.
 func (m *Mapper) countryIndexOf(name dnsname.Name) int32 {
-	if idx, ok := m.bySuffix[name]; ok {
-		return int32(idx)
-	}
-	if suffix, ok := m.suffixes.LongestSuffix(name); ok {
-		return int32(m.bySuffix[suffix])
-	}
-	return -1
+	return int32(m.suffixIndex(name))
 }
 
 // SuffixOf returns the d_gov a domain belongs to.
 func (m *Mapper) SuffixOf(name dnsname.Name) (dnsname.Name, bool) {
-	if _, ok := m.bySuffix[name]; ok {
-		return name, true
+	if idx := m.suffixIndex(name); idx >= 0 {
+		return m.countries[idx].Suffix, true
 	}
-	return m.suffixes.LongestSuffix(name)
+	return dnsname.Root, false
 }
 
 // IsPrivateHost reports whether an NS hostname represents a private

@@ -33,6 +33,38 @@ func TestMapperCountryOf(t *testing.T) {
 	}
 }
 
+func TestMapperLongestSuffix(t *testing.T) {
+	// A suffix nested below another: the deeper one wins, for a name
+	// below it and for the suffix itself.
+	m := NewMapper([]Country{
+		{Code: "br", Suffix: "gov.br."},
+		{Code: "sp", Suffix: "sp.gov.br."},
+	})
+	for _, tt := range []struct {
+		name   dnsname.Name
+		code   string // "" = unmapped
+		suffix dnsname.Name
+	}{
+		{"x.sp.gov.br.", "sp", "sp.gov.br."},
+		{"sp.gov.br.", "sp", "sp.gov.br."},
+		{"a.b.gov.br.", "br", "gov.br."},
+		{"gov.br.", "br", "gov.br."},
+		{"br.", "", dnsname.Root},
+		{dnsname.Root, "", dnsname.Root},
+		{"sp.gov.br.example.", "", dnsname.Root},
+		{"gov", "", dnsname.Root}, // no dot: the walk up must still end
+	} {
+		c, ok := m.CountryOf(tt.name)
+		idx := m.countryIndexOf(tt.name)
+		suffix, suffixOK := m.SuffixOf(tt.name)
+		if c.Code != tt.code || ok != (tt.code != "") || suffix != tt.suffix || suffixOK != ok ||
+			(idx < 0) == ok || ok && m.countries[idx] != c {
+			t.Errorf("%s: CountryOf = %q, %v; countryIndexOf = %d; SuffixOf = %q, %v; want %q under %q",
+				tt.name, c.Code, ok, idx, suffix, suffixOK, tt.code, tt.suffix)
+		}
+	}
+}
+
 func TestMapperIsPrivateHost(t *testing.T) {
 	m := testMapper()
 	if !m.IsPrivateHost("x.gov.br.", "ns1.x.gov.br.") {

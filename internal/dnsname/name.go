@@ -38,19 +38,36 @@ const Root Name = "."
 // Parse canonicalizes and validates s into a Name. It accepts names with
 // or without a trailing dot and is case-insensitive. The root may be given
 // as "." or "".
+//
+// A valid s that is already lowercase and ends in a dot is returned as
+// s itself, without allocating; any other valid input, the root aside,
+// comes back in a new string. A Name that is s shares s's bytes, which
+// has two consequences for the caller:
+//
+//   - Retention: a Name parsed from a substring keeps the whole string
+//     it was cut from alive for as long as the Name lives. Call Own on
+//     a name that outlives a large text.
+//   - Aliasing: a string that borrows an arena (BorrowCanonical) comes
+//     back as the same borrowed view, not as an owned copy. Own it
+//     first, or do not pass it to Parse.
 func Parse(s string) (Name, error) {
 	if s == "" || s == "." {
 		return Root, nil
 	}
-	s = strings.ToLower(s)
+	s = strings.ToLower(s) // s itself when it has no upper case
 	trimmed := strings.TrimSuffix(s, ".")
 	if len(trimmed) > MaxNameLen {
 		return "", fmt.Errorf("%w: %q has %d bytes", ErrTooLong, s, len(trimmed))
 	}
-	for _, label := range strings.Split(trimmed, ".") {
+	for rest, more := trimmed, true; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
 		if err := checkLabel(label); err != nil {
 			return "", fmt.Errorf("%w in %q", err, s)
 		}
+	}
+	if len(trimmed) < len(s) {
+		return Name(s), nil
 	}
 	return Name(trimmed + "."), nil
 }
@@ -127,13 +144,15 @@ func (n Name) Level() int {
 }
 
 // Parent returns the name with the leftmost label removed. The parent of a
-// top-level domain is the root; the parent of the root is the root.
+// top-level domain is the root; the parent of the root is the root, and
+// so is the parent of a name without a dot, so that a walk up through a
+// name's ancestors ends at the root whatever the name.
 func (n Name) Parent() Name {
 	if n.IsRoot() || n == "" {
 		return Root
 	}
 	idx := strings.IndexByte(string(n), '.')
-	if idx == len(n)-1 {
+	if idx < 0 || idx == len(n)-1 {
 		return Root
 	}
 	return n[idx+1:]

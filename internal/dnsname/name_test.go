@@ -2,6 +2,7 @@ package dnsname
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,7 @@ func TestParent(t *testing.T) {
 		{"gov.br.", "br."},
 		{"br.", Root},
 		{Root, Root},
+		{"gov", Root}, // not canonical, but an ancestor walk must end
 	}
 	for _, tt := range tests {
 		if got := tt.in.Parent(); got != tt.want {
@@ -285,5 +287,67 @@ func TestCompareAllocatesNothing(t *testing.T) {
 	a, b := Name("ns1.agency.gov.br."), Name("ns2.agency.gov.br.")
 	if allocs := testing.AllocsPerRun(100, func() { Compare(a, b) }); allocs != 0 {
 		t.Errorf("Compare allocates %v times per call, want 0", allocs)
+	}
+}
+
+// parseBySplit is Parse as it was before it scanned labels in place
+// and returned a dotted lowercase input as itself: the reference for
+// what Parse accepts and for its error text, byte for byte.
+func parseBySplit(s string) (Name, error) {
+	if s == "" || s == "." {
+		return Root, nil
+	}
+	s = strings.ToLower(s)
+	trimmed := strings.TrimSuffix(s, ".")
+	if len(trimmed) > MaxNameLen {
+		return "", fmt.Errorf("%w: %q has %d bytes", ErrTooLong, s, len(trimmed))
+	}
+	for _, label := range strings.Split(trimmed, ".") {
+		if err := checkLabel(label); err != nil {
+			return "", fmt.Errorf("%w in %q", err, s)
+		}
+	}
+	return Name(trimmed + "."), nil
+}
+
+// FuzzParse checks Parse against the split-based reference: the same
+// Name or the same error text, and an accepted name parses to itself.
+func FuzzParse(f *testing.F) {
+	label63 := strings.Repeat("a", 63)
+	for _, s := range []string{
+		"GOV.BR.", "Gov.Br", "gov.br", "gov.br.", "", ".", "a..", ".a.", "*", "*.", "*.gov.br.",
+		"a*.gov.", "**.gov.", "_dmarc.gov.uk.", "xn--p1ai.",
+		label63 + ".com.", label63 + "a.com.",
+		strings.Repeat("abcd.", 50) + "abc.",  // 253 bytes before the dot
+		strings.Repeat("abcd.", 50) + "abcd.", // 254
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s)
+		want, wantErr := parseBySplit(s)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Parse(%q) = %q, %v; parseBySplit gives %q, %v", s, got, err, want, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if again, err := Parse(string(got)); err != nil || again != got {
+			t.Fatalf("Parse(%q) = %q, which parses to %q, %v", s, got, again, err)
+		}
+	})
+}
+
+func TestParseCanonicalAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s := "ns1.agency.gov.br."
+	var n Name
+	if allocs := testing.AllocsPerRun(100, func() { n, _ = Parse(s) }); allocs != 0 {
+		t.Errorf("Parse of a canonical name allocates %v times per call, want 0", allocs)
+	}
+	if n != Name(s) {
+		t.Errorf("Parse(%q) = %q", s, n)
 	}
 }

@@ -32,6 +32,10 @@ func TestLongestSuffix(t *testing.T) {
 	if _, ok := s.LongestSuffix("example.org."); ok {
 		t.Error("LongestSuffix matched an unknown TLD")
 	}
+	// A name without a dot is not canonical, but the walk up still ends.
+	if _, ok := s.LongestSuffix("gov"); ok {
+		t.Error("LongestSuffix(gov) matched")
+	}
 }
 
 func TestRegisteredDomain(t *testing.T) {

@@ -63,30 +63,39 @@ func (db *DB) Len() int { return len(db.starts) }
 
 // Lookup returns the ASN record covering addr.
 func (db *DB) Lookup(addr netip.Addr) (Record, error) {
-	if !addr.Is4() {
+	i, ok := db.find(addr)
+	switch {
+	case ok:
+		return db.recs[i], nil
+	case !addr.Is4():
 		return Record{}, fmt.Errorf("%w: %v is not IPv4", ErrNotFound, addr)
+	}
+	return Record{}, fmt.Errorf("%w: %v", ErrNotFound, addr)
+}
+
+// ASN is a convenience wrapper returning only the AS number, with ok=false
+// when the address is unknown. Unlike Lookup, it allocates nothing for an
+// unknown address.
+func (db *DB) ASN(addr netip.Addr) (uint32, bool) {
+	i, ok := db.find(addr)
+	if !ok {
+		return 0, false
+	}
+	return db.recs[i].ASN, true
+}
+
+// find returns the index of the range covering addr.
+func (db *DB) find(addr netip.Addr) (int, bool) {
+	if !addr.Is4() {
+		return 0, false
 	}
 	v := nettopo.IPv4Value(addr)
 	// First range with start > v, then step back one.
 	i := sort.Search(len(db.starts), func(i int) bool { return db.starts[i] > v })
-	if i == 0 {
-		return Record{}, fmt.Errorf("%w: %v", ErrNotFound, addr)
-	}
-	i--
-	if v > db.ends[i] {
-		return Record{}, fmt.Errorf("%w: %v", ErrNotFound, addr)
-	}
-	return db.recs[i], nil
-}
-
-// ASN is a convenience wrapper returning only the AS number, with ok=false
-// when the address is unknown.
-func (db *DB) ASN(addr netip.Addr) (uint32, bool) {
-	rec, err := db.Lookup(addr)
-	if err != nil {
+	if i == 0 || v > db.ends[i-1] {
 		return 0, false
 	}
-	return rec.ASN, true
+	return i - 1, true
 }
 
 // WriteCSV exports the database in a MaxMind-like CSV schema:

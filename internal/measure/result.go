@@ -147,32 +147,63 @@ func (r *DomainResult) HasData() bool {
 // ChildNS returns the union of NS sets returned by the domain's own
 // servers (the child view C), sorted.
 func (r *DomainResult) ChildNS() []dnsname.Name {
-	// Servers mostly repeat one another's answer, so the union is about
-	// as long as the longest of them. A handful of names: weeding the
-	// repeats out by scanning leaves far less to sort than sorting them
-	// all and compacting would.
-	longest := 0
-	for i := range r.Servers {
-		if r.Servers[i].Answered() {
-			longest = max(longest, len(r.Servers[i].NS))
-		}
-	}
-	if longest == 0 {
+	n := r.childLen()
+	if n == 0 {
 		return nil
 	}
-	out := make([]dnsname.Name, 0, longest)
+	return r.AppendChildNS(make([]dnsname.Name, 0, n))
+}
+
+// AppendChildNS appends the child view C, distinct and sorted, to dst
+// and returns the extended slice; the names already in dst are left as
+// they are. A caller that walks many results reuses one buffer:
+// child = r.AppendChildNS(child[:0]).
+func (r *DomainResult) AppendChildNS(dst []dnsname.Name) []dnsname.Name {
+	// Servers mostly repeat one another's answer, so C is a handful of
+	// names: weeding the repeats out by scanning leaves far less to sort
+	// than sorting them all and compacting would.
+	start := len(dst)
 	for i := range r.Servers {
 		if !r.Servers[i].Answered() {
 			continue
 		}
 		for _, host := range r.Servers[i].NS {
-			if !slices.Contains(out, host) {
-				out = append(out, host)
+			if !slices.Contains(dst[start:], host) {
+				dst = append(dst, host)
 			}
 		}
 	}
-	slices.SortFunc(out, dnsname.Compare)
-	return out
+	slices.SortFunc(dst[start:], dnsname.Compare)
+	return dst
+}
+
+// childLen is |C|, counted without building C: each name is counted
+// where it first appears among the answered servers' NS lists.
+func (r *DomainResult) childLen() int {
+	n := 0
+	for i := range r.Servers {
+		sr := &r.Servers[i]
+		if !sr.Answered() {
+			continue
+		}
+		for j, host := range sr.NS {
+			if !slices.Contains(sr.NS[:j], host) && !inChild(r.Servers[:i], host) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// inChild reports whether host is in the NS list of an answered server
+// among servers: given all of a result's servers, whether host is in C.
+func inChild(servers []ServerResponse, host dnsname.Name) bool {
+	for i := range servers {
+		if servers[i].Answered() && slices.Contains(servers[i].NS, host) {
+			return true
+		}
+	}
+	return false
 }
 
 // Responsive reports whether at least one of the domain's authoritative
@@ -230,9 +261,9 @@ func (f *Funnel) Add(r *DomainResult) {
 	}
 }
 
-// hostAnswered reports whether any address of the nameserver host
+// HostAnswered reports whether any address of the nameserver host
 // produced a working answer.
-func (r *DomainResult) hostAnswered(host dnsname.Name) bool {
+func (r *DomainResult) HostAnswered(host dnsname.Name) bool {
 	for i := range r.Servers {
 		if r.Servers[i].Host == host && r.Servers[i].Answered() {
 			return true
@@ -245,7 +276,7 @@ func (r *DomainResult) hostAnswered(host dnsname.Name) bool {
 // without building it.
 func (r *DomainResult) hasDefectiveHost() bool {
 	for _, host := range r.ParentNS {
-		if !r.hostAnswered(host) {
+		if !r.HostAnswered(host) {
 			return true
 		}
 	}
@@ -259,7 +290,7 @@ func (r *DomainResult) hasDefectiveHost() bool {
 func (r *DomainResult) DefectiveServerHosts() []dnsname.Name {
 	var out []dnsname.Name
 	for _, host := range r.ParentNS {
-		if !r.hostAnswered(host) {
+		if !r.HostAnswered(host) {
 			out = append(out, host)
 		}
 	}
@@ -278,13 +309,13 @@ func (r *DomainResult) AllAddrs() []netip.Addr {
 }
 
 // NSCount is the number of distinct delegated nameservers (|P ∪ C|);
-// the paper's replication metric uses the combined set.
+// the paper's replication metric uses the combined set. It scans P and
+// the answered servers' NS lists in place and allocates nothing.
 func (r *DomainResult) NSCount() int {
-	child := r.ChildNS()
-	n := len(child)
+	n := r.childLen()
 	for i, host := range r.ParentNS {
 		// The sets hold a handful of names: scanning beats hashing.
-		if !slices.Contains(child, host) && !slices.Contains(r.ParentNS[:i], host) {
+		if !slices.Contains(r.ParentNS[:i], host) && !inChild(r.Servers, host) {
 			n++
 		}
 	}

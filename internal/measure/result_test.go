@@ -99,15 +99,66 @@ func randomResult(rng *rand.Rand) *DomainResult {
 	return r
 }
 
+// shapes tallies the cases randomResult is meant to produce, so that a
+// test over its results can insist each one came up.
+type shapes struct {
+	repeatInServer, repeatAcrossServers, unansweredWithNS, childOnly, repeatInParent, emptyParent int
+}
+
+func (sh *shapes) add(r *DomainResult) {
+	if len(r.ParentNS) == 0 {
+		sh.emptyParent++
+	}
+	for i, host := range r.ParentNS {
+		if slices.Contains(r.ParentNS[:i], host) {
+			sh.repeatInParent++
+		}
+	}
+	var seenBefore []dnsname.Name // names of earlier answered servers
+	for i := range r.Servers {
+		sr := &r.Servers[i]
+		if !sr.Answered() {
+			if len(sr.NS) > 0 {
+				sh.unansweredWithNS++
+			}
+			continue
+		}
+		for j, host := range sr.NS {
+			if slices.Contains(sr.NS[:j], host) {
+				sh.repeatInServer++
+			}
+			if slices.Contains(seenBefore, host) {
+				sh.repeatAcrossServers++
+			}
+			if !slices.Contains(r.ParentNS, host) {
+				sh.childOnly++
+			}
+		}
+		seenBefore = append(seenBefore, sr.NS...)
+	}
+}
+
 func TestResultSetHelpersMatchTheirDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var seen shapes
 	for i := 0; i < 2000; i++ {
 		r := randomResult(rng)
+		seen.add(r)
 		if got, want := r.ChildNS(), refChildNS(r); !slices.Equal(got, want) {
 			t.Fatalf("ChildNS = %v, want %v\n%+v", got, want, r)
 		}
 		if got, want := r.NSCount(), refNSCount(r); got != want {
 			t.Fatalf("NSCount = %d, want %d\n%+v", got, want, r)
+		}
+		// Into a buffer already holding names, with and without room
+		// to spare: the prefix stays, C follows it.
+		for _, spare := range []int{0, 8} {
+			prefix := []dnsname.Name{"z.example.com.", "ns1.x.gov.br."}
+			dst := append(make([]dnsname.Name, 0, len(prefix)+spare), prefix...)
+			got := r.AppendChildNS(dst)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], r.ChildNS()) {
+				t.Fatalf("AppendChildNS(%v) = %v, want the prefix then %v\n%+v", prefix, got, r.ChildNS(), r)
+			}
 		}
 		defective := refDefectiveServerHosts(r)
 		if got := r.DefectiveServerHosts(); !slices.Equal(got, defective) {
@@ -137,6 +188,10 @@ func TestResultSetHelpersMatchTheirDefinitions(t *testing.T) {
 			t.Fatalf("Classify = %v, want %v\n%+v", got, want, r)
 		}
 	}
+	if seen.repeatInServer == 0 || seen.repeatAcrossServers == 0 || seen.unansweredWithNS == 0 ||
+		seen.childOnly == 0 || seen.repeatInParent == 0 || seen.emptyParent == 0 {
+		t.Fatalf("the generated results miss a case: %+v", seen)
+	}
 }
 
 func TestClassifyAllocatesNothing(t *testing.T) {
@@ -155,5 +210,31 @@ func TestClassifyAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Classify of %d results allocates %v times, want 0", len(results), allocs)
+	}
+}
+
+func TestChildViewHelpersAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	var results []*DomainResult
+	for i := 0; i < 200; i++ {
+		results = append(results, randomResult(rng))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, r := range results {
+			r.NSCount()
+		}
+	}); allocs != 0 {
+		t.Errorf("NSCount of %d results allocates %v times, want 0", len(results), allocs)
+	}
+	buf := make([]dnsname.Name, 0, 64)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, r := range results {
+			buf = r.AppendChildNS(buf[:0])
+		}
+	}); allocs != 0 {
+		t.Errorf("AppendChildNS of %d results into a buffer with room allocates %v times, want 0", len(results), allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
@@ -40,9 +41,15 @@ func (s *Store) WriteJSONL(w io.Writer) error {
 // line by line behind that value, so one odd line costs one json.Decoder
 // and the lines after it are decoded in place again. The result, errors
 // included, is the one a json.Decoder loop over the whole stream gives.
+//
+// The owner names and rdata of lines decoded in place are copied into
+// shared blocks of stringBlockSize bytes, not into a string each, so a
+// read allocates per block rather than per record set. A string kept
+// from the store keeps its whole block alive.
 func ReadJSONL(r io.Reader) (*Store, error) {
 	s := NewStore()
 	in := &dumpReader{src: r}
+	var strs stringBlocks
 	var rs RecordSet
 	for n := 1; ; {
 		line := in.line()
@@ -57,7 +64,7 @@ func ReadJSONL(r io.Reader) (*Store, error) {
 		}
 		// A sorted dump repeats each owner name on consecutive lines;
 		// parseLine reuses the previous line's string for those.
-		if parseLine(line, &rs) {
+		if parseLine(line, &rs, &strs) {
 			in.pos += len(line)
 		} else {
 			rs = RecordSet{}
@@ -175,10 +182,38 @@ func (d *dumpReader) decodeValue(rs *RecordSet) (bool, error) {
 	return true, nil
 }
 
+// stringBlockSize is the size of the blocks stringBlocks copies into.
+const stringBlockSize = 16 << 10
+
+// stringBlocks hands out strings copied into append-only blocks. Bytes
+// once handed out are never written again, which is what makes the
+// unsafe.String views immutable strings.
+type stringBlocks struct {
+	free []byte // the current block; free[len(free):] is unused
+}
+
+// of returns a string equal to b. One longer than a quarter block gets
+// an allocation of its own, so that a block wastes at most a quarter.
+func (sb *stringBlocks) of(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > cap(sb.free)-len(sb.free) {
+		if len(b) > stringBlockSize/4 {
+			return string(b)
+		}
+		sb.free = make([]byte, 0, stringBlockSize)
+	}
+	n := len(sb.free)
+	sb.free = append(sb.free, b...)
+	return unsafe.String(&sb.free[n], len(b))
+}
+
 // parseLine decodes a line in exactly the form WriteJSONL emits (see
 // ReadJSONL) into rs and reports whether it was one. An owner name
-// equal to the one rs already holds keeps that string.
-func parseLine(line []byte, rs *RecordSet) bool {
+// equal to the one rs already holds keeps that string; other strings
+// are copied into strs.
+func parseLine(line []byte, rs *RecordSet, strs *stringBlocks) bool {
 	c := lineCursor{rest: line, ok: true}
 	c.literal(`{"rrname":"`)
 	name := c.plainString()
@@ -197,9 +232,9 @@ func parseLine(line []byte, rs *RecordSet) bool {
 		return false
 	}
 	if string(name) != string(rs.RRName) {
-		rs.RRName = dnsname.Name(name)
+		rs.RRName = dnsname.Name(strs.of(name))
 	}
-	rs.RRType, rs.RData = dnswire.Type(rtype), string(rdata)
+	rs.RRType, rs.RData = dnswire.Type(rtype), strs.of(rdata)
 	rs.FirstSeen, rs.LastSeen, rs.Count = first, last, count
 	return true
 }

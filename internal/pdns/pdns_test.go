@@ -624,6 +624,46 @@ func TestReadJSONLAllocations(t *testing.T) {
 	}
 }
 
+// TestReadJSONLStringBlocks: the strings a read copies into shared
+// blocks keep their bytes while later lines fill the same and further
+// blocks, an rdata longer than a quarter block included, and reading
+// costs well under one allocation per record set.
+func TestReadJSONLStringBlocks(t *testing.T) {
+	s := NewStore()
+	base := Date(2015, time.January, 1)
+	for i := 0; i < 3000; i++ {
+		name := dnsname.Name(fmt.Sprintf("d%04d.gov.br.", i/3))
+		rdata := fmt.Sprintf("ns%d.%s.net.", i, strings.Repeat("h", i%50))
+		if i == 1500 {
+			rdata = strings.Repeat("x", stringBlockSize/4+1) + "."
+		}
+		s.ObserveRange(name, dnswire.TypeNS, rdata, base, base+Day(i))
+	}
+	var buf bytes.Buffer
+	if err := s.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.Bytes()
+	got, err := ReadJSONL(bytes.NewReader(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := s.Snapshot(), got.Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("read back %d record sets that differ from the %d written", len(got), len(want))
+	}
+	if raceEnabled {
+		return // allocation counts differ under the race detector
+	}
+	perRun := testing.AllocsPerRun(5, func() {
+		if _, err := ReadJSONL(bytes.NewReader(dump)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecord := perRun / float64(s.Len()); perRecord > 0.1 {
+		t.Errorf("ReadJSONL allocates %.3f times per record set, want at most 0.1", perRecord)
+	}
+}
+
 // FuzzReadJSONL: whatever the input, ReadJSONL and a plain json.Decoder
 // loop both reject it, or load stores with equal snapshots.
 func FuzzReadJSONL(f *testing.F) {
