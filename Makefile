@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZMINIMIZETIME ?= 1s
 
-.PHONY: build fmt test race vet lint cross bench bench-check chaos fuzz monitor-smoke check
+.PHONY: build fmt test race vet lint cross bench bench-check chaos fuzz monitor-smoke paper check
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,14 @@ lint:
 
 # cross vets the packages split by build tag — udpx's batched syscalls
 # (mmsg_linux*.go, pconn_linux.go) against its portable stub
-# (pconn_stub.go), and authserver's read loop over both — for a target
-# without the batched path and for the other Linux architecture that
-# has it, so a change that only builds on the host's GOOS/GOARCH fails
-# here instead of on someone else's machine.
+# (pconn_stub.go), authserver's read loop over both, and govdns's
+# getrusage line (usage_unix.go, whose peak RSS unit differs on Darwin)
+# — for a target without the batched path and for the other Linux
+# architecture that has it, so a change that only builds on the host's
+# GOOS/GOARCH fails here instead of on someone else's machine.
 cross:
-	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/udpx ./internal/authserver
-	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/udpx ./internal/authserver
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/udpx ./internal/authserver ./cmd/govdns
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/udpx ./internal/authserver ./cmd/govdns
 
 # bench runs the repository's one benchmark suite (BENCHMARK.json): the
 # bench/ module's five workloads, one process each, end-to-end metrics
@@ -96,6 +97,12 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) $$pkg || exit 1; \
 		done; \
 	done
+
+# paper runs the whole reproduction at paper scale and prints what it
+# cost: the world, scan and total wall times, CPU time and peak RSS
+# (govdns's stderr). The report itself goes to /dev/null.
+paper:
+	$(GO) run ./cmd/govdns -scale 1.0 -seed 42 >/dev/null
 
 # check is the tier-1 verify: everything a PR must keep green. The
 # race target runs the whole tree — including the chaos and invariance

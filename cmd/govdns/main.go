@@ -2,7 +2,9 @@
 // every table and figure of the paper with measured-vs-paper context,
 // or the one that -experiment names. It is the harness behind
 // EXPERIMENTS.md. (Performance is measured by the bench/ module,
-// `make bench`.)
+// `make bench`.) Progress goes to stderr: each phase's wall time, then
+// a closing line with the total wall, CPU time and peak RSS, which
+// `make paper` prints for the paper-scale run.
 //
 // Usage:
 //
@@ -83,8 +85,15 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "CSV exports written to %s\n", *csvDir)
 	}
+	var err error
 	if *experiment != "" {
-		return study.WriteExperiment(os.Stdout, *experiment)
+		err = study.WriteExperiment(os.Stdout, *experiment)
+	} else {
+		err = study.WriteReport(os.Stdout)
 	}
-	return study.WriteReport(os.Stdout)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "done in %v%s\n", time.Since(start).Round(time.Millisecond), usage())
+	return nil
 }

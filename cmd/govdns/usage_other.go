@@ -1,0 +1,6 @@
+//go:build !unix
+
+package main
+
+// usage has nothing to add where getrusage is unavailable.
+func usage() string { return "" }

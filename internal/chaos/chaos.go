@@ -35,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"govdns/internal/deadline"
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/obs"
@@ -49,12 +50,14 @@ var ErrInjected = errors.New("chaos: injected fault")
 type Class int
 
 const (
-	// Drop loses the exchange: the query is never answered and the
-	// caller waits out its deadline, exactly like a blackholed address.
+	// Drop loses the exchange: the query is never answered, exactly
+	// like a blackholed address. The attempt times out at once when its
+	// own deadline binds (deadline.Expire), else when its context ends.
 	Drop Class = iota
 	// Delay delivers the (clean) response only after Rule.Delay has
-	// passed; a spike larger than the client timeout behaves like Drop
-	// for that attempt.
+	// passed. A spike that reaches the attempt's own deadline behaves
+	// like Drop for that attempt, at once; a shorter one, or one against
+	// a parent's deadline, sleeps for real.
 	Delay
 	// Duplicate delivers a stale copy of the previous response from the
 	// same server instead of the fresh one — the late-datagram
@@ -82,8 +85,8 @@ const (
 	FlipRCode
 	// Flap makes the server unresponsive for a window of its own
 	// exchange sequence — healthy, then dead mid-scan, then healthy
-	// again. The window indexes the per-server counter, not the per-key
-	// one.
+	// again — dropping as Drop does. The window indexes the per-server
+	// counter, not the per-key one.
 	Flap
 
 	numClasses
@@ -345,6 +348,7 @@ func (t *Transport) Exchange(ctx context.Context, server netip.Addr, query []byt
 			t.injected[rule.Class].Inc()
 			annotateInjection(ctx, rule.Class)
 			// Like a blackhole: the answer never comes.
+			deadline.Expire(ctx)
 			<-ctx.Done()
 			return nil, fmt.Errorf("%w: %s: %v", ErrInjected, rule.Class, ctx.Err())
 		case Delay:
@@ -353,6 +357,11 @@ func (t *Transport) Exchange(ctx context.Context, server netip.Addr, query []byt
 			d := rule.Delay
 			if d <= 0 {
 				d = DefaultDelaySpike
+			}
+			// An answer due no earlier than the deadline is an answer
+			// that never comes.
+			if at, ok := ctx.Deadline(); ok && d >= time.Until(at) && deadline.Expire(ctx) {
+				return nil, fmt.Errorf("%w: delay: %v", ErrInjected, ctx.Err())
 			}
 			timer := time.NewTimer(d)
 			select {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"govdns/internal/deadline"
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 )
@@ -97,6 +98,65 @@ func TestDropBlocksUntilDeadline(t *testing.T) {
 	// Second exchange for the same key is past the window.
 	if _, err := tr.Exchange(shortCtx(t), srvA, mustQuery(t, 2, "x.gov.br.")); err != nil {
 		t.Fatalf("post-window exchange: %v", err)
+	}
+}
+
+// TestUnansweredAttemptEndsAtOnce: under an attempt context whose own
+// deadline binds, a drop, a flap and a delay past the deadline end the
+// attempt at once (deadline.Expire) with the error a wait would give.
+// A delay short of the deadline is delivered, and a parent's deadline
+// is waited out. The deadlines are an hour out; the watchdog cancels the
+// live parent if an exchange waits instead.
+func TestUnansweredAttemptEndsAtOnce(t *testing.T) {
+	cases := []struct {
+		name    string
+		rule    Rule
+		parent  func(t *testing.T, live context.Context) context.Context
+		expired bool
+		err     string // "" for a delivered answer
+	}{
+		{name: "drop", rule: Transient(Drop, 1), expired: true,
+			err: "chaos: injected fault: drop: context deadline exceeded"},
+		{name: "flap", rule: FlapOutage(0, 1), expired: true,
+			err: "chaos: injected fault: flap: context deadline exceeded"},
+		{name: "delay past the deadline", rule: DelaySpike(2*time.Hour, 1), expired: true,
+			err: "chaos: injected fault: delay: context deadline exceeded"},
+		{name: "delay short of the deadline", rule: DelaySpike(time.Millisecond, 1)},
+		{name: "drop under a parent's deadline", rule: Transient(Drop, 1),
+			parent: func(t *testing.T, live context.Context) context.Context {
+				ctx, cancel := context.WithTimeout(live, 30*time.Millisecond)
+				t.Cleanup(cancel)
+				return ctx
+			},
+			err: "chaos: injected fault: drop: context deadline exceeded"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			live, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			watchdog := time.AfterFunc(30*time.Second, cancel)
+			defer watchdog.Stop()
+			parent := context.Context(live)
+			if tc.parent != nil {
+				parent = tc.parent(t, live)
+			}
+			attempt := deadline.New(parent, time.Hour)
+			defer attempt.Release()
+			tr := Wrap(answering{}, 1, tc.rule)
+			_, err := tr.Exchange(attempt, srvA, mustQuery(t, 1, "x.gov.br."))
+			if live.Err() != nil {
+				t.Fatalf("the watchdog ended the exchange: it waited for an hour-long deadline (err %v)", err)
+			}
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatalf("err = %v, want the delayed answer", err)
+			case tc.err != "" && (err == nil || err.Error() != tc.err):
+				t.Fatalf("err = %v, want %q", err, tc.err)
+			}
+			if got := attempt.Expired(); got != tc.expired {
+				t.Errorf("Expired = %v, want %v", got, tc.expired)
+			}
+		})
 	}
 }
 

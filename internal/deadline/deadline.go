@@ -10,6 +10,11 @@
 // arms the timer and the parent registration only when Done is first
 // called.
 //
+// A simulated transport has a shortcut the real network lacks: an
+// exchange it will never answer may end the attempt now with Expire
+// instead of waiting out the deadline in wall time, and the attempt
+// reads as having lasted its whole own deadline (Expired).
+//
 // Everything this package does with time goes through now and one
 // time.AfterFunc, so a virtual clock has a single place to plug in.
 package deadline
@@ -26,16 +31,18 @@ import (
 type Context struct {
 	parent context.Context
 	at     time.Time // the earlier of the own deadline and the parent's
+	own    bool      // the own deadline is the earlier: at is not the parent's
 
-	mu    sync.Mutex
-	err   error         // the cause the context ended with; nil while live
-	done  chan struct{} // made by the first Done, closed when err is set
-	timer *time.Timer   // armed by the first Done
-	stop  func() bool   // the parent registration, armed by the first Done
+	mu      sync.Mutex
+	err     error         // the cause the context ended with; nil while live
+	expired bool          // Expire ended it
+	done    chan struct{} // made by the first Done, closed when err is set
+	timer   *time.Timer   // armed by the first Done
+	stop    func() bool   // the parent registration, armed by the first Done
 }
 
 // key is the Value key under which a Context answers for itself, so
-// Cancel finds it beneath value-only wrappers.
+// Cancel and Expire find it beneath value-only wrappers.
 type key struct{}
 
 // now is the package's one clock read.
@@ -44,11 +51,11 @@ func now() time.Time { return time.Now() }
 // New returns a context that ends timeout from now, or when parent
 // ends, whichever comes first.
 func New(parent context.Context, timeout time.Duration) *Context {
-	at := now().Add(timeout)
-	if d, ok := parent.Deadline(); ok && d.Before(at) {
-		at = d
+	c := &Context{parent: parent, at: now().Add(timeout), own: true}
+	if d, ok := parent.Deadline(); ok && !c.at.Before(d) {
+		c.at, c.own = d, false
 	}
-	return &Context{parent: parent, at: at}
+	return c
 }
 
 // Deadline returns the earlier of the context's own deadline and its
@@ -99,6 +106,46 @@ func (c *Context) Value(k any) any {
 // cancel function of context.WithTimeout does, and frees the timer and
 // parent registration if Done armed them.
 func (c *Context) Release() { c.end(context.Canceled) }
+
+// Expire ends the Context beneath ctx — ctx itself, or the one it wraps
+// with no tighter deadline layered between — now with
+// context.DeadlineExceeded, as if its deadline had passed, and reports
+// whether it did. It does so only where the Context's own deadline
+// binds and its parent is live; otherwise it does nothing, and the
+// context ends on the clock that binds it: a parent's deadline is the
+// parent's to keep. It works whether or not Done was armed, and
+// disarms as an ending deadline would.
+//
+// Only a simulated transport may call Expire, for an exchange it knows
+// will never be answered: on a real network the wait is the
+// measurement, and ending it early would turn every slow answer into a
+// timeout.
+func Expire(ctx context.Context) bool {
+	c, ok := ctx.Value(key{}).(*Context)
+	if !ok || !c.own {
+		return false
+	}
+	if d, _ := ctx.Deadline(); !d.Equal(c.at) {
+		return false // a tighter deadline layered above c binds
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil || c.parent.Err() != nil {
+		return false
+	}
+	c.expired = true
+	c.finish(context.DeadlineExceeded)
+	return true
+}
+
+// Expired reports whether Expire ended the context. Such an attempt
+// lasted its whole own deadline in the simulation's terms, however
+// little wall time it took.
+func (c *Context) Expired() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.expired
+}
 
 // poll ends the context if its parent has ended or its deadline has
 // passed, and returns its error. c.mu is held.

@@ -211,3 +211,166 @@ func TestConcurrentUse(t *testing.T) {
 		<-c.Done()
 	}
 }
+
+func TestExpire(t *testing.T) {
+	cases := []struct {
+		name string
+		// make returns the context Expire is given and the Context
+		// beneath it.
+		make  func(t *testing.T) (context.Context, *Context)
+		armed bool // call Done before Expire
+		want  bool
+		err   error // Err afterwards
+	}{
+		{name: "own deadline binds, parent live", want: true, err: context.DeadlineExceeded,
+			make: func(t *testing.T) (context.Context, *Context) { c := newLive(t, time.Hour); return c, c }},
+		{name: "own deadline binds, armed", armed: true, want: true, err: context.DeadlineExceeded,
+			make: func(t *testing.T) (context.Context, *Context) { c := newLive(t, time.Hour); return c, c }},
+		{name: "under a trace wrapper", armed: true, want: true, err: context.DeadlineExceeded,
+			make: func(t *testing.T) (context.Context, *Context) {
+				c := newLive(t, time.Hour)
+				wrapped, _ := trace.NewRecorder("example.gov.", 0).Begin(c, trace.KindAttempt, "attempt 1", nil)
+				return wrapped, c
+			}},
+		{name: "parent's deadline binds", want: false,
+			make: func(t *testing.T) (context.Context, *Context) {
+				parent, cancel := context.WithTimeout(context.Background(), time.Hour)
+				t.Cleanup(cancel)
+				c := New(parent, 2*time.Hour)
+				return c, c
+			}},
+		{name: "parent's deadline binds, armed", armed: true, want: false,
+			make: func(t *testing.T) (context.Context, *Context) {
+				parent, cancel := context.WithTimeout(context.Background(), time.Hour)
+				t.Cleanup(cancel)
+				c := New(parent, 2*time.Hour)
+				return c, c
+			}},
+		{name: "a tighter deadline layered above", want: false,
+			make: func(t *testing.T) (context.Context, *Context) {
+				c := newLive(t, time.Hour)
+				layered, cancel := context.WithTimeout(c, time.Minute)
+				t.Cleanup(cancel)
+				return layered, c
+			}},
+		{name: "parent already ended", want: false, err: context.Canceled,
+			make: func(t *testing.T) (context.Context, *Context) {
+				parent, cancel := context.WithCancel(context.Background())
+				c := New(parent, time.Hour)
+				cancel()
+				return c, c
+			}},
+		{name: "already released", want: false, err: context.Canceled,
+			make: func(t *testing.T) (context.Context, *Context) {
+				c := newLive(t, time.Hour)
+				c.Release()
+				return c, c
+			}},
+		{name: "already released, armed", armed: true, want: false, err: context.Canceled,
+			make: func(t *testing.T) (context.Context, *Context) {
+				c := newLive(t, time.Hour)
+				c.Release()
+				return c, c
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, c := tc.make(t)
+			defer c.Release()
+			var done <-chan struct{}
+			if tc.armed {
+				done = c.Done()
+			}
+			if got := Expire(ctx); got != tc.want {
+				t.Fatalf("Expire = %v, want %v", got, tc.want)
+			}
+			if got := c.Expired(); got != tc.want {
+				t.Errorf("Expired = %v, want %v", got, tc.want)
+			}
+			if err := c.Err(); err != tc.err {
+				t.Errorf("Err = %v, want %v", err, tc.err)
+			}
+			if err := ctx.Err(); err != tc.err && tc.err != nil {
+				t.Errorf("the given context's Err = %v, want %v", err, tc.err)
+			}
+			if Expire(ctx) {
+				t.Error("a second Expire ended the context again")
+			}
+			if done == nil {
+				done = c.Done()
+			}
+			select {
+			case <-done:
+				if tc.err == nil {
+					t.Error("Done closed on a live context")
+				}
+			default:
+				if tc.err != nil {
+					t.Error("Done open on an ended context")
+				}
+			}
+			if tc.armed && tc.err != nil {
+				// Ending disarmed what Done armed: both were stopped
+				// already, so stopping them again reports false.
+				c.mu.Lock()
+				timer, stop := c.timer, c.stop
+				c.mu.Unlock()
+				if timer != nil && timer.Stop() {
+					t.Error("the deadline timer still armed")
+				}
+				if stop != nil && stop() {
+					t.Error("the parent registration still armed")
+				}
+			}
+		})
+	}
+	if Expire(context.Background()) {
+		t.Error("Expire ended a context that is no Context")
+	}
+}
+
+// newLive returns a Context under a live, cancellable parent without a
+// deadline, so the own deadline binds and Done registers with the
+// parent.
+func newLive(t *testing.T, timeout time.Duration) *Context {
+	parent, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return New(parent, timeout)
+}
+
+// TestConcurrentExpire races Expire against Release, Done and the
+// parent's cancel; run it under -race. Whoever ends the context first
+// decides its error, and nobody ends it twice.
+func TestConcurrentExpire(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		parent, cancel := context.WithCancel(context.Background())
+		c := New(parent, time.Hour)
+		var expired bool
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				switch g {
+				case 0:
+					<-c.Done()
+				case 1:
+					expired = Expire(c)
+				case 2:
+					if i%2 == 0 {
+						cancel()
+					}
+				default:
+					c.Release()
+				}
+			}(g)
+		}
+		wg.Wait()
+		cancel()
+		<-c.Done()
+		err := c.Err()
+		if expired != (err == context.DeadlineExceeded) || expired != c.Expired() {
+			t.Fatalf("Expire reported %v, Expired %v, and Err is %v", expired, c.Expired(), err)
+		}
+	}
+}

@@ -421,14 +421,11 @@ func TestScanInvariancePersistentChaosDegradesGracefully(t *testing.T) {
 }
 
 // exchangeLog records, per server address, the question of every query
-// the wrapped transport carries, in the order the server receives them,
-// and the most exchanges it ever had in flight at once.
+// the wrapped transport carries, in the order the server receives them.
 type exchangeLog struct {
 	inner    resolver.Transport
 	mu       sync.Mutex
 	byServer map[netip.Addr][]string
-	inflight int
-	peak     int
 }
 
 func (l *exchangeLog) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
@@ -441,14 +438,7 @@ func (l *exchangeLog) Exchange(ctx context.Context, server netip.Addr, query []b
 		l.byServer = map[netip.Addr][]string{}
 	}
 	l.byServer[server] = append(l.byServer[server], q.Questions[0].Name.String()+" "+q.Questions[0].Type.String())
-	l.inflight++
-	l.peak = max(l.peak, l.inflight)
 	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.inflight--
-		l.mu.Unlock()
-	}()
 	return l.inner.Exchange(ctx, server, query)
 }
 
@@ -457,9 +447,10 @@ func (l *exchangeLog) Exchange(ctx context.Context, server netip.Addr, query []b
 // in the same order on every run. Windowed faults key on those per-server
 // sequences, so this is what makes such a scan reproducible at all. The
 // schedule kills the gov.br servers' first walk answers, so later walks
-// find them suspect and ask them together; the exchanges of a group run
-// concurrently, but each goes to its own server and every one of them is
-// sent whichever answers first.
+// find them suspect and ask them together (the resolver counts each
+// such group and its size); the exchanges of a group run concurrently,
+// but each goes to its own server and every one of them is sent
+// whichever answers first.
 func TestSerialScanSendsTheSameExchanges(t *testing.T) {
 	w := miniworld.Build()
 	domains := miniworld.Domains()
@@ -470,16 +461,32 @@ func TestSerialScanSendsTheSameExchanges(t *testing.T) {
 	}
 	var runs [2]*exchangeLog
 	var digests [2]string
+	var stats [2]resolver.Stats
 	for i := range runs {
 		tr := w.ChaosProfile(3, profile)
 		runs[i] = &exchangeLog{inner: tr}
-		digests[i] = DigestHex(scanWith(t, runs[i], w.Roots, domains, 1, 1, true))
+		// scanWith's serial, adaptive scan, keeping the iterator to
+		// read its counters.
+		client := resolver.NewClient(runs[i])
+		client.Timeout = 10 * time.Millisecond
+		client.Retries = 1
+		it := resolver.NewIterator(client, w.Roots)
+		it.AdaptiveOrder = true
+		s := NewScanner(it)
+		s.Concurrency, s.PerDomainParallelism = 1, 1
+		digests[i] = DigestHex(s.Scan(context.Background(), domains))
+		stats[i] = it.Stats()
 		if tr.Stats().Total() == 0 {
 			t.Fatal("chaos injected nothing; the test is vacuous")
 		}
 	}
-	if runs[0].peak < 2 {
-		t.Errorf("at most %d exchange in flight; no walk asked its servers together", runs[0].peak)
+	if st := stats[0]; st.AskedTogether <= st.GroupsAskedTogether {
+		t.Errorf("%d groups asked %d servers together; no walk asked two or more at once",
+			st.GroupsAskedTogether, st.AskedTogether)
+	}
+	if a, b := stats[0], stats[1]; a.GroupsAskedTogether != b.GroupsAskedTogether || a.AskedTogether != b.AskedTogether {
+		t.Errorf("runs asked %d/%d and %d/%d (groups/servers) together",
+			a.GroupsAskedTogether, a.AskedTogether, b.GroupsAskedTogether, b.AskedTogether)
 	}
 	if digests[0] != digests[1] {
 		t.Errorf("serial windowed-chaos scan not reproducible: digest %s != %s", digests[1], digests[0])

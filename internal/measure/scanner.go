@@ -26,9 +26,10 @@ type Scanner struct {
 	Concurrency int
 	// PerDomainParallelism bounds the fan-out *within* one domain: how
 	// many NS-host resolutions and per-address NS probes run at once.
-	// Most of a defective domain's scan time is spent waiting out query
-	// timeouts on dead servers; overlapping those waits is where the
-	// wall-clock win comes from. Units start on the domain's own
+	// On a real network most of a defective domain's scan time is spent
+	// waiting out query timeouts on dead servers; overlapping those
+	// waits is where the wall-clock win comes from (over simnet a dead
+	// server's timeout costs no wall time). Units start on the domain's own
 	// goroutine and fan out only once the domain has outlived
 	// fanout.InlineBudget, so a healthy domain starts no goroutine.
 	// 0 means DefaultPerDomainParallelism; 1 restores fully serial

@@ -227,6 +227,8 @@ func TestAttachRegistryAfterNewIterator(t *testing.T) {
 		"resolver_negative_hits_total":       st.NegativeHits,
 		"resolver_coalesced_waits_total":     st.CoalescedWaits,
 		"resolver_flight_bypasses_total":     st.FlightBypasses,
+		"resolver_together_groups_total":     st.GroupsAskedTogether,
+		"resolver_asked_together_total":      st.AskedTogether,
 	}
 	got := reg.Snapshot().Counters
 	if len(got) != len(want) {

@@ -157,6 +157,11 @@ type Stats struct {
 	// only on pathological shapes like a zone whose in-bailiwick NS host
 	// has no glue.
 	FlightBypasses uint64
+	// GroupsAskedTogether counts the times a walk, having seen a zone's
+	// servers fail, asked the rest of them at once; AskedTogether counts
+	// the servers those groups asked. AskedTogether exceeds
+	// GroupsAskedTogether exactly when some group asked two or more.
+	GroupsAskedTogether, AskedTogether uint64
 }
 
 // Stats returns the current counter snapshot.
@@ -386,7 +391,14 @@ func (c *Client) attempt(ctx context.Context, ast trace.Stage, a *dnswire.Arena,
 				c.releaser.ReleaseResponse(respWire)
 			}
 		}
-		rtt := xst.End(reject)
+		var rtt time.Duration
+		if err != nil && attemptCtx.Expired() {
+			// A simulated transport ended the attempt at once; it
+			// lasted its whole deadline all the same.
+			rtt = xst.EndAfter(reject, c.timeout())
+		} else {
+			rtt = xst.End(reject)
+		}
 		xst.Annotate(trace.Dur("rtt", rtt))
 		if err != nil {
 			// A dead caller context (a cancelled scan) says nothing about

@@ -237,6 +237,8 @@ func (it *Iterator) Stats() Stats {
 	// The host and zone tables share one pair of flight handles.
 	s.CoalescedWaits = m.coalesced.Load()
 	s.FlightBypasses = m.bypassed.Load()
+	s.GroupsAskedTogether = m.togetherGroups.Load()
+	s.AskedTogether = m.askedTogether.Load()
 	return s
 }
 
@@ -695,6 +697,9 @@ func (it *Iterator) askTogether(ctx context.Context, a *dnswire.Arena, cands []c
 		resp *dnswire.Message
 		err  error
 	}
+	m := it.client.metrics()
+	m.togetherGroups.Inc()
+	m.askedTogether.Add(uint64(len(cands)))
 	answers := make([]answer, len(cands))
 	answers[0].a = a
 	pool := it.client.ArenaPool()

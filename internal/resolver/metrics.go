@@ -30,10 +30,13 @@ type metrics struct {
 	// Stats.ZoneCacheHits/ZoneCacheMisses document.
 	hostHits, hostMisses, zoneHits, zoneMisses *obs.Counter
 	negHits, coalesced, bypassed               *obs.Counter
+	togetherGroups, askedTogether              *obs.Counter
 
 	// rtt is the latency of every exchange stage, successful or not (a
-	// timeout observes the full wait): the datagram's round trip plus
-	// the reply's validation, the same reading as the exchange span.
+	// timeout observes the full wait, and an attempt a simulated
+	// transport expired at once its whole deadline): the datagram's
+	// round trip plus the reply's validation, the same reading as the
+	// exchange span.
 	rtt *obs.Histogram
 }
 
@@ -63,6 +66,8 @@ func newMetrics(r *obs.Registry) *metrics {
 		negHits:            r.Counter("resolver_negative_hits_total"),
 		coalesced:          r.Counter("resolver_coalesced_waits_total"),
 		bypassed:           r.Counter("resolver_flight_bypasses_total"),
+		togetherGroups:     r.Counter("resolver_together_groups_total"),
+		askedTogether:      r.Counter("resolver_asked_together_total"),
 		rtt:                r.Histogram("resolver_attempt_rtt"), // exchange stage, reply validation included
 	}
 }

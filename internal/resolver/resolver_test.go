@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
 	"govdns/internal/miniworld"
+	"govdns/internal/obs"
 )
 
 func newFixture(t *testing.T) (*miniworld.World, *Client, *Iterator) {
@@ -43,14 +45,70 @@ func TestClientQueryDirect(t *testing.T) {
 
 func TestClientQueryTimeout(t *testing.T) {
 	_, c, _ := newFixture(t)
-	start := time.Now()
-	_, err := c.QueryArena(ctxWithTimeout(t), new(dnswire.Arena), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
+	_, tr, err := c.QueryArenaTraced(ctxWithTimeout(t), new(dnswire.Arena), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error = %v, want ErrTimeout", err)
 	}
-	// Two attempts of ~20ms each.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("timed out after %v; retry did not happen", elapsed)
+	// The first attempt and its one retry, each sent and timed out.
+	if tr.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2; retry did not happen", tr.Attempts)
+	}
+	if st := c.Stats(); st.Sent != 2 || st.Timeouts != 2 {
+		t.Errorf("sent = %d, timeouts = %d; want 2 and 2", st.Sent, st.Timeouts)
+	}
+}
+
+// TestDeadServerCostsNoWallTime: over simnet an attempt's own deadline
+// is reached at once when nothing will answer, so a client whose
+// timeout is an hour still gets its two timeouts. The watchdog cancels
+// the query's context if it waits instead; the context has no deadline
+// of its own, which would bind and so be waited out.
+func TestDeadServerCostsNoWallTime(t *testing.T) {
+	_, c, _ := newFixture(t)
+	c.Timeout = time.Hour
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	watchdog := time.AfterFunc(30*time.Second, cancel)
+	defer watchdog.Stop()
+	_, tr, err := c.QueryArenaTraced(ctx, new(dnswire.Arena), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS)
+	if ctx.Err() != nil {
+		t.Fatalf("the watchdog ended the query: a dead server's hour-long attempt was waited out (err %v)", err)
+	}
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("error = %v, want ErrTimeout", err)
+	}
+	if tr.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", tr.Attempts)
+	}
+	// The same text a wait to the deadline gives: the attempt's context
+	// reads expired either way.
+	if want := "after 2 attempts: context deadline exceeded: attempt deadline: simnet: packet dropped: context deadline exceeded"; !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("error %q does not end %q", err, want)
+	}
+}
+
+// TestExpiredAttemptObservesItsDeadline: an attempt simnet ended at
+// once still lasted its whole deadline, so its exchange stage observes
+// the client timeout in resolver_attempt_rtt, not the microseconds the
+// shortcut took, and a dead server reads as a timeout there.
+func TestExpiredAttemptObservesItsDeadline(t *testing.T) {
+	_, c, _ := newFixture(t)
+	reg := obs.NewRegistry()
+	c.AttachRegistry(reg)
+	if _, err := c.QueryArena(ctxWithTimeout(t), new(dnswire.Arena), miniworld.DeadAddr, "dead.gov.br.", dnswire.TypeNS); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("error = %v, want ErrTimeout", err)
+	}
+	h := reg.Histogram("resolver_attempt_rtt").SnapshotHistogram()
+	if h.Count != 2 {
+		t.Fatalf("resolver_attempt_rtt holds %d observations, want one per attempt (2)", h.Count)
+	}
+	if want := 2 * c.Timeout; time.Duration(h.SumNS) != want {
+		t.Errorf("resolver_attempt_rtt sums to %v, want two whole deadlines (%v)", time.Duration(h.SumNS), want)
+	}
+	for _, b := range h.Buckets {
+		if b.Le <= c.Timeout {
+			t.Errorf("%d observations in the bucket below %v, under the client timeout %v", b.N, b.Le, c.Timeout)
+		}
 	}
 }
 

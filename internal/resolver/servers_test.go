@@ -80,9 +80,9 @@ func TestServerRecordConcurrent(t *testing.T) {
 		t.Errorf("Stats = %+v, want the record's sums", st)
 	}
 	// The table is not mirrored into the registry: the resolver's
-	// counter series are the fixed 16, none per address.
-	if n := len(reg.Snapshot().Counters); n != 16 {
-		t.Errorf("registry holds %d counter series, want the fixed 16", n)
+	// counter series are the fixed 18, none per address.
+	if n := len(reg.Snapshot().Counters); n != 18 {
+		t.Errorf("registry holds %d counter series, want the fixed 18", n)
 	}
 	accepted := make(map[uint16]bool, len(tr.ids))
 	for _, id := range tr.ids {

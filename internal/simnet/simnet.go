@@ -4,8 +4,10 @@
 // exercised exactly as it would be over UDP. The network itself is
 // instantaneous and lossless: an exchange either reaches a server that
 // answers, or — a blackholed address, an ACL-filtered source, no server
-// attached, a server that drops the query — waits out the caller's
-// deadline like a UDP timeout, the raw material of lame delegations.
+// attached, a server that drops the query — times out like a UDP
+// query, the raw material of lame delegations. Such a timeout costs no
+// wall time when the caller's deadline is an attempt's own
+// (deadline.Expire): waiting could not change its outcome.
 //
 // Loss, delay, duplicates, truncation, corrupted IDs and flapping
 // servers are injected by wrapping the network with internal/chaos,
@@ -22,6 +24,7 @@ import (
 	"sync"
 
 	"govdns/internal/authserver"
+	"govdns/internal/deadline"
 )
 
 // Network errors.
@@ -113,9 +116,12 @@ func (n *Network) IsBlackholed(addr netip.Addr) bool {
 	return n.endpoint(addr).blackholed
 }
 
-// waitForTimeout blocks until the context expires, modelling a query that
-// will never be answered.
+// waitForTimeout ends ctx's attempt at once if its own deadline binds
+// (deadline.Expire), and otherwise blocks until ctx expires, modelling a
+// query that will never be answered. Either way it returns the error a
+// real timeout would.
 func waitForTimeout(ctx context.Context) error {
+	deadline.Expire(ctx)
 	<-ctx.Done()
 	return fmt.Errorf("%w: %v", ErrDropped, ctx.Err())
 }
@@ -123,9 +129,10 @@ func waitForTimeout(ctx context.Context) error {
 // Exchange implements the resolver transport: it sends a wire-format
 // query to the server at addr and returns the wire-format response.
 // Unanswerable queries (blackholes, unresponsive servers, empty
-// addresses, ACL-filtered sources) block until ctx expires, as UDP
-// timeouts do. Queries originate from DefaultVantage; use Vantage for
-// other source addresses.
+// addresses, ACL-filtered sources) fail as UDP timeouts do, with ctx
+// expired: at once when ctx is an attempt deadline whose own deadline
+// binds, else when ctx ends. Queries originate from DefaultVantage; use
+// Vantage for other source addresses.
 func (n *Network) Exchange(ctx context.Context, addr netip.Addr, query []byte) ([]byte, error) {
 	return n.exchangeFrom(ctx, DefaultVantage, addr, query)
 }

@@ -11,14 +11,14 @@
 //
 // The analysis is deliberately small. For each assignment
 // `ctx, x := trace.Begin(...)` (or `ctx, x = ...`: any `.Begin` call
-// assigned to two values), closed by `x.End(...)`, it finds the
-// enclosing region — the body of the innermost function or loop
+// assigned to two values), closed by `x.End(...)` or by
+// `x.EndAfter(...)`, it finds the enclosing region — the body of the innermost function or loop
 // containing the assignment, since a stage begun inside a loop
 // iteration must be ended within that iteration — and walks the
 // region's statements structurally:
 //
-//   - a statement containing `x.End(...)` marks the stage ended from
-//     that point on;
+//   - a statement containing `x.End(...)` or `x.EndAfter(...)` marks
+//     the stage ended from that point on;
 //   - a `defer` whose call — directly or inside a deferred func
 //     literal — ends x covers every subsequent exit;
 //   - a return, or a break/continue when the region is a loop body,
@@ -326,8 +326,9 @@ func (c *checker) walkCases(body *ast.BlockStmt, ended, branchExits bool) (bool,
 	return ended, false
 }
 
-// ends reports whether node contains a call `x.End(...)` for the
-// tracked variable, including inside deferred func literals.
+// ends reports whether node contains a call `x.End(...)` or
+// `x.EndAfter(...)` for the tracked variable, including inside deferred
+// func literals.
 func (c *checker) ends(node ast.Node) bool {
 	found := false
 	ast.Inspect(node, func(n ast.Node) bool {
@@ -335,7 +336,7 @@ func (c *checker) ends(node ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if !isMethodCall(call, "End") {
+		if !isMethodCall(call, "End") && !isMethodCall(call, "EndAfter") {
 			return true
 		}
 		if ident, ok := call.Fun.(*ast.SelectorExpr).X.(*ast.Ident); ok && ident.Name == c.varName {

@@ -98,6 +98,18 @@ func f(ctx context.Context, traced bool) {
 		use(d)
 	}
 }`,
+		"EndAfter on one arm, End on the other": `
+func f(ctx context.Context, a attempt) {
+	_, st := a.stage.Begin(ctx, kind, "x", hist)
+	err := exchange()
+	var rtt time.Duration
+	if err != nil && a.Expired() {
+		rtt = st.EndAfter(err, a.timeout)
+	} else {
+		rtt = st.End(err)
+	}
+	use(rtt)
+}`,
 		"blank and unrelated assignments ignored": `
 func f(ctx context.Context) error {
 	_, _ = trace.Begin(ctx, kind, "x", nil)

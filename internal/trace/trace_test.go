@@ -180,7 +180,8 @@ func TestContextPlumbing(t *testing.T) {
 // TestStageOneReading: a metered, traced stage's span duration, its
 // histogram observation and End's return value are one number; an
 // untraced stage still feeds its histogram, and a stage that is
-// neither observes nothing.
+// neither observes nothing. EndAfter keeps the same one number, the
+// simulated duration it is given.
 func TestStageOneReading(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := reg.Histogram("stage")
@@ -202,6 +203,23 @@ func TestStageOneReading(t *testing.T) {
 	_, st = Begin(context.Background(), KindProbe, "", nil)
 	if d := st.End(nil); d != 0 {
 		t.Errorf("untraced, unmetered stage returned %v, want 0", d)
+	}
+
+	// EndAfter: a stage that lasted an hour in simulated time closes
+	// its span an hour after it began and observes the hour, however
+	// little wall time passed.
+	r = NewRecorder("y.gov.", 0)
+	_, st = r.Begin(context.Background(), KindExchange, "192.0.2.1", h)
+	if d := st.EndAfter(errors.New("expired"), time.Hour); d != time.Hour {
+		t.Errorf("EndAfter = %v, want the hour it was given", d)
+	}
+	sp = r.Finish("ok", 1, "", false, false).Spans[0]
+	if sp.Duration != time.Hour || sp.Outcome != "expired" || h.Count() != 3 || h.Max() < time.Hour {
+		t.Errorf("EndAfter: span %v %q, histogram count %d max %v; want an hour observed once", sp.Duration, sp.Outcome, h.Count(), h.Max())
+	}
+	_, st = Begin(context.Background(), KindExchange, "", nil)
+	if d := st.EndAfter(nil, time.Hour); d != 0 {
+		t.Errorf("untraced, unmetered EndAfter returned %v, want 0", d)
 	}
 }
 

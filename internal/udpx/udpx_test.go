@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"govdns/internal/deadline"
+	"govdns/internal/trace"
 )
 
 // srvIP is the nominal (simulated-topology) server address tests query;
@@ -533,17 +534,34 @@ func TestTimeoutNeverEarly(t *testing.T) {
 // reads the clock to tell its own expiry from the transport's — and
 // report context.DeadlineExceeded, as the expired context would. The
 // deadlines are deliberately off the 5 ms grid a coarse timer would
-// round them to.
+// round them to. Every other exchange is given its deadline as the
+// resolver gives an attempt's: over a live, cancellable scan context,
+// under the exchange stage's trace scope. That is the context a
+// simulated transport ends at once (deadline.Expire); the real one must
+// wait it out.
 func TestContextDeadlineNeverEarly(t *testing.T) {
 	hole := startUDP(t, blackholeLoop)
 	tr := newTest(t, Config{
 		AddrOverride: map[netip.Addr]netip.AddrPort{srvIP: hole},
 		Timeout:      time.Minute,
 	})
-	for i := 0; i < 5; i++ {
-		ctx := deadline.New(context.Background(), 17*time.Millisecond+time.Duration(i)*time.Millisecond)
+	scan, cancelScan := context.WithCancel(context.Background())
+	defer cancelScan()
+	rec := trace.NewRecorder("example.gov.", 0)
+	const exchanges = 6
+	for i := 0; i < exchanges; i++ {
+		timeout := 17*time.Millisecond + time.Duration(i)*time.Millisecond
+		var ctx *deadline.Context
+		var exCtx context.Context
+		if i%2 == 0 {
+			ctx = deadline.New(context.Background(), timeout)
+			exCtx = ctx
+		} else {
+			ctx = deadline.New(scan, timeout)
+			exCtx, _ = rec.Begin(ctx, trace.KindExchange, srvIP.String(), nil)
+		}
 		at, _ := ctx.Deadline()
-		_, err := tr.Exchange(ctx, srvIP, testQuery(uint16(i), uint32(i)))
+		_, err := tr.Exchange(exCtx, srvIP, testQuery(uint16(i), uint32(i)))
 		now := time.Now()
 		ctx.Release()
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -556,8 +574,8 @@ func TestContextDeadlineNeverEarly(t *testing.T) {
 			t.Fatalf("exchange %d: the deadline fired %v after the context deadline", i, late)
 		}
 	}
-	if st := tr.Stats(); st.Timeouts != 5 || st.Cancels != 0 {
-		t.Fatalf("Timeouts = %d, Cancels = %d; want 5 and 0", st.Timeouts, st.Cancels)
+	if st := tr.Stats(); st.Timeouts != exchanges || st.Cancels != 0 {
+		t.Fatalf("Timeouts = %d, Cancels = %d; want %d and 0", st.Timeouts, st.Cancels, exchanges)
 	}
 }
 
