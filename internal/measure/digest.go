@@ -39,6 +39,11 @@ import (
 type DigestAccumulator struct {
 	h hash.Hash
 	n uint64
+
+	// record and sortScratch are Add's working space, reused from result
+	// to result; neither is part of the digest's state.
+	record []byte
+	sortScratch
 }
 
 // NewDigestAccumulator returns an empty accumulator: Sum of zero Adds
@@ -50,7 +55,8 @@ func NewDigestAccumulator() *DigestAccumulator {
 // Add folds one result (nil allowed, hashed as an absent record) into
 // the digest.
 func (a *DigestAccumulator) Add(r *DomainResult) {
-	digestResult(a.h, r)
+	a.record = a.appendCanonical(a.record[:0], r)
+	a.h.Write(a.record)
 	a.n++
 }
 
@@ -123,83 +129,104 @@ func Digest(results []*DomainResult) [sha256.Size]byte {
 	return acc.Sum()
 }
 
-// digestResult folds one result record into h.
-func digestResult(h hash.Hash, r *DomainResult) {
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	name := func(n dnsname.Name) { str(string(n)) }
-	boolean := func(b bool) {
-		if b {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	addr := func(a netip.Addr) {
-		b := a.As16()
-		h.Write(b[:])
-	}
-	names := func(ns []dnsname.Name) {
-		u64(uint64(len(ns)))
-		for _, n := range ns {
-			name(n)
-		}
-	}
-
+// appendCanonical appends r's digest record to dst: u64 big-endian,
+// length-prefixed strings, As16 addresses, bools as 0/1. Hosts go in
+// dnsname.Compare order and each host's addresses in netip.Addr.Compare
+// order, sorted in a's scratch. The record is written to the hash in one
+// piece, and SHA-256 does not depend on how its input is split, so the
+// digest is the same as writing field by field.
+func (a *DigestAccumulator) appendCanonical(dst []byte, r *DomainResult) []byte {
 	if r == nil {
-		u64(0)
-		return
+		return binary.BigEndian.AppendUint64(dst, 0)
 	}
-	u64(1)
-	name(r.Domain)
-	name(r.ParentZone)
-	boolean(r.ParentResponded)
-	boolean(r.ParentAuthoritative)
-	names(r.ParentNS)
+	dst = binary.BigEndian.AppendUint64(dst, 1)
+	dst = appendDigestString(dst, string(r.Domain))
+	dst = appendDigestString(dst, string(r.ParentZone))
+	dst = appendDigestBool(dst, r.ParentResponded)
+	dst = appendDigestBool(dst, r.ParentAuthoritative)
+	dst = appendDigestNames(dst, r.ParentNS)
 
-	hosts := make([]dnsname.Name, 0, len(r.Addrs))
-	for host := range r.Addrs {
-		hosts = append(hosts, host)
-	}
-	slices.SortFunc(hosts, dnsname.Compare)
-	u64(uint64(len(hosts)))
+	hosts := a.sortedHosts(r.Addrs, dnsname.Compare)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(hosts)))
 	for _, host := range hosts {
-		name(host)
-		addrs := append([]netip.Addr(nil), r.Addrs[host]...)
-		slices.SortFunc(addrs, netip.Addr.Compare)
-		u64(uint64(len(addrs)))
-		for _, a := range addrs {
-			addr(a)
+		dst = appendDigestString(dst, string(host))
+		addrs := a.sortedAddrs(r.Addrs[host])
+		dst = binary.BigEndian.AppendUint64(dst, uint64(len(addrs)))
+		for _, addr := range addrs {
+			dst = appendDigestAddr(dst, addr)
 		}
 	}
 
-	u64(uint64(len(r.Servers)))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(r.Servers)))
 	for i := range r.Servers {
-		digestServer(h, u64, str, boolean, &r.Servers[i])
+		sr := &r.Servers[i]
+		dst = appendDigestString(dst, string(sr.Host))
+		dst = appendDigestAddr(dst, sr.Addr)
+		dst = appendDigestBool(dst, sr.OK)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(sr.RCode))
+		dst = appendDigestBool(dst, sr.Authoritative)
+		dst = appendDigestNames(dst, sr.NS)
+		dst = appendDigestString(dst, sr.Err)
 	}
-	str(r.Err)
-	boolean(r.ErrTransient)
+	dst = appendDigestString(dst, r.Err)
+	return appendDigestBool(dst, r.ErrTransient)
 }
 
-func digestServer(h hash.Hash, u64 func(uint64), str func(string), boolean func(bool), sr *ServerResponse) {
-	str(string(sr.Host))
-	b := sr.Addr.As16()
-	h.Write(b[:])
-	boolean(sr.OK)
-	u64(uint64(sr.RCode))
-	boolean(sr.Authoritative)
-	u64(uint64(len(sr.NS)))
-	for _, n := range sr.NS {
-		str(string(n))
+func appendDigestString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendDigestNames(dst []byte, ns []dnsname.Name) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(ns)))
+	for _, n := range ns {
+		dst = appendDigestString(dst, string(n))
 	}
-	str(sr.Err)
+	return dst
+}
+
+func appendDigestBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendDigestAddr(dst []byte, a netip.Addr) []byte {
+	b := a.As16()
+	return append(dst, b[:]...)
+}
+
+// sortScratch is the sort space a canonical rendering of a result needs
+// (its hosts, and one host's addresses, in order), kept by a renderer
+// that runs over many results so that sorting allocates nothing once it
+// has grown to the largest result.
+type sortScratch struct {
+	hosts []dnsname.Name
+	addrs []netip.Addr
+}
+
+// sortedHosts returns m's hosts in cmp order. The slice is the scratch's
+// and is valid until the next call.
+func (s *sortScratch) sortedHosts(m map[dnsname.Name][]netip.Addr, cmp func(a, b dnsname.Name) int) []dnsname.Name {
+	s.hosts = s.hosts[:0]
+	for host := range m {
+		s.hosts = append(s.hosts, host)
+	}
+	slices.SortFunc(s.hosts, cmp)
+	return s.hosts
+}
+
+// sortedAddrs returns addrs in netip.Addr.Compare order: addrs itself
+// when it already is, as the scanner holds them, or else a sorted copy
+// in the scratch, valid until the next call.
+func (s *sortScratch) sortedAddrs(addrs []netip.Addr) []netip.Addr {
+	if slices.IsSortedFunc(addrs, netip.Addr.Compare) {
+		return addrs
+	}
+	s.addrs = append(s.addrs[:0], addrs...)
+	slices.SortFunc(s.addrs, netip.Addr.Compare)
+	return s.addrs
 }
 
 // DigestHex is Digest rendered as a hex string, for logs and test

@@ -2,11 +2,13 @@ package measure
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
 	"slices"
+	"strconv"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
@@ -16,7 +18,8 @@ import (
 // result per line, self-contained, so scans can be archived and analyses
 // re-run without re-measuring.
 
-// resultJSON is the serialization shape of DomainResult.
+// resultJSON is the shape a result line decodes into; appendResultJSON
+// writes the same shape by hand.
 type resultJSON struct {
 	Domain              dnsname.Name        `json:"domain"`
 	ParentZone          dnsname.Name        `json:"parent_zone,omitempty"`
@@ -41,50 +44,164 @@ type serverJSON struct {
 	Err           string         `json:"error,omitempty"`
 }
 
-// toResultJSON builds the serialization shape of r. Address lists are
-// emitted in netip.Addr.Less order — the same canonical order the
-// scanner holds them in memory — so that write → read → write is a
-// byte identity and a reloaded scan digests identically to the live one
-// (an earlier lexicographic string sort here reordered e.g. 9.0.0.2
-// before 10.0.0.1 and quietly broke both properties).
-func toResultJSON(r *DomainResult) resultJSON {
-	out := resultJSON{
-		Domain:              r.Domain,
-		ParentZone:          r.ParentZone,
-		ParentResponded:     r.ParentResponded,
-		ParentNS:            r.ParentNS,
-		ParentAuthoritative: r.ParentAuthoritative,
-		Rounds:              r.Rounds,
-		Err:                 r.Err,
-		ErrTransient:        r.ErrTransient,
+// jsonlEncoder renders results as their JSONL lines. It is the one
+// writer of the line format: StreamWriter, WriteJSONL and resume's
+// canonical-tail check all render through it. Its sort scratch is
+// reused from result to result, so a warm encoder allocates nothing.
+type jsonlEncoder struct{ sortScratch }
+
+// appendResultJSON appends r's line to dst: exactly the bytes
+// json.Encoder writes for resultJSON (FuzzResultJSON pins this), with
+// its field order, its omitempty rules and its trailing newline. Hosts
+// go in byte order, as encoding/json orders map keys, and each host's
+// addresses in netip.Addr.Compare order, the same canonical order the
+// scanner holds them in memory, so that write → read → write is a byte
+// identity and a reloaded scan digests identically to the live one (an
+// earlier lexicographic string sort reordered e.g. 9.0.0.2 before
+// 10.0.0.1 and quietly broke both properties). An unresolved host
+// writes [], never null.
+func (e *jsonlEncoder) appendResultJSON(dst []byte, r *DomainResult) []byte {
+	dst = append(dst, `{"domain":`...)
+	dst = appendJSONString(dst, string(r.Domain))
+	if r.ParentZone != "" {
+		dst = append(dst, `,"parent_zone":`...)
+		dst = appendJSONString(dst, string(r.ParentZone))
 	}
-	if r.Faults != (FaultCounts{}) {
-		f := r.Faults
-		out.Faults = &f
+	dst = append(dst, `,"parent_responded":`...)
+	dst = strconv.AppendBool(dst, r.ParentResponded)
+	if len(r.ParentNS) > 0 {
+		dst = append(dst, `,"parent_ns":`...)
+		dst = appendJSONNames(dst, r.ParentNS)
+	}
+	if r.ParentAuthoritative {
+		dst = append(dst, `,"parent_aa":true`...)
 	}
 	if len(r.Addrs) > 0 {
-		out.Addrs = make(map[string][]string, len(r.Addrs))
-		for host, addrs := range r.Addrs {
-			sorted := append([]netip.Addr(nil), addrs...)
-			slices.SortFunc(sorted, netip.Addr.Compare)
-			strs := make([]string, len(sorted))
-			for j, a := range sorted {
-				strs[j] = a.String()
+		dst = append(dst, `,"addrs":{`...)
+		for i, host := range e.sortedHosts(r.Addrs, cmp.Compare[dnsname.Name]) {
+			if i > 0 {
+				dst = append(dst, ',')
 			}
-			out.Addrs[string(host)] = strs
+			dst = appendJSONString(dst, string(host))
+			dst = append(dst, ":["...)
+			for j, a := range e.sortedAddrs(r.Addrs[host]) {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendJSONAddr(dst, a)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, '}')
+	}
+	if len(r.Servers) > 0 {
+		dst = append(dst, `,"servers":[`...)
+		for i := range r.Servers {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendServerJSON(dst, &r.Servers[i])
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"rounds":`...)
+	dst = strconv.AppendInt(dst, int64(r.Rounds), 10)
+	if r.Err != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, r.Err)
+	}
+	if r.ErrTransient {
+		dst = append(dst, `,"error_transient":true`...)
+	}
+	if r.Faults != (FaultCounts{}) {
+		dst = append(dst, `,"faults":{`...)
+		sep := false
+		r.Faults.Each(func(key string, n uint64) {
+			if n == 0 {
+				return
+			}
+			if sep {
+				dst = append(dst, ',')
+			}
+			sep = true
+			dst = append(dst, '"')
+			dst = append(dst, key...)
+			dst = append(dst, `":`...)
+			dst = strconv.AppendUint(dst, n, 10)
+		})
+		dst = append(dst, '}')
+	}
+	return append(dst, "}\n"...)
+}
+
+func appendServerJSON(dst []byte, sr *ServerResponse) []byte {
+	dst = append(dst, `{"host":`...)
+	dst = appendJSONString(dst, string(sr.Host))
+	dst = append(dst, `,"addr":`...)
+	if sr.Addr.IsValid() {
+		dst = appendJSONAddr(dst, sr.Addr)
+	} else {
+		dst = append(dst, `""`...)
+	}
+	dst = append(dst, `,"ok":`...)
+	dst = strconv.AppendBool(dst, sr.OK)
+	if sr.RCode != 0 {
+		dst = append(dst, `,"rcode":`...)
+		dst = strconv.AppendUint(dst, uint64(sr.RCode), 10)
+	}
+	if sr.Authoritative {
+		dst = append(dst, `,"aa":true`...)
+	}
+	if len(sr.NS) > 0 {
+		dst = append(dst, `,"ns":`...)
+		dst = appendJSONNames(dst, sr.NS)
+	}
+	if sr.Err != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, sr.Err)
+	}
+	return append(dst, '}')
+}
+
+func appendJSONNames(dst []byte, ns []dnsname.Name) []byte {
+	dst = append(dst, '[')
+	for i, n := range ns {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, string(n))
+	}
+	return append(dst, ']')
+}
+
+// appendJSONAddr appends a's String form as a JSON string. An unzoned
+// address is digits, dots and colons, written by AppendTo in place; an
+// invalid or zoned one (a zone may hold any byte) takes the string path.
+func appendJSONAddr(dst []byte, a netip.Addr) []byte {
+	if !a.IsValid() || a.Zone() != "" {
+		return appendJSONString(dst, a.String())
+	}
+	dst = append(dst, '"')
+	dst = a.AppendTo(dst)
+	return append(dst, '"')
+}
+
+// appendJSONString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it. Printable ASCII other than ", \ and the
+// HTML-escaped <, > and & is written as it is, which covers every name
+// and address the scanner produces and most errors (a walk failure
+// quotes the names it was after); any other string is appended from
+// json.Marshal, so the escaping is encoding/json's by construction.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
 		}
 	}
-	for _, sr := range r.Servers {
-		sj := serverJSON{
-			Host: sr.Host, OK: sr.OK, RCode: uint8(sr.RCode),
-			Authoritative: sr.Authoritative, NS: sr.NS, Err: sr.Err,
-		}
-		if sr.Addr.IsValid() {
-			sj.Addr = sr.Addr.String()
-		}
-		out.Servers = append(out.Servers, sj)
-	}
-	return out
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // fromResultJSON rebuilds an in-memory result. Address lists are
@@ -143,14 +260,15 @@ func fromResultJSON(in *resultJSON) (*DomainResult, error) {
 // slice-vs-stream differential pins.
 func WriteJSONL(w io.Writer, results []*DomainResult) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var enc jsonlEncoder
+	var line []byte
 	for i, r := range results {
 		if r == nil {
 			continue
 		}
-		out := toResultJSON(r)
-		if err := enc.Encode(&out); err != nil {
-			return fmt.Errorf("measure: encoding result %d: %w", i, err)
+		line = enc.appendResultJSON(line[:0], r)
+		if _, err := bw.Write(line); err != nil {
+			return fmt.Errorf("measure: writing result %d: %w", i, err)
 		}
 	}
 	return bw.Flush()

@@ -29,15 +29,15 @@ import (
 // the streaming scan's in-flight memory at O(buffer + workers), however
 // many domains the source yields.
 //
-// Lines leave in input order, so the window is how far the scan runs
-// ahead of its slowest domain, on scan_sim_mix a walk failure. Measured
-// at seed 42 on that workload: while those walks asked their parent's
-// dead servers one after another, 1,024 held it at 4.3k–4.5k domains/s
-// and a bigger window bought rate with latency (2,048: 6.8k/s, but p50
-// 215 → 261 ms). Asked together (resolver's queryAny), the walks are
-// short; 1,024 then reaches 7.4k–7.5k domains/s, 2,048 reaches
-// 9.1k–9.7k at p50 145 ms, and no bound at all 9.7k–9.9k (DESIGN.md
-// § 5).
+// Lines leave in input order, so the window is how far the scan can run
+// ahead of its slowest domain, on scan_sim_mix a walk failure. The size
+// dates from when a simulated timeout still cost its 25 ms of wall time:
+// then 2,048 took that workload (seed 42) from 7.4k domains/s at 1,024
+// to 9.1k–9.7k at p50 145 ms, and no bound at all reached only 9.9k
+// (DESIGN.md § 5 has the history). Now that a simulated drop ends its
+// attempt at once, the workload runs at 18k–34k domains/s with p50
+// 6–12 ms and its high-water mark reads 640–920: the window no longer
+// binds there, and what it still does is bound memory.
 const DefaultStreamMaxBuffer = 2048
 
 // DefaultCheckpointEvery is how many emitted results separate two
@@ -111,8 +111,9 @@ type StreamWriter struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	bw        *bufio.Writer
-	enc       *json.Encoder
-	offset    int64     // bytes encoded so far (== file size after a flush)
+	jsonl     jsonlEncoder
+	line      []byte    // the line being emitted, reused from result to result
+	offset    int64     // bytes written so far (== file size after a flush)
 	byteHash  hash.Hash // SHA-256 over every output byte, checkpointed for resume verification
 	digest    *DigestAccumulator
 	next      int // index the output is waiting on; also the emitted count
@@ -130,10 +131,17 @@ type StreamWriter struct {
 // buffer) still works but only orders the records, it cannot make them
 // durable — and fsync on a pipe fails, so it is not attempted.
 func NewStreamWriter(w io.Writer, cfg StreamConfig) *StreamWriter {
+	return newStreamWriter(w, cfg, sha256.New(), NewDigestAccumulator())
+}
+
+// newStreamWriter builds the writer's output state onto w, continuing
+// byteHash and digest; a resumed writer then sets where it starts.
+func newStreamWriter(w io.Writer, cfg StreamConfig, byteHash hash.Hash, digest *DigestAccumulator) *StreamWriter {
 	sw := &StreamWriter{
 		cfg:      cfg,
-		byteHash: sha256.New(),
-		digest:   NewDigestAccumulator(),
+		bw:       bufio.NewWriter(w),
+		byteHash: byteHash,
+		digest:   digest,
 		pending:  make(map[int]*DomainResult),
 	}
 	if f, ok := w.(*os.File); ok {
@@ -142,25 +150,7 @@ func NewStreamWriter(w io.Writer, cfg StreamConfig) *StreamWriter {
 		}
 	}
 	sw.cond = sync.NewCond(&sw.mu)
-	sw.bw = bufio.NewWriter(w)
-	sw.enc = json.NewEncoder(&tapWriter{w: sw.bw, h: sw.byteHash, n: &sw.offset})
 	return sw
-}
-
-// tapWriter counts and hashes everything written through it, so the
-// checkpoint can record (offset, byte-hash state) pairs that a resume
-// verifies against the file.
-type tapWriter struct {
-	w io.Writer
-	h hash.Hash
-	n *int64
-}
-
-func (t *tapWriter) Write(p []byte) (int, error) {
-	n, err := t.w.Write(p)
-	t.h.Write(p[:n])
-	*t.n += int64(n)
-	return n, err
 }
 
 // Offer hands the writer result idx. It blocks while the reorder window
@@ -207,10 +197,16 @@ func (sw *StreamWriter) drainLocked() {
 	}
 }
 
+// emitLocked writes r's line, extending the byte hash and offset that
+// a checkpoint records over exactly what reached the buffered writer,
+// and folds r into the digest.
 func (sw *StreamWriter) emitLocked(r *DomainResult) {
-	out := toResultJSON(r)
-	if err := sw.enc.Encode(&out); err != nil {
-		sw.err = fmt.Errorf("measure: encoding streamed result %d: %w", sw.next, err)
+	sw.line = sw.jsonl.appendResultJSON(sw.line[:0], r)
+	n, err := sw.bw.Write(sw.line)
+	sw.byteHash.Write(sw.line[:n])
+	sw.offset += int64(n)
+	if err != nil {
+		sw.err = fmt.Errorf("measure: writing streamed result %d: %w", sw.next, err)
 		return
 	}
 	sw.digest.Add(r)
@@ -596,19 +592,9 @@ func resumeOnto(f *os.File, ck *Checkpoint, cfg StreamConfig) (*StreamWriter, Re
 	}
 	info.Emitted = int(ck.Emitted)
 
-	sw := &StreamWriter{
-		cfg:      cfg,
-		file:     f,
-		ownsFile: true,
-		byteHash: ck.byteHash,
-		digest:   ck.digest,
-		offset:   keep,
-		next:     int(ck.Emitted),
-		pending:  make(map[int]*DomainResult),
-	}
-	sw.cond = sync.NewCond(&sw.mu)
-	sw.bw = bufio.NewWriter(f)
-	sw.enc = json.NewEncoder(&tapWriter{w: sw.bw, h: sw.byteHash, n: &sw.offset})
+	sw := newStreamWriter(f, cfg, ck.byteHash, ck.digest)
+	sw.file, sw.ownsFile = f, true
+	sw.offset, sw.next = keep, int(ck.Emitted)
 
 	// Re-checkpoint immediately: the salvage may have advanced past the
 	// on-disk record, and a consistent (checkpoint, output) pair should
@@ -635,12 +621,8 @@ func decodeCanonicalLine(line []byte) (*DomainResult, bool) {
 	if err != nil {
 		return nil, false
 	}
-	out := toResultJSON(r)
-	reenc, err := json.Marshal(&out)
-	if err != nil {
-		return nil, false
-	}
-	if !bytes.Equal(append(reenc, '\n'), line) {
+	var enc jsonlEncoder
+	if !bytes.Equal(enc.appendResultJSON(nil, r), line) {
 		return nil, false
 	}
 	return r, true
