@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"sync"
 
+	"govdns/internal/pktbuf"
 	"govdns/internal/udpx"
 )
 
@@ -91,7 +92,7 @@ func (u *UDPServer) Close() error {
 const udpServeBatch = 32
 
 // loop is one read loop: whole batches of queries come up in one
-// batched receive into buffers udpx lends from its packet pool, each
+// batched receive into buffers udpx lends from the packet pool, each
 // query is answered (the handler decodes onto a pooled codec arena;
 // responses land in loop-owned buffers reused across rounds) and its
 // buffer goes back to the pool, and the batch of responses goes out in
@@ -126,7 +127,7 @@ func (u *UDPServer) loop() {
 					m++
 				}
 			}
-			udpx.PutBuf(bufs[i])
+			pktbuf.Put(bufs[i])
 			bufs[i] = nil
 		}
 		if m > 0 {
@@ -189,10 +190,10 @@ func (t *UDPTransport) Exchange(ctx context.Context, server netip.Addr, query []
 	if _, err := conn.Write(query); err != nil {
 		return nil, fmt.Errorf("authserver: send: %w", err)
 	}
-	buf := udpx.GetBuf()
+	buf := pktbuf.Get()
 	n, err := conn.Read(buf)
 	if err != nil {
-		udpx.PutBuf(buf)
+		pktbuf.Put(buf)
 		return nil, fmt.Errorf("authserver: receive: %w", err)
 	}
 	return buf[:n], nil
@@ -201,4 +202,4 @@ func (t *UDPTransport) Exchange(ctx context.Context, server netip.Addr, query []
 // ReleaseResponse returns a buffer handed out by Exchange to the
 // datagram pool (resolver.ResponseReleaser). Foreign buffers are
 // recognized by capacity and left to the GC.
-func (t *UDPTransport) ReleaseResponse(buf []byte) { udpx.PutBuf(buf) }
+func (t *UDPTransport) ReleaseResponse(buf []byte) { pktbuf.Put(buf) }

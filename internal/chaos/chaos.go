@@ -242,9 +242,11 @@ func Wrap(inner Inner, seed int64, rules ...Rule) *Transport {
 // transport that produced it (resolver.ResponseReleaser, duck-typed to
 // keep chaos free of a resolver import). Injections mutate pooled
 // buffers in place and pass them through, so releasing through the
-// chaos layer is releasing the inner transport's buffer; the one copy
-// chaos itself makes — the Duplicate rule's replay buffer — is private,
-// and pooling transports recognize and skip foreign buffers anyway.
+// chaos layer is releasing the inner transport's buffer. The copies
+// chaos itself hands out — a replay, a reflected query, a truncated or
+// re-questioned re-encoding — are held by nothing but the caller, and
+// the packet pool takes back only a buffer of its own capacity, leaving
+// any other to the GC.
 func (t *Transport) ReleaseResponse(buf []byte) {
 	if t.releaser != nil {
 		t.releaser.ReleaseResponse(buf)
@@ -379,10 +381,14 @@ func (t *Transport) Exchange(ctx context.Context, server netip.Addr, query []byt
 		return nil, err
 	}
 	// The inner transport hands over ownership of the response buffer
-	// (both in-tree transports return a fresh slice per exchange), so the
-	// byte-patching injections below mutate it in place; only the replay
-	// buffer needs a private copy, and only when a Duplicate rule can
-	// ever read it back.
+	// until it is released (both in-tree transports lend a pooled
+	// packet buffer per exchange), so the byte-patching injections below
+	// mutate it in place and pass it on for the caller to release; only
+	// the replay buffer needs a private copy, and only when a Duplicate
+	// rule can ever read it back. An injection that answers with a
+	// fresh slice instead releases the lent buffer itself: nothing
+	// holds it any more, and the caller releases only the slice it is
+	// given.
 	var stale []byte
 	if t.needLast {
 		t.mu.Lock()
@@ -398,6 +404,7 @@ func (t *Transport) Exchange(ctx context.Context, server netip.Addr, query []byt
 	annotateInjection(ctx, rule.Class)
 	switch rule.Class {
 	case Duplicate:
+		t.ReleaseResponse(resp)
 		if stale == nil {
 			// Nothing from this server to replay yet: reflect the query
 			// (QR clear), the garbage datagram every socket eventually
@@ -407,11 +414,15 @@ func (t *Transport) Exchange(ctx context.Context, server netip.Addr, query []byt
 		}
 		return stale, nil
 	case Truncate:
-		return TruncateWire(resp), nil
+		out := TruncateWire(resp)
+		t.ReleaseResponse(resp)
+		return out, nil
 	case CorruptQID:
 		return CorruptQIDWireInPlace(resp), nil
 	case MismatchQuestion:
-		return MismatchQuestionWire(resp), nil
+		out := MismatchQuestionWire(resp)
+		t.ReleaseResponse(resp)
+		return out, nil
 	case Mangle:
 		// The corruption pattern follows the same indexing as the firing
 		// draw: open-ended rules derive it from content alone so two

@@ -1,14 +1,21 @@
 // Package deadline is the resolver's per-attempt context: a deadline
-// that costs one allocation until something waits on it.
+// that costs nothing until something waits on it.
 //
 // context.WithTimeout arms a runtime timer and registers with its parent
 // the moment it is made, which is four heap objects per query attempt
 // whether or not anything ever blocks on the result. An attempt answered
 // in memory (simnet) never blocks on it, and the batched UDP transport
 // enforces ctx.Deadline() on a timer each of its pooled waiters owns,
-// so for both the timer is pure overhead. A Context reads the clock and its parent in Err and
-// arms the timer and the parent registration only when Done is first
-// called.
+// so for both the timer is pure overhead. A Context reads the clock and
+// its parent in Err and arms the timer and the parent registration only
+// when Done is first called on a live context.
+//
+// New takes its Context from a pool, and Release puts it back unless
+// Done armed it. An armed Context stays reachable from its timer and
+// from its parent's callback list, and a cancellable context derived
+// from a live one arms it, so an armed Context is left to the GC.
+// Nothing may use a Context, or a context derived from it, after
+// Release.
 //
 // A simulated transport has a shortcut the real network lacks: an
 // exchange it will never answer may end the attempt now with Expire
@@ -33,13 +40,17 @@ type Context struct {
 	at     time.Time // the earlier of the own deadline and the parent's
 	own    bool      // the own deadline is the earlier: at is not the parent's
 
-	mu      sync.Mutex
-	err     error         // the cause the context ended with; nil while live
-	expired bool          // Expire ended it
-	done    chan struct{} // made by the first Done, closed when err is set
-	timer   *time.Timer   // armed by the first Done
-	stop    func() bool   // the parent registration, armed by the first Done
+	mu       sync.Mutex
+	err      error         // the cause the context ended with; nil while live
+	expired  bool          // Expire ended it
+	released bool          // Release ran
+	done     chan struct{} // made by the first Done, closed when err is set
+	timer    *time.Timer   // armed by the first Done on a live context
+	stop     func() bool   // the parent registration, armed with timer
 }
+
+// pool holds released Contexts that nothing armed.
+var pool sync.Pool
 
 // key is the Value key under which a Context answers for itself, so
 // Cancel and Expire find it beneath value-only wrappers.
@@ -51,7 +62,11 @@ func now() time.Time { return time.Now() }
 // New returns a context that ends timeout from now, or when parent
 // ends, whichever comes first.
 func New(parent context.Context, timeout time.Duration) *Context {
-	c := &Context{parent: parent, at: now().Add(timeout), own: true}
+	c, _ := pool.Get().(*Context)
+	if c == nil {
+		c = new(Context)
+	}
+	*c = Context{parent: parent, at: now().Add(timeout), own: true}
 	if d, ok := parent.Deadline(); ok && !c.at.Before(d) {
 		c.at, c.own = d, false
 	}
@@ -104,8 +119,23 @@ func (c *Context) Value(k any) any {
 
 // Release ends a context still live with context.Canceled, as the
 // cancel function of context.WithTimeout does, and frees the timer and
-// parent registration if Done armed them.
-func (c *Context) Release() { c.end(context.Canceled) }
+// parent registration if Done armed them. The first Release of a
+// context Done never armed recycles it for a later New; a second
+// Release does nothing.
+func (c *Context) Release() {
+	c.mu.Lock()
+	if c.released {
+		c.mu.Unlock()
+		return
+	}
+	c.released = true
+	c.finish(context.Canceled)
+	recycle := c.timer == nil && c.stop == nil
+	c.mu.Unlock()
+	if recycle {
+		pool.Put(c)
+	}
+}
 
 // Expire ends the Context beneath ctx — ctx itself, or the one it wraps
 // with no tighter deadline layered between — now with

@@ -374,3 +374,54 @@ func TestConcurrentExpire(t *testing.T) {
 		}
 	}
 }
+
+// TestArmedNeverRecycled: Release recycles a Context nothing armed, but
+// one whose Done started a timer and registered with its parent — or
+// that a cancellable child armed — may still be reached through them,
+// so New never hands it out again. A second Release recycles nothing.
+func TestArmedNeverRecycled(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	armed := make(map[*Context]bool)
+	released := make(map[*Context]bool)
+	reused := 0
+	for i := 0; i < 200; i++ {
+		c := New(parent, time.Hour)
+		if armed[c] {
+			t.Fatalf("New %d handed out a context armed before its Release", i)
+		}
+		if released[c] {
+			reused++
+		}
+		released[c] = true
+		if err := c.Err(); err != nil {
+			t.Fatalf("New %d: Err = %v on a fresh context", i, err)
+		}
+		switch i % 4 {
+		case 0:
+			_ = Cancel(c) // the parent's channel: arms nothing
+		case 1:
+			_ = c.Done()
+			armed[c] = true
+		case 2:
+			_, stop := context.WithCancel(c)
+			defer stop()
+			armed[c] = true
+		}
+		c.Release()
+		c.Release()
+	}
+	if reused == 0 {
+		t.Error("no released, unarmed context was ever handed out again")
+	}
+
+	c := New(parent, time.Hour)
+	c.Release()
+	c.Release()
+	a, b := New(parent, time.Hour), New(parent, time.Hour)
+	defer a.Release()
+	defer b.Release()
+	if a == b {
+		t.Error("a context released twice was handed out to two callers")
+	}
+}

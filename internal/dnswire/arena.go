@@ -199,6 +199,23 @@ func (a *Arena) NewResponse(q *Message) *Message {
 	return &a.qslot
 }
 
+// OfType returns the records of rrs with type t, nil when none match,
+// in the arena's record array after the decoded message's: the filtered
+// section borrows a like the message itself, valid until the next
+// Decode on a or Finish, and costs no allocation once the array has
+// grown to the workload's size. rrs is typically a section of the
+// message decoded on a; Message's AnswersOfType family is the owned
+// alternative.
+func (a *Arena) OfType(rrs []RR, t Type) []RR {
+	start := len(a.rrs)
+	for _, rr := range rrs {
+		if rr.Type() == t {
+			a.rrs = append(a.rrs, rr)
+		}
+	}
+	return sectionSlice(a.rrs, start, len(a.rrs))
+}
+
 // RRBuf lends the arena's record scratch for building a response's
 // sections: an empty slice with room for a typical answer and its glue,
 // borrowing the arena like everything else on it. Records appended past

@@ -304,3 +304,44 @@ func TestPoolConcurrentExchange(t *testing.T) {
 		t.Fatalf("checkouts %d, want %d", s.Checkouts, 8*500)
 	}
 }
+
+// TestArenaOfType: a filtered section matches Message's owned filter,
+// leaves the decoded sections intact, stays valid while a second filter
+// grows the record array, and costs nothing once the arena is warm.
+func TestArenaOfType(t *testing.T) {
+	want := referralResponse()
+	wire := mustEncode(t, want)
+	a := NewPool().Get()
+	defer a.Finish()
+	filter := func() (m *Message, ns, glue []RR) {
+		m, err := a.Decode(wire)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		ns = a.OfType(m.Authority, TypeNS)
+		glue = a.OfType(m.Additional, TypeA)
+		if a.OfType(m.Answers, TypeNS) != nil || a.OfType(m.Additional, TypeCNAME) != nil {
+			t.Fatal("a filter that matches nothing is not nil")
+		}
+		return m, ns, glue
+	}
+	m, ns, glue := filter()
+	if fmt.Sprint(m.Authority, m.Additional) != fmt.Sprint(want.Authority, want.Additional) {
+		t.Fatalf("filtering changed the decoded sections: %v %v", m.Authority, m.Additional)
+	}
+	if got, owned := fmt.Sprint(ns), fmt.Sprint(want.AuthorityOfType(TypeNS)); got != owned {
+		t.Errorf("OfType NS = %s, want %s", got, owned)
+	}
+	if got, owned := fmt.Sprint(glue), fmt.Sprint(want.AdditionalOfType(TypeA)); got != owned {
+		t.Errorf("OfType A = %s, want %s", got, owned)
+	}
+	if cap(ns) != len(ns) {
+		t.Errorf("filtered section has spare capacity %d: an append would clobber the next", cap(ns)-len(ns))
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { filter() }); allocs != 0 {
+		t.Errorf("decode and two filters on a warm arena allocate %v, want 0", allocs)
+	}
+}

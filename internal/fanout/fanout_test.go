@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -132,4 +134,71 @@ func TestCapOfOneStaysOnCaller(t *testing.T) {
 		}
 	}
 	Each(0, 4, func(int) { t.Fatal("unit run for an empty batch") })
+}
+
+// TestWarmEachAllocatesNothing: a batch that finishes inline takes its
+// batch and timer from the pool. The gate asks for one zero-allocation
+// measurement in a few tries, since a batch the OS deschedules past
+// InlineBudget legitimately escalates and starts goroutines.
+func TestWarmEachAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	var sink [8]int
+	fn := func(i int) { sink[i] = i }
+	each := func() { Each(len(sink), 4, fn) }
+	each()
+	var allocs float64
+	for try := 0; try < 5; try++ {
+		if allocs = testing.AllocsPerRun(100, each); allocs == 0 {
+			return
+		}
+	}
+	t.Fatalf("a warm inline Each allocates %.2f per call, want 0", allocs)
+}
+
+// TestRecycledBatchesRunOnlyTheirOwnUnits stresses the batch pool:
+// several goroutines call Each back to back, and every batch escalates —
+// its unit 0 blocks until all the others have run, which only helpers
+// can do while the caller is stuck in unit 0. Every index of every call
+// must run exactly once, and no unit may run after its Each returned,
+// which is what a recycled batch still running a previous call's fn
+// would do.
+func TestRecycledBatchesRunOnlyTheirOwnUnits(t *testing.T) {
+	const (
+		callers = 4
+		calls   = 25
+		n       = 4
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < calls; c++ {
+				var ran [n]atomic.Int32
+				var returned atomic.Bool
+				var others sync.WaitGroup
+				others.Add(n - 1)
+				Each(n, n, func(i int) {
+					if returned.Load() {
+						t.Errorf("unit %d ran after its Each returned", i)
+					}
+					ran[i].Add(1)
+					if i == 0 {
+						others.Wait()
+						return
+					}
+					others.Done()
+				})
+				returned.Store(true)
+				for i := range ran {
+					if k := ran[i].Load(); k != 1 {
+						t.Errorf("unit %d ran %d times", i, k)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

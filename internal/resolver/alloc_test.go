@@ -14,12 +14,13 @@ import (
 )
 
 // TestQueryArenaAllocsPerAttempt is the client's allocation gate: a
-// warm QueryArena answered on its first attempt allocates at most one
-// heap object more than its transport's bare Exchange of the same query
-// — the attempt's deadline context — over simnet and over a loopback
-// udpx.BatchTransport. AllocsPerRun counts process-wide, so the
-// subtraction also removes whatever the transport and the server behind
-// it allocate (simnet hands over a fresh response buffer per exchange).
+// warm QueryArena answered on its first attempt allocates nothing more
+// than its transport's bare Exchange of the same query, over simnet and
+// over a loopback udpx.BatchTransport — the attempt's deadline context
+// is recycled, and the response buffer goes back to the transport that
+// lent it. AllocsPerRun counts process-wide, so the subtraction also
+// removes whatever the transport and the server behind it allocate;
+// over simnet that is nothing either, once warm.
 func TestQueryArenaAllocsPerAttempt(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -87,8 +88,11 @@ func TestQueryArenaAllocsPerAttempt(t *testing.T) {
 			base := testing.AllocsPerRun(200, bare)
 			got := testing.AllocsPerRun(200, query)
 			t.Logf("QueryArena %.2f allocs per attempt, bare Exchange %.2f", got, base)
-			if got-base > 1 {
-				t.Fatalf("QueryArena allocates %.2f per attempt, its transport %.2f: the client adds %.2f, want at most 1",
+			if tc.name == "simnet" && base != 0 {
+				t.Errorf("a warm simnet Exchange and ReleaseResponse allocate %.2f, want 0", base)
+			}
+			if got-base > 0 {
+				t.Fatalf("QueryArena allocates %.2f per attempt, its transport %.2f: the client adds %.2f, want 0",
 					got, base, got-base)
 			}
 		})

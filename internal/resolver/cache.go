@@ -61,34 +61,56 @@ func (it *Iterator) observe(ctx context.Context, layer string, name dnsname.Name
 	return err
 }
 
-// inFlightKey marks, via context values, a (kind, name) whose
-// computation this call chain is currently running. Recursive resolution
-// can revisit its own key — a CNAME loop back to the host being
-// resolved, or a zone whose glue-less NS host walk runs into the zone
-// itself — and must then run the work itself instead of waiting on
+// inFlight marks a call chain that is running the computation of
+// (kind, name): a context whose Value answers inFlightKey with the
+// innermost mark, each mark linked to the one enclosing it. Recursive
+// resolution can revisit its own key — a CNAME loop back to the host
+// being resolved, or a zone whose glue-less NS host walk runs into the
+// zone itself — and must then run the work itself instead of waiting on
 // itself (flightWait's negative bound). Recursion depth limits bound
 // that path exactly as they did before coalescing existed.
-type inFlightKey struct {
-	kind byte // 'h' for host lookups, 'z' for zone builds
-	name dnsname.Name
+//
+// A chain carrying any mark leads *some* key's computation. Only such
+// chains can participate in a cross-chain wait cycle (every edge of a
+// cycle is a leader waiting on another computation), so only they need
+// a bounded wait; top-level callers coalesce without a bound.
+type inFlight struct {
+	context.Context
+	kind  byte // 'h' for host lookups, 'z' for zone builds
+	name  dnsname.Name
+	outer *inFlight // the enclosing mark; nil for the outermost
 }
 
-// leadsFlightKey marks a call chain that runs *some* key's computation,
-// regardless of key. Only such chains can participate in a cross-chain
-// wait cycle (every edge of a cycle is a leader waiting on another
-// computation), so only they need a bounded wait; top-level callers
-// coalesce without a bound.
-type leadsFlightKey struct{}
+// inFlightKey is the Value key a mark answers; being zero-size, it
+// boxes into an interface without allocating.
+type inFlightKey struct{}
+
+// Value answers inFlightKey with the mark itself and defers every other
+// key to the context it wraps.
+func (m *inFlight) Value(k any) any {
+	if k == (inFlightKey{}) {
+		return m
+	}
+	return m.Context.Value(k)
+}
+
+// innermost returns ctx's innermost mark, nil when the chain leads no
+// computation.
+func innermost(ctx context.Context) *inFlight {
+	m, _ := ctx.Value(inFlightKey{}).(*inFlight)
+	return m
+}
 
 func markInFlight(ctx context.Context, kind byte, name dnsname.Name) context.Context {
-	ctx = context.WithValue(ctx, inFlightKey{kind, name}, true)
-	return context.WithValue(ctx, leadsFlightKey{}, true)
+	return &inFlight{Context: ctx, kind: kind, name: name, outer: innermost(ctx)}
 }
 
-func isInFlight(ctx context.Context, kind byte, name dnsname.Name) bool {
-	return ctx.Value(inFlightKey{kind, name}) != nil
-}
-
-func leadsFlight(ctx context.Context) bool {
-	return ctx.Value(leadsFlightKey{}) != nil
+// runs reports whether m or a mark enclosing it is (kind, name)'s.
+func (m *inFlight) runs(kind byte, name dnsname.Name) bool {
+	for ; m != nil; m = m.outer {
+		if m.kind == kind && m.name == name {
+			return true
+		}
+	}
+	return false
 }

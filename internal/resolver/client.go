@@ -33,7 +33,8 @@ type Transport interface {
 }
 
 // ResponseReleaser is optionally implemented by transports that pool
-// their response buffers (udpx.BatchTransport, authserver.UDPTransport).
+// their response buffers (simnet.Network, udpx.BatchTransport,
+// authserver.UDPTransport).
 // The client calls ReleaseResponse exactly once per successful Exchange,
 // right after decoding the wire image — Arena.Decode copies every byte
 // the decoded message retains, so the buffer is dead the moment decode
@@ -285,9 +286,10 @@ type Trace struct {
 // decode on a or a.Finish, whichever comes first, and anything retained
 // past that must be copied out (names through dnsname.Name.Own). The
 // iterator's referral walk runs on this path — one arena per delegation
-// step. The client's own heap cost is one object per attempt, the
-// attempt's deadline (TestQueryArenaAllocsPerAttempt); a transport adds
-// its own, such as the fresh response buffer simnet hands over.
+// step. A warm attempt costs the client no heap object: its deadline is
+// recycled, and a transport's lent response buffer goes back to it once
+// decoded (TestQueryArenaAllocsPerAttempt). Neither simnet nor udpx
+// allocates on a warm answered exchange either.
 func (c *Client) QueryArena(ctx context.Context, a *dnswire.Arena, server netip.Addr, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
 	resp, _, err := c.QueryArenaTraced(ctx, a, server, name, qtype)
 	return resp, err

@@ -298,3 +298,47 @@ func TestTransientZoneFailureNotNegativeCached(t *testing.T) {
 			st1.ZoneCacheMisses, st2.ZoneCacheMisses)
 	}
 }
+
+// TestFlightWaitSeesEveryEnclosingMark: a chain's marks nest, and
+// flightWait finds a key marked anywhere above it — through the
+// innermost mark and through value layers between marks, as a trace
+// scope puts there — so a chain re-entering its own computation runs it
+// at once instead of waiting on itself. A chain with no mark waits
+// without a bound; one leading another key's computation waits a
+// bounded time.
+func TestFlightWaitSeesEveryEnclosingMark(t *testing.T) {
+	w := miniworld.Build()
+	it := NewIterator(NewClient(w.Net), w.Roots)
+	type layerKey struct{}
+	ctx := context.Background()
+	if got := it.flightWait(ctx, 'z', "gov.br."); got != 0 {
+		t.Fatalf("unmarked chain: wait %v, want 0", got)
+	}
+	ctx = markInFlight(ctx, 'z', "gov.br.")
+	ctx = context.WithValue(ctx, layerKey{}, 1)
+	ctx = markInFlight(ctx, 'h', "ns1.gov.br.")
+	for _, tc := range []struct {
+		kind byte
+		name dnsname.Name
+		self bool
+	}{
+		{'z', "gov.br.", true},
+		{'h', "ns1.gov.br.", true},
+		{'h', "gov.br.", false},
+		{'z', "ns1.gov.br.", false},
+		{'z', "city.gov.br.", false},
+	} {
+		got := it.flightWait(ctx, tc.kind, tc.name)
+		if tc.self != (got < 0) || got == 0 {
+			t.Errorf("flightWait(%c, %s) = %v, want self=%v and a bounded wait otherwise", tc.kind, tc.name, got, tc.self)
+		}
+	}
+	if ctx.Value(layerKey{}) != 1 {
+		t.Error("a mark hid a value layered below it")
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, func() { it.flightWait(ctx, 'z', "gov.br.") }); allocs != 0 {
+			t.Errorf("flightWait allocates %v, want 0", allocs)
+		}
+	}
+}

@@ -255,12 +255,10 @@ func (it *Iterator) Stats() Stats {
 // the fallback stays rare, short enough that a cycle unwinds promptly.
 // Recursion depth limits bound both fallbacks' duplicated work.
 func (it *Iterator) flightWait(ctx context.Context, kind byte, name dnsname.Name) time.Duration {
-	// leadsFlight first: it is the cheap lookup, and a chain that leads
-	// nothing cannot be computing (kind, name) either.
-	switch {
-	case !leadsFlight(ctx):
+	switch m := innermost(ctx); {
+	case m == nil:
 		return 0
-	case isInFlight(ctx, kind, name):
+	case m.runs(kind, name):
 		return -1
 	}
 	return 2 * time.Duration(1+it.client.retries()) * it.client.timeout()
@@ -357,8 +355,8 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 			return newDelegation(current, resp.Authority, resp.Additional, false), nil, nil
 		}
 		// Intermediate zone cut: build its server set and descend.
-		authNS := resp.AuthorityOfType(dnswire.TypeNS)
-		nz, zerr := it.zoneServers(ctx, owner, authNS, resp.AdditionalOfType(dnswire.TypeA), depth)
+		authNS := a.OfType(resp.Authority, dnswire.TypeNS)
+		nz, zerr := it.zoneServers(ctx, owner, authNS, a.OfType(resp.Additional, dnswire.TypeA), depth)
 		if zerr != nil {
 			return nil, nil, zerr
 		}
@@ -534,7 +532,7 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (a
 		case resp.Header.RCode != dnswire.RCodeNoError:
 			return nil, fmt.Errorf("%w: %s for %s", ErrNoServers, resp.Header.RCode, host)
 		}
-		if answers := resp.AnswersOfType(dnswire.TypeA); len(answers) > 0 {
+		if answers := a.OfType(resp.Answers, dnswire.TypeA); len(answers) > 0 {
 			addrs := make([]netip.Addr, 0, len(answers))
 			for _, rr := range answers {
 				if rr.Name != host {
@@ -549,13 +547,13 @@ func (it *Iterator) lookup(ctx context.Context, host dnsname.Name, depth int) (a
 		}
 		// CNAME chase. The target escapes into the host-resolution
 		// machinery (flight key, cache key, span label), so own it.
-		if cnames := resp.AnswersOfType(dnswire.TypeCNAME); len(cnames) > 0 {
+		if cnames := a.OfType(resp.Answers, dnswire.TypeCNAME); len(cnames) > 0 {
 			target := cnames[0].Data.(dnswire.CNAMEData).Target.Own()
 			return it.resolveHost(ctx, target, depth+1)
 		}
 		if resp.IsReferral() {
-			authNS := resp.AuthorityOfType(dnswire.TypeNS)
-			next, err := it.zoneServers(ctx, authNS[0].Name, authNS, resp.AdditionalOfType(dnswire.TypeA), depth)
+			authNS := a.OfType(resp.Authority, dnswire.TypeNS)
+			next, err := it.zoneServers(ctx, authNS[0].Name, authNS, a.OfType(resp.Additional, dnswire.TypeA), depth)
 			if err != nil {
 				return nil, err
 			}

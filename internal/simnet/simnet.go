@@ -25,6 +25,7 @@ import (
 
 	"govdns/internal/authserver"
 	"govdns/internal/deadline"
+	"govdns/internal/pktbuf"
 )
 
 // Network errors.
@@ -32,6 +33,12 @@ var (
 	// ErrDropped indicates the query was never answered (blackhole,
 	// filtered source, no server, or a server that drops queries).
 	ErrDropped = errors.New("simnet: packet dropped")
+
+	// A dropped exchange fails with one of these, by how its context
+	// ended: ErrDropped wrapped around the context's error, made once
+	// rather than per drop.
+	errDroppedDeadline = fmt.Errorf("%w: %v", ErrDropped, context.DeadlineExceeded)
+	errDroppedCanceled = fmt.Errorf("%w: %v", ErrDropped, context.Canceled)
 )
 
 // endpoint is everything the network knows about one address.
@@ -123,7 +130,19 @@ func (n *Network) IsBlackholed(addr netip.Addr) bool {
 func waitForTimeout(ctx context.Context) error {
 	deadline.Expire(ctx)
 	<-ctx.Done()
-	return fmt.Errorf("%w: %v", ErrDropped, ctx.Err())
+	return droppedErr(ctx.Err())
+}
+
+// droppedErr is the error of an exchange dropped under a context that
+// ended with err.
+func droppedErr(err error) error {
+	switch err {
+	case context.DeadlineExceeded:
+		return errDroppedDeadline
+	case context.Canceled:
+		return errDroppedCanceled
+	}
+	return fmt.Errorf("%w: %v", ErrDropped, err)
 }
 
 // Exchange implements the resolver transport: it sends a wire-format
@@ -133,9 +152,18 @@ func waitForTimeout(ctx context.Context) error {
 // expired: at once when ctx is an attempt deadline whose own deadline
 // binds, else when ctx ends. Queries originate from DefaultVantage; use
 // Vantage for other source addresses.
+//
+// The response is lent from the packet pool (internal/pktbuf): the
+// caller owns it — wrapping layers such as the chaos transport may
+// mutate it in place — and returns it through ReleaseResponse once
+// decoded, or leaves it to the GC.
 func (n *Network) Exchange(ctx context.Context, addr netip.Addr, query []byte) ([]byte, error) {
 	return n.exchangeFrom(ctx, DefaultVantage, addr, query)
 }
+
+// ReleaseResponse returns a response Exchange lent to the packet pool.
+// Implements resolver.ResponseReleaser.
+func (n *Network) ReleaseResponse(buf []byte) { pktbuf.Put(buf) }
 
 func (n *Network) exchangeFrom(ctx context.Context, src, addr netip.Addr, query []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
@@ -145,15 +173,14 @@ func (n *Network) exchangeFrom(ctx context.Context, src, addr netip.Addr, query 
 	if ep.server == nil || ep.blackholed || (ep.acl != nil && !ep.acl(src)) {
 		return nil, waitForTimeout(ctx)
 	}
-	// HandleWire runs the codec on a pooled arena and returns a fresh
-	// buffer whose ownership passes to the caller — wrapping layers (the
-	// chaos transport) rely on being allowed to mutate it in place. The
-	// real socket loops take the other side of that trade: they call
-	// HandleWireAppend into one buffer reused across packets, which is
-	// safe only because each response is written out before the next
-	// read (the aliasing suites in internal/authserver pin this).
-	resp := ep.server.HandleWire(query)
-	if resp == nil {
+	// The server runs the codec on a pooled arena and appends the
+	// response to a pooled packet buffer, which the caller now owns. A
+	// response too large for it grows onto the heap, and release then
+	// leaves it to the GC.
+	buf := pktbuf.Get()
+	resp, ok := ep.server.HandleWireAppend(buf[:0], query)
+	if !ok {
+		pktbuf.Put(buf)
 		return nil, waitForTimeout(ctx)
 	}
 	return resp, nil

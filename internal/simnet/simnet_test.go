@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"govdns/internal/authserver"
+	"govdns/internal/deadline"
 	"govdns/internal/dnswire"
 	"govdns/internal/zone"
 )
@@ -147,5 +148,60 @@ func TestACLFiltersBySource(t *testing.T) {
 	n.SetACL(testAddr, nil)
 	if _, err := n.Exchange(shortCtx(t), testAddr, wireQuery(t)); err != nil {
 		t.Fatalf("Exchange after ACL removal: %v", err)
+	}
+}
+
+// cancelledOnWait is a context that is live when the exchange checks
+// it and cancelled by the time the exchange waits on it: a caller
+// giving up on a query the network will never answer.
+type cancelledOnWait struct {
+	context.Context
+	checked bool
+}
+
+func (c *cancelledOnWait) Err() error {
+	if !c.checked {
+		c.checked = true
+		return nil
+	}
+	return context.Canceled
+}
+
+func (c *cancelledOnWait) Done() <-chan struct{} {
+	done := make(chan struct{})
+	close(done)
+	return done
+}
+
+// TestDropErrors pins the error a dropped exchange fails with, by how
+// its context ended, byte for byte: the texts reach recorded scan
+// results.
+func TestDropErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctx  func() context.Context
+		want string
+	}{
+		{"attempt deadline", func() context.Context {
+			c := deadline.New(context.Background(), time.Hour)
+			t.Cleanup(c.Release)
+			return c
+		}, "simnet: packet dropped: context deadline exceeded"},
+		{"caller cancelled", func() context.Context {
+			return &cancelledOnWait{Context: context.Background()}
+		}, "simnet: packet dropped: context canceled"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New()
+			n.Attach(testAddr, newTestServer(t))
+			n.Blackhole(testAddr)
+			_, err := n.Exchange(tc.ctx(), testAddr, wireQuery(t))
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+			if !errors.Is(err, ErrDropped) {
+				t.Errorf("error %v is not ErrDropped", err)
+			}
+		})
 	}
 }

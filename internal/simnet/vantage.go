@@ -49,3 +49,6 @@ func (v *Vantage) Source() netip.Addr { return v.src }
 func (v *Vantage) Exchange(ctx context.Context, addr netip.Addr, query []byte) ([]byte, error) {
 	return v.net.exchangeFrom(ctx, v.src, addr, query)
 }
+
+// ReleaseResponse returns a response Exchange lent to the packet pool.
+func (v *Vantage) ReleaseResponse(buf []byte) { v.net.ReleaseResponse(buf) }

@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"testing"
 	"unsafe"
+
+	"govdns/internal/pktbuf"
 )
 
 // FuzzDispatch feeds arbitrary datagrams from arbitrary sources through
@@ -92,7 +94,7 @@ func FuzzDispatch(f *testing.F) {
 			if got[si] == DefaultBatch {
 				continue
 			}
-			buf := GetBuf()[:n]
+			buf := pktbuf.Get()[:n]
 			copy(buf, payload)
 			if sel&0x10 != 0 && n >= 2 {
 				binary.BigEndian.PutUint16(buf, ex[sel>>5].w.wireID)
@@ -163,7 +165,7 @@ func FuzzDispatch(f *testing.F) {
 				case unsafe.SliceData(res.buf) != e.wantBuf:
 					t.Errorf("waiter %d got its datagram in another buffer than the one lent for it", k)
 				}
-				PutBuf(res.buf)
+				pktbuf.Put(res.buf)
 			default:
 				if e.want != nil {
 					t.Errorf("waiter %d never got the datagram matching it", k)

@@ -17,6 +17,8 @@ import (
 	"net/netip"
 	"syscall"
 	"unsafe"
+
+	"govdns/internal/pktbuf"
 )
 
 const osBatchSupported = true
@@ -72,8 +74,8 @@ func initOSState(os *osSock, conn *net.UDPConn) error {
 	os.recvFn = func(fd uintptr) bool {
 		bufs := os.rbufs
 		for i := range bufs {
-			bufs[i] = GetBuf()
-			os.riovs[i] = syscall.Iovec{Base: &bufs[i][0], Len: bufSize}
+			bufs[i] = pktbuf.Get()
+			os.riovs[i] = syscall.Iovec{Base: &bufs[i][0], Len: pktbuf.Size}
 			os.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{
 				Name:    (*byte)(unsafe.Pointer(&os.rnames[i])),
 				Namelen: syscall.SizeofSockaddrInet6,
@@ -100,7 +102,7 @@ func initOSState(os *osSock, conn *net.UDPConn) error {
 			// pool has let it go.
 			os.riovs[i].Base = nil
 			if i >= os.got {
-				PutBuf(bufs[i])
+				pktbuf.Put(bufs[i])
 				bufs[i] = nil
 			}
 		}

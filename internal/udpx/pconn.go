@@ -3,6 +3,8 @@ package udpx
 import (
 	"net"
 	"net/netip"
+
+	"govdns/internal/pktbuf"
 )
 
 // PacketConn is the one batched-datagram I/O path: it wraps a shared
@@ -57,7 +59,7 @@ func NewPacketConn(conn *net.UDPConn, batch int, portable bool) *PacketConn {
 // how many it read, n. Each bufs[i], i < n, is then a buffer from the
 // packet pool sliced to the datagram's length, and addrs[i] its source
 // (invalid if the kernel's could not be decoded, for the caller to
-// skip). The caller owns bufs[:n]: it returns each through PutBuf or
+// skip). The caller owns bufs[:n]: it returns each through pktbuf.Put or
 // hands it on. Buffers are lent only while the socket is readable — at
 // most min(len(bufs), lend) per batched round, one on the portable
 // path — and every one not filled is back in the pool, its slot nil,
@@ -67,10 +69,10 @@ func (pc *PacketConn) ReadBatch(bufs [][]byte, addrs []netip.AddrPort) (int, err
 	if pc.useOS {
 		return pc.readBatchOS(bufs, addrs)
 	}
-	buf := GetBuf()
+	buf := pktbuf.Get()
 	n, src, err := pc.conn.ReadFromUDPAddrPort(buf)
 	if err != nil {
-		PutBuf(buf)
+		pktbuf.Put(buf)
 		return 0, err
 	}
 	bufs[0] = buf[:n]

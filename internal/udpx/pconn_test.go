@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"govdns/internal/pktbuf"
 )
 
 // loopbackConn binds a loopback socket whose blocked reads fail after a
@@ -43,7 +45,7 @@ func readAll(t *testing.T, pc *PacketConn, want, slots int) map[string]netip.Add
 		}
 		for i := 0; i < n; i++ {
 			seen[string(bufs[i])] = addrs[i]
-			PutBuf(bufs[i])
+			pktbuf.Put(bufs[i])
 			bufs[i] = nil
 		}
 	}
@@ -161,8 +163,8 @@ func TestReadBatchLendsOnlyFilledBuffers(t *testing.T) {
 						}
 						continue
 					}
-					if cap(b) != bufSize || len(b) != 2 {
-						t.Errorf("slot %d: len %d cap %d, want 2 and %d", i, len(b), cap(b), bufSize)
+					if cap(b) != pktbuf.Size || len(b) != 2 {
+						t.Errorf("slot %d: len %d cap %d, want 2 and %d", i, len(b), cap(b), pktbuf.Size)
 					}
 					if p := unsafe.SliceData(b); arrays[p] {
 						t.Errorf("slot %d shares its array with another returned buffer", i)
@@ -213,7 +215,7 @@ func TestReadBatchLendAdapts(t *testing.T) {
 				lendBefore, step.queued, n, pc.lend, step.read, step.lendAfter)
 		}
 		for i := 0; i < n; i++ {
-			PutBuf(bufs[i])
+			pktbuf.Put(bufs[i])
 			bufs[i] = nil
 		}
 	}
@@ -231,7 +233,7 @@ func TestDispatchSkipsInvalidSource(t *testing.T) {
 	tr := &BatchTransport{}
 	s := &sock{
 		t:      tr,
-		rbufs:  [][]byte{GetBuf()[:16], GetBuf()[:16]},
+		rbufs:  [][]byte{pktbuf.Get()[:16], pktbuf.Get()[:16]},
 		raddrs: []netip.AddrPort{{}, netip.MustParseAddrPort("127.0.0.1:5353")},
 	}
 	s.rbufs[1][2] = 0x80 // QR set: an answer, which only the demux rejects
@@ -249,7 +251,7 @@ func TestDispatchSkipsInvalidSource(t *testing.T) {
 	// detector's pool drops a random share of returns, so only a plain
 	// build can check this.
 	if !raceEnabled {
-		if b := GetBuf(); unsafe.SliceData(b) != skipped {
+		if b := pktbuf.Get(); unsafe.SliceData(b) != skipped {
 			t.Error("the skipped datagram's buffer did not go back to the pool")
 		}
 	}

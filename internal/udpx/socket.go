@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"govdns/internal/pktbuf"
 )
 
 // slot is one wire transaction ID's entry in a socket's demux table:
@@ -183,7 +185,7 @@ func (s *sock) dispatch(got int) {
 		s.rbufs[i] = nil
 		if !s.raddrs[i].IsValid() {
 			m.malformed.Inc()
-			PutBuf(buf)
+			pktbuf.Put(buf)
 			continue
 		}
 		s.t.deliver(s, buf, s.raddrs[i])

@@ -75,6 +75,7 @@ import (
 
 	"govdns/internal/deadline"
 	"govdns/internal/obs"
+	"govdns/internal/pktbuf"
 )
 
 // Transport errors.
@@ -400,8 +401,8 @@ func (t *BatchTransport) Exchange(ctx context.Context, server netip.Addr, query 
 	if len(query) < 12 {
 		return nil, fmt.Errorf("udpx: query shorter than a DNS header (%d bytes)", len(query))
 	}
-	if len(query) > bufSize {
-		return nil, fmt.Errorf("udpx: query of %d bytes exceeds %d", len(query), bufSize)
+	if len(query) > pktbuf.Size {
+		return nil, fmt.Errorf("udpx: query of %d bytes exceeds %d", len(query), pktbuf.Size)
 	}
 	if t.closed.Load() {
 		return nil, ErrClosed
@@ -527,7 +528,7 @@ func (t *BatchTransport) cancelWait(w *waiter, gen uint32, cause error) error {
 		return cause
 	}
 	if res := <-w.ch; res.buf != nil {
-		PutBuf(res.buf)
+		pktbuf.Put(res.buf)
 	}
 	return cause
 }
@@ -550,7 +551,7 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	m.recvDgrams.Inc()
 	if len(buf) < 12 || buf[2]&0x80 == 0 {
 		m.malformed.Inc()
-		PutBuf(buf)
+		pktbuf.Put(buf)
 		return
 	}
 	src = netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
@@ -562,7 +563,7 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 	mu.Unlock()
 	if !ok || !ref.w.complete(ref.gen, stDelivered) {
 		m.misses.Inc()
-		PutBuf(buf)
+		pktbuf.Put(buf)
 		return
 	}
 	t.unregister(ref.w, ref.gen)
@@ -580,7 +581,7 @@ func (t *BatchTransport) deliver(s *sock, buf []byte, src netip.AddrPort) {
 // copies everything it keeps). Implements resolver.ResponseReleaser.
 // Foreign buffers — a chaos duplicate's replay copy, a caller's own
 // slice — are recognized by capacity and simply left to the GC.
-func (t *BatchTransport) ReleaseResponse(buf []byte) { PutBuf(buf) }
+func (t *BatchTransport) ReleaseResponse(buf []byte) { pktbuf.Put(buf) }
 
 // Close shuts the transport down: stops the senders, closes every socket (unblocking the receivers), and fails every
 // still-pending exchange with ErrClosed. Idempotent.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"govdns/internal/deadline"
+	"govdns/internal/pktbuf"
 	"govdns/internal/trace"
 )
 
@@ -41,7 +42,7 @@ func startUDP(t testing.TB, handler func(*net.UDPConn)) netip.AddrPort {
 // is deliberately allocation-free so the zero-alloc gate can run it in
 // the background.
 func echoLoop(conn *net.UDPConn) {
-	var buf [bufSize]byte
+	var buf [pktbuf.Size]byte
 	for {
 		n, src, err := conn.ReadFromUDPAddrPort(buf[:])
 		if err != nil {
@@ -53,7 +54,7 @@ func echoLoop(conn *net.UDPConn) {
 
 // blackholeLoop consumes datagrams and never answers.
 func blackholeLoop(conn *net.UDPConn) {
-	var buf [bufSize]byte
+	var buf [pktbuf.Size]byte
 	for {
 		if _, _, err := conn.ReadFromUDPAddrPort(buf[:]); err != nil {
 			return
@@ -198,7 +199,7 @@ func TestResponseOnWrongSocketOrSourceIsAMiss(t *testing.T) {
 			trCh := make(chan *BatchTransport, 1)
 			srv := startUDP(t, func(conn *net.UDPConn) {
 				tr := <-trCh
-				var buf [bufSize]byte
+				var buf [pktbuf.Size]byte
 				n, src, err := conn.ReadFromUDPAddrPort(buf[:])
 				if err != nil {
 					return
@@ -255,7 +256,7 @@ func TestQRClearDatagramIsNotAnAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrive := func(flags byte) {
-		buf := GetBuf()[:12]
+		buf := pktbuf.Get()[:12]
 		clear(buf)
 		binary.BigEndian.PutUint16(buf, w.wireID)
 		buf[2] = flags
@@ -279,7 +280,7 @@ func TestQRClearDatagramIsNotAnAnswer(t *testing.T) {
 		if res.err != nil || binary.BigEndian.Uint16(res.buf) != w.origID {
 			t.Errorf("reply = %x (err %v), want ID %#x restored", res.buf, res.err, w.origID)
 		}
-		PutBuf(res.buf)
+		pktbuf.Put(res.buf)
 	default:
 		t.Fatal("the real reply after the QR-clear datagram was not delivered")
 	}
@@ -294,7 +295,7 @@ func TestQRClearDatagramIsNotAnAnswer(t *testing.T) {
 func TestIDWrapSkipsLiveSlot(t *testing.T) {
 	heldID := make(chan uint16, 1)
 	hole := startUDP(t, func(conn *net.UDPConn) {
-		var buf [bufSize]byte
+		var buf [pktbuf.Size]byte
 		if n, _, err := conn.ReadFromUDPAddrPort(buf[:]); err == nil && n >= 2 {
 			heldID <- binary.BigEndian.Uint16(buf[:])
 		}
@@ -303,7 +304,7 @@ func TestIDWrapSkipsLiveSlot(t *testing.T) {
 	// seen counts, per wire ID, the queries the echo server received.
 	var seen [maxInflightPerSock]atomic.Uint32
 	echo := startUDP(t, func(conn *net.UDPConn) {
-		var buf [bufSize]byte
+		var buf [pktbuf.Size]byte
 		for {
 			n, src, err := conn.ReadFromUDPAddrPort(buf[:])
 			if err != nil {
@@ -432,7 +433,7 @@ func TestCancelChurnNoLeak(t *testing.T) {
 func stormLoop(seed int64) func(*net.UDPConn) {
 	return func(conn *net.UDPConn) {
 		rng := rand.New(rand.NewSource(seed))
-		var buf [bufSize]byte
+		var buf [pktbuf.Size]byte
 		var stray [12]byte
 		for {
 			n, src, err := conn.ReadFromUDPAddrPort(buf[:])
@@ -593,7 +594,7 @@ func TestDeadlineAnswerRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	var rngMu sync.Mutex
 	late := startUDP(t, func(conn *net.UDPConn) {
-		var buf [bufSize]byte
+		var buf [pktbuf.Size]byte
 		for {
 			n, src, err := conn.ReadFromUDPAddrPort(buf[:])
 			if err != nil {
