@@ -24,13 +24,19 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's custom vet pass: tracecheck verifies that every
+# lint runs the repo's two custom passes. tracecheck verifies that every
 # trace span started anywhere in the module is ended on all paths out of
 # the region that started it (see internal/tools/tracecheck for the
-# analysis and its limits). The directories are whatever `go list`
+# analysis and its limits); its directories are whatever `go list`
 # finds, so a package that starts spans is checked without an edit here.
+# reachcheck type-checks the main and bench modules and fails on any
+# package-level declaration under internal/ that no binary (cmd/,
+# examples/, bench/, the root package) reaches, unless its allowlist
+# names it with a kind and a reason — and on an allowlist entry that is
+# reached or gone (see internal/tools/reachcheck).
 lint:
 	$(GO) run ./internal/tools/tracecheck $$($(GO) list -f '{{.Dir}}' ./...)
+	$(GO) run ./internal/tools/reachcheck . bench
 
 # cross vets the packages split by build tag — udpx's batched syscalls
 # (mmsg_linux*.go, pconn_linux.go) against its portable stub

@@ -400,21 +400,6 @@ func (c *Corpus) sweepModes() {
 	})
 }
 
-// StartYear returns the first study year the corpus covers.
-func (c *Corpus) StartYear() int { return c.startYear }
-
-// EndYear returns the last study year the corpus covers.
-func (c *Corpus) EndYear() int { return c.endYear }
-
-// NumDomains returns the number of owner names with NS records.
-func (c *Corpus) NumDomains() int { return len(c.nsOwners) }
-
-// NumNames returns the number of distinct owner names of any type.
-func (c *Corpus) NumNames() int { return len(c.names) }
-
-// NumRecords returns the number of NS record sets.
-func (c *Corpus) NumRecords() int { return len(c.nsRData) }
-
 // yearIndex converts a calendar year to the corpus row index, or
 // panics: serving a year outside the compiled span would silently
 // return zeros where the reference path computes real values.
@@ -506,19 +491,6 @@ func (c *Corpus) DomainsPerCountry(year int) map[string]int {
 		}
 		if ci := c.country[i]; ci >= 0 {
 			out[c.m.countries[ci].Code]++
-		}
-	}
-	return out
-}
-
-// SingleNSDomains returns the set of d_1NS for a year — the
-// corpus-backed fast path of the package-level SingleNSDomains.
-func (c *Corpus) SingleNSDomains(year int) map[dnsname.Name]bool {
-	y := c.yearIndex(year)
-	out := make(map[dnsname.Name]bool)
-	for _, oi := range c.nsOwners {
-		if c.modeAt(int(oi), y) == 1 {
-			out[c.names[oi]] = true
 		}
 	}
 	return out

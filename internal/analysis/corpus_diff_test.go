@@ -135,9 +135,6 @@ func TestCorpusDifferential(t *testing.T) {
 						if got, want := c.DomainsPerCountry(year), DomainsPerCountry(v.view, m, year); !reflect.DeepEqual(got, want) {
 							t.Errorf("DomainsPerCountry(%d) diverges:\n got %v\nwant %v", year, got, want)
 						}
-						if got, want := c.SingleNSDomains(year), SingleNSDomains(v.view, year); !reflect.DeepEqual(got, want) {
-							t.Errorf("SingleNSDomains(%d) diverges: got %d names, want %d", year, len(got), len(want))
-						}
 					}
 					if got, want := c.SingleNSChurn(), SingleNSChurn(v.view, startYear, endYear); !reflect.DeepEqual(got, want) {
 						t.Errorf("SingleNSChurn diverges:\n got %+v\nwant %+v", got, want)

@@ -139,7 +139,8 @@ func TestCorpusOfUnorderedView(t *testing.T) {
 }
 
 // TestCorpusActiveNamesPerYear checks the pdnsq -counts series against
-// the view's Between/Names reference, across all record types.
+// the distinct owner names of the view's Between, across all record
+// types.
 func TestCorpusActiveNamesPerYear(t *testing.T) {
 	store := genStore(99)
 	view := pdns.NewView(store.Snapshot())
@@ -147,7 +148,11 @@ func TestCorpusActiveNamesPerYear(t *testing.T) {
 	got := c.ActiveNamesPerYear()
 	for year := 2011; year <= 2020; year++ {
 		from, to := pdns.YearRange(year)
-		want := len(view.Between(from, to).Names())
+		names := make(map[dnsname.Name]bool)
+		for _, rs := range view.Between(from, to).Sets {
+			names[rs.RRName] = true
+		}
+		want := len(names)
 		if got[year-2011] != want {
 			t.Errorf("ActiveNamesPerYear[%d] = %d, want %d", year, got[year-2011], want)
 		}
@@ -184,8 +189,8 @@ func TestCorpusDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // TestCorpusEmptyView checks the degenerate shapes.
 func TestCorpusEmptyView(t *testing.T) {
 	c := CompileCorpus(pdns.NewView(nil), testMapper(), 2011, 2020)
-	if c.NumDomains() != 0 || c.NumNames() != 0 || c.NumRecords() != 0 {
-		t.Errorf("empty view compiled to %d/%d/%d", c.NumNames(), c.NumDomains(), c.NumRecords())
+	if len(c.nsOwners) != 0 || len(c.names) != 0 || len(c.nsRData) != 0 {
+		t.Errorf("empty view compiled to %d/%d/%d", len(c.names), len(c.nsOwners), len(c.nsRData))
 	}
 	years := c.Yearly()
 	if len(years) != 10 {
@@ -222,8 +227,8 @@ func TestCorpusNilMapper(t *testing.T) {
 	if got := c.ActiveNamesPerYear(); got[0] != 1 {
 		t.Errorf("ActiveNamesPerYear = %v, want [1]", got)
 	}
-	if c.NumDomains() != 1 {
-		t.Errorf("NumDomains = %d", c.NumDomains())
+	if len(c.nsOwners) != 1 {
+		t.Errorf("NS owners = %d", len(c.nsOwners))
 	}
 }
 

@@ -93,14 +93,3 @@ func ProviderFlows(view *pdns.View, m *Mapper, catalog *providers.Catalog, yearA
 	})
 	return out
 }
-
-// InflowsTo sums the flows arriving at a label.
-func InflowsTo(flows []ProviderFlow, label string) int {
-	total := 0
-	for _, f := range flows {
-		if f.To == label {
-			total += f.Domains
-		}
-	}
-	return total
-}

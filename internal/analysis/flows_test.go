@@ -35,9 +35,6 @@ func TestProviderFlowsHandCrafted(t *testing.T) {
 			t.Errorf("unexpected flow %+v", f)
 		}
 	}
-	if InflowsTo(flows, "cloudflare.com") != 1 {
-		t.Errorf("InflowsTo(cloudflare) = %d", InflowsTo(flows, "cloudflare.com"))
-	}
 }
 
 func TestProviderFlowsOnGeneratedWorld(t *testing.T) {
@@ -55,9 +52,11 @@ func TestProviderFlowsOnGeneratedWorld(t *testing.T) {
 	// The decade's dominant story: inflows to the cloud providers
 	// dwarf outflows from them.
 	for _, cloud := range []string{"AWS DNS", "cloudflare.com"} {
-		in := InflowsTo(flows, cloud)
-		out := 0
+		in, out := 0, 0
 		for _, f := range flows {
+			if f.To == cloud {
+				in += f.Domains
+			}
 			if f.From == cloud {
 				out += f.Domains
 			}

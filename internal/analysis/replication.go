@@ -182,18 +182,6 @@ func DomainsPerCountry(view *pdns.View, m *Mapper, year int) map[string]int {
 	return out
 }
 
-// SingleNSDomains returns the set of d_1NS for a year.
-func SingleNSDomains(view *pdns.View, year int) map[dnsname.Name]bool {
-	idx := indexByDomain(view)
-	out := make(map[dnsname.Name]bool)
-	for _, name := range idx.names {
-		if mode, ok := NSModeForYear(idx.sets[name], year); ok && mode == 1 {
-			out[name] = true
-		}
-	}
-	return out
-}
-
 // ChurnStats tracks the paper's Fig. 6 series for one year.
 type ChurnStats struct {
 	Year int

@@ -233,11 +233,3 @@ func TestSingleNSChurn(t *testing.T) {
 		t.Errorf("2012 percentages: %v %v %v", c2012.NewPct(), c2012.FromBasePct(), c2012.BaseGonePct())
 	}
 }
-
-func TestSingleNSDomains(t *testing.T) {
-	view := pdns.NewView(buildTestPDNS().Snapshot())
-	singles := SingleNSDomains(view, 2012)
-	if !singles["b.gov.br."] || len(singles) != 1 {
-		t.Errorf("2012 singles = %v", singles)
-	}
-}

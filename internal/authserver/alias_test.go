@@ -23,7 +23,7 @@ func TestServeWireAliasSafety(t *testing.T) {
 	pool := dnswire.NewPool()
 	s := New("ns1.gov.br.")
 	s.AddZone(testZone(t))
-	s.SetWirePool(pool)
+	s.pool = pool
 	s.SetCache(NewResponseCache())
 
 	type probe struct {

@@ -69,8 +69,7 @@ const maxCacheTTL = 24 * time.Hour
 // response (OPT pseudo-records excluded — their TTL field is flag
 // storage, not a lifetime). Responses carrying no real records (FORMERR,
 // REFUSED, NOTIMP, behaviour-injected failures) have no defined lifetime
-// and are never cached. Expired entries are evicted lazily on lookup and
-// in bulk by SweepExpired.
+// and are never cached. Expired entries are evicted lazily on lookup.
 type ResponseCache struct {
 	t *memo.Table[cacheKey, cacheEntry]
 
@@ -171,17 +170,6 @@ func (c *ResponseCache) do(k cacheKey, render func() ([]byte, time.Duration)) (t
 // Len returns the number of live entries (expired-but-unswept entries
 // included; Len is a diagnostic, not a promise).
 func (c *ResponseCache) Len() int { return c.t.Len() }
-
-// SweepExpired evicts every expired entry and reports how many went.
-// Serving loops may call it periodically; correctness never depends on
-// it because get evicts lazily.
-func (c *ResponseCache) SweepExpired() int {
-	evicted := c.t.Sweep(expiredBy(c.now().UnixNano()))
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
-	}
-	return evicted
-}
 
 // minResponseTTL computes the cache lifetime of a rendered response: the
 // minimum TTL across all sections, excluding OPT pseudo-records (their

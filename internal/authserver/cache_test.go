@@ -79,33 +79,6 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestCacheSweepExpired(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1700000000, 0)}
-	s, c, _ := cacheTestServer(t, clk)
-
-	queries := []dnswire.Type{dnswire.TypeA, dnswire.TypeNS, dnswire.TypeSOA}
-	for _, qt := range queries {
-		wire, err := dnswire.Encode(query("gov.br.", qt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = s.HandleWire(wire)
-	}
-	if c.Len() != len(queries) {
-		t.Fatalf("entries = %d, want %d", c.Len(), len(queries))
-	}
-	if n := c.SweepExpired(); n != 0 {
-		t.Errorf("premature sweep evicted %d", n)
-	}
-	clk.Advance(3601 * time.Second) // past the zone's 3600s TTLs
-	if n := c.SweepExpired(); n != len(queries) {
-		t.Errorf("sweep evicted %d, want %d", n, len(queries))
-	}
-	if c.Len() != 0 {
-		t.Errorf("entries after sweep = %d, want 0", c.Len())
-	}
-}
-
 func TestCacheUncacheableResponses(t *testing.T) {
 	s, c, _ := cacheTestServer(t, nil)
 	// REFUSED for an unhosted zone carries no records, so no TTL, so no

@@ -74,7 +74,7 @@ func FuzzTCPFraming(f *testing.F) {
 		s := New("ns1.gov.br.")
 		z := testZone(t)
 		s.AddZone(z)
-		s.SetWirePool(pool)
+		s.pool = pool
 		s.SetCache(NewResponseCache())
 
 		conn := &streamConn{in: bytes.NewReader(stream)}

@@ -86,15 +86,6 @@ func New(hostname dnsname.Name) *Server {
 	}
 }
 
-// SetWirePool makes the server run its codec exchanges on p instead of
-// the package-shared pool, so tests can observe arena checkout/recycle
-// balance for one server in isolation.
-func (s *Server) SetWirePool(p *dnswire.Pool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pool = p
-}
-
 // SetCache installs (or, with nil, removes) a response cache. A cache
 // may be shared between servers; keys never collide across zones because
 // they carry the full qname.
@@ -157,14 +148,6 @@ func (s *Server) AddZone(z *zone.Zone) {
 	s.zones[z.Origin()] = z
 }
 
-// DropZone removes the zone rooted at origin, modelling a provider that
-// stopped serving a customer. The server then answers REFUSED for it.
-func (s *Server) DropZone(origin dnsname.Name) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.zones, origin)
-}
-
 // ZoneByOrigin returns the hosted zone with exactly the given origin.
 func (s *Server) ZoneByOrigin(origin dnsname.Name) (*zone.Zone, bool) {
 	s.mu.RLock()
@@ -200,19 +183,11 @@ func (s *Server) zoneFor(name dnsname.Name) (*zone.Zone, bool) {
 	}
 }
 
-// Handle answers a decoded query. It returns nil when the server drops
-// the query (BehaviorUnresponsive), which the network layer turns into a
-// timeout.
-func (s *Server) Handle(query *dnswire.Message) *dnswire.Message {
-	return s.respond(query, dnswire.NewResponse(query), nil)
-}
-
 // respond fills the pre-built (empty, headers-only) response for query
 // and returns it, or nil when the behaviour drops the query. The zone's
 // records are appended to buf, so the sections live wherever buf does.
 // Splitting construction from logic lets HandleWireAppend build the
-// response in a codec arena — slot and sections — while Handle keeps its
-// heap-allocating contract.
+// response in a codec arena — slot and sections.
 func (s *Server) respond(query, resp *dnswire.Message, buf []dnswire.RR) *dnswire.Message {
 	s.mu.RLock()
 	behavior := s.behavior

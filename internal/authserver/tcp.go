@@ -30,6 +30,7 @@ type TCPServer struct {
 
 	mu     sync.Mutex
 	closed bool
+	done   chan struct{} // closed by Close: ends an accept backoff
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 }
@@ -48,15 +49,21 @@ func ListenTCPIdle(addr string, s *Server, idle time.Duration) (*TCPServer, erro
 	if err != nil {
 		return nil, fmt.Errorf("authserver: listen tcp %s: %w", addr, err)
 	}
+	return serveTCP(ln, s, idle), nil
+}
+
+// serveTCP starts answering framed queries accepted from ln.
+func serveTCP(ln net.Listener, s *Server, idle time.Duration) *TCPServer {
 	t := &TCPServer{
 		server: s,
 		ln:     ln,
 		idle:   idle,
+		done:   make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
-	return t, nil
+	return t
 }
 
 // Addr returns the bound address, useful when listening on port 0.
@@ -71,6 +78,7 @@ func (t *TCPServer) Close() error {
 		return nil
 	}
 	t.closed = true
+	close(t.done)
 	for c := range t.conns {
 		_ = c.Close()
 	}
@@ -80,8 +88,14 @@ func (t *TCPServer) Close() error {
 	return err
 }
 
+// acceptLoop accepts until Close. An Accept error that is not the close
+// (EMFILE under FD exhaustion, say) is retried after a pause that
+// doubles from 5 ms to 1 s and resets on success, as net/http's Serve
+// does, so the loop does not spin while the error lasts; Close ends the
+// pause.
 func (t *TCPServer) acceptLoop() {
 	defer t.wg.Done()
+	var delay time.Duration
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
@@ -91,8 +105,21 @@ func (t *TCPServer) acceptLoop() {
 			if closed || errors.Is(err, net.ErrClosed) {
 				return
 			}
+			if delay == 0 {
+				delay = 5 * time.Millisecond
+			} else if delay *= 2; delay > time.Second {
+				delay = time.Second
+			}
+			pause := time.NewTimer(delay)
+			select {
+			case <-pause.C:
+			case <-t.done:
+				pause.Stop()
+				return
+			}
 			continue
 		}
+		delay = 0
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()

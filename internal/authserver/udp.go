@@ -12,17 +12,6 @@ import (
 	"govdns/internal/udpx"
 )
 
-// udpBufSize is the largest datagram the serving side reads or
-// answers: udpx's 4 KiB packet-pool buffer, the de-facto EDNS0
-// ceiling. The read loop borrows its query buffers from that pool only
-// while its socket is readable (udpx.PacketConn lends them at
-// readiness) and returns each once the query is answered, so a
-// listener holds none while it waits. Owning them for the loop's whole
-// life instead — whether allocated or checked out of the pool — pinned
-// 32 of them per listener: most of scan_udp_loopback's peak RSS across
-// its 3,775 listeners.
-const udpBufSize = 4096
-
 // UDPServer serves one authoritative Server over a real UDP socket. It is
 // used by cmd/dnsserver, the live-resolution example, and the loopback
 // serving tier behind the e2e differentials and the bench/ workloads
@@ -95,8 +84,9 @@ const udpServeBatch = 32
 // batched receive into buffers udpx lends from the packet pool, each
 // query is answered (the handler decodes onto a pooled codec arena;
 // responses land in loop-owned buffers reused across rounds) and its
-// buffer goes back to the pool, and the batch of responses goes out in
-// one batched send. Steady state is allocation-free, gated by
+// buffer goes back to the pool, so a listener holds no query buffer
+// while it waits, and the batch of responses goes out in one batched
+// send. Steady state is allocation-free, gated by
 // TestUDPServerLoopZeroAlloc; the AddrPort-based fallbacks keep even
 // the portable path free of the per-datagram net.Addr allocation the
 // net.PacketConn interface forces.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"govdns/internal/dnswire"
+	"govdns/internal/pktbuf"
 )
 
 func TestUDPServerEndToEnd(t *testing.T) {
@@ -111,7 +112,7 @@ func TestUDPServerLoopZeroAlloc(t *testing.T) {
 	defer func() { _ = conn.Close() }()
 
 	wire := confWire(t, "www.gov.br.", dnswire.TypeA, 42, true, 1232)
-	resp := make([]byte, udpBufSize)
+	resp := make([]byte, pktbuf.Size)
 	roundTrip := func() {
 		if _, err := conn.WriteToUDPAddrPort(wire, srv); err != nil {
 			t.Fatalf("send: %v", err)
@@ -151,7 +152,7 @@ func TestUDPListenerFootprint(t *testing.T) {
 	}
 	defer func() { _ = client.Close() }()
 	wire := confWire(t, "www.gov.br.", dnswire.TypeA, 42, true, 1232)
-	resp := make([]byte, udpBufSize)
+	resp := make([]byte, pktbuf.Size)
 	servers := make([]*UDPServer, 0, listeners)
 	defer func() {
 		for _, u := range servers {

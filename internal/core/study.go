@@ -10,12 +10,10 @@ import (
 	"time"
 
 	"govdns/internal/analysis"
-	"govdns/internal/dnsname"
 	"govdns/internal/measure"
 	"govdns/internal/obs"
 	"govdns/internal/pdns"
 	"govdns/internal/providers"
-	"govdns/internal/remedy"
 	"govdns/internal/resolver"
 	"govdns/internal/trace"
 	"govdns/internal/worldgen"
@@ -369,28 +367,6 @@ func (s *Study) Funnel() (*Funnel, error) {
 	return f, nil
 }
 
-// --- Remediation (§ V-B) ---
-
-// ProposeRemediation derives a § V-B remediation plan from the scan:
-// CSYNC-style parent synchronization for inconsistent delegations,
-// removal of stale delegations, and registry-lock advisories for
-// delegations involving registrable nameserver domains.
-func (s *Study) ProposeRemediation() (*remedy.Plan, error) {
-	if err := s.requireScan(); err != nil {
-		return nil, err
-	}
-	return remedy.Propose(s.Results, s.Mapper, s.Active.Reg), nil
-}
-
-// ApplyRemediation executes a plan against the world's parent zones.
-// With force false, synchronizations honour RFC 7477: they run only when
-// the child publishes an immediate-flagged CSYNC record. Re-run
-// RunActive afterwards to measure the improvement.
-func (s *Study) ApplyRemediation(ctx context.Context, plan *remedy.Plan, force bool) (*remedy.Outcome, error) {
-	applier := &remedy.Applier{Active: s.Active, Client: s.client(s.Active.Net), Force: force}
-	return applier.Apply(ctx, plan)
-}
-
 // HijackForensics runs the § V-A historical-takeover detector over the
 // RAW passive-DNS view (the stability filter would erase the evidence)
 // and returns the candidates alongside the injected ground truth.
@@ -403,47 +379,4 @@ func (s *Study) HijackForensics() ([]analysis.SuspiciousTransition, []worldgen.H
 // years (who the cloud providers' customers came from).
 func (s *Study) ProviderFlows(yearA, yearB int) []analysis.ProviderFlow {
 	return s.Corpus().ProviderFlows(s.Catalog, yearA, yearB)
-}
-
-// CompareVantage geo-fences the given country's government nameservers
-// and scans that country's domains twice — once from the study's default
-// vantage and once from a domestic one — returning the visibility diff
-// (§ V-A's multi-vantage future work). The geo-fence persists on the
-// world afterwards; use a dedicated Study when the main results must
-// stay untouched.
-func (s *Study) CompareVantage(ctx context.Context, code string, maxDomains int) (*analysis.VantageDiff, error) {
-	if err := s.Active.GeoFence(code); err != nil {
-		return nil, err
-	}
-	domestic, err := s.Active.DomesticVantage(code)
-	if err != nil {
-		return nil, err
-	}
-	var country analysis.Country
-	for _, c := range s.Mapper.Countries() {
-		if c.Code == code {
-			country = c
-			break
-		}
-	}
-	var targets []dnsname.Name
-	for _, name := range s.Active.QueryList {
-		if maxDomains > 0 && len(targets) >= maxDomains {
-			break
-		}
-		if name.IsSubdomainOf(country.Suffix) {
-			targets = append(targets, name)
-		}
-	}
-
-	scan := func(transport resolver.Transport) []*measure.DomainResult {
-		sc := measure.NewScanner(resolver.NewIterator(s.client(transport), s.Active.Roots))
-		sc.Concurrency = s.Cfg.Concurrency
-		sc.PerDomainParallelism = s.Cfg.PerDomainParallelism
-		sc.SecondRound = false
-		return sc.Scan(ctx, targets)
-	}
-	outside := scan(s.Active.Net)
-	inside := scan(s.Active.Net.Vantage(domestic))
-	return analysis.CompareVantages(outside, inside), ctx.Err()
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"govdns/internal/analysis"
+	"govdns/internal/remedy"
 )
 
 // testStudy runs the complete pipeline once per test binary at a small
@@ -292,14 +293,12 @@ func TestStudyRemediationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.ProposeRemediation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := remedy.Propose(s.Results, s.Mapper, s.Active.Reg)
 	if len(plan.Actions) == 0 {
 		t.Fatal("empty remediation plan")
 	}
-	outcome, err := s.ApplyRemediation(ctx, plan, true)
+	applier := &remedy.Applier{Active: s.Active, Client: s.client(s.Active.Net), Force: true}
+	outcome, err := applier.Apply(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,28 +340,6 @@ func TestWriteCSVs(t *testing.T) {
 		if info.Size() == 0 {
 			t.Errorf("%s is empty", want)
 		}
-	}
-}
-
-func TestCompareVantage(t *testing.T) {
-	// A dedicated study: CompareVantage mutates the world's ACLs.
-	s := NewStudy(Config{Seed: 31, Scale: 0.005, QueryTimeout: 10 * time.Millisecond, Concurrency: 128})
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	diff, err := s.CompareVantage(ctx, "ua", 40)
-	if err != nil {
-		t.Fatalf("CompareVantage: %v", err)
-	}
-	// Geo-fencing makes in-country-hosted domains visible only from the
-	// domestic vantage.
-	if diff.OnlyB == 0 {
-		t.Errorf("no domestically-visible domains: %+v", diff)
-	}
-	if diff.OnlyA != 0 {
-		t.Errorf("domains visible only from outside a geo-fence: %+v", diff)
-	}
-	if _, err := s.CompareVantage(ctx, "zz", 1); err == nil {
-		t.Error("CompareVantage accepted an unknown country")
 	}
 }
 

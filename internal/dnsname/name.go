@@ -170,11 +170,6 @@ func (n Name) IsSubdomainOf(ancestor Name) bool {
 	return strings.HasSuffix(string(n), "."+string(ancestor))
 }
 
-// IsStrictSubdomainOf reports whether n is strictly below ancestor.
-func (n Name) IsStrictSubdomainOf(ancestor Name) bool {
-	return n != ancestor && n.IsSubdomainOf(ancestor)
-}
-
 // Prepend returns label + "." + n, validating the new label.
 func (n Name) Prepend(label string) (Name, error) {
 	if err := checkLabel(strings.ToLower(label)); err != nil {
@@ -211,23 +206,6 @@ func (n Name) AncestorAtLevel(level int) (Name, bool) {
 		cur--
 	}
 	return n, true
-}
-
-// CommonAncestor returns the deepest name that is an ancestor of both a
-// and b (possibly the root).
-func CommonAncestor(a, b Name) Name {
-	al, bl := a.Labels(), b.Labels()
-	i, j := len(al)-1, len(bl)-1
-	n := 0
-	for i >= 0 && j >= 0 && al[i] == bl[j] {
-		n++
-		i--
-		j--
-	}
-	if n == 0 {
-		return Root
-	}
-	return Name(strings.Join(al[len(al)-n:], ".") + ".")
 }
 
 // Compare orders names by their reversed label sequence (DNSSEC canonical

@@ -116,9 +116,6 @@ func TestIsSubdomainOf(t *testing.T) {
 			t.Errorf("%q.IsSubdomainOf(%q) = %v, want %v", tt.child, tt.parent, got, tt.want)
 		}
 	}
-	if Name("gov.br.").IsStrictSubdomainOf("gov.br.") {
-		t.Error("a name must not be a strict subdomain of itself")
-	}
 }
 
 func TestPrepend(t *testing.T) {
@@ -149,21 +146,6 @@ func TestAncestorAtLevel(t *testing.T) {
 	}
 	if got, _ := n.AncestorAtLevel(4); got != n {
 		t.Errorf("AncestorAtLevel(own level) = %q, want %q", got, n)
-	}
-}
-
-func TestCommonAncestor(t *testing.T) {
-	tests := []struct {
-		a, b, want Name
-	}{
-		{"x.gov.br.", "y.gov.br.", "gov.br."},
-		{"x.gov.br.", "x.gov.cn.", Root},
-		{"a.b.c.", "b.c.", "b.c."},
-	}
-	for _, tt := range tests {
-		if got := CommonAncestor(tt.a, tt.b); got != tt.want {
-			t.Errorf("CommonAncestor(%q, %q) = %q, want %q", tt.a, tt.b, got, tt.want)
-		}
 	}
 }
 

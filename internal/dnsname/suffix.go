@@ -73,39 +73,6 @@ func (s *SuffixSet) RegisteredDomain(n Name) (Name, bool) {
 	return n.AncestorAtLevel(2)
 }
 
-// Suffixes returns all suffixes in deterministic (canonical) order.
-func (s *SuffixSet) Suffixes() []Name {
-	out := make([]Name, 0, len(s.suffixes))
-	for n := range s.suffixes {
-		out = append(out, n)
-	}
-	sortNames(out)
-	return out
-}
-
-func sortNames(names []Name) {
-	// Insertion sort is fine for the small sets used here, but use the
-	// canonical comparison so output ordering is stable across runs.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && Compare(names[j], names[j-1]) < 0; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-}
-
-// HostnameInDomain reports whether host's name lies at or below any of the
-// given apex domains. The paper uses this to classify a nameserver as a
-// "private" (in-house) deployment: the NS hostname is within the same
-// government domain it serves.
-func HostnameInDomain(host Name, apexes ...Name) bool {
-	for _, apex := range apexes {
-		if host.IsSubdomainOf(apex) {
-			return true
-		}
-	}
-	return false
-}
-
 // TrimOrigin returns n relative to origin in presentation form without a
 // trailing dot, or "@" when n equals origin. It reports false when n is
 // not below origin. Used by the zone-file serialiser.

@@ -60,34 +60,6 @@ func TestRegisteredDomain(t *testing.T) {
 	}
 }
 
-func TestSuffixesDeterministicOrder(t *testing.T) {
-	s := newTestSet()
-	first := s.Suffixes()
-	second := s.Suffixes()
-	if len(first) != 5 || len(second) != 5 {
-		t.Fatalf("Suffixes lengths = %d, %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("Suffixes order differs at %d: %q vs %q", i, first[i], second[i])
-		}
-	}
-	for i := 1; i < len(first); i++ {
-		if Compare(first[i-1], first[i]) >= 0 {
-			t.Errorf("Suffixes not sorted: %q before %q", first[i-1], first[i])
-		}
-	}
-}
-
-func TestHostnameInDomain(t *testing.T) {
-	if !HostnameInDomain("ns1.gov.br.", "gov.cn.", "gov.br.") {
-		t.Error("HostnameInDomain missed a matching apex")
-	}
-	if HostnameInDomain("ns1.cloudflare.com.", "gov.br.") {
-		t.Error("HostnameInDomain matched a third-party host")
-	}
-}
-
 func TestTrimOrigin(t *testing.T) {
 	tests := []struct {
 		n, origin Name

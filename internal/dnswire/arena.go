@@ -204,7 +204,7 @@ func (a *Arena) NewResponse(q *Message) *Message {
 // section borrows a like the message itself, valid until the next
 // Decode on a or Finish, and costs no allocation once the array has
 // grown to the workload's size. rrs is typically a section of the
-// message decoded on a; Message's AnswersOfType family is the owned
+// message decoded on a; Message.AnswersOfType is the owned
 // alternative.
 func (a *Arena) OfType(rrs []RR, t Type) []RR {
 	start := len(a.rrs)

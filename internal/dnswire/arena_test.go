@@ -329,10 +329,10 @@ func TestArenaOfType(t *testing.T) {
 	if fmt.Sprint(m.Authority, m.Additional) != fmt.Sprint(want.Authority, want.Additional) {
 		t.Fatalf("filtering changed the decoded sections: %v %v", m.Authority, m.Additional)
 	}
-	if got, owned := fmt.Sprint(ns), fmt.Sprint(want.AuthorityOfType(TypeNS)); got != owned {
+	if got, owned := fmt.Sprint(ns), fmt.Sprint(recordsOfType(want.Authority, TypeNS)); got != owned {
 		t.Errorf("OfType NS = %s, want %s", got, owned)
 	}
-	if got, owned := fmt.Sprint(glue), fmt.Sprint(want.AdditionalOfType(TypeA)); got != owned {
+	if got, owned := fmt.Sprint(glue), fmt.Sprint(recordsOfType(want.Additional, TypeA)); got != owned {
 		t.Errorf("OfType A = %s, want %s", got, owned)
 	}
 	if cap(ns) != len(ns) {

@@ -12,15 +12,9 @@ import (
 // should copy.
 const TypeCSYNC Type = 62
 
-// CSYNC flag bits (RFC 7477 § 2.1.1).
-const (
-	// CSYNCImmediate allows the parent to act without out-of-band
-	// confirmation.
-	CSYNCImmediate uint16 = 1 << 0
-	// CSYNCSOAMinimum requires the child SOA serial to be at least the
-	// CSYNC SOA serial before processing.
-	CSYNCSOAMinimum uint16 = 1 << 1
-)
+// CSYNCImmediate is the CSYNC flag bit (RFC 7477 § 2.1.1) that allows
+// the parent to act without out-of-band confirmation.
+const CSYNCImmediate uint16 = 1 << 0
 
 // CSYNCData is the RDATA of a CSYNC record: the child's SOA serial at
 // publication, processing flags, and the set of record types the parent

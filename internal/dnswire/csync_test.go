@@ -8,7 +8,7 @@ import (
 func TestCSYNCRoundTrip(t *testing.T) {
 	data := CSYNCData{
 		Serial: 2021041501,
-		Flags:  CSYNCImmediate | CSYNCSOAMinimum,
+		Flags:  CSYNCImmediate | 1<<1, // and soaminimum
 		Types:  []Type{TypeNS, TypeA, TypeAAAA},
 	}
 	msg := NewQuery(1, "child.gov.br.", TypeCSYNC)

@@ -82,16 +82,6 @@ func (m *Message) AnswersOfType(t Type) []RR {
 	return recordsOfType(m.Answers, t)
 }
 
-// AuthorityOfType returns the authority-section records of the given type.
-func (m *Message) AuthorityOfType(t Type) []RR {
-	return recordsOfType(m.Authority, t)
-}
-
-// AdditionalOfType returns the additional-section records of the given type.
-func (m *Message) AdditionalOfType(t Type) []RR {
-	return recordsOfType(m.Additional, t)
-}
-
 // recordsOfType counts matches first so the result is allocated exactly
 // once at size, and returns nil when nothing matches — referral
 // classification calls this on every delegation response.

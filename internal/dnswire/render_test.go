@@ -90,11 +90,11 @@ func TestMessageHelpers(t *testing.T) {
 	if got := len(resp.AnswersOfType(TypeNS)); got != 1 {
 		t.Errorf("AnswersOfType(NS) = %d", got)
 	}
-	if got := len(resp.AdditionalOfType(TypeA)); got != 1 {
-		t.Errorf("AdditionalOfType(A) = %d", got)
+	if got := len(recordsOfType(resp.Additional, TypeA)); got != 1 {
+		t.Errorf("additional A records = %d", got)
 	}
-	if got := len(resp.AuthorityOfType(TypeNS)); got != 0 {
-		t.Errorf("AuthorityOfType(NS) = %d", got)
+	if got := len(recordsOfType(resp.Authority, TypeNS)); got != 0 {
+		t.Errorf("authority NS records = %d", got)
 	}
 
 	// String renders all sections.

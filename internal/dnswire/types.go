@@ -153,11 +153,8 @@ func (rc RCode) String() string {
 // Opcode is a DNS operation code.
 type Opcode uint8
 
-// Opcodes. Only standard queries appear in the study.
-const (
-	OpcodeQuery  Opcode = 0
-	OpcodeStatus Opcode = 2
-)
+// OpcodeQuery is the standard query, the only opcode the study uses.
+const OpcodeQuery Opcode = 0
 
 // MaxUDPPayload is the classic DNS-over-UDP payload limit. The codec
 // truncates answers beyond this and sets the TC bit, which the resolver

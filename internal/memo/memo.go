@@ -156,27 +156,6 @@ func (t *Table[K, V]) Evict(key K, stale func(V) bool) bool {
 	return cur == e
 }
 
-// Sweep evicts every settled entry stale reports true for and returns
-// how many went.
-func (t *Table[K, V]) Sweep(stale func(V) bool) int {
-	var keys []K
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k := range s.m {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
-	}
-	evicted := 0
-	for _, k := range keys {
-		if t.Evict(k, stale) {
-			evicted++
-		}
-	}
-	return evicted
-}
-
 // Len returns the number of settled entries.
 func (t *Table[K, V]) Len() int {
 	n := 0

@@ -94,9 +94,6 @@ func NewDiffer() *Differ {
 	return &Differ{catalog: providers.Default()}
 }
 
-// HasBaseline reports whether a previous epoch has been installed.
-func (d *Differ) HasBaseline() bool { return d.baseline != nil }
-
 // SetBaseline installs a completed epoch's summaries as the comparison
 // base and recomputes the NS-spread table. Must not run concurrently
 // with Diff (the monitor swaps baselines only between epochs).

@@ -63,8 +63,8 @@ type Config struct {
 	Registry *obs.Registry
 	// OnResult, when set, observes every emitted result after the
 	// monitor's own diffing, under the stream writer's lock in emission
-	// order — the daemon's progress hook, and the crash drill's kill
-	// trigger.
+	// order. cmd/govmon leaves it nil; the crash drill kills an epoch
+	// from it.
 	OnResult func(*measure.DomainResult)
 }
 

@@ -335,7 +335,7 @@ func TestMonitorStateGuards(t *testing.T) {
 	if m2.Epoch() != 1 {
 		t.Errorf("reopened at epoch %d, want 1", m2.Epoch())
 	}
-	if !m2.differ.HasBaseline() {
+	if m2.differ.baseline == nil {
 		t.Error("reopened monitor has no baseline despite a completed epoch")
 	}
 }

@@ -106,21 +106,6 @@ func (t *Topology) takeBlockLocked() uint32 {
 	}
 }
 
-// AS returns the AS with the given number, if registered.
-func (t *Topology) AS(asn uint32) (*AS, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	as, ok := t.ases[asn]
-	return as, ok
-}
-
-// NumASes returns the number of registered ASes.
-func (t *Topology) NumASes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ases)
-}
-
 // AllocIP allocates a fresh address inside the given AS. Addresses within
 // an AS are handed out sequentially, so consecutive allocations tend to
 // share a /24 — callers use AllocIPNew24 to force prefix diversity.

@@ -51,8 +51,8 @@ func TestAddASIdempotent(t *testing.T) {
 	if a1 != a2 {
 		t.Error("AddAS created a second AS for the same ASN")
 	}
-	if topo.NumASes() != 1 {
-		t.Errorf("NumASes = %d, want 1", topo.NumASes())
+	if len(topo.ases) != 1 {
+		t.Errorf("%d ASes, want 1", len(topo.ases))
 	}
 }
 
@@ -143,7 +143,7 @@ func TestASGrowsBlocksWhenExhausted(t *testing.T) {
 	if len(prefixes) != 300 {
 		t.Errorf("got %d distinct /24s, want 300", len(prefixes))
 	}
-	as, _ := topo.AS(65001)
+	as := topo.ases[65001]
 	if len(as.blocks) < 2 {
 		t.Errorf("AS has %d blocks, want >=2", len(as.blocks))
 	}

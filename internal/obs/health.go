@@ -11,9 +11,9 @@ import (
 // Health is the liveness/readiness surface a long-running process hangs
 // off its ops mux: /healthz answers "is the process wedged" (liveness)
 // and /readyz answers "should traffic/scrapes trust it yet" (readiness).
-// Both run a set of pluggable named checks; readiness additionally gates
-// on an explicit SetReady flip, so a daemon stays unready through its
-// first warm-up epoch however healthy its internals look.
+// Liveness runs a set of pluggable named checks; readiness is an
+// explicit SetReady flip, so a daemon stays unready through its first
+// warm-up epoch however healthy its internals look.
 //
 // The zero value is usable; a nil *Health is "always healthy, always
 // ready" (the Handler wiring for processes that don't care). Checks must
@@ -21,9 +21,8 @@ import (
 type Health struct {
 	ready atomic.Bool
 
-	mu          sync.RWMutex
-	liveChecks  map[string]func() error
-	readyChecks map[string]func() error
+	mu         sync.RWMutex
+	liveChecks map[string]func() error
 }
 
 // NewHealth returns a Health that is alive but not yet ready.
@@ -52,20 +51,6 @@ func (h *Health) AddLiveness(name string, check func() error) {
 	h.liveChecks[name] = check
 }
 
-// AddReadiness registers a named readiness check, consulted alongside
-// the SetReady gate.
-func (h *Health) AddReadiness(name string, check func() error) {
-	if h == nil || check == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.readyChecks == nil {
-		h.readyChecks = make(map[string]func() error)
-	}
-	h.readyChecks[name] = check
-}
-
 // CheckResult is one named check's outcome.
 type CheckResult struct {
 	Name string
@@ -78,35 +63,15 @@ func (h *Health) Liveness() (bool, []CheckResult) {
 	if h == nil {
 		return true, nil
 	}
-	return h.run(func() map[string]func() error { return h.liveChecks })
-}
-
-// Readiness runs every readiness check; the process is ready only when
-// SetReady(true) has been called and every check passes. A nil Health
-// is ready.
-func (h *Health) Readiness() (bool, []CheckResult) {
-	if h == nil {
-		return true, nil
-	}
-	ok, results := h.run(func() map[string]func() error { return h.readyChecks })
-	if !h.ready.Load() {
-		ok = false
-		results = append(results, CheckResult{Name: "ready", Err: fmt.Errorf("not ready")})
-	}
-	return ok, results
-}
-
-func (h *Health) run(pick func() map[string]func() error) (bool, []CheckResult) {
 	h.mu.RLock()
-	m := pick()
-	names := make([]string, 0, len(m))
-	checks := make([]func() error, 0, len(m))
-	for name := range m {
+	names := make([]string, 0, len(h.liveChecks))
+	checks := make([]func() error, 0, len(h.liveChecks))
+	for name := range h.liveChecks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		checks = append(checks, m[name])
+		checks = append(checks, h.liveChecks[name])
 	}
 	h.mu.RUnlock()
 
@@ -120,6 +85,15 @@ func (h *Health) run(pick func() map[string]func() error) (bool, []CheckResult) 
 		}
 	}
 	return ok, results
+}
+
+// Readiness reports whether SetReady(true) has been called. A nil
+// Health is ready.
+func (h *Health) Readiness() (bool, []CheckResult) {
+	if h == nil || h.ready.Load() {
+		return true, nil
+	}
+	return false, []CheckResult{{Name: "ready", Err: fmt.Errorf("not ready")}}
 }
 
 // healthHandler renders one probe: 200 "ok" plus per-check lines when

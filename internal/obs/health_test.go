@@ -25,13 +25,12 @@ func getProbe(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 // TestHealthLifecycle walks the daemon lifecycle the probes exist for:
 // alive-but-unready at start, ready after the warm-up flip, unhealthy
-// when a liveness check starts failing, unready again when a readiness
-// check degrades.
+// when a liveness check starts failing, unready again when the gate
+// flips back.
 func TestHealthLifecycle(t *testing.T) {
 	h := NewHealth()
-	var liveErr, readyErr error
+	var liveErr error
 	h.AddLiveness("epoch-streak", func() error { return liveErr })
-	h.AddReadiness("baseline", func() error { return readyErr })
 	srv := httptest.NewServer(HandlerWith(NewRegistry(), h))
 	defer srv.Close()
 
@@ -54,10 +53,10 @@ func TestHealthLifecycle(t *testing.T) {
 	}
 	liveErr = nil
 
-	readyErr = fmt.Errorf("baseline missing")
+	h.SetReady(false)
 	if code, body := getProbe(t, srv, "/readyz"); code != http.StatusServiceUnavailable ||
-		!strings.Contains(body, "baseline: baseline missing") {
-		t.Errorf("degraded /readyz = %d %q", code, body)
+		!strings.Contains(body, "ready: not ready") {
+		t.Errorf("unready /readyz = %d %q", code, body)
 	}
 }
 
@@ -76,7 +75,6 @@ func TestHealthNil(t *testing.T) {
 	var h *Health
 	h.SetReady(true)
 	h.AddLiveness("x", func() error { return nil })
-	h.AddReadiness("x", func() error { return nil })
 	if ok, _ := h.Liveness(); !ok {
 		t.Error("nil Health not alive")
 	}
@@ -89,13 +87,12 @@ func TestHealthNil(t *testing.T) {
 // so two probes of the same state render identically.
 func TestHealthCheckOrder(t *testing.T) {
 	h := NewHealth()
-	h.SetReady(true)
 	for _, name := range []string{"zeta", "alpha", "mid"} {
-		h.AddReadiness(name, func() error { return nil })
+		h.AddLiveness(name, func() error { return nil })
 	}
 	srv := httptest.NewServer(HandlerWith(NewRegistry(), h))
 	defer srv.Close()
-	_, body := getProbe(t, srv, "/readyz")
+	_, body := getProbe(t, srv, "/healthz")
 	want := "ok\nalpha: ok\nmid: ok\nzeta: ok\n"
 	if body != want {
 		t.Errorf("body %q, want %q", body, want)

@@ -204,16 +204,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// CounterVec returns the labelled counter family registered under name.
-func (r *Registry) CounterVec(name string) *CounterVec {
-	return r.CounterVecKeyed(name, "")
-}
-
-// CounterVecKeyed is CounterVec with an explicit Prometheus label key
-// ("class", "severity", ...), used by the text exposition; the JSON
-// snapshot flattens members as name{label} regardless. Get-or-create is
-// first-wins: the key of the first registration sticks, and "" falls
-// back to the generic key "label".
+// CounterVecKeyed returns the labelled counter family registered under
+// name, with its Prometheus label key ("class", "severity", ...), used
+// by the text exposition; the JSON snapshot flattens members as
+// name{label} regardless. Get-or-create is first-wins: the key of the
+// first registration sticks, and "" falls back to the generic key
+// "label".
 func (r *Registry) CounterVecKeyed(name, key string) *CounterVec {
 	if r == nil {
 		return nil

@@ -205,7 +205,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("c_total")
 			h := r.Histogram("h_seconds")
-			v := r.CounterVec("v_total")
+			v := r.CounterVecKeyed("v_total", "")
 			gauge := r.Gauge("g")
 			for i := 0; i < perG; i++ {
 				c.Inc()
@@ -230,7 +230,7 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := r.Histogram("h_seconds").Count(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.CounterVec("v_total").With("a").Load(); got != goroutines*perG {
+	if got := r.CounterVecKeyed("v_total", "").With("a").Load(); got != goroutines*perG {
 		t.Errorf("vec[a] = %d, want %d", got, goroutines*perG)
 	}
 	if got := r.Gauge("g").Load(); got != goroutines*perG {
@@ -243,7 +243,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("scan_domains_done_total").Add(42)
 	r.Gauge("scan_domains_total").Set(100)
 	r.Histogram("rtt").Observe(3 * time.Millisecond)
-	r.CounterVec("outcome_total").With("ok").Add(7)
+	r.CounterVecKeyed("outcome_total", "").With("ok").Add(7)
 
 	s := r.Snapshot()
 	if s.Counters["scan_domains_done_total"] != 42 {
@@ -318,7 +318,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		r.Counter("alpha_total").Add(1)
 		r.Gauge("mid_gauge").Set(-7)
 		r.Gauge("another_gauge").Set(9)
-		vec := r.CounterVec("outcome_total")
+		vec := r.CounterVecKeyed("outcome_total", "")
 		vec.With("timeout").Add(2)
 		vec.With("ok").Add(5)
 		vec.With("malformed").Add(1)

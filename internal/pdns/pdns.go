@@ -70,12 +70,6 @@ type RecordSet struct {
 	Count     uint64       `json:"count"`
 }
 
-// ActiveOn reports whether the record was observed on or around day d
-// (within its first/last-seen window).
-func (rs *RecordSet) ActiveOn(d Day) bool {
-	return rs.FirstSeen <= d && d <= rs.LastSeen
-}
-
 // Overlaps reports whether the record's window intersects [from, to].
 func (rs *RecordSet) Overlaps(from, to Day) bool {
 	return rs.FirstSeen <= to && from <= rs.LastSeen
@@ -144,14 +138,6 @@ func (s *Store) merge(in RecordSet) {
 	rs.Count += in.Count
 }
 
-// Observe records that (name, rtype, rdata) was seen on day d, creating
-// or extending the record set, and increments its observation count.
-func (s *Store) Observe(name dnsname.Name, rtype dnswire.Type, rdata string, d Day) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.merge(RecordSet{RRName: name, RRType: rtype, RData: rdata, FirstSeen: d, LastSeen: d, Count: 1})
-}
-
 // ObserveRange records an observation window [from, to] in one call,
 // counting one observation per day.
 func (s *Store) ObserveRange(name dnsname.Name, rtype dnswire.Type, rdata string, from, to Day) {
@@ -179,7 +165,7 @@ var sortOutsideLockHook func()
 // finishSets is the tail of every bulk read: it runs after the store
 // lock is released, because sorting a full snapshot is O(n log n) name
 // comparisons — holding even the read lock that long parks every
-// Observe writer (and, since a waiting writer blocks later readers,
+// ObserveRange writer (and, since a waiting writer blocks later readers,
 // eventually the whole store) behind one slow reader. Only the copy
 // needs the lock. The copy is in arrival order; when that is already
 // the output order (a re-read dump), the sort is one linear pass.
@@ -294,29 +280,4 @@ func (v *View) Between(from, to Day) *View {
 		}
 	}
 	return &View{Sets: out}
-}
-
-// OfType returns the record sets of the given type.
-func (v *View) OfType(rtype dnswire.Type) *View {
-	out := make([]RecordSet, 0, len(v.Sets))
-	for _, rs := range v.Sets {
-		if rs.RRType == rtype {
-			out = append(out, rs)
-		}
-	}
-	return &View{Sets: out}
-}
-
-// Names returns the distinct owner names in the view, sorted.
-func (v *View) Names() []dnsname.Name {
-	seen := make(map[dnsname.Name]bool)
-	var out []dnsname.Name
-	for _, rs := range v.Sets {
-		if !seen[rs.RRName] {
-			seen[rs.RRName] = true
-			out = append(out, rs.RRName)
-		}
-	}
-	slices.SortFunc(out, dnsname.Compare)
-	return out
 }

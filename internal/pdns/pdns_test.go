@@ -49,9 +49,9 @@ func TestObserveCreatesAndExtends(t *testing.T) {
 	d1 := Date(2015, time.June, 1)
 	d2 := Date(2015, time.June, 20)
 	d0 := Date(2015, time.May, 20)
-	s.Observe("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d1)
-	s.Observe("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d2)
-	s.Observe("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d0)
+	s.ObserveRange("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d1, d1)
+	s.ObserveRange("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d2, d2)
+	s.ObserveRange("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d0, d0)
 
 	sets := s.Lookup("x.gov.br.", dnswire.TypeNS)
 	if len(sets) != 1 {
@@ -88,8 +88,8 @@ func TestObserveRange(t *testing.T) {
 func TestLookupFiltersByType(t *testing.T) {
 	s := NewStore()
 	d := Date(2019, time.July, 1)
-	s.Observe("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d)
-	s.Observe("x.gov.br.", dnswire.TypeA, "192.0.2.1", d)
+	s.ObserveRange("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d, d)
+	s.ObserveRange("x.gov.br.", dnswire.TypeA, "192.0.2.1", d, d)
 	if got := len(s.Lookup("x.gov.br.", dnswire.TypeNS)); got != 1 {
 		t.Errorf("NS lookup = %d sets", got)
 	}
@@ -101,10 +101,10 @@ func TestLookupFiltersByType(t *testing.T) {
 func TestWildcardSearch(t *testing.T) {
 	s := NewStore()
 	d := Date(2020, time.February, 2)
-	s.Observe("a.gov.br.", dnswire.TypeNS, "ns1.a.gov.br.", d)
-	s.Observe("b.a.gov.br.", dnswire.TypeNS, "ns1.b.a.gov.br.", d)
-	s.Observe("c.gov.cn.", dnswire.TypeNS, "ns1.c.gov.cn.", d)
-	s.Observe("gov.br.", dnswire.TypeNS, "ns1.gov.br.", d)
+	s.ObserveRange("a.gov.br.", dnswire.TypeNS, "ns1.a.gov.br.", d, d)
+	s.ObserveRange("b.a.gov.br.", dnswire.TypeNS, "ns1.b.a.gov.br.", d, d)
+	s.ObserveRange("c.gov.cn.", dnswire.TypeNS, "ns1.c.gov.cn.", d, d)
+	s.ObserveRange("gov.br.", dnswire.TypeNS, "ns1.gov.br.", d, d)
 
 	got := s.WildcardSearch("gov.br.", dnswire.TypeNS)
 	if len(got) != 3 {
@@ -124,7 +124,7 @@ func TestStableFilter(t *testing.T) {
 	s := NewStore()
 	start := Date(2020, time.May, 1)
 	// 1-day transient record vs 10-day stable record.
-	s.Observe("flaky.gov.br.", dnswire.TypeNS, "ns.ddos-shield.com.", start)
+	s.ObserveRange("flaky.gov.br.", dnswire.TypeNS, "ns.ddos-shield.com.", start, start)
 	s.ObserveRange("steady.gov.br.", dnswire.TypeNS, "ns1.gov.br.", start, start+9)
 
 	v := NewView(s.Snapshot())
@@ -149,20 +149,25 @@ func TestViewBetweenAndOfType(t *testing.T) {
 	v := NewView(s.Snapshot())
 	y2012from, y2012to := YearRange(2012)
 	in2012 := v.Between(y2012from, y2012to)
-	if names := in2012.Names(); len(names) != 1 || names[0] != "old.gov.br." {
-		t.Errorf("2012 names = %v", names)
+	if len(in2012.Sets) != 1 || in2012.Sets[0].RRName != "old.gov.br." {
+		t.Errorf("2012 sets = %+v", in2012.Sets)
 	}
 	y2020from, y2020to := YearRange(2020)
-	in2020 := v.Between(y2020from, y2020to).OfType(dnswire.TypeNS)
-	if len(in2020.Sets) != 1 || in2020.Sets[0].RData != "ns2." {
-		t.Errorf("2020 NS sets = %+v", in2020.Sets)
+	var ns []RecordSet
+	for _, rs := range v.Between(y2020from, y2020to).Sets {
+		if rs.RRType == dnswire.TypeNS {
+			ns = append(ns, rs)
+		}
+	}
+	if len(ns) != 1 || ns[0].RData != "ns2." {
+		t.Errorf("2020 NS sets = %+v", ns)
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	s := NewStore()
 	s.ObserveRange("a.gov.br.", dnswire.TypeNS, "ns1.a.gov.br.", Date(2011, 3, 1), Date(2015, 4, 1))
-	s.Observe("b.gov.cn.", dnswire.TypeNS, "ns1.hichina.com.", Date(2020, 7, 7))
+	s.ObserveRange("b.gov.cn.", dnswire.TypeNS, "ns1.hichina.com.", Date(2020, 7, 7), Date(2020, 7, 7))
 	var buf bytes.Buffer
 	if err := s.WriteJSONL(&buf); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
@@ -193,7 +198,7 @@ func TestActiveOnOverlapsProperty(t *testing.T) {
 		rs := RecordSet{FirstSeen: Day(first), LastSeen: Day(first) + Day(length%400)}
 		d := Day(int32(first) + int32(probe%500))
 		want := d >= rs.FirstSeen && d <= rs.LastSeen
-		if rs.ActiveOn(d) != want {
+		if rs.Overlaps(d, d) != want {
 			return false
 		}
 		// A record always overlaps its own window.
@@ -211,7 +216,8 @@ func TestConcurrentObserve(t *testing.T) {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				s.Observe("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", Date(2020, 1, 1)+Day(i%30))
+				d := Date(2020, 1, 1) + Day(i%30)
+				s.ObserveRange("x.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d, d)
 			}
 		}(g)
 	}
@@ -230,8 +236,8 @@ func TestConcurrentObserve(t *testing.T) {
 func TestBulkReadsSortOutsideLock(t *testing.T) {
 	s := NewStore()
 	d := Date(2015, time.June, 1)
-	s.Observe("a.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d)
-	s.Observe("b.gov.br.", dnswire.TypeNS, "ns2.gov.br.", d)
+	s.ObserveRange("a.gov.br.", dnswire.TypeNS, "ns1.gov.br.", d, d)
+	s.ObserveRange("b.gov.br.", dnswire.TypeNS, "ns2.gov.br.", d, d)
 
 	locked := true
 	sortOutsideLockHook = func() {
@@ -254,7 +260,7 @@ func TestBulkReadsSortOutsideLock(t *testing.T) {
 }
 
 // TestWildcardSearchAdmitsWritersDuringSort is the starvation
-// regression test: an Observe writer must complete while a bulk read
+// regression test: an ObserveRange writer must complete while a bulk read
 // is still busy sorting its result. Before the fix the sort ran under
 // the read lock, so one big Snapshot parked every writer (and, through
 // the pending writer, every later reader) for the whole O(n log n)
@@ -263,7 +269,7 @@ func TestWildcardSearchAdmitsWritersDuringSort(t *testing.T) {
 	s := NewStore()
 	d := Date(2015, time.June, 1)
 	for i := 0; i < 100; i++ {
-		s.Observe(dnsname.Name(fmt.Sprintf("d%03d.gov.br.", i)), dnswire.TypeNS, "ns1.gov.br.", d)
+		s.ObserveRange(dnsname.Name(fmt.Sprintf("d%03d.gov.br.", i)), dnswire.TypeNS, "ns1.gov.br.", d, d)
 	}
 
 	inSort := make(chan struct{})
@@ -284,14 +290,14 @@ func TestWildcardSearchAdmitsWritersDuringSort(t *testing.T) {
 	wrote := make(chan struct{})
 	go func() {
 		defer close(wrote)
-		s.Observe("new.gov.br.", dnswire.TypeNS, "ns9.gov.br.", d)
+		s.ObserveRange("new.gov.br.", dnswire.TypeNS, "ns9.gov.br.", d, d)
 	}()
 	select {
 	case <-wrote:
 		// The writer got in while the reader was parked in its sort
 		// phase — the lock was released before sorting.
 	case <-time.After(5 * time.Second):
-		t.Fatal("Observe blocked while WildcardSearch sorted its result")
+		t.Fatal("ObserveRange blocked while WildcardSearch sorted its result")
 	}
 	close(release)
 	<-done
@@ -361,7 +367,7 @@ func sampleStore() *Store {
 		s.ObserveRange(name, dnswire.TypeNS, fmt.Sprintf("ns%d.host%d.net.", i%3, i%17), base+Day(i), base+Day(i+40))
 		s.ObserveRange(name, dnswire.TypeNS, "ns1.gov.br.", base, base+Day(i))
 		if i%4 == 0 {
-			s.Observe(name, dnswire.TypeA, "198.51.100.7", base+Day(i))
+			s.ObserveRange(name, dnswire.TypeA, "198.51.100.7", base+Day(i), base+Day(i))
 		}
 	}
 	return s
@@ -405,10 +411,10 @@ func TestSnapshotOfReReadDumpNeedsNoReorder(t *testing.T) {
 
 	// A re-read store is still a store: a write finds the loaded key.
 	first := want[0]
-	reread.Observe(first.RRName, first.RRType, first.RData, first.LastSeen+1)
+	reread.ObserveRange(first.RRName, first.RRType, first.RData, first.LastSeen+1, first.LastSeen+1)
 	got := reread.Lookup(first.RRName, first.RRType)
 	if reread.Len() != len(want) || len(got) == 0 || got[0].LastSeen != first.LastSeen+1 || got[0].Count != first.Count+1 {
-		t.Errorf("Observe of a loaded key: Len %d -> %d, record %+v", len(want), reread.Len(), got)
+		t.Errorf("ObserveRange of a loaded key: Len %d -> %d, record %+v", len(want), reread.Len(), got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package providers identifies third-party DNS service providers from
-// nameserver hostnames and SOA records, as § IV-B of the paper does: a
-// regex for Amazon's generated nameserver names, suffix matching on
-// well-known provider domains, and string matching on SOA MNAME/RNAME.
+// nameserver hostnames, as § IV-B of the paper does: a regex for
+// Amazon's generated nameserver names and suffix matching on well-known
+// provider domains.
 // It also implements the paper's grouping of related nameserver domains
 // (AWS DNS, Azure DNS, Hostgator) used in Tables II and III.
 package providers
@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"govdns/internal/dnsname"
-	"govdns/internal/dnswire"
 )
 
 // Provider is one DNS service provider.
@@ -28,25 +27,6 @@ type Provider struct {
 	// pattern optionally matches full NS hostnames (Amazon's generated
 	// names span hundreds of domains and need a regex).
 	pattern *regexp.Regexp
-}
-
-// Matches reports whether the NS hostname belongs to this provider.
-func (p *Provider) Matches(host dnsname.Name) bool {
-	if p.pattern != nil && p.pattern.MatchString(string(host)) {
-		return true
-	}
-	for _, d := range p.domains {
-		if host.IsStrictSubdomainOf(d) {
-			return true
-		}
-	}
-	return false
-}
-
-// MatchesSOA reports whether the SOA's MNAME or RNAME points into the
-// provider's domains.
-func (p *Provider) MatchesSOA(soa dnswire.SOAData) bool {
-	return p.Matches(soa.MName) || p.Matches(soa.RName)
 }
 
 // Catalog is an ordered provider list; earlier entries win ties.
@@ -153,11 +133,6 @@ func Default() *Catalog {
 	)
 }
 
-// Providers returns the catalog's providers in order.
-func (c *Catalog) Providers() []*Provider {
-	return c.providers
-}
-
 // Major returns the Table II providers.
 func (c *Catalog) Major() []*Provider {
 	var out []*Provider
@@ -169,20 +144,11 @@ func (c *Catalog) Major() []*Provider {
 	return out
 }
 
-// ByKey returns the provider with the given key.
-func (c *Catalog) ByKey(key string) (*Provider, bool) {
-	for _, p := range c.providers {
-		if p.Key == key {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
 // Identify returns the provider owning the NS hostname, if known.
 //
-// The answer is the first provider in catalog order that Matches the
-// host. A provider domain matches when it is a strict ancestor of the
+// The answer is the first provider in catalog order whose pattern
+// matches the host or one of whose domains is a strict ancestor of it.
+// A provider domain matches when it is a strict ancestor of the
 // host, so those are found by walking the host's ancestors; only the
 // providers with a regexp, and only those listed before the best
 // ancestor match, still have to be tried one by one.
@@ -208,18 +174,6 @@ func (c *Catalog) Identify(host dnsname.Name) (*Provider, bool) {
 		return nil, false
 	}
 	return c.providers[best], true
-}
-
-// IdentifySOA returns the provider indicated by an SOA's MNAME/RNAME —
-// the fallback signal the paper uses when the NS hostname itself is a
-// vanity name.
-func (c *Catalog) IdentifySOA(soa dnswire.SOAData) (*Provider, bool) {
-	for _, p := range c.providers {
-		if p.MatchesSOA(soa) {
-			return p, true
-		}
-	}
-	return nil, false
 }
 
 // GroupLabel returns the paper's Table III row label for a nameserver

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"govdns/internal/dnsname"
-	"govdns/internal/dnswire"
 )
 
 func TestIdentifyByPattern(t *testing.T) {
@@ -64,22 +63,6 @@ func TestIdentifyByDomain(t *testing.T) {
 	}
 }
 
-func TestIdentifySOA(t *testing.T) {
-	c := Default()
-	soa := dnswire.SOAData{
-		MName: "vip1.alidns.com.",
-		RName: "hostmaster.hichina.com.",
-	}
-	p, ok := c.IdentifySOA(soa)
-	if !ok || p.Key != "hichina" {
-		t.Errorf("IdentifySOA = %v, %v; want hichina", p, ok)
-	}
-	none := dnswire.SOAData{MName: "ns1.gov.br.", RName: "root.gov.br."}
-	if _, ok := c.IdentifySOA(none); ok {
-		t.Error("IdentifySOA matched a private SOA")
-	}
-}
-
 func TestGroupLabel(t *testing.T) {
 	c := Default()
 	cases := []struct {
@@ -120,21 +103,10 @@ func TestMajorSubset(t *testing.T) {
 	}
 }
 
-func TestByKey(t *testing.T) {
-	c := Default()
-	p, ok := c.ByKey("cloudflare")
-	if !ok || p.Display != "cloudflare.com" {
-		t.Errorf("ByKey(cloudflare) = %v, %v", p, ok)
-	}
-	if _, ok := c.ByKey("nope"); ok {
-		t.Error("ByKey(nope) succeeded")
-	}
-}
-
 func TestCatalogKeysUnique(t *testing.T) {
 	c := Default()
 	seen := make(map[string]bool)
-	for _, p := range c.Providers() {
+	for _, p := range c.providers {
 		if seen[p.Key] {
 			t.Errorf("duplicate provider key %s", p.Key)
 		}
@@ -142,9 +114,23 @@ func TestCatalogKeysUnique(t *testing.T) {
 	}
 }
 
+// matches is Identify's definition for one provider: its pattern
+// matches the host, or one of its domains is a strict ancestor of it.
+func matches(p *Provider, host dnsname.Name) bool {
+	if p.pattern != nil && p.pattern.MatchString(string(host)) {
+		return true
+	}
+	for _, d := range p.domains {
+		if host != d && host.IsSubdomainOf(d) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestIdentifyIsFirstMatchInCatalogOrder checks the ancestor-walk
 // Identify against its definition — the first provider, in catalog
-// order, whose Matches accepts the host — on hosts that hit a regexp, a
+// order, that matches the host — on hosts that hit a regexp, a
 // provider domain at several depths, a provider domain itself (not a
 // strict subdomain), several providers at once, and nothing.
 func TestIdentifyIsFirstMatchInCatalogOrder(t *testing.T) {
@@ -161,8 +147,8 @@ func TestIdentifyIsFirstMatchInCatalogOrder(t *testing.T) {
 	}
 	for _, host := range hosts {
 		var want *Provider
-		for _, p := range c.Providers() {
-			if p.Matches(host) {
+		for _, p := range c.providers {
+			if matches(p, host) {
 				want = p
 				break
 			}

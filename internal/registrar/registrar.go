@@ -59,22 +59,6 @@ func (r *Registry) MarkRegistered(domain dnsname.Name) {
 	r.taken[domain] = true
 }
 
-// MarkDropped records that domain is no longer registered — an expired
-// provider domain becomes available for anyone, which is exactly the
-// hijacking scenario the paper probes.
-func (r *Registry) MarkDropped(domain dnsname.Name) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.taken, domain)
-}
-
-// IsRegistered reports whether domain is currently taken.
-func (r *Registry) IsRegistered(domain dnsname.Name) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.taken[domain]
-}
-
 // Available reports whether domain could be registered right now: it is
 // not taken and does not fall under a restricted suffix.
 func (r *Registry) Available(domain dnsname.Name) bool {
@@ -95,12 +79,8 @@ func (r *Registry) Available(domain dnsname.Name) bool {
 // Price bands calibrated to the paper's Fig. 12: most available domains
 // cost a standard registration fee (median 11.99), a tail of promo-priced
 // domains reaches down to 0.01, and a small premium tail reaches 20,000.
-const (
-	// MinPriceCents and MaxPriceCents bound the price model, matching
-	// the paper's observed range of 0.01–20,000 USD.
-	MinPriceCents Cents = 1
-	MaxPriceCents Cents = 2_000_000
-)
+// MinPriceCents is the model's floor, the paper's observed minimum.
+const MinPriceCents Cents = 1
 
 // Price quotes the registration cost for domain. The quote is a pure
 // function of the domain name and the registry's salt. Domains held by

@@ -23,21 +23,6 @@ func TestAvailability(t *testing.T) {
 	if r.Available("gov.br.") {
 		t.Error("restricted suffix itself reported available")
 	}
-	r.MarkDropped("provider.com.")
-	if !r.Available("provider.com.") {
-		t.Error("dropped domain reported unavailable")
-	}
-}
-
-func TestIsRegistered(t *testing.T) {
-	r := New(nil)
-	if r.IsRegistered("x.com.") {
-		t.Error("empty registry has registrations")
-	}
-	r.MarkRegistered("x.com.")
-	if !r.IsRegistered("x.com.") {
-		t.Error("MarkRegistered did not take")
-	}
 }
 
 func TestPriceDeterministic(t *testing.T) {
@@ -77,7 +62,7 @@ func TestPriceDistributionShape(t *testing.T) {
 	if prices[0] < MinPriceCents {
 		t.Errorf("min price %v below floor", prices[0])
 	}
-	if prices[len(prices)-1] > MaxPriceCents {
+	if prices[len(prices)-1] > 2_000_000 { // the paper's 20,000 USD
 		t.Errorf("max price %v above cap", prices[len(prices)-1])
 	}
 	med := Median(prices)

@@ -161,23 +161,3 @@ func WriteCDF(w io.Writer, title string, points []stats.CDFPoint) error {
 	}
 	return t.Write(w)
 }
-
-// Series renders a year-indexed line of values, one row per year.
-func Series(w io.Writer, title string, years []int, series map[string][]float64, order []string) error {
-	headers := append([]string{"year"}, order...)
-	t := NewTable(title, headers...)
-	for i, year := range years {
-		cells := make([]interface{}, 0, len(order)+1)
-		cells = append(cells, year)
-		for _, key := range order {
-			vals := series[key]
-			if i < len(vals) {
-				cells = append(cells, vals[i])
-			} else {
-				cells = append(cells, "")
-			}
-		}
-		t.AddRow(cells...)
-	}
-	return t.Write(w)
-}

@@ -84,18 +84,3 @@ func TestWriteCDF(t *testing.T) {
 		t.Errorf("CDF output:\n%s", buf.String())
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var buf bytes.Buffer
-	err := Series(&buf, "S", []int{2011, 2012}, map[string][]float64{
-		"a": {1, 2},
-		"b": {3},
-	}, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "2011") || !strings.Contains(out, "2012") {
-		t.Errorf("Series output:\n%s", out)
-	}
-}

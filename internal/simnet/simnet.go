@@ -3,11 +3,11 @@
 // Messages cross the network in wire format, so the full codec is
 // exercised exactly as it would be over UDP. The network itself is
 // instantaneous and lossless: an exchange either reaches a server that
-// answers, or — a blackholed address, an ACL-filtered source, no server
-// attached, a server that drops the query — times out like a UDP
-// query, the raw material of lame delegations. Such a timeout costs no
-// wall time when the caller's deadline is an attempt's own
-// (deadline.Expire): waiting could not change its outcome.
+// answers, or — a blackholed address, no server attached, a server
+// that drops the query — times out like a UDP query, the raw material
+// of lame delegations. Such a timeout costs no wall time when the
+// caller's deadline is an attempt's own (deadline.Expire): waiting
+// could not change its outcome.
 //
 // Loss, delay, duplicates, truncation, corrupted IDs and flapping
 // servers are injected by wrapping the network with internal/chaos,
@@ -30,8 +30,8 @@ import (
 
 // Network errors.
 var (
-	// ErrDropped indicates the query was never answered (blackhole,
-	// filtered source, no server, or a server that drops queries).
+	// ErrDropped indicates the query was never answered (blackhole, no
+	// server, or a server that drops queries).
 	ErrDropped = errors.New("simnet: packet dropped")
 
 	// A dropped exchange fails with one of these, by how its context
@@ -45,7 +45,6 @@ var (
 type endpoint struct {
 	server     *authserver.Server
 	blackholed bool
-	acl        ACL
 }
 
 // Network is the simulated Internet. It is safe for concurrent use.
@@ -81,11 +80,6 @@ func (n *Network) update(addr netip.Addr, f func(*endpoint)) {
 // previous binding.
 func (n *Network) Attach(addr netip.Addr, s *authserver.Server) {
 	n.update(addr, func(ep *endpoint) { ep.server = s })
-}
-
-// Detach removes whatever is bound at addr.
-func (n *Network) Detach(addr netip.Addr) {
-	n.update(addr, func(ep *endpoint) { ep.server = nil })
 }
 
 // ServerAt returns the server bound at addr.
@@ -148,29 +142,19 @@ func droppedErr(err error) error {
 // Exchange implements the resolver transport: it sends a wire-format
 // query to the server at addr and returns the wire-format response.
 // Unanswerable queries (blackholes, unresponsive servers, empty
-// addresses, ACL-filtered sources) fail as UDP timeouts do, with ctx
-// expired: at once when ctx is an attempt deadline whose own deadline
-// binds, else when ctx ends. Queries originate from DefaultVantage; use
-// Vantage for other source addresses.
+// addresses) fail as UDP timeouts do, with ctx expired: at once when ctx
+// is an attempt deadline whose own deadline binds, else when ctx ends.
 //
 // The response is lent from the packet pool (internal/pktbuf): the
 // caller owns it — wrapping layers such as the chaos transport may
 // mutate it in place — and returns it through ReleaseResponse once
 // decoded, or leaves it to the GC.
 func (n *Network) Exchange(ctx context.Context, addr netip.Addr, query []byte) ([]byte, error) {
-	return n.exchangeFrom(ctx, DefaultVantage, addr, query)
-}
-
-// ReleaseResponse returns a response Exchange lent to the packet pool.
-// Implements resolver.ResponseReleaser.
-func (n *Network) ReleaseResponse(buf []byte) { pktbuf.Put(buf) }
-
-func (n *Network) exchangeFrom(ctx context.Context, src, addr netip.Addr, query []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ep := n.endpoint(addr)
-	if ep.server == nil || ep.blackholed || (ep.acl != nil && !ep.acl(src)) {
+	if ep.server == nil || ep.blackholed {
 		return nil, waitForTimeout(ctx)
 	}
 	// The server runs the codec on a pooled arena and appends the
@@ -185,3 +169,7 @@ func (n *Network) exchangeFrom(ctx context.Context, src, addr netip.Addr, query 
 	}
 	return resp, nil
 }
+
+// ReleaseResponse returns a response Exchange lent to the packet pool.
+// Implements resolver.ResponseReleaser.
+func (n *Network) ReleaseResponse(buf []byte) { pktbuf.Put(buf) }

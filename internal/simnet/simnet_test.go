@@ -105,21 +105,6 @@ func TestUnresponsiveServerTimesOut(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	n := New()
-	n.Attach(testAddr, newTestServer(t))
-	if n.NumServers() != 1 {
-		t.Fatalf("NumServers = %d", n.NumServers())
-	}
-	n.Detach(testAddr)
-	if n.NumServers() != 0 {
-		t.Fatalf("NumServers after Detach = %d", n.NumServers())
-	}
-	if _, ok := n.ServerAt(testAddr); ok {
-		t.Error("ServerAt found a detached server")
-	}
-}
-
 func TestExchangeHonorsCancelledContext(t *testing.T) {
 	n := New()
 	n.Attach(testAddr, newTestServer(t))
@@ -127,27 +112,6 @@ func TestExchangeHonorsCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := n.Exchange(ctx, testAddr, wireQuery(t)); !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
-	}
-}
-
-func TestACLFiltersBySource(t *testing.T) {
-	n := New()
-	n.Attach(testAddr, newTestServer(t))
-	domestic := netip.MustParseAddr("10.1.0.5")
-	n.SetACL(testAddr, AllowPrefix(netip.MustParsePrefix("10.1.0.0/16")))
-
-	// Default vantage (outside the prefix) is dropped.
-	if _, err := n.Exchange(shortCtx(t), testAddr, wireQuery(t)); err == nil {
-		t.Fatal("ACL did not filter the default vantage")
-	}
-	// Domestic vantage succeeds.
-	if _, err := n.Vantage(domestic).Exchange(shortCtx(t), testAddr, wireQuery(t)); err != nil {
-		t.Fatalf("domestic vantage filtered: %v", err)
-	}
-	// Removing the ACL restores default access.
-	n.SetACL(testAddr, nil)
-	if _, err := n.Exchange(shortCtx(t), testAddr, wireQuery(t)); err != nil {
-		t.Fatalf("Exchange after ACL removal: %v", err)
 	}
 }
 

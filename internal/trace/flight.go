@@ -233,16 +233,6 @@ func (f *FlightRecorder) Counts() (slowest, errors, flipped int, offered uint64)
 	return len(f.slowest), len(f.errs.traces), len(f.flipped.traces), f.offered
 }
 
-// PinnedCount reports the pinned ring's occupancy.
-func (f *FlightRecorder) PinnedCount() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pinned.traces)
-}
-
 // Retained returns the deduplicated set of retained traces, each
 // annotated with the buckets that kept it, sorted by (Domain, Start)
 // so exports are deterministic for a deterministic scan.

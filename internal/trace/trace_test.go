@@ -350,8 +350,8 @@ func TestFlightRecorderPinned(t *testing.T) {
 	f.OfferPin(mkTrace("p3", time.Millisecond, "", false, false), true) // ring wraps: evicts p1
 	f.OfferPin(mkTrace("un", time.Millisecond, "", false, false), false)
 
-	if n := f.PinnedCount(); n != 2 {
-		t.Fatalf("PinnedCount = %d, want 2", n)
+	if n := len(f.pinned.traces); n != 2 {
+		t.Fatalf("pinned ring holds %d, want 2", n)
 	}
 	byDomain := map[string]*DomainTrace{}
 	for _, dt := range f.Retained() {

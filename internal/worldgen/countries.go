@@ -344,22 +344,3 @@ func TopByWeight(countries []Country, n int) []Country {
 	}
 	return sorted[:n]
 }
-
-// Groups assigns each country its Table II/III group: its UN sub-region,
-// except that the top-10 countries form singleton groups named after the
-// country. It returns country-code → group name.
-func Groups(countries []Country) map[string]string {
-	top := make(map[string]bool, 10)
-	for _, country := range TopByWeight(countries, 10) {
-		top[country.Code] = true
-	}
-	out := make(map[string]string, len(countries))
-	for _, country := range countries {
-		if top[country.Code] {
-			out[country.Code] = country.Name
-		} else {
-			out[country.Code] = country.SubRegion
-		}
-	}
-	return out
-}

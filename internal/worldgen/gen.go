@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/pdns"
@@ -48,10 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// ScanDay is the active-measurement date (the paper scanned in April
-// 2021).
-var ScanDay = pdns.Date(2021, time.April, 15)
 
 // HostingKind classifies how a domain's authoritative DNS is operated.
 type HostingKind int

