@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZMINIMIZETIME ?= 1s
 
-.PHONY: build fmt test race vet lint cross bench bench-check chaos fuzz monitor-smoke paper check
+.PHONY: build fmt test race vet lint cross bench bench-check chaos fuzz monitor-smoke paper stress check
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,18 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZETIME) $$pkg || exit 1; \
 		done; \
 	done
+
+# stress runs the packages whose tests lean hardest on goroutine timing —
+# the scanner, the resolver and the fan-out — at 1, 2 and 4 Ps, twice
+# each, beside one busy-looping shell the target starts itself and kills
+# when the tests end, pass, fail or interrupt. A test bound that holds
+# only for some schedules fails here long before it flakes in check; the
+# stream writer's stop-on-error bound was one. It takes ~75 s on
+# 2 CPUs, so it is not part of check.
+stress:
+	@sh -c 'while :; do :; done' & burner=$$!; \
+	trap 'kill $$burner' EXIT INT TERM; \
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/measure ./internal/resolver ./internal/fanout
 
 # paper runs the whole reproduction at paper scale and prints what it
 # cost: the world, scan and total wall times, CPU time and peak RSS

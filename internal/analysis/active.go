@@ -156,8 +156,8 @@ func measureDiversity(r *measure.DomainResult, geo *geoip.DB) (multiIP, multi24,
 	var firstAddr netip.Addr
 	var firstASN uint32
 	haveASN := false
-	for _, addrs := range r.Addrs {
-		for _, addr := range addrs {
+	for _, h := range r.Addrs {
+		for _, addr := range h.Addrs {
 			if !ok {
 				firstAddr, ok = addr, true
 			} else if addr != firstAddr {

@@ -211,9 +211,9 @@ func renamedResult() *measure.DomainResult {
 		Domain:          "x.gov.br.",
 		ParentResponded: true,
 		ParentNS:        []dnsname.Name{"old.x.gov.br."},
-		Addrs: map[dnsname.Name][]netip.Addr{
-			"old.x.gov.br.": {shared},
-			"new.x.gov.br.": {shared},
+		Addrs: []measure.HostAddrs{
+			{Host: "new.x.gov.br.", Addrs: []netip.Addr{shared}},
+			{Host: "old.x.gov.br.", Addrs: []netip.Addr{shared}},
 		},
 	}
 	r.Servers = []measure.ServerResponse{{
@@ -300,12 +300,12 @@ func classifyBySets(r *measure.DomainResult) ConsistencyClass {
 	}
 	pAddrs := map[netip.Addr]bool{}
 	for host := range p {
-		for _, a := range r.Addrs[host] {
+		for _, a := range r.AddrsOf(host) {
 			pAddrs[a] = true
 		}
 	}
 	for host := range c {
-		for _, a := range r.Addrs[host] {
+		for _, a := range r.AddrsOf(host) {
 			if pAddrs[a] {
 				return ClassDisjointIPOverlap
 			}
@@ -326,9 +326,9 @@ func TestClassifyMatchesSetDefinition(t *testing.T) {
 	}
 	seen := map[ConsistencyClass]int{}
 	for i := 0; i < 5000; i++ {
-		r := &measure.DomainResult{Domain: "x.gov.br.", ParentResponded: true, ParentNS: pick(3), Addrs: map[dnsname.Name][]netip.Addr{}}
+		r := &measure.DomainResult{Domain: "x.gov.br.", ParentResponded: true, ParentNS: pick(3)}
 		for _, h := range hosts {
-			r.Addrs[h] = []netip.Addr{netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(6))})}
+			r.Addrs = append(r.Addrs, measure.HostAddrs{Host: h, Addrs: []netip.Addr{netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(6))})}})
 		}
 		for k := rng.Intn(3); k >= 0; k-- {
 			r.Servers = append(r.Servers, measure.ServerResponse{
@@ -358,7 +358,7 @@ func TestActiveFiguresDoNotAllocatePerResult(t *testing.T) {
 	}
 	scanned, geo := scanMiniworld(t)
 	moved := renamedResult()
-	moved.Addrs["new.x.gov.br."] = []netip.Addr{netip.MustParseAddr("203.0.113.10")} // plain disjoint
+	moved.Addrs[0].Addrs = []netip.Addr{netip.MustParseAddr("203.0.113.10")} // new.x.gov.br.: plain disjoint
 	scanned = append(scanned, renamedResult(), moved)
 	var rs []*measure.DomainResult
 	for len(rs) < 100 {

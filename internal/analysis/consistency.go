@@ -90,9 +90,9 @@ func classify(r *measure.DomainResult, child []dnsname.Name) ConsistencyClass {
 	}
 	// Disjoint: do the two views' hosts share an address?
 	for _, host := range child {
-		for _, a := range r.Addrs[host] {
+		for _, a := range r.AddrsOf(host) {
 			for _, parent := range r.ParentNS {
-				if slices.Contains(r.Addrs[parent], a) {
+				if slices.Contains(r.AddrsOf(parent), a) {
 					return ClassDisjointIPOverlap
 				}
 			}

@@ -3,6 +3,7 @@ package authserver
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"govdns/internal/dnsname"
@@ -69,9 +70,12 @@ const maxCacheTTL = 24 * time.Hour
 // response (OPT pseudo-records excluded — their TTL field is flag
 // storage, not a lifetime). Responses carrying no real records (FORMERR,
 // REFUSED, NOTIMP, behaviour-injected failures) have no defined lifetime
-// and are never cached. Expired entries are evicted lazily on lookup.
+// and are never cached. Expired entries are evicted lazily on lookup,
+// and every entry is dropped when a server using the cache replaces one
+// of its zones (Server.AddZone).
 type ResponseCache struct {
-	t *memo.Table[cacheKey, cacheEntry]
+	// t is the current table; purge swaps in an empty one.
+	t atomic.Pointer[memo.Table[cacheKey, cacheEntry]]
 
 	// now is the clock, swappable in tests to force expiry.
 	now func() time.Time
@@ -85,7 +89,19 @@ type ResponseCache struct {
 
 // NewResponseCache returns an empty cache.
 func NewResponseCache() *ResponseCache {
-	return &ResponseCache{t: memo.New[cacheKey, cacheEntry](hashKey), now: time.Now}
+	c := &ResponseCache{now: time.Now}
+	c.purge()
+	return c
+}
+
+// purge drops every entry by swapping in an empty table. A render in
+// flight on the old table completes there, unseen: anything that loads
+// the table after purge renders again. A caller that purges after
+// changing what renders produce — AddZone swaps the zone first — can
+// therefore never have a response from before the change served after
+// it.
+func (c *ResponseCache) purge() {
+	c.t.Store(memo.New[cacheKey, cacheEntry](hashKey))
 }
 
 // AttachRegistry resolves the cache's counters from r. The first
@@ -124,12 +140,13 @@ func expiredBy(now int64) func(cacheEntry) bool {
 // evicted on the way out.
 func (c *ResponseCache) get(k cacheKey) []byte {
 	now := c.now().UnixNano()
-	e, ok := c.t.Get(k)
+	t := c.t.Load()
+	e, ok := t.Get(k)
 	if ok && now < e.expires {
 		c.hits.Inc()
 		return e.template
 	}
-	if ok && c.t.Evict(k, expiredBy(now)) {
+	if ok && t.Evict(k, expiredBy(now)) {
 		c.evictions.Inc()
 	}
 	c.misses.Inc()
@@ -150,7 +167,7 @@ func (c *ResponseCache) do(k cacheKey, render func() ([]byte, time.Duration)) (t
 	k.name = k.name.Own()
 	// Rendering is local and fast, so a coalesced render always waits:
 	// no bound, and no context to abandon it.
-	e, how, _ := c.t.Do(context.Background(), k, 0, func() (cacheEntry, bool, error) {
+	e, how, _ := c.t.Load().Do(context.Background(), k, 0, func() (cacheEntry, bool, error) {
 		tmpl, ttl := render()
 		if tmpl == nil || ttl <= 0 {
 			return cacheEntry{template: tmpl}, false, nil
@@ -169,7 +186,7 @@ func (c *ResponseCache) do(k cacheKey, render func() ([]byte, time.Duration)) (t
 
 // Len returns the number of live entries (expired-but-unswept entries
 // included; Len is a diagnostic, not a promise).
-func (c *ResponseCache) Len() int { return c.t.Len() }
+func (c *ResponseCache) Len() int { return c.t.Load().Len() }
 
 // minResponseTTL computes the cache lifetime of a rendered response: the
 // minimum TTL across all sections, excluding OPT pseudo-records (their

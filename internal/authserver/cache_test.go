@@ -1,6 +1,8 @@
 package authserver
 
 import (
+	"bytes"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,7 +10,99 @@ import (
 
 	"govdns/internal/dnswire"
 	"govdns/internal/obs"
+	"govdns/internal/zone"
 )
+
+// TestCacheDropsReplacedZone: replacing a hosted zone, as SyncZone does
+// on every re-sync, must not leave the replaced zone's answers in the
+// response cache until their TTLs run out. The same query, well within
+// the cached answer's TTL, returns the new zone's bytes — the bytes an
+// uncached server hosting the new zone renders.
+func TestCacheDropsReplacedZone(t *testing.T) {
+	s, c, reg := cacheTestServer(t, nil)
+	wire, err := dnswire.Encode(query("www.gov.br.", dnswire.TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := s.HandleWire(wire)
+	if again := s.HandleWire(wire); !bytes.Equal(again, old) || reg.Counter("authserver_cache_hits_total").Load() != 1 {
+		t.Fatal("the answer was not served from the cache before the replacement")
+	}
+
+	changed := wwwZone(t, "192.0.2.81")
+	s.AddZone(changed)
+	if c.Len() != 0 {
+		t.Errorf("%d entries survived the zone's replacement", c.Len())
+	}
+
+	twin := New("ns1.gov.br.")
+	twin.AddZone(changed)
+	want := twin.HandleWire(wire)
+	if bytes.Equal(want, old) {
+		t.Fatal("the replaced zone answers as the old one did; the test is vacuous")
+	}
+	if got := s.HandleWire(wire); !bytes.Equal(got, want) {
+		t.Errorf("after the replacement the cached server answers\n%x\nan uncached one hosting the new zone\n%x", got, want)
+	}
+	if got := s.HandleWire(wire); !bytes.Equal(got, want) {
+		t.Errorf("the new answer's cached copy differs from the uncached render")
+	}
+}
+
+// wwwZone is testZone with www.gov.br. pointing at addr.
+func wwwZone(t *testing.T, addr string) *zone.Zone {
+	t.Helper()
+	z := testZone(t)
+	z.Remove("www.gov.br.", dnswire.TypeA)
+	z.MustAdd(dnswire.RR{Name: "www.gov.br.", Class: dnswire.ClassIN, TTL: 300,
+		Data: dnswire.AData{Addr: netip.MustParseAddr(addr)}})
+	return z
+}
+
+// TestCacheReplaceZoneWhileServing races zone replacements against
+// cached queries (the race detector checks the table swap): once the
+// last replacement has returned, the cache serves the last zone
+// installed, byte-equal to an uncached server's answer, whatever the
+// renders in flight during the swaps stored.
+func TestCacheReplaceZoneWhileServing(t *testing.T) {
+	s, _, _ := cacheTestServer(t, nil)
+	wire, err := dnswire.Encode(query("www.gov.br.", dnswire.TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones := []*zone.Zone{wwwZone(t, "192.0.2.81"), wwwZone(t, "192.0.2.82"), wwwZone(t, "192.0.2.83")}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s.HandleWire(wire) == nil {
+					t.Error("query dropped")
+					return
+				}
+			}
+		}()
+	}
+	const swaps = 300
+	for i := range swaps {
+		s.AddZone(zones[i%len(zones)])
+	}
+	close(stop)
+	wg.Wait()
+
+	twin := New("ns1.gov.br.")
+	twin.AddZone(zones[(swaps-1)%len(zones)])
+	if got, want := s.HandleWire(wire), twin.HandleWire(wire); !bytes.Equal(got, want) {
+		t.Errorf("after the last replacement the cached server answers\n%x\nan uncached one hosting the last zone\n%x", got, want)
+	}
+}
 
 // fakeClock drives a ResponseCache's notion of time.
 type fakeClock struct {

@@ -141,11 +141,18 @@ func (s *Server) SetParkingTarget(addr netip.Addr) {
 // origin already hosted atomically replaces the previous copy — the
 // mechanism AXFR-synced secondaries (SyncZone) use to install a fetched
 // zone, and what tests use to model stale replicas by installing an
-// older copy.
+// older copy. A replacement also empties the server's response cache,
+// which keys responses by question alone: replacement is rare, and the
+// replaced zone's answers must not be served until their TTLs run out.
 func (s *Server) AddZone(z *zone.Zone) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	_, replaced := s.zones[z.Origin()]
 	s.zones[z.Origin()] = z
+	cache := s.cache
+	s.mu.Unlock()
+	if replaced && cache != nil {
+		cache.purge()
+	}
 }
 
 // ZoneByOrigin returns the hosted zone with exactly the given origin.

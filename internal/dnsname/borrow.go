@@ -40,6 +40,30 @@ func (n Name) Own() Name {
 	return Name(strings.Clone(string(n)))
 }
 
+// OwnAll is Own for a batch: it replaces every name in names, in place,
+// with an owned copy, and one allocation backs all of them. A caller
+// that retains a handful of names decoded from one packet pays for one
+// string instead of one per name; any one of the copies keeps the whole
+// block alive.
+func OwnAll(names []Name) {
+	n := 0
+	for _, name := range names {
+		n += len(name)
+	}
+	if n == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, name := range names {
+		b.WriteString(string(name))
+	}
+	block := b.String()
+	for i, name := range names {
+		names[i], block = Name(block[:len(name)]), block[len(name):]
+	}
+}
+
 // CanonicalLabelByte maps c to its canonical (lowercase) form and
 // reports whether it may appear inside an ordinary label: the LDH set
 // plus underscore, exactly the characters checkLabel accepts. The "*"

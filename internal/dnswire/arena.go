@@ -48,6 +48,11 @@ type Arena struct {
 	slabs   rdataSlabs // decoded RDATA payload cells
 	comp    compTable
 
+	// rrsHigh and qsHigh are the longest rrs and qs have been since the
+	// last Finish, as Decode found them before cutting them back: Finish
+	// clears that far, and every element past it is already zero.
+	rrsHigh, qsHigh int
+
 	qq    [1]Question // question slot for NewQuery
 	qslot Message     // NewQuery / NewResponse slot
 	rslot Message     // Decode slot
@@ -158,16 +163,34 @@ func (a *Arena) Finish() {
 		return
 	}
 	// Drop references into message payloads so a pooled arena doesn't
-	// pin names and RDATA from its last exchange while idle.
-	clear(a.rrs[:cap(a.rrs)])
-	clear(a.qs[:cap(a.qs)])
-	clear(a.sec[:])
+	// pin names and RDATA from its last exchange while idle. Only the
+	// part used since the last Finish can hold any: an arena that once
+	// decoded a large referral does not clear its whole array again on
+	// every exchange after that, and one whose RRBuf was never lent
+	// clears none of it.
+	clear(a.rrs[:max(a.rrsHigh, len(a.rrs))])
+	clear(a.qs[:max(a.qsHigh, len(a.qs))])
+	clear(a.sec[:usedPrefix(a.sec[:])])
 	a.rrs, a.qs = a.rrs[:0], a.qs[:0]
+	a.rrsHigh, a.qsHigh = 0, 0
 	a.qq[0] = Question{}
 	a.qslot = Message{}
 	a.rslot = Message{}
 	p.recycles.Inc()
 	p.p.Put(a)
+}
+
+// usedPrefix is how many leading records of an RRBuf backing array a
+// caller appended: appends fill it from the front, and no record a
+// response carries is the zero RR. A client arena never lends its
+// RRBuf, so its Finish clears none of it.
+func usedPrefix(sec []RR) int {
+	for i := range sec {
+		if sec[i] == (RR{}) {
+			return i
+		}
+	}
+	return len(sec)
 }
 
 // NewQuery is Message NewQuery built in the arena's query slot: no heap

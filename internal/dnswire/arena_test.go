@@ -226,6 +226,63 @@ func TestArenaAliasSafety(t *testing.T) {
 	}
 }
 
+// TestArenaFinishClearsWhatItUsed: a recycled arena holds no record or
+// question reference anywhere in its capacity, although Finish clears
+// only as far as the arena was used since the last Finish — which is
+// further than where the last message left it: a large message decoded
+// before a small one is cleared too, and so are records OfType filtered
+// past the small one and the records a response was built from in its
+// RRBuf.
+func TestArenaFinishClearsWhatItUsed(t *testing.T) {
+	big := NewResponse(NewQuery(1, "big.example.", TypeA))
+	big.Questions = append(big.Questions,
+		Question{Name: "q2.big.example.", Type: TypeA, Class: ClassIN},
+		Question{Name: "q3.big.example.", Type: TypeA, Class: ClassIN})
+	for i := range 200 {
+		big.Answers = append(big.Answers, RR{Name: "big.example.", Class: ClassIN, TTL: 1,
+			Data: AData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})}})
+	}
+	bigWire, small := mustEncode(t, big), mustEncode(t, referralResponse())
+
+	pool := NewPool()
+	a := pool.Get()
+	if _, err := a.Decode(bigWire); err != nil {
+		t.Fatalf("Decode big: %v", err)
+	}
+	m, err := a.Decode(small)
+	if err != nil {
+		t.Fatalf("Decode small: %v", err)
+	}
+	if glue := a.OfType(m.Additional, TypeA); len(glue) == 0 {
+		t.Fatal("the small message carries no glue to filter")
+	}
+	if built := append(a.RRBuf(), m.Authority...); len(built) == 0 || &built[0] != &a.sec[0] {
+		t.Fatal("the response was not built in the arena's RRBuf")
+	}
+	a.Finish()
+	if st := pool.Stats(); st.Recycles != 1 {
+		t.Fatalf("pool stats %+v: the arena was not recycled", st)
+	}
+	if cap(a.rrs) < 200 || cap(a.qs) < 3 {
+		t.Fatalf("arena capacity %d records, %d questions: the big message did not land in it", cap(a.rrs), cap(a.qs))
+	}
+	for i, rr := range a.rrs[:cap(a.rrs)] {
+		if rr != (RR{}) {
+			t.Fatalf("recycled arena still holds record %d: %v", i, rr)
+		}
+	}
+	for i, q := range a.qs[:cap(a.qs)] {
+		if q != (Question{}) {
+			t.Fatalf("recycled arena still holds question %d: %v", i, q)
+		}
+	}
+	for i, rr := range a.sec {
+		if rr != (RR{}) {
+			t.Fatalf("recycled arena still holds RRBuf record %d: %v", i, rr)
+		}
+	}
+}
+
 // TestPoolCountersAndDiscard covers the pool's obs counters: checkouts
 // and recycles on the normal cycle, discard of an arena whose buffers
 // outgrew the retention caps, and NoRecycle bypassing both.

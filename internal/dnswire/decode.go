@@ -51,6 +51,8 @@ func Decode(wire []byte) (*Message, error) {
 // previous one.
 func (a *Arena) Decode(wire []byte) (*Message, error) {
 	a.scratch = a.scratch[:0]
+	a.rrsHigh = max(a.rrsHigh, len(a.rrs))
+	a.qsHigh = max(a.qsHigh, len(a.qs))
 	a.rrs = a.rrs[:0]
 	a.qs = a.qs[:0]
 	a.slabs.reset()

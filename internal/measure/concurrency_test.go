@@ -116,11 +116,11 @@ func TestFanOutPreservesOrdering(t *testing.T) {
 			}
 		}
 		if len(a.Addrs) != len(b.Addrs) {
-			t.Fatalf("%s: addr map size %d vs %d", a.Domain, len(a.Addrs), len(b.Addrs))
+			t.Fatalf("%s: addr list size %d vs %d", a.Domain, len(a.Addrs), len(b.Addrs))
 		}
-		for host, aa := range a.Addrs {
-			ba, ok := b.Addrs[host]
-			if !ok || len(aa) != len(ba) {
+		for j, h := range a.Addrs {
+			host, aa, ba := h.Host, h.Addrs, b.Addrs[j].Addrs
+			if b.Addrs[j].Host != host || len(aa) != len(ba) {
 				t.Errorf("%s: addrs for %s differ: %v vs %v", a.Domain, host, aa, ba)
 				continue
 			}

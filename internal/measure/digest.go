@@ -9,6 +9,7 @@ import (
 	"hash"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"govdns/internal/dnsname"
 )
@@ -120,14 +121,26 @@ func cloneSHA256(h hash.Hash) hash.Hash {
 
 // Digest condenses a result slice into the canonical scan digest. It is
 // defined as — and differentially pinned to — the accumulator run over
-// the slice in order.
+// the slice in order. The accumulator comes from a pool and is finished
+// in place rather than through Sum's copy of the hash state, so a warm
+// Digest allocates nothing: a caller that digests every result on its
+// own, as a verifier comparing a scan domain by domain does, adds no
+// garbage per result to the scan's.
 func Digest(results []*DomainResult) [sha256.Size]byte {
-	acc := NewDigestAccumulator()
+	acc := digestPool.Get().(*DigestAccumulator)
+	defer digestPool.Put(acc)
+	acc.h.Reset()
+	acc.n = 0
 	for _, r := range results {
 		acc.Add(r)
 	}
-	return acc.Sum()
+	acc.record = binary.BigEndian.AppendUint64(acc.record[:0], acc.n)
+	acc.h.Write(acc.record)
+	acc.record = acc.h.Sum(acc.record[:0])
+	return [sha256.Size]byte(acc.record)
 }
+
+var digestPool = sync.Pool{New: func() any { return NewDigestAccumulator() }}
 
 // appendCanonical appends r's digest record to dst: u64 big-endian,
 // length-prefixed strings, As16 addresses, bools as 0/1. Hosts go in
@@ -148,9 +161,9 @@ func (a *DigestAccumulator) appendCanonical(dst []byte, r *DomainResult) []byte 
 
 	hosts := a.sortedHosts(r.Addrs, dnsname.Compare)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(hosts)))
-	for _, host := range hosts {
-		dst = appendDigestString(dst, string(host))
-		addrs := a.sortedAddrs(r.Addrs[host])
+	for _, h := range hosts {
+		dst = appendDigestString(dst, string(h.Host))
+		addrs := a.sortedAddrs(h.Addrs)
 		dst = binary.BigEndian.AppendUint64(dst, uint64(len(addrs)))
 		for _, addr := range addrs {
 			dst = appendDigestAddr(dst, addr)
@@ -202,18 +215,21 @@ func appendDigestAddr(dst []byte, a netip.Addr) []byte {
 // that runs over many results so that sorting allocates nothing once it
 // has grown to the largest result.
 type sortScratch struct {
-	hosts []dnsname.Name
+	hosts []HostAddrs
 	addrs []netip.Addr
 }
 
-// sortedHosts returns m's hosts in cmp order. The slice is the scratch's
-// and is valid until the next call.
-func (s *sortScratch) sortedHosts(m map[dnsname.Name][]netip.Addr, cmp func(a, b dnsname.Name) int) []dnsname.Name {
-	s.hosts = s.hosts[:0]
-	for host := range m {
-		s.hosts = append(s.hosts, host)
+// sortedHosts returns hosts in cmp order of their Host: hosts itself
+// when it already is — a scanned result's Addrs are in dnsname.Compare
+// order — or else a sorted copy in the scratch, valid until the next
+// call.
+func (s *sortScratch) sortedHosts(hosts []HostAddrs, cmp func(a, b dnsname.Name) int) []HostAddrs {
+	byHost := func(a, b HostAddrs) int { return cmp(a.Host, b.Host) }
+	if slices.IsSortedFunc(hosts, byHost) {
+		return hosts
 	}
-	slices.SortFunc(s.hosts, cmp)
+	s.hosts = append(s.hosts[:0], hosts...)
+	slices.SortFunc(s.hosts, byHost)
 	return s.hosts
 }
 

@@ -48,7 +48,21 @@ func (sr *ServerResponse) Answered() bool {
 	return sr.OK && sr.Authoritative && sr.RCode == dnswire.RCodeNoError && len(sr.NS) > 0
 }
 
+// HostAddrs is one nameserver host of a result with its addresses,
+// sorted in netip.Addr.Compare order; nil when the host did not
+// resolve.
+type HostAddrs struct {
+	Host  dnsname.Name
+	Addrs []netip.Addr
+}
+
 // DomainResult is the complete measurement record for one domain.
+//
+// A scanned result is a few blocks of its own (DESIGN.md § 10): its
+// Servers; one name array behind ParentNS and every server's NS; its
+// Addrs; and one address array behind every host's addresses. Each list
+// is capped at its length, so appending to one never reaches another,
+// and no result shares a block with another result or with the scanner.
 type DomainResult struct {
 	// Domain is the probed name.
 	Domain dnsname.Name
@@ -65,10 +79,12 @@ type DomainResult struct {
 	// authoritative answer rather than a referral (parent and child
 	// served by the same host).
 	ParentAuthoritative bool
-	// Addrs maps each nameserver hostname (from P and from child
-	// answers) to its resolved IPv4 addresses. Unresolvable hosts map
-	// to nil.
-	Addrs map[dnsname.Name][]netip.Addr
+	// Addrs holds each nameserver hostname (from P and from child
+	// answers) with its resolved IPv4 addresses, one entry per host,
+	// in dnsname.Compare order of the host; never nil, so a consumer
+	// may append to it. An unresolvable host's addresses are nil.
+	// AddrsOf looks one host up.
+	Addrs []HostAddrs
 	// Servers holds one entry per queried (host, address) pair.
 	Servers []ServerResponse
 	// Rounds is 1, or 2 when the second-round retry ran.
@@ -301,11 +317,71 @@ func (r *DomainResult) DefectiveServerHosts() []dnsname.Name {
 // nameservers, sorted — the IP_ns set of Table I.
 func (r *DomainResult) AllAddrs() []netip.Addr {
 	var out []netip.Addr
-	for _, addrs := range r.Addrs {
-		out = append(out, addrs...)
+	for _, h := range r.Addrs {
+		out = append(out, h.Addrs...)
 	}
 	slices.SortFunc(out, netip.Addr.Compare)
 	return slices.Compact(out)
+}
+
+// AddrsOf returns host's resolved addresses, nil when host did not
+// resolve or is not one of the result's nameservers. The result's
+// hosts are a handful, so it scans them rather than searching.
+func (r *DomainResult) AddrsOf(host dnsname.Name) []netip.Addr {
+	for _, h := range r.Addrs {
+		if h.Host == host {
+			return h.Addrs
+		}
+	}
+	return nil
+}
+
+// copyOut returns a copy of r built from exact-size blocks of its own:
+// the DomainResult, its Servers, one name array behind ParentNS and
+// every server's NS, its Addrs, and one address array behind every
+// host's addresses. Every list is capped at its length, and an empty
+// one other than Addrs is nil. The names themselves are shared with r, as strings are
+// immutable. The scanner builds each round in reused scratch and hands
+// out only this copy.
+func (r *DomainResult) copyOut() *DomainResult {
+	out := new(DomainResult)
+	*out = *r
+	nNames, nAddrs := len(r.ParentNS), 0
+	for i := range r.Servers {
+		nNames += len(r.Servers[i].NS)
+	}
+	for _, h := range r.Addrs {
+		nAddrs += len(h.Addrs)
+	}
+	names := make([]dnsname.Name, 0, nNames)
+	addrs := make([]netip.Addr, 0, nAddrs)
+	out.ParentNS = carve(&names, r.ParentNS)
+	out.Servers = nil
+	if len(r.Servers) > 0 {
+		out.Servers = make([]ServerResponse, len(r.Servers))
+		for i := range r.Servers {
+			out.Servers[i] = r.Servers[i]
+			out.Servers[i].NS = carve(&names, r.Servers[i].NS)
+		}
+	}
+	// Addrs alone is never nil (see newResult); an empty one costs no
+	// allocation.
+	out.Addrs = make([]HostAddrs, len(r.Addrs))
+	for i, h := range r.Addrs {
+		out.Addrs[i] = HostAddrs{Host: h.Host, Addrs: carve(&addrs, h.Addrs)}
+	}
+	return out
+}
+
+// carve appends src to the block and returns the appended part, capped
+// at its length; nil when src is empty.
+func carve[T any](block *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	start := len(*block)
+	*block = append(*block, src...)
+	return (*block)[start:len(*block):len(*block)]
 }
 
 // NSCount is the number of distinct delegated nameservers (|P ∪ C|);

@@ -60,8 +60,8 @@ func refDefectiveServerHosts(r *DomainResult) []dnsname.Name {
 func refAllAddrs(r *DomainResult) []netip.Addr {
 	seen := make(map[netip.Addr]bool)
 	var out []netip.Addr
-	for _, addrs := range r.Addrs {
-		for _, a := range addrs {
+	for _, h := range r.Addrs {
+		for _, a := range h.Addrs {
 			if !seen[a] {
 				seen[a] = true
 				out = append(out, a)
@@ -70,6 +70,20 @@ func refAllAddrs(r *DomainResult) []netip.Addr {
 	}
 	slices.SortFunc(out, netip.Addr.Compare)
 	return out
+}
+
+// setAddrs sets host's addresses in r.Addrs, replacing the host's entry
+// when it has one and appending one when it does not: what assigning to
+// a host's key did when Addrs was a map. An appended host may leave
+// Addrs out of order, which every reader of a result tolerates.
+func setAddrs(r *DomainResult, host dnsname.Name, addrs []netip.Addr) {
+	for i := range r.Addrs {
+		if r.Addrs[i].Host == host {
+			r.Addrs[i].Addrs = addrs
+			return
+		}
+	}
+	r.Addrs = append(r.Addrs, HostAddrs{Host: host, Addrs: addrs})
 }
 
 // randomResult draws hosts and addresses from small pools so that
@@ -83,13 +97,13 @@ func randomResult(rng *rand.Rand) *DomainResult {
 		}
 		return out
 	}
-	r := &DomainResult{Domain: "x.gov.br.", ParentResponded: rng.Intn(8) > 0, ParentNS: pick(4), Addrs: map[dnsname.Name][]netip.Addr{}}
+	r := &DomainResult{Domain: "x.gov.br.", ParentResponded: rng.Intn(8) > 0, ParentNS: pick(4), Addrs: []HostAddrs{}}
 	for _, host := range append(pick(3), r.ParentNS...) {
 		var addrs []netip.Addr
 		for k := rng.Intn(3); k > 0; k-- {
 			addrs = append(addrs, netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(5))}))
 		}
-		r.Addrs[host] = addrs
+		setAddrs(r, host, addrs)
 		for _, a := range addrs {
 			r.Servers = append(r.Servers, ServerResponse{
 				Host: host, Addr: a, OK: rng.Intn(4) > 0, Authoritative: rng.Intn(4) > 0, NS: pick(4),

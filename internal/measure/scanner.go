@@ -87,35 +87,45 @@ func NewScanner(it *resolver.Iterator) *Scanner {
 // ScanDomain measures a single domain (one Fig. 1 pipeline run,
 // including the second round when enabled).
 func (s *Scanner) ScanDomain(ctx context.Context, domain dnsname.Name) *DomainResult {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.scanDomain(ctx, domain, sc)
+}
+
+// scanDomain is ScanDomain in sc: every round is measured in the
+// scratch, and the final one is copied out into a result of its own.
+func (s *Scanner) scanDomain(ctx context.Context, domain dnsname.Name, sc *scratch) *DomainResult {
 	rec := s.Trace.NewRecorder(domain)
 	ctx, st := rec.Begin(ctx, trace.KindDomain, string(domain), s.Metrics.stage(trace.KindDomain))
-	r := s.scanRound(ctx, st, domain, 1)
+	r := &sc.r
+	s.scanRound(ctx, st, domain, 1, sc)
 	classChanged := false
 	if s.SecondRound && (r.FullyDefective() || r.ErrTransient) {
 		var firstClass Classification
 		if rec != nil {
 			firstClass = r.Classify()
 		}
-		retry := s.scanRound(ctx, st, domain, 2)
-		retry.Rounds = 2
 		// The retry replaces the result but keeps the full fault
 		// history: what the wire did in round one is part of the
 		// domain's measurement record even when round two recovers.
-		retry.Faults.Add(r.Faults)
-		r = retry
+		faults := r.Faults
+		s.scanRound(ctx, st, domain, 2, sc)
+		r.Rounds = 2
+		r.Faults.Add(faults)
 		if rec != nil {
 			classChanged = r.Classify() != firstClass
 		}
 	}
+	out := r.copyOut()
 	st.End(nil)
-	s.Metrics.recordDomain(r)
+	s.Metrics.recordDomain(out)
 	if rec != nil {
-		class := r.Classify().String()
+		class := out.Classify().String()
 		st.Annotate(trace.Str("class", class))
-		pin := s.TracePin != nil && s.TracePin(r)
-		s.Trace.OfferPin(rec.Finish(class, r.Rounds, r.Err, r.ErrTransient, classChanged), pin)
+		pin := s.TracePin != nil && s.TracePin(out)
+		s.Trace.OfferPin(rec.Finish(class, out.Rounds, out.Err, out.ErrTransient, classChanged), pin)
 	}
-	return r
+	return out
 }
 
 // roundNames are the round spans' names, by round number.
@@ -125,38 +135,101 @@ var roundNames = [...]string{1: "round 1", 2: "round 2"}
 // domain's stage dst, annotated with the classification that round
 // produced on its own. The second round is metered; the first is timed
 // by its domain.
-func (s *Scanner) scanRound(ctx context.Context, dst trace.Stage, domain dnsname.Name, round int) *DomainResult {
+func (s *Scanner) scanRound(ctx context.Context, dst trace.Stage, domain dnsname.Name, round int, sc *scratch) {
 	var hist *obs.Histogram
 	if round == 2 {
 		hist = s.Metrics.stage(trace.KindRound)
 	}
 	ctx, st := dst.Begin(ctx, trace.KindRound, roundNames[round], hist)
-	r := s.scanOnce(ctx, domain)
+	s.scanOnce(ctx, domain, sc)
 	if st.Traced() {
-		st.Annotate(trace.Str("class", r.Classify().String()))
+		st.Annotate(trace.Str("class", sc.r.Classify().String()))
 	}
 	st.End(nil)
-	return r
 }
 
-func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResult {
-	r := newResult(domain)
+// scratch is where a domain's rounds are measured: the walk's
+// Delegation, one unit per nameserver host, and the round's result,
+// which lives in the scratch's own lists. All of it is reused from
+// domain to domain; the result a caller gets is copyOut's copy, so
+// nothing of a scratch outlives its domain. A scan worker keeps one
+// scratch; ScanDomain called on its own takes one from scratchPool.
+type scratch struct {
+	r       DomainResult
+	deleg   resolver.Delegation
+	units   []hostUnit       // P's hosts in order, then the child-only hosts
+	servers []ServerResponse // behind r.Servers
+	hosts   []HostAddrs      // behind r.Addrs
+
+	// The round's parameters, which the fan-out bodies read; set while
+	// the round runs.
+	s      *Scanner
+	ctx    context.Context
+	domain dnsname.Name
+	// probe and fetch are the fan-out bodies, over P's units and over the
+	// child-only ones; made once per scratch, so no round allocates a
+	// closure.
+	probe, fetch func(i int)
+}
+
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+
+func newScratch() *scratch {
+	sc := new(scratch)
+	sc.probe = func(i int) {
+		u := &sc.units[i]
+		sc.s.probeHost(sc.ctx, sc.domain, sc.r.ParentNS, sc.deleg.Glue(i), u)
+	}
+	sc.fetch = func(i int) {
+		sc.s.fetchHost(sc.ctx, &sc.units[len(sc.r.ParentNS)+i], nil, trace.Bool("child_only", true))
+	}
+	return sc
+}
+
+// addUnit appends a unit for host, reusing the storage of whichever
+// unit last held that position.
+func (sc *scratch) addUnit(host dnsname.Name) {
+	if len(sc.units) < cap(sc.units) {
+		sc.units = sc.units[:len(sc.units)+1]
+	} else {
+		sc.units = append(sc.units, hostUnit{})
+	}
+	u := &sc.units[len(sc.units)-1]
+	u.host, u.addrs, u.faults = host, nil, FaultCounts{}
+	u.servers, u.ns = u.servers[:0], u.ns[:0]
+}
+
+// hostUnit is one nameserver host's part of a round: its addresses, one
+// response per address, and those probes' fault counts. A child-only
+// host is resolved but not probed.
+type hostUnit struct {
+	host    dnsname.Name
+	addrs   []netip.Addr     // the glue, buf, or nil when unresolvable
+	buf     []netip.Addr     // resolved addresses
+	servers []ServerResponse // one per address
+	ns      []dnsname.Name   // behind the servers' NS lists
+	faults  FaultCounts
+}
+
+func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name, sc *scratch) {
+	sc.r = DomainResult{Domain: domain, Rounds: 1}
+	r := &sc.r
 
 	wctx, wst := trace.Begin(ctx, trace.KindParentWalk, string(domain), s.Metrics.stage(trace.KindParentWalk))
-	deleg, err := s.Iterator.Delegation(wctx, domain)
+	err := s.Iterator.DelegationInto(wctx, domain, &sc.deleg)
 	wst.End(err)
 	switch {
 	case err == nil:
 		r.ParentResponded = true
-		r.ParentZone = deleg.Parent.Zone
-		r.ParentNS = deleg.Hosts
-		r.ParentAuthoritative = deleg.Authoritative
+		r.ParentZone = sc.deleg.Parent.Zone
+		r.ParentNS = sc.deleg.Hosts
+		r.ParentAuthoritative = sc.deleg.Authoritative
 	case errors.Is(err, resolver.ErrNXDomain), errors.Is(err, resolver.ErrNoAnswer):
 		// The parent answered: the domain is simply gone (empty
 		// response).
 		r.ParentResponded = true
 		r.Err = err.Error()
-		return r
+		return
 	default:
 		if s.Metrics != nil {
 			s.Metrics.walkFailures.Inc()
@@ -165,8 +238,11 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 		// A dead context makes every in-flight query "time out"; only a
 		// live-context transient failure says anything about the wire.
 		r.ErrTransient = ctx.Err() == nil && resolver.IsTransientErr(err)
-		return r
+		return
 	}
+
+	sc.s, sc.ctx, sc.domain = s, ctx, domain
+	defer func() { sc.s, sc.ctx = nil, nil }()
 
 	// Resolve and probe every delegated nameserver, one unit per host.
 	// Units run on this goroutine until the batch has outlived
@@ -174,49 +250,45 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name) *DomainResu
 	// fan out, so a host stuck waiting out timeouts overlaps its siblings'
 	// probes instead of gating them. Units write by index, so the fan-out
 	// changes nothing about result ordering.
-	units := make([]hostUnit, len(r.ParentNS))
-	fanout.Each(len(units), s.parallelism(), func(i int) {
-		units[i] = s.probeHost(ctx, domain, r.ParentNS[i], r.ParentNS, deleg.Glue(i))
-	})
-	total := 0
-	for i, host := range r.ParentNS {
-		r.Addrs[host] = units[i].addrs
-		r.Faults.Add(units[i].faults)
-		total += len(units[i].servers)
+	sc.units = sc.units[:0]
+	for _, host := range r.ParentNS {
+		sc.addUnit(host)
 	}
-	r.Servers = slices.Grow(r.Servers, total)
-	for i := range units {
-		r.Servers = append(r.Servers, units[i].servers...)
+	fanout.Each(len(sc.units), s.parallelism(), sc.probe)
+	sc.servers = sc.servers[:0]
+	for i := range sc.units {
+		r.Faults.Add(sc.units[i].faults)
+		sc.servers = append(sc.servers, sc.units[i].servers...)
 	}
+	r.Servers = sc.servers
 
 	// The child may know servers the parent does not (C ⊃ P): resolve
 	// and query those too, so NSCount and consistency see the full
 	// picture.
-	s.queryChildOnlyHosts(ctx, r)
-	return r
+	s.queryChildOnlyHosts(sc)
+
+	sc.hosts = sc.hosts[:0]
+	for i := range sc.units {
+		sc.hosts = append(sc.hosts, HostAddrs{Host: sc.units[i].host, Addrs: sc.units[i].addrs})
+	}
+	if len(sc.units) > len(r.ParentNS) {
+		slices.SortFunc(sc.hosts, func(a, b HostAddrs) int { return dnsname.Compare(a.Host, b.Host) })
+	}
+	r.Addrs = sc.hosts
 }
 
-// hostUnit is one delegated nameserver's part of a round: its
-// addresses, one response per address, and those probes' fault counts.
-type hostUnit struct {
-	addrs   []netip.Addr
-	servers []ServerResponse
-	faults  FaultCounts
-}
-
-// probeHost is one pipelined unit: resolve host's addresses, then probe
-// each address for domain's NS records.
-func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, parentNS []dnsname.Name, glue []netip.Addr) (u hostUnit) {
-	u.addrs = s.fetchHost(ctx, host, glue)
-	cctx, cst := trace.Begin(ctx, trace.KindChildProbe, string(host), s.Metrics.stage(trace.KindChildProbe))
+// probeHost is one pipelined unit: resolve u's host's addresses, then
+// probe each address for domain's NS records.
+func (s *Scanner) probeHost(ctx context.Context, domain dnsname.Name, parentNS []dnsname.Name, glue []netip.Addr, u *hostUnit) {
+	s.fetchHost(ctx, u, glue)
+	cctx, cst := trace.Begin(ctx, trace.KindChildProbe, string(u.host), s.Metrics.stage(trace.KindChildProbe))
 	client := s.Iterator.Client()
 	// One arena for the unit's probes: each response is copied out
 	// before the next probe's decode reuses it.
 	a := client.ArenaPool().Get()
 	defer a.Finish()
-	u.servers = make([]ServerResponse, len(u.addrs))
-	for j, addr := range u.addrs {
-		sr := ServerResponse{Host: host, Addr: addr}
+	for _, addr := range u.addrs {
+		sr := ServerResponse{Host: u.host, Addr: addr}
 		var name string
 		if cst.Traced() {
 			name = addr.String()
@@ -234,58 +306,59 @@ func (s *Scanner) probeHost(ctx context.Context, domain, host dnsname.Name, pare
 			sr.OK = true
 			sr.RCode = resp.Header.RCode
 			sr.Authoritative = resp.Header.Authoritative
-			sr.NS = childNS(resp.Answers, domain, parentNS)
+			start := len(u.ns)
+			u.ns = appendAnswerNS(u.ns, resp.Answers, domain, parentNS)
+			if end := len(u.ns); end > start {
+				sr.NS = u.ns[start:end:end]
+			}
 		}
-		u.servers[j] = sr
+		u.servers = append(u.servers, sr)
 	}
 	cst.End(nil)
 	if s.Metrics != nil {
 		s.Metrics.probeQueries.Add(uint64(len(u.addrs)))
 	}
-	return u
 }
 
-// fetchHost resolves host's addresses in an NS-fetch stage annotated
-// with attrs: the referral's glue for host when it carried some
-// (authoritative enough for the parent's own view; the result takes
-// the slice over), else full resolution, cached and coalesced across the
-// scan. An unresolvable host gets nil.
-func (s *Scanner) fetchHost(ctx context.Context, host dnsname.Name, glue []netip.Addr, attrs ...trace.Attr) []netip.Addr {
-	fctx, st := trace.Begin(ctx, trace.KindNSFetch, string(host), s.Metrics.stage(trace.KindNSFetch))
-	addrs := glue
+// fetchHost sets u's addresses in an NS-fetch stage annotated with
+// attrs: the referral's glue for u's host when it carried some
+// (authoritative enough for the parent's own view), else full
+// resolution, cached and coalesced across the scan, into u's buffer.
+// An unresolvable host gets nil.
+func (s *Scanner) fetchHost(ctx context.Context, u *hostUnit, glue []netip.Addr, attrs ...trace.Attr) {
+	fctx, st := trace.Begin(ctx, trace.KindNSFetch, string(u.host), s.Metrics.stage(trace.KindNSFetch))
+	u.addrs = glue
 	var err error
 	if glue != nil {
 		st.Annotate(trace.Bool("glue", true))
-	} else if addrs, err = s.Iterator.ResolveHost(fctx, host); err != nil {
-		addrs = nil
+	} else if u.buf, err = s.Iterator.AppendHostAddrs(fctx, u.buf[:0], u.host); err == nil && len(u.buf) > 0 {
+		u.addrs = u.buf
 	}
-	st.Annotate(trace.Int("addrs", int64(len(addrs))))
+	st.Annotate(trace.Int("addrs", int64(len(u.addrs))))
 	st.Annotate(attrs...)
 	st.End(err)
-	return addrs
 }
 
-// childNS copies the domain's NS host names, sorted, out of an answer
-// section that borrows the unit's arena. A name the parent also lists
-// reuses the parent's owned copy — for a consistent delegation that is
-// every name — so only names the child alone serves are copied.
-func childNS(answers []dnswire.RR, domain dnsname.Name, parentNS []dnsname.Name) (out []dnsname.Name) {
+// appendAnswerNS appends the domain's NS host names, sorted, out of an
+// answer section that borrows the unit's arena, to dst. A name the
+// parent also lists reuses the parent's owned copy — for a consistent
+// delegation that is every name — so only names the child alone serves
+// are copied.
+func appendAnswerNS(dst []dnsname.Name, answers []dnswire.RR, domain dnsname.Name, parentNS []dnsname.Name) []dnsname.Name {
+	start := len(dst)
 	for _, rr := range answers {
 		ns, ok := rr.Data.(dnswire.NSData)
 		if !ok || rr.Name != domain {
 			continue
 		}
-		if out == nil {
-			out = make([]dnsname.Name, 0, len(answers))
-		}
 		if k := slices.Index(parentNS, ns.Host); k >= 0 {
-			out = append(out, parentNS[k])
+			dst = append(dst, parentNS[k])
 		} else {
-			out = append(out, ns.Host.Own())
+			dst = append(dst, ns.Host.Own())
 		}
 	}
-	slices.SortFunc(out, dnsname.Compare)
-	return out
+	slices.SortFunc(dst[start:], dnsname.Compare)
+	return dst
 }
 
 // faultAttrs renders one probe's per-query fault trace as span
@@ -306,33 +379,35 @@ func faultAttrs(tr resolver.Trace) []trace.Attr {
 	return attrs
 }
 
-// queryChildOnlyHosts resolves nameservers that appear only in child
-// answers and records their addresses (used by the diversity analysis).
-// Every parent-listed host already has an Addrs entry, so a host without
-// one is the child's alone.
-func (s *Scanner) queryChildOnlyHosts(ctx context.Context, r *DomainResult) {
-	var hosts []dnsname.Name
+// queryChildOnlyHosts resolves the nameservers that appear only in
+// child answers, one unit each after P's, in dnsname.Compare order, and
+// records their addresses (used by the diversity analysis).
+func (s *Scanner) queryChildOnlyHosts(sc *scratch) {
+	r := &sc.r
+	nP := len(r.ParentNS)
 	for i := range r.Servers {
 		if !r.Servers[i].Answered() {
 			continue
 		}
+	next:
 		for _, host := range r.Servers[i].NS {
-			if _, done := r.Addrs[host]; !done && !slices.Contains(hosts, host) {
-				hosts = append(hosts, host)
+			if slices.Contains(r.ParentNS, host) {
+				continue
 			}
+			for k := nP; k < len(sc.units); k++ {
+				if sc.units[k].host == host {
+					continue next
+				}
+			}
+			sc.addUnit(host)
 		}
 	}
-	if len(hosts) == 0 {
+	child := sc.units[nP:]
+	if len(child) == 0 {
 		return
 	}
-	slices.SortFunc(hosts, dnsname.Compare)
-	resolved := make([][]netip.Addr, len(hosts))
-	fanout.Each(len(hosts), s.parallelism(), func(i int) {
-		resolved[i] = s.fetchHost(ctx, hosts[i], nil, trace.Bool("child_only", true))
-	})
-	for i, host := range hosts {
-		r.Addrs[host] = resolved[i]
-	}
+	slices.SortFunc(child, func(a, b hostUnit) int { return dnsname.Compare(a.host, b.host) })
+	fanout.Each(len(child), s.parallelism(), sc.fetch)
 }
 
 // scan is the scanner's one worker pool and feed loop; Scan and
@@ -374,8 +449,9 @@ func (s *Scanner) scan(ctx context.Context, src DomainSource, skip int, sink fun
 		// Concurrency × Fanout goroutines on one mutex per query.
 		wctx, wcancel := context.WithCancel(scanCtx)
 		defer wcancel()
+		sc := newScratch()
 		for j := range jobs {
-			r := s.ScanDomain(wctx, j.domain)
+			r := s.scanDomain(wctx, j.domain, sc)
 			if scanCtx.Err() != nil {
 				continue
 			}
@@ -443,12 +519,13 @@ func (s *Scanner) Scan(ctx context.Context, domains []dnsname.Name) []*DomainRes
 	return results
 }
 
-// newResult starts domain's result with the invariants every result
-// holds, scanned or cancelled — Rounds >= 1 and a non-nil Addrs map — so
-// downstream consumers (aggregations that write into Addrs, JSONL
-// round-trips, the invariance harness) never special-case cancellation.
+// newResult starts the result of a domain the scan did not measure with
+// the invariants every result holds, scanned or cancelled — Rounds >= 1
+// and a non-nil Addrs — so downstream consumers (JSONL round-trips, the
+// invariance harness) never special-case cancellation. An empty Addrs
+// costs no allocation.
 func newResult(domain dnsname.Name) *DomainResult {
-	return &DomainResult{Domain: domain, Addrs: make(map[dnsname.Name][]netip.Addr), Rounds: 1}
+	return &DomainResult{Domain: domain, Addrs: []HostAddrs{}, Rounds: 1}
 }
 
 // DomainSource feeds domains to ScanStream one at a time, in canonical

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,21 +64,27 @@ func TestScanHealthyDomain(t *testing.T) {
 // domains: city.gov.br. has two NS hosts with glue and takes three
 // exchanges, single.gov.br. one host, hosted.gov.br. two out-of-zone
 // hosts, inconsistent.gov.br. parent and child NS sets that differ.
-// What is left is the result itself and the walk's per-domain work; an
-// answered exchange costs nothing — a recycled attempt deadline, a
-// lent simnet response, a pooled fan-out batch, unboxed in-flight
-// marks and filtered sections on the codec arena (city.gov.br. was 25
-// before those, 62 before the attempt's deadline became one object and
+// What is left is the result's own blocks — the DomainResult, its
+// Servers, its Addrs, one name array and one address array — and the
+// walk's one string of owned host names; the round itself runs in
+// recycled scratch, and an answered exchange costs nothing — a recycled
+// attempt deadline, a lent simnet response, a pooled fan-out batch,
+// unboxed in-flight marks and filtered sections on the codec arena.
+// inconsistent.gov.br. also owns a copy of the one host only its child
+// serves, once per server that names it.
+// (city.gov.br. was 16 while each result had a map, a slice per host
+// and a name clone per host, 25 before the exchange stopped
+// allocating, 62 before the attempt's deadline became one object and
 // the server rendered into arena scratch, 113 before the inline-first
-// fan-out and the probe copy-out).
+// fan-out and the probe copy-out.)
 var warmScanDomainAllocs = []struct {
 	domain  dnsname.Name
 	ceiling float64
 }{
-	{"city.gov.br.", 16},
-	{"single.gov.br.", 13},
-	{"hosted.gov.br.", 16},
-	{"inconsistent.gov.br.", 22},
+	{"city.gov.br.", 6},
+	{"single.gov.br.", 6},
+	{"hosted.gov.br.", 6},
+	{"inconsistent.gov.br.", 8},
 }
 
 func TestScanDomainWarmAllocs(t *testing.T) {
@@ -181,7 +188,7 @@ func TestScanDanglingNS(t *testing.T) {
 	if !r.FullyDefective() {
 		t.Error("dangling.gov.br should be fully defective")
 	}
-	if addrs := r.Addrs["ns.gone-provider.com."]; addrs != nil {
+	if addrs := r.AddrsOf("ns.gone-provider.com."); addrs != nil {
 		t.Errorf("dangling host resolved to %v", addrs)
 	}
 }
@@ -264,6 +271,78 @@ func TestScanCancelledContext(t *testing.T) {
 	}
 }
 
+// TestScanResultsOwnTheirBlocks: a round is measured in scratch that
+// the next domain reuses, and the result is copied out of it. So a
+// result must share no list with the scratch or with another result:
+// results keep their digests after the same scanner measures more
+// domains — through Scan's workers and through ScanDomain — and writing
+// through one result's NS and address lists changes no other result,
+// and appending to one list changes no other list, not even one of the
+// same result. Under -race it also checks that a worker's scratch is
+// touched by one domain at a time.
+func TestScanResultsOwnTheirBlocks(t *testing.T) {
+	_, s := newScanner(t)
+	s.Concurrency = 3
+	s.PerDomainParallelism = 2
+	ctx := scanCtx(t)
+	list := []dnsname.Name{
+		"city.gov.br.", "single.gov.br.", "hosted.gov.br.", "inconsistent.gov.br.",
+		"lame.gov.br.", "dead.gov.br.", "dangling.gov.br.", "gone.gov.br.",
+	}
+	results := s.Scan(ctx, list)
+	results = append(results, s.ScanDomain(ctx, "inconsistent.gov.br."), s.ScanDomain(ctx, "city.gov.br."))
+	digests := make([]string, len(results))
+	for i, r := range results {
+		digests[i] = DigestHex([]*DomainResult{r})
+	}
+	check := func(when string, skip int) {
+		t.Helper()
+		for i, r := range results {
+			if got := DigestHex([]*DomainResult{r}); i != skip && got != digests[i] {
+				t.Errorf("%s: result %d (%s) changed", when, i, r.Domain)
+			}
+		}
+	}
+
+	s.Scan(ctx, slices.Concat(list, list))
+	for _, d := range list {
+		s.ScanDomain(ctx, d)
+	}
+	check("after the scanner measured more domains", -1)
+
+	bogus := netip.MustParseAddr("203.0.113.250")
+	for i, r := range results {
+		// An append that fits in place would write past the list's end,
+		// into whatever shares its block.
+		_ = append(r.ParentNS, "appended.")
+		_ = append(r.Servers, ServerResponse{Host: "appended."})
+		_ = append(r.Addrs, HostAddrs{Host: "appended."})
+		for j := range r.Servers {
+			_ = append(r.Servers[j].NS, "appended.")
+		}
+		for j := range r.Addrs {
+			_ = append(r.Addrs[j].Addrs, bogus)
+		}
+		check("after appending to the lists of result "+string(r.Domain), -1)
+
+		for k := range r.ParentNS {
+			r.ParentNS[k] = "mutated."
+		}
+		for j := range r.Servers {
+			for k := range r.Servers[j].NS {
+				r.Servers[j].NS[k] = "mutated."
+			}
+		}
+		for j := range r.Addrs {
+			for k := range r.Addrs[j].Addrs {
+				r.Addrs[j].Addrs[k] = bogus
+			}
+		}
+		check("after writing through result "+string(r.Domain), i)
+		digests[i] = DigestHex([]*DomainResult{r})
+	}
+}
+
 // TestScanMultiGlueChild pins the glue-handling fix: a delegation whose
 // single NS host carries several glue A records (inserted at the parent
 // in descending address order) must surface them in canonical
@@ -283,7 +362,7 @@ func TestScanMultiGlueChild(t *testing.T) {
 	if r.Err != "" {
 		t.Fatalf("scan failed: %s", r.Err)
 	}
-	got := r.Addrs["ns1.multiglue.gov.br."]
+	got := r.AddrsOf("ns1.multiglue.gov.br.")
 	want := []netip.Addr{miniworld.MultiGlueLowAddr, miniworld.MultiGlueHighAddr}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("glue addrs = %v, want %v (Less order)", got, want)

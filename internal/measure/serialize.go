@@ -78,13 +78,13 @@ func (e *jsonlEncoder) appendResultJSON(dst []byte, r *DomainResult) []byte {
 	}
 	if len(r.Addrs) > 0 {
 		dst = append(dst, `,"addrs":{`...)
-		for i, host := range e.sortedHosts(r.Addrs, cmp.Compare[dnsname.Name]) {
+		for i, h := range e.sortedHosts(r.Addrs, cmp.Compare[dnsname.Name]) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, string(host))
+			dst = appendJSONString(dst, string(h.Host))
 			dst = append(dst, ":["...)
-			for j, a := range e.sortedAddrs(r.Addrs[host]) {
+			for j, a := range e.sortedAddrs(h.Addrs) {
 				if j > 0 {
 					dst = append(dst, ',')
 				}
@@ -204,9 +204,11 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// fromResultJSON rebuilds an in-memory result. Address lists are
-// re-sorted into netip.Addr.Less order on the way in, so archives
-// written before the order was canonicalized still load canonically.
+// fromResultJSON rebuilds an in-memory result. Hosts are put in
+// dnsname.Compare order, as a scan holds them; two spellings of one
+// host are an error. Address lists are re-sorted into netip.Addr.Less
+// order on the way in, so archives written before the order was
+// canonicalized still load canonically.
 func fromResultJSON(in *resultJSON) (*DomainResult, error) {
 	out := &DomainResult{
 		Domain:              in.Domain,
@@ -214,7 +216,7 @@ func fromResultJSON(in *resultJSON) (*DomainResult, error) {
 		ParentResponded:     in.ParentResponded,
 		ParentNS:            in.ParentNS,
 		ParentAuthoritative: in.ParentAuthoritative,
-		Addrs:               make(map[dnsname.Name][]netip.Addr, len(in.Addrs)),
+		Addrs:               make([]HostAddrs, 0, len(in.Addrs)),
 		Rounds:              in.Rounds,
 		Err:                 in.Err,
 		ErrTransient:        in.ErrTransient,
@@ -236,7 +238,13 @@ func fromResultJSON(in *resultJSON) (*DomainResult, error) {
 			addrs = append(addrs, a)
 		}
 		slices.SortFunc(addrs, netip.Addr.Compare)
-		out.Addrs[name] = addrs
+		out.Addrs = append(out.Addrs, HostAddrs{Host: name, Addrs: addrs})
+	}
+	slices.SortFunc(out.Addrs, func(a, b HostAddrs) int { return dnsname.Compare(a.Host, b.Host) })
+	for i := 1; i < len(out.Addrs); i++ {
+		if out.Addrs[i].Host == out.Addrs[i-1].Host {
+			return nil, fmt.Errorf("host %q: listed twice", out.Addrs[i].Host)
+		}
 	}
 	for _, sj := range in.Servers {
 		sr := ServerResponse{

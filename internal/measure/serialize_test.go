@@ -26,13 +26,13 @@ func goldenResults() []*DomainResult {
 			ParentZone:      "gov.br.",
 			ParentResponded: true,
 			ParentNS:        []dnsname.Name{"ns1.city.gov.br.", "ns2.city.gov.br."},
-			Addrs: map[dnsname.Name][]netip.Addr{
-				"ns1.city.gov.br.": {netip.MustParseAddr("4.0.0.1")},
-				"ns2.city.gov.br.": {netip.MustParseAddr("4.0.1.1")},
+			Addrs: []HostAddrs{
+				{Host: "ns1.city.gov.br.", Addrs: []netip.Addr{netip.MustParseAddr("4.0.0.1")}},
+				{Host: "ns2.city.gov.br.", Addrs: []netip.Addr{netip.MustParseAddr("4.0.1.1")}},
 				// Multi-address host whose netip.Addr.Less order differs
 				// from lexicographic string order ("10.0.0.1" < "9.0.0.2"
 				// as strings): pins the canonical address order on disk.
-				"ns3.city.gov.br.": {netip.MustParseAddr("9.0.0.2"), netip.MustParseAddr("10.0.0.1")},
+				{Host: "ns3.city.gov.br.", Addrs: []netip.Addr{netip.MustParseAddr("9.0.0.2"), netip.MustParseAddr("10.0.0.1")}},
 			},
 			Servers: []ServerResponse{
 				{Host: "ns1.city.gov.br.", Addr: netip.MustParseAddr("4.0.0.1"),
@@ -63,9 +63,9 @@ func goldenResults() []*DomainResult {
 			ParentResponded:     true,
 			ParentAuthoritative: true,
 			ParentNS:            []dnsname.Name{"ns1.lame.gov.br.", "ns2.lame.gov.br."},
-			Addrs: map[dnsname.Name][]netip.Addr{
-				"ns1.lame.gov.br.": {netip.MustParseAddr("4.1.0.1")},
-				"ns2.lame.gov.br.": nil,
+			Addrs: []HostAddrs{
+				{Host: "ns1.lame.gov.br.", Addrs: []netip.Addr{netip.MustParseAddr("4.1.0.1")}},
+				{Host: "ns2.lame.gov.br.", Addrs: nil},
 			},
 			Servers: []ServerResponse{
 				{Host: "ns1.lame.gov.br.", Addr: netip.MustParseAddr("4.1.0.1"),
@@ -125,9 +125,9 @@ func TestJSONLFieldRoundTrip(t *testing.T) {
 		}
 		// Addrs: nil (unresolvable) and empty entries are equivalent in
 		// the schema; compare the address sets per host.
-		for host, addrs := range want.Addrs {
-			if !reflect.DeepEqual(got.Addrs[host], addrs) && len(got.Addrs[host])+len(addrs) > 0 {
-				t.Errorf("%s: Addrs[%s] = %v after round trip, want %v", want.Domain, host, got.Addrs[host], addrs)
+		for _, h := range want.Addrs {
+			if g := got.AddrsOf(h.Host); !reflect.DeepEqual(g, h.Addrs) && len(g)+len(h.Addrs) > 0 {
+				t.Errorf("%s: AddrsOf(%s) = %v after round trip, want %v", want.Domain, h.Host, g, h.Addrs)
 			}
 		}
 		// Derived predicates must agree too — they are what analyses use.
@@ -147,9 +147,9 @@ func TestJSONLWriteReadWriteByteIdentity(t *testing.T) {
 	results := goldenResults()
 	// Present one multi-address host in reversed (former lexicographic)
 	// order: the writer must canonicalize rather than trust the caller.
-	results[0].Addrs["ns3.city.gov.br."] = []netip.Addr{
+	setAddrs(results[0], "ns3.city.gov.br.", []netip.Addr{
 		netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("9.0.0.2"),
-	}
+	})
 
 	var first bytes.Buffer
 	if err := WriteJSONL(&first, results); err != nil {

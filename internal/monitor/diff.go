@@ -9,6 +9,7 @@ package monitor
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -173,7 +174,7 @@ func (d *Differ) diffSummary(domain dnsname.Name, cur Summary) *Alert {
 				Detail: "delegation moved to out-of-bailiwick, uncataloged, low-spread NS: " + joinNames(susp),
 			})
 		}
-	case !addrsEqual(prev.Addrs, cur.Addrs):
+	case !slices.Equal(prev.Addrs, cur.Addrs):
 		// Same NS hosts, different addresses: an address rotation, only
 		// reported when no NS churn already explains it.
 		findings = append(findings, Finding{
@@ -285,16 +286,4 @@ func joinAddrs(addrs []netip.Addr) string {
 		parts[i] = a.String()
 	}
 	return strings.Join(parts, ",")
-}
-
-func addrsEqual(a, b []netip.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

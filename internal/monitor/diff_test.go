@@ -16,7 +16,6 @@ func healthyResult(domain string, hosts map[string]string) *measure.DomainResult
 		Domain:          dnsname.MustParse(domain),
 		ParentZone:      "gov.br.",
 		ParentResponded: true,
-		Addrs:           make(map[dnsname.Name][]netip.Addr),
 	}
 	var nsSet []dnsname.Name
 	for h := range hosts {
@@ -26,7 +25,7 @@ func healthyResult(domain string, hosts map[string]string) *measure.DomainResult
 		host := dnsname.MustParse(h)
 		a := netip.MustParseAddr(addr)
 		r.ParentNS = append(r.ParentNS, host)
-		r.Addrs[host] = []netip.Addr{a}
+		r.Addrs = append(r.Addrs, measure.HostAddrs{Host: host, Addrs: []netip.Addr{a}})
 		r.Servers = append(r.Servers, measure.ServerResponse{
 			Host: host, Addr: a, OK: true, Authoritative: true,
 			RCode: dnswire.RCodeNoError, NS: nsSet,

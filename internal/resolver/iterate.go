@@ -89,9 +89,11 @@ func (zs *ZoneServers) AllAddrs() []netip.Addr {
 
 // Delegation is the result of walking the delegation chain to a domain:
 // the parent zone's servers and the nameservers they name for the
-// domain. This is steps (1)-(2) of the paper's Fig. 1 measurement. Each
-// walk builds a fresh Delegation that nothing else retains, so the
-// caller owns its slices.
+// domain. This is steps (1)-(2) of the paper's Fig. 1 measurement.
+// Nothing else retains a Delegation's slices: the caller of Delegation
+// owns them, and the caller of DelegationInto owns them until it walks
+// into the same Delegation again. The host names themselves are owned
+// strings and stay valid after that.
 type Delegation struct {
 	// Parent describes the zone that holds the delegation.
 	Parent ZoneServers
@@ -99,8 +101,10 @@ type Delegation struct {
 	// (the paper's set P), sorted and deduplicated.
 	Hosts []dnsname.Name
 	// glue holds, index-aligned with Hosts, the A glue addresses the
-	// answer carried for each host; nil when it carried none at all.
-	glue [][]netip.Addr
+	// answer carried for each host, all in one backing array; it is empty
+	// when the answer carried none at all.
+	glue      [][]netip.Addr
+	glueAddrs []netip.Addr
 	// Authoritative is true when the parent-side server answered with
 	// the AA bit — it hosts the child zone too, so no referral occurs.
 	Authoritative bool
@@ -110,22 +114,26 @@ type Delegation struct {
 // sorted, or nil when it sent none for that host. Each host's slice is
 // its own: appending to one never reaches another's.
 func (d *Delegation) Glue(i int) []netip.Addr {
-	if d.glue == nil {
+	if i >= len(d.glue) {
 		return nil
 	}
 	return d.glue[i]
 }
 
-// newDelegation builds the Delegation a walk step returns from the NS
-// records and the additional section of an answer borrowing the step's
-// arena: each host name is owned once, and each host's glue addresses
-// are copied out of the A records (duplicates kept) into one backing
-// array. Records of other types in either section are skipped.
-func newDelegation(parent *ZoneServers, ns, additional []dnswire.RR, authoritative bool) *Delegation {
-	d := &Delegation{Parent: *parent, Hosts: nsHosts(ns), Authoritative: authoritative}
+// fill sets d to the Delegation a walk step returns from the NS records
+// and the additional section of an answer borrowing the step's arena,
+// reusing d's storage: the host names are owned together in one
+// allocation (dnsname.OwnAll), and each host's glue addresses are copied
+// out of the A records (duplicates kept) into one backing array. Records
+// of other types in either section are skipped.
+func (d *Delegation) fill(parent *ZoneServers, ns, additional []dnswire.RR, authoritative bool) {
+	d.Parent = *parent
+	d.Authoritative = authoritative
+	d.Hosts = nsHosts(d.Hosts, ns)
+	dnsname.OwnAll(d.Hosts)
+	d.glue, d.glueAddrs = d.glue[:0], d.glueAddrs[:0]
 	total := 0
-	for i, host := range d.Hosts {
-		d.Hosts[i] = host.Own()
+	for _, host := range d.Hosts {
 		for _, rr := range additional {
 			if _, ok := rr.Data.(dnswire.AData); ok && rr.Name == host {
 				total++
@@ -133,40 +141,39 @@ func newDelegation(parent *ZoneServers, ns, additional []dnswire.RR, authoritati
 		}
 	}
 	if total == 0 {
-		return d
+		return
 	}
-	addrs := make([]netip.Addr, 0, total)
-	d.glue = make([][]netip.Addr, len(d.Hosts))
-	for i, host := range d.Hosts {
-		start := len(addrs)
+	d.glueAddrs = slices.Grow(d.glueAddrs, total)
+	for _, host := range d.Hosts {
+		start := len(d.glueAddrs)
 		for _, rr := range additional {
 			if a, ok := rr.Data.(dnswire.AData); ok && rr.Name == host {
-				addrs = append(addrs, a.Addr)
+				d.glueAddrs = append(d.glueAddrs, a.Addr)
 			}
 		}
-		if len(addrs) > start {
-			own := addrs[start:len(addrs):len(addrs)]
+		var own []netip.Addr
+		if end := len(d.glueAddrs); end > start {
+			own = d.glueAddrs[start:end:end]
 			slices.SortFunc(own, netip.Addr.Compare)
-			d.glue[i] = own
 		}
+		d.glue = append(d.glue, own)
 	}
-	return d
 }
 
 func isNS(rr dnswire.RR) bool { return rr.Type() == dnswire.TypeNS }
 
-// nsHosts returns the NS host names of records, sorted and deduplicated.
-// The names alias records: a caller holding arena-borrowed records owns
-// them (buildZone does).
-func nsHosts(records []dnswire.RR) []dnsname.Name {
-	out := make([]dnsname.Name, 0, len(records))
+// nsHosts returns the NS host names of records, sorted and deduplicated,
+// in dst's storage. The names alias records: a caller holding
+// arena-borrowed records owns them (buildZone and fill do).
+func nsHosts(dst []dnsname.Name, records []dnswire.RR) []dnsname.Name {
+	dst = dst[:0]
 	for _, rr := range records {
 		if ns, ok := rr.Data.(dnswire.NSData); ok {
-			out = append(out, ns.Host)
+			dst = append(dst, ns.Host)
 		}
 	}
-	slices.SortFunc(out, dnsname.Compare)
-	return slices.Compact(out)
+	slices.SortFunc(dst, dnsname.Compare)
+	return slices.Compact(dst)
 }
 
 // Iterator performs iterative resolution from root hints. It caches
@@ -279,13 +286,18 @@ func (it *Iterator) cachedZone(name dnsname.Name) *ZoneServers {
 // some ancestor denies the name's existence, and ErrNoServers if the
 // chain cannot be followed.
 func (it *Iterator) Delegation(ctx context.Context, name dnsname.Name) (*Delegation, error) {
-	return it.delegation(ctx, name, 0)
+	d := new(Delegation)
+	if err := it.DelegationInto(ctx, name, d); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-func (it *Iterator) delegation(ctx context.Context, name dnsname.Name, depth int) (*Delegation, error) {
-	if depth > maxDepth {
-		return nil, fmt.Errorf("%w: walking to %s", ErrDepth, name)
-	}
+// DelegationInto is Delegation into d: the walk reuses d's host and glue
+// storage, so a caller that walks many names through one Delegation
+// allocates only the host names themselves. On error d's contents are
+// unspecified.
+func (it *Iterator) DelegationInto(ctx context.Context, name dnsname.Name, d *Delegation) error {
 	current := it.cachedZone(name)
 	if current.Zone == name {
 		// We need the *parent* view; restart one level up from cache.
@@ -296,25 +308,21 @@ func (it *Iterator) delegation(ctx context.Context, name dnsname.Name, depth int
 	}
 
 	for step := 0; step < maxDepth; step++ {
-		deleg, next, err := it.delegationStep(ctx, current, name, depth)
-		if err != nil {
-			return nil, err
-		}
-		if deleg != nil {
-			return deleg, nil
+		next, err := it.delegationStep(ctx, current, name, d)
+		if err != nil || next == nil {
+			return err
 		}
 		current = next
 	}
-	return nil, fmt.Errorf("%w: referral chain too long for %s", ErrDepth, name)
+	return fmt.Errorf("%w: referral chain too long for %s", ErrDepth, name)
 }
 
 // delegationStep performs one step of the delegation walk: ask the
 // current zone's servers about name, then either finish (a delegation
-// in hand, or a terminal error) or descend (the next zone's server
-// set). Exactly one of deleg, next, err is non-zero. Each step is one
-// referral span covering both the query and, on descent, the next
-// zone's build.
-func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, name dnsname.Name, depth int) (deleg *Delegation, next *ZoneServers, err error) {
+// filled into d, or a terminal error) or descend (the next zone's
+// server set, returned as next). Each step is one referral span
+// covering both the query and, on descent, the next zone's build.
+func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, name dnsname.Name, d *Delegation) (next *ZoneServers, err error) {
 	ctx, st := trace.Begin(ctx, trace.KindReferral, string(current.Zone), nil)
 	defer func() {
 		if err == nil && next != nil {
@@ -331,42 +339,40 @@ func (it *Iterator) delegationStep(ctx context.Context, current *ZoneServers, na
 	a := it.client.ArenaPool().Get()
 	defer func() { a.Finish() }()
 
-	resp, a, err := it.queryAny(ctx, a, current, name, dnswire.TypeNS, depth)
+	resp, a, err := it.queryAny(ctx, a, current, name, dnswire.TypeNS, 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("querying servers of %q for %q: %w", current.Zone, name, err)
+		return nil, fmt.Errorf("querying servers of %q for %q: %w", current.Zone, name, err)
 	}
 	switch {
 	case resp.Header.RCode == dnswire.RCodeNXDomain:
-		return nil, nil, fmt.Errorf("%w: %s (denied by %s)", ErrNXDomain, name, current.Zone)
+		return nil, fmt.Errorf("%w: %s (denied by %s)", ErrNXDomain, name, current.Zone)
 	case resp.Header.RCode != dnswire.RCodeNoError:
-		return nil, nil, fmt.Errorf("%w: %s returned %s for %s", ErrNoServers, current.Zone, resp.Header.RCode, name)
+		return nil, fmt.Errorf("%w: %s returned %s for %s", ErrNoServers, current.Zone, resp.Header.RCode, name)
 	}
 
 	// Authoritative NS answer: the queried server hosts a zone
 	// containing name (possibly name's own zone when parent and
 	// child share servers).
 	if resp.Header.Authoritative && slices.ContainsFunc(resp.Answers, isNS) {
-		return newDelegation(current, resp.Answers, resp.Additional, true), nil, nil
+		d.fill(current, resp.Answers, resp.Additional, true)
+		return nil, nil
 	}
 
 	if resp.IsReferral() {
 		owner := resp.Authority[slices.IndexFunc(resp.Authority, isNS)].Name
 		if owner == name {
-			return newDelegation(current, resp.Authority, resp.Additional, false), nil, nil
+			d.fill(current, resp.Authority, resp.Additional, false)
+			return nil, nil
 		}
 		// Intermediate zone cut: build its server set and descend.
 		authNS := a.OfType(resp.Authority, dnswire.TypeNS)
-		nz, zerr := it.zoneServers(ctx, owner, authNS, a.OfType(resp.Additional, dnswire.TypeA), depth)
-		if zerr != nil {
-			return nil, nil, zerr
-		}
-		return nil, nz, nil
+		return it.zoneServers(ctx, owner, authNS, a.OfType(resp.Additional, dnswire.TypeA), 0)
 	}
 
 	// NODATA for NS at an intermediate server: name exists but has
 	// no delegation visible here. Give up with ErrNoAnswer so
 	// callers can distinguish it from lameness.
-	return nil, nil, fmt.Errorf("%w: no NS for %s at %s", ErrNoAnswer, name, current.Zone)
+	return nil, fmt.Errorf("%w: no NS for %s at %s", ErrNoAnswer, name, current.Zone)
 }
 
 // zoneServers returns the server set of zoneName from the zone table:
@@ -393,15 +399,13 @@ func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsReco
 	defer func() { st.End(err) }()
 	zs = &ZoneServers{
 		Zone:  zoneName,
-		Hosts: nsHosts(nsRecords),
+		Hosts: nsHosts(make([]dnsname.Name, 0, len(nsRecords)), nsRecords),
 		Addrs: make(map[dnsname.Name][]netip.Addr, len(nsRecords)),
 	}
 	// The records borrow a codec arena (referral sections straight off
 	// the wire); the host list outlives the packet — it is cached inside
-	// ZoneServers — so own each name here.
-	for i, host := range zs.Hosts {
-		zs.Hosts[i] = host.Own()
-	}
+	// ZoneServers — so own the names here.
+	dnsname.OwnAll(zs.Hosts)
 	glueByHost := make(map[dnsname.Name][]netip.Addr)
 	for _, rr := range glue {
 		if a, ok := rr.Data.(dnswire.AData); ok {
@@ -467,23 +471,33 @@ func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsReco
 // resolution, using the cache. host must not alias a codec arena (the
 // host table retains it); the caller owns the returned slice.
 func (it *Iterator) ResolveHost(ctx context.Context, host dnsname.Name) ([]netip.Addr, error) {
-	return it.resolveHost(ctx, host, 0)
+	return it.AppendHostAddrs(ctx, nil, host)
+}
+
+// AppendHostAddrs is ResolveHost appending to dst: it appends host's
+// addresses to dst and returns the extended slice (dst itself on
+// failure). A caller that copies the addresses on anyway — the scanner
+// into its result's one address block — passes reused scratch and
+// allocates nothing.
+//
+// This is the boundary through which host addresses leave the
+// resolution machinery, and it always copies. Behind it the same backing
+// array is shared by the table entry, every coalesced waiter and every
+// server set built from it, so handing it out would let one caller's
+// in-place sort or truncation corrupt what every later hit sees.
+func (it *Iterator) AppendHostAddrs(ctx context.Context, dst []netip.Addr, host dnsname.Name) ([]netip.Addr, error) {
+	addrs, err := it.resolveHost(ctx, host, 0)
+	return append(dst, addrs...), err
 }
 
 // resolveHost returns host's addresses from the host table: a settled
 // entry, the resolution another chain has in flight, or a resolution of
 // its own. A negative entry reproduces the original failure, wrapped so
 // callers can still classify its cause — e.g. a timeout — through
-// errors.Is. Every caller passes an owned host.
-//
-// It is the single boundary through which host addresses leave the
-// resolution machinery, and it returns a fresh slice every time. Behind
-// it the same backing array is shared three ways — the table entry, the
-// slice handed to every coalesced waiter, and the one the leader returns
-// to itself — so returning it directly would let one caller's in-place
-// sort or truncation corrupt what every later hit sees. One small clone
-// per call (host resolution is already amortised by the table) buys an
-// unaliased result.
+// errors.Is. Every caller passes an owned host. The slice is the
+// table's own: callers inside the resolver only read it or publish it
+// in an immutable ZoneServers, and callers outside get a copy
+// (AppendHostAddrs).
 func (it *Iterator) resolveHost(ctx context.Context, host dnsname.Name, depth int) ([]netip.Addr, error) {
 	wait := it.flightWait(ctx, 'h', host)
 	addrs, how, err := it.hosts.Do(ctx, host, wait, func() ([]netip.Addr, bool, error) {
@@ -494,7 +508,7 @@ func (it *Iterator) resolveHost(ctx context.Context, host dnsname.Name, depth in
 	if how == memo.Hit && err != nil {
 		err = fmt.Errorf("%w: cached failure for %s: %w", ErrNoServers, host, err)
 	}
-	return slices.Clone(addrs), err
+	return addrs, err
 }
 
 // lookup iteratively resolves host's A records in a host-resolution span.

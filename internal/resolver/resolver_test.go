@@ -137,7 +137,8 @@ func TestDelegationHealthyDomain(t *testing.T) {
 // answer's records: host names sorted and deduplicated, each host's glue
 // addresses sorted with duplicates kept, every host's slice capped so
 // an append to one cannot reach the next, nil for a host without glue,
-// and no glue table at all when the answer carried none.
+// and no glue table at all when the answer carried none — also when the
+// same Delegation carried glue from its previous fill.
 func TestDelegationGlueSortsOnce(t *testing.T) {
 	host := dnsname.Name("ns1.multiglue.gov.br.")
 	other := dnsname.Name("ns2.multiglue.gov.br.")
@@ -154,7 +155,8 @@ func TestDelegationGlueSortsOnce(t *testing.T) {
 		{Name: host, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.AAAAData{Addr: netip.MustParseAddr("2001:db8::1")}},
 	}
 	parent := &ZoneServers{Zone: "gov.br."}
-	d := newDelegation(parent, nsSet, additional, false)
+	var d Delegation
+	d.fill(parent, nsSet, additional, false)
 	if want := []dnsname.Name{host, other, bare}; !slices.Equal(d.Hosts, want) {
 		t.Fatalf("Hosts = %v, want %v", d.Hosts, want)
 	}
@@ -172,7 +174,7 @@ func TestDelegationGlueSortsOnce(t *testing.T) {
 			t.Errorf("Glue(%d) has spare capacity %d; an append would reach the next host's", i, cap(got)-len(got))
 		}
 	}
-	if d := newDelegation(parent, nsSet, nil, true); d.glue != nil || d.Glue(0) != nil || !d.Authoritative {
+	if d.fill(parent, nsSet, nil, true); len(d.glue) != 0 || d.Glue(0) != nil || !d.Authoritative {
 		t.Errorf("glue-less delegation = %+v", d)
 	}
 }
