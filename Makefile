@@ -31,12 +31,18 @@ vet:
 # finds, so a package that starts spans is checked without an edit here.
 # reachcheck type-checks the main and bench modules and fails on any
 # package-level declaration under internal/ that no binary (cmd/,
-# examples/, bench/, the root package) reaches, unless its allowlist
-# names it with a kind and a reason — and on an allowlist entry that is
-# reached or gone (see internal/tools/reachcheck).
+# bench/, the root package) reaches, unless its allowlist names it with
+# a kind and a reason — and on an allowlist entry that is reached or
+# gone (see internal/tools/reachcheck). The loop fails on a cmd/
+# package without a _test.go: each command's test runs it in process
+# (flags, exit status, golden output), and a command with none is a
+# reachcheck root whose wiring no gate runs.
 lint:
 	$(GO) run ./internal/tools/tracecheck $$($(GO) list -f '{{.Dir}}' ./...)
 	$(GO) run ./internal/tools/reachcheck . bench
+	@for d in cmd/*/; do \
+		ls $$d*_test.go >/dev/null 2>&1 || { echo "lint: $$d has no _test.go"; exit 1; }; \
+	done
 
 # cross vets the packages split by build tag — udpx's batched syscalls
 # (mmsg_linux*.go, pconn_linux.go) against its portable stub

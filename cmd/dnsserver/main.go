@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -29,26 +31,34 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "dnsserver: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	zonePath := flag.String("zone", "", "zone file to serve (this or -xfr is required)")
-	origin := flag.String("origin", "", "zone origin (required)")
-	listen := flag.String("listen", "127.0.0.1:5353", "listen address (UDP and TCP)")
-	xfr := flag.String("xfr", "", "bootstrap the zone over AXFR from this primary (host:port) instead of -zone")
-	tcp := flag.Bool("tcp", true, "also serve TCP (framed queries, pipelining, AXFR)")
-	cache := flag.Bool("cache", true, "enable the TTL-aware response cache")
-	ednsBuf := flag.Uint("edns-buf", uint(dnswire.DefaultEDNSBufSize), "advertised EDNS0 UDP payload cap")
-	tcpIdle := flag.Duration("tcp-idle", authserver.DefaultTCPIdleTimeout, "idle timeout for TCP connections")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz, /readyz, and pprof on this address, e.g. :9090")
-	flag.Parse()
+// run serves until ctx is done.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dnsserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	zonePath := fs.String("zone", "", "zone file to serve (this or -xfr is required)")
+	origin := fs.String("origin", "", "zone origin (required)")
+	listen := fs.String("listen", "127.0.0.1:5353", "listen address (UDP and TCP)")
+	xfr := fs.String("xfr", "", "bootstrap the zone over AXFR from this primary (host:port) instead of -zone")
+	tcp := fs.Bool("tcp", true, "also serve TCP (framed queries, pipelining, AXFR)")
+	cache := fs.Bool("cache", true, "enable the TTL-aware response cache")
+	ednsBuf := fs.Uint("edns-buf", uint(dnswire.DefaultEDNSBufSize), "advertised EDNS0 UDP payload cap")
+	tcpIdle := fs.Duration("tcp-idle", authserver.DefaultTCPIdleTimeout, "idle timeout for TCP connections")
+	metricsAddr := fs.String("metrics", "", "serve /metrics, /healthz, /readyz, and pprof on this address, e.g. :9090")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *origin == "" || (*zonePath == "") == (*xfr == "") {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-origin and exactly one of -zone / -xfr are required")
 	}
 	originName, err := dnsname.Parse(*origin)
@@ -86,17 +96,17 @@ func run() error {
 			return closeErr
 		}
 		for _, problem := range z.Validate() {
-			fmt.Fprintf(os.Stderr, "warning: %v\n", problem)
+			fmt.Fprintf(stderr, "warning: %v\n", problem)
 		}
 		server.AddZone(z)
 	default:
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := authserver.SyncZone(ctx, *xfr, originName, server)
+		xfrCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		err := authserver.SyncZone(xfrCtx, *xfr, originName, server)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("AXFR from %s: %w", *xfr, err)
 		}
-		fmt.Printf("zone %s transferred from primary %s\n", originName, *xfr)
+		fmt.Fprintf(stdout, "zone %s transferred from primary %s\n", originName, *xfr)
 	}
 
 	udp, err := authserver.ListenUDP(*listen, server)
@@ -106,7 +116,9 @@ func run() error {
 	transports := "udp"
 	var tcpSrv *authserver.TCPServer
 	if *tcp {
-		tcpSrv, err = authserver.ListenTCPIdle(*listen, server, *tcpIdle)
+		// The UDP socket's address, so a -listen port of 0 puts both
+		// transports on the one port the serving line names.
+		tcpSrv, err = authserver.ListenTCPIdle(udp.Addr().String(), server, *tcpIdle)
 		if err != nil {
 			_ = udp.Close()
 			return err
@@ -114,14 +126,12 @@ func run() error {
 		transports = "udp+tcp"
 	}
 	z, _ := server.ZoneByOrigin(originName)
-	fmt.Printf("serving %s (%d records) on %s (%s, edns-buf %d, cache %v)\n",
+	fmt.Fprintf(stdout, "serving %s (%d records) on %s (%s, edns-buf %d, cache %v)\n",
 		originName, z.Len(), udp.Addr(), transports, *ednsBuf, *cache)
 	health.SetReady(true)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	fmt.Println("shutting down")
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "shutting down")
 	if tcpSrv != nil {
 		if err := tcpSrv.Close(); err != nil {
 			return err

@@ -15,8 +15,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -28,24 +30,34 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "govdns: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scale := flag.Float64("scale", 0.1, "population scale (1.0 = paper size, ~190k PDNS domains)")
-	seed := flag.Int64("seed", 42, "generation seed")
-	concurrency := flag.Int("concurrency", measure.DefaultConcurrency, "scan worker count")
-	timeout := flag.Duration("timeout", 25*time.Millisecond, "per-query timeout")
-	noSecondRound := flag.Bool("no-second-round", false, "disable the second measurement round")
-	stabilityDays := flag.Int("stability-days", pdns.StabilityFilterDays, "PDNS stability filter in days (negative disables)")
-	experiment := flag.String("experiment", "", "print one section of the report (funnel fig2 fig4 fig6 fig7 fig8 fig9 table1 table2 table3 fig10 fig11 fig13); empty = all")
-	csvDir := flag.String("csvdir", "", "also export every experiment as CSV files into this directory")
-	listExpectations := flag.Bool("expectations", false, "print the paper's expected values and exit")
-	flag.Parse()
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("govdns", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 0.1, "population scale (1.0 = paper size, ~190k PDNS domains)")
+	seed := fs.Int64("seed", 42, "generation seed")
+	concurrency := fs.Int("concurrency", measure.DefaultConcurrency, "scan worker count")
+	timeout := fs.Duration("timeout", 25*time.Millisecond, "per-query timeout")
+	noSecondRound := fs.Bool("no-second-round", false, "disable the second measurement round")
+	stabilityDays := fs.Int("stability-days", pdns.StabilityFilterDays, "PDNS stability filter in days (negative disables)")
+	experiment := fs.String("experiment", "", "print one section of the report (funnel fig2 fig4 fig6 fig7 fig8 fig9 table1 table2 table3 fig10 fig11 fig13); empty = all")
+	csvDir := fs.String("csvdir", "", "also export every experiment as CSV files into this directory")
+	listExpectations := fs.Bool("expectations", false, "print the paper's expected values and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
+	if *experiment != "" {
+		if err := core.CheckExperiment(*experiment); err != nil {
+			return err
+		}
+	}
 	if *listExpectations {
 		keys := make([]string, 0, len(core.PaperExpectations))
 		for k := range core.PaperExpectations {
@@ -53,13 +65,13 @@ func run() error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("%-22s %s\n", k, core.PaperExpectations[k])
+			fmt.Fprintf(stdout, "%-22s %s\n", k, core.PaperExpectations[k])
 		}
 		return nil
 	}
 
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "generating world (scale %.3f, seed %d)...\n", *scale, *seed)
+	fmt.Fprintf(stderr, "generating world (scale %.3f, seed %d)...\n", *scale, *seed)
 	study := govdns.New(govdns.Options{
 		Seed:               *seed,
 		Scale:              *scale,
@@ -68,32 +80,32 @@ func run() error {
 		DisableSecondRound: *noSecondRound,
 		StabilityDays:      *stabilityDays,
 	})
-	fmt.Fprintf(os.Stderr, "world ready in %v: %d domain histories, %d PDNS record sets, %d query targets\n",
+	fmt.Fprintf(stderr, "world ready in %v: %d domain histories, %d PDNS record sets, %d query targets\n",
 		time.Since(start).Round(time.Millisecond),
 		len(study.World.Domains), study.World.PDNS.Len(), len(study.Active.QueryList))
 
 	scanStart := time.Now()
-	fmt.Fprintf(os.Stderr, "scanning %d domains...\n", len(study.Active.QueryList))
-	if err := study.RunActive(context.Background()); err != nil {
+	fmt.Fprintf(stderr, "scanning %d domains...\n", len(study.Active.QueryList))
+	if err := study.RunActive(ctx); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "scan finished in %v\n\n", time.Since(scanStart).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "scan finished in %v\n\n", time.Since(scanStart).Round(time.Millisecond))
 
 	if *csvDir != "" {
 		if err := study.WriteCSVs(*csvDir); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "CSV exports written to %s\n", *csvDir)
+		fmt.Fprintf(stderr, "CSV exports written to %s\n", *csvDir)
 	}
 	var err error
 	if *experiment != "" {
-		err = study.WriteExperiment(os.Stdout, *experiment)
+		err = study.WriteExperiment(stdout, *experiment)
 	} else {
-		err = study.WriteReport(os.Stdout)
+		err = study.WriteReport(stdout)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "done in %v%s\n", time.Since(start).Round(time.Millisecond), usage())
+	fmt.Fprintf(stderr, "done in %v%s\n", time.Since(start).Round(time.Millisecond), usage())
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -43,23 +44,29 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// An interrupt cancels the running epoch cleanly: the stream writer
+	// checkpoints the emitted prefix and the flushed alerts stay durable,
+	// so a restart with the same -state resumes mid-epoch.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "govmon: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
 		return errors.New("usage: govmon run|tail|demo [flags]")
 	}
 	switch args[0] {
 	case "run":
-		return runDaemon(args[1:])
+		return runDaemon(ctx, args[1:], stdout, stderr)
 	case "tail":
-		return runTail(args[1:])
+		return runTail(args[1:], stdout, stderr)
 	case "demo":
-		return runDemo(args[1:])
+		return runDemo(ctx, args[1:], stdout, stderr)
 	default:
 		return fmt.Errorf("unknown subcommand %q (want run, tail, or demo)", args[0])
 	}
@@ -69,8 +76,9 @@ func run(args []string) error {
 // failed epochs means the daemon is wedged, not unlucky.
 const maxFailureStreak = 5
 
-func runDaemon(args []string) error {
+func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("govmon run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	stateDir := fs.String("state", "", "state directory (required; survives restarts)")
 	interval := fs.Duration("interval", time.Minute, "pause between epoch starts (0 = back-to-back)")
 	epochs := fs.Int("epochs", 0, "stop after this many completed epochs (0 = run until interrupted)")
@@ -109,13 +117,7 @@ func runDaemon(args []string) error {
 	})
 	obs.ServeEndpoint(*metricsAddr, reg, health)
 
-	// An interrupt cancels the running epoch cleanly: the stream writer
-	// checkpoints the emitted prefix and the flushed alerts stay durable,
-	// so a restart with the same -state resumes mid-epoch.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fmt.Fprintf(os.Stderr, "monitoring %d domains (epoch %d, interval %v, state %s)\n",
+	fmt.Fprintf(stderr, "monitoring %d domains (epoch %d, interval %v, state %s)\n",
 		len(active.QueryList), m.Epoch(), *interval, *stateDir)
 	completed := 0
 	for {
@@ -129,21 +131,21 @@ func runDaemon(args []string) error {
 			if rep.Resumed {
 				resumed = fmt.Sprintf(" (resumed from %d)", rep.ResumedFrom)
 			}
-			fmt.Fprintf(os.Stderr, "epoch %d: %d domains%s in %v, %d alerts, %d traces retained (digest %s)\n",
+			fmt.Fprintf(stderr, "epoch %d: %d domains%s in %v, %d alerts, %d traces retained (digest %s)\n",
 				rep.Epoch, rep.Domains, resumed, time.Since(epochStart).Round(time.Millisecond),
 				len(rep.Alerts), rep.Traces, rep.DigestHex)
 			for _, a := range rep.Alerts {
-				monitor.WriteAlert(os.Stdout, a)
+				monitor.WriteAlert(stdout, a)
 			}
 			health.SetReady(true)
 			completed++
 		case errors.Is(err, context.Canceled):
 			// rep is nil on error; m.Epoch() still names the interrupted
 			// epoch because a failed RunEpoch does not advance it.
-			fmt.Fprintf(os.Stderr, "epoch %d interrupted; state at %s resumes it\n", m.Epoch(), *stateDir)
+			fmt.Fprintf(stderr, "epoch %d interrupted; state at %s resumes it\n", m.Epoch(), *stateDir)
 			return nil
 		default:
-			fmt.Fprintf(os.Stderr, "epoch %d failed (streak %d): %v\n", m.Epoch(), m.ConsecutiveFailures(), err)
+			fmt.Fprintf(stderr, "epoch %d failed (streak %d): %v\n", m.Epoch(), m.ConsecutiveFailures(), err)
 		}
 		if *epochs > 0 && completed >= *epochs {
 			return nil
@@ -166,8 +168,9 @@ func newSimScanner(active *worldgen.Active, concurrency int, timeout time.Durati
 	return s
 }
 
-func runTail(args []string) error {
+func runTail(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("govmon tail", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	stateDir := fs.String("state", "", "state directory (required)")
 	n := fs.Int("n", 10, "newest alerts to show")
 	withTraces := fs.Bool("traces", false, "render each alerted domain's retained span tree inline")
@@ -183,7 +186,7 @@ func runTail(args []string) error {
 	f, err := os.Open(filepath.Join(*stateDir, "alerts.jsonl"))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			fmt.Println("no alerts")
+			fmt.Fprintln(stdout, "no alerts")
 			return nil
 		}
 		return err
@@ -194,7 +197,7 @@ func runTail(args []string) error {
 		return err
 	}
 	if len(alerts) == 0 {
-		fmt.Println("no alerts")
+		fmt.Fprintln(stdout, "no alerts")
 		return nil
 	}
 	if len(alerts) > *n {
@@ -203,7 +206,7 @@ func runTail(args []string) error {
 	// Alerts from one epoch share a trace file; load each epoch once.
 	traces := map[int]map[string]*trace.DomainTrace{}
 	for _, a := range alerts {
-		monitor.WriteAlert(os.Stdout, a)
+		monitor.WriteAlert(stdout, a)
 		if !*withTraces {
 			continue
 		}
@@ -213,11 +216,11 @@ func runTail(args []string) error {
 			traces[a.Epoch] = byDomain
 		}
 		if dt := byDomain[string(a.Domain)]; dt != nil {
-			if err := trace.RenderTree(os.Stdout, dt); err != nil {
+			if err := trace.RenderTree(stdout, dt); err != nil {
 				return err
 			}
 		} else {
-			fmt.Printf("  (no retained trace for %s in epoch %d)\n", a.Domain, a.Epoch)
+			fmt.Fprintf(stdout, "  (no retained trace for %s in epoch %d)\n", a.Domain, a.Epoch)
 		}
 	}
 	return nil
@@ -242,8 +245,9 @@ func loadEpochTraces(path string) map[string]*trace.DomainTrace {
 	return out
 }
 
-func runDemo(args []string) error {
+func runDemo(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("govmon demo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -261,14 +265,13 @@ func runDemo(args []string) error {
 	}
 	defer func() { _ = m.Close() }()
 
-	ctx := context.Background()
 	if _, err := m.RunEpoch(ctx, newMiniScanner(w), measure.SliceSource(domains)); err != nil {
 		return err
 	}
-	fmt.Printf("epoch 0: baseline over %d domains, no alerts\n", len(domains))
+	fmt.Fprintf(stdout, "epoch 0: baseline over %d domains, no alerts\n", len(domains))
 
 	evil := w.HijackCity()
-	fmt.Printf("injected: city.gov.br. delegation replaced with %s\n\n", evil)
+	fmt.Fprintf(stdout, "injected: city.gov.br. delegation replaced with %s\n\n", evil)
 
 	rep, err := m.RunEpoch(ctx, newMiniScanner(w), measure.SliceSource(domains))
 	if err != nil {
@@ -276,9 +279,9 @@ func runDemo(args []string) error {
 	}
 	traces := loadEpochTraces(m.TracesPath(rep.Epoch))
 	for _, a := range rep.Alerts {
-		monitor.WriteAlert(os.Stdout, a)
+		monitor.WriteAlert(stdout, a)
 		if dt := traces[string(a.Domain)]; dt != nil {
-			if err := trace.RenderTree(os.Stdout, dt); err != nil {
+			if err := trace.RenderTree(stdout, dt); err != nil {
 				return err
 			}
 		}

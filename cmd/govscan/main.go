@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -63,48 +64,59 @@ var realRoots = []string{
 }
 
 func main() {
-	if err := run(); err != nil {
+	// The scan is built to be killed: an interrupt cancels it cleanly, so
+	// the output ends at the last contiguous result and Finish writes a
+	// final checkpoint covering it (a hard kill loses at most the window
+	// since the last periodic checkpoint).
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "govscan: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	sim := flag.Bool("sim", true, "scan the synthetic world")
-	real := flag.Bool("real", false, "scan the live Internet over UDP (overrides -sim)")
-	domainsPath := flag.String("domains", "", "file with one domain per line")
-	out := flag.String("out", "", "output JSONL path (default stdout)")
-	scale := flag.Float64("scale", 0.02, "synthetic world scale (-sim)")
-	seed := flag.Int64("seed", 42, "synthetic world seed (-sim)")
-	concurrency := flag.Int("concurrency", measure.DefaultConcurrency, "concurrent domains")
-	fanout := flag.Int("fanout", measure.DefaultPerDomainParallelism,
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("govscan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sim := fs.Bool("sim", true, "scan the synthetic world")
+	real := fs.Bool("real", false, "scan the live Internet over UDP (overrides -sim)")
+	domainsPath := fs.String("domains", "", "file with one domain per line")
+	out := fs.String("out", "", "output JSONL path (default stdout)")
+	scale := fs.Float64("scale", 0.02, "synthetic world scale (-sim)")
+	seed := fs.Int64("seed", 42, "synthetic world seed (-sim)")
+	concurrency := fs.Int("concurrency", measure.DefaultConcurrency, "concurrent domains")
+	fanout := fs.Int("fanout", measure.DefaultPerDomainParallelism,
 		"per-domain parallelism: concurrent NS-host resolutions and per-address probes within one domain (1 = serial)")
-	showStats := flag.Bool("stats", false, "print resolver cache/coalescing statistics after the scan")
-	timeout := flag.Duration("timeout", 0, "per-query timeout (default 25ms sim, 2s real)")
-	qps := flag.Float64("qps", 0, "global query rate limit (0 = unlimited; recommended for -real)")
-	chaosSpec := flag.String("chaos", "",
+	showStats := fs.Bool("stats", false, "print resolver cache/coalescing statistics after the scan")
+	timeout := fs.Duration("timeout", 0, "per-query timeout (default 25ms sim, 2s real)")
+	qps := fs.Float64("qps", 0, "global query rate limit (0 = unlimited; recommended for -real)")
+	chaosSpec := fs.String("chaos", "",
 		"fault-injection profile: off, transient, persistent[:prob], flap[:len], or one class drop|delay|dup|truncate|qid|question|mangle|rcode[:prob]; seeded by -seed")
-	metricsAddr := flag.String("metrics", "",
+	metricsAddr := fs.String("metrics", "",
 		"serve a metrics snapshot (JSON) and pprof on this address, e.g. :9090")
-	progressEvery := flag.Duration("progress", 0,
+	progressEvery := fs.Duration("progress", 0,
 		"print periodic scan progress (domains done/total, qps, error rates, ETA) at this interval; 0 disables")
-	tracePath := flag.String("trace", "",
+	tracePath := fs.String("trace", "",
 		"record per-domain resolution traces and write retained exemplars (slowest, Error/Transient, classification flips) as JSONL to this path; render with govtrace")
-	traceSlowest := flag.Int("trace-slowest", 0,
+	traceSlowest := fs.Int("trace-slowest", 0,
 		"with -trace: how many slowest-domain exemplars to retain (default 16)")
-	traceErrors := flag.Int("trace-errors", 0,
+	traceErrors := fs.Int("trace-errors", 0,
 		"with -trace: ring-buffer bound on Error/Transient exemplars (default 512)")
-	summarize := flag.String("summarize", "", "summarize an existing JSONL scan and exit")
-	checkpointPath := flag.String("checkpoint", "",
+	summarize := fs.String("summarize", "", "summarize an existing JSONL scan and exit")
+	checkpointPath := fs.String("checkpoint", "",
 		"write periodic crash-safe checkpoints of -out at this path; a killed scan restarted with -resume continues where it left off")
-	resume := flag.Bool("resume", false,
+	resume := fs.Bool("resume", false,
 		"with -checkpoint: resume an interrupted streaming scan, validating the checkpoint and extending -out in place")
-	checkpointEvery := flag.Int("checkpoint-every", 0,
+	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"with -checkpoint: results between checkpoint records (default 256)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *summarize != "" {
-		return summarizeFile(*summarize)
+		return summarizeFile(*summarize, stderr)
 	}
 
 	if *checkpointPath != "" && *out == "" {
@@ -156,12 +168,12 @@ func run() error {
 	srcTotal := 0
 	var srcErr func() error
 	if *domainsPath != "" {
-		fs, err := openFileSource(*domainsPath)
+		list, err := openFileSource(*domainsPath)
 		if err != nil {
 			return err
 		}
-		defer fs.Close()
-		src, srcErr = fs.Next, fs.Err
+		defer list.Close()
+		src, srcErr = list.Next, list.Err
 	} else {
 		qs := worldgen.NewQueryStream(world)
 		src, srcTotal = qs.Next, qs.Len()
@@ -229,18 +241,12 @@ func run() error {
 	if *checkpointPath != "" {
 		dest += " [checkpoint " + *checkpointPath + "]"
 	}
-	fmt.Fprintf(os.Stderr, "scanning (timeout %v, concurrency %d, fanout %d) -> %s\n",
+	fmt.Fprintf(stderr, "scanning (timeout %v, concurrency %d, fanout %d) -> %s\n",
 		*timeout, *concurrency, *fanout, dest)
-	// The scan is built to be killed: an interrupt cancels it cleanly, so
-	// the output ends at the last contiguous result and Finish writes a
-	// final checkpoint covering it (a hard kill loses at most the window
-	// since the last periodic checkpoint).
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	if *progressEvery > 0 {
-		progressCtx, stopProgress := context.WithCancel(context.Background())
+		progressCtx, stopProgress := context.WithCancel(ctx)
 		defer stopProgress()
-		rep := &measure.ProgressReporter{Metrics: scanner.Metrics, Interval: *progressEvery, W: os.Stderr}
+		rep := &measure.ProgressReporter{Metrics: scanner.Metrics, Interval: *progressEvery, W: stderr}
 		go rep.Run(progressCtx)
 	}
 	start := time.Now()
@@ -253,7 +259,7 @@ func run() error {
 		OnResult:        sum.add,
 	}
 	scanner.Metrics.SetTotal(srcTotal)
-	if err := runStream(ctx, scanner, src, cfg, *out, *resume); err != nil {
+	if err := runStream(ctx, scanner, src, cfg, *out, *resume, stdout, stderr); err != nil {
 		return err
 	}
 	if srcErr != nil {
@@ -261,10 +267,10 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	if *showStats {
 		st := it.Stats()
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"resolver: sent=%d received=%d timeouts=%d; host cache %d hit / %d miss; zone cache %d hit / %d miss; negative hits=%d; coalesced=%d; flight bypasses=%d\n",
 			st.Sent, st.Received, st.Timeouts,
 			st.HostCacheHits, st.HostCacheMisses,
@@ -272,7 +278,7 @@ func run() error {
 			st.NegativeHits, st.CoalescedWaits, st.FlightBypasses)
 		cs := client.Stats()
 		if cs.Mismatches+cs.Truncations+cs.Malformed > 0 {
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(stderr,
 				"faults survived: duplicates=%d truncations=%d qid-mismatches=%d question-mismatches=%d malformed=%d\n",
 				cs.Duplicates, cs.Truncations, cs.QIDMismatches, cs.QuestionMismatches, cs.Malformed)
 		}
@@ -283,15 +289,15 @@ func run() error {
 				neverAnswered++
 			}
 		}
-		fmt.Fprintf(os.Stderr, "servers: seen=%d never-answered=%d\n", len(servers), neverAnswered)
+		fmt.Fprintf(stderr, "servers: seen=%d never-answered=%d\n", len(servers), neverAnswered)
 		for _, sv := range servers[:min(10, len(servers))] {
 			if sv.Timeouts == 0 {
 				break
 			}
-			fmt.Fprintf(os.Stderr, "  %-15s timeouts=%d ok=%d rejects=%d\n", sv.Addr, sv.Timeouts, sv.OK, sv.Rejects)
+			fmt.Fprintf(stderr, "  %-15s timeouts=%d ok=%d rejects=%d\n", sv.Addr, sv.Timeouts, sv.OK, sv.Rejects)
 		}
 		if chaosTr != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %s\n", chaosTr.Stats())
+			fmt.Fprintf(stderr, "chaos: %s\n", chaosTr.Stats())
 		}
 	}
 
@@ -308,13 +314,13 @@ func run() error {
 			return fmt.Errorf("writing traces: %w", werr)
 		}
 		slow, errsN, flipped, offered := flight.Counts()
-		fmt.Fprintf(os.Stderr, "traces: %d offered; retained %d slowest, %d error/transient, %d class-flips -> %s\n",
+		fmt.Fprintf(stderr, "traces: %d offered; retained %d slowest, %d error/transient, %d class-flips -> %s\n",
 			offered, slow, errsN, flipped, *tracePath)
 	}
 
 	// The summary covers the results this run emitted; after -resume,
 	// `govscan -summarize <out>` reads the whole archive back.
-	sum.print()
+	sum.print(stderr)
 	return nil
 }
 
@@ -333,10 +339,10 @@ func scanKey(real bool, seed int64, scale float64, domainsPath, chaosSpec string
 
 // runStream executes the scan against a fresh or resumed StreamWriter
 // onto outPath (stdout when empty) and reports the emitted count and
-// canonical digest. A cancelled scan (interrupt) is not an error: the
-// output ends at a whole result, a checkpoint makes it resumable, and
-// saying so beats a stack trace.
-func runStream(ctx context.Context, scanner *measure.Scanner, src measure.DomainSource, cfg measure.StreamConfig, outPath string, resume bool) error {
+// canonical digest on stderr. A cancelled scan (interrupt) is not an
+// error: the output ends at a whole result, a checkpoint makes it
+// resumable, and saying so beats a stack trace.
+func runStream(ctx context.Context, scanner *measure.Scanner, src measure.DomainSource, cfg measure.StreamConfig, outPath string, resume bool, stdout, stderr io.Writer) error {
 	if resume {
 		// Resuming before the first checkpoint ever landed is a fresh
 		// start — unless output already exists, which would be silently
@@ -356,10 +362,10 @@ func runStream(ctx context.Context, scanner *measure.Scanner, src measure.Domain
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "resuming: %d results already on disk (%d salvaged past the checkpoint, %d torn bytes dropped)\n",
+		fmt.Fprintf(stderr, "resuming: %d results already on disk (%d salvaged past the checkpoint, %d torn bytes dropped)\n",
 			info.Emitted, info.Salvaged, info.DroppedBytes)
 	} else if outPath == "" {
-		sw = measure.NewStreamWriter(os.Stdout, cfg)
+		sw = measure.NewStreamWriter(stdout, cfg)
 	} else {
 		f, err := os.Create(outPath)
 		if err != nil {
@@ -367,7 +373,7 @@ func runStream(ctx context.Context, scanner *measure.Scanner, src measure.Domain
 		}
 		defer func() {
 			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "govscan: closing output: %v\n", cerr)
+				fmt.Fprintf(stderr, "govscan: closing output: %v\n", cerr)
 			}
 		}()
 		sw = measure.NewStreamWriter(f, cfg)
@@ -376,14 +382,14 @@ func runStream(ctx context.Context, scanner *measure.Scanner, src measure.Domain
 	err := scanner.ScanStream(ctx, src, sw)
 	switch {
 	case err == nil:
-		fmt.Fprintf(os.Stderr, "streamed %d results (digest %s)\n", sw.Emitted(), sw.DigestHex())
+		fmt.Fprintf(stderr, "streamed %d results (digest %s)\n", sw.Emitted(), sw.DigestHex())
 		return nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		if cfg.CheckpointPath == "" {
-			fmt.Fprintf(os.Stderr, "interrupted after %d results\n", sw.Emitted())
+			fmt.Fprintf(stderr, "interrupted after %d results\n", sw.Emitted())
 			return nil
 		}
-		fmt.Fprintf(os.Stderr, "interrupted after %d results; checkpoint at %s covers them — rerun with -resume to continue\n",
+		fmt.Fprintf(stderr, "interrupted after %d results; checkpoint at %s covers them — rerun with -resume to continue\n",
 			sw.Emitted(), cfg.CheckpointPath)
 		return nil
 	default:
@@ -433,7 +439,7 @@ func (fs *fileSource) Next() (dnsname.Name, bool) {
 func (fs *fileSource) Err() error   { return fs.err }
 func (fs *fileSource) Close() error { return fs.f.Close() }
 
-func summarizeFile(path string) error {
+func summarizeFile(path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -447,7 +453,7 @@ func summarizeFile(path string) error {
 	for _, r := range results {
 		sum.add(r)
 	}
-	sum.print()
+	sum.print(w)
 	return nil
 }
 
@@ -468,8 +474,8 @@ func (s *summary) add(r *measure.DomainResult) {
 	}
 }
 
-func (s *summary) print() {
-	fmt.Fprintf(os.Stderr,
+func (s *summary) print(w io.Writer) {
+	fmt.Fprintf(w,
 		"summary: %d scanned; parent %d (%.1f%%); data %d (%.1f%%); responsive %d (%.1f%%); partial-lame %d (%.1f%%); full-lame %d (%.1f%%)\n",
 		s.Queried,
 		s.ParentResponded, stats.Pct(s.ParentResponded, s.Queried),

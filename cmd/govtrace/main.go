@@ -13,8 +13,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,7 +26,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "govtrace: %v\n", err)
 		os.Exit(1)
 	}
@@ -33,17 +37,17 @@ func usage() error {
 	return fmt.Errorf("usage: govtrace list <traces.jsonl> | tree [-domain name] <traces.jsonl> | diff [-domain name] <a.jsonl> <b.jsonl>")
 }
 
-func run(args []string) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
 		return usage()
 	}
 	switch args[0] {
 	case "list":
-		return runList(args[1:])
+		return runList(args[1:], stdout, stderr)
 	case "tree":
-		return runTree(args[1:])
+		return runTree(args[1:], stdout, stderr)
 	case "diff":
-		return runDiff(args[1:])
+		return runDiff(args[1:], stdout, stderr)
 	default:
 		return usage()
 	}
@@ -83,8 +87,9 @@ func filterDomain(traces []*trace.DomainTrace, domain string, path string) ([]*t
 	return out, nil
 }
 
-func runList(args []string) error {
+func runList(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("list", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -110,13 +115,14 @@ func runList(args []string) error {
 		if len(dt.RetainedFor) > 0 {
 			line += " retained=" + strings.Join(dt.RetainedFor, ",")
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	return nil
 }
 
-func runTree(args []string) error {
+func runTree(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tree", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	domain := fs.String("domain", "", "render only this domain's trace(s)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -134,17 +140,18 @@ func runTree(args []string) error {
 	}
 	for i, dt := range traces {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		if err := trace.RenderTree(os.Stdout, dt); err != nil {
+		if err := trace.RenderTree(stdout, dt); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func runDiff(args []string) error {
+func runDiff(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	domain := fs.String("domain", "", "diff this domain (required when a file holds several domains)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -174,10 +181,10 @@ func runDiff(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := trace.Diff(os.Stdout, a, b)
+	n, err := trace.Diff(stdout, a, b)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d difference(s)\n", a.Domain, n)
+	fmt.Fprintf(stdout, "%s: %d difference(s)\n", a.Domain, n)
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -43,29 +45,17 @@ func writeTraces(t *testing.T) string {
 	return path
 }
 
-// capture runs fn with os.Stdout redirected and returns what it printed.
-func capture(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = orig }()
-	runErr := fn()
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), runErr
+// runGovtrace runs the command and returns what it printed.
+func runGovtrace(args ...string) (string, error) {
+	var stdout bytes.Buffer
+	err := run(context.Background(), args, &stdout, io.Discard)
+	return stdout.String(), err
 }
 
 func TestListTreeDiff(t *testing.T) {
 	path := writeTraces(t)
 
-	out, err := capture(t, func() error { return run([]string{"list", path}) })
+	out, err := runGovtrace("list", path)
 	if err != nil {
 		t.Fatalf("list: %v", err)
 	}
@@ -74,7 +64,7 @@ func TestListTreeDiff(t *testing.T) {
 		t.Errorf("list output missing expected lines:\n%s", out)
 	}
 
-	out, err = capture(t, func() error { return run([]string{"tree", "-domain", "a.gov.br.", path}) })
+	out, err = runGovtrace("tree", "-domain", "a.gov.br.", path)
 	if err != nil {
 		t.Fatalf("tree: %v", err)
 	}
@@ -82,9 +72,7 @@ func TestListTreeDiff(t *testing.T) {
 		t.Errorf("tree output wrong:\n%s", out)
 	}
 
-	out, err = capture(t, func() error {
-		return run([]string{"diff", "-domain", "a.gov.br.", path, path})
-	})
+	out, err = runGovtrace("diff", "-domain", "a.gov.br.", path, path)
 	if err != nil {
 		t.Fatalf("diff: %v", err)
 	}
@@ -111,7 +99,7 @@ func TestErrors(t *testing.T) {
 		"tree too many files": {"tree", path, path},
 	}
 	for name, args := range cases {
-		if _, err := capture(t, func() error { return run(args) }); err == nil {
+		if _, err := runGovtrace(args...); err == nil {
 			t.Errorf("%s: run(%q) succeeded, want error", name, args)
 		}
 	}

@@ -11,8 +11,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,24 +26,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "pdnsq: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	dbPath := flag.String("db", "", "pdns.jsonl dump (required)")
-	search := flag.String("search", "", "name or left-hand wildcard ('*.gov.br') to search (required)")
-	typeStr := flag.String("type", "", "record type filter (NS, A, ...)")
-	year := flag.Int("year", 0, "only records active in this year")
-	stable := flag.Bool("stable", true, "apply the 7-day stability filter")
-	counts := flag.Bool("counts", false, "print per-year distinct-name counts instead of records")
-	limit := flag.Int("limit", 50, "maximum records to print (0 = all)")
-	flag.Parse()
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("pdnsq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dbPath := fs.String("db", "", "pdns.jsonl dump (required)")
+	search := fs.String("search", "", "name or left-hand wildcard ('*.gov.br') to search (required)")
+	typeStr := fs.String("type", "", "record type filter (NS, A, ...)")
+	year := fs.Int("year", 0, "only records active in this year")
+	stable := fs.Bool("stable", true, "apply the 7-day stability filter")
+	counts := fs.Bool("counts", false, "print per-year distinct-name counts instead of records")
+	limit := fs.Int("limit", 50, "maximum records to print (0 = all)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *dbPath == "" || *search == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-db and -search are required")
 	}
 
@@ -92,19 +100,20 @@ func run() error {
 	}
 
 	if *counts {
-		return printCounts(view)
+		printCounts(stdout, view)
+		return nil
 	}
 	printed := 0
 	for _, rs := range view.Sets {
 		if *limit > 0 && printed >= *limit {
-			fmt.Printf("... %d more (raise -limit)\n", len(view.Sets)-printed)
+			fmt.Fprintf(stdout, "... %d more (raise -limit)\n", len(view.Sets)-printed)
 			break
 		}
 		printed++
-		fmt.Printf("%s  %s  %-40s %s .. %s  (count %d)\n",
+		fmt.Fprintf(stdout, "%s  %s  %-40s %s .. %s  (count %d)\n",
 			rs.RRName, rs.RRType, rs.RData, rs.FirstSeen, rs.LastSeen, rs.Count)
 	}
-	fmt.Fprintf(os.Stderr, "%d record sets matched\n", len(view.Sets))
+	fmt.Fprintf(stderr, "%d record sets matched\n", len(view.Sets))
 	return nil
 }
 
@@ -112,10 +121,10 @@ func run() error {
 // span. The view is compiled once into a columnar corpus whose per-year
 // activity bitmaps answer every year at once, instead of re-filtering
 // and re-sorting the whole view per year.
-func printCounts(view *pdns.View) error {
+func printCounts(w io.Writer, view *pdns.View) {
 	if len(view.Sets) == 0 {
-		fmt.Println("no matches")
-		return nil
+		fmt.Fprintln(w, "no matches")
+		return
 	}
 	minYear, maxYear := view.Sets[0].FirstSeen.Year(), view.Sets[0].LastSeen.Year()
 	for _, rs := range view.Sets {
@@ -128,7 +137,6 @@ func printCounts(view *pdns.View) error {
 	}
 	c := analysis.CompileCorpus(view, nil, minYear, maxYear)
 	for i, n := range c.ActiveNamesPerYear() {
-		fmt.Printf("%d  %d names\n", minYear+i, n)
+		fmt.Fprintf(w, "%d  %d names\n", minYear+i, n)
 	}
-	return nil
 }

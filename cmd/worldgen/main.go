@@ -8,6 +8,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,18 +23,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	out := flag.String("out", "data", "output directory")
-	scale := flag.Float64("scale", 0.1, "population scale")
-	seed := flag.Int64("seed", 42, "generation seed")
-	zones := flag.String("zones", "", "comma-separated government suffixes whose parent zones to export as zone files")
-	flag.Parse()
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("worldgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "data", "output directory")
+	scale := fs.Float64("scale", 0.1, "population scale")
+	seed := fs.Int64("seed", 42, "generation seed")
+	zones := fs.String("zones", "", "comma-separated government suffixes whose parent zones to export as zone files")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
@@ -45,13 +52,13 @@ func run() error {
 	if err := writeFile(pdnsPath, w.PDNS.WriteJSONL); err != nil {
 		return fmt.Errorf("writing %s: %w", pdnsPath, err)
 	}
-	fmt.Printf("wrote %s (%d record sets)\n", pdnsPath, w.PDNS.Len())
+	fmt.Fprintf(stdout, "wrote %s (%d record sets)\n", pdnsPath, w.PDNS.Len())
 
 	geoPath := filepath.Join(*out, "geoip-asn.csv")
 	if err := writeFile(geoPath, active.Geo.WriteCSV); err != nil {
 		return fmt.Errorf("writing %s: %w", geoPath, err)
 	}
-	fmt.Printf("wrote %s (%d ranges)\n", geoPath, active.Geo.Len())
+	fmt.Fprintf(stdout, "wrote %s (%d ranges)\n", geoPath, active.Geo.Len())
 
 	listPath := filepath.Join(*out, "querylist.txt")
 	if err := writeFile(listPath, func(f io.Writer) error {
@@ -64,7 +71,7 @@ func run() error {
 	}); err != nil {
 		return fmt.Errorf("writing %s: %w", listPath, err)
 	}
-	fmt.Printf("wrote %s (%d names)\n", listPath, len(active.QueryList))
+	fmt.Fprintf(stdout, "wrote %s (%d names)\n", listPath, len(active.QueryList))
 
 	if *zones == "" {
 		return nil
@@ -74,50 +81,17 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("bad suffix %q: %w", raw, err)
 		}
-		z, err := parentZoneOf(active, suffix)
-		if err != nil {
-			return err
+		z, ok := active.ParentZone(suffix)
+		if !ok {
+			return fmt.Errorf("no government parent zone %s (unknown suffix?)", suffix)
 		}
 		zonePath := filepath.Join(*out, strings.TrimSuffix(suffix.String(), ".")+".zone")
 		if err := writeFile(zonePath, func(f io.Writer) error { return zone.WriteFile(f, z) }); err != nil {
 			return fmt.Errorf("writing %s: %w", zonePath, err)
 		}
-		fmt.Printf("wrote %s (%d records)\n", zonePath, z.Len())
+		fmt.Fprintf(stdout, "wrote %s (%d records)\n", zonePath, z.Len())
 	}
 	return nil
-}
-
-// parentZoneOf fetches a government suffix's parent zone by querying its
-// primary server directly.
-func parentZoneOf(active *worldgen.Active, suffix dnsname.Name) (*zone.Zone, error) {
-	primary := suffix.MustPrepend("ns1")
-	addrs := active.AddrsOf(primary)
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("no server for %s (unknown suffix?)", suffix)
-	}
-	server, ok := active.Net.ServerAt(addrs[0])
-	if !ok {
-		return nil, fmt.Errorf("no server attached at %s", addrs[0])
-	}
-	for _, origin := range server.Zones() {
-		if origin == suffix {
-			return serverZone(server, origin)
-		}
-	}
-	return nil, fmt.Errorf("server at %s does not host %s", addrs[0], suffix)
-}
-
-// serverZone extracts a zone from a server by origin. The authserver API
-// does not expose zones directly, so rebuild from Records via a probe —
-// the zone model keeps this simple: the server stores the zone pointer.
-func serverZone(server interface {
-	ZoneByOrigin(dnsname.Name) (*zone.Zone, bool)
-}, origin dnsname.Name) (*zone.Zone, error) {
-	z, ok := server.ZoneByOrigin(origin)
-	if !ok {
-		return nil, fmt.Errorf("zone %s not found", origin)
-	}
-	return z, nil
 }
 
 func writeFile(path string, fill func(io.Writer) error) error {

@@ -196,8 +196,9 @@ func TestClassifyTable(t *testing.T) {
 		{[]dnsname.Name{a, b}, []dnsname.Name{c, d}, ClassDisjoint},
 	}
 	for _, tc := range cases {
-		if got := Classify(mk(tc.p, tc.c)); got != tc.want {
-			t.Errorf("Classify(P=%v, C=%v) = %v, want %v", tc.p, tc.c, got, tc.want)
+		r := mk(tc.p, tc.c)
+		if got := classify(r, r.ChildNS()); got != tc.want {
+			t.Errorf("classify(P=%v, C=%v) = %v, want %v", tc.p, tc.c, got, tc.want)
 		}
 	}
 }
@@ -225,8 +226,8 @@ func renamedResult() *measure.DomainResult {
 
 func TestClassifyDisjointIPOverlap(t *testing.T) {
 	r := renamedResult()
-	if got := Classify(r); got != ClassDisjointIPOverlap {
-		t.Errorf("Classify = %v, want ClassDisjointIPOverlap", got)
+	if got := classify(r, r.ChildNS()); got != ClassDisjointIPOverlap {
+		t.Errorf("classify = %v, want ClassDisjointIPOverlap", got)
 	}
 }
 
@@ -266,7 +267,7 @@ func TestAnalysesOnEmptyResults(t *testing.T) {
 	}
 }
 
-// classifyBySets is Classify's definition on explicit sets, kept as the
+// classifyBySets is classify's definition on explicit sets, kept as the
 // reference for the scan-based implementation.
 func classifyBySets(r *measure.DomainResult) ConsistencyClass {
 	if !r.Responsive() {
@@ -335,9 +336,9 @@ func TestClassifyMatchesSetDefinition(t *testing.T) {
 				Host: hosts[rng.Intn(len(hosts))], OK: rng.Intn(5) > 0, Authoritative: true, NS: pick(3),
 			})
 		}
-		got, want := Classify(r), classifyBySets(r)
+		got, want := classify(r, r.ChildNS()), classifyBySets(r)
 		if got != want {
-			t.Fatalf("Classify = %v, set definition says %v\n%+v", got, want, r)
+			t.Fatalf("classify = %v, set definition says %v\n%+v", got, want, r)
 		}
 		seen[want]++
 	}

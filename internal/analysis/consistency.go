@@ -54,14 +54,10 @@ func (c ConsistencyClass) String() string {
 	}
 }
 
-// Classify determines the consistency class of one scan result.
-func Classify(r *measure.DomainResult) ConsistencyClass {
-	return classify(r, r.ChildNS())
-}
-
-// classify is Classify given the result's child view (r.ChildNS():
-// sorted, distinct), for callers that need that view themselves. The
-// NS sets hold a handful of names, so membership is a scan, not a map.
+// classify determines the consistency class of one scan result, given
+// its child view (r.ChildNS(): sorted, distinct), which callers need
+// themselves. The NS sets hold a handful of names, so membership is a
+// scan, not a map.
 func classify(r *measure.DomainResult, child []dnsname.Name) ConsistencyClass {
 	if !r.Responsive() || len(child) == 0 {
 		return ClassUnresponsive

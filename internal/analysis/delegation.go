@@ -128,8 +128,7 @@ func HijackRisks(results []*measure.DomainResult, m *Mapper, reg *registrar.Regi
 		}
 		affected := false
 		for _, host := range r.ParentNS {
-			// The defective hosts, in place: r.DefectiveServerHosts
-			// without building it.
+			// The defective hosts: those no address answered for.
 			if r.HostAnswered(host) {
 				continue
 			}

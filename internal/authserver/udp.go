@@ -135,19 +135,14 @@ func (u *UDPServer) loop() {
 // suite pins the batched path's scan digests against this one's
 // (TestScanDigestBatchVsDial in internal/measure). No command
 // constructs it: real-network scans always run over udpx, and this type
-// stays for that differential, this package's own tests, and
-// examples/liveresolve.
+// stays for that differential and this package's own tests.
 //
 // Queries go to port 53 unless the server's IP has an entry in
-// PortOverride (same IP, alternate port) or AddrOverride (full
-// redirection); tests and examples run UDPServer instances on loopback
-// high ports while the resolver keeps addressing servers by their
-// nominal (possibly simulated-topology) IPs.
+// AddrOverride; tests run UDPServer instances on loopback high ports
+// while the resolver keeps addressing servers by their nominal
+// (possibly simulated-topology) IPs.
 type UDPTransport struct {
-	// PortOverride maps a server IP to the UDP port serving it.
-	PortOverride map[netip.Addr]int
-	// AddrOverride maps a server IP to the socket actually serving it,
-	// taking precedence over PortOverride.
+	// AddrOverride maps a server IP to the socket actually serving it.
 	AddrOverride map[netip.Addr]netip.AddrPort
 }
 
@@ -155,18 +150,12 @@ type UDPTransport struct {
 // buffer comes from the shared datagram pool; the resolver returns it
 // through ReleaseResponse once decoded.
 func (t *UDPTransport) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
-	target := ""
-	if ap, ok := t.AddrOverride[server]; ok {
-		target = ap.String()
-	} else {
-		port := 53
-		if p, ok := t.PortOverride[server]; ok {
-			port = p
-		}
-		target = net.JoinHostPort(server.String(), fmt.Sprint(port))
+	target, ok := t.AddrOverride[server]
+	if !ok {
+		target = netip.AddrPortFrom(server, 53)
 	}
 	var d net.Dialer
-	conn, err := d.DialContext(ctx, "udp", target)
+	conn, err := d.DialContext(ctx, "udp", target.String())
 	if err != nil {
 		return nil, fmt.Errorf("authserver: dial %s: %w", server, err)
 	}

@@ -25,9 +25,8 @@ func TestUDPServerEndToEnd(t *testing.T) {
 		}
 	}()
 
-	port := udp.Addr().(*net.UDPAddr).Port
-	transport := &UDPTransport{PortOverride: map[netip.Addr]int{
-		netip.MustParseAddr("127.0.0.1"): port,
+	transport := &UDPTransport{AddrOverride: map[netip.Addr]netip.AddrPort{
+		netip.MustParseAddr("127.0.0.1"): udp.Addr().(*net.UDPAddr).AddrPort(),
 	}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -65,13 +64,14 @@ func TestUDPServerCloseIsIdempotent(t *testing.T) {
 
 func TestUDPTransportTimeout(t *testing.T) {
 	// No server listening: Exchange must respect the context deadline.
-	transport := &UDPTransport{PortOverride: map[netip.Addr]int{
-		netip.MustParseAddr("127.0.0.1"): 1, // port 1: nothing there
+	loopback := netip.MustParseAddr("127.0.0.1")
+	transport := &UDPTransport{AddrOverride: map[netip.Addr]netip.AddrPort{
+		loopback: netip.AddrPortFrom(loopback, 1), // port 1: nothing there
 	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := transport.Exchange(ctx, netip.MustParseAddr("127.0.0.1"), []byte{0, 0})
+	_, err := transport.Exchange(ctx, loopback, []byte{0, 0})
 	if err == nil {
 		t.Fatal("Exchange succeeded against a dead port")
 	}

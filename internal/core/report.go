@@ -22,6 +22,7 @@ var PaperExpectations = map[string]string{
 	"fig9.replication":    "98.4% of domains with >=2 NS; 109 countries with no d_1NS; 15 countries >=10%",
 	"table1.diversity":    "Total: 89.8% multi-IP, 71.5% multi-/24, 32.9% multi-ASN",
 	"table2.cloud-growth": "Amazon 5 -> 5193 (2.7%), Cloudflare 12 -> 4136 (2.1%), Azure 0 -> 1574",
+	"sect4a.gov-cn":       "hichina 38%, xincache 19%, dns-diy 10.8% of gov.cn domains",
 	"table3.reach":        "max country reach 52 (websitewelcome 2011) -> 85 (cloudflare 2020): +60%",
 	"fig10.defective":     "29.5% any defect; 25.4% partial",
 	"fig11.hijack":        "805 available NS domains; 1,121 domains; 49 countries; 625 fully unresponsive; 2 multi-country",
@@ -66,16 +67,31 @@ func (s *Study) WriteReport(w io.Writer) error {
 // WriteExperiment renders the one section of WriteReport that id names
 // (funnel, fig2 ... fig14, table1 ... table3; case-insensitive).
 func (s *Study) WriteExperiment(w io.Writer, id string) error {
+	write, err := experiment(id)
+	if err != nil {
+		return err
+	}
+	return write(s, w)
+}
+
+// CheckExperiment reports whether WriteExperiment knows id, so a caller
+// can refuse an unknown one before building a study.
+func CheckExperiment(id string) error {
+	_, err := experiment(id)
+	return err
+}
+
+func experiment(id string) (func(*Study, io.Writer) error, error) {
 	var known []string
 	for _, sec := range reportSections {
 		for _, have := range sec.ids {
 			if strings.EqualFold(id, have) {
-				return sec.write(s, w)
+				return sec.write, nil
 			}
 		}
 		known = append(known, sec.ids...)
 	}
-	return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(known, " "))
+	return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(known, " "))
 }
 
 func (s *Study) writeFunnel(w io.Writer) error {
@@ -227,7 +243,15 @@ func (s *Study) writeTable2(w io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	// § IV-A's per-country concentration: the country-local providers
+	// behind gov.cn.
+	shares := s.GovProviderShare(s.EndYear(), "cn")
+	t := report.NewTable(fmt.Sprintf("§ IV-A — gov.cn provider shares, %d (paper: %s)", s.EndYear(), PaperExpectations["sect4a.gov-cn"]),
+		"provider", "% of gov.cn")
+	for _, label := range []string{"hichina.com", "xincache.com", "dns-diy.com"} {
+		t.AddRow(label, shares[label])
+	}
+	return t.Write(w)
 }
 
 func (s *Study) writeTable3(w io.Writer) error {

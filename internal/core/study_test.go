@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"govdns/internal/analysis"
-	"govdns/internal/remedy"
 )
 
 // testStudy runs the complete pipeline once per test binary at a small
@@ -279,42 +278,6 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestStudyRemediationRoundTrip(t *testing.T) {
-	// A dedicated small study: remediation mutates the world.
-	s := NewStudy(Config{Seed: 23, Scale: 0.005, QueryTimeout: 10 * time.Millisecond, Concurrency: 128})
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	if err := s.RunActive(ctx); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Fig13And14()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := remedy.Propose(s.Results, s.Mapper, s.Active.Reg)
-	if len(plan.Actions) == 0 {
-		t.Fatal("empty remediation plan")
-	}
-	applier := &remedy.Applier{Active: s.Active, Client: s.client(s.Active.Net), Force: true}
-	outcome, err := applier.Apply(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome.Applied == 0 {
-		t.Fatalf("nothing applied: %+v", outcome)
-	}
-	if err := s.RunActive(ctx); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Fig13And14()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.EqualPct <= before.EqualPct {
-		t.Errorf("consistency %.1f%% -> %.1f%%; remediation had no effect", before.EqualPct, after.EqualPct)
-	}
 }
 
 func TestWriteCSVs(t *testing.T) {

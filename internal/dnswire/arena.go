@@ -227,8 +227,7 @@ func (a *Arena) NewResponse(q *Message) *Message {
 // section borrows a like the message itself, valid until the next
 // Decode on a or Finish, and costs no allocation once the array has
 // grown to the workload's size. rrs is typically a section of the
-// message decoded on a; Message.AnswersOfType is the owned
-// alternative.
+// message decoded on a.
 func (a *Arena) OfType(rrs []RR, t Type) []RR {
 	start := len(a.rrs)
 	for _, rr := range rrs {

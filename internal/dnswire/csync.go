@@ -29,20 +29,6 @@ type CSYNCData struct {
 // Type implements RData.
 func (CSYNCData) Type() Type { return TypeCSYNC }
 
-// Immediate reports whether the parent may synchronize without
-// out-of-band confirmation.
-func (d CSYNCData) Immediate() bool { return d.Flags&CSYNCImmediate != 0 }
-
-// Covers reports whether t is listed for synchronization.
-func (d CSYNCData) Covers(t Type) bool {
-	for _, listed := range d.Types {
-		if listed == t {
-			return true
-		}
-	}
-	return false
-}
-
 // String implements RData.
 func (d CSYNCData) String() string {
 	parts := make([]string, 0, len(d.Types)+2)

@@ -77,33 +77,6 @@ func (m *Message) Question() Question {
 	return m.Questions[0]
 }
 
-// AnswersOfType returns the answer-section records of the given type.
-func (m *Message) AnswersOfType(t Type) []RR {
-	return recordsOfType(m.Answers, t)
-}
-
-// recordsOfType counts matches first so the result is allocated exactly
-// once at size, and returns nil when nothing matches — referral
-// classification calls this on every delegation response.
-func recordsOfType(rrs []RR, t Type) []RR {
-	n := 0
-	for _, rr := range rrs {
-		if rr.Type() == t {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]RR, 0, n)
-	for _, rr := range rrs {
-		if rr.Type() == t {
-			out = append(out, rr)
-		}
-	}
-	return out
-}
-
 // hasType reports whether any record in rrs has type t, without
 // materialising the filtered slice.
 func hasType(rrs []RR, t Type) bool {
@@ -126,7 +99,7 @@ func (m *Message) IsReferral() bool {
 }
 
 // String renders a dig-like multi-line summary, useful in logs and
-// examples.
+// test failures.
 func (m *Message) String() string {
 	var b strings.Builder
 	kind := "query"

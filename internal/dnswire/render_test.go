@@ -87,13 +87,15 @@ func TestMessageHelpers(t *testing.T) {
 	resp.Additional = []RR{
 		{Name: "ns1.x.gov.br.", Class: ClassIN, Data: AData{Addr: netip.MustParseAddr("192.0.2.1")}},
 	}
-	if got := len(resp.AnswersOfType(TypeNS)); got != 1 {
-		t.Errorf("AnswersOfType(NS) = %d", got)
+	a := NewPool().Get()
+	defer a.Finish()
+	if got := len(a.OfType(resp.Answers, TypeNS)); got != 1 {
+		t.Errorf("answer NS records = %d", got)
 	}
-	if got := len(recordsOfType(resp.Additional, TypeA)); got != 1 {
+	if got := len(a.OfType(resp.Additional, TypeA)); got != 1 {
 		t.Errorf("additional A records = %d", got)
 	}
-	if got := len(recordsOfType(resp.Authority, TypeNS)); got != 0 {
+	if got := len(a.OfType(resp.Authority, TypeNS)); got != 0 {
 		t.Errorf("authority NS records = %d", got)
 	}
 

@@ -288,8 +288,10 @@ func (r *DomainResult) HostAnswered(host dnsname.Name) bool {
 	return false
 }
 
-// hasDefectiveHost reports whether DefectiveServerHosts is non-empty,
-// without building it.
+// hasDefectiveHost reports whether any parent-listed hostname did not
+// produce a working answer from any address: an unresolvable host, or
+// one whose every address timed out, refused, or answered
+// non-authoritatively.
 func (r *DomainResult) hasDefectiveHost() bool {
 	for _, host := range r.ParentNS {
 		if !r.HostAnswered(host) {
@@ -297,20 +299,6 @@ func (r *DomainResult) hasDefectiveHost() bool {
 		}
 	}
 	return false
-}
-
-// DefectiveServerHosts returns the parent-listed hostnames that did not
-// produce a working answer from any address: unresolvable hosts and
-// hosts whose every address timed out, refused, or answered
-// non-authoritatively.
-func (r *DomainResult) DefectiveServerHosts() []dnsname.Name {
-	var out []dnsname.Name
-	for _, host := range r.ParentNS {
-		if !r.HostAnswered(host) {
-			out = append(out, host)
-		}
-	}
-	return out
 }
 
 // AllAddrs returns the distinct resolved addresses of the domain's

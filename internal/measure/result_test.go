@@ -175,8 +175,8 @@ func TestResultSetHelpersMatchTheirDefinitions(t *testing.T) {
 			}
 		}
 		defective := refDefectiveServerHosts(r)
-		if got := r.DefectiveServerHosts(); !slices.Equal(got, defective) {
-			t.Fatalf("DefectiveServerHosts = %v, want %v\n%+v", got, defective, r)
+		if got, want := r.hasDefectiveHost(), len(defective) > 0; got != want {
+			t.Fatalf("hasDefectiveHost = %v, want %v (defective hosts %v)\n%+v", got, want, defective, r)
 		}
 		if got, want := r.HasDefect(), r.HasData() && len(defective) > 0; got != want {
 			t.Fatalf("HasDefect = %v, want %v\n%+v", got, want, r)

@@ -114,9 +114,9 @@ func TestScanPartiallyLame(t *testing.T) {
 	if r.FullyDefective() {
 		t.Error("lame.gov.br flagged fully defective")
 	}
-	bad := r.DefectiveServerHosts()
+	bad := refDefectiveServerHosts(r)
 	if len(bad) != 1 || bad[0] != "ns2.lame.gov.br." {
-		t.Errorf("DefectiveServerHosts = %v", bad)
+		t.Errorf("defective hosts = %v", bad)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package miniworld builds a small, fully hand-crafted DNS universe used
-// by tests and examples: a root, two TLDs, a government zone with children
-// exhibiting each condition the study measures (healthy, partially lame,
-// fully lame, single-NS, third-party hosted, parent/child inconsistent,
-// and dangling delegations), and a third-party provider.
+// by tests and by govmon's demo: a root, two TLDs, a government zone with
+// children exhibiting each condition the study measures (healthy,
+// partially lame, fully lame, single-NS, third-party hosted,
+// parent/child inconsistent, and dangling delegations), and a
+// third-party provider.
 //
 // The generated world (internal/worldgen) is statistical; this package is
 // deterministic down to each record, which makes it the right substrate
@@ -539,7 +540,7 @@ func Domains() []dnsname.Name {
 	}
 }
 
-// String summarises the world for examples.
+// String summarises the world.
 func (w *World) String() string {
 	return fmt.Sprintf("miniworld: %d server addresses, %d domains under gov.br",
 		w.Net.NumServers(), len(Domains()))

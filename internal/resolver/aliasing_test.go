@@ -10,7 +10,7 @@ import (
 )
 
 // TestResolveHostReturnsUnaliasedSlice is the regression test for the
-// cache-aliasing bug: ResolveHost used to hand back the cache entry's
+// cache-aliasing bug: host resolution used to hand back the cache entry's
 // own slice (and, under coalescing, the very slice every flight waiter
 // shares), so a caller sorting or overwriting its "result" silently
 // corrupted what every later cache hit saw.
@@ -18,24 +18,24 @@ func TestResolveHostReturnsUnaliasedSlice(t *testing.T) {
 	_, _, it := newFixture(t)
 	ctx := ctxWithTimeout(t)
 
-	first, err := it.ResolveHost(ctx, "ns1.city.gov.br.")
+	first, err := it.AppendHostAddrs(ctx, nil, "ns1.city.gov.br.")
 	if err != nil || len(first) != 1 {
-		t.Fatalf("ResolveHost = %v, %v", first, err)
+		t.Fatalf("AppendHostAddrs = %v, %v", first, err)
 	}
 
 	// Mutate the returned slice the way a careless caller would.
 	bogus := netip.MustParseAddr("203.0.113.99")
 	first[0] = bogus
 
-	second, err := it.ResolveHost(ctx, "ns1.city.gov.br.")
+	second, err := it.AppendHostAddrs(ctx, nil, "ns1.city.gov.br.")
 	if err != nil {
-		t.Fatalf("second ResolveHost: %v", err)
+		t.Fatalf("second AppendHostAddrs: %v", err)
 	}
 	if len(second) != 1 || second[0] != miniworld.CityNS1Addr {
 		t.Errorf("cache hit after caller mutation = %v, want [%v]: returned slice aliases the cache", second, miniworld.CityNS1Addr)
 	}
 	if len(first) > 0 && len(second) > 0 && &first[0] == &second[0] {
-		t.Error("two ResolveHost calls share a backing array")
+		t.Error("two AppendHostAddrs calls share a backing array")
 	}
 }
 
@@ -57,8 +57,8 @@ func TestZoneServersCachedAliasing(t *testing.T) {
 	if _, err := it.Delegation(ctx, "single.gov.br."); err != nil {
 		t.Fatalf("Delegation(single): %v", err)
 	}
-	if _, err := it.ResolveHost(ctx, "ns1.city.gov.br."); err != nil {
-		t.Fatalf("ResolveHost: %v", err)
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns1.city.gov.br."); err != nil {
+		t.Fatalf("AppendHostAddrs: %v", err)
 	}
 	d2, err := it.Delegation(ctx, "city.gov.br.")
 	if err != nil {

@@ -47,7 +47,7 @@ func TestResolveHostSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			addrs[i], errs[i] = it.ResolveHost(ctx, "ns1.provider.com.")
+			addrs[i], errs[i] = it.AppendHostAddrs(ctx, nil, "ns1.provider.com.")
 		}(i)
 	}
 	wg.Wait()
@@ -112,16 +112,16 @@ func TestIteratorStatsCounters(t *testing.T) {
 	_, _, it := newFixture(t)
 	ctx := ctxWithTimeout(t)
 
-	if _, err := it.ResolveHost(ctx, "ns1.provider.com."); err != nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns1.provider.com."); err != nil {
 		t.Fatalf("first resolve: %v", err)
 	}
-	if _, err := it.ResolveHost(ctx, "ns1.provider.com."); err != nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns1.provider.com."); err != nil {
 		t.Fatalf("second resolve: %v", err)
 	}
-	if _, err := it.ResolveHost(ctx, "ns.gone-provider.com."); err == nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns.gone-provider.com."); err == nil {
 		t.Fatal("dangling host resolved")
 	}
-	if _, err := it.ResolveHost(ctx, "ns.gone-provider.com."); err == nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns.gone-provider.com."); err == nil {
 		t.Fatal("dangling host resolved from cache")
 	}
 
@@ -236,7 +236,7 @@ func TestCrossFlightCycleDoesNotDeadlock(t *testing.T) {
 	// A: leads the host flight; its first query is gated so it cannot
 	// populate the cache before B is wedged into the cycle.
 	go func() {
-		_, err := it.ResolveHost(ctx, host)
+		_, err := it.AppendHostAddrs(ctx, nil, host)
 		done <- err
 	}()
 	busy(func() bool { return it.hosts.InFlight(host) }, "host flight")

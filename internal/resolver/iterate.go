@@ -467,18 +467,12 @@ func (it *Iterator) buildZone(ctx context.Context, zoneName dnsname.Name, nsReco
 	return zs, nil
 }
 
-// ResolveHost returns IPv4 addresses for host via full iterative
-// resolution, using the cache. host must not alias a codec arena (the
-// host table retains it); the caller owns the returned slice.
-func (it *Iterator) ResolveHost(ctx context.Context, host dnsname.Name) ([]netip.Addr, error) {
-	return it.AppendHostAddrs(ctx, nil, host)
-}
-
-// AppendHostAddrs is ResolveHost appending to dst: it appends host's
-// addresses to dst and returns the extended slice (dst itself on
-// failure). A caller that copies the addresses on anyway — the scanner
-// into its result's one address block — passes reused scratch and
-// allocates nothing.
+// AppendHostAddrs resolves host's IPv4 addresses iteratively, using
+// the cache, appends them to dst and returns the extended slice (dst
+// itself on failure). host must not alias a codec arena (the host table
+// retains it). A caller that copies the addresses on anyway — the
+// scanner into its result's one address block — passes reused scratch
+// and allocates nothing.
 //
 // This is the boundary through which host addresses leave the
 // resolution machinery, and it always copies. Behind it the same backing

@@ -201,9 +201,9 @@ func TestDelegationNXDomain(t *testing.T) {
 
 func TestResolveHostWithGlue(t *testing.T) {
 	_, _, it := newFixture(t)
-	addrs, err := it.ResolveHost(ctxWithTimeout(t), "ns1.city.gov.br.")
+	addrs, err := it.AppendHostAddrs(ctxWithTimeout(t), nil, "ns1.city.gov.br.")
 	if err != nil {
-		t.Fatalf("ResolveHost: %v", err)
+		t.Fatalf("AppendHostAddrs: %v", err)
 	}
 	if len(addrs) != 1 || addrs[0] != miniworld.CityNS1Addr {
 		t.Errorf("addrs = %v, want [%v]", addrs, miniworld.CityNS1Addr)
@@ -212,9 +212,9 @@ func TestResolveHostWithGlue(t *testing.T) {
 
 func TestResolveHostThirdParty(t *testing.T) {
 	_, _, it := newFixture(t)
-	addrs, err := it.ResolveHost(ctxWithTimeout(t), "ns2.provider.com.")
+	addrs, err := it.AppendHostAddrs(ctxWithTimeout(t), nil, "ns2.provider.com.")
 	if err != nil {
-		t.Fatalf("ResolveHost: %v", err)
+		t.Fatalf("AppendHostAddrs: %v", err)
 	}
 	if len(addrs) != 1 || addrs[0] != miniworld.ProviderNS2Addr {
 		t.Errorf("addrs = %v, want [%v]", addrs, miniworld.ProviderNS2Addr)
@@ -223,7 +223,7 @@ func TestResolveHostThirdParty(t *testing.T) {
 
 func TestResolveHostDanglingNXDomain(t *testing.T) {
 	_, _, it := newFixture(t)
-	_, err := it.ResolveHost(ctxWithTimeout(t), "ns.gone-provider.com.")
+	_, err := it.AppendHostAddrs(ctxWithTimeout(t), nil, "ns.gone-provider.com.")
 	if !errors.Is(err, ErrNXDomain) {
 		t.Fatalf("error = %v, want ErrNXDomain", err)
 	}
@@ -232,16 +232,16 @@ func TestResolveHostDanglingNXDomain(t *testing.T) {
 func TestResolveHostCaching(t *testing.T) {
 	w, c, it := newFixture(t)
 	ctx := ctxWithTimeout(t)
-	if _, err := it.ResolveHost(ctx, "ns1.provider.com."); err != nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns1.provider.com."); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the entire com. infrastructure: cached entries must still
 	// resolve, proving no network round trip happens.
 	w.Net.Blackhole(miniworld.TLDComAddr)
 	w.Net.Blackhole(miniworld.ProviderNS1Addr)
-	addrs, err := it.ResolveHost(ctx, "ns1.provider.com.")
+	addrs, err := it.AppendHostAddrs(ctx, nil, "ns1.provider.com.")
 	if err != nil || len(addrs) != 1 {
-		t.Fatalf("cached ResolveHost = %v, %v", addrs, err)
+		t.Fatalf("cached AppendHostAddrs = %v, %v", addrs, err)
 	}
 	_ = c
 }
@@ -279,11 +279,11 @@ func TestZoneCacheCountersSkipWalkStart(t *testing.T) {
 func TestNegativeCaching(t *testing.T) {
 	_, _, it := newFixture(t)
 	ctx := ctxWithTimeout(t)
-	if _, err := it.ResolveHost(ctx, "ns.gone-provider.com."); err == nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns.gone-provider.com."); err == nil {
 		t.Fatal("expected failure")
 	}
 	start := time.Now()
-	if _, err := it.ResolveHost(ctx, "ns.gone-provider.com."); err == nil {
+	if _, err := it.AppendHostAddrs(ctx, nil, "ns.gone-provider.com."); err == nil {
 		t.Fatal("expected cached failure")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Millisecond {
@@ -400,9 +400,9 @@ func TestValidateRejectsWrongQuestion(t *testing.T) {
 
 func TestResolveHostChasesCNAME(t *testing.T) {
 	_, _, it := newFixture(t)
-	addrs, err := it.ResolveHost(ctxWithTimeout(t), "cname-ns.gov.br.")
+	addrs, err := it.AppendHostAddrs(ctxWithTimeout(t), nil, "cname-ns.gov.br.")
 	if err != nil {
-		t.Fatalf("ResolveHost via CNAME: %v", err)
+		t.Fatalf("AppendHostAddrs via CNAME: %v", err)
 	}
 	if len(addrs) != 1 || addrs[0] != miniworld.GovNS1Addr {
 		t.Errorf("addrs = %v, want [%v]", addrs, miniworld.GovNS1Addr)

@@ -37,9 +37,9 @@ func TestWirePathAliasSafety(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Delegation: %v", err)
 	}
-	addrs, err := it.ResolveHost(ctx, "ns1.city.gov.br.")
+	addrs, err := it.AppendHostAddrs(ctx, nil, "ns1.city.gov.br.")
 	if err != nil || len(addrs) != 1 {
-		t.Fatalf("ResolveHost = %v, %v", addrs, err)
+		t.Fatalf("AppendHostAddrs = %v, %v", addrs, err)
 	}
 
 	// Snapshot the retained state with storage of our own, then seal the
@@ -119,7 +119,7 @@ func TestWirePathAliasSafety(t *testing.T) {
 			t.Errorf("cached delegation host %d changed: %q != %q", i, h, hostsSnap[i])
 		}
 	}
-	again, err := it.ResolveHost(ctxWithTimeout(t), "ns1.city.gov.br.")
+	again, err := it.AppendHostAddrs(ctxWithTimeout(t), nil, "ns1.city.gov.br.")
 	if err != nil || len(again) != 1 || again[0] != addrs[0] {
 		t.Errorf("cached host resolution changed: %v, %v (want %v)", again, err, addrs)
 	}

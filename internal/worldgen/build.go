@@ -38,8 +38,8 @@ type Active struct {
 	// tldZones indexes the TLD zones by TLD name for delegation edits.
 	tldZones map[dnsname.Name]*zone.Zone
 	rootZone *zone.Zone
-	// parents indexes each country's parent zone by its origin, so
-	// remediation tooling can edit delegations in place.
+	// parents indexes each country's parent zone by its origin, for
+	// ParentZone (cmd/worldgen exports them as zone files).
 	parents map[dnsname.Name]*zone.Zone
 }
 

@@ -102,8 +102,8 @@ func (a *Active) buildDomain(d *Domain, parent *zone.Zone, govASN, telecomASN ui
 	}
 
 	// Children whose operators know the parent is out of date publish a
-	// CSYNC record (RFC 7477) so remediation tooling can synchronize
-	// the delegation; about two thirds allow immediate processing.
+	// CSYNC record (RFC 7477) asking the parent to synchronize the
+	// delegation; about two thirds allow immediate processing.
 	switch d.Cond {
 	case CondInconsistentExtraChild, CondInconsistentExtraParent, CondInconsistentDisjoint, CondPartialLameOwn:
 		flags := uint16(0)
