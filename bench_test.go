@@ -315,27 +315,40 @@ func BenchmarkAblationSecondRound(b *testing.B) {
 // replication whenever a domain briefly carried extra records.
 func BenchmarkAblationModeVsMax(b *testing.B) {
 	s := study(b)
-	year := s.EndYear()
+	first, last := pdns.YearRange(s.EndYear())
 	byDomain := make(map[string][]pdns.RecordSet)
 	for _, rs := range s.StableView.Sets {
-		if rs.RRType == dnswire.TypeNS {
+		if rs.RRType == dnswire.TypeNS && rs.Overlaps(first, last) {
 			byDomain[string(rs.RRName)] = append(byDomain[string(rs.RRName)], rs)
 		}
 	}
+	daily := make([]int, int(last-first)+1)
 	b.ResetTimer()
 	var overcounted int
 	for i := 0; i < b.N; i++ {
 		overcounted = 0
 		for _, sets := range byDomain {
-			daily := analysis.NSDaily(sets, year)
-			if len(daily) == 0 {
-				continue
+			// NS records active on each day of the year.
+			clear(daily)
+			for _, rs := range sets {
+				for d := max(rs.FirstSeen, first); d <= min(rs.LastSeen, last); d++ {
+					daily[d-first]++
+				}
 			}
-			mode, _ := stats.Mode(daily)
-			maxVal := daily[0]
-			for _, v := range daily {
-				if v > maxVal {
-					maxVal = v
+			// The mode over the days with any record (the smaller count
+			// on a tie), and the max.
+			days := make(map[int]int)
+			maxVal := 0
+			for _, n := range daily {
+				if n > 0 {
+					days[n]++
+					maxVal = max(maxVal, n)
+				}
+			}
+			mode := 0
+			for n, d := range days {
+				if d > days[mode] || d == days[mode] && n < mode {
+					mode = n
 				}
 			}
 			if maxVal < mode {

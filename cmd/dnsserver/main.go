@@ -42,6 +42,8 @@ func main() {
 
 // run serves until ctx is done.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // the telemetry endpoint serves until run returns
 	fs := flag.NewFlagSet("dnsserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	zonePath := fs.String("zone", "", "zone file to serve (this or -xfr is required)")
@@ -79,7 +81,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// up; liveness is process-up (a wedged zone transfer never gets
 	// here, so the probe surface reports it as not-ready, not not-live).
 	health := obs.NewHealth()
-	obs.ServeEndpoint(*metricsAddr, reg, health)
+	if bound, err := obs.ServeEndpoint(ctx, *metricsAddr, reg, health); err != nil {
+		return fmt.Errorf("-metrics: %w", err)
+	} else if bound != nil {
+		fmt.Fprintf(stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", bound)
+	}
 
 	switch {
 	case *zonePath != "":

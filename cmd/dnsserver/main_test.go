@@ -2,14 +2,18 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,6 +100,103 @@ func TestServeOneQuery(t *testing.T) {
 	}
 	if len(after) != 1 || after[0] != "shutting down" {
 		t.Errorf("lines after cancel %q, want [shutting down]", after)
+	}
+}
+
+// lockedBuffer is a writer a test can read while run writes to it, and
+// that counts the writes made after the test sealed it.
+type lockedBuffer struct {
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	closed bool
+	late   int
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		b.late++
+	}
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func (b *lockedBuffer) seal() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+}
+
+func (b *lockedBuffer) lateWrites() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.late
+}
+
+// TestMetricsEndpoint: -metrics on port 0 binds before the zone loads,
+// the telemetry line on run's stderr names the bound port, /metrics
+// answers there, and nothing writes to stderr after run returns. A
+// -metrics address that cannot be bound makes run fail.
+func TestMetricsEndpoint(t *testing.T) {
+	zonePath := filepath.Join(t.TempDir(), "gov.br.zone")
+	if err := os.WriteFile(zonePath, []byte(testZone), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	stderr := &lockedBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		err := run(ctx, []string{"-zone", zonePath, "-origin", "gov.br", "-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0"}, pw, stderr)
+		_ = pw.Close()
+		done <- err
+	}()
+	lines := bufio.NewScanner(pr)
+	if !lines.Scan() {
+		t.Fatalf("no serving line: %v", <-done)
+	}
+
+	line, _, _ := strings.Cut(stderr.String(), "\n")
+	rest, ok := strings.CutPrefix(line, "telemetry on http://127.0.0.1:")
+	port, _, _ := strings.Cut(rest, "/")
+	if !ok || port == "" || port == "0" {
+		t.Fatalf("stderr %q: no telemetry line with a bound port", stderr.String())
+	}
+	if want := "telemetry on http://127.0.0.1:" + port + "/metrics /healthz /readyz (pprof under /debug/pprof/)"; line != want {
+		t.Errorf("telemetry line %q, want %q", line, want)
+	}
+	resp, err := http.Get("http://127.0.0.1:" + port + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	var snapshot map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&snapshot)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Errorf("GET /metrics: status %d, decode error %v", resp.StatusCode, err)
+	}
+
+	cancel()
+	for lines.Scan() { // drain stdout so run can write its last line
+	}
+	if err := <-done; err != nil {
+		t.Errorf("run after cancel: %v", err)
+	}
+	stderr.seal()
+
+	if err := run(context.Background(), []string{"-zone", zonePath, "-origin", "gov.br", "-metrics", "127.0.0.1:port"}, io.Discard, io.Discard); err == nil || !strings.HasPrefix(err.Error(), "-metrics: ") {
+		t.Errorf("unbindable -metrics address: run returned %v, want a -metrics error", err)
+	}
+	if late := stderr.lateWrites(); late != 0 {
+		t.Errorf("%d writes to stderr after run returned", late)
 	}
 }
 

@@ -77,6 +77,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 const maxFailureStreak = 5
 
 func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // the telemetry endpoint serves until runDaemon returns
 	fs := flag.NewFlagSet("govmon run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	stateDir := fs.String("state", "", "state directory (required; survives restarts)")
@@ -115,7 +117,11 @@ func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		}
 		return nil
 	})
-	obs.ServeEndpoint(*metricsAddr, reg, health)
+	if bound, err := obs.ServeEndpoint(ctx, *metricsAddr, reg, health); err != nil {
+		return fmt.Errorf("-metrics: %w", err)
+	} else if bound != nil {
+		fmt.Fprintf(stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", bound)
+	}
 
 	fmt.Fprintf(stderr, "monitoring %d domains (epoch %d, interval %v, state %s)\n",
 		len(active.QueryList), m.Epoch(), *interval, *stateDir)

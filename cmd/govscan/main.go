@@ -78,6 +78,8 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // the telemetry endpoint serves until run returns
 	fs := flag.NewFlagSet("govscan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sim := fs.Bool("sim", true, "scan the synthetic world")
@@ -231,7 +233,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// wired, workers about to start. Liveness is process-up.
 		health := obs.NewHealth()
 		health.SetReady(true)
-		obs.ServeEndpoint(*metricsAddr, reg, health)
+		bound, err := obs.ServeEndpoint(ctx, *metricsAddr, reg, health)
+		if err != nil {
+			return fmt.Errorf("-metrics: %w", err)
+		}
+		fmt.Fprintf(stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", bound)
 	}
 
 	dest := *out

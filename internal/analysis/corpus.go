@@ -9,8 +9,8 @@ package analysis
 // lays NS records out as struct-of-arrays grouped by owner, and
 // precomputes the per-(domain, year) NS-count mode for every study
 // year in one event sweep over each owner's record-window edges (see
-// sweepModes) — replacing NSDaily's O(window) per-day increment loop
-// that the view-based analyses re-executed per figure per year.
+// sweepModes), for two edges per record instead of one step per active
+// day.
 // Year-invariant predicates (Mapper.CountryOf, Mapper.IsPrivateHost,
 // provider identification) are memoized per interned ID.
 //
@@ -22,9 +22,12 @@ package analysis
 // index-addressed output slots (the same index-ordered assembly
 // discipline as the scanner's per-domain fan-out), so a corpus and
 // everything computed from it are bit-identical across GOMAXPROCS
-// settings. The view-based implementations in this package are
-// retained as the reference slow path; TestCorpusDifferential pins
-// the equivalence.
+// settings.
+//
+// Equivalence is pinned, not assumed: every passive output over a set
+// of generated stores is frozen in testdata/corpus.golden.jsonl
+// (TestCorpusDifferential), and the per-(domain, year) mode is checked
+// against a per-day reference kept in mode_ref_test.go.
 
 import (
 	"fmt"
@@ -36,6 +39,7 @@ import (
 	"govdns/internal/dnswire"
 	"govdns/internal/pdns"
 	"govdns/internal/providers"
+	"govdns/internal/stats"
 )
 
 // Corpus is the compiled columnar form of one PDNS view. It is
@@ -59,8 +63,7 @@ type Corpus struct {
 
 	// NS records as struct-of-arrays grouped by owner: owner i's
 	// records occupy [nsOff[i], nsOff[i+1]), preserving the view's
-	// per-owner record order (sorted views keep rdata ascending, the
-	// order the reference implementations see).
+	// per-owner record order (sorted views keep rdata ascending).
 	nsOff   []int32
 	nsRData []int32
 	nsFirst []pdns.Day
@@ -78,9 +81,10 @@ type Corpus struct {
 	// mapper's country list (-1 = unmapped).
 	country []int32
 
-	// mode is the per-(owner, year) NS-count mode, row-major by owner;
-	// 0 means the domain had no active NS day that year (NSModeForYear
-	// !ok).
+	// mode is the per-(owner, year) NS-count mode, row-major by owner:
+	// among the days of the year with at least one NS record active, the
+	// number of records active on the most of them, the smaller number
+	// on a tie. 0 means the domain had no active NS day that year.
 	mode []int32
 
 	// activeNames counts, per year, the distinct owner names with any
@@ -321,8 +325,9 @@ func (c *Corpus) markYears(bits []uint64, first, last pdns.Day) {
 // segments at their sorted first and last+1 days; each segment credits
 // its length in days, split at year boundaries, to its running count
 // in the years it overlaps. A year's mode is then the count with the
-// most days, the smallest such count on a tie — exactly stats.Mode of
-// NSDaily, for 2 edges per record instead of one step per active day.
+// most days, the smallest such count on a tie — the mode of the
+// year's per-day counts, for 2 edges per record instead of one step per
+// active day.
 func (c *Corpus) sweepModes() {
 	spanFirst := c.yearFirst[0]
 	spanLast := c.yearLast[c.years-1]
@@ -387,8 +392,7 @@ func (c *Corpus) sweepModes() {
 				tally := days[y*stride : (y+1)*stride]
 				best, bestDays := 0, int32(0)
 				for v := 1; v < stride; v++ {
-					// Strict > keeps the smallest count on ties, matching
-					// stats.Mode.
+					// Strict > keeps the smallest count on ties.
 					if tally[v] > bestDays {
 						best, bestDays = v, tally[v]
 					}
@@ -402,7 +406,7 @@ func (c *Corpus) sweepModes() {
 
 // yearIndex converts a calendar year to the corpus row index, or
 // panics: serving a year outside the compiled span would silently
-// return zeros where the reference path computes real values.
+// return zeros for a year the view may well cover.
 func (c *Corpus) yearIndex(year int) int {
 	y := year - c.startYear
 	if y < 0 || y >= c.years {
@@ -420,9 +424,38 @@ func (c *Corpus) overlapsYear(r int32, y int) bool {
 	return c.nsFirst[r] <= c.yearLast[y] && c.yearFirst[y] <= c.nsLast[r]
 }
 
-// Yearly computes YearStats for every corpus year — the corpus-backed
-// fast path of PDNSYearly, sharded across years with index-ordered
-// assembly.
+// YearStats aggregates one study year of PDNS data (Figs. 2, 3, 7).
+// A domain counts in a year when it had an active NS record on at
+// least one day of it.
+type YearStats struct {
+	Year int
+	// Domains is the number of distinct names with active NS records.
+	Domains int
+	// Countries is the number of countries those names map to.
+	Countries int
+	// Nameservers is the number of distinct NS rdata strings active
+	// that year on those names.
+	Nameservers int
+	// SingleNS is the number of d_1NS domains (NS-count mode == 1).
+	SingleNS int
+	// SingleNSPrivate counts d_1NS whose nameserver is in-government.
+	SingleNSPrivate int
+	// PrivateAll counts all domains whose nameservers that year are all
+	// in-government: every active rdata parses and falls under the
+	// domain's government suffix.
+	PrivateAll int
+}
+
+// PrivateSinglePct returns the share of d_1NS using private deployments
+// (Fig. 7's upper series).
+func (y YearStats) PrivateSinglePct() float64 { return stats.Pct(y.SingleNSPrivate, y.SingleNS) }
+
+// PrivateAllPct returns the share of all domains on private deployments
+// (Fig. 7's lower series).
+func (y YearStats) PrivateAllPct() float64 { return stats.Pct(y.PrivateAll, y.Domains) }
+
+// Yearly computes YearStats for every corpus year, sharded across years
+// with index-ordered assembly.
 func (c *Corpus) Yearly() []YearStats {
 	out := make([]YearStats, c.years)
 	nCountries := 0
@@ -461,8 +494,8 @@ func (c *Corpus) Yearly() []YearStats {
 						private = false
 					}
 				}
-				// mode > 0 guarantees an overlapping record, so the
-				// reference path's anyHost condition always holds here.
+				// mode > 0 guarantees an overlapping record, so a
+				// private domain always has at least one host.
 				if private {
 					ys.PrivateAll++
 				}
@@ -479,8 +512,8 @@ func (c *Corpus) Yearly() []YearStats {
 	return out
 }
 
-// DomainsPerCountry returns each country's domain count for one year —
-// the corpus-backed fast path of the package-level DomainsPerCountry.
+// DomainsPerCountry returns each country's domain count for one year
+// (Fig. 4), keyed by country code; unmapped domains count nowhere.
 func (c *Corpus) DomainsPerCountry(year int) map[string]int {
 	y := c.yearIndex(year)
 	out := make(map[string]int)
@@ -496,10 +529,36 @@ func (c *Corpus) DomainsPerCountry(year int) map[string]int {
 	return out
 }
 
+// ChurnStats tracks the paper's Fig. 6 series for one year.
+type ChurnStats struct {
+	Year int
+	// Total is the number of d_1NS that year.
+	Total int
+	// New is how many were not d_1NS the previous year.
+	New int
+	// FromBase is how many were already d_1NS in the base year (2011).
+	FromBase int
+	// BaseGone is how many of the base year's d_1NS are no longer
+	// active (any NS count) this year.
+	BaseGone int
+	// BaseTotal is the base-year d_1NS population size.
+	BaseTotal int
+}
+
+// NewPct returns the share of this year's d_1NS that are new.
+func (c ChurnStats) NewPct() float64 { return stats.Pct(c.New, c.Total) }
+
+// FromBasePct returns the share of the base year's d_1NS still
+// single-NS this year.
+func (c ChurnStats) FromBasePct() float64 { return stats.Pct(c.FromBase, c.BaseTotal) }
+
+// BaseGonePct returns the share of the base year's d_1NS no longer
+// active.
+func (c ChurnStats) BaseGonePct() float64 { return stats.Pct(c.BaseGone, c.BaseTotal) }
+
 // SingleNSChurn computes the Fig. 6 churn/overlap series over the
-// corpus span (base year = the corpus start year) — the corpus-backed
-// fast path of the package-level SingleNSChurn, one pass over the
-// precomputed mode rows.
+// corpus span (base year = the corpus start year), one entry per year
+// after it, in one pass over the precomputed mode rows.
 func (c *Corpus) SingleNSChurn() []ChurnStats {
 	if c.years <= 1 {
 		return nil
@@ -538,10 +597,9 @@ func (c *Corpus) SingleNSChurn() []ChurnStats {
 }
 
 // NameserversPerYear returns the number of distinct NS rdata strings
-// active in each corpus year (Fig. 3's series over the whole view) —
-// the corpus-backed fast path of the package-level NameserversPerYear.
-// Distinctness per year is a bitset union over each rdata's record
-// windows.
+// active in each corpus year — Fig. 3's series over the whole view,
+// with no per-domain mode gating. Distinctness per year is a bitset
+// union over each rdata's record windows.
 func (c *Corpus) NameserversPerYear() []int {
 	out := make([]int, 0, c.years)
 	if c.years == 0 {

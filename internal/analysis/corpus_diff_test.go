@@ -1,20 +1,31 @@
 package analysis
 
-// The corpus-vs-reference differential harness: a seeded random store
-// generator exercises every corner the corpus must reproduce —
-// multi-NS and single-NS domains, provider hosts (exact-suffix and
-// regex families), private in-government hosts, unparseable rdata,
-// transient windows the stability filter drops, records straddling
-// year and study-span boundaries, unmapped owners, and non-NS types —
-// and every corpus-backed analysis must deep-equal its retained
-// view-based reference implementation, on both the stable and the raw
-// view. Runs under `make check` (and therefore under -race, which also
-// exercises the sharded compile).
+// The corpus golden harness: a seeded random store generator exercises
+// every corner the corpus must reproduce — multi-NS and single-NS
+// domains, provider hosts (exact-suffix and regex families), private
+// in-government hosts, unparseable rdata, transient windows the
+// stability filter drops, records straddling year and study-span
+// boundaries, unmapped owners, and non-NS types — and every passive
+// output the corpus computes, on both the stable and the raw view, must
+// match testdata/corpus.golden.jsonl byte for byte. The fixture was
+// written when the view-based reference implementations still stood
+// beside the corpus, and both produced exactly these bytes; an
+// intended change of output rewrites it with
+//
+//	go test ./internal/analysis -run TestCorpusDifferential -update
+//
+// and the diff is reviewed like code. The per-(domain, year) mode is
+// also checked against the per-day reference in mode_ref_test.go. Runs
+// under `make check` (and therefore under -race, which also exercises
+// the sharded compile).
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"os"
 	"testing"
 	"time"
 
@@ -23,6 +34,10 @@ import (
 	"govdns/internal/pdns"
 	"govdns/internal/providers"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+const corpusGolden = "testdata/corpus.golden.jsonl"
 
 // genHost picks an NS rdata from the corners of the labeling space.
 func genHost(rng *rand.Rand, owner dnsname.Name, suffix string, i int) string {
@@ -87,87 +102,124 @@ func genStore(seed int64) *pdns.Store {
 	return s
 }
 
+// goldenSeeds are the generated stores the fixture covers.
+var goldenSeeds = []int64{1, 7, 42, 1337}
+
+const goldenStart, goldenEnd = 2011, 2020
+
+// goldenLine is one passive output of one generated store's view.
+type goldenLine struct {
+	Seed   int64  `json:"seed"`
+	View   string `json:"view"`
+	Output string `json:"output"`
+	Value  any    `json:"value"`
+}
+
+// goldenViews returns a generated store's stable and raw views, in
+// fixture order.
+func goldenViews(seed int64) []struct {
+	name string
+	view *pdns.View
+} {
+	raw := pdns.NewView(genStore(seed).Snapshot())
+	return []struct {
+		name string
+		view *pdns.View
+	}{{"stable", raw.Stable(pdns.StabilityFilterDays)}, {"raw", raw}}
+}
+
+// corpusOutputs computes every fixture output of one view's corpus:
+// Figs. 2/3/7, Fig. 3's nameserver series, Fig. 4 for every year,
+// Fig. 6, Tables II and III and the per-country provider share for 2013
+// and 2020, the migration flows and the hijack forensics (the study
+// runs those on the raw view, but the outputs are pinned on both).
+func corpusOutputs(c *Corpus) []goldenLine {
+	catalog := providers.Default()
+	pa := NewProviderAnalysis(catalog, c.m, []string{"cn"})
+	out := []goldenLine{
+		{Output: "Yearly", Value: c.Yearly()},
+		{Output: "NameserversPerYear", Value: c.NameserversPerYear()},
+	}
+	for year := goldenStart; year <= goldenEnd; year++ {
+		out = append(out, goldenLine{Output: fmt.Sprintf("DomainsPerCountry/%d", year), Value: c.DomainsPerCountry(year)})
+	}
+	out = append(out, goldenLine{Output: "SingleNSChurn", Value: c.SingleNSChurn()})
+	for _, year := range []int{2013, goldenEnd} {
+		out = append(out,
+			goldenLine{Output: fmt.Sprintf("MajorProviders/%d", year), Value: pa.MajorProvidersCorpus(c, year)},
+			goldenLine{Output: fmt.Sprintf("TopProviders/%d", year), Value: pa.TopProvidersCorpus(c, year, 11)})
+		for _, code := range []string{"cn", "br"} {
+			out = append(out, goldenLine{Output: fmt.Sprintf("GovProviderShare/%d/%s", year, code), Value: pa.GovProviderShareCorpus(c, year, code)})
+		}
+	}
+	return append(out,
+		goldenLine{Output: fmt.Sprintf("ProviderFlows/2016-%d", goldenEnd), Value: c.ProviderFlows(catalog, 2016, goldenEnd)},
+		goldenLine{Output: "SuspiciousTransitions", Value: SuspiciousTransitionsCorpus(c, catalog, HijackForensicsConfig{})})
+}
+
+// encodeGolden renders one view's outputs as fixture lines.
+func encodeGolden(t *testing.T, seed int64, view string, lines []goldenLine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, l := range lines {
+		l.Seed, l.View = seed, view
+		if err := enc.Encode(l); err != nil {
+			t.Fatalf("encode %s: %v", l.Output, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestCorpusDifferential checks the corpus against the frozen fixture,
+// one subtest per (seed, view), and each owner's per-year mode against
+// the per-day reference.
 func TestCorpusDifferential(t *testing.T) {
-	const startYear, endYear = 2011, 2020
-	for _, seed := range []int64{1, 7, 42, 1337} {
-		seed := seed
+	want, err := os.ReadFile(corpusGolden)
+	if err != nil && !*updateGolden {
+		t.Fatalf("read fixture: %v", err)
+	}
+	wantLines := bytes.SplitAfter(want, []byte("\n"))
+	var all bytes.Buffer
+	line := 0
+	for _, seed := range goldenSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			store := genStore(seed)
-			m := testMapper()
-			catalog := providers.Default()
-			raw := pdns.NewView(store.Snapshot())
-			stable := raw.Stable(pdns.StabilityFilterDays)
-			views := []struct {
-				name string
-				view *pdns.View
-			}{{"stable", stable}, {"raw", raw}}
-			for _, v := range views {
-				v := v
+			for _, v := range goldenViews(seed) {
 				t.Run(v.name, func(t *testing.T) {
-					c := CompileCorpus(v.view, m, startYear, endYear)
-					pa := NewProviderAnalysis(catalog, m, []string{"cn"})
-
-					// Per-(domain, year) mode: the sweep against NSDaily.
-					idx := indexByDomain(v.view)
-					for _, name := range idx.names {
-						i := c.ownerID(name)
-						for year := startYear; year <= endYear; year++ {
-							want, ok := NSModeForYear(idx.sets[name], year)
-							if !ok {
-								want = 0
-							}
-							if got := int(c.modeAt(i, year-startYear)); got != want {
-								t.Fatalf("mode(%s, %d) = %d, want %d", name, year, got, want)
-							}
+					c := CompileCorpus(v.view, testMapper(), goldenStart, goldenEnd)
+					got := encodeGolden(t, seed, v.name, corpusOutputs(c))
+					all.Write(got)
+					for _, g := range bytes.SplitAfter(got, []byte("\n")) {
+						if len(g) == 0 {
+							continue
 						}
-					}
-
-					// Figs. 2/3/7.
-					if got, want := c.Yearly(), PDNSYearly(v.view, m, startYear, endYear); !reflect.DeepEqual(got, want) {
-						t.Errorf("Yearly diverges:\n got %+v\nwant %+v", got, want)
-					}
-					if got, want := c.NameserversPerYear(), NameserversPerYear(v.view, startYear, endYear); !reflect.DeepEqual(got, want) {
-						t.Errorf("NameserversPerYear diverges:\n got %v\nwant %v", got, want)
-					}
-
-					// Figs. 4 and 6 (every year, not just the usual ones).
-					for year := startYear; year <= endYear; year++ {
-						if got, want := c.DomainsPerCountry(year), DomainsPerCountry(v.view, m, year); !reflect.DeepEqual(got, want) {
-							t.Errorf("DomainsPerCountry(%d) diverges:\n got %v\nwant %v", year, got, want)
+						var w []byte
+						if line < len(wantLines) {
+							w = wantLines[line]
 						}
-					}
-					if got, want := c.SingleNSChurn(), SingleNSChurn(v.view, startYear, endYear); !reflect.DeepEqual(got, want) {
-						t.Errorf("SingleNSChurn diverges:\n got %+v\nwant %+v", got, want)
+						if !*updateGolden && !bytes.Equal(g, w) {
+							t.Errorf("%s:%d differs:\n got %s\nwant %s", corpusGolden, line+1, g, w)
+						}
+						line++
 					}
 
-					// Tables II/III and the per-country share.
-					for _, year := range []int{2013, endYear} {
-						if got, want := pa.MajorProvidersCorpus(c, year), pa.MajorProviders(v.view, year); !reflect.DeepEqual(got, want) {
-							t.Errorf("MajorProviders(%d) diverges:\n got %+v\nwant %+v", year, got, want)
-						}
-						if got, want := pa.TopProvidersCorpus(c, year, 11), pa.TopProviders(v.view, year, 11); !reflect.DeepEqual(got, want) {
-							t.Errorf("TopProviders(%d) diverges:\n got %+v\nwant %+v", year, got, want)
-						}
-						for _, code := range []string{"cn", "br"} {
-							if got, want := pa.GovProviderShareCorpus(c, year, code), pa.GovProviderShare(v.view, year, code); !reflect.DeepEqual(got, want) {
-								t.Errorf("GovProviderShare(%d, %s) diverges:\n got %v\nwant %v", year, code, got, want)
-							}
-						}
-					}
-
-					// Migration flows.
-					if got, want := c.ProviderFlows(catalog, 2016, endYear), ProviderFlows(v.view, m, catalog, 2016, endYear); !reflect.DeepEqual(got, want) {
-						t.Errorf("ProviderFlows diverges:\n got %+v\nwant %+v", got, want)
-					}
-
-					// Hijack forensics (the study runs this on raw, but the
-					// equivalence must hold for any view).
-					cfg := HijackForensicsConfig{}
-					if got, want := SuspiciousTransitionsCorpus(c, catalog, cfg), SuspiciousTransitions(v.view, m, catalog, cfg); !reflect.DeepEqual(got, want) {
-						t.Errorf("SuspiciousTransitions diverges:\n got %+v\nwant %+v", got, want)
-					}
+					// Per-(domain, year) mode: the sweep against the
+					// per-day reference.
+					checkModes(t, v.view, c, goldenStart, goldenEnd)
 				})
 			}
 		})
+	}
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(corpusGolden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if !bytes.Equal(all.Bytes(), want) {
+		t.Errorf("%s: %d bytes computed, %d in the fixture", corpusGolden, all.Len(), len(want))
 	}
 }

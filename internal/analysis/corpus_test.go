@@ -15,7 +15,7 @@ import (
 
 // TestCorpusModeHandCrafted pins the event sweep on the windows that
 // are easy to get wrong: year-boundary straddles, single-day records,
-// mode ties (stats.Mode breaks toward the smaller count), many
+// mode ties (the mode breaks toward the smaller count), many
 // concurrent records, windows clipped at either edge of the study
 // span, a leap year, and windows that abut without overlapping.
 func TestCorpusModeHandCrafted(t *testing.T) {
@@ -65,19 +65,7 @@ func TestCorpusModeHandCrafted(t *testing.T) {
 
 	view := pdns.NewView(s.Snapshot())
 	c := CompileCorpus(view, testMapper(), 2011, 2020)
-	idx := indexByDomain(view)
-	for _, name := range idx.names {
-		for year := 2011; year <= 2020; year++ {
-			want, ok := NSModeForYear(idx.sets[name], year)
-			if !ok {
-				want = 0
-			}
-			got := int(c.modeAt(c.ownerID(name), year-2011))
-			if got != want {
-				t.Errorf("mode(%s, %d) = %d, want %d", name, year, got, want)
-			}
-		}
-	}
+	checkModes(t, view, c, 2011, 2020)
 	if got := int(c.modeAt(c.ownerID("tie.gov.br."), 2016-2011)); got != 1 {
 		t.Errorf("tie mode = %d, want 1 (smaller value wins ties)", got)
 	}
@@ -253,4 +241,93 @@ func (c *Corpus) ownerID(name dnsname.Name) int {
 		panic(fmt.Sprintf("corpus has no owner %q", name))
 	}
 	return i
+}
+
+func buildTestPDNS() *pdns.Store {
+	s := pdns.NewStore()
+	// Stable 2-NS domain alive all decade.
+	s.ObserveRange("a.gov.br.", dnswire.TypeNS, "ns1.a.gov.br.", day(2011, 1, 1), day(2020, 12, 31))
+	s.ObserveRange("a.gov.br.", dnswire.TypeNS, "ns2.a.gov.br.", day(2011, 1, 1), day(2020, 12, 31))
+	// Single-NS private domain, 2011-2015 only.
+	s.ObserveRange("b.gov.br.", dnswire.TypeNS, "ns1.b.gov.br.", day(2011, 1, 1), day(2015, 6, 30))
+	// Single-NS provider domain appearing in 2016.
+	s.ObserveRange("c.gov.cn.", dnswire.TypeNS, "dns9.hichina.com.", day(2016, 3, 1), day(2020, 12, 31))
+	// Domain that migrated from a local hoster to Cloudflare in 2018.
+	s.ObserveRange("d.gob.mx.", dnswire.TypeNS, "ns1.hostmx1.com.", day(2012, 1, 1), day(2017, 12, 31))
+	s.ObserveRange("d.gob.mx.", dnswire.TypeNS, "ns2.hostmx1.com.", day(2012, 1, 1), day(2017, 12, 31))
+	s.ObserveRange("d.gob.mx.", dnswire.TypeNS, "art.ns.cloudflare.com.", day(2018, 1, 1), day(2020, 12, 31))
+	s.ObserveRange("d.gob.mx.", dnswire.TypeNS, "amy.ns.cloudflare.com.", day(2018, 1, 1), day(2020, 12, 31))
+	return s
+}
+
+func TestPDNSYearly(t *testing.T) {
+	view := pdns.NewView(buildTestPDNS().Snapshot())
+	m := testMapper()
+	years := CompileCorpus(view, m, 2011, 2020).Yearly()
+	if len(years) != 10 {
+		t.Fatalf("years = %d", len(years))
+	}
+	y2011 := years[0]
+	if y2011.Domains != 2 || y2011.Countries != 1 {
+		t.Errorf("2011 = %+v", y2011)
+	}
+	if y2011.SingleNS != 1 || y2011.SingleNSPrivate != 1 {
+		t.Errorf("2011 singles = %+v", y2011)
+	}
+	y2020 := years[9]
+	if y2020.Domains != 3 || y2020.Countries != 3 {
+		t.Errorf("2020 = %+v", y2020)
+	}
+	// c.gov.cn is single-NS but hosted at hichina (not private).
+	if y2020.SingleNS != 1 || y2020.SingleNSPrivate != 0 {
+		t.Errorf("2020 singles = %+v", y2020)
+	}
+	// ns1/ns2.a.gov.br, dns9.hichina.com, art/amy.ns.cloudflare.com.
+	if y2020.Nameservers != 5 {
+		t.Errorf("2020 nameservers = %d, want 5", y2020.Nameservers)
+	}
+	if y2020.PrivateAll != 1 {
+		t.Errorf("2020 private = %d, want 1 (a.gov.br)", y2020.PrivateAll)
+	}
+}
+
+func TestDomainsPerCountry(t *testing.T) {
+	view := pdns.NewView(buildTestPDNS().Snapshot())
+	c := CompileCorpus(view, testMapper(), 2011, 2020)
+	counts := c.DomainsPerCountry(2020)
+	if counts["br"] != 1 || counts["cn"] != 1 || counts["mx"] != 1 {
+		t.Errorf("counts = %v", counts)
+	}
+	counts2013 := c.DomainsPerCountry(2013)
+	if counts2013["br"] != 2 || counts2013["cn"] != 0 {
+		t.Errorf("2013 counts = %v", counts2013)
+	}
+}
+
+func TestSingleNSChurn(t *testing.T) {
+	s := pdns.NewStore()
+	// Base-year single that survives as a single through 2013.
+	s.ObserveRange("keep.gov.br.", dnswire.TypeNS, "ns1.keep.gov.br.", day(2011, 1, 1), day(2013, 12, 31))
+	// Base-year single that dies after 2011.
+	s.ObserveRange("gone.gov.br.", dnswire.TypeNS, "ns1.gone.gov.br.", day(2011, 1, 1), day(2011, 12, 31))
+	// New single appearing in 2012.
+	s.ObserveRange("new.gov.br.", dnswire.TypeNS, "ns1.new.gov.br.", day(2012, 2, 1), day(2013, 12, 31))
+
+	churn := CompileCorpus(pdns.NewView(s.Snapshot()), testMapper(), 2011, 2013).SingleNSChurn()
+	if len(churn) != 2 {
+		t.Fatalf("churn entries = %d", len(churn))
+	}
+	c2012 := churn[0]
+	if c2012.BaseTotal != 2 {
+		t.Errorf("BaseTotal = %d", c2012.BaseTotal)
+	}
+	if c2012.Total != 2 || c2012.New != 1 || c2012.FromBase != 1 {
+		t.Errorf("2012 churn = %+v", c2012)
+	}
+	if c2012.BaseGone != 1 {
+		t.Errorf("2012 BaseGone = %d, want 1", c2012.BaseGone)
+	}
+	if c2012.NewPct() != 50 || c2012.FromBasePct() != 50 || c2012.BaseGonePct() != 50 {
+		t.Errorf("2012 percentages: %v %v %v", c2012.NewPct(), c2012.FromBasePct(), c2012.BaseGonePct())
+	}
 }

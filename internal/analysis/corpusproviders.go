@@ -1,21 +1,120 @@
 package analysis
 
-// Corpus-backed fast paths for the provider analyses (Tables II/III,
-// the gov.cn share, the Fig. § IV-B migration flows) and the § V-A
-// hijack forensics. Each mirrors its view-based reference
-// implementation record for record; TestCorpusDifferential pins the
-// equivalence. Provider identification (catalog.Identify, GroupLabel)
-// and the nameserver registrable domain are year-invariant per rdata,
-// so they are memoized once per (corpus, catalog) pair.
+// The provider analyses over the corpus (Tables II/III, the gov.cn
+// share, the § IV-B migration flows) and the § V-A hijack forensics.
+// testdata/corpus.golden.jsonl pins every output
+// (TestCorpusDifferential). Provider identification (catalog.Identify,
+// GroupLabel) and the nameserver registrable domain are year-invariant
+// per rdata, so they are memoized once per (corpus, catalog) pair.
 
 import (
 	"slices"
 	"sort"
 
 	"govdns/internal/dnsname"
+	"govdns/internal/pdns"
 	"govdns/internal/providers"
 	"govdns/internal/stats"
 )
+
+// ProviderUsage is one provider's footprint in one year (a Table II or
+// Table III row).
+type ProviderUsage struct {
+	// Label identifies the provider (display name or nameserver-domain
+	// group).
+	Label string
+	// Domains uses the provider for at least one nameserver.
+	Domains int
+	// DomainsPct is Domains over all domains active that year.
+	DomainsPct float64
+	// SingleProvider counts d_1P: domains relying on this provider for
+	// every nameserver.
+	SingleProvider int
+	// SingleProviderPct is SingleProvider over all domains that year.
+	SingleProviderPct float64
+	// SubRegions is the number of Table II groups with at least one
+	// using domain; SubRegionsPct is its share of all groups.
+	SubRegions    int
+	SubRegionsPct float64
+	// Countries is the number of countries with at least one using
+	// domain.
+	Countries int
+}
+
+// nonProviderLabel marks hosts outside the label set of interest
+// inside a domain's per-year label set: it makes such hosts defeat the
+// single-provider test without ever being aggregated as a provider.
+// The NUL prefix keeps it from colliding with any real label.
+const nonProviderLabel = "\x00other"
+
+// providerYear indexes one year of provider usage.
+type providerYear struct {
+	totalDomains int
+	totalGroups  int
+	// perLabel aggregates domains/d1P/groups/countries by label.
+	domains   map[string]int
+	d1p       map[string]int
+	groups    map[string]map[string]bool
+	countries map[string]map[string]bool
+}
+
+// ProviderAnalysis computes provider usage from a PDNS corpus.
+type ProviderAnalysis struct {
+	catalog *providers.Catalog
+	mapper  *Mapper
+	grouper map[string]string
+	nGroups int
+}
+
+// NewProviderAnalysis builds the analysis with the paper's grouping (top
+// country codes become singleton groups).
+func NewProviderAnalysis(catalog *providers.Catalog, m *Mapper, topCodes []string) *ProviderAnalysis {
+	grouper, n := m.Groups(topCodes)
+	return &ProviderAnalysis{catalog: catalog, mapper: m, grouper: grouper, nGroups: n}
+}
+
+func (py *providerYear) usage(label string) ProviderUsage {
+	return ProviderUsage{
+		Label:             label,
+		Domains:           py.domains[label],
+		DomainsPct:        stats.Pct(py.domains[label], py.totalDomains),
+		SingleProvider:    py.d1p[label],
+		SingleProviderPct: stats.Pct(py.d1p[label], py.totalDomains),
+		SubRegions:        len(py.groups[label]),
+		SubRegionsPct:     stats.Pct(len(py.groups[label]), py.totalGroups),
+		Countries:         len(py.countries[label]),
+	}
+}
+
+// majorRows turns one year's usage index into the Table II rows (one
+// per major provider, sorted by label).
+func (pa *ProviderAnalysis) majorRows(py *providerYear) []ProviderUsage {
+	var out []ProviderUsage
+	for _, p := range pa.catalog.Major() {
+		out = append(out, py.usage(p.Display))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
+	return out
+}
+
+// topRows turns one year's usage index into the Table III rows (every
+// group ranked by countries served, then by domains, top n).
+func topRows(py *providerYear, n int) []ProviderUsage {
+	var out []ProviderUsage
+	for _, label := range sortedKeys(py.countries) {
+		out = append(out, py.usage(label))
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Countries != out[j].Countries {
+			return out[i].Countries > out[j].Countries
+		}
+		return out[i].Domains > out[j].Domains
+	})
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
 
 // rdataLabels memoizes the catalog verdicts for every interned rdata:
 // each distinct NS hostname is classified exactly once per corpus.
@@ -76,10 +175,12 @@ func (pa *ProviderAnalysis) mustMatch(c *Corpus) {
 	}
 }
 
-// yearUsageCorpus is yearUsage over the corpus: same per-domain label
-// sets (records that fail to parse contribute nothing; non-provider
-// hosts collapse to nonProviderLabel), same aggregation, no re-parsing
-// and no NSDaily recomputation.
+// yearUsageCorpus indexes one year's usage per label over the domains
+// active that year. label maps an rdata ID to a provider label ("" =
+// not a provider). A domain's label set holds the labels of its active
+// NS records that parse; a non-provider host adds nonProviderLabel,
+// which is never aggregated but makes the domain's single-provider
+// test fail.
 func (pa *ProviderAnalysis) yearUsageCorpus(c *Corpus, year int, label func(id int32) string) *providerYear {
 	pa.mustMatch(c)
 	y := c.yearIndex(year)
@@ -145,21 +246,27 @@ func (pa *ProviderAnalysis) yearUsageCorpus(c *Corpus, year int, label func(id i
 	return py
 }
 
-// MajorProvidersCorpus is MajorProviders (Table II) over the corpus.
+// MajorProvidersCorpus computes Table II: usage of the catalog's major
+// providers in the given year.
 func (pa *ProviderAnalysis) MajorProvidersCorpus(c *Corpus, year int) []ProviderUsage {
 	lb := c.labelsFor(pa.catalog)
 	py := pa.yearUsageCorpus(c, year, lb.display)
 	return pa.majorRows(py)
 }
 
-// TopProvidersCorpus is TopProviders (Table III) over the corpus.
+// TopProvidersCorpus computes Table III: every nameserver-domain group
+// ranked by the number of countries served, top n (n <= 0 keeps all).
 func (pa *ProviderAnalysis) TopProvidersCorpus(c *Corpus, year, n int) []ProviderUsage {
 	lb := c.labelsFor(pa.catalog)
 	py := pa.yearUsageCorpus(c, year, func(id int32) string { return lb.group[id] })
 	return topRows(py, n)
 }
 
-// GovProviderShareCorpus is GovProviderShare over the corpus.
+// GovProviderShareCorpus returns, for one country, the share of that
+// country's active domains using each provider group (the paper's
+// gov.cn hichina 38% / xincache 19% / dns-diy 10.8% observation).
+// Only catalog providers count; shares are over the country's domains
+// in the given year.
 func (pa *ProviderAnalysis) GovProviderShareCorpus(c *Corpus, year int, code string) map[string]float64 {
 	pa.mustMatch(c)
 	lb := c.labelsFor(pa.catalog)
@@ -198,12 +305,30 @@ func (pa *ProviderAnalysis) GovProviderShareCorpus(c *Corpus, year int, code str
 	return out
 }
 
-// hostingLabelAt mirrors hostingLabel over the corpus: records that
-// fail to parse are skipped entirely (they neither identify a provider
-// nor disqualify privateness — the flows analysis differs from
-// PDNSYearly here, and the corpus path preserves that), found is the
-// first identified provider in record order, and mode > 0 stands in
-// for "any active NS record".
+// ProviderFlow counts domains that moved between two hosting labels
+// between two years — the migration behind the § IV-B centralization
+// story (who the cloud providers' customers came from).
+type ProviderFlow struct {
+	// From and To are hosting labels: a provider display name,
+	// "private" (in-government), or "other" (unrecognized third party).
+	From, To string
+	// Domains is how many domains made this move.
+	Domains int
+}
+
+// Hosting labels for domains outside the provider catalog.
+const (
+	LabelPrivate = "private"
+	LabelOther   = "other"
+)
+
+// hostingLabelAt classifies owner i's hosting in year row y by its
+// active NS records: the first catalog provider in record order if any
+// host matches one, else private if every host is in-government, else
+// other; ok is false when the domain had no active NS record. Records
+// that fail to parse are skipped entirely: they neither identify a
+// provider nor disqualify privateness (Yearly's PrivateAll counts them
+// as not private).
 func (c *Corpus) hostingLabelAt(i, y int, lb *rdataLabels) (string, bool) {
 	if c.modeAt(i, y) == 0 {
 		return "", false
@@ -235,8 +360,10 @@ func (c *Corpus) hostingLabelAt(i, y int, lb *rdataLabels) (string, bool) {
 	}
 }
 
-// ProviderFlows is the package-level ProviderFlows over the corpus:
-// the § IV-B hosting-migration matrix between two study years.
+// ProviderFlows compares hosting labels between two study years and
+// returns the § IV-B migration matrix, largest flows first. Domains
+// active in only one of the years are ignored (births and deaths are
+// not migrations).
 func (c *Corpus) ProviderFlows(catalog *providers.Catalog, yearA, yearB int) []ProviderFlow {
 	lb := c.labelsFor(catalog)
 	ya, yb := c.yearIndex(yearA), c.yearIndex(yearB)
@@ -266,9 +393,60 @@ func (c *Corpus) ProviderFlows(catalog *providers.Catalog, yearA, yearB int) []P
 	return out
 }
 
-// SuspiciousTransitionsCorpus is SuspiciousTransitions over a corpus
-// compiled from the RAW view (the stability filter would erase the
-// evidence). The nameserver-domain spread is counted per owner group —
+// The paper's § V-A leaves as future work the question of whether
+// hijacking attacks can be detected in historical PDNS data, noting that
+// legitimate infrastructure changes make verification hard. This
+// analysis implements a conservative forensic heuristic over the RAW
+// (unfiltered) passive-DNS view: a takeover candidate is a short-lived
+// NS record set whose nameserver domain is
+//
+//   - outside the victim's government suffix (not an internal move),
+//   - not a known provider from the catalog (not a managed-DNS trial),
+//   - and used by almost no other domain in the dataset (real hosters
+//     serve many customers; attacker infrastructure serves few).
+//
+// Legitimate short-lived records — DDoS-protection flips, provider
+// trials — fail the popularity or catalog test, which is what keeps the
+// false-positive rate workable.
+
+// SuspiciousTransition is one takeover candidate.
+type SuspiciousTransition struct {
+	// Domain is the possible victim.
+	Domain dnsname.Name
+	// NSDomain is the suspicious nameserver domain.
+	NSDomain dnsname.Name
+	// From and To bound the window the records were seen.
+	From, To pdns.Day
+	// DurationDays is the window length.
+	DurationDays int
+}
+
+// HijackForensicsConfig tunes the detector.
+type HijackForensicsConfig struct {
+	// MaxDurationDays is the longest window still considered transient
+	// (default 45).
+	MaxDurationDays int
+	// MaxNSDomainSpread is the largest number of distinct domains a
+	// nameserver domain may serve and still look like attacker
+	// infrastructure (default 3).
+	MaxNSDomainSpread int
+}
+
+func (c HijackForensicsConfig) withDefaults() HijackForensicsConfig {
+	if c.MaxDurationDays == 0 {
+		c.MaxDurationDays = 45
+	}
+	if c.MaxNSDomainSpread == 0 {
+		c.MaxNSDomainSpread = 3
+	}
+	return c
+}
+
+// SuspiciousTransitionsCorpus hunts a corpus compiled from the RAW view
+// (the stability filter would erase the evidence) for takeover
+// candidates: per (domain, nameserver domain), the merged window of its
+// qualifying records, sorted by domain then nameserver domain. The
+// nameserver-domain spread is counted per owner group —
 // the corpus stores each owner's records contiguously in ascending
 // owner order, so one last-owner slot per nameserver domain counts
 // distinct owners without a set. Record windows in the corpus are

@@ -1,7 +1,6 @@
 package authserver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -13,8 +12,8 @@ import (
 )
 
 // UDPServer serves one authoritative Server over a real UDP socket. It is
-// used by cmd/dnsserver, the live-resolution example, and the loopback
-// serving tier behind the e2e differentials and the bench/ workloads
+// used by cmd/dnsserver and the loopback serving tier behind the e2e
+// differentials and the bench/ workloads
 // scan_udp_loopback and serve_zipf; the bulk study runs over the
 // in-memory network instead.
 type UDPServer struct {
@@ -126,59 +125,3 @@ func (u *UDPServer) loop() {
 		}
 	}
 }
-
-// UDPTransport is a resolver transport that sends queries over real UDP
-// sockets, one dialed socket per exchange. It is the slow, portable
-// reference path: every query pays socket setup and teardown and a
-// connect/send/recv syscall sequence, which is exactly why it makes a
-// trustworthy oracle for udpx.BatchTransport — the e2e differential
-// suite pins the batched path's scan digests against this one's
-// (TestScanDigestBatchVsDial in internal/measure). No command
-// constructs it: real-network scans always run over udpx, and this type
-// stays for that differential and this package's own tests.
-//
-// Queries go to port 53 unless the server's IP has an entry in
-// AddrOverride; tests run UDPServer instances on loopback high ports
-// while the resolver keeps addressing servers by their nominal
-// (possibly simulated-topology) IPs.
-type UDPTransport struct {
-	// AddrOverride maps a server IP to the socket actually serving it.
-	AddrOverride map[netip.Addr]netip.AddrPort
-}
-
-// Exchange implements the resolver transport over UDP. The returned
-// buffer comes from the shared datagram pool; the resolver returns it
-// through ReleaseResponse once decoded.
-func (t *UDPTransport) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
-	target, ok := t.AddrOverride[server]
-	if !ok {
-		target = netip.AddrPortFrom(server, 53)
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "udp", target.String())
-	if err != nil {
-		return nil, fmt.Errorf("authserver: dial %s: %w", server, err)
-	}
-	defer func() { _ = conn.Close() }()
-
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return nil, fmt.Errorf("authserver: set deadline: %w", err)
-		}
-	}
-	if _, err := conn.Write(query); err != nil {
-		return nil, fmt.Errorf("authserver: send: %w", err)
-	}
-	buf := pktbuf.Get()
-	n, err := conn.Read(buf)
-	if err != nil {
-		pktbuf.Put(buf)
-		return nil, fmt.Errorf("authserver: receive: %w", err)
-	}
-	return buf[:n], nil
-}
-
-// ReleaseResponse returns a buffer handed out by Exchange to the
-// datagram pool (resolver.ResponseReleaser). Foreign buffers are
-// recognized by capacity and left to the GC.
-func (t *UDPTransport) ReleaseResponse(buf []byte) { pktbuf.Put(buf) }

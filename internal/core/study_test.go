@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"govdns/internal/analysis"
 )
 
 // testStudy runs the complete pipeline once per test binary at a small
@@ -306,44 +307,47 @@ func TestWriteCSVs(t *testing.T) {
 	}
 }
 
-// TestStudyCorpusMatchesReference is the study-level differential: on
-// a generated world (not just the random stores the analysis package's
-// harness uses), every corpus-backed Study method must return exactly
-// what the retained view-based reference implementation returns.
+// studyPassiveDigest is the sha256 of studyPassiveSurface's output at
+// seed 7, scale 0.01 with 5 hijack events. It was frozen when the
+// view-based reference implementations still stood beside the corpus
+// and both produced exactly these bytes; a change to any passive
+// figure on a generated world moves it.
+const studyPassiveDigest = "4e4efd29a788ef21426b9abcc46c7cb676592fda6e2625632b05d06b918ac8bf"
+
+// studyPassiveSurface writes every corpus-backed Study output as one
+// JSON line each: Figs. 2/3/7, Fig. 3's nameserver series, Fig. 4 and
+// Fig. 6, Tables II and III for the first and last study year, the top
+// country's provider share, the migration flows across the span and
+// the hijack forensics.
+func studyPassiveSurface(t *testing.T, s *Study) []byte {
+	t.Helper()
+	start, end := s.StartYear(), s.EndYear()
+	found, _ := s.HijackForensics()
+	outputs := []any{s.Fig2And3(), s.NameserversPerYear(), s.Fig4(), s.Fig6()}
+	for _, year := range []int{start, end} {
+		outputs = append(outputs, s.Table2(year), s.Table3(year, 11))
+	}
+	outputs = append(outputs,
+		s.GovProviderShare(end, s.Top10()[0]), s.ProviderFlows(start, end), found)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, out := range outputs {
+		if err := enc.Encode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestStudyCorpusMatchesReference is the study-level check: on a
+// generated world (not just the random stores the analysis package's
+// fixture covers), every corpus-backed Study output must hash to the
+// frozen reference digest.
 func TestStudyCorpusMatchesReference(t *testing.T) {
 	s := NewStudy(Config{Seed: 7, Scale: 0.01, HijackEvents: 5})
-	start, end := s.StartYear(), s.EndYear()
-
-	if got, want := s.Fig2And3(), analysis.PDNSYearly(s.StableView, s.Mapper, start, end); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig2And3 diverges from PDNSYearly:\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := s.NameserversPerYear(), analysis.NameserversPerYear(s.StableView, start, end); !reflect.DeepEqual(got, want) {
-		t.Errorf("NameserversPerYear diverges:\n got %v\nwant %v", got, want)
-	}
-	if got, want := s.Fig4(), analysis.DomainsPerCountry(s.StableView, s.Mapper, end); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig4 diverges from DomainsPerCountry:\n got %v\nwant %v", got, want)
-	}
-	if got, want := s.Fig6(), analysis.SingleNSChurn(s.StableView, start, end); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig6 diverges from SingleNSChurn:\n got %+v\nwant %+v", got, want)
-	}
-	for _, year := range []int{start, end} {
-		if got, want := s.Table2(year), s.pa.MajorProviders(s.StableView, year); !reflect.DeepEqual(got, want) {
-			t.Errorf("Table2(%d) diverges:\n got %+v\nwant %+v", year, got, want)
-		}
-		if got, want := s.Table3(year, 11), s.pa.TopProviders(s.StableView, year, 11); !reflect.DeepEqual(got, want) {
-			t.Errorf("Table3(%d) diverges:\n got %+v\nwant %+v", year, got, want)
-		}
-	}
-	code := s.Top10()[0]
-	if got, want := s.GovProviderShare(end, code), s.pa.GovProviderShare(s.StableView, end, code); !reflect.DeepEqual(got, want) {
-		t.Errorf("GovProviderShare(%s) diverges:\n got %v\nwant %v", code, got, want)
-	}
-	if got, want := s.ProviderFlows(start, end), analysis.ProviderFlows(s.StableView, s.Mapper, s.Catalog, start, end); !reflect.DeepEqual(got, want) {
-		t.Errorf("ProviderFlows diverges:\n got %+v\nwant %+v", got, want)
-	}
-	found, _ := s.HijackForensics()
-	if want := analysis.SuspiciousTransitions(s.RawView, s.Mapper, s.Catalog, analysis.HijackForensicsConfig{}); !reflect.DeepEqual(found, want) {
-		t.Errorf("HijackForensics diverges:\n got %+v\nwant %+v", found, want)
+	sum := sha256.Sum256(studyPassiveSurface(t, s))
+	if got := hex.EncodeToString(sum[:]); got != studyPassiveDigest {
+		t.Errorf("passive surface digest = %s, want %s", got, studyPassiveDigest)
 	}
 }
 

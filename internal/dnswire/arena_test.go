@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -279,6 +280,60 @@ func TestArenaFinishClearsWhatItUsed(t *testing.T) {
 	for i, rr := range a.sec {
 		if rr != (RR{}) {
 			t.Fatalf("recycled arena still holds RRBuf record %d: %v", i, rr)
+		}
+	}
+}
+
+// TestArenaRecycleClearsSlabs: a recycled arena's payload slabs hold
+// nothing up to their capacity. A large message of every pointer-holding
+// payload type is decoded before a small one on the same arena, so the
+// cells past the small message's length were filled by the earlier
+// decode, and it is the reset at each decode that must have cleared
+// them.
+func TestArenaRecycleClearsSlabs(t *testing.T) {
+	const n = 30 // 8n records stay under the arena's retention cap
+	big := NewResponse(NewQuery(1, "big.example.", TypeANY))
+	for i := range n {
+		host := dnsname.Name(fmt.Sprintf("h%d.big.example.", i))
+		big.Answers = append(big.Answers,
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: NSData{Host: host}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: CNAMEData{Target: host}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: PTRData{Target: host}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: MXData{Preference: 10, Exchange: host}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: TXTData{Strings: []string{string(host)}}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: SOAData{MName: host, RName: host, Serial: 1}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: CSYNCData{Serial: 1, Types: []Type{TypeNS}}},
+			RR{Name: "big.example.", Class: ClassIN, TTL: 1, Data: OpaqueData{RRType: Type(65280), Bytes: []byte{byte(i)}}})
+	}
+	bigWire, small := mustEncode(t, big), mustEncode(t, referralResponse())
+
+	pool := NewPool()
+	a := pool.Get()
+	if _, err := a.Decode(bigWire); err != nil {
+		t.Fatalf("Decode big: %v", err)
+	}
+	if _, err := a.Decode(small); err != nil {
+		t.Fatalf("Decode small: %v", err)
+	}
+	a.Finish()
+	if st := pool.Stats(); st.Recycles != 1 {
+		t.Fatalf("pool stats %+v: the arena was not recycled", st)
+	}
+	s := &a.slabs
+	for name, cells := range map[string]reflect.Value{
+		"ns": reflect.ValueOf(s.ns), "cname": reflect.ValueOf(s.cname), "ptr": reflect.ValueOf(s.ptr),
+		"mx": reflect.ValueOf(s.mx), "txt": reflect.ValueOf(s.txt), "soa": reflect.ValueOf(s.soa),
+		"csync": reflect.ValueOf(s.csync), "opaque": reflect.ValueOf(s.opaque),
+	} {
+		if cells.Cap() < n {
+			t.Errorf("%s slab capacity %d: the big message did not land in it", name, cells.Cap())
+		}
+		cells = cells.Slice(0, cells.Cap())
+		for i := range cells.Len() {
+			if !cells.Index(i).IsZero() {
+				t.Errorf("recycled arena's %s slab still holds cell %d: %+v", name, i, cells.Index(i))
+				break
+			}
 		}
 	}
 }

@@ -71,24 +71,32 @@ type rdataSlabs struct {
 	opaque []OpaqueData
 }
 
-// reset truncates all slabs for the next decode. Cells stay allocated;
-// their previous contents are dead under the borrow contract.
+// reset truncates every slab for the next decode. The slabs whose
+// payloads hold names or slices clear their used cells first, so no
+// cell past a slab's length ever pins a payload from an earlier
+// message; AData and AAAAData hold only addresses, which pin nothing.
 func (s *rdataSlabs) reset() {
-	s.ns = s.ns[:0]
-	s.cname = s.cname[:0]
-	s.ptr = s.ptr[:0]
+	s.ns = clearUsed(s.ns)
+	s.cname = clearUsed(s.cname)
+	s.ptr = clearUsed(s.ptr)
 	s.a = s.a[:0]
 	s.aaaa = s.aaaa[:0]
-	s.mx = s.mx[:0]
-	s.txt = s.txt[:0]
-	s.soa = s.soa[:0]
-	s.csync = s.csync[:0]
-	s.opaque = s.opaque[:0]
+	s.mx = clearUsed(s.mx)
+	s.txt = clearUsed(s.txt)
+	s.soa = clearUsed(s.soa)
+	s.csync = clearUsed(s.csync)
+	s.opaque = clearUsed(s.opaque)
 }
 
-// recycle clears cell contents (dropping name and slice references a
-// pooled arena would otherwise pin) and reports whether the slabs are
-// small enough to retain.
+// clearUsed zeroes a slab's cells and truncates it.
+func clearUsed[T any](slab []T) []T {
+	clear(slab)
+	return slab[:0]
+}
+
+// recycle reports whether the slabs are small enough to retain and, if
+// they are, resets them: every cell up to capacity is then zero, since
+// reset left each earlier decode's cells cleared too.
 func (s *rdataSlabs) recycle() bool {
 	if cap(s.ns) > maxRetainedRRs || cap(s.cname) > maxRetainedRRs ||
 		cap(s.ptr) > maxRetainedRRs || cap(s.a) > maxRetainedRRs ||
@@ -97,14 +105,6 @@ func (s *rdataSlabs) recycle() bool {
 		cap(s.csync) > maxRetainedRRs || cap(s.opaque) > maxRetainedRRs {
 		return false
 	}
-	clear(s.ns[:cap(s.ns)])
-	clear(s.cname[:cap(s.cname)])
-	clear(s.ptr[:cap(s.ptr)])
-	clear(s.mx[:cap(s.mx)])
-	clear(s.txt[:cap(s.txt)])
-	clear(s.soa[:cap(s.soa)])
-	clear(s.csync[:cap(s.csync)])
-	clear(s.opaque[:cap(s.opaque)])
 	s.reset()
 	return true
 }

@@ -1,14 +1,10 @@
 package measure
 
-// End-to-end differential for the batched UDP transport: the same
-// miniworld loopback serving tier is scanned through the
-// dial-per-exchange reference transport and through udpx.BatchTransport
-// — shared sockets, sendmmsg/recvmmsg batching, QID rewriting,
-// per-exchange deadline timers — and the scan digests must be bit-identical, clean and under
-// content-keyed chaos, and across a kill/checkpoint/resume. Everything
-// the batched path does differently (its own wire transaction IDs, the
-// demux table, pooled buffers recycled through ReleaseResponse) must be
-// invisible to the measurement.
+// The batched UDP transport under the rest of the e2e suite: the
+// adapter that gives it simnet's failure semantics, the content-keyed
+// chaos profile the real-socket differentials share, a kill/checkpoint/
+// resume round trip over real sockets, and the error text of a server
+// that never answers.
 
 import (
 	"context"
@@ -16,7 +12,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"govdns/internal/authserver"
 	"govdns/internal/chaos"
 	"govdns/internal/dnsname"
 	"govdns/internal/miniworld"
@@ -26,8 +21,8 @@ import (
 )
 
 // normalizedBatch adapts udpx.BatchTransport to simnet's failure
-// semantics, exactly as normalizedUDP does for the dial transport: any
-// transport-level failure blocks until the context expires and then
+// semantics so error *text* — which feeds the digest — matches exactly:
+// any transport-level failure blocks until the context expires and then
 // reports simnet's dropped-packet error byte for byte, and addresses
 // with no serving socket behave like simnet blackholes. Buffer releases
 // forward to the pooled transport.
@@ -72,10 +67,10 @@ func batchOver(t *testing.T, override map[netip.Addr]netip.AddrPort, portable bo
 	return &normalizedBatch{inner: tr, override: override}
 }
 
-// batchChaosProfile is the serving-tier differential's content-keyed
-// fault schedule, reused verbatim: timing-independent classes only, so
-// under a serial scan the draw sequence is a pure function of the query
-// stream every transport shares.
+// batchChaosProfile is the real-socket suites' content-keyed fault
+// schedule: timing-independent classes only, so under a serial scan the
+// draw sequence — and each damaged response — is a pure function of the
+// query stream every transport shares.
 func batchChaosProfile() map[dnsname.Name][]chaos.Rule {
 	return map[dnsname.Name][]chaos.Rule{
 		"ns1.city.gov.br.":   {chaos.Persistent(chaos.Truncate, 1)},
@@ -86,64 +81,6 @@ func batchChaosProfile() map[dnsname.Name][]chaos.Rule {
 }
 
 const batchChaosSeed = 11
-
-// TestScanDigestBatchVsDial is the tentpole differential: over one
-// shared set of loopback servers, the dial-per-exchange scan and the
-// batched scan must produce bit-identical digests — clean, and under
-// the content-keyed chaos profile. The batched run covers both of its
-// I/O paths: the OS sendmmsg/recvmmsg batches and the portable
-// per-datagram loops.
-func TestScanDigestBatchVsDial(t *testing.T) {
-	w := miniworld.Build()
-	domains := miniworld.Domains()
-	override := serveWorldOverride(t, w)
-	rules := w.ChaosRules(batchChaosProfile())
-
-	dial := &normalizedUDP{inner: &authserver.UDPTransport{AddrOverride: override}}
-	dialClean := scanTuned(t, dial, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-	wantClean := DigestHex(dialClean)
-
-	dialChaosTr := chaos.Wrap(dial, batchChaosSeed, rules...)
-	dialChaos := scanTuned(t, dialChaosTr, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-	if dialChaosTr.Stats().Total() == 0 {
-		t.Fatal("chaos injected nothing on the dial run; the test is vacuous")
-	}
-	wantChaos := DigestHex(dialChaos)
-
-	for _, tc := range []struct {
-		name     string
-		portable bool
-	}{
-		{"os", false},
-		{"portable", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			batch := batchOver(t, override, tc.portable)
-			batchClean := scanTuned(t, batch, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-			if got := DigestHex(batchClean); got != wantClean {
-				t.Errorf("clean batch scan digest = %s, want dial's %s", got, wantClean)
-				for i, r := range batchClean {
-					t.Logf("  batch %s: class=%s err=%q | dial err=%q",
-						r.Domain, r.Classify(), r.Err, dialClean[i].Err)
-				}
-			}
-
-			batchChaosTr := chaos.Wrap(batchOver(t, override, tc.portable), batchChaosSeed, rules...)
-			batchChaos := scanTuned(t, batchChaosTr, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-			if batchChaosTr.Stats().Total() == 0 {
-				t.Fatal("chaos injected nothing on the batch run; the test is vacuous")
-			}
-			if got := DigestHex(batchChaos); got != wantChaos {
-				t.Errorf("chaos batch scan digest = %s, want dial's %s", got, wantChaos)
-				for i, r := range batchChaos {
-					t.Logf("  batch %s: class=%s err=%q faults=%+v | dial class=%s err=%q",
-						r.Domain, r.Classify(), r.Err, r.Faults,
-						dialChaos[i].Classify(), dialChaos[i].Err)
-				}
-			}
-		})
-	}
-}
 
 // batchStreamScanner is streamScanner at the e2e deadline: fresh client
 // and iterator per run (no resolver cache leaks across the kill),
@@ -160,8 +97,8 @@ func batchStreamScanner(tr resolver.Transport, roots []netip.Addr) *Scanner {
 	return s
 }
 
-// TestScanStreamKillResumeBatchUDP closes the differential triangle:
-// the batched transport under the PR 8 checkpoint pipeline. A streamed
+// TestScanStreamKillResumeBatchUDP runs the batched transport under the
+// checkpoint pipeline. A streamed
 // scan over real sockets is killed mid-flight and resumed from its
 // checkpoint, and the merged archive must be bit-identical to the
 // uninterrupted batched run — clean and under the content-keyed chaos

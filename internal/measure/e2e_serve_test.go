@@ -1,52 +1,29 @@
 package measure
 
-// End-to-end differential for the serving tier: the chaos-profiled
-// scanner runs twice over the same miniworld servers — once through the
-// in-memory simulated network, once through real UDP sockets fronting
-// the same authserver instances — and the scan digests must be
-// bit-identical. Anything the socket path adds (kernel buffers, real
-// read deadlines, the UDP serving loop's buffer reuse) must be invisible
-// to the measurement.
+// End-to-end differential for the real-socket path: the serial scanner
+// runs over the miniworld's servers through the in-memory simulated
+// network — the reference, computed in-process — and through
+// udpx.BatchTransport against the same authserver instances on
+// loopback UDP sockets, and the scan digests must be bit-identical,
+// clean and under a content-keyed chaos profile. Everything the socket
+// path adds (kernel buffers, shared sockets, sendmmsg/recvmmsg
+// batching, QID rewriting, the demux table, per-exchange deadline
+// timers, pooled buffers recycled through ReleaseResponse, the UDP
+// serving loop's buffer reuse) must be invisible to the measurement.
 
 import (
-	"context"
-	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
 	"govdns/internal/authserver"
 	"govdns/internal/chaos"
-	"govdns/internal/dnsname"
 	"govdns/internal/miniworld"
-	"govdns/internal/simnet"
 )
-
-// normalizedUDP adapts the real-socket transport to simnet's failure
-// semantics so error *text* — which feeds the digest — matches exactly:
-// any socket-level failure (read timeout above all) blocks until the
-// context expires and then reports simnet's dropped-packet error, byte
-// for byte. Addresses with no socket behave like simnet blackholes.
-type normalizedUDP struct {
-	inner *authserver.UDPTransport
-}
-
-func (n *normalizedUDP) Exchange(ctx context.Context, server netip.Addr, query []byte) ([]byte, error) {
-	if _, ok := n.inner.AddrOverride[server]; !ok {
-		<-ctx.Done()
-		return nil, fmt.Errorf("%w: %v", simnet.ErrDropped, ctx.Err())
-	}
-	resp, err := n.inner.Exchange(ctx, server, query)
-	if err != nil {
-		<-ctx.Done()
-		return nil, fmt.Errorf("%w: %v", simnet.ErrDropped, ctx.Err())
-	}
-	return resp, nil
-}
 
 // serveWorldOverride stands every miniworld server up on a loopback
 // UDP socket and returns the simulated-IP → bound-socket override map
-// both real transports (dial and batch) address servers through.
+// the batched transport addresses servers through.
 func serveWorldOverride(t *testing.T, w *miniworld.World) map[netip.Addr]netip.AddrPort {
 	t.Helper()
 	override := make(map[netip.Addr]netip.AddrPort)
@@ -68,63 +45,79 @@ func serveWorldOverride(t *testing.T, w *miniworld.World) map[netip.Addr]netip.A
 	return override
 }
 
-// serveWorldUDP is serveWorldOverride behind the dial-per-exchange
-// reference transport.
-func serveWorldUDP(t *testing.T, w *miniworld.World) *normalizedUDP {
-	t.Helper()
-	return &normalizedUDP{inner: &authserver.UDPTransport{AddrOverride: serveWorldOverride(t, w)}}
-}
-
 // e2eDeadline leaves loopback exchanges far from scheduling noise while
 // keeping the dead-server probes (which pay it in full) cheap enough for
 // tier-1.
 const e2eDeadline = 100 * time.Millisecond
 
+// udpPaths are the batched transport's two I/O paths: the OS
+// sendmmsg/recvmmsg batches and the portable per-datagram loops.
+var udpPaths = []struct {
+	name     string
+	portable bool
+}{
+	{"os", false},
+	{"portable", true},
+}
+
+// TestScanDigestRealUDPServing is the clean half of the real-socket
+// differential: the batched scan over real sockets must reproduce the
+// simnet scan of the same world, on both I/O paths.
 func TestScanDigestRealUDPServing(t *testing.T) {
 	w := miniworld.Build()
 	domains := miniworld.Domains()
+	override := serveWorldOverride(t, w)
 
-	// Clean differential: simulated network vs real sockets.
 	simClean := scanTuned(t, w.Net, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-	realClean := scanTuned(t, serveWorldUDP(t, w), w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-	if sim, real := DigestHex(simClean), DigestHex(realClean); sim != real {
-		t.Errorf("clean scan digest over real UDP sockets = %s, want simnet's %s", real, sim)
-		for i, r := range realClean {
-			t.Logf("  real %s: class=%s err=%q | sim err=%q",
-				r.Domain, r.Classify(), r.Err, simClean[i].Err)
-		}
-	}
+	want := DigestHex(simClean)
 
-	// Chaos differential: the same content-keyed fault schedule wrapped
-	// around both transports. Only timing-independent classes, so the
-	// draw sequence — and each damaged response — is a pure function of
-	// the serial query stream both runs share.
-	profile := map[dnsname.Name][]chaos.Rule{
-		"ns1.city.gov.br.":   {chaos.Persistent(chaos.Truncate, 1)},
-		"ns2.city.gov.br.":   {chaos.Persistent(chaos.CorruptQID, 1)},
-		"ns1.single.gov.br.": {chaos.Persistent(chaos.Drop, 1)},
-		"ns1.provider.com.":  {chaos.Persistent(chaos.FlipRCode, 1)},
+	for _, tc := range udpPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			batchClean := scanTuned(t, batchOver(t, override, tc.portable), w.Roots, domains, 1, 1, true, e2eDeadline, 1)
+			if got := DigestHex(batchClean); got != want {
+				t.Errorf("clean scan digest over real UDP sockets = %s, want simnet's %s", got, want)
+				for i, r := range batchClean {
+					t.Logf("  udp %s: class=%s err=%q | sim err=%q",
+						r.Domain, r.Classify(), r.Err, simClean[i].Err)
+				}
+			}
+		})
 	}
-	const chaosSeed = 11
+}
 
-	simTr := chaos.Wrap(w.Net, chaosSeed, w.ChaosRules(profile)...)
+// TestScanDigestBatchVsDial is the chaos half of the real-socket
+// differential: under the content-keyed chaos profile the batched scan
+// over real sockets must reproduce the simnet scan, on both I/O paths.
+// The name dates from when the reference was a dial-per-exchange UDP
+// client; the reference is now the simnet scan, computed in-process.
+func TestScanDigestBatchVsDial(t *testing.T) {
+	w := miniworld.Build()
+	domains := miniworld.Domains()
+	override := serveWorldOverride(t, w)
+	rules := w.ChaosRules(batchChaosProfile())
+
+	simTr := chaos.Wrap(w.Net, batchChaosSeed, rules...)
 	simChaos := scanTuned(t, simTr, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
 	if simTr.Stats().Total() == 0 {
 		t.Fatal("chaos injected nothing on the simnet run; the test is vacuous")
 	}
+	want := DigestHex(simChaos)
 
-	realTr := chaos.Wrap(serveWorldUDP(t, w), chaosSeed, w.ChaosRules(profile)...)
-	realChaos := scanTuned(t, realTr, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
-	if realTr.Stats().Total() == 0 {
-		t.Fatal("chaos injected nothing on the real-socket run; the test is vacuous")
-	}
-
-	if sim, real := DigestHex(simChaos), DigestHex(realChaos); sim != real {
-		t.Errorf("chaos scan digest over real UDP sockets = %s, want simnet's %s", real, sim)
-		for i, r := range realChaos {
-			t.Logf("  real %s: class=%s err=%q faults=%+v | sim class=%s err=%q",
-				r.Domain, r.Classify(), r.Err, r.Faults,
-				simChaos[i].Classify(), simChaos[i].Err)
-		}
+	for _, tc := range udpPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			batchChaosTr := chaos.Wrap(batchOver(t, override, tc.portable), batchChaosSeed, rules...)
+			batchChaos := scanTuned(t, batchChaosTr, w.Roots, domains, 1, 1, true, e2eDeadline, 1)
+			if batchChaosTr.Stats().Total() == 0 {
+				t.Fatal("chaos injected nothing on the real-socket run; the test is vacuous")
+			}
+			if got := DigestHex(batchChaos); got != want {
+				t.Errorf("chaos scan digest over real UDP sockets = %s, want simnet's %s", got, want)
+				for i, r := range batchChaos {
+					t.Logf("  udp %s: class=%s err=%q faults=%+v | sim class=%s err=%q",
+						r.Domain, r.Classify(), r.Err, r.Faults,
+						simChaos[i].Classify(), simChaos[i].Err)
+				}
+			}
+		})
 	}
 }

@@ -1,27 +1,29 @@
 package obs
 
 import (
-	"fmt"
+	"context"
+	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 )
 
-// ServeEndpoint serves HandlerWith(r, h) on addr — a daemon's -metrics
-// flag — from a goroutine that lives as long as the process; an empty
-// addr serves nothing. It announces the routes on stderr, and reports
-// there a server that cannot start (the address in use, say); the
-// process carries on without its endpoint.
-func ServeEndpoint(addr string, r *Registry, h *Health) {
+// ServeEndpoint binds addr and serves HandlerWith(r, h) on it — a
+// daemon's -metrics flag — until ctx ends. It returns the bound address
+// (a 0 port resolved) or the bind error; an empty addr serves nothing
+// and returns a nil address. It writes nothing: the caller announces
+// the endpoint on its own output.
+func ServeEndpoint(ctx context.Context, addr string, r *Registry, h *Health) (net.Addr, error) {
 	if addr == "" {
-		return
+		return nil, nil
 	}
-	go func() {
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics /healthz /readyz (pprof under /debug/pprof/)\n", addr)
-		srv := &http.Server{Addr: addr, Handler: HandlerWith(r, h)}
-		// Nothing shuts the server down, so any return is a failure.
-		fmt.Fprintf(os.Stderr, "metrics server: %v\n", srv.ListenAndServe())
-	}()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: HandlerWith(r, h)}
+	context.AfterFunc(ctx, func() { _ = srv.Close() })
+	go func() { _ = srv.Serve(ln) }() // returns once Close has run
+	return ln.Addr(), nil
 }
 
 // Handler serves the registry over HTTP with no health surface wired in

@@ -11,8 +11,8 @@ import (
 	"unsafe"
 )
 
-// Size is the datagram buffer size: the de-facto EDNS0 practical
-// ceiling, matching the dial transport and UDPServer.
+// Size is the datagram buffer size, the de-facto EDNS0 practical
+// ceiling: udpx and UDPServer receive into buffers of this size.
 const Size = 4096
 
 // Array is the pooled buffer type. Pooling a pointer to a fixed-size

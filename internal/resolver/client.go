@@ -22,10 +22,11 @@ import (
 )
 
 // Transport carries wire-format DNS messages to a server address. It is
-// implemented by simnet.Network (in-memory), authserver.UDPTransport
-// (dial-per-exchange real sockets — the slow, portable reference path),
-// and udpx.BatchTransport (the shared-socket batched path, IPv4-only,
-// that is govscan -real's one UDP client). The returned response
+// implemented by simnet.Network (in-memory, and the reference the
+// real-socket path's scan digests are checked against) and
+// udpx.BatchTransport (the shared-socket batched path, IPv4-only, that
+// is the one UDP client), and wrapped by chaos and the rate limiter.
+// The returned response
 // buffer is owned by the caller unless the transport also implements
 // ResponseReleaser, in which case the caller returns it once decoded.
 type Transport interface {
@@ -33,8 +34,7 @@ type Transport interface {
 }
 
 // ResponseReleaser is optionally implemented by transports that pool
-// their response buffers (simnet.Network, udpx.BatchTransport,
-// authserver.UDPTransport).
+// their response buffers (simnet.Network, udpx.BatchTransport).
 // The client calls ReleaseResponse exactly once per successful Exchange,
 // right after decoding the wire image — Arena.Decode copies every byte
 // the decoded message retains, so the buffer is dead the moment decode

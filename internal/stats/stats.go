@@ -1,29 +1,8 @@
 // Package stats provides the small statistical helpers the analyses use:
-// mode (the paper's per-year NS-count representative), CDFs, percentiles,
-// and rate helpers.
+// CDFs, percentiles, and rate helpers.
 package stats
 
 import "sort"
-
-// Mode returns the most frequent value in vals; ties break toward the
-// smaller value so results are deterministic. ok is false for an empty
-// input.
-func Mode(vals []int) (mode int, ok bool) {
-	if len(vals) == 0 {
-		return 0, false
-	}
-	counts := make(map[int]int, len(vals))
-	for _, v := range vals {
-		counts[v]++
-	}
-	best, bestCount := 0, -1
-	for v, c := range counts {
-		if c > bestCount || (c == bestCount && v < best) {
-			best, bestCount = v, c
-		}
-	}
-	return best, true
-}
 
 // CDFPoint is one step of an empirical CDF.
 type CDFPoint struct {

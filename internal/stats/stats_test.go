@@ -6,45 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMode(t *testing.T) {
-	cases := []struct {
-		in   []int
-		want int
-		ok   bool
-	}{
-		{nil, 0, false},
-		{[]int{2}, 2, true},
-		{[]int{1, 2, 2, 3}, 2, true},
-		{[]int{3, 3, 1, 1}, 1, true}, // tie breaks to smaller value
-		{[]int{1, 1, 2, 2, 2}, 2, true},
-	}
-	for _, tc := range cases {
-		got, ok := Mode(tc.in)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("Mode(%v) = %d, %v; want %d, %v", tc.in, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
-func TestModeIsAMember(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]int, len(raw))
-		present := make(map[int]bool)
-		for i, r := range raw {
-			vals[i] = int(r % 5)
-			present[vals[i]] = true
-		}
-		m, ok := Mode(vals)
-		return ok && present[m]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	points := CDF([]float64{1, 1, 2, 4})
 	want := []CDFPoint{{1, 0.5}, {2, 0.75}, {4, 1.0}}

@@ -14,8 +14,10 @@
 // initializer (an assertion) for nothing; a reached type reaches its
 // methods that have the name and signature of an interface method the
 // program sees. Test files are not loaded. allowlist.txt names, with a
-// kind (oracle, fixture or hook) and a reason, what stays though no
-// binary reaches it; an entry is a root, and a stale one fails the check.
+// kind (fixture or hook) and a reason, what stays though no binary
+// reaches it; an entry is a root, and a stale one fails the check. A
+// reference implementation that tests compare the product against has
+// no kind: it lives in a _test.go file.
 package main
 
 import (
@@ -388,8 +390,8 @@ func parseAllowlist(text string) ([]entry, error) {
 		fields := strings.Fields(line)
 		switch {
 		case len(fields) == 0 || strings.HasPrefix(fields[0], "#"):
-		case fields[0] != "oracle" && fields[0] != "fixture" && fields[0] != "hook":
-			errs = append(errs, fmt.Errorf("allowlist.txt:%d: kind %q is not oracle, fixture or hook", i+1, fields[0]))
+		case fields[0] != "fixture" && fields[0] != "hook":
+			errs = append(errs, fmt.Errorf("allowlist.txt:%d: kind %q is not fixture or hook", i+1, fields[0]))
 		case len(fields) < 3:
 			errs = append(errs, fmt.Errorf("allowlist.txt:%d: entry has no reason", i+1))
 		default:

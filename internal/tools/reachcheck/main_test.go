@@ -96,6 +96,15 @@ func TestAllowlistEntryWithoutReasonFails(t *testing.T) {
 	}
 }
 
+// TestOracleKindFails: a reference implementation lives in a _test.go
+// file, so an oracle entry is an unknown kind.
+func TestOracleKindFails(t *testing.T) {
+	_, err := parseAllowlist("fixture fixture/internal/lib.Used a fixture\noracle fixture/internal/lib.Allowed a reference the tests compare against\n")
+	if err == nil || !strings.Contains(err.Error(), `allowlist.txt:2: kind "oracle" is not fixture or hook`) {
+		t.Errorf("oracle entry: err = %v, want an unknown-kind error on line 2", err)
+	}
+}
+
 func TestStaleAllowlistEntryFails(t *testing.T) {
 	f := check(t, "hook fixture/internal/lib.Used the binary calls it now\n"+
 		"hook fixture/internal/lib.Gone deleted since\n")

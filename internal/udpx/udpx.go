@@ -1,12 +1,10 @@
-// Package udpx is the high-throughput batched UDP transport for the
-// real-network scan path — the socket half of ROADMAP item 2 (the
-// streaming half shipped with measure.ScanStream). It is the way ZDNS
-// and massdns reach ~100k+ QPS on commodity hardware: instead of the
-// dial-per-exchange pattern of authserver.UDPTransport (a fresh
-// connected socket, a connect/send/recv/close syscall quartet, and a
-// 4 KiB buffer allocation per query), a BatchTransport multiplexes
-// every in-flight query over a small fixed pool of long-lived,
-// unconnected sockets:
+// Package udpx is the batched UDP transport for the real-network scan
+// path, and the repo's one UDP client. It is the way ZDNS and massdns
+// reach ~100k+ QPS on commodity hardware: instead of dialing per
+// exchange (a fresh connected socket, a connect/send/recv/close syscall
+// quartet, and a 4 KiB buffer allocation per query), a BatchTransport
+// multiplexes every in-flight query over a small fixed pool of
+// long-lived, unconnected sockets:
 //
 //   - Callers enqueue (server, query) onto a bounded per-socket send
 //     ring; one sender goroutine per socket drains the ring in batches
@@ -31,8 +29,8 @@
 //     until whichever completer wins the waiter's state CAS clears it.
 //     The response's ID is patched back to the caller's before
 //     delivery, so the resolver's validation, duplicate accounting,
-//     and discard machinery see exactly what the dial transport would
-//     show them.
+//     and discard machinery see the caller's own ID, as from a socket
+//     of its own.
 //   - Per-query deadlines, the context's included, are each exchange's
 //     own: every pooled waiter owns one runtime timer, reset for each
 //     exchange, instead of a per-socket read deadline, so one blackholed
@@ -48,8 +46,8 @@
 // Late, duplicate, and stray datagrams — an ID whose slot is empty, a
 // source address other than the one the slot's query went to, the
 // right answer on the wrong pool socket — are counted
-// (udpx_demux_misses_total) and dropped, which is precisely what the
-// dial transport's closed sockets did to them; datagrams that do reach
+// (udpx_demux_misses_total) and dropped, as a closed per-exchange
+// socket would drop them; datagrams that do reach
 // a waiter but fail validation are the resolver's business and flow
 // through its existing classify / accepted-ring / discard-budget
 // machinery unchanged. The transport keeps no state per destination, so
@@ -141,8 +139,8 @@ type Config struct {
 	// the two I/O paths.
 	Portable bool
 
-	// AddrOverride maps a server IP to the socket actually serving it
-	// (same semantics as authserver.UDPTransport); tests and benches
+	// AddrOverride maps a server IP to the socket actually serving it;
+	// a server with no entry is sent to on port 53. Tests and benches
 	// serve simulated-topology IPs from loopback high ports.
 	AddrOverride map[netip.Addr]netip.AddrPort
 }
@@ -518,8 +516,8 @@ func (t *BatchTransport) queued(s *sock) {
 
 // cancelWait resolves an exchange whose context fired (or that lost the
 // race with Close): win the CAS and clean up, or — if a completer beat
-// us — drain its result and discard it, exactly as the dial transport
-// discards a datagram that lands after the deadline. The caller still
+// us — drain its result and discard it, as a datagram that lands after
+// the deadline is discarded. The caller still
 // owns w and returns it to the pool.
 func (t *BatchTransport) cancelWait(w *waiter, gen uint32, cause error) error {
 	if w.complete(gen, stCancelled) {

@@ -500,8 +500,7 @@ func TestStrayDuplicateStorm(t *testing.T) {
 	}
 }
 
-// TestTimeoutNeverEarly is the batch-path port of
-// TestUDPTransportTimeout: with a context carrying no deadline, the
+// TestTimeoutNeverEarly: with a context carrying no deadline, the
 // transport's own timeout ends the exchange with ErrTimeout — never
 // before the deadline, and within scheduler slack after it.
 func TestTimeoutNeverEarly(t *testing.T) {
