@@ -2,9 +2,10 @@
 // every table and figure of the paper with measured-vs-paper context,
 // or the one that -experiment names. It is the harness behind
 // EXPERIMENTS.md. (Performance is measured by the bench/ module,
-// `make bench`.) Progress goes to stderr: each phase's wall time, then
-// a closing line with the total wall, CPU time and peak RSS, which
-// `make paper` prints for the paper-scale run.
+// `make bench`.) Progress goes to stderr: each phase's wall time (the
+// world's with the peak RSS so far), then a closing line with the total
+// wall, CPU time and peak RSS, which `make paper` prints for the
+// paper-scale run.
 //
 // Usage:
 //
@@ -80,9 +81,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		DisableSecondRound: *noSecondRound,
 		StabilityDays:      *stabilityDays,
 	})
-	fmt.Fprintf(stderr, "world ready in %v: %d domain histories, %d PDNS record sets, %d query targets\n",
+	_, rss := usage()
+	fmt.Fprintf(stderr, "world ready in %v: %d domain histories, %d PDNS record sets, %d query targets%s\n",
 		time.Since(start).Round(time.Millisecond),
-		len(study.World.Domains), study.World.PDNS.Len(), len(study.Active.QueryList))
+		len(study.World.Domains), study.World.PDNS.Len(), len(study.Active.QueryList), rss)
 
 	scanStart := time.Now()
 	fmt.Fprintf(stderr, "scanning %d domains...\n", len(study.Active.QueryList))
@@ -106,6 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "done in %v%s\n", time.Since(start).Round(time.Millisecond), usage())
+	cpu, rss := usage()
+	fmt.Fprintf(stderr, "done in %v%s%s\n", time.Since(start).Round(time.Millisecond), cpu, rss)
 	return nil
 }

@@ -3,4 +3,4 @@
 package main
 
 // usage has nothing to add where getrusage is unavailable.
-func usage() string { return "" }
+func usage() (cpu, rss string) { return "", "" }

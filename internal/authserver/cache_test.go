@@ -52,11 +52,11 @@ func TestCacheDropsReplacedZone(t *testing.T) {
 // wwwZone is testZone with www.gov.br. pointing at addr.
 func wwwZone(t *testing.T, addr string) *zone.Zone {
 	t.Helper()
-	z := testZone(t)
+	z := testZoneBuilder(t)
 	z.Remove("www.gov.br.", dnswire.TypeA)
 	z.MustAdd(dnswire.RR{Name: "www.gov.br.", Class: dnswire.ClassIN, TTL: 300,
 		Data: dnswire.AData{Addr: netip.MustParseAddr(addr)}})
-	return z
+	return z.Freeze()
 }
 
 // TestCacheReplaceZoneWhileServing races zone replacements against

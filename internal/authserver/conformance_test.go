@@ -28,7 +28,7 @@ import (
 // fitting a 4096-byte buffer: the TC-fallback pivot of the suite.
 func conformanceZone(t *testing.T) *zone.Zone {
 	t.Helper()
-	z := testZone(t)
+	z := testZoneBuilder(t)
 	for i := 0; i < 25; i++ {
 		z.MustAdd(dnswire.RR{
 			Name: "big.gov.br.", Class: dnswire.ClassIN, TTL: 600,
@@ -36,7 +36,7 @@ func conformanceZone(t *testing.T) *zone.Zone {
 				"v=conformance; record %02d padded to make the rrset overflow a udp payload", i)}},
 		})
 	}
-	return z
+	return z.Freeze()
 }
 
 // canonicalZone rebuilds z with records inserted in Records()' canonical
@@ -45,11 +45,11 @@ func conformanceZone(t *testing.T) *zone.Zone {
 // server under comparison.
 func canonicalZone(t *testing.T, z *zone.Zone) *zone.Zone {
 	t.Helper()
-	out := zone.New(z.Origin())
+	out := zone.NewBuilder(z.Origin())
 	for _, rr := range z.Records() {
 		out.MustAdd(rr)
 	}
-	return out
+	return out.Freeze()
 }
 
 // conformanceCorpus covers every row of the serving decision table plus

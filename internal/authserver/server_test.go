@@ -11,7 +11,13 @@ import (
 
 func testZone(t testing.TB) *zone.Zone {
 	t.Helper()
-	z := zone.New("gov.br.")
+	return testZoneBuilder(t).Freeze()
+}
+
+// testZoneBuilder holds testZone's records, for fixtures that add more.
+func testZoneBuilder(t testing.TB) *zone.Builder {
+	t.Helper()
+	z := zone.NewBuilder("gov.br.")
 	records := []dnswire.RR{
 		{Name: "gov.br.", Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOAData{
 			MName: "ns1.gov.br.", RName: "hostmaster.gov.br.", Serial: 1}},
@@ -71,12 +77,12 @@ func TestHandleDeepestZoneWins(t *testing.T) {
 	// authoritatively from the child zone (no referral).
 	s := New("ns1.gov.br.")
 	s.AddZone(testZone(t))
-	child := zone.New("city.gov.br.")
+	child := zone.NewBuilder("city.gov.br.")
 	child.MustAdd(dnswire.RR{Name: "city.gov.br.", Class: dnswire.ClassIN, TTL: 3600,
 		Data: dnswire.SOAData{MName: "ns1.city.gov.br.", RName: "h.city.gov.br."}})
 	child.MustAdd(dnswire.RR{Name: "city.gov.br.", Class: dnswire.ClassIN, TTL: 3600,
 		Data: dnswire.NSData{Host: "ns1.city.gov.br."}})
-	s.AddZone(child)
+	s.AddZone(child.Freeze())
 
 	resp := handle(s, query("city.gov.br.", dnswire.TypeNS))
 	if !resp.Header.Authoritative {

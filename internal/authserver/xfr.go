@@ -164,7 +164,7 @@ func FetchZone(ctx context.Context, addr string, origin dnsname.Name) (*zone.Zon
 		return nil, fmt.Errorf("authserver: axfr send: %w", err)
 	}
 
-	z := zone.New(origin)
+	z := zone.NewBuilder(origin)
 	soaSeen := 0
 	var buf []byte
 	for soaSeen < 2 {
@@ -194,7 +194,7 @@ func FetchZone(ctx context.Context, addr string, origin dnsname.Name) (*zone.Zon
 			}
 		}
 	}
-	return z, nil
+	return z.Freeze(), nil
 }
 
 // SyncZone bootstraps secondary as a replica of origin from the primary

@@ -159,15 +159,13 @@ func (n Name) Parent() Name {
 }
 
 // IsSubdomainOf reports whether n is equal to or below ancestor.
-// Every name is a subdomain of the root.
+// Every name is a subdomain of the root. It allocates nothing.
 func (n Name) IsSubdomainOf(ancestor Name) bool {
-	if ancestor.IsRoot() {
+	if ancestor.IsRoot() || n == ancestor {
 		return true
 	}
-	if n == ancestor {
-		return true
-	}
-	return strings.HasSuffix(string(n), "."+string(ancestor))
+	cut := len(n) - len(ancestor)
+	return cut > 0 && n[cut-1] == '.' && n[cut:] == ancestor
 }
 
 // Prepend returns label + "." + n, validating the new label.

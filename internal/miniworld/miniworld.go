@@ -83,7 +83,7 @@ func Build() *World {
 	}
 
 	// --- Root zone ---
-	root := zone.New(dnsname.Root)
+	root := zone.NewBuilder(dnsname.Root)
 	root.MustAdd(soa(dnsname.Root, "a.root-servers.net."))
 	root.MustAdd(ns(dnsname.Root, "a.root-servers.net."))
 	root.MustAdd(a("a.root-servers.net.", RootAddr))
@@ -91,10 +91,10 @@ func Build() *World {
 	root.MustAdd(a("a.dns.br.", TLDBrAddr))
 	root.MustAdd(ns("com.", "a.gtld-servers.com."))
 	root.MustAdd(a("a.gtld-servers.com.", TLDComAddr))
-	w.serve("a.root-servers.net.", RootAddr, root)
+	w.serve("a.root-servers.net.", RootAddr, root.Freeze())
 
 	// --- br. TLD ---
-	br := zone.New("br.")
+	br := zone.NewBuilder("br.")
 	br.MustAdd(soa("br.", "a.dns.br."))
 	br.MustAdd(ns("br.", "a.dns.br."))
 	br.MustAdd(a("a.dns.br.", TLDBrAddr))
@@ -102,10 +102,10 @@ func Build() *World {
 	br.MustAdd(ns("gov.br.", "ns2.gov.br."))
 	br.MustAdd(a("ns1.gov.br.", GovNS1Addr))
 	br.MustAdd(a("ns2.gov.br.", GovNS2Addr))
-	w.serve("a.dns.br.", TLDBrAddr, br)
+	w.serve("a.dns.br.", TLDBrAddr, br.Freeze())
 
 	// --- com. TLD ---
-	com := zone.New("com.")
+	com := zone.NewBuilder("com.")
 	com.MustAdd(soa("com.", "a.gtld-servers.com."))
 	com.MustAdd(ns("com.", "a.gtld-servers.com."))
 	com.MustAdd(a("a.gtld-servers.com.", TLDComAddr))
@@ -115,10 +115,10 @@ func Build() *World {
 	com.MustAdd(a("ns2.provider.com.", ProviderNS2Addr))
 	// gone-provider.com is NOT delegated: queries yield NXDOMAIN, so
 	// dangling.gov.br's delegation is hijackable.
-	w.serve("a.gtld-servers.com.", TLDComAddr, com)
+	w.serve("a.gtld-servers.com.", TLDComAddr, com.Freeze())
 
 	// --- gov.br. parent zone ---
-	gov := zone.New("gov.br.")
+	gov := zone.NewBuilder("gov.br.")
 	gov.MustAdd(soa("gov.br.", "ns1.gov.br."))
 	gov.MustAdd(ns("gov.br.", "ns1.gov.br."))
 	gov.MustAdd(ns("gov.br.", "ns2.gov.br."))
@@ -161,8 +161,9 @@ func Build() *World {
 	// A CNAME'd nameserver alias, for resolver CNAME-chase tests.
 	gov.MustAdd(rr("cname-ns.gov.br.", 3600, dnswire.CNAMEData{Target: "ns1.gov.br."}))
 
-	w.serve("ns1.gov.br.", GovNS1Addr, gov)
-	w.serve("ns2.gov.br.", GovNS2Addr, gov)
+	govZone := gov.Freeze()
+	w.serve("ns1.gov.br.", GovNS1Addr, govZone)
+	w.serve("ns2.gov.br.", GovNS2Addr, govZone)
 
 	// --- children ---
 	city := childZone("city.gov.br.", map[dnsname.Name]netip.Addr{
@@ -192,41 +193,42 @@ func Build() *World {
 	w.serve("ns1.single.gov.br.", SingleAddr, single)
 
 	// hosted.gov.br lives on the provider's servers.
-	hosted := zone.New("hosted.gov.br.")
+	hosted := zone.NewBuilder("hosted.gov.br.")
 	hosted.MustAdd(soa("hosted.gov.br.", "ns1.provider.com."))
 	hosted.MustAdd(ns("hosted.gov.br.", "ns1.provider.com."))
 	hosted.MustAdd(ns("hosted.gov.br.", "ns2.provider.com."))
 	hosted.MustAdd(a("www.hosted.gov.br.", netip.MustParseAddr("192.0.2.10")))
 
 	// provider.com zone plus the hosted customer zone on both servers.
-	provider := zone.New("provider.com.")
+	provider := zone.NewBuilder("provider.com.")
 	provider.MustAdd(soa("provider.com.", "ns1.provider.com."))
 	provider.MustAdd(ns("provider.com.", "ns1.provider.com."))
 	provider.MustAdd(ns("provider.com.", "ns2.provider.com."))
 	provider.MustAdd(a("ns1.provider.com.", ProviderNS1Addr))
 	provider.MustAdd(a("ns2.provider.com.", ProviderNS2Addr))
-	p1 := w.serve("ns1.provider.com.", ProviderNS1Addr, provider)
-	p1.AddZone(hosted)
-	p2 := w.serve("ns2.provider.com.", ProviderNS2Addr, provider)
-	p2.AddZone(hosted)
+	providerZone, hostedZone := provider.Freeze(), hosted.Freeze()
+	w.serve("ns1.provider.com.", ProviderNS1Addr, providerZone).AddZone(hostedZone)
+	w.serve("ns2.provider.com.", ProviderNS2Addr, providerZone).AddZone(hostedZone)
 
 	// inconsistent.gov.br: the child's own NS set differs from the
 	// parent's (ns1 + ns3 instead of ns1 + ns2).
-	inc := zone.New("inconsistent.gov.br.")
+	inc := zone.NewBuilder("inconsistent.gov.br.")
 	inc.MustAdd(soa("inconsistent.gov.br.", "ns1.inconsistent.gov.br."))
 	inc.MustAdd(ns("inconsistent.gov.br.", "ns1.inconsistent.gov.br."))
 	inc.MustAdd(ns("inconsistent.gov.br.", "ns3.inconsistent.gov.br."))
 	inc.MustAdd(a("ns1.inconsistent.gov.br.", IncNS1Addr))
 	inc.MustAdd(a("ns3.inconsistent.gov.br.", IncNS3Addr))
-	w.serve("ns1.inconsistent.gov.br.", IncNS1Addr, inc)
-	w.serve("ns3.inconsistent.gov.br.", IncNS3Addr, inc)
+	incZone := inc.Freeze()
+	w.serve("ns1.inconsistent.gov.br.", IncNS1Addr, incZone)
+	w.serve("ns3.inconsistent.gov.br.", IncNS3Addr, incZone)
 
 	return w
 }
 
-// childZone builds a simple, healthy child zone with the given NS hosts.
-func childZone(origin dnsname.Name, hosts map[dnsname.Name]netip.Addr) *zone.Zone {
-	z := zone.New(origin)
+// childZone builds a simple, healthy child zone with the given NS hosts
+// and extra records.
+func childZone(origin dnsname.Name, hosts map[dnsname.Name]netip.Addr, extra ...dnswire.RR) *zone.Zone {
+	z := zone.NewBuilder(origin)
 	var first dnsname.Name
 	for h := range hosts {
 		if first == "" || dnsname.Compare(h, first) < 0 {
@@ -239,7 +241,28 @@ func childZone(origin dnsname.Name, hosts map[dnsname.Name]netip.Addr) *zone.Zon
 		z.MustAdd(a(host, addr))
 	}
 	z.MustAdd(a(origin.MustPrepend("www"), netip.MustParseAddr("192.0.2.1")))
-	return z
+	for _, rr := range extra {
+		z.MustAdd(rr)
+	}
+	return z.Freeze()
+}
+
+// edit builds a copy of the zone at origin that hostname serves, with
+// change applied, and swaps it in on every server that hosts that zone.
+// A served zone never changes in place.
+func (w *World) edit(hostname, origin dnsname.Name, change func(*zone.Builder)) {
+	old, ok := w.Servers[hostname].ZoneByOrigin(origin)
+	if !ok {
+		panic(fmt.Sprintf("miniworld: %s zone missing", origin))
+	}
+	b := old.Builder()
+	change(b)
+	z := b.Freeze()
+	for _, s := range w.Servers {
+		if cur, ok := s.ZoneByOrigin(origin); ok && cur == old {
+			s.AddZone(z)
+		}
+	}
 }
 
 // serve creates a server, attaches it at addr, and registers it.
@@ -347,25 +370,26 @@ type ServerEndpoint struct {
 // the shape concurrency tests need to observe cache sharing and
 // singleflight coalescing across domains.
 func (w *World) AddHostedChildren(n int) []dnsname.Name {
-	gov, ok := w.Servers["ns1.gov.br."].ZoneByOrigin("gov.br.")
-	if !ok {
-		panic("miniworld: gov.br zone missing")
-	}
 	p1 := w.Servers["ns1.provider.com."]
 	p2 := w.Servers["ns2.provider.com."]
 	names := make([]dnsname.Name, 0, n)
 	for i := 0; i < n; i++ {
 		name := dnsname.MustParse(fmt.Sprintf("hosted%d.gov.br", i))
-		gov.MustAdd(ns(name, "ns1.provider.com."))
-		gov.MustAdd(ns(name, "ns2.provider.com."))
-		z := zone.New(name)
-		z.MustAdd(soa(name, "ns1.provider.com."))
-		z.MustAdd(ns(name, "ns1.provider.com."))
-		z.MustAdd(ns(name, "ns2.provider.com."))
+		b := zone.NewBuilder(name)
+		b.MustAdd(soa(name, "ns1.provider.com."))
+		b.MustAdd(ns(name, "ns1.provider.com."))
+		b.MustAdd(ns(name, "ns2.provider.com."))
+		z := b.Freeze()
 		p1.AddZone(z)
 		p2.AddZone(z)
 		names = append(names, name)
 	}
+	w.edit("ns1.gov.br.", "gov.br.", func(gov *zone.Builder) {
+		for _, name := range names {
+			gov.MustAdd(ns(name, "ns1.provider.com."))
+			gov.MustAdd(ns(name, "ns2.provider.com."))
+		}
+	})
 	return names
 }
 
@@ -389,22 +413,19 @@ var (
 // netip.Addr.Less order regardless of glue record order. Returns the
 // child name.
 func (w *World) AddMultiGlueChild() dnsname.Name {
-	gov, ok := w.Servers["ns1.gov.br."].ZoneByOrigin("gov.br.")
-	if !ok {
-		panic("miniworld: gov.br zone missing")
-	}
 	child := dnsname.MustParse("multiglue.gov.br")
 	host := dnsname.MustParse("ns1.multiglue.gov.br")
-	gov.MustAdd(ns(child, host))
-	// The duplicate NS record is absorbed by zone.Add's identical-RR
-	// dedupe; adding it documents the duplicate-host delegation shape
-	// the glue sort must stay robust to.
-	_ = gov.Add(ns(child, host))
-	gov.MustAdd(a(host, MultiGlueHighAddr))
-	gov.MustAdd(a(host, MultiGlueLowAddr))
+	w.edit("ns1.gov.br.", "gov.br.", func(gov *zone.Builder) {
+		gov.MustAdd(ns(child, host))
+		// The duplicate NS record is absorbed by the zone's
+		// identical-RR dedupe; adding it documents the duplicate-host
+		// delegation shape the glue sort must stay robust to.
+		gov.MustAdd(ns(child, host))
+		gov.MustAdd(a(host, MultiGlueHighAddr))
+		gov.MustAdd(a(host, MultiGlueLowAddr))
+	})
 
-	z := childZone(child, map[dnsname.Name]netip.Addr{host: MultiGlueHighAddr})
-	z.MustAdd(a(host, MultiGlueLowAddr))
+	z := childZone(child, map[dnsname.Name]netip.Addr{host: MultiGlueHighAddr}, a(host, MultiGlueLowAddr))
 	w.serve(host, MultiGlueHighAddr, z)
 	w.serve(host, MultiGlueLowAddr, z)
 	return child
@@ -424,11 +445,9 @@ var SlowNSAddr = netip.MustParseAddr("5.1.0.1")
 // resolver's host and zone singleflights. Returns the zone, its NS
 // host, and a child name beneath the zone.
 func (w *World) AddGluelessZone() (zoneName, host, child dnsname.Name) {
-	gov, ok := w.Servers["ns1.gov.br."].ZoneByOrigin("gov.br.")
-	if !ok {
-		panic("miniworld: gov.br zone missing")
-	}
-	gov.MustAdd(ns("selfglue.gov.br.", "ns.selfglue.gov.br."))
+	w.edit("ns1.gov.br.", "gov.br.", func(gov *zone.Builder) {
+		gov.MustAdd(ns("selfglue.gov.br.", "ns.selfglue.gov.br."))
+	})
 	return "selfglue.gov.br.", "ns.selfglue.gov.br.", "dept.selfglue.gov.br."
 }
 
@@ -440,24 +459,19 @@ func (w *World) AddGluelessZone() (zoneName, host, child dnsname.Name) {
 // possibly-transient shape the scanner's second round re-probes, which
 // the resolver must not negative-cache.
 func (w *World) BreakIntermediateZoneTransient(m int) []dnsname.Name {
-	gov, ok := w.Servers["ns1.gov.br."].ZoneByOrigin("gov.br.")
-	if !ok {
-		panic("miniworld: gov.br zone missing")
-	}
-	gov.MustAdd(ns("flaky.gov.br.", "ns.slow-provider.com."))
+	w.edit("ns1.gov.br.", "gov.br.", func(gov *zone.Builder) {
+		gov.MustAdd(ns("flaky.gov.br.", "ns.slow-provider.com."))
+	})
+	w.edit("a.gtld-servers.com.", "com.", func(com *zone.Builder) {
+		com.MustAdd(ns("slow-provider.com.", "ns1.slow-provider.com."))
+		com.MustAdd(a("ns1.slow-provider.com.", SlowNSAddr))
+	})
 
-	com, ok := w.Servers["a.gtld-servers.com."].ZoneByOrigin("com.")
-	if !ok {
-		panic("miniworld: com zone missing")
-	}
-	com.MustAdd(ns("slow-provider.com.", "ns1.slow-provider.com."))
-	com.MustAdd(a("ns1.slow-provider.com.", SlowNSAddr))
-
-	slow := zone.New("slow-provider.com.")
+	slow := zone.NewBuilder("slow-provider.com.")
 	slow.MustAdd(soa("slow-provider.com.", "ns1.slow-provider.com."))
 	slow.MustAdd(ns("slow-provider.com.", "ns1.slow-provider.com."))
 	slow.MustAdd(a("ns1.slow-provider.com.", SlowNSAddr))
-	srv := w.serve("ns1.slow-provider.com.", SlowNSAddr, slow)
+	srv := w.serve("ns1.slow-provider.com.", SlowNSAddr, slow.Freeze())
 	srv.SetBehavior(authserver.BehaviorUnresponsive)
 
 	names := make([]dnsname.Name, 0, m)
@@ -472,11 +486,9 @@ func (w *World) BreakIntermediateZoneTransient(m int) []dnsname.Name {
 // walk through it fails, and returns m child names beneath it. Used to
 // exercise negative zone caching.
 func (w *World) BreakIntermediateZone(m int) []dnsname.Name {
-	gov, ok := w.Servers["ns1.gov.br."].ZoneByOrigin("gov.br.")
-	if !ok {
-		panic("miniworld: gov.br zone missing")
-	}
-	gov.MustAdd(ns("broken.gov.br.", "ns.gone-provider.com."))
+	w.edit("ns1.gov.br.", "gov.br.", func(gov *zone.Builder) {
+		gov.MustAdd(ns("broken.gov.br.", "ns.gone-provider.com."))
+	})
 	names := make([]dnsname.Name, 0, m)
 	for i := 0; i < m; i++ {
 		names = append(names, dnsname.MustParse(fmt.Sprintf("dept%d.broken.gov.br", i)))
@@ -496,34 +508,29 @@ var EvilNSAddr = netip.MustParseAddr("6.6.6.1")
 // signal the monitor's hijack heuristic must catch without a
 // classification flip to lean on. Returns the evil NS hostname.
 func (w *World) HijackCity() dnsname.Name {
-	gov, ok := w.Servers["ns1.gov.br."].ZoneByOrigin("gov.br.")
-	if !ok {
-		panic("miniworld: gov.br zone missing")
-	}
-	gov.Remove("city.gov.br.", dnswire.TypeNS)
-	gov.Remove("ns1.city.gov.br.", dnswire.TypeA)
-	gov.Remove("ns2.city.gov.br.", dnswire.TypeA)
 	evil := dnsname.MustParse("ns1.evil-ops.com")
-	gov.MustAdd(ns("city.gov.br.", evil))
+	w.edit("ns1.gov.br.", "gov.br.", func(gov *zone.Builder) {
+		gov.Remove("city.gov.br.", dnswire.TypeNS)
+		gov.Remove("ns1.city.gov.br.", dnswire.TypeA)
+		gov.Remove("ns2.city.gov.br.", dnswire.TypeA)
+		gov.MustAdd(ns("city.gov.br.", evil))
+	})
+	w.edit("a.gtld-servers.com.", "com.", func(com *zone.Builder) {
+		com.MustAdd(ns("evil-ops.com.", evil))
+		com.MustAdd(a(evil, EvilNSAddr))
+	})
 
-	com, ok := w.Servers["a.gtld-servers.com."].ZoneByOrigin("com.")
-	if !ok {
-		panic("miniworld: com zone missing")
-	}
-	com.MustAdd(ns("evil-ops.com.", evil))
-	com.MustAdd(a(evil, EvilNSAddr))
-
-	eo := zone.New("evil-ops.com.")
+	eo := zone.NewBuilder("evil-ops.com.")
 	eo.MustAdd(soa("evil-ops.com.", evil))
 	eo.MustAdd(ns("evil-ops.com.", evil))
 	eo.MustAdd(a(evil, EvilNSAddr))
-	srv := w.serve(evil, EvilNSAddr, eo)
+	srv := w.serve(evil, EvilNSAddr, eo.Freeze())
 
-	city := zone.New("city.gov.br.")
+	city := zone.NewBuilder("city.gov.br.")
 	city.MustAdd(soa("city.gov.br.", evil))
 	city.MustAdd(ns("city.gov.br.", evil))
 	city.MustAdd(a("www.city.gov.br.", netip.MustParseAddr("192.0.2.66")))
-	srv.AddZone(city)
+	srv.AddZone(city.Freeze())
 	return evil
 }
 
@@ -538,10 +545,4 @@ func Domains() []dnsname.Name {
 		"inconsistent.gov.br.",
 		"dangling.gov.br.",
 	}
-}
-
-// String summarises the world.
-func (w *World) String() string {
-	return fmt.Sprintf("miniworld: %d server addresses, %d domains under gov.br",
-		w.Net.NumServers(), len(Domains()))
 }

@@ -1,7 +1,6 @@
 package miniworld
 
 import (
-	"strings"
 	"testing"
 
 	"govdns/internal/authserver"
@@ -39,8 +38,5 @@ func TestBuildStructure(t *testing.T) {
 	}
 	if len(Domains()) != 7 {
 		t.Errorf("Domains() = %d, want 7 fixture children", len(Domains()))
-	}
-	if !strings.Contains(w.String(), "miniworld") {
-		t.Errorf("String() = %q", w.String())
 	}
 }

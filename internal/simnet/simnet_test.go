@@ -20,7 +20,7 @@ var (
 
 func newTestServer(t *testing.T) *authserver.Server {
 	t.Helper()
-	z := zone.New("example.")
+	z := zone.NewBuilder("example.")
 	z.MustAdd(dnswire.RR{Name: "example.", Class: dnswire.ClassIN, TTL: 60,
 		Data: dnswire.SOAData{MName: "ns.example.", RName: "h.example."}})
 	z.MustAdd(dnswire.RR{Name: "example.", Class: dnswire.ClassIN, TTL: 60,
@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) *authserver.Server {
 	z.MustAdd(dnswire.RR{Name: "www.example.", Class: dnswire.ClassIN, TTL: 60,
 		Data: dnswire.AData{Addr: netip.MustParseAddr("192.0.2.1")}})
 	s := authserver.New("ns.example.")
-	s.AddZone(z)
+	s.AddZone(z.Freeze())
 	return s
 }
 

@@ -35,12 +35,22 @@ type Active struct {
 
 	addrs   map[dnsname.Name][]netip.Addr
 	servers map[netip.Addr]*authserver.Server
-	// tldZones indexes the TLD zones by TLD name for delegation edits.
-	tldZones map[dnsname.Name]*zone.Zone
-	rootZone *zone.Zone
-	// parents indexes each country's parent zone by its origin, for
-	// ParentZone (cmd/worldgen exports them as zone files).
+	// Zones are built first and frozen once, at the end of Build:
+	// tldZones indexes the TLD zones by TLD name for delegation edits,
+	// parentZones each country's parent zone by its origin, and served
+	// lists every zone-to-server attachment in the order it was made.
+	tldZones    map[dnsname.Name]*zone.Builder
+	parentZones map[dnsname.Name]*zone.Builder
+	served      []attachment
+	// parents indexes each country's frozen parent zone by its origin,
+	// for ParentZone (cmd/worldgen exports them as zone files).
 	parents map[dnsname.Name]*zone.Zone
+}
+
+// attachment is one zone a server is to host once Build freezes it.
+type attachment struct {
+	zone   *zone.Builder
+	server *authserver.Server
 }
 
 // ParentZone returns the government parent zone rooted at origin (a
@@ -64,14 +74,15 @@ const (
 // Build constructs the active world from a generated history.
 func Build(w *World) *Active {
 	a := &Active{
-		World:    w,
-		Net:      simnet.New(),
-		Topo:     nettopo.NewTopology(),
-		Reg:      registrar.New(SuffixSet(w.Countries)),
-		addrs:    make(map[dnsname.Name][]netip.Addr),
-		servers:  make(map[netip.Addr]*authserver.Server),
-		tldZones: make(map[dnsname.Name]*zone.Zone),
-		parents:  make(map[dnsname.Name]*zone.Zone),
+		World:       w,
+		Net:         simnet.New(),
+		Topo:        nettopo.NewTopology(),
+		Reg:         registrar.New(SuffixSet(w.Countries)),
+		addrs:       make(map[dnsname.Name][]netip.Addr),
+		servers:     make(map[netip.Addr]*authserver.Server),
+		tldZones:    make(map[dnsname.Name]*zone.Builder),
+		parentZones: make(map[dnsname.Name]*zone.Builder),
+		parents:     make(map[dnsname.Name]*zone.Zone),
 	}
 	a.Reg.SetPriceSalt(uint64(w.Cfg.Seed))
 
@@ -89,6 +100,7 @@ func Build(w *World) *Active {
 	for i := range w.Countries {
 		a.buildCountry(i)
 	}
+	a.attachZones()
 	a.buildRegistrarState()
 	a.buildQueryList()
 
@@ -138,19 +150,41 @@ func (a *Active) serverAt(addr netip.Addr, hostname dnsname.Name) *authserver.Se
 	return s
 }
 
-// serveZone attaches z to every address of every given hostname.
-func (a *Active) serveZone(z *zone.Zone, hosts ...dnsname.Name) {
+// serveZone makes every address of every given hostname a server of z,
+// attached when Build freezes z.
+func (a *Active) serveZone(z *zone.Builder, hosts ...dnsname.Name) {
 	for _, host := range hosts {
 		for _, addr := range a.addrs[host] {
-			a.serverAt(addr, host).AddZone(z)
+			a.served = append(a.served, attachment{zone: z, server: a.serverAt(addr, host)})
 		}
 	}
 }
 
-// newZone creates a zone with an SOA whose MNAME is the primary server
+// attachZones freezes every zone once, now that no more records come,
+// and attaches it to its servers in the order serveZone named them.
+func (a *Active) attachZones() {
+	frozen := make(map[*zone.Builder]*zone.Zone)
+	freeze := func(b *zone.Builder) *zone.Zone {
+		z, ok := frozen[b]
+		if !ok {
+			z = b.Freeze()
+			frozen[b] = z
+		}
+		return z
+	}
+	for _, at := range a.served {
+		at.server.AddZone(freeze(at.zone))
+	}
+	for origin, b := range a.parentZones {
+		a.parents[origin] = freeze(b)
+	}
+	a.served, a.tldZones, a.parentZones = nil, nil, nil
+}
+
+// newZone starts a zone with an SOA whose MNAME is the primary server
 // (used by the provider-identification SOA fallback).
-func newZone(origin, mname dnsname.Name) *zone.Zone {
-	z := zone.New(origin)
+func newZone(origin, mname dnsname.Name) *zone.Builder {
+	z := zone.NewBuilder(origin)
 	rname := origin.MustPrepend("hostmaster")
 	z.MustAdd(dnswire.RR{Name: origin, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOAData{
 		MName: mname, RName: rname,
@@ -179,7 +213,7 @@ func (a *Active) buildRootAndTLDs() {
 	a.ensureAddr(rootHostB, asInfra, true)
 	a.Roots = append(a.Roots, a.addrs[rootHostA][0], a.addrs[rootHostB][0])
 
-	root := zone.New(dnsname.Root)
+	root := zone.NewBuilder(dnsname.Root)
 	root.MustAdd(dnswire.RR{Name: dnsname.Root, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOAData{
 		MName: rootHostA, RName: "nstld.verisign-grs.com.", Serial: 2021041500,
 		Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
@@ -188,7 +222,6 @@ func (a *Active) buildRootAndTLDs() {
 	root.MustAdd(nsRR(dnsname.Root, rootHostB))
 	root.MustAdd(aRR(rootHostA, a.addrs[rootHostA][0]))
 	root.MustAdd(aRR(rootHostB, a.addrs[rootHostB][0]))
-	a.rootZone = root
 
 	tlds := map[dnsname.Name]bool{}
 	for _, g := range _gtlds {

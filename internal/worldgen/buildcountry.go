@@ -35,7 +35,7 @@ func (a *Active) buildCountry(idx int) {
 		}
 	}
 
-	a.parents[suffix] = parent
+	a.parentZones[suffix] = parent
 
 	for _, d := range a.World.DomainsOfCountry(idx) {
 		if d.Name == suffix || !d.DelegatedAtScan() {
@@ -52,7 +52,7 @@ func (a *Active) buildCountry(idx int) {
 
 // buildDomain realizes one domain's delegation, servers, and (when
 // alive) child zone according to its scan-time condition.
-func (a *Active) buildDomain(d *Domain, parent *zone.Zone, govASN, telecomASN uint32) {
+func (a *Active) buildDomain(d *Domain, parent *zone.Builder, govASN, telecomASN uint32) {
 	p, c, serveOld := a.nsSetsFor(d)
 	a.realizePrivateHosts(d, union(p, c), govASN, telecomASN)
 

@@ -61,7 +61,7 @@ func ParseFile(r io.Reader, defaultOrigin dnsname.Name) (*Zone, error) {
 	if p.zone == nil {
 		return nil, fmt.Errorf("%w: no records", ErrParse)
 	}
-	return p.zone, nil
+	return p.zone.Freeze(), nil
 }
 
 func stripComment(line string) string {
@@ -83,7 +83,7 @@ type fileParser struct {
 	origin     dnsname.Name
 	defaultTTL uint32
 	lastOwner  dnsname.Name
-	zone       *Zone
+	zone       *Builder
 }
 
 func (p *fileParser) line(s string) error {
@@ -158,59 +158,42 @@ func (p *fileParser) line(s string) error {
 		return err
 	}
 	if p.zone == nil {
-		p.zone = New(p.origin)
+		p.zone = NewBuilder(p.origin)
 	}
 	return p.zone.Add(dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: ttl, Data: data})
 }
 
+// arity is the RDATA field count of each record type but TXT, which
+// takes one string or more.
+var arity = map[dnswire.Type]int{
+	dnswire.TypeNS: 1, dnswire.TypeCNAME: 1, dnswire.TypePTR: 1, dnswire.TypeA: 1,
+	dnswire.TypeAAAA: 1, dnswire.TypeMX: 2, dnswire.TypeSOA: 7,
+}
+
 func (p *fileParser) rdata(rtype dnswire.Type, args []string) (dnswire.RData, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s needs %d fields, got %d", rtype, n, len(args))
-		}
-		return nil
+	if n, ok := arity[rtype]; ok && len(args) != n {
+		return nil, fmt.Errorf("%s needs %d fields, got %d", rtype, n, len(args))
 	}
 	switch rtype {
-	case dnswire.TypeNS:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		host, err := p.resolveName(args[0])
-		return dnswire.NSData{Host: host}, err
-	case dnswire.TypeCNAME:
-		if err := need(1); err != nil {
-			return nil, err
-		}
+	case dnswire.TypeNS, dnswire.TypeCNAME, dnswire.TypePTR:
 		target, err := p.resolveName(args[0])
-		return dnswire.CNAMEData{Target: target}, err
-	case dnswire.TypePTR:
-		if err := need(1); err != nil {
-			return nil, err
+		switch rtype {
+		case dnswire.TypeNS:
+			return dnswire.NSData{Host: target}, err
+		case dnswire.TypeCNAME:
+			return dnswire.CNAMEData{Target: target}, err
 		}
-		target, err := p.resolveName(args[0])
 		return dnswire.PTRData{Target: target}, err
-	case dnswire.TypeA:
-		if err := need(1); err != nil {
-			return nil, err
-		}
+	case dnswire.TypeA, dnswire.TypeAAAA:
 		addr, err := netip.ParseAddr(args[0])
-		if err != nil || !addr.Is4() {
-			return nil, fmt.Errorf("bad A address %q", args[0])
+		if err != nil || addr.Is4() != (rtype == dnswire.TypeA) {
+			return nil, fmt.Errorf("bad %s address %q", rtype, args[0])
 		}
-		return dnswire.AData{Addr: addr}, nil
-	case dnswire.TypeAAAA:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		addr, err := netip.ParseAddr(args[0])
-		if err != nil || !addr.Is6() || addr.Is4() {
-			return nil, fmt.Errorf("bad AAAA address %q", args[0])
+		if rtype == dnswire.TypeA {
+			return dnswire.AData{Addr: addr}, nil
 		}
 		return dnswire.AAAAData{Addr: addr}, nil
 	case dnswire.TypeMX:
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		pref, err := strconv.ParseUint(args[0], 10, 16)
 		if err != nil {
 			return nil, fmt.Errorf("bad MX preference %q", args[0])
@@ -231,9 +214,6 @@ func (p *fileParser) rdata(rtype dnswire.Type, args []string) (dnswire.RData, er
 		}
 		return dnswire.TXTData{Strings: strs}, nil
 	case dnswire.TypeSOA:
-		if err := need(7); err != nil {
-			return nil, err
-		}
 		mname, err := p.resolveName(args[0])
 		if err != nil {
 			return nil, err
@@ -268,19 +248,10 @@ func (p *fileParser) resolveName(token string) (dnsname.Name, error) {
 		return p.origin, nil
 	case strings.HasSuffix(token, "."):
 		return dnsname.Parse(token)
+	case p.origin.IsRoot():
+		return dnsname.Parse(token)
 	default:
-		rel, err := dnsname.Parse(token)
-		if err != nil {
-			return "", err
-		}
-		if p.origin.IsRoot() {
-			return rel, nil
-		}
-		abs, err := dnsname.Parse(strings.TrimSuffix(rel.String(), ".") + "." + p.origin.String())
-		if err != nil {
-			return "", fmt.Errorf("resolving %q against %q: %v", token, p.origin, err)
-		}
-		return abs, nil
+		return dnsname.Parse(token + "." + string(p.origin))
 	}
 }
 

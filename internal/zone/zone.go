@@ -1,14 +1,17 @@
 // Package zone implements the DNS zone data model: RRset storage with
 // authoritative lookup semantics (answers, referrals with glue, NXDOMAIN,
 // NODATA), plus a master-file parser and serialiser.
+// A Builder collects a zone's records and Freeze makes them an immutable
+// Zone that readers share without a lock: a served zone is never edited,
+// only replaced by a newly frozen one.
 package zone
 
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
-	"sort"
-	"sync"
+	"strings"
 
 	"govdns/internal/dnsname"
 	"govdns/internal/dnswire"
@@ -23,104 +26,195 @@ var (
 	ErrOutOfZone = errors.New("zone: record out of zone")
 )
 
-// rrKey identifies an RRset within a zone.
-type rrKey struct {
-	name  dnsname.Name
-	rtype dnswire.Type
-}
-
-// Zone holds the authoritative data for one DNS zone. It is safe for
-// concurrent reads after construction; Add and SetSOA must not race with
-// lookups.
-type Zone struct {
+// Builder collects the records of one zone. It is not safe for
+// concurrent use.
+type Builder struct {
 	origin dnsname.Name
-
-	mu     sync.RWMutex
-	sets   map[rrKey][]dnswire.RR
-	names  map[dnsname.Name]bool // all owner names, for NXDOMAIN vs NODATA
-	ents   map[dnsname.Name]bool // owner names plus empty non-terminals
-	delegs map[dnsname.Name]bool // cut points (names with NS below apex)
+	rrs    []dnswire.RR // in Add order until Freeze sorts them
 }
 
-// New creates an empty zone rooted at origin.
-func New(origin dnsname.Name) *Zone {
-	return &Zone{
-		origin: origin,
-		sets:   make(map[rrKey][]dnswire.RR),
-		names:  make(map[dnsname.Name]bool),
-		ents:   make(map[dnsname.Name]bool),
-		delegs: make(map[dnsname.Name]bool),
-	}
-}
+// NewBuilder starts an empty zone rooted at origin.
+func NewBuilder(origin dnsname.Name) *Builder { return &Builder{origin: origin} }
 
 // Origin returns the zone apex name.
-func (z *Zone) Origin() dnsname.Name { return z.origin }
+func (b *Builder) Origin() dnsname.Name { return b.origin }
 
 // Add inserts rr into the zone. Duplicate records (same name/type/RDATA)
-// are ignored. Records outside the zone are rejected.
-func (z *Zone) Add(rr dnswire.RR) error {
-	if !rr.Name.IsSubdomainOf(z.origin) {
-		return fmt.Errorf("%w: %q not under %q", ErrOutOfZone, rr.Name, z.origin)
+// are ignored: the first one added stays. Records outside the zone are
+// rejected.
+func (b *Builder) Add(rr dnswire.RR) error {
+	if !rr.Name.IsSubdomainOf(b.origin) {
+		return fmt.Errorf("%w: %q not under %q", ErrOutOfZone, rr.Name, b.origin)
 	}
 	if rr.Data == nil {
 		return fmt.Errorf("zone: record %q has nil RDATA", rr.Name)
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-
-	key := rrKey{name: rr.Name, rtype: rr.Type()}
-	for _, existing := range z.sets[key] {
-		if existing.Equal(rr) {
-			return nil
-		}
-	}
-	z.sets[key] = append(z.sets[key], rr)
-	z.names[rr.Name] = true
-	// Record the owner and every empty non-terminal above it, so
-	// NXDOMAIN-vs-NODATA decisions are O(labels).
-	for cur := rr.Name; cur.IsSubdomainOf(z.origin); cur = cur.Parent() {
-		z.ents[cur] = true
-		if cur == z.origin {
-			break
-		}
-	}
-	if rr.Type() == dnswire.TypeNS && rr.Name != z.origin {
-		z.delegs[rr.Name] = true
-	}
+	b.rrs = append(b.rrs, rr)
 	return nil
 }
 
 // MustAdd is Add that panics on error; for use by generators with
 // known-good data.
-func (z *Zone) MustAdd(rr dnswire.RR) {
-	if err := z.Add(rr); err != nil {
+func (b *Builder) MustAdd(rr dnswire.RR) {
+	if err := b.Add(rr); err != nil {
 		panic(err)
 	}
 }
 
 // Remove deletes all records matching name and type. It reports how many
-// records were removed.
-func (z *Zone) Remove(name dnsname.Name, rtype dnswire.Type) int {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	key := rrKey{name: name, rtype: rtype}
-	n := len(z.sets[key])
-	delete(z.sets, key)
-	if rtype == dnswire.TypeNS {
-		delete(z.delegs, name)
+// records it removed, counting each duplicate Add.
+func (b *Builder) Remove(name dnsname.Name, rtype dnswire.Type) int {
+	n := len(b.rrs)
+	b.rrs = slices.DeleteFunc(b.rrs, func(rr dnswire.RR) bool { return rr.Name == name && rr.Type() == rtype })
+	return n - len(b.rrs)
+}
+
+// Freeze lays the records out as an immutable Zone: one exact-size array
+// sorted by canonical owner and type (an RRset keeps Add order, its wire
+// order), a node per owner and empty non-terminal, and a hashed index of
+// the nodes, in four allocations whatever the size (three when empty).
+func (b *Builder) Freeze() *Zone {
+	slices.SortStableFunc(b.rrs, compareOwnerType)
+	b.rrs = dedupe(b.rrs)
+	z := &Zone{origin: b.origin, rrs: slices.Clone(b.rrs)}
+	n := 0
+	z.walk(func(dnsname.Name, int) { n++ })
+	z.nodes = make([]node, 0, n)
+	z.walk(func(name dnsname.Name, start int) { z.nodes = append(z.nodes, node{name: name, start: uint32(start)}) })
+
+	slots := 2
+	for slots < 2*n {
+		slots <<= 1
 	}
-	// Drop the owner name if nothing remains at it.
-	remaining := false
-	for k := range z.sets {
-		if k.name == name {
-			remaining = true
-			break
+	z.index = make([]uint32, slots)
+	for i := range z.nodes {
+		nd := &z.nodes[i]
+		j := maphash.String(seed, string(nd.name)) & uint64(slots-1)
+		for z.index[j] != 0 {
+			j = (j + 1) & uint64(slots-1)
+		}
+		z.index[j] = uint32(i + 1)
+		if nd.name != z.origin && len(z.set(i, dnswire.TypeNS)) > 0 {
+			nd.flags |= flagCut
+		}
+		// A "*" that owns records is a wildcard. "*" sorts before every
+		// other label, so it directly follows the name it stands below.
+		if strings.HasPrefix(string(nd.name), "*.") && z.rrs[nd.start].Name == nd.name {
+			z.nodes[i-1].flags |= flagWildcard
 		}
 	}
-	if !remaining {
-		delete(z.names, name)
+	return z
+}
+
+// walk calls f on every name in z, canonical order, with the index of its
+// first record: each owner after the empty non-terminals above it that no
+// earlier owner brought in. A subtree follows its root contiguously in
+// that order, so an ancestor is new when the owner before is not under it.
+func (z *Zone) walk(f func(name dnsname.Name, start int)) {
+	var prev dnsname.Name
+	for i, rr := range z.rrs {
+		if rr.Name == prev {
+			continue
+		}
+		fresh := 0
+		for cur := rr.Name; cur != z.origin; fresh++ {
+			if cur = cur.Parent(); prev != "" && prev.IsSubdomainOf(cur) {
+				break
+			}
+		}
+		for level := rr.Name.Level() - fresh; level < rr.Name.Level(); level++ {
+			ent, _ := rr.Name.AncestorAtLevel(level)
+			f(ent, i)
+		}
+		f(rr.Name, i)
+		prev = rr.Name
 	}
-	return n
+}
+
+// compareOwnerType orders records by canonical owner, then type.
+func compareOwnerType(a, b dnswire.RR) int {
+	if a.Name != b.Name {
+		return dnsname.Compare(a.Name, b.Name)
+	}
+	return int(a.Type()) - int(b.Type())
+}
+
+// dedupe drops, in place, every record Equal to an earlier one in its
+// RRset from rrs sorted by owner and type.
+func dedupe(rrs []dnswire.RR) []dnswire.RR {
+	out, set := 0, 0
+	for _, rr := range rrs {
+		if out > 0 && compareOwnerType(rrs[out-1], rr) != 0 {
+			set = out
+		}
+		if !slices.ContainsFunc(rrs[set:out], rr.Equal) {
+			rrs[out] = rr
+			out++
+		}
+	}
+	clear(rrs[out:])
+	return rrs[:out]
+}
+
+// Zone holds the authoritative data for one DNS zone. It never changes
+// once Freeze returns it, so any number of goroutines may read it.
+type Zone struct {
+	origin dnsname.Name
+	rrs    []dnswire.RR // by canonical owner, then type; an RRset in Add order
+	nodes  []node       // every name that exists, in canonical order
+	index  []uint32     // open-addressed by name hash: node index + 1, 0 empty
+}
+
+// node is a name that exists in the zone: an owner of records, or an
+// empty non-terminal, whose run is empty.
+type node struct {
+	name  dnsname.Name
+	start uint32 // its records run from here to the next node's start
+	flags uint8
+}
+
+const (
+	flagCut      = 1 << iota // NS records below the apex: a zone cut
+	flagWildcard             // the next node is "*" directly below
+)
+
+// seed keys every zone's index; an index lives in one process.
+var seed = maphash.MakeSeed()
+
+// find returns the index of name's node.
+func (z *Zone) find(name dnsname.Name) (int, bool) {
+	mask := uint64(len(z.index) - 1)
+	for j := maphash.String(seed, string(name)) & mask; z.index[j] != 0; j = (j + 1) & mask {
+		if i := int(z.index[j] - 1); z.nodes[i].name == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// set returns node i's RRset of type rtype.
+func (z *Zone) set(i int, rtype dnswire.Type) []dnswire.RR {
+	j, end := int(z.nodes[i].start), len(z.rrs)
+	if i+1 < len(z.nodes) {
+		end = int(z.nodes[i+1].start)
+	}
+	for j < end && z.rrs[j].Type() != rtype {
+		j++
+	}
+	k := j
+	for k < end && z.rrs[k].Type() == rtype {
+		k++
+	}
+	return z.rrs[j:k]
+}
+
+// Origin returns the zone apex name.
+func (z *Zone) Origin() dnsname.Name { return z.origin }
+
+// Builder returns a builder holding z's records in z's stored order, to
+// build an edited copy from; z itself never changes.
+func (z *Zone) Builder() *Builder {
+	return &Builder{origin: z.origin, rrs: slices.Clone(z.rrs)}
 }
 
 // Lookup returns a copy of the RRset for (name, rtype), or nil.
@@ -128,13 +222,13 @@ func (z *Zone) Lookup(name dnsname.Name, rtype dnswire.Type) []dnswire.RR {
 	return z.appendSet(nil, name, rtype)
 }
 
-// appendSet appends the RRset for (name, rtype) to dst. It is the one
-// read of the zone's record storage, so every record a lookup hands out
-// is a copy the caller may modify.
+// appendSet appends the RRset for (name, rtype) to dst. Every record a
+// lookup hands out is a copy the caller may modify.
 func (z *Zone) appendSet(dst []dnswire.RR, name dnsname.Name, rtype dnswire.Type) []dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return append(dst, z.sets[rrKey{name: name, rtype: rtype}]...)
+	if i, ok := z.find(name); ok {
+		return append(dst, z.set(i, rtype)...)
+	}
+	return dst
 }
 
 // since returns the records buf gained past from, capped so an append
@@ -154,28 +248,6 @@ func (z *Zone) SOA() (dnswire.RR, error) {
 		return dnswire.RR{}, fmt.Errorf("%w at %q", ErrNoSOA, z.origin)
 	}
 	return set[0], nil
-}
-
-// HasName reports whether any record exists at name.
-func (z *Zone) HasName(name dnsname.Name) bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.names[name]
-}
-
-// delegationFor returns the deepest cut point at or above name (strictly
-// below the apex), if any. A query for a name at or under a cut must be
-// answered with a referral.
-func (z *Zone) delegationFor(name dnsname.Name) (dnsname.Name, bool) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	// Walk from name upward until (and excluding) the apex.
-	for cur := name; cur.IsSubdomainOf(z.origin) && cur != z.origin; cur = cur.Parent() {
-		if z.delegs[cur] {
-			return cur, true
-		}
-	}
-	return "", false
 }
 
 // AnswerKind classifies the outcome of an authoritative lookup.
@@ -212,84 +284,58 @@ func (z *Zone) Authoritative(name dnsname.Name, rtype dnswire.Type) Answer {
 // AppendAuthoritative is Authoritative with every section's records
 // appended to dst, so a server can build them in scratch it reuses. The
 // sections are consecutive runs of the grown buffer, each capped so an
-// append to one reallocates rather than overwrite the next.
+// append to one reallocates rather than overwrite the next. It allocates
+// nothing when dst has room.
 func (z *Zone) AppendAuthoritative(dst []dnswire.RR, name dnsname.Name, rtype dnswire.Type) Answer {
 	from := len(dst)
-	if !name.IsSubdomainOf(z.origin) {
-		return Answer{Kind: KindNXDomain, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
-	}
-
-	// Below or at a zone cut: referral, except that an explicit NS query
-	// for the cut itself is also answered from the parent side as a
-	// referral (the parent is not authoritative for the child apex).
-	if cut, ok := z.delegationFor(name); ok {
-		buf := z.appendSet(dst, cut, dnswire.TypeNS)
-		nsSet := since(buf, from)
-		buf = z.appendAddrs(buf, nsSet)
-		return Answer{Kind: KindReferral, Authority: nsSet, Additional: since(buf, from+len(nsSet))}
-	}
-
-	if buf := z.appendSet(dst, name, rtype); len(buf) > from {
-		set := since(buf, from)
-		buf = z.appendAddrs(buf, set)
-		return Answer{Kind: KindAnswer, Records: set, Additional: since(buf, from+len(set))}
-	}
-	// CNAME redirection at the owner name.
-	if rtype != dnswire.TypeCNAME {
-		if buf := z.appendSet(dst, name, dnswire.TypeCNAME); len(buf) > from {
-			return Answer{Kind: KindAnswer, Records: since(buf, from)}
-		}
-	}
-	if z.hasNameOrChildren(name) {
-		return Answer{Kind: KindNoData, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
-	}
-	// RFC 1034 §4.3.3 wildcard synthesis: the closest enclosing "*"
-	// owner answers for names that would otherwise not exist.
-	if ans, ok := z.wildcard(dst, name, rtype); ok {
-		return ans
-	}
-	return Answer{Kind: KindNXDomain, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
-}
-
-// wildcard searches for a matching "*" owner at each ancestor of name
-// (excluding names that exist — the caller established NXDOMAIN) and
-// synthesizes records with the query name as owner, appended to dst.
-func (z *Zone) wildcard(dst []dnswire.RR, name dnsname.Name, rtype dnswire.Type) (Answer, bool) {
-	from := len(dst)
-	for cur := name.Parent(); cur.IsSubdomainOf(z.origin); cur = cur.Parent() {
-		star, err := cur.Prepend("*")
-		if err != nil {
-			break
-		}
-		buf := z.appendSet(dst, star, rtype)
-		if len(buf) == from && rtype != dnswire.TypeCNAME {
-			buf = z.appendSet(dst, star, dnswire.TypeCNAME)
-		}
-		if set := since(buf, from); set != nil {
-			for i := range set {
-				set[i].Name = name
+	negative := KindNXDomain
+	if name.IsSubdomainOf(z.origin) {
+		// At or below a zone cut: referral to the deepest cut, even for
+		// an NS query at the cut itself (the parent is not authoritative
+		// for the child apex). The walk also finds name's own node.
+		at, exists := 0, len(z.nodes) > 0 // the apex is the first node
+		for cur := name; cur != z.origin; cur = cur.Parent() {
+			i, ok := z.find(cur)
+			if cur == name {
+				at, exists = i, ok
 			}
-			return Answer{Kind: KindAnswer, Records: set}, true
+			if ok && z.nodes[i].flags&flagCut != 0 {
+				buf := append(dst, z.set(i, dnswire.TypeNS)...)
+				nsSet := since(buf, from)
+				buf = z.appendAddrs(buf, nsSet)
+				return Answer{Kind: KindReferral, Authority: nsSet, Additional: since(buf, from+len(nsSet))}
+			}
 		}
-		// A wildcard exists but lacks the type: NODATA per the RFC.
-		if z.HasName(star) {
-			return Answer{Kind: KindNoData, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}, true
+		// RFC 1034 §4.3.3: a name that does not exist is answered from
+		// the wildcard below its closest ancestor that has one.
+		synthesized := false
+		for cur := name; !exists && cur != z.origin; {
+			cur = cur.Parent()
+			if i, ok := z.find(cur); ok && z.nodes[i].flags&flagWildcard != 0 {
+				at, exists, synthesized = i+1, true, true
+			}
 		}
-		if cur == z.origin {
-			break
+		if exists {
+			set := z.set(at, rtype)
+			if len(set) == 0 && rtype != dnswire.TypeCNAME {
+				set = z.set(at, dnswire.TypeCNAME) // CNAME redirection at the owner
+			}
+			if len(set) > 0 {
+				buf := append(dst, set...)
+				set = since(buf, from)
+				if synthesized {
+					for i := range set {
+						set[i].Name = name
+					}
+				} else {
+					buf = z.appendAddrs(buf, set)
+				}
+				return Answer{Kind: KindAnswer, Records: set, Additional: since(buf, from+len(set))}
+			}
+			negative = KindNoData // an owner without the type, or an empty non-terminal
 		}
 	}
-	return Answer{}, false
-}
-
-// hasNameOrChildren reports whether name exists as an owner name or as an
-// empty non-terminal (an ancestor of an existing name). The ents index is
-// not rebuilt by Remove, so a fully-removed subtree may answer NODATA
-// rather than NXDOMAIN — the conservative direction for a nameserver.
-func (z *Zone) hasNameOrChildren(name dnsname.Name) bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.ents[name]
+	return Answer{Kind: negative, Authority: since(z.appendSet(dst, z.origin, dnswire.TypeSOA), from)}
 }
 
 // appendAddrs appends the in-zone A records that help resolve set's
@@ -310,44 +356,27 @@ func (z *Zone) appendAddrs(dst, set []dnswire.RR) []dnswire.RR {
 // Records returns every record in the zone in deterministic order:
 // canonical name order, then type, then presentation form of RDATA.
 func (z *Zone) Records() []dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]dnswire.RR, 0, len(z.sets)*2)
-	for _, set := range z.sets {
-		out = append(out, set...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := dnsname.Compare(out[i].Name, out[j].Name); c != 0 {
-			return c < 0
+	out := slices.Clone(z.rrs)
+	slices.SortStableFunc(out, func(a, b dnswire.RR) int {
+		if c := compareOwnerType(a, b); c != 0 {
+			return c
 		}
-		if out[i].Type() != out[j].Type() {
-			return out[i].Type() < out[j].Type()
-		}
-		return out[i].Data.String() < out[j].Data.String()
+		return strings.Compare(a.Data.String(), b.Data.String())
 	})
 	return out
 }
 
 // Len returns the total number of records in the zone.
-func (z *Zone) Len() int {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	n := 0
-	for _, set := range z.sets {
-		n += len(set)
-	}
-	return n
-}
+func (z *Zone) Len() int { return len(z.rrs) }
 
 // Delegations returns the zone's cut points in canonical order.
 func (z *Zone) Delegations() []dnsname.Name {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]dnsname.Name, 0, len(z.delegs))
-	for n := range z.delegs {
-		out = append(out, n)
+	var out []dnsname.Name
+	for _, n := range z.nodes {
+		if n.flags&flagCut != 0 {
+			out = append(out, n.name)
+		}
 	}
-	slices.SortFunc(out, dnsname.Compare)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -12,11 +13,11 @@ func a(addr string) dnswire.AData {
 	return dnswire.AData{Addr: netip.MustParseAddr(addr)}
 }
 
-// buildParentZone creates a gov.br-style parent zone with one working
+// buildParentZone starts a gov.br-style parent zone with one working
 // delegation (child "city") including glue, and apex records.
-func buildParentZone(t *testing.T) *Zone {
+func buildParentZone(t *testing.T) *Builder {
 	t.Helper()
-	z := New("gov.br.")
+	z := NewBuilder("gov.br.")
 	records := []dnswire.RR{
 		{Name: "gov.br.", Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOAData{
 			MName: "ns1.gov.br.", RName: "hostmaster.gov.br.", Serial: 1,
@@ -40,7 +41,7 @@ func buildParentZone(t *testing.T) *Zone {
 }
 
 func TestAddRejectsOutOfZone(t *testing.T) {
-	z := New("gov.br.")
+	z := NewBuilder("gov.br.")
 	err := z.Add(dnswire.RR{Name: "gov.cn.", Class: dnswire.ClassIN, Data: a("192.0.2.1")})
 	if err == nil {
 		t.Fatal("Add accepted an out-of-zone record")
@@ -48,21 +49,21 @@ func TestAddRejectsOutOfZone(t *testing.T) {
 }
 
 func TestAddDeduplicates(t *testing.T) {
-	z := New("gov.br.")
+	b := NewBuilder("gov.br.")
 	rr := dnswire.RR{Name: "www.gov.br.", Class: dnswire.ClassIN, TTL: 60, Data: a("192.0.2.1")}
-	if err := z.Add(rr); err != nil {
+	if err := b.Add(rr); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.Add(rr); err != nil {
+	if err := b.Add(rr); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(z.Lookup("www.gov.br.", dnswire.TypeA)); got != 1 {
+	if got := len(b.Freeze().Lookup("www.gov.br.", dnswire.TypeA)); got != 1 {
 		t.Errorf("duplicate Add produced %d records", got)
 	}
 }
 
 func TestAuthoritativeAnswer(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	ans := z.Authoritative("www.gov.br.", dnswire.TypeA)
 	if ans.Kind != KindAnswer {
 		t.Fatalf("Kind = %v, want KindAnswer", ans.Kind)
@@ -73,7 +74,7 @@ func TestAuthoritativeAnswer(t *testing.T) {
 }
 
 func TestAuthoritativeApexNS(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	ans := z.Authoritative("gov.br.", dnswire.TypeNS)
 	if ans.Kind != KindAnswer {
 		t.Fatalf("Kind = %v, want KindAnswer", ans.Kind)
@@ -87,7 +88,7 @@ func TestAuthoritativeApexNS(t *testing.T) {
 }
 
 func TestAuthoritativeReferral(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	for _, qname := range []dnsname.Name{"city.gov.br.", "www.city.gov.br.", "deep.a.city.gov.br."} {
 		ans := z.Authoritative(qname, dnswire.TypeNS)
 		if ans.Kind != KindReferral {
@@ -104,7 +105,7 @@ func TestAuthoritativeReferral(t *testing.T) {
 }
 
 func TestAuthoritativeNXDomain(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	ans := z.Authoritative("missing.gov.br.", dnswire.TypeA)
 	if ans.Kind != KindNXDomain {
 		t.Fatalf("Kind = %v, want KindNXDomain", ans.Kind)
@@ -115,7 +116,7 @@ func TestAuthoritativeNXDomain(t *testing.T) {
 }
 
 func TestAuthoritativeNoData(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	ans := z.Authoritative("www.gov.br.", dnswire.TypeTXT)
 	if ans.Kind != KindNoData {
 		t.Fatalf("Kind = %v, want KindNoData", ans.Kind)
@@ -123,21 +124,21 @@ func TestAuthoritativeNoData(t *testing.T) {
 }
 
 func TestAuthoritativeEmptyNonTerminal(t *testing.T) {
-	z := New("gov.br.")
-	z.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, Data: dnswire.SOAData{MName: "ns.gov.br.", RName: "h.gov.br."}})
-	z.MustAdd(dnswire.RR{Name: "a.b.gov.br.", Class: dnswire.ClassIN, Data: a("192.0.2.9")})
+	b := NewBuilder("gov.br.")
+	b.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, Data: dnswire.SOAData{MName: "ns.gov.br.", RName: "h.gov.br."}})
+	b.MustAdd(dnswire.RR{Name: "a.b.gov.br.", Class: dnswire.ClassIN, Data: a("192.0.2.9")})
 	// "b.gov.br." has no records but has children: NODATA, not NXDOMAIN.
-	ans := z.Authoritative("b.gov.br.", dnswire.TypeA)
+	ans := b.Freeze().Authoritative("b.gov.br.", dnswire.TypeA)
 	if ans.Kind != KindNoData {
 		t.Fatalf("empty non-terminal: Kind = %v, want KindNoData", ans.Kind)
 	}
 }
 
 func TestAuthoritativeCNAME(t *testing.T) {
-	z := buildParentZone(t)
-	z.MustAdd(dnswire.RR{Name: "portal.gov.br.", Class: dnswire.ClassIN, TTL: 60,
+	b := buildParentZone(t)
+	b.MustAdd(dnswire.RR{Name: "portal.gov.br.", Class: dnswire.ClassIN, TTL: 60,
 		Data: dnswire.CNAMEData{Target: "www.gov.br."}})
-	ans := z.Authoritative("portal.gov.br.", dnswire.TypeA)
+	ans := b.Freeze().Authoritative("portal.gov.br.", dnswire.TypeA)
 	if ans.Kind != KindAnswer {
 		t.Fatalf("Kind = %v, want KindAnswer (CNAME)", ans.Kind)
 	}
@@ -147,7 +148,7 @@ func TestAuthoritativeCNAME(t *testing.T) {
 }
 
 func TestAuthoritativeOutOfZone(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	ans := z.Authoritative("gov.cn.", dnswire.TypeNS)
 	if ans.Kind != KindNXDomain {
 		t.Fatalf("out-of-zone lookup Kind = %v, want KindNXDomain", ans.Kind)
@@ -155,38 +156,80 @@ func TestAuthoritativeOutOfZone(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	z := buildParentZone(t)
-	if n := z.Remove("city.gov.br.", dnswire.TypeNS); n != 2 {
+	b := buildParentZone(t)
+	if n := b.Remove("city.gov.br.", dnswire.TypeNS); n != 2 {
 		t.Fatalf("Remove = %d, want 2", n)
 	}
-	ans := z.Authoritative("city.gov.br.", dnswire.TypeNS)
+	ans := b.Freeze().Authoritative("city.gov.br.", dnswire.TypeNS)
 	if ans.Kind == KindReferral {
 		t.Error("delegation survived Remove")
 	}
-	if n := z.Remove("nonexistent.gov.br.", dnswire.TypeA); n != 0 {
+	if n := b.Remove("nonexistent.gov.br.", dnswire.TypeA); n != 0 {
 		t.Errorf("Remove(nonexistent) = %d, want 0", n)
 	}
 }
 
+// TestRemoveDropsEmptyNonTerminals: once every record under a name is
+// removed, the name and the empty non-terminals above it stop existing,
+// so they answer NXDOMAIN rather than NODATA.
+func TestRemoveDropsEmptyNonTerminals(t *testing.T) {
+	b := buildParentZone(t)
+	b.MustAdd(dnswire.RR{Name: "x.dead.gov.br.", Class: dnswire.ClassIN, TTL: 60, Data: a("192.0.2.7")})
+	if ans := b.Freeze().Authoritative("dead.gov.br.", dnswire.TypeA); ans.Kind != KindNoData {
+		t.Fatalf("before Remove: Kind = %v, want KindNoData", ans.Kind)
+	}
+	b.Remove("x.dead.gov.br.", dnswire.TypeA)
+	z := b.Freeze()
+	for _, name := range []dnsname.Name{"dead.gov.br.", "x.dead.gov.br."} {
+		if ans := z.Authoritative(name, dnswire.TypeA); ans.Kind != KindNXDomain {
+			t.Errorf("after Remove: %s Kind = %v, want KindNXDomain", name, ans.Kind)
+		}
+	}
+}
+
+// TestEditLeavesZoneUnchanged: a builder taken from a frozen zone edits
+// a copy; the zone it came from answers as before.
+func TestEditLeavesZoneUnchanged(t *testing.T) {
+	z := buildParentZone(t).Freeze()
+	b := z.Builder()
+	b.Remove("city.gov.br.", dnswire.TypeNS)
+	b.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NSData{Host: "ns3.gov.br."}})
+	edited := b.Freeze()
+	if got := z.Authoritative("city.gov.br.", dnswire.TypeNS).Kind; got != KindReferral {
+		t.Errorf("original lost its delegation: Kind = %v", got)
+	}
+	// city's glue stays, so the name is now an empty non-terminal.
+	if got := edited.Authoritative("city.gov.br.", dnswire.TypeNS).Kind; got != KindNoData {
+		t.Errorf("edited copy: city Kind = %v, want KindNoData", got)
+	}
+	ns := edited.Lookup("gov.br.", dnswire.TypeNS)
+	if len(ns) != 3 || ns[2].Data.(dnswire.NSData).Host != "ns3.gov.br." {
+		t.Errorf("edited apex NS = %v, want the added record last", ns)
+	}
+	if len(z.Lookup("gov.br.", dnswire.TypeNS)) != 2 {
+		t.Error("original gained the edit's NS record")
+	}
+}
+
 func TestValidate(t *testing.T) {
-	z := buildParentZone(t)
-	if errs := z.Validate(); len(errs) != 0 {
+	b := buildParentZone(t)
+	if errs := b.Freeze().Validate(); len(errs) != 0 {
 		t.Fatalf("valid zone reported errors: %v", errs)
 	}
 	// Remove glue: validation must flag the in-zone NS host without an A.
-	z.Remove("ns1.city.gov.br.", dnswire.TypeA)
-	if errs := z.Validate(); len(errs) == 0 {
+	b.Remove("ns1.city.gov.br.", dnswire.TypeA)
+	if errs := b.Freeze().Validate(); len(errs) == 0 {
 		t.Error("Validate missed missing glue")
 	}
-	empty := New("gov.xx.")
+	empty := NewBuilder("gov.xx.").Freeze()
 	if errs := empty.Validate(); len(errs) < 2 {
 		t.Errorf("empty zone: %d errors, want >=2 (no SOA, no NS)", len(errs))
 	}
 }
 
 func TestRecordsDeterministicOrder(t *testing.T) {
-	z1 := buildParentZone(t)
-	z2 := buildParentZone(t)
+	z1 := buildParentZone(t).Freeze()
+	z2 := buildParentZone(t).Freeze()
 	r1, r2 := z1.Records(), z2.Records()
 	if len(r1) != len(r2) || len(r1) != z1.Len() {
 		t.Fatalf("record counts differ: %d, %d, Len=%d", len(r1), len(r2), z1.Len())
@@ -199,7 +242,7 @@ func TestRecordsDeterministicOrder(t *testing.T) {
 }
 
 func TestDelegations(t *testing.T) {
-	z := buildParentZone(t)
+	z := buildParentZone(t).Freeze()
 	cuts := z.Delegations()
 	if len(cuts) != 1 || cuts[0] != "city.gov.br." {
 		t.Errorf("Delegations = %v, want [city.gov.br.]", cuts)
@@ -207,13 +250,14 @@ func TestDelegations(t *testing.T) {
 }
 
 func TestWildcardSynthesis(t *testing.T) {
-	z := New("gov.br.")
-	z.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, Data: dnswire.SOAData{
+	b := NewBuilder("gov.br.")
+	b.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, Data: dnswire.SOAData{
 		MName: "ns1.gov.br.", RName: "h.gov.br."}})
-	z.MustAdd(dnswire.RR{Name: "*.apps.gov.br.", Class: dnswire.ClassIN, TTL: 300,
+	b.MustAdd(dnswire.RR{Name: "*.apps.gov.br.", Class: dnswire.ClassIN, TTL: 300,
 		Data: a("192.0.2.50")})
-	z.MustAdd(dnswire.RR{Name: "real.apps.gov.br.", Class: dnswire.ClassIN, TTL: 300,
+	b.MustAdd(dnswire.RR{Name: "real.apps.gov.br.", Class: dnswire.ClassIN, TTL: 300,
 		Data: a("192.0.2.51")})
+	z := b.Freeze()
 
 	// Synthesized answer with the query name as owner.
 	ans := z.Authoritative("anything.apps.gov.br.", dnswire.TypeA)
@@ -247,17 +291,70 @@ func TestWildcardSynthesis(t *testing.T) {
 }
 
 func TestWildcardDeepMatch(t *testing.T) {
-	z := New("gov.br.")
-	z.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, Data: dnswire.SOAData{
+	b := NewBuilder("gov.br.")
+	b.MustAdd(dnswire.RR{Name: "gov.br.", Class: dnswire.ClassIN, Data: dnswire.SOAData{
 		MName: "ns1.gov.br.", RName: "h.gov.br."}})
-	z.MustAdd(dnswire.RR{Name: "*.gov.br.", Class: dnswire.ClassIN, TTL: 300,
+	b.MustAdd(dnswire.RR{Name: "*.gov.br.", Class: dnswire.ClassIN, TTL: 300,
 		Data: a("192.0.2.60")})
 	// A multi-label miss under the apex matches *.gov.br per RFC 1034.
-	ans := z.Authoritative("a.b.c.gov.br.", dnswire.TypeA)
+	ans := b.Freeze().Authoritative("a.b.c.gov.br.", dnswire.TypeA)
 	if ans.Kind != KindAnswer {
 		t.Fatalf("Kind = %v, want KindAnswer via wildcard", ans.Kind)
 	}
 	if ans.Records[0].Name != "a.b.c.gov.br." {
 		t.Errorf("owner = %s", ans.Records[0].Name)
+	}
+}
+
+// TestAppendAuthoritativeAllocatesNothing: with room in dst, every kind
+// of answer is built without an allocation — names longer than 32 bytes
+// included, which a name concatenation would put on the heap.
+func TestAppendAuthoritativeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	b := buildParentZone(t)
+	b.MustAdd(dnswire.RR{Name: "*.apps.gov.br.", Class: dnswire.ClassIN, TTL: 300, Data: a("192.0.2.50")})
+	z := b.Freeze()
+	dst := make([]dnswire.RR, 0, 16)
+	for _, tc := range []struct {
+		name  dnsname.Name
+		rtype dnswire.Type
+		kind  AnswerKind
+	}{
+		{"gov.br.", dnswire.TypeNS, KindAnswer},
+		{"a-rather-long-host-label.www.city.gov.br.", dnswire.TypeA, KindReferral},
+		{"www.gov.br.", dnswire.TypeTXT, KindNoData},
+		{"www.dead.gov.br.", dnswire.TypeA, KindNXDomain},
+		{"a-rather-long-host-label.dead.gov.br.", dnswire.TypeA, KindNXDomain},
+		{"a-rather-long-host-label.apps.gov.br.", dnswire.TypeA, KindAnswer},
+	} {
+		var ans Answer
+		allocs := testing.AllocsPerRun(100, func() { ans = z.AppendAuthoritative(dst[:0], tc.name, tc.rtype) })
+		if ans.Kind != tc.kind {
+			t.Errorf("%s %s: Kind = %v, want %v", tc.name, tc.rtype, ans.Kind, tc.kind)
+		}
+		if allocs != 0 {
+			t.Errorf("%s %s: %v allocations per lookup, want 0", tc.name, tc.rtype, allocs)
+		}
+	}
+}
+
+// TestFreezeAllocationsFixed: Freeze lays out a zone of any size in the
+// same four allocations: header, records, nodes and index.
+func TestFreezeAllocationsFixed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, n := range []int{0, 1, 10, 1000} {
+		b := buildParentZone(t)
+		for i := range n {
+			host := dnsname.MustParse(fmt.Sprintf("ns%d.d%d.sub.gov.br", i%2, i))
+			b.MustAdd(dnswire.RR{Name: host.Parent(), Class: dnswire.ClassIN, TTL: 60, Data: dnswire.NSData{Host: host}})
+			b.MustAdd(dnswire.RR{Name: host, Class: dnswire.ClassIN, TTL: 60, Data: a("192.0.2.1")})
+		}
+		if allocs := testing.AllocsPerRun(10, func() { b.Freeze() }); allocs != 4 {
+			t.Errorf("%d delegations: Freeze makes %v allocations, want 4", n, allocs)
+		}
 	}
 }
