@@ -399,3 +399,65 @@ func TestStudyMemoInvalidatedByRunActive(t *testing.T) {
 		}
 	}
 }
+
+// studyActiveDigests are the sha256s of studyActiveSurface's output
+// on two generated worlds: the passive digest's, and a larger one. They
+// were frozen before the eight active figures were split into parallel
+// chunks; a change to any active figure on a generated world moves
+// them.
+var studyActiveDigests = []struct {
+	seed   int64
+	scale  float64
+	digest string
+}{
+	{7, 0.01, "57af5a301e9c4f6cd987c131d8a8b8f9441dcdb38344d1c1e5f8321e97861c2a"},
+	{42, 0.02, "3b7aaec6708bb032f60ff4b481701a040f007109e1ba1db7b9d022cc40c41e15"},
+}
+
+// studyActiveSurface writes the eight active accessors' outputs as one
+// JSON line each: Figs. 8/9, Table I, diversity by level, the level
+// distribution, Fig. 10, Figs. 11/12, Figs. 13/14 and the
+// inconsistency hijacks.
+func studyActiveSurface(t *testing.T, s *Study) []byte {
+	t.Helper()
+	getters := []func() (any, error){
+		func() (any, error) { return s.Fig8And9() },
+		func() (any, error) { return s.Table1() },
+		func() (any, error) { return s.DiversityByLevel() },
+		func() (any, error) { return s.LevelDistribution() },
+		func() (any, error) { return s.Fig10() },
+		func() (any, error) { return s.Fig11And12() },
+		func() (any, error) { return s.Fig13And14() },
+		func() (any, error) { return s.InconsistencyHijacks() },
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, get := range getters {
+		out, err := get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestStudyActiveMatchesReference pins every active figure on two
+// generated worlds to the frozen digests.
+func TestStudyActiveMatchesReference(t *testing.T) {
+	for _, w := range studyActiveDigests {
+		s := NewStudy(Config{Seed: w.seed, Scale: w.scale, QueryTimeout: 10 * time.Millisecond})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		err := s.RunActive(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("seed %d scale %g: RunActive: %v", w.seed, w.scale, err)
+		}
+		sum := sha256.Sum256(studyActiveSurface(t, s))
+		if got := hex.EncodeToString(sum[:]); got != w.digest {
+			t.Errorf("seed %d scale %g: active surface digest = %s, want %s", w.seed, w.scale, got, w.digest)
+		}
+	}
+}
