@@ -13,6 +13,8 @@ import (
 	"govdns/internal/geoip"
 	"govdns/internal/measure"
 	"govdns/internal/miniworld"
+	"govdns/internal/pdns"
+	"govdns/internal/providers"
 	"govdns/internal/registrar"
 	"govdns/internal/resolver"
 )
@@ -340,6 +342,24 @@ func TestClassifyMatchesSetDefinition(t *testing.T) {
 		if got != want {
 			t.Fatalf("classify = %v, set definition says %v\n%+v", got, want, r)
 		}
+		// The figures' unsorted child view: the same set, the same
+		// class, and |P ∪ C| by its definition.
+		child := childView(r, nil)
+		sorted := slices.Clone(child)
+		slices.SortFunc(sorted, dnsname.Compare)
+		if !slices.Equal(sorted, r.ChildNS()) || (len(child) > 0) != r.Responsive() {
+			t.Fatalf("childView = %v, ChildNS = %v\n%+v", child, r.ChildNS(), r)
+		}
+		if got := classify(r, child); got != want {
+			t.Fatalf("classify(childView) = %v, set definition says %v\n%+v", got, want, r)
+		}
+		union := map[dnsname.Name]bool{}
+		for _, h := range append(slices.Clone(r.ParentNS), child...) {
+			union[h] = true
+		}
+		if got := unionLen(r.ParentNS, child); got != len(union) {
+			t.Fatalf("unionLen = %d, want %d\n%+v", got, len(union), r)
+		}
 		seen[want]++
 	}
 	for class := ClassEqual; class <= ClassUnresponsive; class++ {
@@ -389,6 +409,35 @@ func TestActiveFiguresDoNotAllocatePerResult(t *testing.T) {
 		if twice-once > 2 {
 			t.Errorf("%s allocates %v times over %d results and %v over %d: it allocates per result",
 				f.name, once, len(rs), twice, len(doubled))
+		}
+	}
+
+	// The Table II/III tallies, over a corpus and over one with every
+	// domain twice (under a second name).
+	store, twiceStore := genStore(5), pdns.NewStore()
+	for _, rs := range store.Snapshot() {
+		for _, owner := range []dnsname.Name{rs.RRName, "copy-" + rs.RRName} {
+			twiceStore.ObserveRange(owner, rs.RRType, rs.RData, rs.FirstSeen, rs.LastSeen)
+		}
+	}
+	pa := NewProviderAnalysis(providers.Default(), testMapper(), []string{"cn"})
+	for _, f := range []struct {
+		name string
+		run  func(*Corpus)
+	}{
+		{"MajorProvidersCorpus", func(c *Corpus) { pa.MajorProvidersCorpus(c, goldenEnd) }},
+		{"TopProvidersCorpus", func(c *Corpus) { pa.TopProvidersCorpus(c, goldenEnd, 11) }},
+	} {
+		c := CompileCorpus(pdns.NewView(store.Snapshot()), pa.mapper, goldenStart, goldenEnd)
+		c2 := CompileCorpus(pdns.NewView(twiceStore.Snapshot()), pa.mapper, goldenStart, goldenEnd)
+		if len(c2.nsOwners) != 2*len(c.nsOwners) {
+			t.Fatalf("doubled corpus has %d NS owners, want %d", len(c2.nsOwners), 2*len(c.nsOwners))
+		}
+		once := testing.AllocsPerRun(5, func() { f.run(c) })
+		twice := testing.AllocsPerRun(5, func() { f.run(c2) })
+		if twice-once > 2 {
+			t.Errorf("%s allocates %v times over %d domains and %v over %d: it allocates per domain",
+				f.name, once, len(c.nsOwners), twice, len(c2.nsOwners))
 		}
 	}
 }

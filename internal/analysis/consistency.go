@@ -55,11 +55,12 @@ func (c ConsistencyClass) String() string {
 }
 
 // classify determines the consistency class of one scan result, given
-// its child view (r.ChildNS(): sorted, distinct), which callers need
-// themselves. The NS sets hold a handful of names, so membership is a
-// scan, not a map.
+// its child view (childView or r.ChildNS(): distinct, in any order),
+// which callers need themselves. C is empty exactly when the result is
+// not Responsive. The NS sets hold a handful of names, so membership is
+// a scan, not a map.
 func classify(r *measure.DomainResult, child []dnsname.Name) ConsistencyClass {
-	if !r.Responsive() || len(child) == 0 {
+	if len(child) == 0 {
 		return ClassUnresponsive
 	}
 	nParent := 0 // distinct names in P
@@ -125,61 +126,95 @@ type ConsistencyStats struct {
 	SingleLabelNS int
 }
 
+// consistencyTally is one chunk's share of Consistency.
+type consistencyTally struct {
+	responsive, inconsistent, inconsistentDefect, singleLabelNS int
+	counts                                                      [ClassUnresponsive + 1]int
+	// Per level: responsive and P=C domains; per country slot:
+	// responsive and P≠C domains.
+	levelTotals, levelEqual        []int
+	countryTotals, countryDisagree []int
+}
+
 // Consistency computes ConsistencyStats from scan results.
 func Consistency(results []*measure.DomainResult, m *Mapper) *ConsistencyStats {
+	parts := perChunk(len(results), func(t *consistencyTally, lo, hi int) {
+		t.countryTotals = make([]int, m.slots())
+		t.countryDisagree = make([]int, m.slots())
+		var child []dnsname.Name // C of the current result, in one reused buffer
+		for _, r := range results[lo:hi] {
+			if !r.HasData() {
+				continue
+			}
+			child = childView(r, child[:0])
+			class := classify(r, child)
+			if class == ClassUnresponsive {
+				continue
+			}
+			t.responsive++
+			t.counts[class]++
+
+			level := r.Domain.Level()
+			t.levelTotals = growCount(t.levelTotals, level)
+			slot := m.slotOf(m.suffixIndex(r.Domain))
+			t.countryTotals[slot]++
+
+			if class == ClassEqual {
+				t.levelEqual = growCount(t.levelEqual, level)
+				continue
+			}
+			t.countryDisagree[slot]++
+			t.inconsistent++
+			if r.PartiallyDefective() {
+				t.inconsistentDefect++
+			}
+			if hasSingleLabel(r.ParentNS) || hasSingleLabel(child) {
+				t.singleLabelNS++
+			}
+		}
+	})
+	t := &parts[0]
+	for _, p := range parts[1:] {
+		t.responsive += p.responsive
+		t.inconsistent += p.inconsistent
+		t.inconsistentDefect += p.inconsistentDefect
+		t.singleLabelNS += p.singleLabelNS
+		for class, n := range p.counts {
+			t.counts[class] += n
+		}
+		t.levelTotals = addCounts(t.levelTotals, p.levelTotals)
+		t.levelEqual = addCounts(t.levelEqual, p.levelEqual)
+		addCounts(t.countryTotals, p.countryTotals)
+		addCounts(t.countryDisagree, p.countryDisagree)
+	}
+
 	cs := &ConsistencyStats{
-		Counts:                 make(map[ConsistencyClass]int),
-		ByLevel:                make(map[int]float64),
-		DisagreementPerCountry: make(map[string]float64),
+		Responsive:                t.responsive,
+		Counts:                    make(map[ConsistencyClass]int),
+		EqualPct:                  stats.Pct(t.counts[ClassEqual], t.responsive),
+		ByLevel:                   make(map[int]float64),
+		InconsistentWithDefectPct: stats.Pct(t.inconsistentDefect, t.inconsistent),
+		DisagreementPerCountry:    make(map[string]float64),
+		SingleLabelNS:             t.singleLabelNS,
 	}
-	levelTotals := make(map[int]int)
-	levelEqual := make(map[int]int)
-	countryTotals := make(map[string]int)
-	countryDisagree := make(map[string]int)
-	inconsistent, inconsistentDefect := 0, 0
-
-	var child []dnsname.Name // C of the current result, in one reused buffer
-	for _, r := range results {
-		if !r.HasData() {
-			continue
-		}
-		child = r.AppendChildNS(child[:0])
-		class := classify(r, child)
-		if class == ClassUnresponsive {
-			continue
-		}
-		cs.Responsive++
-		cs.Counts[class]++
-
-		level := r.Domain.Level()
-		levelTotals[level]++
-		code := ""
-		if c, ok := m.CountryOf(r.Domain); ok {
-			code = c.Code
-		}
-		countryTotals[code]++
-
-		if class == ClassEqual {
-			levelEqual[level]++
-			continue
-		}
-		countryDisagree[code]++
-		inconsistent++
-		if r.PartiallyDefective() {
-			inconsistentDefect++
-		}
-		if hasSingleLabel(r.ParentNS) || hasSingleLabel(child) {
-			cs.SingleLabelNS++
+	for class, n := range t.counts {
+		if n > 0 {
+			cs.Counts[ConsistencyClass(class)] = n
 		}
 	}
-
-	cs.EqualPct = stats.Pct(cs.Counts[ClassEqual], cs.Responsive)
-	for level, total := range levelTotals {
-		cs.ByLevel[level] = stats.Pct(levelEqual[level], total)
+	for level, total := range t.levelTotals {
+		if total > 0 {
+			equal := 0
+			if level < len(t.levelEqual) {
+				equal = t.levelEqual[level]
+			}
+			cs.ByLevel[level] = stats.Pct(equal, total)
+		}
 	}
-	cs.InconsistentWithDefectPct = stats.Pct(inconsistentDefect, inconsistent)
-	for code, total := range countryTotals {
-		cs.DisagreementPerCountry[code] = stats.Pct(countryDisagree[code], total)
+	for s, total := range t.countryTotals {
+		if total > 0 {
+			cs.DisagreementPerCountry[m.slotCode(int32(s))] = stats.Pct(t.countryDisagree[s], total)
+		}
 	}
 	return cs
 }
@@ -201,56 +236,80 @@ type InconsistencyHijack struct {
 	Prices []registrar.Cents
 }
 
+// inconsistencyTally is one chunk's share of InconsistencyHijacks.
+type inconsistencyTally struct {
+	affected int
+	// nsDomains is the set of registrable nameserver domains found;
+	// countries marks the country slots of affected domains.
+	nsDomains map[dnsname.Name]struct{}
+	countries []bool
+}
+
 // InconsistencyHijacks checks the non-defective inconsistent domains for
 // registrable nameserver domains among hosts not present in both views.
 func InconsistencyHijacks(results []*measure.DomainResult, m *Mapper, reg *registrar.Registry) *InconsistencyHijack {
+	parts := perChunk(len(results), func(t *inconsistencyTally, lo, hi int) {
+		t.nsDomains = make(map[dnsname.Name]struct{})
+		t.countries = make([]bool, m.slots())
+		var child []dnsname.Name // C of the current result, in one reused buffer
+		for _, r := range results[lo:hi] {
+			if !r.HasData() {
+				continue
+			}
+			// Most results are consistent: classify before the
+			// defect test, which skips the rest.
+			child = childView(r, child[:0])
+			class := classify(r, child)
+			if class == ClassEqual || class == ClassUnresponsive || r.HasDefect() {
+				continue
+			}
+			idx := m.suffixIndex(r.Domain)
+			affected := false
+			// Hosts of one view that the other view lacks.
+			check := func(hosts, other []dnsname.Name) {
+				for _, host := range hosts {
+					if slices.Contains(other, host) {
+						continue // present in both views
+					}
+					if m.isPrivateHost(idx, host) {
+						continue
+					}
+					nsDomain := NSDomain(host)
+					if !reg.Available(nsDomain) {
+						continue
+					}
+					t.nsDomains[nsDomain] = struct{}{}
+					affected = true
+				}
+			}
+			check(r.ParentNS, child)
+			check(child, r.ParentNS)
+			if affected {
+				t.affected++
+				if idx >= 0 {
+					t.countries[m.slot[idx]] = true
+				}
+			}
+		}
+	})
 	ih := &InconsistencyHijack{}
-	nsDomains := make(map[dnsname.Name]bool)
-	countries := make(map[string]bool)
-
-	var child []dnsname.Name // C of the current result, in one reused buffer
-	for _, r := range results {
-		if !r.HasData() || r.HasDefect() {
-			continue
+	countries := make([]bool, m.slots())
+	for _, p := range parts {
+		ih.AffectedDomains += p.affected
+		for nsDomain := range p.nsDomains {
+			ih.AvailableNSDomains = append(ih.AvailableNSDomains, nsDomain)
 		}
-		child = r.AppendChildNS(child[:0])
-		class := classify(r, child)
-		if class == ClassEqual || class == ClassUnresponsive {
-			continue
+		for s, seen := range p.countries {
+			countries[s] = countries[s] || seen
 		}
-		affected := false
-		// Hosts of one view that the other view lacks.
-		check := func(hosts, other []dnsname.Name) {
-			for _, host := range hosts {
-				if slices.Contains(other, host) {
-					continue // present in both views
-				}
-				if m.IsPrivateHost(r.Domain, host) {
-					continue
-				}
-				nsDomain := NSDomain(host)
-				if !reg.Available(nsDomain) {
-					continue
-				}
-				nsDomains[nsDomain] = true
-				affected = true
-			}
-		}
-		check(r.ParentNS, child)
-		check(child, r.ParentNS)
-		if affected {
-			ih.AffectedDomains++
-			if country, ok := m.CountryOf(r.Domain); ok {
-				countries[country.Code] = true
-			}
-		}
-	}
-
-	for nsDomain := range nsDomains {
-		ih.AvailableNSDomains = append(ih.AvailableNSDomains, nsDomain)
 	}
 	slices.SortFunc(ih.AvailableNSDomains, dnsname.Compare)
-	ih.Countries = len(countries)
+	ih.AvailableNSDomains = slices.Compact(ih.AvailableNSDomains)
+	for _, seen := range countries {
+		if seen {
+			ih.Countries++
+		}
+	}
 	ih.Prices = reg.Quote(ih.AvailableNSDomains)
 	if len(ih.Prices) > 0 {
 		ih.MinPrice = ih.Prices[0]

@@ -11,8 +11,11 @@ package analysis
 // year in one event sweep over each owner's record-window edges (see
 // sweepModes), for two edges per record instead of one step per active
 // day.
-// Year-invariant predicates (Mapper.CountryOf, Mapper.IsPrivateHost,
-// provider identification) are memoized per interned ID.
+// Year-invariant facts are memoized per interned ID: each owner's
+// country index (Mapper.suffixIndex, one probe on the top-level domain
+// and a suffix check per government suffix under it), each record's
+// private-deployment bit, and each rdata's provider labels, interned
+// as label IDs (rdataLabels).
 //
 // Determinism contract: owner IDs are indices into the canonically
 // ordered name list (a view cut from a store snapshot arrives in that
@@ -70,14 +73,14 @@ type Corpus struct {
 	nsLast  []pdns.Day
 	// nsPrivate memoizes the year-invariant private-deployment bit per
 	// record: rdata parses and the host falls under the owner's
-	// government suffix (Mapper.IsPrivateHost).
+	// government suffix (Mapper.isPrivateHost).
 	nsPrivate []bool
 
 	// nsOwners lists the owner IDs that have at least one NS record —
 	// the domain population every figure iterates.
 	nsOwners []int32
 
-	// country memoizes Mapper.CountryOf per owner as an index into the
+	// country memoizes Mapper.suffixIndex per owner: an index into the
 	// mapper's country list (-1 = unmapped).
 	country []int32
 
@@ -98,6 +101,44 @@ type Corpus struct {
 	labels   *rdataLabels
 }
 
+// minChunk is the fewest items a chunk of a per-domain figure loop
+// (perChunk) takes, so that a loop over fewer than twice as many runs
+// as one chunk on the caller's goroutine: test-sized inputs stay serial
+// and allocation-flat, and a worker is only started for enough work to
+// pay for it.
+const minChunk = 4096
+
+// chunkCount returns how many chunks to split n items into: one per
+// worker (GOMAXPROCS), but no more than leaves each chunk minSize items,
+// and at least one. It depends only on n, minSize and GOMAXPROCS.
+func chunkCount(n, minSize int) int {
+	workers := runtime.GOMAXPROCS(0)
+	if minSize > 1 {
+		workers = min(workers, n/minSize)
+	}
+	return max(1, min(workers, n))
+}
+
+// forChunks cuts [0, n) into chunks contiguous, balanced pieces (their
+// lengths differ by at most one) and runs fn(k, lo, hi) on each piece
+// k = [lo, hi) concurrently; a single chunk runs on the caller's
+// goroutine.
+func forChunks(n, chunks int, fn func(k, lo, hi int)) {
+	if chunks <= 1 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < chunks; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			fn(k, k*n/chunks, (k+1)*n/chunks)
+		}(k)
+	}
+	wg.Wait()
+}
+
 // parallelChunks splits [0, n) into one contiguous chunk per worker
 // and runs fn on each concurrently. Chunk boundaries depend only on n
 // and GOMAXPROCS; callers write disjoint index ranges, so results are
@@ -106,28 +147,20 @@ func parallelChunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	forChunks(n, chunkCount(n, 1), func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// perChunk runs fill over the chunks of [0, n), each at least minChunk
+// long, concurrently and each into a zero T of its own, and returns the
+// parts in chunk order. Chunk boundaries depend only on n and
+// GOMAXPROCS, and the caller merges the parts in the order returned, so
+// what it computes from them does not depend on scheduling; a merge
+// that only adds counts or unions sets does not depend on the number
+// of chunks either.
+func perChunk[T any](n int, fill func(part *T, lo, hi int)) []T {
+	parts := make([]T, chunkCount(n, minChunk))
+	forChunks(n, len(parts), func(k, lo, hi int) { fill(&parts[k], lo, hi) })
+	return parts
 }
 
 // CompileCorpus builds the columnar corpus for view over the study
@@ -235,15 +268,14 @@ func CompileCorpus(view *pdns.View, m *Mapper, startYear, endYear int) *Corpus {
 		parallelChunks(len(c.nsOwners), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				i := int(c.nsOwners[k])
-				name := c.names[i]
-				c.country[i] = m.countryIndexOf(name)
-				suffix, ok := m.SuffixOf(name)
-				if !ok {
+				idx := m.suffixIndex(c.names[i])
+				c.country[i] = int32(idx)
+				if idx < 0 {
 					continue
 				}
 				for r := c.nsOff[i]; r < c.nsOff[i+1]; r++ {
 					id := c.nsRData[r]
-					c.nsPrivate[r] = c.hostOK[id] && c.hosts[id].IsSubdomainOf(suffix)
+					c.nsPrivate[r] = c.hostOK[id] && m.isPrivateHost(idx, c.hosts[id])
 				}
 			}
 		})

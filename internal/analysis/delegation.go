@@ -43,34 +43,67 @@ func (d *DelegationStats) PartialPct() float64 { return stats.Pct(d.Partial, d.W
 // FullPct returns the global fully-defective share.
 func (d *DelegationStats) FullPct() float64 { return stats.Pct(d.Full, d.WithData) }
 
+// add tallies one domain with data.
+func (d *DelegationCountry) add(full, partial bool) {
+	d.Domains++
+	switch {
+	case full:
+		d.AnyDefect++
+		d.Full++
+	case partial:
+		d.AnyDefect++
+		d.Partial++
+	}
+}
+
+// merge adds o's tallies to d's.
+func (d *DelegationCountry) merge(o DelegationCountry) {
+	d.Domains += o.Domains
+	d.AnyDefect += o.AnyDefect
+	d.Partial += o.Partial
+	d.Full += o.Full
+}
+
+// delegationTally is one chunk's share of Delegations.
+type delegationTally struct {
+	total   DelegationCountry
+	country []DelegationCountry // per country slot
+}
+
 // Delegations computes DelegationStats from scan results.
 func Delegations(results []*measure.DomainResult, m *Mapper) *DelegationStats {
-	ds := &DelegationStats{PerCountry: make(map[string]DelegationCountry)}
-	for _, r := range results {
-		if !r.HasData() {
-			continue
+	parts := perChunk(len(results), func(t *delegationTally, lo, hi int) {
+		t.country = make([]DelegationCountry, m.slots())
+		for _, r := range results[lo:hi] {
+			if !r.HasData() {
+				continue
+			}
+			// Fully defective: no server answers; partially: some
+			// parent-listed host does not answer, but another does.
+			full := !r.Responsive()
+			partial := !full && r.HasDefect()
+			t.total.add(full, partial)
+			t.country[m.slotOf(m.suffixIndex(r.Domain))].add(full, partial)
 		}
-		ds.WithData++
-		code := ""
-		if c, ok := m.CountryOf(r.Domain); ok {
-			code = c.Code
+	})
+	t := &parts[0]
+	for _, p := range parts[1:] {
+		t.total.merge(p.total)
+		for s := range t.country {
+			t.country[s].merge(p.country[s])
 		}
-		entry := ds.PerCountry[code]
-		entry.Domains++
-
-		switch {
-		case r.FullyDefective():
-			ds.AnyDefect++
-			ds.Full++
-			entry.AnyDefect++
-			entry.Full++
-		case r.PartiallyDefective():
-			ds.AnyDefect++
-			ds.Partial++
-			entry.AnyDefect++
-			entry.Partial++
+	}
+	ds := &DelegationStats{
+		WithData:   t.total.Domains,
+		AnyDefect:  t.total.AnyDefect,
+		Partial:    t.total.Partial,
+		Full:       t.total.Full,
+		PerCountry: make(map[string]DelegationCountry),
+	}
+	for s, entry := range t.country {
+		if entry.Domains > 0 {
+			ds.PerCountry[m.slotCode(int32(s))] = entry
 		}
-		ds.PerCountry[code] = entry
 	}
 	return ds
 }
@@ -109,78 +142,123 @@ type HijackCountry struct {
 	AvailableNSDomains int
 }
 
+// hijackPair is one available nameserver domain seen behind a
+// defective delegation of a domain in one country slot.
+type hijackPair struct {
+	nsDomain dnsname.Name
+	slot     int32
+}
+
+// hijackTally is one chunk's share of HijackRisks.
+type hijackTally struct {
+	affected, fullyUnresponsive int
+	affectedBy                  []int // per country slot
+	// available caches reg.Available per nameserver domain; pairs is
+	// the set of (available nameserver domain, slot) pairs seen.
+	available map[dnsname.Name]bool
+	pairs     map[hijackPair]struct{}
+}
+
 // HijackRisks finds registrable nameserver domains behind defective
 // delegations: for every defective nameserver host outside government
 // suffixes, check whether its registrable domain is available.
 func HijackRisks(results []*measure.DomainResult, m *Mapper, reg *registrar.Registry) *HijackRisk {
-	hr := &HijackRisk{PerCountry: make(map[string]HijackCountry)}
-	nsDomainCountries := make(map[dnsname.Name]map[string]bool)
-	nsDomainsByCountry := make(map[string]map[dnsname.Name]bool)
-	available := make(map[dnsname.Name]bool)
-
-	for _, r := range results {
-		if !r.HasDefect() {
-			continue
-		}
-		code := ""
-		if c, ok := m.CountryOf(r.Domain); ok {
-			code = c.Code
-		}
-		affected := false
-		for _, host := range r.ParentNS {
-			// The defective hosts: those no address answered for.
-			if r.HostAnswered(host) {
+	parts := perChunk(len(results), func(t *hijackTally, lo, hi int) {
+		t.affectedBy = make([]int, m.slots())
+		t.available = make(map[dnsname.Name]bool)
+		t.pairs = make(map[hijackPair]struct{})
+		for _, r := range results[lo:hi] {
+			if !r.HasDefect() {
 				continue
 			}
-			if m.IsPrivateHost(r.Domain, host) {
-				continue // in-government hosts pose no registration risk
+			idx := m.suffixIndex(r.Domain)
+			slot := m.slotOf(idx)
+			affected := false
+			for _, host := range r.ParentNS {
+				// The defective hosts: those no address answered for.
+				if r.HostAnswered(host) {
+					continue
+				}
+				if m.isPrivateHost(idx, host) {
+					continue // in-government hosts pose no registration risk
+				}
+				nsDomain := NSDomain(host)
+				known, checked := t.available[nsDomain]
+				if !checked {
+					known = reg.Available(nsDomain)
+					t.available[nsDomain] = known
+				}
+				if !known {
+					continue
+				}
+				affected = true
+				t.pairs[hijackPair{nsDomain, slot}] = struct{}{}
 			}
-			nsDomain := NSDomain(host)
-			known, checked := available[nsDomain]
-			if !checked {
-				known = reg.Available(nsDomain)
-				available[nsDomain] = known
-			}
-			if !known {
+			if !affected {
 				continue
 			}
-			affected = true
-			if nsDomainCountries[nsDomain] == nil {
-				nsDomainCountries[nsDomain] = make(map[string]bool)
+			t.affected++
+			t.affectedBy[slot]++
+			if !r.Responsive() {
+				t.fullyUnresponsive++
 			}
-			nsDomainCountries[nsDomain][code] = true
-			if nsDomainsByCountry[code] == nil {
-				nsDomainsByCountry[code] = make(map[dnsname.Name]bool)
-			}
-			nsDomainsByCountry[code][nsDomain] = true
 		}
-		if !affected {
+	})
+	var pairs []hijackPair
+	t := &parts[0]
+	for i := range parts {
+		p := &parts[i]
+		if i > 0 {
+			t.affected += p.affected
+			t.fullyUnresponsive += p.fullyUnresponsive
+			addCounts(t.affectedBy, p.affectedBy)
+		}
+		for pair := range p.pairs {
+			pairs = append(pairs, pair)
+		}
+	}
+	slices.SortFunc(pairs, func(a, b hijackPair) int {
+		if c := dnsname.Compare(a.nsDomain, b.nsDomain); c != 0 {
+			return c
+		}
+		return int(a.slot - b.slot)
+	})
+	pairs = slices.Compact(pairs)
+
+	hr := &HijackRisk{
+		AffectedDomains:           t.affected,
+		FullyUnresponsiveAffected: t.fullyUnresponsive,
+		PerCountry:                make(map[string]HijackCountry),
+	}
+	// The pairs run in nameserver-domain order: each run is one
+	// available domain, with one pair per country slot using it.
+	nsDomainsBy := make([]int, m.slots())
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j].nsDomain == pairs[i].nsDomain {
+			j++
+		}
+		hr.AvailableNSDomains = append(hr.AvailableNSDomains, pairs[i].nsDomain)
+		if j-i > 1 {
+			hr.MultiCountryNSDomains++
+		}
+		for _, p := range pairs[i:j] {
+			nsDomainsBy[p.slot]++
+		}
+		i = j
+	}
+	for s, affected := range t.affectedBy {
+		if affected == 0 {
 			continue
 		}
-		hr.AffectedDomains++
-		entry := hr.PerCountry[code]
-		entry.AffectedDomains++
-		hr.PerCountry[code] = entry
-		if !r.Responsive() {
-			hr.FullyUnresponsiveAffected++
+		if nsDomainsBy[s] > 0 {
+			hr.Countries++
+		}
+		hr.PerCountry[m.slotCode(int32(s))] = HijackCountry{
+			AffectedDomains:    affected,
+			AvailableNSDomains: nsDomainsBy[s],
 		}
 	}
-
-	for nsDomain, isAvailable := range available {
-		if isAvailable && nsDomainCountries[nsDomain] != nil {
-			hr.AvailableNSDomains = append(hr.AvailableNSDomains, nsDomain)
-			if len(nsDomainCountries[nsDomain]) > 1 {
-				hr.MultiCountryNSDomains++
-			}
-		}
-	}
-	slices.SortFunc(hr.AvailableNSDomains, dnsname.Compare)
-	for code, domains := range nsDomainsByCountry {
-		entry := hr.PerCountry[code]
-		entry.AvailableNSDomains = len(domains)
-		hr.PerCountry[code] = entry
-	}
-	hr.Countries = len(nsDomainsByCountry)
 	hr.Prices = reg.Quote(hr.AvailableNSDomains)
 	hr.MedianPrice = registrar.Median(hr.Prices)
 	return hr

@@ -11,7 +11,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"govdns/internal/dnsname"
@@ -32,70 +32,106 @@ type Country struct {
 // Mapper resolves domain names to their country.
 type Mapper struct {
 	countries []Country
-	bySuffix  map[dnsname.Name]int
+	// byTLD lists, per top-level domain, the indices of the countries
+	// whose suffix lies under it, longest suffix first (the later
+	// country first between equal suffixes, as a map keyed by suffix
+	// would keep it): a handful of suffix checks after one probe.
+	byTLD map[dnsname.Name][]int32
+	// slot is each country's counter slot in the per-country tallies,
+	// with one more entry, unmapped, for unmapped domains: the index of
+	// the first country with the same code, or unmapped for an empty
+	// code. Tallies kept per slot therefore merge exactly as a map
+	// keyed by code (with "" for unmapped domains) would.
+	slot []int32
 }
 
 // NewMapper builds a mapper over the study's countries.
 func NewMapper(countries []Country) *Mapper {
 	m := &Mapper{
 		countries: append([]Country(nil), countries...),
-		bySuffix:  make(map[dnsname.Name]int, len(countries)),
+		byTLD:     make(map[dnsname.Name][]int32),
+		slot:      make([]int32, len(countries)+1),
 	}
+	unmapped := int32(len(countries))
+	first := make(map[string]int32, len(countries))
 	for i, c := range m.countries {
-		m.bySuffix[c.Suffix] = i
+		tld := topLevel(c.Suffix)
+		m.byTLD[tld] = append(m.byTLD[tld], int32(i))
+		s, seen := first[c.Code]
+		switch {
+		case c.Code == "":
+			s = unmapped
+		case !seen:
+			s = int32(i)
+			first[c.Code] = s
+		}
+		m.slot[i] = s
+	}
+	m.slot[unmapped] = unmapped
+	for _, idx := range m.byTLD {
+		slices.SortFunc(idx, func(a, b int32) int {
+			if la, lb := len(m.countries[a].Suffix), len(m.countries[b].Suffix); la != lb {
+				return lb - la
+			}
+			return int(b - a)
+		})
 	}
 	return m
 }
 
-// Countries returns the mapper's country list.
-func (m *Mapper) Countries() []Country { return m.countries }
+// topLevel returns name's top-level ancestor ("br." for "x.gov.br."):
+// the name itself when it has one label (or no trailing dot and no
+// other dot), the root for the root, and "" for the zero Name.
+func topLevel(name dnsname.Name) dnsname.Name {
+	if name == "" || name.IsRoot() {
+		return name
+	}
+	return name[strings.LastIndexByte(string(name[:len(name)-1]), '.')+1:]
+}
 
 // suffixIndex returns the index in m.countries of the longest
 // government suffix at or above name (the name itself, then each
-// ancestor short of the root), or -1: one probe per level.
+// ancestor short of the root), or -1: one probe on the name's
+// top-level domain, then a suffix check per government suffix under
+// it. Suffixes under one top-level domain are ancestors of name only
+// if they are suffixes of its string, so the first that is (the
+// longest) is the one a walk up from name would meet first.
 func (m *Mapper) suffixIndex(name dnsname.Name) int {
-	for cur := name; ; {
-		if idx, ok := m.bySuffix[cur]; ok {
-			return idx
-		}
-		if cur = cur.Parent(); cur.IsRoot() {
-			return -1
+	for _, i := range m.byTLD[topLevel(name)] {
+		if name.IsSubdomainOf(m.countries[i].Suffix) {
+			return int(i)
 		}
 	}
+	return -1
 }
 
-// CountryOf maps a domain to its country by the longest matching
-// government suffix (the suffix itself also matches).
-func (m *Mapper) CountryOf(name dnsname.Name) (Country, bool) {
-	if idx := m.suffixIndex(name); idx >= 0 {
-		return m.countries[idx], true
+// slots is the length of a per-country tally: one slot per country
+// and one for unmapped domains.
+func (m *Mapper) slots() int { return len(m.slot) }
+
+// slotOf returns the tally slot of country index idx (-1 = unmapped).
+func (m *Mapper) slotOf(idx int) int32 {
+	if idx < 0 {
+		return int32(len(m.countries))
 	}
-	return Country{}, false
+	return m.slot[idx]
 }
 
-// countryIndexOf resolves a domain to its index in m.countries (-1 =
-// unmapped) — CountryOf in the index form the corpus memoizes.
-func (m *Mapper) countryIndexOf(name dnsname.Name) int32 {
-	return int32(m.suffixIndex(name))
-}
-
-// SuffixOf returns the d_gov a domain belongs to.
-func (m *Mapper) SuffixOf(name dnsname.Name) (dnsname.Name, bool) {
-	if idx := m.suffixIndex(name); idx >= 0 {
-		return m.countries[idx].Suffix, true
+// slotCode returns the country code a tally slot stands for, "" for
+// the unmapped slot.
+func (m *Mapper) slotCode(s int32) string {
+	if int(s) == len(m.countries) {
+		return ""
 	}
-	return dnsname.Root, false
+	return m.countries[s].Code
 }
 
-// IsPrivateHost reports whether an NS hostname represents a private
-// (in-government) deployment for a domain: the hostname falls under the
-// same d_gov (§ IV-A's lower-bound definition).
-func (m *Mapper) IsPrivateHost(domain, host dnsname.Name) bool {
-	suffix, ok := m.SuffixOf(domain)
-	if !ok {
-		return false
-	}
-	return host.IsSubdomainOf(suffix)
+// isPrivateHost reports whether an NS hostname represents a private
+// (in-government) deployment for a domain in country index idx (-1 =
+// unmapped): the hostname falls under the same d_gov (§ IV-A's
+// lower-bound definition).
+func (m *Mapper) isPrivateHost(idx int, host dnsname.Name) bool {
+	return idx >= 0 && host.IsSubdomainOf(m.countries[idx].Suffix)
 }
 
 // Groups assigns each country to its Table II/III group: the UN
@@ -134,14 +170,4 @@ func NSDomain(host dnsname.Name) dnsname.Name {
 		return domain
 	}
 	return host
-}
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

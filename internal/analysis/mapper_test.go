@@ -18,62 +18,107 @@ func testMapper() *Mapper {
 
 func day(y int, m time.Month, d int) pdns.Day { return pdns.Date(y, m, d) }
 
+// countryOf maps a domain to its country code by the mapper's lookup
+// ("" = unmapped).
+func countryOf(m *Mapper, name dnsname.Name) string {
+	if idx := m.suffixIndex(name); idx >= 0 {
+		return m.countries[idx].Code
+	}
+	return ""
+}
+
 func TestMapperCountryOf(t *testing.T) {
 	m := testMapper()
-	c, ok := m.CountryOf("x.gov.br.")
-	if !ok || c.Code != "br" {
-		t.Errorf("CountryOf(x.gov.br.) = %+v, %v", c, ok)
-	}
-	if c, ok := m.CountryOf("gov.br."); !ok || c.Code != "br" {
-		t.Errorf("CountryOf(gov.br.) = %+v, %v", c, ok)
-	}
-	if _, ok := m.CountryOf("example.com."); ok {
-		t.Error("CountryOf matched a non-government domain")
+	for name, want := range map[dnsname.Name]string{
+		"x.gov.br.":    "br",
+		"gov.br.":      "br",
+		"a.b.gob.mx.":  "mx",
+		"example.com.": "",
+		"gov.com.":     "",
+		"xgov.br.":     "",
+	} {
+		if got := countryOf(m, name); got != want {
+			t.Errorf("country of %s = %q, want %q", name, got, want)
+		}
 	}
 }
 
 func TestMapperLongestSuffix(t *testing.T) {
 	// A suffix nested below another: the deeper one wins, for a name
-	// below it and for the suffix itself.
+	// below it and for the suffix itself, whichever order the
+	// countries come in.
+	for _, countries := range [][]Country{
+		{{Code: "br", Suffix: "gov.br."}, {Code: "sp", Suffix: "sp.gov.br."}},
+		{{Code: "sp", Suffix: "sp.gov.br."}, {Code: "br", Suffix: "gov.br."}},
+	} {
+		m := NewMapper(countries)
+		for _, tt := range []struct {
+			name dnsname.Name
+			code string // "" = unmapped
+		}{
+			{"x.sp.gov.br.", "sp"},
+			{"sp.gov.br.", "sp"},
+			{"a.b.gov.br.", "br"},
+			{"gov.br.", "br"},
+			{"br.", ""},
+			{dnsname.Root, ""},
+			{"", ""},
+			{"sp.gov.br.example.", ""},
+			{"gov", ""}, // no trailing dot
+		} {
+			if got := countryOf(m, tt.name); got != tt.code {
+				t.Errorf("%v: country of %q = %q, want %q", countries, tt.name, got, tt.code)
+			}
+		}
+	}
+}
+
+// TestMapperSlots: tallies kept per slot merge as a map keyed by code
+// would: countries sharing a code share a slot, and a country with no
+// code shares the unmapped domains' slot.
+func TestMapperSlots(t *testing.T) {
 	m := NewMapper([]Country{
 		{Code: "br", Suffix: "gov.br."},
-		{Code: "sp", Suffix: "sp.gov.br."},
+		{Code: "", Suffix: "gov.xx."},
+		{Code: "br", Suffix: "gov.yy."},
+		{Code: "mx", Suffix: "gob.mx."},
 	})
+	unmapped := m.slotOf(-1)
 	for _, tt := range []struct {
-		name   dnsname.Name
-		code   string // "" = unmapped
-		suffix dnsname.Name
+		name dnsname.Name
+		slot int32
+		code string
 	}{
-		{"x.sp.gov.br.", "sp", "sp.gov.br."},
-		{"sp.gov.br.", "sp", "sp.gov.br."},
-		{"a.b.gov.br.", "br", "gov.br."},
-		{"gov.br.", "br", "gov.br."},
-		{"br.", "", dnsname.Root},
-		{dnsname.Root, "", dnsname.Root},
-		{"sp.gov.br.example.", "", dnsname.Root},
-		{"gov", "", dnsname.Root}, // no dot: the walk up must still end
+		{"a.gov.br.", 0, "br"},
+		{"a.gov.yy.", 0, "br"},
+		{"a.gob.mx.", 3, "mx"},
+		{"a.gov.xx.", unmapped, ""},
+		{"example.com.", unmapped, ""},
 	} {
-		c, ok := m.CountryOf(tt.name)
-		idx := m.countryIndexOf(tt.name)
-		suffix, suffixOK := m.SuffixOf(tt.name)
-		if c.Code != tt.code || ok != (tt.code != "") || suffix != tt.suffix || suffixOK != ok ||
-			(idx < 0) == ok || ok && m.countries[idx] != c {
-			t.Errorf("%s: CountryOf = %q, %v; countryIndexOf = %d; SuffixOf = %q, %v; want %q under %q",
-				tt.name, c.Code, ok, idx, suffix, suffixOK, tt.code, tt.suffix)
+		s := m.slotOf(m.suffixIndex(tt.name))
+		if s != tt.slot || m.slotCode(s) != tt.code {
+			t.Errorf("%s: slot %d (%q), want %d (%q)", tt.name, s, m.slotCode(s), tt.slot, tt.code)
 		}
+	}
+	if m.slots() != 5 || unmapped != 4 {
+		t.Errorf("slots = %d, unmapped slot = %d; want 5, 4", m.slots(), unmapped)
 	}
 }
 
 func TestMapperIsPrivateHost(t *testing.T) {
 	m := testMapper()
-	if !m.IsPrivateHost("x.gov.br.", "ns1.x.gov.br.") {
+	br := m.suffixIndex("x.gov.br.")
+	if !m.isPrivateHost(br, "ns1.x.gov.br.") {
 		t.Error("in-domain host not private")
 	}
-	if !m.IsPrivateHost("x.gov.br.", "ns1.gov.br.") {
+	if !m.isPrivateHost(br, "ns1.gov.br.") {
 		t.Error("central host not private")
 	}
-	if m.IsPrivateHost("x.gov.br.", "ns1.provider.com.") {
+	if m.isPrivateHost(br, "ns1.provider.com.") {
 		t.Error("provider host private")
+	}
+	if m.isPrivateHost(-1, "ns1.gov.br.") {
+		t.Error("host of an unmapped domain private")
 	}
 }
 

@@ -371,17 +371,3 @@ func carve[T any](block *[]T, src []T) []T {
 	*block = append(*block, src...)
 	return (*block)[start:len(*block):len(*block)]
 }
-
-// NSCount is the number of distinct delegated nameservers (|P ∪ C|);
-// the paper's replication metric uses the combined set. It scans P and
-// the answered servers' NS lists in place and allocates nothing.
-func (r *DomainResult) NSCount() int {
-	n := r.childLen()
-	for i, host := range r.ParentNS {
-		// The sets hold a handful of names: scanning beats hashing.
-		if !slices.Contains(r.ParentNS[:i], host) && !inChild(r.Servers, host) {
-			n++
-		}
-	}
-	return n
-}

@@ -161,9 +161,6 @@ func TestResultSetHelpersMatchTheirDefinitions(t *testing.T) {
 		if got, want := r.ChildNS(), refChildNS(r); !slices.Equal(got, want) {
 			t.Fatalf("ChildNS = %v, want %v\n%+v", got, want, r)
 		}
-		if got, want := r.NSCount(), refNSCount(r); got != want {
-			t.Fatalf("NSCount = %d, want %d\n%+v", got, want, r)
-		}
 		// Into a buffer already holding names, with and without room
 		// to spare: the prefix stays, C follows it.
 		for _, spare := range []int{0, 8} {
@@ -235,13 +232,6 @@ func TestChildViewHelpersAllocateNothing(t *testing.T) {
 	var results []*DomainResult
 	for i := 0; i < 200; i++ {
 		results = append(results, randomResult(rng))
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for _, r := range results {
-			r.NSCount()
-		}
-	}); allocs != 0 {
-		t.Errorf("NSCount of %d results allocates %v times, want 0", len(results), allocs)
 	}
 	buf := make([]dnsname.Name, 0, 64)
 	if allocs := testing.AllocsPerRun(10, func() {

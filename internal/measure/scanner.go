@@ -263,7 +263,7 @@ func (s *Scanner) scanOnce(ctx context.Context, domain dnsname.Name, sc *scratch
 	r.Servers = sc.servers
 
 	// The child may know servers the parent does not (C ⊃ P): resolve
-	// and query those too, so NSCount and consistency see the full
+	// and query those too, so the NS count and consistency see the full
 	// picture.
 	s.queryChildOnlyHosts(sc)
 

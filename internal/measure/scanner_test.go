@@ -48,8 +48,8 @@ func TestScanHealthyDomain(t *testing.T) {
 	if len(child) != 2 || child[0] != "ns1.city.gov.br." {
 		t.Errorf("ChildNS = %v", child)
 	}
-	if r.NSCount() != 2 {
-		t.Errorf("NSCount = %d", r.NSCount())
+	if refNSCount(r) != 2 {
+		t.Errorf("|P ∪ C| = %d", refNSCount(r))
 	}
 	if got := len(r.AllAddrs()); got != 2 {
 		t.Errorf("AllAddrs = %d", got)
@@ -146,8 +146,8 @@ func TestScanSecondRoundDisabled(t *testing.T) {
 func TestScanSingleNS(t *testing.T) {
 	_, s := newScanner(t)
 	r := s.ScanDomain(scanCtx(t), "single.gov.br.")
-	if r.NSCount() != 1 {
-		t.Errorf("NSCount = %d, want 1", r.NSCount())
+	if refNSCount(r) != 1 {
+		t.Errorf("|P ∪ C| = %d, want 1", refNSCount(r))
 	}
 	if !r.Responsive() {
 		t.Error("single.gov.br not responsive")
@@ -174,8 +174,8 @@ func TestScanInconsistent(t *testing.T) {
 		t.Errorf("P and C should differ: P=%v C=%v", p, c)
 	}
 	// ns-count over the union: ns1, ns2 (parent), ns3 (child).
-	if r.NSCount() != 3 {
-		t.Errorf("NSCount = %d, want 3", r.NSCount())
+	if refNSCount(r) != 3 {
+		t.Errorf("|P ∪ C| = %d, want 3", refNSCount(r))
 	}
 }
 
@@ -402,7 +402,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if got.Responsive() != orig.Responsive() ||
 			got.FullyDefective() != orig.FullyDefective() ||
 			got.PartiallyDefective() != orig.PartiallyDefective() ||
-			got.NSCount() != orig.NSCount() {
+			refNSCount(got) != refNSCount(orig) {
 			t.Errorf("result %d predicates differ after round trip", i)
 		}
 		if len(got.AllAddrs()) != len(orig.AllAddrs()) {

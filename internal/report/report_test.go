@@ -75,7 +75,7 @@ func TestBarChartZeroValues(t *testing.T) {
 }
 
 func TestWriteCDF(t *testing.T) {
-	points := stats.IntCDF([]int{1, 2, 2, 4})
+	points := stats.HistCDF([]int{0, 1, 2, 0, 1}) // the values 1, 2, 2, 4
 	var buf bytes.Buffer
 	if err := WriteCDF(&buf, "CDF", points); err != nil {
 		t.Fatal(err)

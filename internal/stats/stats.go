@@ -10,33 +10,26 @@ type CDFPoint struct {
 	Fraction float64 // P(X <= Value)
 }
 
-// CDF computes the empirical CDF of vals (input is not modified).
-func CDF(vals []float64) []CDFPoint {
-	if len(vals) == 0 {
-		return nil
+// HistCDF computes the empirical CDF of the integer values whose
+// histogram is hist (hist[v] of them equal v): one point per value
+// present, ascending, at the share of values at or below it — point for
+// point what sorting the values themselves and walking them gives,
+// without the values. It returns nil when hist counts nothing.
+func HistCDF(hist []int) []CDFPoint {
+	total := 0
+	for _, k := range hist {
+		total += k
 	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
 	var out []CDFPoint
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
+	below := 0
+	for v, k := range hist {
+		if k == 0 {
+			continue
 		}
-		out = append(out, CDFPoint{Value: sorted[i], Fraction: float64(j) / n})
-		i = j
+		below += k
+		out = append(out, CDFPoint{Value: float64(v), Fraction: float64(below) / float64(total)})
 	}
 	return out
-}
-
-// IntCDF computes the CDF of integer values.
-func IntCDF(vals []int) []CDFPoint {
-	f := make([]float64, len(vals))
-	for i, v := range vals {
-		f[i] = float64(v)
-	}
-	return CDF(f)
 }
 
 // Percentile returns the p-th percentile (0..100) of vals using
