@@ -111,16 +111,19 @@ fuzz:
 	done
 
 # stress runs the packages whose tests lean hardest on goroutine timing —
-# the scanner, the resolver and the fan-out — at 1, 2 and 4 Ps, twice
+# the scanner, the resolver and the fan-out — and the analysis package,
+# whose figure loops split into per-core chunks, at 1, 2 and 4 Ps, twice
 # each, beside one busy-looping shell the target starts itself and kills
 # when the tests end, pass, fail or interrupt. A test bound that holds
 # only for some schedules fails here long before it flakes in check; the
-# stream writer's stop-on-error bound was one. It takes ~75 s on
-# 2 CPUs, so it is not part of check.
+# stream writer's stop-on-error bound was one. The analysis tests rerun
+# the figures' GOMAXPROCS-invariance check at each P count. It takes
+# ~55 s on 2 CPUs (the analysis package ~4 s of it), so it is not part
+# of check.
 stress:
 	@sh -c 'while :; do :; done' & burner=$$!; \
 	trap 'kill $$burner' EXIT INT TERM; \
-	$(GO) test -count=2 -cpu 1,2,4 ./internal/measure ./internal/resolver ./internal/fanout
+	$(GO) test -count=2 -cpu 1,2,4 ./internal/measure ./internal/resolver ./internal/fanout ./internal/analysis
 
 # paper runs the whole reproduction at paper scale and prints what it
 # cost: the world, scan and total wall times, CPU time and peak RSS

@@ -500,9 +500,21 @@ func TestStrayDuplicateStorm(t *testing.T) {
 	}
 }
 
+// controlTimer arms a timer for at and returns a function that waits
+// for it and reports how late it fired: the delay the scheduler alone
+// adds at that moment, which a lateness bound on a transport deadline
+// subtracts so that it measures only the transport's own delay, however
+// busy the machine is.
+func controlTimer(at time.Time) (lateness func() time.Duration) {
+	fired := make(chan time.Time, 1)
+	time.AfterFunc(time.Until(at), func() { fired <- time.Now() })
+	return func() time.Duration { return (<-fired).Sub(at) }
+}
+
 // TestTimeoutNeverEarly: with a context carrying no deadline, the
 // transport's own timeout ends the exchange with ErrTimeout — never
-// before the deadline, and within scheduler slack after it.
+// before the deadline, and within scheduler slack after it (beyond
+// what a control timer for the same deadline was late by).
 func TestTimeoutNeverEarly(t *testing.T) {
 	hole := startUDP(t, blackholeLoop)
 	const timeout = 100 * time.Millisecond
@@ -511,6 +523,7 @@ func TestTimeoutNeverEarly(t *testing.T) {
 		Timeout:      timeout,
 	})
 	start := time.Now()
+	control := controlTimer(start.Add(timeout))
 	_, err := tr.Exchange(context.Background(), srvIP, testQuery(1, 1))
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
@@ -519,8 +532,10 @@ func TestTimeoutNeverEarly(t *testing.T) {
 	if elapsed < timeout {
 		t.Fatalf("timeout fired after %v, before the %v deadline", elapsed, timeout)
 	}
-	if limit := timeout + 50*time.Millisecond; elapsed > limit {
-		t.Fatalf("timeout fired after %v, want within %v", elapsed, limit)
+	slack := control()
+	if limit := timeout + 50*time.Millisecond; elapsed-slack > limit {
+		t.Fatalf("timeout fired after %v, %v less a control timer's lateness (%v); want within %v",
+			elapsed, elapsed-slack, slack, limit)
 	}
 	if st := tr.Stats(); st.Timeouts != 1 {
 		t.Fatalf("Timeouts = %d, want 1", st.Timeouts)
@@ -538,7 +553,8 @@ func TestTimeoutNeverEarly(t *testing.T) {
 // resolver gives an attempt's: over a live, cancellable scan context,
 // under the exchange stage's trace scope. That is the context a
 // simulated transport ends at once (deadline.Expire); the real one must
-// wait it out.
+// wait it out. Lateness is counted beyond a control timer's for the
+// same deadline.
 func TestContextDeadlineNeverEarly(t *testing.T) {
 	hole := startUDP(t, blackholeLoop)
 	tr := newTest(t, Config{
@@ -561,6 +577,7 @@ func TestContextDeadlineNeverEarly(t *testing.T) {
 			exCtx, _ = rec.Begin(ctx, trace.KindExchange, srvIP.String(), nil)
 		}
 		at, _ := ctx.Deadline()
+		control := controlTimer(at)
 		_, err := tr.Exchange(exCtx, srvIP, testQuery(uint16(i), uint32(i)))
 		now := time.Now()
 		ctx.Release()
@@ -570,8 +587,9 @@ func TestContextDeadlineNeverEarly(t *testing.T) {
 		if now.Before(at) {
 			t.Fatalf("exchange %d: the deadline fired %v before the context deadline", i, at.Sub(now))
 		}
-		if late := now.Sub(at); late > 50*time.Millisecond {
-			t.Fatalf("exchange %d: the deadline fired %v after the context deadline", i, late)
+		if late, slack := now.Sub(at), control(); late-slack > 50*time.Millisecond {
+			t.Fatalf("exchange %d: the deadline fired %v after the context deadline (a control timer %v after it)",
+				i, late, slack)
 		}
 	}
 	if st := tr.Stats(); st.Timeouts != exchanges || st.Cancels != 0 {
