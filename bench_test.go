@@ -316,8 +316,9 @@ func BenchmarkAblationSecondRound(b *testing.B) {
 func BenchmarkAblationModeVsMax(b *testing.B) {
 	s := study(b)
 	first, last := pdns.YearRange(s.EndYear())
+	stable := pdns.NewView(s.World.PDNS.Snapshot()).Stable(pdns.StabilityFilterDays)
 	byDomain := make(map[string][]pdns.RecordSet)
-	for _, rs := range s.StableView.Sets {
+	for _, rs := range stable.Sets {
 		if rs.RRType == dnswire.TypeNS && rs.Overlaps(first, last) {
 			byDomain[string(rs.RRName)] = append(byDomain[string(rs.RRName)], rs)
 		}

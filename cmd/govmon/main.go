@@ -96,8 +96,7 @@ func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return errors.New("govmon run: -state is required")
 	}
 
-	world := worldgen.Generate(worldgen.Config{Seed: *seed, Scale: *scale})
-	active := worldgen.Build(world)
+	active := worldgen.Build(worldgen.Generate(worldgen.Config{Seed: *seed, Scale: *scale}))
 
 	reg := obs.NewRegistry()
 	m, err := monitor.Open(monitor.Config{
@@ -129,8 +128,7 @@ func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	for {
 		epochStart := time.Now()
 		scanner := newSimScanner(active, *concurrency, *timeout, reg)
-		qs := worldgen.NewQueryStream(world)
-		rep, err := m.RunEpoch(ctx, scanner, qs.Next)
+		rep, err := m.RunEpoch(ctx, scanner, measure.SliceSource(active.QueryList))
 		switch {
 		case err == nil:
 			resumed := ""

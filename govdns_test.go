@@ -3,6 +3,7 @@ package govdns
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,9 +45,15 @@ func TestOptionsPlumbing(t *testing.T) {
 	if s.Cfg.SecondRound {
 		t.Error("second round not disabled")
 	}
-	// StabilityDays < 0 disables filtering: raw and stable views match.
-	if len(s.StableView.Sets) != len(s.RawView.Sets) {
+	// StabilityDays < 0 disables filtering: the stable corpus is the
+	// raw one, where the default filter gives a different series.
+	raw := s.RawCorpus().Yearly()
+	if !slices.Equal(s.Corpus().Yearly(), raw) {
 		t.Error("negative StabilityDays still filtered")
+	}
+	filtered := New(Options{Seed: 9, Scale: 0.004})
+	if slices.Equal(filtered.Corpus().Yearly(), raw) {
+		t.Error("default StabilityDays filtered nothing")
 	}
 }
 

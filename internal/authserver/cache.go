@@ -69,7 +69,7 @@ const maxCacheTTL = 24 * time.Hour
 // Entries expire at the minimum TTL of the records in the rendered
 // response (OPT pseudo-records excluded — their TTL field is flag
 // storage, not a lifetime). Responses carrying no real records (FORMERR,
-// REFUSED, NOTIMP, behaviour-injected failures) have no defined lifetime
+// REFUSED, NOTIMP) have no defined lifetime
 // and are never cached. Expired entries are evicted lazily on lookup,
 // and every entry is dropped when a server using the cache replaces one
 // of its zones (Server.AddZone).

@@ -81,8 +81,6 @@ func TestBehaviorGoldens(t *testing.T) {
 		rcode    dnswire.RCode
 		dropped  bool
 	}{
-		{BehaviorServFail, dnswire.RCodeServFail, false},
-		{BehaviorRefused, dnswire.RCodeRefused, false},
 		{BehaviorUnresponsive, 0, true},
 	}
 	for _, c := range cases {

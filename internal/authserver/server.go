@@ -4,9 +4,10 @@
 // glue, NXDOMAIN/NODATA with SOA, and REFUSED for zones it does not host.
 //
 // Servers also model the failure behaviours the study measures in the
-// wild: unresponsive hosts (lame delegations), servers that return
-// SERVFAIL or REFUSED, servers still serving stale zone copies, and
-// parking services that answer every query with their own addresses.
+// wild: unresponsive hosts (lame delegations), servers still serving
+// stale zone copies, and parking services that answer every query with
+// their own addresses. A server that no longer hosts a zone answers
+// REFUSED like any query outside its zones.
 package authserver
 
 import (
@@ -30,12 +31,6 @@ const (
 	// BehaviorUnresponsive drops every query (no response at all). This
 	// is the signature of a fully lame nameserver.
 	BehaviorUnresponsive
-	// BehaviorServFail returns SERVFAIL to every query, as seen from
-	// misconfigured or overloaded servers.
-	BehaviorServFail
-	// BehaviorRefused returns REFUSED to every query — a server that
-	// exists but no longer serves the zone (a partially lame delegation).
-	BehaviorRefused
 	// BehaviorParking answers *any* query authoritatively with the
 	// parking target address, the behaviour of expired-domain parking
 	// services that make dangling NS records exploitable.
@@ -49,10 +44,6 @@ func (b Behavior) String() string {
 		return "healthy"
 	case BehaviorUnresponsive:
 		return "unresponsive"
-	case BehaviorServFail:
-		return "servfail"
-	case BehaviorRefused:
-		return "refused"
 	case BehaviorParking:
 		return "parking"
 	default:
@@ -204,12 +195,6 @@ func (s *Server) respond(query, resp *dnswire.Message, buf []dnswire.RR) *dnswir
 	switch behavior {
 	case BehaviorUnresponsive:
 		return nil
-	case BehaviorServFail:
-		resp.Header.RCode = dnswire.RCodeServFail
-		return resp
-	case BehaviorRefused:
-		resp.Header.RCode = dnswire.RCodeRefused
-		return resp
 	case BehaviorParking:
 		return s.parkingResponse(query, resp, parking)
 	}
@@ -374,9 +359,9 @@ func (s *Server) serveWire(dst, wire []byte, tc TransportClass) (out []byte, ok 
 	limit := payloadLimit(tc, hasOPT, advertised, serverCap)
 
 	// Cacheable: a healthy server answering an ordinary single-question
-	// IN query. Behaviour-injected failures, multi-question oddities, and
-	// meta qtypes render fresh every time — they are cheap, rare, or
-	// (AXFR) never answered on this path at all.
+	// IN query. Parking answers, multi-question oddities, and meta qtypes
+	// render fresh every time — they are cheap, rare, or (AXFR) never
+	// answered on this path at all.
 	if cache != nil && behavior == BehaviorHealthy &&
 		len(query.Questions) == 1 && query.Header.Opcode == dnswire.OpcodeQuery {
 		q := query.Question()

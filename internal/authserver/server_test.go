@@ -123,15 +123,7 @@ func TestBehaviors(t *testing.T) {
 	if resp := handle(s, q); resp != nil {
 		t.Error("unresponsive server answered")
 	}
-	s.SetBehavior(BehaviorServFail)
-	if resp := handle(s, q); resp.Header.RCode != dnswire.RCodeServFail {
-		t.Errorf("RCode = %v, want SERVFAIL", resp.Header.RCode)
-	}
-	s.SetBehavior(BehaviorRefused)
-	if resp := handle(s, q); resp.Header.RCode != dnswire.RCodeRefused {
-		t.Errorf("RCode = %v, want REFUSED", resp.Header.RCode)
-	}
-	if got := s.Behavior(); got != BehaviorRefused {
+	if got := s.Behavior(); got != BehaviorUnresponsive {
 		t.Errorf("Behavior() = %v", got)
 	}
 }

@@ -22,7 +22,7 @@ const axfrBatch = 64
 // SOA that marks the transfer complete (RFC 5936 shape, as coredns's
 // transfer middleware implements it). Transfers require an exactly
 // hosted origin on a healthy server; anything else gets the ordinary
-// single-response treatment (REFUSED, behaviour RCODE, or a drop).
+// single-response treatment (REFUSED, a parking answer, or a drop).
 //
 // The return value reports whether the connection is still usable; a
 // failed write means the peer is gone and the serving loop should exit.

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -454,7 +455,7 @@ func annotateInjection(ctx context.Context, class Class) {
 func (t *Transport) pick(server netip.Addr, k exKey, seq, srvSeq int) *Rule {
 	for i := range t.rules {
 		r := &t.rules[i]
-		if len(r.Servers) > 0 && !containsAddr(r.Servers, server) {
+		if len(r.Servers) > 0 && !slices.Contains(r.Servers, server) {
 			continue
 		}
 		idx := seq
@@ -520,13 +521,4 @@ func (t *Transport) draw(salt uint64, server netip.Addr, k exKey, idx int) uint6
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-func containsAddr(addrs []netip.Addr, a netip.Addr) bool {
-	for _, x := range addrs {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }

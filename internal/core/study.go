@@ -82,10 +82,6 @@ type Study struct {
 	Active  *worldgen.Active
 	Mapper  *analysis.Mapper
 	Catalog *providers.Catalog
-	// StableView is the PDNS view after the stability filter.
-	StableView *pdns.View
-	// RawView is the unfiltered PDNS view (for the filter ablation).
-	RawView *pdns.View
 	// Results is the active scan output (nil before RunActive, its only
 	// writer).
 	Results []*measure.DomainResult
@@ -101,10 +97,11 @@ type Study struct {
 	// reads most of the others twice. A single report gains nothing from
 	// the rest. RunActive, the only writer of Results, drops it.
 	memo map[string]any
-	// corpStable/corpRaw are the compiled columnar corpora of the two
-	// PDNS views, built on first use and shared by every passive
-	// analysis (the views are immutable after NewStudy, so the corpora
-	// never invalidate).
+	// corpStable/corpRaw are the compiled columnar corpora of the
+	// stability-filtered and the unfiltered PDNS view, built on first
+	// use and shared by every passive analysis (the world's PDNS store
+	// is complete after NewStudy, so the corpora never invalidate). The
+	// views themselves are built for the compile and dropped after it.
 	corpStable *analysis.Corpus
 	corpRaw    *analysis.Corpus
 }
@@ -134,9 +131,9 @@ func scanned[T any](s *Study, key string, compute func() T) (T, error) {
 	return memoized(s, key, compute), nil
 }
 
-// NewStudy generates the world and prepares the passive views. The
-// active scan is run separately (RunActive) because it dominates run
-// time.
+// NewStudy generates the world and the country mapper. The passive
+// corpora are compiled on first use, and the active scan is run
+// separately (RunActive) because it dominates run time.
 func NewStudy(cfg Config) *Study {
 	cfg = cfg.withDefaults()
 	w := worldgen.Generate(worldgen.Config{Seed: cfg.Seed, Scale: cfg.Scale, HijackEvents: cfg.HijackEvents})
@@ -154,13 +151,6 @@ func NewStudy(cfg Config) *Study {
 		}
 	}
 	s.Mapper = analysis.NewMapper(countries)
-
-	s.RawView = pdns.NewView(w.PDNS.Snapshot())
-	if cfg.StabilityDays > 0 {
-		s.StableView = s.RawView.Stable(cfg.StabilityDays)
-	} else {
-		s.StableView = s.RawView
-	}
 
 	// The paper's top-10 countries (by PDNS records) become singleton
 	// groups in Tables II/III.
@@ -221,9 +211,16 @@ func (s *Study) Corpus() *analysis.Corpus {
 	return s.corpusLocked()
 }
 
+// Each compile snapshots the PDNS store into a view of its own (§ III-C's
+// filter applied for the stable corpus) and lets it go: only the corpus
+// outlives the call.
 func (s *Study) corpusLocked() *analysis.Corpus {
 	if s.corpStable == nil {
-		s.corpStable = analysis.CompileCorpus(s.StableView, s.Mapper, s.StartYear(), s.EndYear())
+		view := pdns.NewView(s.World.PDNS.Snapshot())
+		if s.Cfg.StabilityDays > 0 {
+			view = view.Stable(s.Cfg.StabilityDays)
+		}
+		s.corpStable = analysis.CompileCorpus(view, s.Mapper, s.StartYear(), s.EndYear())
 	}
 	return s.corpStable
 }
@@ -234,7 +231,8 @@ func (s *Study) RawCorpus() *analysis.Corpus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.corpRaw == nil {
-		s.corpRaw = analysis.CompileCorpus(s.RawView, s.Mapper, s.StartYear(), s.EndYear())
+		view := pdns.NewView(s.World.PDNS.Snapshot())
+		s.corpRaw = analysis.CompileCorpus(view, s.Mapper, s.StartYear(), s.EndYear())
 	}
 	return s.corpRaw
 }

@@ -112,8 +112,8 @@ func (m *ScanMetrics) recordDomain(r *DomainResult) {
 
 // SetTotal records the expected domain count for progress reporting.
 // Scan sets it itself from its slice; streaming callers that know their
-// source's length (e.g. a worldgen QueryStream) set it here, since
-// ScanStream cannot know how long its iterator runs.
+// source's length (e.g. a SliceSource over a query list) set it here,
+// since ScanStream cannot know how long its iterator runs.
 func (m *ScanMetrics) SetTotal(n int) {
 	if m == nil {
 		return

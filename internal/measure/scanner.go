@@ -530,8 +530,9 @@ func newResult(domain dnsname.Name) *DomainResult {
 
 // DomainSource feeds domains to ScanStream one at a time, in canonical
 // scan order, returning ok=false when exhausted. Sources are pulled
-// from a single goroutine, so they need no locking. worldgen's
-// QueryStream.Next satisfies this signature directly.
+// from a single goroutine, so they need no locking. SliceSource adapts
+// a list already in memory, such as worldgen's Active.QueryList; a
+// reader of a domain file satisfies it line by line.
 type DomainSource func() (dnsname.Name, bool)
 
 // SliceSource adapts a domain slice to a DomainSource.

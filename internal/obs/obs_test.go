@@ -306,9 +306,9 @@ func TestHTTPHandlerServesSnapshotAndPprof(t *testing.T) {
 }
 
 // TestSnapshotJSONDeterministic pins the snapshot serialization
-// contract: metric and label keys are emitted in sorted order, so two
-// snapshots of identical registry state — e.g. embedded in committed
-// BENCH_*.json files — are byte-identical and diff cleanly.
+// contract: metric and label keys are emitted in sorted order (as
+// encoding/json writes map keys), so two /metrics snapshots of
+// identical registry state are byte-identical and diff cleanly.
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() RegistrySnapshot {
 		r := NewRegistry()
@@ -347,8 +347,8 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		t.Errorf("snapshot serialization changed:\ngot  %s\nwant %s", a, want)
 	}
 
-	// The explicit ordering must stay schema-compatible with the struct
-	// tags the reader side uses.
+	// The snapshot must round-trip through the struct tags the reader
+	// side uses.
 	var back RegistrySnapshot
 	if err := json.Unmarshal(a, &back); err != nil {
 		t.Fatal(err)

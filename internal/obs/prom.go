@@ -12,9 +12,9 @@ import (
 
 // Prometheus text exposition (format version 0.0.4) for the registry,
 // served next to the JSON snapshot. The JSON form is the repo's own
-// archival format (embedded in BENCH_*.json); this one exists so a
-// stock Prometheus/Grafana stack can scrape a running daemon without a
-// translation shim.
+// format (diff-stable, because encoding/json sorts map keys); this one
+// exists so a stock Prometheus/Grafana stack can scrape a running
+// daemon without a translation shim.
 //
 // Mapping:
 //

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -54,13 +52,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 				s.Counters = make(map[string]uint64)
 			}
 			inst.mu.RLock()
-			labels := make([]string, 0, len(inst.m))
-			for label := range inst.m {
-				labels = append(labels, label)
-			}
-			sort.Strings(labels)
-			for _, label := range labels {
-				s.Counters[name+"{"+label+"}"] = inst.m[label].Load()
+			for label, c := range inst.m {
+				s.Counters[name+"{"+label+"}"] = c.Load()
 			}
 			inst.mu.RUnlock()
 		}
@@ -68,71 +61,10 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return s
 }
 
-// MarshalJSON emits the snapshot with metric and label keys in sorted
-// order as an explicit contract — snapshots are embedded in committed
-// BENCH_*.json files, so two snapshots of the same registry state must
-// be byte-identical for the diff to be readable. (encoding/json happens
-// to sort map keys today; this makes the ordering deliberate and pinned
-// by TestSnapshotJSONDeterministic rather than inherited.)
-func (s RegistrySnapshot) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(`{"taken_at":`)
-	if err := appendJSON(&b, s.TakenAt); err != nil {
-		return nil, err
-	}
-	if err := appendSortedMap(&b, "counters", s.Counters); err != nil {
-		return nil, err
-	}
-	if err := appendSortedMap(&b, "gauges", s.Gauges); err != nil {
-		return nil, err
-	}
-	if err := appendSortedMap(&b, "histograms", s.Histograms); err != nil {
-		return nil, err
-	}
-	b.WriteByte('}')
-	return b.Bytes(), nil
-}
-
-func appendJSON(b *bytes.Buffer, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b.Write(raw)
-	return nil
-}
-
-// appendSortedMap writes `,"field":{...}` with keys in sorted order,
-// omitting the field entirely when the map is empty (matching the
-// struct tags' omitempty).
-func appendSortedMap[V any](b *bytes.Buffer, field string, m map[string]V) error {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b.WriteString(`,"` + field + `":{`)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if err := appendJSON(b, k); err != nil {
-			return err
-		}
-		b.WriteByte(':')
-		if err := appendJSON(b, m[k]); err != nil {
-			return err
-		}
-	}
-	b.WriteByte('}')
-	return nil
-}
-
-// WriteJSON writes the snapshot as indented JSON (keys sorted by
-// RegistrySnapshot.MarshalJSON, so output is diff-stable).
+// WriteJSON writes the snapshot as indented JSON. The /metrics JSON is
+// diff-stable: encoding/json writes map keys in sorted order, so two
+// snapshots of the same registry state are byte-identical apart from
+// TakenAt.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,6 +2,7 @@ package worldgen
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"govdns/internal/dnsname"
@@ -342,14 +343,19 @@ func (a *Active) buildRegistrarState() {
 	a.Reg.MarkRegistered(dnsname.MustParse("ddos-shield.net"))
 }
 
-// buildQueryList assembles the scanner's input by draining a
-// QueryStream — the single source of truth for scan order, shared with
-// the streaming scan path, so slice and stream scans see identical
-// input by construction.
+// buildQueryList assembles the scanner's input — every domain with
+// passive activity reaching the final study years, plus the ghost
+// children — in canonical dnsname.Compare order. It is the one scan
+// order: every command feeds this slice to the scanner.
 func (a *Active) buildQueryList() {
-	qs := NewQueryStream(a.World)
-	a.QueryList = make([]dnsname.Name, 0, qs.Len())
-	for n, ok := qs.Next(); ok; n, ok = qs.Next() {
-		a.QueryList = append(a.QueryList, n)
+	w := a.World
+	list := make([]dnsname.Name, 0, len(w.Domains)+len(w.GhostNames))
+	for _, d := range w.Domains {
+		if d.Died == 0 || d.Died >= w.Cfg.EndYear-2 {
+			list = append(list, d.Name)
+		}
 	}
+	list = append(list, w.GhostNames...)
+	slices.SortFunc(list, dnsname.Compare)
+	a.QueryList = list
 }

@@ -398,6 +398,26 @@ func TestQueryListContainsAliveAndStale(t *testing.T) {
 			t.Errorf("long-dead domain %s in query list", d.Name)
 		}
 	}
+	for _, g := range w.GhostNames {
+		if !inList[g] {
+			t.Errorf("ghost child %s missing from query list", g)
+		}
+	}
+}
+
+// TestQueryListStrictlyIncreasing pins the scan order every command
+// feeds the scanner: canonical dnsname.Compare order with no name
+// twice, so a stream and a slice scan of the list emit the same bytes.
+func TestQueryListStrictlyIncreasing(t *testing.T) {
+	_, active := sharedWorld(t)
+	if len(active.QueryList) == 0 {
+		t.Fatal("empty query list")
+	}
+	for i := 1; i < len(active.QueryList); i++ {
+		if a, b := active.QueryList[i-1], active.QueryList[i]; dnsname.Compare(a, b) >= 0 {
+			t.Fatalf("QueryList[%d] = %s does not follow QueryList[%d] = %s", i, b, i-1, a)
+		}
+	}
 }
 
 func TestPDNSStabilityFilterRemovesTransients(t *testing.T) {
